@@ -58,7 +58,7 @@ type proc = {
   mutable seg : int;
   mutable budget : int;  (* probes left in the current Probe segment *)
   mutable cursor : int;  (* position in the current Sweep segment *)
-  mutable name : int option;
+  mutable name : int;  (* the register won, or -1 while unnamed *)
   mutable steps : int;
   mutable finished : bool;
 }
@@ -87,7 +87,7 @@ let rec step regs p =
         let target = base + Sample.uniform_int p.rng size in
         p.steps <- p.steps + 1;
         if Atomic_tas.test_and_set regs ~idx:target ~pid:p.pid then begin
-          p.name <- Some target;
+          p.name <- target;
           p.finished <- true;
           false
         end
@@ -104,7 +104,7 @@ let rec step regs p =
         p.cursor <- p.cursor + 1;
         p.steps <- p.steps + 1;
         if Atomic_tas.test_and_set regs ~idx:target ~pid:p.pid then begin
-          p.name <- Some target;
+          p.name <- target;
           p.finished <- true;
           false
         end
@@ -145,7 +145,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
         seg = 0;
         budget = 0;
         cursor = 0;
-        name = None;
+        name = -1;
         steps = 0;
         finished = false;
       }
@@ -153,15 +153,10 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
     enter_segment p;
     p
   in
+  (* Domain [d] runs pids [d], [d + domains], [d + 2 * domains], ... *)
   let shards =
     Array.init domains (fun d ->
-        let pids = ref [] in
-        let pid = ref (n - 1) in
-        while !pid >= 0 do
-          if !pid mod domains = d then pids := !pid :: !pids;
-          decr pid
-        done;
-        Array.of_list (List.map make_proc !pids))
+        Array.init ((n - d + domains - 1) / domains) (fun i -> make_proc (d + (i * domains))))
   in
   (* Watchdog shared state: the workers publish progress, the watchdog
      publishes cancellation.  Everything crossing domains is Atomic. *)
@@ -225,7 +220,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
   Array.iter
     (Array.iter (fun p ->
          steps.(p.pid) <- p.steps;
-         names.(p.pid) <- p.name))
+         if p.name >= 0 then names.(p.pid) <- Some p.name))
     shards;
   let result =
     {

@@ -7,20 +7,20 @@ let uniform_int rng bound =
      [((max_int mod bound) + 1) mod bound] avoids the overflow. *)
   let n_mod = ((max_int mod bound) + 1) mod bound in
   let accept_max = max_int - n_mod in
-  let rec draw () =
-    let x = Xoshiro.next_int63 rng in
-    if x <= accept_max then x mod bound else draw ()
-  in
-  draw ()
+  let x = ref (Xoshiro.next_int63 rng) in
+  while !x > accept_max do
+    x := Xoshiro.next_int63 rng
+  done;
+  !x mod bound
 
 let uniform_in_range rng ~lo ~hi =
   if hi < lo then invalid_arg "Sample.uniform_in_range: hi < lo";
   lo + uniform_int rng (hi - lo + 1)
 
-let float_unit rng =
-  (* 53 random mantissa bits, the conventional doubles construction. *)
-  let bits = Int64.to_int (Int64.shift_right_logical (Xoshiro.next rng) 11) in
-  float_of_int bits *. 0x1.0p-53
+(* 53 random mantissa bits, the conventional doubles construction: the
+   top 53 bits of [next], i.e. [next_int63 lsr 9].  Inlined so that
+   [bernoulli] compares the float unboxed. *)
+let[@inline] float_unit rng = float_of_int (Xoshiro.next_int63 rng lsr 9) *. 0x1.0p-53
 
 let bernoulli rng p = float_unit rng < p
 

@@ -1,9 +1,8 @@
 (** SplitMix64 pseudo-random generator (Steele, Lea, Flood 2014).
 
-    Used both as a standalone generator and to seed {!Xoshiro} state from a
-    single 64-bit seed.  All experiments in this repository derive their
-    randomness from explicit seeds through this module, so every run is
-    reproducible. *)
+    A standalone generator.  {!Xoshiro} seeds its state with the same
+    rounds, computed in its own module so the seeding stays unboxed;
+    golden-output tests pin both. *)
 
 type t
 

@@ -4,13 +4,7 @@ let create seed = { seed }
 
 let seed t = t.seed
 
-(* Mix the substream key into the seed through one SplitMix64 round so
-   that substreams with nearby indices are decorrelated. *)
-let derive base key =
-  let sm = Splitmix64.create (Int64.logxor base (Int64.mul 0x9E3779B97F4A7C15L key)) in
-  Xoshiro.create (Splitmix64.next sm)
-
-let fork t ~index = derive t.seed (Int64.of_int (index + 1))
+let fork t ~index = Xoshiro.derive t.seed (Int64.of_int (index + 1))
 
 (* FNV-1a, 64-bit.  Self-contained so per-name streams are stable
    across OCaml versions — Hashtbl.hash makes no such promise and has
@@ -28,4 +22,4 @@ let hash_name name =
 let fork_named t ~name =
   (* Force a high bit so named keys stay disjoint from the small
      positive keys [fork] derives from indices. *)
-  derive t.seed (Int64.logor (hash_name name) 0x4000000000000000L)
+  Xoshiro.derive t.seed (Int64.logor (hash_name name) 0x4000000000000000L)

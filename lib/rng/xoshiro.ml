@@ -1,57 +1,74 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The 256-bit state lives unboxed in 32 bytes: word [i] of the
+   reference implementation's [s[4]] is at byte offset [8 * i].  Every
+   read and write below goes through the unboxed-int64 primitives, so
+   stepping the generator allocates nothing; a [mutable : int64] record
+   field would box on every store. *)
+type t = Bytes.t
 
-let create seed =
-  let sm = Splitmix64.create seed in
-  let s0 = Splitmix64.next sm in
-  let s1 = Splitmix64.next sm in
-  let s2 = Splitmix64.next sm in
-  let s3 = Splitmix64.next sm in
-  { s0; s1; s2; s3 }
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let golden_gamma = 0x9E3779B97F4A7C15L
 
-let rotl x k =
-  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+(* The SplitMix64 output function (Steele, Lea, Flood 2014); the same
+   rounds as [Splitmix64.next], kept here so seeding never passes an
+   int64 across a module boundary. *)
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+(* Seed the four words with the first four outputs of a SplitMix64
+   generator started at [seed]; its [k]-th state is [seed + k * gamma]. *)
+let[@inline] create seed =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t (8 * i) (mix (Int64.add seed (Int64.mul (Int64.of_int (i + 1)) golden_gamma)))
+  done;
+  t
 
-let next_int63 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
+(* One SplitMix64 round over the key-mixed base, then seed from it. *)
+let derive base key =
+  create (mix (Int64.add (Int64.logxor base (Int64.mul golden_gamma key)) golden_gamma))
+
+let copy = Bytes.copy
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* Step the state; returns [s1] as it was before the step, the word
+   [scramble] turns into the output. *)
+let[@inline] advance t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 8 (Int64.logxor s1 s2);
+  set t 0 (Int64.logxor s0 s3);
+  set t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 24 (rotl s3 45);
+  s1
+
+let[@inline] scramble s1 = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
+
+let next t = scramble (advance t)
+
+let next_int63 t = Int64.to_int (Int64.shift_right_logical (scramble (advance t)) 2)
 
 let jump_table =
   [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
 let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
+  let acc = Bytes.make 32 '\000' in
   Array.iter
     (fun jump_word ->
       for b = 0 to 63 do
-        if Int64.logand jump_word (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1;
-          s2 := Int64.logxor !s2 t.s2;
-          s3 := Int64.logxor !s3 t.s3
-        end;
-        ignore (next t)
+        if Int64.logand jump_word (Int64.shift_left 1L b) <> 0L then
+          for i = 0 to 3 do
+            set acc (8 * i) (Int64.logxor (get acc (8 * i)) (get t (8 * i)))
+          done;
+        ignore (advance t)
       done)
     jump_table;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
+  Bytes.blit acc 0 t 0 32
 
 let split t =
   let fresh = copy t in

@@ -72,6 +72,22 @@ let test_mc_single_domain () =
   check Alcotest.bool "valid" true (Assignment.is_valid result.Mc_run.assignment);
   check Alcotest.int "domains" 1 result.Mc_run.domains
 
+(* On one domain nothing is concurrent, so a run is a pure function of
+   its seed.  These counts pin the per-pid streams, the shard layout and
+   the step loop: a change to any of them that reorders a probe moves
+   them. *)
+let test_mc_single_domain_deterministic () =
+  let totals r = (Array.fold_left ( + ) 0 r.Mc_run.steps, Mc_run.unnamed_count r) in
+  let steps, unnamed = totals (Mc_run.loose_geometric ~domains:1 ~n:1024 ~ell:2 ~seed:1L ()) in
+  check Alcotest.int "loose geometric n=1024 seed 1: steps" 3536 steps;
+  check Alcotest.int "loose geometric n=1024 seed 1: unnamed" 28 unnamed;
+  let steps, unnamed = totals (Mc_run.loose_geometric ~domains:1 ~n:65536 ~ell:2 ~seed:7L ()) in
+  check Alcotest.int "loose geometric n=65536 seed 7: steps" 229695 steps;
+  check Alcotest.int "loose geometric n=65536 seed 7: unnamed" 2022 unnamed;
+  let steps, unnamed = totals (Mc_run.uniform_probing ~domains:1 ~n:256 ~m:512 ~seed:3L ()) in
+  check Alcotest.int "uniform probing n=256 m=512 seed 3: steps" 356 steps;
+  check Alcotest.int "uniform probing n=256 m=512 seed 3: unnamed" 0 unnamed
+
 let test_mc_steps_recorded () =
   let result = Mc_run.uniform_probing ~domains:2 ~n:256 ~m:512 ~seed:5L () in
   let nonzero = Array.for_all (fun s -> s > 0) result.Mc_run.steps in
@@ -191,6 +207,8 @@ let tests =
         Alcotest.test_case "mc loose clustered" `Quick test_mc_loose_clustered;
         Alcotest.test_case "mc probing complete" `Quick test_mc_uniform_probing_complete;
         Alcotest.test_case "mc single domain" `Quick test_mc_single_domain;
+        Alcotest.test_case "mc single domain deterministic" `Quick
+          test_mc_single_domain_deterministic;
         Alcotest.test_case "mc steps recorded" `Quick test_mc_steps_recorded;
         Alcotest.test_case "mc repeated runs sound" `Quick test_mc_repeated_runs_sound;
         Alcotest.test_case "recommended domains" `Quick test_recommended_domains_positive;

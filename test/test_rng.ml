@@ -20,11 +20,12 @@ let test_splitmix_seed_sensitivity () =
   check Alcotest.bool "different seeds diverge" true !distinct
 
 let test_splitmix_known_vector () =
-  (* Reference output for seed 1234567 from the published SplitMix64
-     algorithm (first output of the sequence). *)
+  (* The published SplitMix64 reference outputs for seed 0. *)
   let g = Splitmix64.create 0L in
   let first = Splitmix64.next g in
-  check Alcotest.bool "nonzero first output" true (first <> 0L)
+  let second = Splitmix64.next g in
+  check Alcotest.int64 "first output, seed 0" 0xE220A8397B1DCDAFL first;
+  check Alcotest.int64 "second output, seed 0" 0x6E789E6AA1B965F4L second
 
 let test_xoshiro_deterministic () =
   let a = Xoshiro.create 7L and b = Xoshiro.create 7L in
@@ -38,9 +39,15 @@ let test_xoshiro_copy_independent () =
   let xa = Xoshiro.next a in
   let xb = Xoshiro.next b in
   check Alcotest.int64 "copy replays" xa xb;
-  ignore (Xoshiro.next a);
-  let xa2 = Xoshiro.next a and xb2 = Xoshiro.next b in
-  check Alcotest.bool "then they diverge by position" true (xa2 <> xb2 || xa2 = xb2)
+  let xa2 = Xoshiro.next a in
+  let xb2 = Xoshiro.next b in
+  check Alcotest.int64 "drawing from one leaves the other alone" xa2 xb2;
+  let xa3 = Xoshiro.next a in
+  ignore (Xoshiro.next b);
+  let xb3 = Xoshiro.next b in
+  check Alcotest.bool "a draw ahead, they differ" true (xa3 <> xb3);
+  let xa4 = Xoshiro.next a in
+  check Alcotest.int64 "once b catches up, they agree again" xa4 xb3
 
 let test_xoshiro_split_disjoint () =
   let master = Xoshiro.create 99L in
@@ -203,6 +210,63 @@ let test_stream_named_golden_outputs () =
   check Alcotest.int64 "first output of (7, \"workload\")" 0xbe575556f2fe4756L
     (first ~seed:7L ~name:"workload")
 
+(* Golden outputs pinning the generator, its seeding and the samplers.
+   Each output is bound with [let] before it is compared: arguments are
+   evaluated right to left, so drawing inside the [check] calls would
+   consume the stream out of order.  A failure here reseeds every
+   experiment in the repository; treat it as an interface break. *)
+let test_xoshiro_golden_outputs () =
+  let g = Xoshiro.create 7L in
+  let x1 = Xoshiro.next g in
+  let x2 = Xoshiro.next g in
+  let x3 = Xoshiro.next g in
+  check Alcotest.int64 "create 7, output 1" 0xb358faf74ef9765aL x1;
+  check Alcotest.int64 "create 7, output 2" 0x475c3d964f482cd2L x2;
+  check Alcotest.int64 "create 7, output 3" 0xd6f1d349952c7996L x3;
+  let g = Xoshiro.create 7L in
+  let fresh = Xoshiro.split g in
+  let jumped = Xoshiro.next g in
+  let copied = Xoshiro.next fresh in
+  check Alcotest.int64 "split: the jumped generator" 0x156617fd83df2a74L jumped;
+  check Alcotest.int64 "split: the returned copy" 0xb358faf74ef9765aL copied
+
+let test_sample_golden_outputs () =
+  let r = Stream.fork (Stream.create 1L) ~index:0 in
+  let a = Sample.uniform_int r 65536 in
+  let b = Sample.uniform_int r 65536 in
+  let c = Sample.uniform_int r 3 in
+  let f = Sample.float_unit r in
+  check Alcotest.int "uniform_int 65536, draw 1" 64577 a;
+  check Alcotest.int "uniform_int 65536, draw 2" 38744 b;
+  check Alcotest.int "uniform_int 3" 1 c;
+  check (Alcotest.float 0.) "float_unit" 0x1.036595bfd860ap-1 f
+
+(* The probe path must not allocate: the paper's algorithms draw once per
+   step.  [Stream.fork] allocates the 32-byte state plus its boxed key. *)
+let test_probe_path_allocates_nothing () =
+  let calls = 100_000 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  let rng = Xoshiro.create 3L in
+  let sink = ref 0 in
+  check (Alcotest.float 0.) "Xoshiro.next_int63" 0.
+    (words (fun () -> sink := !sink lxor Xoshiro.next_int63 rng));
+  check (Alcotest.float 0.) "Sample.uniform_int" 0.
+    (words (fun () -> sink := !sink lxor Sample.uniform_int rng 65536));
+  check (Alcotest.float 0.) "Sample.bernoulli" 0.
+    (words (fun () -> if Sample.bernoulli rng 0.5 then incr sink));
+  let stream = Stream.create 5L in
+  let forked = words (fun () -> ignore (Sys.opaque_identity (Stream.fork stream ~index:!sink))) in
+  check Alcotest.bool
+    (Printf.sprintf "Stream.fork: %.1f words per call <= 12" (forked /. float_of_int calls))
+    true
+    (forked <= 12. *. float_of_int calls)
+
 let qcheck_uniform_int_in_bounds =
   QCheck.Test.make ~count:500 ~name:"uniform_int stays in [0,bound)"
     QCheck.(pair small_int (int_bound 1000))
@@ -251,6 +315,9 @@ let tests =
         Alcotest.test_case "stream names distinct" `Quick test_stream_named_vs_indexed;
         Alcotest.test_case "stream fnv-1a golden vectors" `Quick test_stream_fnv_golden_vectors;
         Alcotest.test_case "stream named golden outputs" `Quick test_stream_named_golden_outputs;
+        Alcotest.test_case "xoshiro golden outputs" `Quick test_xoshiro_golden_outputs;
+        Alcotest.test_case "sample golden outputs" `Quick test_sample_golden_outputs;
+        Alcotest.test_case "probe path allocates nothing" `Quick test_probe_path_allocates_nothing;
         QCheck_alcotest.to_alcotest qcheck_uniform_int_in_bounds;
         QCheck_alcotest.to_alcotest qcheck_permutation_valid;
       ] );
