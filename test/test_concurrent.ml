@@ -4,6 +4,7 @@
 module Atomic_tas = Renaming_concurrent.Atomic_tas
 module Mc_run = Renaming_concurrent.Mc_run
 module Assignment = Renaming_shm.Assignment
+module Clock = Renaming_clock.Clock
 
 let check = Alcotest.check
 
@@ -15,6 +16,20 @@ let test_atomic_tas_basics () =
   check Alcotest.(option int) "owner" (Some 3) (Atomic_tas.owner t 1);
   check Alcotest.bool "is_set" true (Atomic_tas.is_set t 1);
   check Alcotest.int "set count" 1 (Atomic_tas.set_count t)
+
+let test_atomic_tas_losing_leaves_owner () =
+  (* A lost TAS changes nothing: the owner, the set count and the free
+     neighbours stay as they were. *)
+  let t = Atomic_tas.create 3 in
+  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:1 ~pid:5);
+  for pid = 0 to 9 do
+    check Alcotest.bool "lose" false (Atomic_tas.test_and_set t ~idx:1 ~pid)
+  done;
+  check Alcotest.(option int) "owner kept" (Some 5) (Atomic_tas.owner t 1);
+  check Alcotest.int "set count kept" 1 (Atomic_tas.set_count t);
+  check Alcotest.bool "neighbours free" false (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 2);
+  Alcotest.check_raises "negative pid" (Invalid_argument "Atomic_tas.test_and_set: negative pid")
+    (fun () -> ignore (Atomic_tas.test_and_set t ~idx:0 ~pid:(-1)))
 
 let test_atomic_tas_parallel_single_winner () =
   (* Many domains race on every register; each register must end with
@@ -88,6 +103,58 @@ let test_mc_single_domain_deterministic () =
   check Alcotest.int "uniform probing n=256 m=512 seed 3: steps" 356 steps;
   check Alcotest.int "uniform probing n=256 m=512 seed 3: unnamed" 0 unnamed
 
+(* Sweep-heavy schedules on one domain: one random probe, then a walk of
+   the whole namespace, with empty segments in between.  Most steps are
+   sweep steps, so these counts pin the sweep cursor, the segment
+   transitions (empty ones included) and the order in which a domain
+   visits its live processes. *)
+let test_mc_single_domain_sweep_deterministic () =
+  let run ~n ~namespace schedule seed =
+    let r =
+      Mc_run.execute ~domains:1 ~n ~namespace ~schedule_of_pid:(fun _ -> schedule) ~seed ()
+    in
+    check Alcotest.bool "valid" true (Assignment.is_valid r.Mc_run.assignment);
+    (Array.fold_left ( + ) 0 r.Mc_run.steps, Mc_run.unnamed_count r)
+  in
+  let n = 1024 in
+  let steps, unnamed =
+    run ~n ~namespace:n
+      [| Mc_run.Probe { base = 0; size = n; count = 1 }; Sweep { base = 0; size = n } |]
+      11L
+  in
+  check Alcotest.int "probe 1 + sweep n=1024 seed 11: steps" 202317 steps;
+  check Alcotest.int "probe 1 + sweep n=1024 seed 11: unnamed" 0 unnamed;
+  let steps, unnamed =
+    run ~n:300 ~namespace:256
+      [|
+        Mc_run.Probe { base = 0; size = 256; count = 0 };
+        Sweep { base = 0; size = 0 };
+        Probe { base = 128; size = 128; count = 2 };
+        Sweep { base = 0; size = 0 };
+        Sweep { base = 64; size = 128 };
+        Probe { base = 0; size = 256; count = 0 };
+      |]
+      12L
+  in
+  check Alcotest.int "mixed empty segments seed 12: steps" 16588 steps;
+  check Alcotest.int "mixed empty segments seed 12: unnamed" 109 unnamed
+
+let test_mc_more_domains_than_processes () =
+  (* [domains > n] leaves some shards empty; their domains must finish
+     at once and the run must still name everyone. *)
+  List.iter
+    (fun (domains, clock, deadline) ->
+      let r =
+        Mc_run.execute ~domains ?clock ?deadline ~n:3 ~namespace:3
+          ~schedule_of_pid:(fun _ -> [| Mc_run.Sweep { base = 0; size = 3 } |])
+          ~seed:13L ()
+      in
+      check Alcotest.bool "valid" true (Assignment.is_valid r.Mc_run.assignment);
+      check Alcotest.int "all named" 0 (Mc_run.unnamed_count r);
+      check Alcotest.int "steps per pid" 3 (Array.length r.Mc_run.steps);
+      check Alcotest.int "domains" domains r.Mc_run.domains)
+    [ (5, None, None); (4, Some (Clock.virtual_ ~step:0.001 ()), Some 1e6) ]
+
 let test_mc_steps_recorded () =
   let result = Mc_run.uniform_probing ~domains:2 ~n:256 ~m:512 ~seed:5L () in
   let nonzero = Array.for_all (fun s -> s > 0) result.Mc_run.steps in
@@ -133,8 +200,6 @@ let test_recommended_domains_positive () =
   check Alcotest.bool "at least one" true (Mc_run.recommended_domains () >= 1)
 
 (* --- the stress watchdog --- *)
-
-module Clock = Renaming_clock.Clock
 
 (* Every process probes the single register forever: one wins and
    retires, the rest are livelocked.  [count] is effectively infinite
@@ -201,6 +266,7 @@ let tests =
     ( "concurrent",
       [
         Alcotest.test_case "atomic tas basics" `Quick test_atomic_tas_basics;
+        Alcotest.test_case "losing tas leaves owner" `Quick test_atomic_tas_losing_leaves_owner;
         Alcotest.test_case "parallel single winner" `Quick test_atomic_tas_parallel_single_winner;
         Alcotest.test_case "to assignment" `Quick test_atomic_to_assignment;
         Alcotest.test_case "mc loose geometric" `Quick test_mc_loose_geometric;
@@ -209,6 +275,10 @@ let tests =
         Alcotest.test_case "mc single domain" `Quick test_mc_single_domain;
         Alcotest.test_case "mc single domain deterministic" `Quick
           test_mc_single_domain_deterministic;
+        Alcotest.test_case "mc single domain sweep deterministic" `Quick
+          test_mc_single_domain_sweep_deterministic;
+        Alcotest.test_case "mc more domains than processes" `Quick
+          test_mc_more_domains_than_processes;
         Alcotest.test_case "mc steps recorded" `Quick test_mc_steps_recorded;
         Alcotest.test_case "mc repeated runs sound" `Quick test_mc_repeated_runs_sound;
         Alcotest.test_case "recommended domains" `Quick test_recommended_domains_positive;
