@@ -8,7 +8,10 @@ let size t = Array.length t
 
 let test_and_set t ~idx ~pid =
   if pid < 0 then invalid_arg "Atomic_tas.test_and_set: negative pid";
-  Atomic.compare_and_set t.(idx) (-1) pid
+  (* Test-and-test-and-set: a probe of a taken register only reads it,
+     leaving the cache line shared instead of taking it exclusive. *)
+  let cell = t.(idx) in
+  Atomic.get cell = -1 && Atomic.compare_and_set cell (-1) pid
 
 let is_set t idx = Atomic.get t.(idx) <> -1
 

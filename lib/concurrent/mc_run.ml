@@ -51,65 +51,52 @@ type segment =
   | Probe of { base : int; size : int; count : int }
   | Sweep of { base : int; size : int }
 
+(* A process's state.  Its pid is not stored: position [j] of domain
+   [d]'s shard is pid [d + j * domains].  [left] counts the steps left in
+   segment [seg] (probes for a Probe; cells for a Sweep, whose cursor is
+   [size - left]).  The process is finished once [seg] has run off the
+   schedule, which is also where a winner is put. *)
 type proc = {
-  pid : int;
   rng : Renaming_rng.Xoshiro.t;
   schedule : segment array;
   mutable seg : int;
-  mutable budget : int;  (* probes left in the current Probe segment *)
-  mutable cursor : int;  (* position in the current Sweep segment *)
+  mutable left : int;
   mutable name : int;  (* the register won, or -1 while unnamed *)
   mutable steps : int;
-  mutable finished : bool;
 }
 
-let enter_segment p =
-  if p.seg >= Array.length p.schedule then p.finished <- true
-  else
-    match p.schedule.(p.seg) with
-    | Probe { count; _ } -> p.budget <- count
-    | Sweep _ -> p.cursor <- 0
+let finished p = p.seg >= Array.length p.schedule
 
-(* One shared-memory step (or retirement).  Returns [true] if the
-   process is still active afterwards. *)
-let rec step regs p =
-  if p.finished then false
-  else
+(* Move to the first non-empty segment at or after [seg], or off the end
+   of the schedule. *)
+let rec enter_segment p seg =
+  p.seg <- seg;
+  if seg < Array.length p.schedule then begin
+    let len =
+      match p.schedule.(seg) with Probe { count; _ } -> count | Sweep { size; _ } -> size
+    in
+    if len > 0 then p.left <- len else enter_segment p (seg + 1)
+  end
+
+(* One shared-memory step of an unfinished process.  Returns [true] if
+   the process is still unfinished afterwards. *)
+let step regs ~pid p =
+  let target =
     match p.schedule.(p.seg) with
-    | Probe { base; size; count = _ } ->
-      if p.budget = 0 then begin
-        p.seg <- p.seg + 1;
-        enter_segment p;
-        step regs p
-      end
-      else begin
-        p.budget <- p.budget - 1;
-        let target = base + Sample.uniform_int p.rng size in
-        p.steps <- p.steps + 1;
-        if Atomic_tas.test_and_set regs ~idx:target ~pid:p.pid then begin
-          p.name <- target;
-          p.finished <- true;
-          false
-        end
-        else true
-      end
-    | Sweep { base; size } ->
-      if p.cursor >= size then begin
-        p.seg <- p.seg + 1;
-        enter_segment p;
-        step regs p
-      end
-      else begin
-        let target = base + p.cursor in
-        p.cursor <- p.cursor + 1;
-        p.steps <- p.steps + 1;
-        if Atomic_tas.test_and_set regs ~idx:target ~pid:p.pid then begin
-          p.name <- target;
-          p.finished <- true;
-          false
-        end
-        else true
-      end
+    | Probe { base; size; count = _ } -> base + Sample.uniform_int p.rng size
+    | Sweep { base; size } -> base + size - p.left
+  in
+  p.left <- p.left - 1;
+  p.steps <- p.steps + 1;
+  if Atomic_tas.test_and_set regs ~idx:target ~pid then begin
+    p.name <- target;
+    p.seg <- Array.length p.schedule;
+    false
+  end
+  else begin
+    if p.left = 0 then enter_segment p (p.seg + 1);
+    not (finished p)
+  end
 
 (* Obs recording happens strictly after the domains are joined: the
    registry is process-local mutable state and must not be touched from
@@ -139,88 +126,108 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
   let make_proc pid =
     let p =
       {
-        pid;
         rng = Stream.fork stream ~index:pid;
         schedule = schedule_of_pid pid;
         seg = 0;
-        budget = 0;
-        cursor = 0;
+        left = 0;
         name = -1;
         steps = 0;
-        finished = false;
       }
     in
-    enter_segment p;
+    enter_segment p 0;
     p
-  in
-  (* Domain [d] runs pids [d], [d + domains], [d + 2 * domains], ... *)
-  let shards =
-    Array.init domains (fun d ->
-        Array.init ((n - d + domains - 1) / domains) (fun i -> make_proc (d + (i * domains))))
   in
   (* Watchdog shared state: the workers publish progress, the watchdog
      publishes cancellation.  Everything crossing domains is Atomic. *)
   let cancel = Atomic.make false in
   let progress = Array.init domains (fun _ -> Atomic.make 0) in
   let done_flags = Array.init domains (fun _ -> Atomic.make false) in
-  let run_shard d shard () =
-    (* Interleave the shard's processes one step at a time so in-domain
-       processes advance concurrently too. *)
-    let active = ref (Array.length shard) in
-    while !active > 0 && not (Atomic.get cancel) do
-      active := 0;
-      Array.iter (fun p -> if step regs p then incr active) shard;
-      Atomic.set progress.(d) (Array.fold_left (fun acc p -> acc + p.steps) 0 shard)
+  (* Domain [d] runs pids [d], [d + domains], [d + 2 * domains], ...  It
+     builds that shard itself, so the stream forks run in parallel and
+     each record is allocated by the domain that mutates it. *)
+  let run_shard d () =
+    Fun.protect ~finally:(fun () -> Atomic.set done_flags.(d) true) @@ fun () ->
+    let shard =
+      Array.init ((n - d + domains - 1) / domains) (fun j -> make_proc (d + (j * domains)))
+    in
+    (* The live set holds the shard positions of the unfinished
+       processes in shard order.  A sweep steps each of them once, so
+       in-domain processes advance concurrently too, and compacts the
+       survivors stably; a sweep costs what it steps, and exactly one
+       step per live process keeps the progress total. *)
+    let live = Array.make (Array.length shard) 0 in
+    let count = ref 0 in
+    Array.iteri
+      (fun j p ->
+        if not (finished p) then begin
+          live.(!count) <- j;
+          incr count
+        end)
+      shard;
+    let total = ref 0 in
+    while !count > 0 && not (Atomic.get cancel) do
+      let kept = ref 0 in
+      for i = 0 to !count - 1 do
+        let j = live.(i) in
+        if step regs ~pid:(d + (j * domains)) shard.(j) then begin
+          live.(!kept) <- j;
+          incr kept
+        end
+      done;
+      total := !total + !count;
+      count := !kept;
+      Atomic.set progress.(d) !total
     done;
-    Atomic.set progress.(d) (Array.fold_left (fun acc p -> acc + p.steps) 0 shard);
-    Atomic.set done_flags.(d) true
+    shard
   in
   let t0 = Clock.now clock in
-  (match deadline with
-  | None ->
-    let handles =
-      Array.init (domains - 1) (fun i -> Domain.spawn (run_shard (i + 1) shards.(i + 1)))
-    in
-    run_shard 0 shards.(0) ();
-    Array.iter Domain.join handles
-  | Some deadline ->
-    (* All shards run on spawned domains so this one is free to watch
-       the clock; a livelocked run is cancelled cooperatively (workers
-       poll [cancel] once per sweep) and reported with the per-domain
-       step counts frozen at the timeout. *)
-    let handles = Array.init domains (fun d -> Domain.spawn (run_shard d shards.(d))) in
-    let all_done () = Array.for_all Atomic.get done_flags in
-    let rec watch () =
-      if all_done () then ()
-      else
-        let elapsed = Clock.elapsed_since clock t0 in
-        if elapsed >= deadline then begin
-          let per_domain_steps = Array.map Atomic.get progress in
-          let finished_domains =
-            Array.fold_left (fun acc f -> if Atomic.get f then acc + 1 else acc) 0 done_flags
-          in
-          Atomic.set cancel true;
-          Array.iter Domain.join handles;
-          raise
-            (Stalled { deadline; elapsed; per_domain_steps; finished_domains; domains })
-        end
-        else begin
-          (* Wall-clock watchdog on its own domain: every worker runs on
-             a spawned domain, so nothing the scheduler multiplexes is
-             behind this sleep.  lint: allow blocking-sleep *)
-          Unix.sleepf 0.0005;
-          watch ()
-        end
-    in
-    watch ();
-    Array.iter Domain.join handles);
+  let shards =
+    match deadline with
+    | None ->
+      let handles = Array.init (domains - 1) (fun i -> Domain.spawn (run_shard (i + 1))) in
+      let shard0 = run_shard 0 () in
+      Array.append [| shard0 |] (Array.map Domain.join handles)
+    | Some deadline ->
+      (* All shards run on spawned domains so this one is free to watch
+         the clock; a livelocked run is cancelled cooperatively (workers
+         poll [cancel] once per sweep) and reported with the per-domain
+         step counts frozen at the timeout. *)
+      let handles = Array.init domains (fun d -> Domain.spawn (run_shard d)) in
+      let all_done () = Array.for_all Atomic.get done_flags in
+      let rec watch () =
+        if all_done () then ()
+        else
+          let elapsed = Clock.elapsed_since clock t0 in
+          if elapsed >= deadline then begin
+            let per_domain_steps = Array.map Atomic.get progress in
+            let finished_domains =
+              Array.fold_left (fun acc f -> if Atomic.get f then acc + 1 else acc) 0 done_flags
+            in
+            Atomic.set cancel true;
+            Array.iter (fun h -> ignore (Domain.join h)) handles;
+            raise
+              (Stalled { deadline; elapsed; per_domain_steps; finished_domains; domains })
+          end
+          else begin
+            (* Wall-clock watchdog on its own domain: every worker runs on
+               a spawned domain, so nothing the scheduler multiplexes is
+               behind this sleep.  lint: allow blocking-sleep *)
+            Unix.sleepf 0.0005;
+            watch ()
+          end
+      in
+      watch ();
+      Array.map Domain.join handles
+  in
   let wall_seconds = Clock.elapsed_since clock t0 in
   let steps = Array.make n 0 in
   let names = Array.make n None in
-  Array.iter
-    (Array.iter (fun p ->
-         steps.(p.pid) <- p.steps;
-         if p.name >= 0 then names.(p.pid) <- Some p.name))
+  Array.iteri
+    (fun d ->
+      Array.iteri (fun j p ->
+          let pid = d + (j * domains) in
+          steps.(pid) <- p.steps;
+          if p.name >= 0 then names.(pid) <- Some p.name))
     shards;
   let result =
     {

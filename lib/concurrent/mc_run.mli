@@ -12,6 +12,14 @@
     genuine, so only distribution-level quantities are comparable across
     backends, not individual runs.
 
+    Shard layout: with [d] domains, domain [k] runs pids [k], [k + d],
+    [k + 2d], ...  Each domain builds its own shard: it calls
+    [schedule_of_pid] and [Stream.fork] for its pids on that domain, in
+    parallel with the others.  Then it sweeps its live processes (those
+    with a step left) in pid order, one step each per sweep, and drops
+    the finished ones without reordering the rest.  On one domain a run
+    is therefore a pure function of its seed and schedules.
+
     Time is injected as a {!Renaming_clock.Clock.t} capability: with the
     default {!Renaming_clock.Clock.none} the run measures no wall time
     ([wall_seconds = 0.]) and never expires; the [bin/] edge passes a
@@ -48,7 +56,8 @@ val unnamed_count : result -> int
 
 (** A process's life is a sequence of segments: [Probe] makes [count]
     uniform random TAS probes into [\[base, base+size)]; [Sweep] walks
-    the range deterministically.  Exposed so tests can build adversarial
+    the range deterministically.  A segment with [count <= 0] or
+    [size <= 0] is skipped.  Exposed so tests can build adversarial
     schedules (e.g. a probe loop on a taken register) directly. *)
 type segment =
   | Probe of { base : int; size : int; count : int }
@@ -69,6 +78,11 @@ val execute :
     domain pool.  Raises [Invalid_argument] if [?deadline] is given
     without a ticking clock (it could never expire), and {!Stalled} if
     the deadline passes before all domains finish.
+
+    [schedule_of_pid] runs on the worker domains, concurrently, so it
+    must be pure and safe to call from any domain; an exception it
+    raises propagates out of [execute], watchdog or not.  [wall_seconds]
+    covers building the shards as well as running them.
 
     With [obs], a completed run records — strictly after the worker
     domains are joined, since the registry is process-local state —

@@ -155,6 +155,20 @@ let test_mc_more_domains_than_processes () =
       check Alcotest.int "domains" domains r.Mc_run.domains)
     [ (5, None, None); (4, Some (Clock.virtual_ ~step:0.001 ()), Some 1e6) ]
 
+let test_mc_schedule_exception_propagates () =
+  (* Schedules are built on the worker domains; a failing one must
+     surface from [execute], not hang the watchdog until its deadline. *)
+  let schedule_of_pid pid =
+    if pid = 1 then failwith "no schedule" else [| Mc_run.Sweep { base = 0; size = 4 } |]
+  in
+  List.iter
+    (fun (clock, deadline) ->
+      Alcotest.check_raises "schedule failure" (Failure "no schedule") (fun () ->
+          ignore
+            (Mc_run.execute ~domains:2 ?clock ?deadline ~n:4 ~namespace:4 ~schedule_of_pid
+               ~seed:14L ())))
+    [ (None, None); (Some (Clock.virtual_ ()), Some 1e9) ]
+
 let test_mc_steps_recorded () =
   let result = Mc_run.uniform_probing ~domains:2 ~n:256 ~m:512 ~seed:5L () in
   let nonzero = Array.for_all (fun s -> s > 0) result.Mc_run.steps in
@@ -279,6 +293,8 @@ let tests =
           test_mc_single_domain_sweep_deterministic;
         Alcotest.test_case "mc more domains than processes" `Quick
           test_mc_more_domains_than_processes;
+        Alcotest.test_case "mc schedule exception propagates" `Quick
+          test_mc_schedule_exception_propagates;
         Alcotest.test_case "mc steps recorded" `Quick test_mc_steps_recorded;
         Alcotest.test_case "mc repeated runs sound" `Quick test_mc_repeated_runs_sound;
         Alcotest.test_case "recommended domains" `Quick test_recommended_domains_positive;
