@@ -145,8 +145,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
   (* Domain [d] runs pids [d], [d + domains], [d + 2 * domains], ...  It
      builds that shard itself, so the stream forks run in parallel and
      each record is allocated by the domain that mutates it. *)
-  let run_shard d () =
-    Fun.protect ~finally:(fun () -> Atomic.set done_flags.(d) true) @@ fun () ->
+  let sweep_shard d =
     let shard =
       Array.init ((n - d + domains - 1) / domains) (fun j -> make_proc (d + (j * domains)))
     in
@@ -180,13 +179,33 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
     done;
     shard
   in
+  (* A shard that raises cancels the others, so none is left spinning,
+     and hands its exception back through [Domain.join]'s result: joins
+     never raise, so every domain is joined before [execute] re-raises
+     the first failure in shard order. *)
+  let run_shard d () =
+    let outcome =
+      match sweep_shard d with
+      | shard -> Ok shard
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Atomic.set cancel true;
+        Error (e, bt)
+    in
+    Atomic.set done_flags.(d) true;
+    outcome
+  in
+  let collect outcomes =
+    Array.map (function Ok shard -> shard | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      outcomes
+  in
   let t0 = Clock.now clock in
   let shards =
     match deadline with
     | None ->
       let handles = Array.init (domains - 1) (fun i -> Domain.spawn (run_shard (i + 1))) in
       let shard0 = run_shard 0 () in
-      Array.append [| shard0 |] (Array.map Domain.join handles)
+      collect (Array.append [| shard0 |] (Array.map Domain.join handles))
     | Some deadline ->
       (* All shards run on spawned domains so this one is free to watch
          the clock; a livelocked run is cancelled cooperatively (workers
@@ -217,7 +236,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
           end
       in
       watch ();
-      Array.map Domain.join handles
+      collect (Array.map Domain.join handles)
   in
   let wall_seconds = Clock.elapsed_since clock t0 in
   let steps = Array.make n 0 in

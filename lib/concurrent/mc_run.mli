@@ -80,8 +80,10 @@ val execute :
     the deadline passes before all domains finish.
 
     [schedule_of_pid] runs on the worker domains, concurrently, so it
-    must be pure and safe to call from any domain; an exception it
-    raises propagates out of [execute], watchdog or not.  [wall_seconds]
+    must be pure and safe to call from any domain.  An exception it
+    raises cancels the other shards and propagates out of [execute],
+    watchdog or not, once every domain has been joined; when several
+    shards fail, the lowest-numbered one's exception wins.  [wall_seconds]
     covers building the shards as well as running them.
 
     With [obs], a completed run records — strictly after the worker

@@ -169,6 +169,38 @@ let test_mc_schedule_exception_propagates () =
                ~seed:14L ())))
     [ (None, None); (Some (Clock.virtual_ ()), Some 1e9) ]
 
+let test_mc_failing_shard_joins_the_others () =
+  (* Pid 0 fails on domain 0 (the calling domain when there is no
+     watchdog).  Domain 1 builds pid 1 only after that failure and then
+     livelocks, so [execute] can only return by cancelling domain 1, and
+     [joined] is set only if it waited for domain 1 before re-raising. *)
+  List.iter
+    (fun (clock, deadline) ->
+      let failed = Atomic.make false and joined = Atomic.make false in
+      let schedule_of_pid pid =
+        if pid = 0 then begin
+          Atomic.set failed true;
+          failwith "pid 0"
+        end;
+        if pid = 1 then begin
+          while not (Atomic.get failed) do
+            Domain.cpu_relax ()
+          done;
+          (* Linger, so a caller that does not join has long returned. *)
+          for _ = 1 to 100_000 do
+            Domain.cpu_relax ()
+          done;
+          Atomic.set joined true
+        end;
+        [| Mc_run.Probe { base = 0; size = 1; count = max_int } |]
+      in
+      Alcotest.check_raises "pid 0 failure" (Failure "pid 0") (fun () ->
+          ignore
+            (Mc_run.execute ~domains:2 ?clock ?deadline ~n:6 ~namespace:1 ~schedule_of_pid
+               ~seed:15L ()));
+      check Alcotest.bool "domain 1 joined before the raise" true (Atomic.get joined))
+    [ (None, None); (Some (Clock.virtual_ ()), Some 1e9) ]
+
 let test_mc_steps_recorded () =
   let result = Mc_run.uniform_probing ~domains:2 ~n:256 ~m:512 ~seed:5L () in
   let nonzero = Array.for_all (fun s -> s > 0) result.Mc_run.steps in
@@ -295,6 +327,8 @@ let tests =
           test_mc_more_domains_than_processes;
         Alcotest.test_case "mc schedule exception propagates" `Quick
           test_mc_schedule_exception_propagates;
+        Alcotest.test_case "mc failing shard joins the others" `Quick
+          test_mc_failing_shard_joins_the_others;
         Alcotest.test_case "mc steps recorded" `Quick test_mc_steps_recorded;
         Alcotest.test_case "mc repeated runs sound" `Quick test_mc_repeated_runs_sound;
         Alcotest.test_case "recommended domains" `Quick test_recommended_domains_positive;
