@@ -1023,6 +1023,149 @@ let test_service_deadline_expired_metric () =
   check Alcotest.(option int) "admission/deadline_expired counter mirrors it" (Some 1)
     (Metrics.find_counter (Obs.metrics obs) "admission/deadline_expired")
 
+(* ------------------------------------------------------------------ *)
+(* Pinned behaviour: fixed-seed figures that any change to the pumps   *)
+(* must reproduce exactly.                                             *)
+
+let render_net_churn (s : Net_churn.summary) =
+  let d = s.Net_churn.dedup and fd = s.Net_churn.detector and r = s.Net_churn.router in
+  let n = s.Net_churn.net in
+  String.concat "\n"
+    [
+      Printf.sprintf "sessions=%d abandoned=%d events=%d sim_time=%.6f peak=%d final=%d"
+        s.Net_churn.sessions s.Net_churn.abandoned s.Net_churn.events s.Net_churn.sim_time
+        s.Net_churn.peak_held s.Net_churn.final_held;
+      Printf.sprintf "resends=%d timeouts=%d lost=%d sheds=%d redirects=%d down=%d handoff=%d"
+        s.Net_churn.resends s.Net_churn.timeouts s.Net_churn.lost_tickets s.Net_churn.sheds
+        s.Net_churn.redirects s.Net_churn.shard_down_busy s.Net_churn.in_handoff_busy;
+      Printf.sprintf "fenced=%d/%d dropped_releases=%d late=%d stale=%d/%d/%d"
+        s.Net_churn.expected_fenced s.Net_churn.unexpected_fenced s.Net_churn.releases_dropped
+        s.Net_churn.late_grants_released s.Net_churn.stale_ops s.Net_churn.stale_rejected
+        s.Net_churn.stale_ok;
+      Printf.sprintf "faults crashes=%d/%d restarts=%d/%d partitions=%d"
+        s.Net_churn.client_crashes s.Net_churn.shard_crashes s.Net_churn.client_restarts
+        s.Net_churn.shard_restarts s.Net_churn.partitions;
+      Printf.sprintf "net sent=%d delivered=%d dropped=%d duplicated=%d reordered=%d blocked=%d"
+        n.Transport.sent n.Transport.delivered n.Transport.dropped n.Transport.duplicated
+        n.Transport.reordered n.Transport.blocked;
+      Printf.sprintf "dedup fresh=%d replays=%d stale=%d evictions=%d" d.Dedup.fresh
+        d.Dedup.replays d.Dedup.stale d.Dedup.evictions;
+      Printf.sprintf "detector suspicions=%d recoveries=%d reowns=%d incarnation_orphans=%d"
+        fd.Router.suspicions fd.Router.recoveries fd.Router.reowns
+        fd.Router.incarnation_orphans;
+      Printf.sprintf
+        "router handoffs=%d/%d/%d/%d adoptions=%d redirects=%d downs=%d in_handoff=%d fenced=%d"
+        r.Router.handoffs_started r.Router.handoffs_completed r.Router.handoffs_aborted
+        r.Router.handoffs_orphaned r.Router.adoptions r.Router.redirects r.Router.shard_downs
+        r.Router.in_handoff_busy r.Router.fenced_ops;
+      Printf.sprintf "audit near_misses=%d gaudit_live=%d" s.Net_churn.audit_near_misses
+        s.Net_churn.gaudit_live;
+    ]
+
+let test_pinned_net_churn () =
+  let cfg =
+    Net_churn.make_config ~clients:24 ~sessions_target:400
+      ~router:(Router.make_config ~slice_capacity:4 ~ttl:15.0 ~grace:24.0 ())
+      ~faults:
+        (Transport.make_faults ~drop:0.05 ~duplicate:0.1 ~delay_min:0.01 ~delay_max:0.08
+           ~reorder:0.15 ~reorder_extra:0.2 ())
+      ~partition:{ Net_churn.p_every = 20.0; p_duration = 8.0; p_both = 0.5 }
+      ~shard_crash:{ Net_churn.c_every = 45.0; c_restart = 2.0 }
+      ~dedup_window:33.0 ()
+  in
+  let s = Net_churn.run cfg ~seed:0x5EEDL in
+  check Alcotest.string "lossy net churn summary"
+    "sessions=400 abandoned=9 events=12851 sim_time=228.103419 peak=26 final=0\n\
+     resends=472 timeouts=1 lost=0 sheds=13 redirects=43 down=482 handoff=0\n\
+     fenced=0/0 dropped_releases=21 late=1 stale=27/27/0\n\
+     faults crashes=46/5 restarts=46/5 partitions=10\n\
+     net sent=7282 delivered=8014 dropped=418 duplicated=732 reordered=1204 blocked=86\n\
+     dedup fresh=1606 replays=415 stale=25 evictions=2\n\
+     detector suspicions=21 recoveries=18 reowns=28 incarnation_orphans=8\n\
+     router handoffs=19/19/0/0 adoptions=8 redirects=0 downs=0 in_handoff=0 fenced=0\n\
+     audit near_misses=0 gaudit_live=0"
+    (render_net_churn s)
+
+(* A hand-clocked service driven only through its public operations and
+   a pump every tick.  For the first 20 time units nobody renews or
+   releases, so leases expire and are reclaimed while queued requests
+   time out; after that most holders release or renew early, several
+   operations a tick, so the expiry heap fills with dead entries and
+   compacts. *)
+let test_pinned_service_pump () =
+  let time, svc =
+    service ~capacity:4 ~ttl:4.0 ~queue_limit:3 ~request_timeout:1.0 ~high_water:1.5 ()
+  in
+  let rng = Xoshiro.create 99L in
+  let draw n = Renaming_rng.Sample.uniform_int rng n in
+  let held = ref [] and next_session = ref 0 in
+  let completions = Buffer.create 1024 and n_completions = ref 0 in
+  let pick () = List.nth !held (draw (List.length !held)) in
+  let acquire () =
+    incr next_session;
+    match Service.acquire svc ~session:!next_session with
+    | Service.Granted g -> held := g.Lease.g_fence :: !held
+    | Service.Queued _ | Service.Shed _ -> ()
+  in
+  let release () =
+    let f = pick () in
+    held := List.filter (fun g -> g != f) !held;
+    ignore (Service.release svc ~fence:f)
+  in
+  for step = 1 to 800 do
+    time := !time +. (0.0625 *. float_of_int (1 + draw 3));
+    if !time <= 20.0 then begin
+      match draw 10 with
+      | 0 | 1 | 2 | 3 | 4 -> acquire ()
+      | 5 | 6 when !held <> [] -> ignore (Service.use svc ~fence:(pick ()))
+      | _ -> ()
+    end
+    else
+      for _ = 1 to 3 do
+        match draw 20 with
+        | 0 | 1 | 2 | 3 | 4 | 5 | 6 -> acquire ()
+        | (7 | 8 | 9 | 10 | 11 | 12 | 13) when !held <> [] -> release ()
+        | (14 | 15 | 16 | 17) when !held <> [] -> ignore (Service.renew svc ~fence:(pick ()))
+        | (18 | 19) when !held <> [] -> ignore (Service.use svc ~fence:(pick ()))
+        | _ -> ()
+      done;
+    List.iter
+      (fun c ->
+        incr n_completions;
+        match c with
+        | Service.Done { ticket; session; grant; waited } ->
+          held := grant.Lease.g_fence :: !held;
+          Printf.bprintf completions "%d:D%d/%d/%d/%.3f;" step ticket session
+            grant.Lease.g_fence.Lease.f_name waited
+        | Service.Timed_out { ticket; session; waited } ->
+          Printf.bprintf completions "%d:T%d/%d/%.3f;" step ticket session waited)
+      (Service.pump svc)
+  done;
+  let st = Service.stats svc in
+  let buckets h =
+    String.concat " "
+      (List.filter_map
+         (fun (b, n) -> if n = 0 then None else Some (Printf.sprintf "%s:%d" b n))
+         (Renaming_obs.Hist.buckets h))
+  in
+  check Alcotest.string "service stats"
+    "grants=582 queued=293 renews=344 releases=560 fenced=58 sheds=0/142 expired=29 \
+     reclaims=18 validates=188 held=4 depth=2 live=4"
+    (Printf.sprintf
+       "grants=%d queued=%d renews=%d releases=%d fenced=%d sheds=%d/%d expired=%d \
+        reclaims=%d validates=%d held=%d depth=%d live=%d"
+       st.Service.grants st.Service.queued st.Service.renews st.Service.releases
+       st.Service.fenced st.Service.sheds_high_water st.Service.sheds_queue_full
+       st.Service.expired_requests st.Service.reclaims st.Service.validates
+       (Service.held svc) (Service.queue_depth svc) (Service.audit_live svc));
+  check Alcotest.string "completions" "291 ff59fbc0dd47f4470b31a4292570a785"
+    (Printf.sprintf "%d %s" !n_completions
+       (Digest.to_hex (Digest.string (Buffer.contents completions))));
+  check Alcotest.string "reclaim lateness" "<=1:9 5..8:6 9..16:3"
+    (buckets (Service.reclaim_lateness_hist svc));
+  check Alcotest.string "queue wait" "<=1:26 5..8:27 9..16:42 17..32:89 33..64:58 65..128:49"
+    (buckets (Service.queue_wait_hist svc))
+
 let tests =
   [
     ( "service",
@@ -1067,6 +1210,8 @@ let tests =
           test_net_churn_config_validation;
         Alcotest.test_case "service: deadline-expiry metric" `Quick
           test_service_deadline_expired_metric;
+        Alcotest.test_case "pinned: lossy net churn" `Quick test_pinned_net_churn;
+        Alcotest.test_case "pinned: pump-driven service" `Quick test_pinned_service_pump;
         QCheck_alcotest.to_alcotest qcheck_compact_preserves_pop_order;
         QCheck_alcotest.to_alcotest qcheck_expiry_monotone;
         QCheck_alcotest.to_alcotest qcheck_reclaim_never_revokes_renewed;
