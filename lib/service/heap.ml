@@ -64,6 +64,8 @@ let pop t =
 
 let peek_time t = if t.size = 0 then None else Some t.data.(0).e_time
 
+let due t ~now = t.size > 0 && t.data.(0).e_time <= now
+
 let size t = t.size
 
 let is_empty t = t.size = 0

@@ -16,6 +16,11 @@ val pop : 'a t -> (float * 'a) option
 
 val peek_time : 'a t -> float option
 
+val due : 'a t -> now:float -> bool
+(** [due t ~now] is true iff the smallest entry's time is [<= now], that
+    is iff [peek_time t] is [Some x] with [x <= now].  Unlike
+    [peek_time] it allocates nothing, so hot loops can poll it. *)
+
 val size : 'a t -> int
 
 val is_empty : 'a t -> bool

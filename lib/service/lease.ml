@@ -92,9 +92,12 @@ let acquire t ~session ~now ~rng =
 let entry_live t ~time (name, epoch) =
   t.epochs.(name) = epoch && t.holders.(name) >= 0 && t.expiries.(name) = time
 
-let maybe_compact t =
+let compaction_due t =
   let sz = Heap.size t.expiry_queue in
-  if sz > 32 && sz > 2 * t.n_held then begin
+  sz > 32 && sz > 2 * t.n_held
+
+let maybe_compact t =
+  if compaction_due t then begin
     Heap.compact t.expiry_queue ~live:(fun ~time v -> entry_live t ~time v);
     t.compactions <- t.compactions + 1
   end
@@ -128,8 +131,8 @@ type reclaimed = { r_fence : fence; r_expired_at : float; r_lateness : float }
 
 let reclaim_expired t ~now =
   let rec drain acc =
-    match Heap.peek_time t.expiry_queue with
-    | Some time when time <= now -> (
+    if not (Heap.due t.expiry_queue ~now) then List.rev acc
+    else
       match Heap.pop t.expiry_queue with
       | None -> List.rev acc
       | Some (_, (name, epoch)) ->
@@ -148,8 +151,7 @@ let reclaim_expired t ~now =
           drain
             ({ r_fence = fence; r_expired_at = expired_at; r_lateness = now -. expired_at }
             :: acc)
-        end)
-    | _ -> List.rev acc
+        end
   in
   let reclaimed = drain [] in
   maybe_compact t;
@@ -159,6 +161,8 @@ let holder t ~name =
   if name < 0 || name >= t.n_slots then None
   else if t.holders.(name) < 0 then None
   else Some t.holders.(name)
+
+let maintenance_due t ~now = Heap.due t.expiry_queue ~now || compaction_due t
 
 let pending_expiries t = Heap.size t.expiry_queue
 let compactions t = t.compactions

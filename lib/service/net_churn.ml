@@ -974,7 +974,7 @@ let run ?obs ?tap (cfg : config) ~seed =
            let th = Option.value t_heap ~default:infinity in
            let tn = Option.value t_net ~default:infinity in
            if tn <= th then begin
-             sim_now := max !sim_now tn;
+             if tn > !sim_now then sim_now := tn;
              pump ();
              List.iter handle_msg (Transport.deliver net ~now:!sim_now)
            end
@@ -983,11 +983,12 @@ let run ?obs ?tap (cfg : config) ~seed =
              | None -> ()
              | Some (time, ev) ->
                incr n_events;
-               sim_now := max !sim_now time;
+               if time > !sim_now then sim_now := time;
                pump ();
                handle_event ev
            end;
-           peak_held := max !peak_held (Router.total_held router)
+           let held = Router.total_held router in
+           if held > !peak_held then peak_held := held
        end
      done
    with Audit.Violation { kind; message } -> violation := Some (kind, message));

@@ -281,9 +281,18 @@ let in_transit t =
   List.rev !acc
 
 let alive_shards t ~now =
-  Array.fold_left (fun acc sh -> if Shard.alive sh ~now then acc + 1 else acc) 0 t.shards
+  let n = ref 0 in
+  for id = 0 to Array.length t.shards - 1 do
+    if Shard.alive t.shards.(id) ~now then incr n
+  done;
+  !n
 
-let total_held t = Array.fold_left (fun acc sh -> acc + Shard.held sh) 0 t.shards
+let total_held t =
+  let n = ref 0 in
+  for id = 0 to Array.length t.shards - 1 do
+    n := !n + Shard.held t.shards.(id)
+  done;
+  !n
 
 let audit_near_misses t =
   Array.fold_left
@@ -387,14 +396,14 @@ let detector_sweep t ~now =
   match t.fd with
   | None -> ()
   | Some d ->
-    Array.iteri
-      (fun shard last ->
-        if (not d.d_flag.(shard)) && now -. last > d.d_suspicion then begin
-          d.d_flag.(shard) <- true;
-          d.d_st.suspicions <- d.d_st.suspicions + 1;
-          ignore (orphan_mapped t ~shard ~since:(last +. d.d_suspicion))
-        end)
-      d.d_last
+    for shard = 0 to Array.length d.d_last - 1 do
+      let last = d.d_last.(shard) in
+      if (not d.d_flag.(shard)) && now -. last > d.d_suspicion then begin
+        d.d_flag.(shard) <- true;
+        d.d_st.suspicions <- d.d_st.suspicions + 1;
+        ignore (orphan_mapped t ~shard ~since:(last +. d.d_suspicion))
+      end
+    done
 
 (* {2 Routing} *)
 
@@ -517,8 +526,12 @@ let begin_handoff t ~slice ~to_ =
     Ok ()
   | _ -> Error `Unavailable
 
-let shard_util t sh =
-  Shard.utilization sh ~slice_capacity:t.cfg.slice_capacity
+(* Held leases over the nominal capacity of the resident slices; 1.0
+   when the shard owns nothing, so rebalancing never targets it as cold.
+   Inlined so the rebalance scan in every pump boxes no float. *)
+let[@inline] shard_util t sh =
+  let cap = List.length (Shard.slices sh) * t.cfg.slice_capacity in
+  if cap = 0 then 1.0 else float_of_int (Shard.held sh) /. float_of_int cap
 
 (* Least-loaded available shard, lowest id on ties; [except] excludes a
    shard (the handoff source).  Availability is the detector's view when
@@ -541,21 +554,28 @@ let coldest_alive t ~now ?except () =
     t.shards;
   !best
 
+let rec transit_from t slice =
+  slice < Array.length t.dir
+  && match t.dir.(slice) with In_transit _ -> true | _ -> transit_from t (slice + 1)
+
 let maybe_rebalance t ~now =
-  if t.cfg.auto_rebalance && in_transit t = [] then begin
-    let hot = ref None in
-    Array.iter
-      (fun sh ->
-        if Shard.alive sh ~now && Shard.slices sh <> [] then
-          let u = shard_util t sh in
-          match !hot with
-          | Some (hu, _) when hu >= u -> ()
-          | _ -> hot := Some (u, Shard.id sh))
-      t.shards;
-    match !hot with
-    | Some (hu, hot_id) when hu >= t.cfg.hot_util -> (
+  if t.cfg.auto_rebalance && not (transit_from t 0) then begin
+    (* The hottest live shard with resident slices, lowest id on ties. *)
+    let hot = ref (-1) and hot_u = ref 0. in
+    for id = 0 to Array.length t.shards - 1 do
+      let sh = t.shards.(id) in
+      if Shard.alive sh ~now && match Shard.slices sh with [] -> false | _ :: _ -> true then begin
+        let u = shard_util t sh in
+        if !hot < 0 || !hot_u < u then begin
+          hot := id;
+          hot_u := u
+        end
+      end
+    done;
+    let hot_id = !hot in
+    if hot_id >= 0 && !hot_u >= t.cfg.hot_util then
       match coldest_alive t ~now ~except:hot_id () with
-      | Some (cu, cold_id) when cu <= t.cfg.cold_util ->
+      | Some (cu, cold_id) when cu <= t.cfg.cold_util -> (
         (* Move the hot shard's most-held slice: load follows the slice. *)
         let busiest =
           List.fold_left
@@ -565,128 +585,133 @@ let maybe_rebalance t ~now =
             None
             (Shard.slices t.shards.(hot_id))
         in
-        (match busiest with
+        match busiest with
         | Some (_, slice) -> ignore (begin_handoff t ~slice ~to_:cold_id)
         | None -> ())
-      | _ -> ())
-    | _ -> ()
+      | _ -> ()
   end
 
 (* {2 The maintenance + grant pump} *)
 
 type completion = { c_slice : int; c_shard : int; c_done : Service.completion }
 
+(* A resident body is stale when the directory no longer maps its slice
+   to this shard at its epoch. *)
+let rec drop_stale t sh = function
+  | [] -> ()
+  | (sl : Shard.slice) :: rest ->
+    let id = Shard.id sh in
+    let stale =
+      match t.dir.(sl.Shard.sl_id) with
+      | Owned { shard; epoch } -> shard <> id || epoch <> sl.Shard.sl_epoch
+      | In_transit { from_; epoch; _ } -> from_ <> id || epoch <> sl.Shard.sl_epoch
+      | Orphaned { last; epoch; _ } -> (
+        (* Under a failure detector an orphan may be a false
+           suspicion: the surviving body is kept so recovery can
+           re-own it.  Adoption bumps the epoch, which turns the
+           body stale here the moment the slice is re-served. *)
+        match t.fd with
+        | None -> true
+        | Some _ -> last <> id || epoch <> sl.Shard.sl_epoch)
+    in
+    if stale then Shard.drop sh ~slice:sl.Shard.sl_id;
+    drop_stale t sh rest
+
 let validate_bodies t ~now =
-  Array.iter
-    (fun sh ->
-      if Shard.alive sh ~now then
-        List.iter
-          (fun (sl : Shard.slice) ->
-            let stale =
-              match t.dir.(sl.Shard.sl_id) with
-              | Owned { shard; epoch } ->
-                shard <> Shard.id sh || epoch <> sl.Shard.sl_epoch
-              | In_transit { from_; epoch; _ } ->
-                from_ <> Shard.id sh || epoch <> sl.Shard.sl_epoch
-              | Orphaned { last; epoch; _ } ->
-                (* Under a failure detector an orphan may be a false
-                   suspicion: the surviving body is kept so recovery can
-                   re-own it.  Adoption bumps the epoch, which turns the
-                   body stale here the moment the slice is re-served. *)
-                (match t.fd with
-                | None -> true
-                | Some _ -> last <> Shard.id sh || epoch <> sl.Shard.sl_epoch)
-            in
-            if stale then Shard.drop sh ~slice:sl.Shard.sl_id)
-          (Shard.slices sh))
-    t.shards
+  for id = 0 to Array.length t.shards - 1 do
+    let sh = t.shards.(id) in
+    if Shard.alive sh ~now then drop_stale t sh (Shard.slices sh)
+  done
 
 let step_transits t ~now =
-  Array.iteri
-    (fun slice entry ->
-      match entry with
-      | In_transit { from_; to_; epoch; since } -> (
-        let src = t.shards.(from_) and dst = t.shards.(to_) in
-        match (Shard.status src ~now, Shard.status dst ~now) with
-        | Shard.Crashed { since = c }, _ ->
-          (* Source died mid-handoff, taking the body with it.  The
-             slice is orphaned from the *earlier* of the two events so
-             the grace clock never restarts in the slice's favour. *)
-          orphan_entry t ~slice ~last:from_ ~epoch ~since:(min since c);
-          t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1
-        | _, Shard.Crashed _ -> (
-          (* Destination died before taking ownership: the source keeps
-             the body under a bumped epoch, fencing anything the dead
-             destination might have observed about the transfer. *)
-          match Shard.find_slice src ~slice with
-          | Some sl ->
-            sl.Shard.sl_epoch <- epoch + 1;
-            t.dir.(slice) <- Owned { shard = from_; epoch = epoch + 1 };
-            t.st.handoffs_aborted <- t.st.handoffs_aborted + 1
-          | None ->
-            orphan_entry t ~slice ~last:from_ ~epoch ~since;
-            t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1)
-        | Shard.Stalled { since = s; _ }, _ when now -. s >= t.cfg.grace ->
-          orphan_entry t ~slice ~last:from_ ~epoch ~since:s;
-          t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1
-        | Shard.Alive, Shard.Alive when now > since -> (
-          match Shard.detach src ~slice with
-          | Some sl ->
-            sl.Shard.sl_epoch <- epoch + 1;
-            Shard.attach dst sl;
-            t.dir.(slice) <- Owned { shard = to_; epoch = epoch + 1 };
-            t.st.handoffs_completed <- t.st.handoffs_completed + 1
-          | None ->
-            orphan_entry t ~slice ~last:from_ ~epoch ~since;
-            t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1)
-        | _ -> ())
+  for slice = 0 to Array.length t.dir - 1 do
+    match t.dir.(slice) with
+    | In_transit { from_; to_; epoch; since } -> (
+      let src = t.shards.(from_) and dst = t.shards.(to_) in
+      match (Shard.status src ~now, Shard.status dst ~now) with
+      | Shard.Crashed { since = c }, _ ->
+        (* Source died mid-handoff, taking the body with it.  The
+           slice is orphaned from the *earlier* of the two events so
+           the grace clock never restarts in the slice's favour. *)
+        orphan_entry t ~slice ~last:from_ ~epoch ~since:(min since c);
+        t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1
+      | _, Shard.Crashed _ -> (
+        (* Destination died before taking ownership: the source keeps
+           the body under a bumped epoch, fencing anything the dead
+           destination might have observed about the transfer. *)
+        match Shard.find_slice src ~slice with
+        | Some sl ->
+          sl.Shard.sl_epoch <- epoch + 1;
+          t.dir.(slice) <- Owned { shard = from_; epoch = epoch + 1 };
+          t.st.handoffs_aborted <- t.st.handoffs_aborted + 1
+        | None ->
+          orphan_entry t ~slice ~last:from_ ~epoch ~since;
+          t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1)
+      | Shard.Stalled { since = s; _ }, _ when now -. s >= t.cfg.grace ->
+        orphan_entry t ~slice ~last:from_ ~epoch ~since:s;
+        t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1
+      | Shard.Alive, Shard.Alive when now > since -> (
+        match Shard.detach src ~slice with
+        | Some sl ->
+          sl.Shard.sl_epoch <- epoch + 1;
+          Shard.attach dst sl;
+          t.dir.(slice) <- Owned { shard = to_; epoch = epoch + 1 };
+          t.st.handoffs_completed <- t.st.handoffs_completed + 1
+        | None ->
+          orphan_entry t ~slice ~last:from_ ~epoch ~since;
+          t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1)
       | _ -> ())
-    t.dir
+    | _ -> ()
+  done
 
 let orphan_stalled t ~now =
   (* With a detector enabled the router cannot see stalls directly: a
      stalled shard simply stops heartbeating and {!detector_sweep}
      orphans it from the (later, still-safe) suspicion instant. *)
-  if t.fd = None then
-  Array.iter
-    (fun sh ->
-      match Shard.status sh ~now with
+  match t.fd with
+  | Some _ -> ()
+  | None ->
+    for id = 0 to Array.length t.shards - 1 do
+      match Shard.status t.shards.(id) ~now with
       | Shard.Stalled { since; _ } when now -. since >= t.cfg.grace ->
-        Array.iteri
-          (fun slice entry ->
-            match entry with
-            | Owned { shard; epoch } when shard = Shard.id sh ->
-              (* Orphan from the stall start: leases could last have
-                 been renewed then, so the grace clock must too. *)
-              orphan_entry t ~slice ~last:shard ~epoch ~since
-            | _ -> ())
-          t.dir
-      | _ -> ())
-    t.shards
+        for slice = 0 to Array.length t.dir - 1 do
+          match t.dir.(slice) with
+          | Owned { shard; epoch } when shard = id ->
+            (* Orphan from the stall start: leases could last have
+               been renewed then, so the grace clock must too. *)
+            orphan_entry t ~slice ~last:shard ~epoch ~since
+          | _ -> ()
+        done
+      | _ -> ()
+    done
 
 let adopt_orphans t ~now =
-  Array.iteri
-    (fun slice entry ->
-      match entry with
-      | Orphaned { last = _; epoch; since } when now -. since >= t.cfg.grace -> (
-        match coldest_alive t ~now () with
-        | None -> ()  (* nobody left: the slice stays dark, never unsafe *)
-        | Some (_, adopter) ->
-          Gaudit.absorb t.gaudit ~slice ~now ~since;
-          (match t.tap with Some f -> f (Tap_absorb { slice; now }) | None -> ());
-          let sl =
-            {
-              Shard.sl_id = slice;
-              sl_epoch = epoch + 1;
-              sl_svc = slice_service t ~slice ~epoch:(epoch + 1);
-            }
-          in
-          Shard.attach t.shards.(adopter) sl;
-          t.dir.(slice) <- Owned { shard = adopter; epoch = epoch + 1 };
-          t.st.adoptions <- t.st.adoptions + 1;
-          bump t (fun c -> c.c_adoptions))
-      | _ -> ())
-    t.dir
+  for slice = 0 to Array.length t.dir - 1 do
+    match t.dir.(slice) with
+    | Orphaned { last = _; epoch; since } when now -. since >= t.cfg.grace -> (
+      match coldest_alive t ~now () with
+      | None -> ()  (* nobody left: the slice stays dark, never unsafe *)
+      | Some (_, adopter) ->
+        Gaudit.absorb t.gaudit ~slice ~now ~since;
+        (match t.tap with Some f -> f (Tap_absorb { slice; now }) | None -> ());
+        let sl =
+          {
+            Shard.sl_id = slice;
+            sl_epoch = epoch + 1;
+            sl_svc = slice_service t ~slice ~epoch:(epoch + 1);
+          }
+        in
+        Shard.attach t.shards.(adopter) sl;
+        t.dir.(slice) <- Owned { shard = adopter; epoch = epoch + 1 };
+        t.st.adoptions <- t.st.adoptions + 1;
+        bump t (fun c -> c.c_adoptions))
+    | _ -> ()
+  done
+
+let rec wrap_completions ~slice ~shard acc = function
+  | [] -> acc
+  | d :: rest ->
+    wrap_completions ~slice ~shard ({ c_slice = slice; c_shard = shard; c_done = d } :: acc) rest
 
 let pump t =
   let now = Clock.now t.clock in
@@ -697,16 +722,12 @@ let pump t =
   adopt_orphans t ~now;
   maybe_rebalance t ~now;
   let completions = ref [] in
-  Array.iteri
-    (fun slice entry ->
-      match entry with
-      | Owned { shard; epoch } when Shard.alive t.shards.(shard) ~now -> (
-        match Shard.find_slice t.shards.(shard) ~slice with
-        | Some sl when sl.Shard.sl_epoch = epoch ->
-          List.iter
-            (fun d -> completions := { c_slice = slice; c_shard = shard; c_done = d } :: !completions)
-            (Service.pump sl.Shard.sl_svc)
-        | _ -> ())
-      | _ -> ())
-    t.dir;
+  for slice = 0 to Array.length t.dir - 1 do
+    match t.dir.(slice) with
+    | Owned { shard; epoch } when Shard.alive t.shards.(shard) ~now -> (
+      match Shard.pump_slice t.shards.(shard) ~slice ~epoch with
+      | [] -> ()
+      | done_ -> completions := wrap_completions ~slice ~shard !completions done_)
+    | _ -> ()
+  done;
   List.rev !completions

@@ -140,7 +140,14 @@ val pump : t -> completion list
     stalls and drop fenced bodies, progress/abort in-transit handoffs,
     orphan the slices of shards stalled past [grace], absorb orphans
     past [grace] into the least-loaded survivor, trigger auto
-    rebalancing, then reclaim/expire/grant on every reachable slice. *)
+    rebalancing, then reclaim/expire/grant on every reachable slice.
+    Completions come back in slice order.
+
+    Cost: every phase is a plain loop over the directory or the shards,
+    and a slice with nothing due costs one {!Service.pump} check, so a
+    pump with nothing due does work linear in the number of slices and
+    allocates nothing.  Anything more is proportional to what is due:
+    expiries, queued requests, transits, orphans, a rebalance. *)
 
 (** {2 Fault injection} *)
 

@@ -58,7 +58,13 @@ type completion =
 
 val pump : t -> completion list
 (** Reclaim expired leases, expire overdue queued requests, then grant
-    from the queue head while capacity allows. *)
+    from the queue head while capacity allows.
+
+    With nothing due — the admission queue empty, no expiry-heap entry
+    at or before now ({!Lease.maintenance_due}), no heap compaction due
+    — [pump] returns [[]] and changes nothing: no statistic, histogram,
+    counter or audit event moves.  That check is all an idle pump
+    costs; it allocates nothing. *)
 
 (** {2 Introspection} *)
 

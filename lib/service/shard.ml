@@ -32,10 +32,24 @@ let status t ~now =
     Alive
   | s -> s
 
-let alive t ~now = status t ~now = Alive
+let alive t ~now = match status t ~now with Alive -> true | Stalled _ | Crashed _ -> false
 
-let find_slice t ~slice =
-  List.find_opt (fun sl -> sl.sl_id = slice) t.slices
+let rec find_in ~slice = function
+  | [] -> None
+  | sl :: rest -> if sl.sl_id = slice then Some sl else find_in ~slice rest
+
+let find_slice t ~slice = find_in ~slice t.slices
+
+(* The pump's lookup: walks the resident list directly, so a slice with
+   nothing due costs no allocation at all. *)
+let rec pump_in ~slice ~epoch = function
+  | [] -> []
+  | sl :: rest ->
+    if sl.sl_id <> slice then pump_in ~slice ~epoch rest
+    else if sl.sl_epoch = epoch then Service.pump sl.sl_svc
+    else []
+
+let pump_slice t ~slice ~epoch = pump_in ~slice ~epoch t.slices
 
 let attach t sl =
   t.slices <- List.sort (fun a b -> compare a.sl_id b.sl_id) (sl :: t.slices)
@@ -70,11 +84,8 @@ let stall t ~now ~until =
     t.st.stalls <- t.st.stalls + 1
   end
 
-let held t = List.fold_left (fun acc sl -> acc + Service.held sl.sl_svc) 0 t.slices
+let rec held_in acc = function
+  | [] -> acc
+  | sl :: rest -> held_in (acc + Service.held sl.sl_svc) rest
 
-let capacity t =
-  List.fold_left (fun acc sl -> acc + Service.slots sl.sl_svc) 0 t.slices
-
-let utilization t ~slice_capacity =
-  let cap = List.length t.slices * slice_capacity in
-  if cap = 0 then 1.0 else float_of_int (held t) /. float_of_int cap
+let held t = held_in 0 t.slices

@@ -47,6 +47,12 @@ val status : t -> now:float -> status
 val alive : t -> now:float -> bool
 
 val find_slice : t -> slice:int -> slice option
+
+val pump_slice : t -> slice:int -> epoch:int -> Service.completion list
+(** {!Service.pump} on the resident body of [slice] if its epoch is
+    [epoch]; [[]] when there is no such body.  Allocates nothing when
+    the body has nothing due. *)
+
 val attach : t -> slice -> unit
 val detach : t -> slice:int -> slice option
 val drop : t -> slice:int -> unit
@@ -57,7 +63,4 @@ val restart : t -> unit
 val stall : t -> now:float -> until:float -> unit
 
 val held : t -> int
-val capacity : t -> int
-val utilization : t -> slice_capacity:int -> float
-(** Held leases over nominal capacity of the resident slices; 1.0 when
-    the shard owns nothing (so rebalancing never targets it as cold). *)
+(** Leases held over every resident slice. *)

@@ -1166,6 +1166,56 @@ let test_pinned_service_pump () =
   check Alcotest.string "queue wait" "<=1:26 5..8:27 9..16:42 17..32:89 33..64:58 65..128:49"
     (buckets (Service.queue_wait_hist svc))
 
+(* ------------------------------------------------------------------ *)
+(* An idle pump is (nearly) free: the net path pumps every slice       *)
+(* before every event, and almost none has work.                       *)
+
+(* Minor-heap words allocated by [calls] runs of [f], after one warm-up
+   run.  [Gc.minor_words] is unboxed in native code, so the probe
+   itself allocates nothing. *)
+let minor_words ~calls f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  int_of_float (Gc.minor_words () -. before)
+
+let test_idle_service_pump_allocates_nothing () =
+  let time, svc = service ~capacity:4 ~ttl:10.0 () in
+  let fences =
+    List.filter_map
+      (fun session ->
+        match Service.acquire svc ~session with
+        | Service.Granted g -> Some g.Lease.g_fence
+        | _ -> None)
+      [ 1; 2; 3 ]
+  in
+  List.iter (fun fence -> ignore (Service.renew svc ~fence)) fences;
+  time := 2.0;
+  check Alcotest.int "nothing due" 0 (List.length (Service.pump svc));
+  check Alcotest.int "idle pump allocates no minor words" 0
+    (minor_words ~calls:1000 (fun () -> Service.pump svc));
+  check Alcotest.int "and changes nothing" 3 (Service.held svc)
+
+let test_idle_router_pump_allocation () =
+  let time, clock = manual_clock () in
+  let cfg = Router.make_config () in
+  let r = Router.create ~clock ~seed:7L cfg in
+  for key = 0 to 15 do
+    ignore (grant_on r ~session:(key + 1) ~key)
+  done;
+  time := 1.0;
+  check Alcotest.int "nothing due" 0 (List.length (Router.pump r));
+  let calls = 1000 in
+  let words = minor_words ~calls (fun () -> Router.pump r) in
+  check Alcotest.bool
+    (Printf.sprintf "idle pump: %d words per call over %d slices, at most 2 per slice"
+       (words / calls) cfg.Router.slices)
+    true
+    (words <= 2 * cfg.Router.slices * calls);
+  check Alcotest.int "and changes nothing" 16 (Router.total_held r)
+
 let tests =
   [
     ( "service",
@@ -1212,6 +1262,9 @@ let tests =
           test_service_deadline_expired_metric;
         Alcotest.test_case "pinned: lossy net churn" `Quick test_pinned_net_churn;
         Alcotest.test_case "pinned: pump-driven service" `Quick test_pinned_service_pump;
+        Alcotest.test_case "idle service pump allocates nothing" `Quick
+          test_idle_service_pump_allocates_nothing;
+        Alcotest.test_case "idle router pump allocation" `Quick test_idle_router_pump_allocation;
         QCheck_alcotest.to_alcotest qcheck_compact_preserves_pop_order;
         QCheck_alcotest.to_alcotest qcheck_expiry_monotone;
         QCheck_alcotest.to_alcotest qcheck_reclaim_never_revokes_renewed;
