@@ -564,7 +564,7 @@ let maybe_rebalance t ~now =
     let hot = ref (-1) and hot_u = ref 0. in
     for id = 0 to Array.length t.shards - 1 do
       let sh = t.shards.(id) in
-      if Shard.alive sh ~now && match Shard.slices sh with [] -> false | _ :: _ -> true then begin
+      if Shard.alive sh ~now && Shard.slices sh <> [] then begin
         let u = shard_util t sh in
         if !hot < 0 || !hot_u < u then begin
           hot := id;
