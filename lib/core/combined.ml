@@ -37,7 +37,6 @@ let predicted_steps cfg =
 
 let program ?obs cfg ~rng =
   let ext = extension_size cfg in
-  let trace f = match obs with Some s -> f s | None -> () in
   let first_phase =
     (* The sub-programs inherit the same scoped view, so their round /
        phase spans and counters land on the shared registry. *)
@@ -51,16 +50,16 @@ let program ?obs cfg ~rng =
   match name with
   | Some nm -> Program.return (Some nm)
   | None ->
-    trace (fun s -> Obs.s_begin s ~args:[ ("size", ext) ] "backup");
+    (match obs with Some s -> Obs.s_begin s ~args:[ ("size", ext) ] "backup" | None -> ());
     let* name = Backup.program ~base:cfg.n ~size:ext ~rng in
-    trace (fun s -> Obs.s_end s "backup");
+    (match obs with Some s -> Obs.s_end s "backup" | None -> ());
     (match name with
     | Some nm -> Program.return (Some nm)
     | None ->
       (* Extension exhausted (possible only when the first phase left
          more than [ext] unnamed — the event the corollary bounds).
          With m > n a free main-namespace register must exist. *)
-      trace (fun s -> Obs.s_instant s "main-sweep");
+      (match obs with Some s -> Obs.s_instant s "main-sweep" | None -> ());
       Retry.scan_names ~first:0 ~count:cfg.n ())
 
 let instance ?obs cfg ~stream =

@@ -57,12 +57,6 @@ let create_instrumentation ?obs cfg =
 let program ?instr ?obs cfg ~rng =
   let bounds = cluster_bounds cfg in
   let per_phase = steps_per_phase cfg in
-  let record j =
-    match instr with
-    | Some s -> s.named_in_phase.(j) <- s.named_in_phase.(j) + 1
-    | None -> ()
-  in
-  let trace f = match obs with Some s -> f s | None -> () in
   let probes, wins =
     match obs with
     | None -> (None, None)
@@ -73,30 +67,34 @@ let program ?instr ?obs cfg ~rng =
   let bump = function Some c -> Metrics.incr c | None -> () in
   let rec phase j =
     if j >= Array.length bounds then begin
-      trace (fun s -> Obs.s_instant s "give-up");
+      (match obs with Some s -> Obs.s_instant s "give-up" | None -> ());
       Program.return None
     end
     else begin
-      trace (fun s -> Obs.s_begin s ~args:[ ("phase", j) ] "phase");
+      (match obs with Some s -> Obs.s_begin s ~args:[ ("phase", j) ] "phase" | None -> ());
       step j per_phase
     end
   and step j remaining =
     if remaining = 0 then begin
-      trace (fun s -> Obs.s_end s "phase");
+      (match obs with Some s -> Obs.s_end s "phase" | None -> ());
       phase (j + 1)
     end
     else begin
       let base, size = bounds.(j) in
       let target = base + Sample.uniform_int rng size in
       bump probes;
-      trace (fun s -> Obs.s_instant s ~args:[ ("target", target) ] "probe");
+      (match obs with Some s -> Obs.s_instant s ~args:[ ("target", target) ] "probe" | None -> ());
       let* won = Retry.tas_name target in
       if won then begin
-        record j;
+        (match instr with
+        | Some s -> s.named_in_phase.(j) <- s.named_in_phase.(j) + 1
+        | None -> ());
         bump wins;
-        trace (fun s ->
-            Obs.s_instant s ~args:[ ("phase", j); ("name", target) ] "win";
-            Obs.s_end s "phase");
+        (match obs with
+        | Some s ->
+          Obs.s_instant s ~args:[ ("phase", j); ("name", target) ] "win";
+          Obs.s_end s "phase"
+        | None -> ());
         Program.return (Some target)
       end
       else step j (remaining - 1)

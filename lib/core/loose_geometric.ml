@@ -36,11 +36,6 @@ let create_instrumentation ?obs cfg =
 
 let program ?instr ?obs cfg ~rng =
   let total_rounds = rounds cfg in
-  let record i = match instr with
-    | Some s -> s.named_in_round.(i) <- s.named_in_round.(i) + 1
-    | None -> ()
-  in
-  let trace f = match obs with Some s -> f s | None -> () in
   let probes, wins =
     match obs with
     | None -> (None, None)
@@ -51,29 +46,33 @@ let program ?instr ?obs cfg ~rng =
   let bump = function Some c -> Metrics.incr c | None -> () in
   let rec round i =
     if i > total_rounds then begin
-      trace (fun s -> Obs.s_instant s "give-up");
+      (match obs with Some s -> Obs.s_instant s "give-up" | None -> ());
       Program.return None
     end
     else begin
-      trace (fun s -> Obs.s_begin s ~args:[ ("round", i) ] "round");
+      (match obs with Some s -> Obs.s_begin s ~args:[ ("round", i) ] "round" | None -> ());
       step i (Mathx.pow_int 2 i)
     end
   and step i remaining =
     if remaining = 0 then begin
-      trace (fun s -> Obs.s_end s "round");
+      (match obs with Some s -> Obs.s_end s "round" | None -> ());
       round (i + 1)
     end
     else begin
       let target = Sample.uniform_int rng cfg.n in
       bump probes;
-      trace (fun s -> Obs.s_instant s ~args:[ ("target", target) ] "probe");
+      (match obs with Some s -> Obs.s_instant s ~args:[ ("target", target) ] "probe" | None -> ());
       let* won = Retry.tas_name target in
       if won then begin
-        record (i - 1);
+        (match instr with
+        | Some s -> s.named_in_round.(i - 1) <- s.named_in_round.(i - 1) + 1
+        | None -> ());
         bump wins;
-        trace (fun s ->
-            Obs.s_instant s ~args:[ ("round", i); ("name", target) ] "win";
-            Obs.s_end s "round");
+        (match obs with
+        | Some s ->
+          Obs.s_instant s ~args:[ ("round", i); ("name", target) ] "win";
+          Obs.s_end s "round"
+        | None -> ());
         Program.return (Some target)
       end
       else step i (remaining - 1)

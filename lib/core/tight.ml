@@ -49,8 +49,6 @@ let build_taus ?rule (params : Params.t) =
 
 let program ?instr ?obs (params : Params.t) ~rng =
   let nrounds = Params.round_count params in
-  let record f = match instr with Some i -> f i | None -> () in
-  let trace f = match obs with Some s -> f s | None -> () in
   let probes, wins, losses =
     match obs with
     | None -> (None, None, None)
@@ -68,19 +66,27 @@ let program ?instr ?obs (params : Params.t) ~rng =
       let round = params.Params.rounds.(i) in
       let tau_id = round.Params.first_tau + Sample.uniform_int rng round.Params.blocks in
       let bit = Sample.uniform_int rng params.Params.width in
-      record (fun s -> s.requests_per_tau.(tau_id) <- s.requests_per_tau.(tau_id) + 1);
+      (match instr with
+      | Some s -> s.requests_per_tau.(tau_id) <- s.requests_per_tau.(tau_id) + 1
+      | None -> ());
       bump probes;
-      trace (fun s ->
-          Obs.s_begin s ~args:[ ("round", i) ] "round";
-          Obs.s_instant s ~args:[ ("tau", tau_id); ("bit", bit) ] "probe");
+      (match obs with
+      | Some s ->
+        Obs.s_begin s ~args:[ ("round", i) ] "round";
+        Obs.s_instant s ~args:[ ("tau", tau_id); ("bit", bit) ] "probe"
+      | None -> ());
       let* () = Program.tau_submit ~reg:tau_id ~bit in
       let* won = Program.tau_await tau_id in
       if won then begin
-        record (fun s -> s.wins_per_round.(i) <- s.wins_per_round.(i) + 1);
+        (match instr with
+        | Some s -> s.wins_per_round.(i) <- s.wins_per_round.(i) + 1
+        | None -> ());
         bump wins;
-        trace (fun s ->
-            Obs.s_instant s ~args:[ ("round", i) ] "win";
-            Obs.s_end s "round");
+        (match obs with
+        | Some s ->
+          Obs.s_instant s ~args:[ ("round", i) ] "win";
+          Obs.s_end s "round"
+        | None -> ());
         let* name =
           Retry.scan_names ~first:(Params.block_of_tau params tau_id).Params.name_base
             ~count:params.Params.tau ()
@@ -93,31 +99,35 @@ let program ?instr ?obs (params : Params.t) ~rng =
           rounds (i + 1)
       end
       else begin
-        record (fun s -> s.losses_per_round.(i) <- s.losses_per_round.(i) + 1);
+        (match instr with
+        | Some s -> s.losses_per_round.(i) <- s.losses_per_round.(i) + 1
+        | None -> ());
         bump losses;
-        trace (fun s ->
-            Obs.s_instant s ~args:[ ("round", i) ] "lose";
-            Obs.s_end s "round");
+        (match obs with
+        | Some s ->
+          Obs.s_instant s ~args:[ ("round", i) ] "lose";
+          Obs.s_end s "round"
+        | None -> ());
         rounds (i + 1)
       end
     end
   and reserve_scan () =
-    record (fun s -> s.reserve_entries <- s.reserve_entries + 1);
-    trace (fun s -> Obs.s_begin s "reserve-scan");
+    (match instr with Some s -> s.reserve_entries <- s.reserve_entries + 1 | None -> ());
+    (match obs with Some s -> Obs.s_begin s "reserve-scan" | None -> ());
     let* name =
       Retry.scan_names ~first:params.Params.reserve_base ~count:(Params.reserve_size params) ()
     in
-    trace (fun s -> Obs.s_end s "reserve-scan");
+    (match obs with Some s -> Obs.s_end s "reserve-scan" | None -> ());
     match name with
     | Some nm -> Program.return (Some nm)
     | None -> safety_net ()
   and safety_net () =
     (* Names burnt by crashed device winners live below reserve_base and
        are still free TAS registers; a full scan finds them. *)
-    record (fun s -> s.safety_net_entries <- s.safety_net_entries + 1);
-    trace (fun s -> Obs.s_begin s "safety-net");
+    (match instr with Some s -> s.safety_net_entries <- s.safety_net_entries + 1 | None -> ());
+    (match obs with Some s -> Obs.s_begin s "safety-net" | None -> ());
     let* name = Retry.scan_names ~first:0 ~count:params.Params.reserve_base () in
-    trace (fun s -> Obs.s_end s "safety-net");
+    (match obs with Some s -> Obs.s_end s "safety-net" | None -> ());
     Program.return name
   in
   rounds 0

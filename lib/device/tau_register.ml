@@ -5,7 +5,10 @@ type t = {
   tau : int;
   device : Counting_device.t;
   mutable queue : (int * int) list;  (* (pid, bit), newest first *)
-  answers : (int, answer) Hashtbl.t;  (* pid -> resolved answer *)
+  (* [answers.(pid)] is [pid]'s resolved answer; a pid beyond the array
+     has none yet ([Pending]).  Grown on demand, so [poll] is an array
+     read. *)
+  mutable answers : answer array;
 }
 
 let create ?rule ~base ~tau ~width () =
@@ -16,7 +19,7 @@ let create ?rule ~base ~tau ~width () =
     tau;
     device = Counting_device.create ?rule ~width ~threshold:tau ();
     queue = [];
-    answers = Hashtbl.create 16;
+    answers = Array.make 16 Pending;
   }
 
 let base t = t.base
@@ -28,10 +31,17 @@ let name_slot t k =
   t.base + k
 
 let submit t ~pid ~bit =
-  Hashtbl.remove t.answers pid;
+  if pid < 0 then invalid_arg "Tau_register.submit: negative pid";
+  let len = Array.length t.answers in
+  if pid >= len then begin
+    let grown = Array.make (max (pid + 1) (2 * len)) Pending in
+    Array.blit t.answers 0 grown 0 len;
+    t.answers <- grown
+  end;
+  t.answers.(pid) <- Pending;
   t.queue <- (pid, bit) :: t.queue
 
-let poll t ~pid = Option.value (Hashtbl.find_opt t.answers pid) ~default:Pending
+let poll t ~pid = if pid < Array.length t.answers then t.answers.(pid) else Pending
 
 let run_cycle t ~resolve_order =
   match t.queue with
@@ -48,7 +58,7 @@ let run_cycle t ~resolve_order =
           | Counting_device.Confirmed -> Won_bit
           | Counting_device.Lost | Counting_device.Revoked -> Lost_bit
         in
-        Hashtbl.replace t.answers pid answer)
+        t.answers.(pid) <- answer)
       requests
 
 let pending_count t = List.length t.queue

@@ -43,27 +43,34 @@ let jittered_delay policy ~rng ~prev =
 
 let rec idle k = if k <= 0 then Program.return () else Program.bind Program.yield (fun () -> idle (k - 1))
 
-(* Run a Bool-responding operation with bounded retry: [Some b] on a
-   normal response, [None] when every attempt was eaten by a transient
-   fault.  The clock bounds total retry time: once the policy's
-   [time_budget] is spent (measured on the injected clock, so virtual
-   under the simulator), further faults exhaust immediately instead of
-   backing off again.  With the default {!Clock.none} the budget never
-   binds and behaviour is unchanged. *)
-let bool_result ?(clock = Clock.none) ~policy op =
+(* Run a Bool-responding operation with bounded retry: the response on a
+   normal answer, [exhausted] when every attempt was eaten by a
+   transient fault.  The clock bounds total retry time: once the
+   policy's [time_budget] is spent (measured on the injected clock, so
+   virtual under the simulator), further faults exhaust immediately
+   instead of backing off again.  With the default {!Clock.none} the
+   budget never binds and behaviour is unchanged.
+
+   Giving up must stay on the safe side of every invariant:
+   - a TAS that keeps faulting counts as *lost* — the process never
+     claims a name it cannot prove it won;
+   - a read that keeps faulting counts as *set* — a scanner skips the
+     register instead of fighting for information it cannot get. *)
+let bool_op ?(clock = Clock.none) ~policy ~exhausted op =
   let t0 = Clock.now clock in
-  let budget_spent () =
-    match policy.time_budget with
-    | None -> false
-    | Some budget -> Clock.elapsed_since clock t0 >= budget
-  in
   let rec go attempt =
     Program.Step
       ( op,
         function
-        | Op.Bool b -> Program.Done (Some b)
+        | Op.Bool b -> Program.Done b
         | Op.Faulted ->
-          if attempt >= policy.attempts || budget_spent () then Program.Done None
+          if
+            attempt >= policy.attempts
+            ||
+            match policy.time_budget with
+            | None -> false
+            | Some budget -> Clock.elapsed_since clock t0 >= budget
+          then Program.Done exhausted
           else
             Program.bind (idle (backoff_delay policy ~attempt)) (fun () -> go (attempt + 1))
         | resp ->
@@ -72,22 +79,10 @@ let bool_result ?(clock = Clock.none) ~policy op =
   in
   go 1
 
-(* Giving up must stay on the safe side of every invariant:
-   - a TAS that keeps faulting counts as *lost* — the process never
-     claims a name it cannot prove it won;
-   - a read that keeps faulting counts as *set* — a scanner skips the
-     register instead of fighting for information it cannot get. *)
-let tas_name ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> false) (bool_result ?clock ~policy (Op.Tas_name i))
-
-let tas_aux ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> false) (bool_result ?clock ~policy (Op.Tas_aux i))
-
-let read_name ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> true) (bool_result ?clock ~policy (Op.Read_name i))
-
-let read_aux ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> true) (bool_result ?clock ~policy (Op.Read_aux i))
+let tas_name ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_name i)
+let tas_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_aux i)
+let read_name ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:true (Op.Read_name i)
+let read_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:true (Op.Read_aux i)
 
 let scan_names ?(policy = default) ?clock ~first ~count () =
   let open Program.Syntax in

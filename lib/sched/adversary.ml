@@ -1,8 +1,8 @@
 module Sample = Renaming_rng.Sample
 
 type view = {
-  time : int;
-  runnable_count : int;
+  mutable time : int;
+  mutable runnable_count : int;
   runnable_nth : int -> int;
   is_runnable : int -> bool;
   is_crashed : int -> bool;

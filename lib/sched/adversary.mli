@@ -12,9 +12,16 @@
     adversaries that scan the whole set are O(count) per tick and are
     used at moderate [n]. *)
 
+(** A view is only valid during the [decide] call it is passed to: the
+    executor builds one view per run and refreshes [time] and
+    [runnable_count] in place before every decision, so a view kept
+    past its call reads later values.  Adversaries read these fields and
+    never write them.  A [{ view with ... }] copy made inside [decide]
+    (a sub-view over fewer processes, as {!Renaming_workload.Arrival}
+    builds) is fine. *)
 type view = {
-  time : int;  (** executed steps so far *)
-  runnable_count : int;
+  mutable time : int;  (** executed steps so far *)
+  mutable runnable_count : int;
   runnable_nth : int -> int;  (** pid by index in [0, runnable_count); arbitrary stable order *)
   is_runnable : int -> bool;  (** by pid *)
   is_crashed : int -> bool;  (** by pid: crashed and not since recovered *)

@@ -19,11 +19,6 @@ let pp_event fmt = function
     Format.fprintf fmt "t=%d p%d return %s" time pid
       (match value with Some v -> string_of_int v | None -> "none")
 
-type process_state =
-  | Running of int option Program.t
-  | Finished of int option
-  | Crashed_state
-
 (* The runnable set is a swap-compacted array: [arr.(0 .. len-1)] are the
    runnable pids and [pos.(pid)] is the index of [pid] in [arr] (or -1).
    Removal is O(1), which keeps fair schedulers O(1) per tick. *)
@@ -58,13 +53,16 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
     ~adversary instance =
   if tau_cadence < 1 then invalid_arg "Executor.run: tau_cadence must be >= 1";
   let n = Array.length instance.programs in
-  let states = Array.map (fun p -> Running p) instance.programs in
+  (* [programs.(pid)] is the process's current program: a [Step] while it
+     can run, [Done v] once it has returned [v].  [crashed.(pid)] marks a
+     crashed process, whatever its program. *)
+  let programs = Array.copy instance.programs in
   let live = live_create n in
   let ledger = Renaming_shm.Step_ledger.create ~processes:n in
   let crashed = Array.make n false in
   let ever_recovered = Array.make n false in
   let time = ref 0 in
-  let outcome = ref Report.Completed in
+  let livelocked = ref false in
   let hooks =
     match obs with
     | None -> None
@@ -72,6 +70,9 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
       Renaming_obs.Obs.set_now o (fun () -> !time);
       Some { h_obs = o; h_steps = Renaming_obs.Obs.counter o (instance.label ^ "/executor.steps") }
   in
+  (* With no listener no event value is built: every [emit] site tests
+     [listening] first. *)
+  let listening = Option.is_some hooks || Option.is_some on_event in
   let emit e =
     (match hooks with
     | None -> ()
@@ -102,23 +103,23 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
           | None -> instance.programs.(pid))
   in
   let pending_op pid =
-    match states.(pid) with
-    | Running (Program.Step (op, _)) -> op
-    | Running (Program.Done _) | Finished _ | Crashed_state ->
-      invalid_arg "Executor: pending_op on non-parked process"
+    match programs.(pid) with
+    | Program.Step (op, _) when not crashed.(pid) -> op
+    | Program.Step _ | Program.Done _ -> invalid_arg "Executor: pending_op on non-parked process"
   in
   (* A program may be Done without ever touching shared memory. *)
   let settle pid =
-    match states.(pid) with
-    | Running (Program.Done v) ->
-      states.(pid) <- Finished v;
+    match programs.(pid) with
+    | Program.Done value ->
       live_remove live pid;
-      emit (Returned { time = !time; pid; value = v })
-    | Running (Program.Step _) | Finished _ | Crashed_state -> ()
+      if listening then emit (Returned { time = !time; pid; value })
+    | Program.Step _ -> ()
   in
   for pid = 0 to n - 1 do
     settle pid
   done;
+  (* One view for the whole run; its [time] and [runnable_count] are
+     refreshed in place before every decision. *)
   let view =
     {
       Adversary.time = 0;
@@ -130,53 +131,51 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
       memory = instance.memory;
     }
   in
-  while live.len > 0 && !outcome = Report.Completed do
-    let view = { view with Adversary.time = !time; runnable_count = live.len } in
+  while live.len > 0 && not !livelocked do
+    view.Adversary.time <- !time;
+    view.Adversary.runnable_count <- live.len;
     match adversary.Adversary.decide view with
     | Adversary.Crash pid ->
-      (match states.(pid) with
-      | Running _ ->
-        states.(pid) <- Crashed_state;
+      (match programs.(pid) with
+      | Program.Step _ when not crashed.(pid) ->
         crashed.(pid) <- true;
         live_remove live pid;
-        emit (Crashed { time = !time; pid })
-      | Finished _ | Crashed_state -> invalid_arg "Executor: adversary crashed a non-running process")
+        if listening then emit (Crashed { time = !time; pid })
+      | Program.Step _ | Program.Done _ ->
+        invalid_arg "Executor: adversary crashed a non-running process")
     | Adversary.Recover pid ->
-      (match states.(pid) with
-      | Crashed_state ->
-        states.(pid) <- Running (restart_program pid);
-        crashed.(pid) <- false;
-        ever_recovered.(pid) <- true;
-        live_add live pid;
-        emit (Recovered { time = !time; pid });
-        settle pid
-      | Running _ | Finished _ ->
-        invalid_arg "Executor: adversary recovered a non-crashed process")
+      if not crashed.(pid) then invalid_arg "Executor: adversary recovered a non-crashed process";
+      programs.(pid) <- restart_program pid;
+      crashed.(pid) <- false;
+      ever_recovered.(pid) <- true;
+      live_add live pid;
+      if listening then emit (Recovered { time = !time; pid });
+      settle pid
     | Adversary.Schedule pid ->
-      (match states.(pid) with
-      | Running (Program.Step (op, k)) ->
+      (match programs.(pid) with
+      | Program.Step (op, k) when not crashed.(pid) ->
         let faulted =
           match inject with Some f -> f ~time:!time ~pid ~op | None -> false
         in
         let response = if faulted then Op.Faulted else Memory.apply instance.memory ~pid op in
         Renaming_shm.Step_ledger.record ledger ~pid;
         (match on_tick with Some f -> f ~time:!time ~pid ~op | None -> ());
-        emit (Stepped { time = !time; pid; op; response });
-        states.(pid) <- Running (k response);
+        if listening then emit (Stepped { time = !time; pid; op; response });
+        programs.(pid) <- k response;
         settle pid;
         incr time;
         if !time mod tau_cadence = 0 then Memory.tick_taus instance.memory;
-        if !time > max_ticks then outcome := Report.Livelock { max_ticks }
-      | Running (Program.Done _) | Finished _ | Crashed_state ->
+        if !time > max_ticks then livelocked := true
+      | Program.Step _ | Program.Done _ ->
         invalid_arg "Executor: adversary scheduled a non-runnable process")
   done;
   let returns =
-    Array.map
-      (function
-        | Finished v -> v
-        | Crashed_state -> None
-        | Running _ -> None)
-      states
+    Array.mapi
+      (fun pid p ->
+        match p with
+        | Program.Done v when not crashed.(pid) -> v
+        | Program.Done _ | Program.Step _ -> None)
+      programs
   in
   let pids_where flags =
     let acc = ref [] in
@@ -207,7 +206,7 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
     Report.assignment = Memory.assignment_of_returns instance.memory returns;
     ledger;
     ticks = !time;
-    outcome = !outcome;
+    outcome = (if !livelocked then Report.Livelock { max_ticks } else Report.Completed);
     crashed = pids_where crashed;
     recovered = pids_where ever_recovered;
     adversary = adversary.Adversary.name;

@@ -45,7 +45,8 @@ val run :
     per-pid step counts land in the [<label>/steps] histogram, and
     [<label>/executor.steps], [<label>/named], [<label>/crashed] and
     [<label>/recovered] counters are updated.  Omitting it costs a
-    single branch per event (docs/observability.md).
+    single branch per event (docs/observability.md): with neither [obs]
+    nor [on_event] attached, no {!event} value is built at all.
 
     [tau_cadence] (default 1): device cycles run after every [cadence]
     executed steps — the paper's constant answer delay.

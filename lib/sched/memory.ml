@@ -80,14 +80,23 @@ let accesses_of ~pid:_ (op : Op.t) (response : Op.response) =
     (* [apply] below always answers these with [Bool]. *)
     assert false
 
+(* Responses are constant constructors, allocated once statically, so
+   executing an operation allocates no response. *)
+let of_bool b : Op.response = if b then Bool true else Bool false
+
+let of_answer : Tau_register.answer -> Op.response = function
+  | Pending -> Tau Pending
+  | Won_bit -> Tau Won_bit
+  | Lost_bit -> Tau Lost_bit
+
 let apply t ~pid (op : Op.t) : Op.response =
   let response : Op.response =
     match op with
-    | Tas_name i -> Bool (Tas_array.test_and_set t.names ~idx:i ~pid)
-    | Tas_aux i -> Bool (Tas_array.test_and_set t.aux ~idx:i ~pid)
-    | Read_name i -> Bool (Tas_array.is_set t.names i)
-    | Read_aux i -> Bool (Tas_array.is_set t.aux i)
-    | Owned_name i -> Bool (Tas_array.owner t.names i = Some pid)
+    | Tas_name i -> of_bool (Tas_array.test_and_set t.names ~idx:i ~pid)
+    | Tas_aux i -> of_bool (Tas_array.test_and_set t.aux ~idx:i ~pid)
+    | Read_name i -> of_bool (Tas_array.is_set t.names i)
+    | Read_aux i -> of_bool (Tas_array.is_set t.aux i)
+    | Owned_name i -> of_bool (Tas_array.owner t.names i = Some pid)
     | Yield -> Unit
     | Tau_submit { reg; bit } ->
       Tau_register.submit t.taus.(reg) ~pid ~bit;
@@ -96,8 +105,8 @@ let apply t ~pid (op : Op.t) : Op.response =
         t.dirty <- reg :: t.dirty
       end;
       Unit
-    | Tau_poll reg -> Tau (Tau_register.poll t.taus.(reg) ~pid)
-    | Release_name i -> Bool (Tas_array.release t.names ~idx:i ~pid)
+    | Tau_poll reg -> of_answer (Tau_register.poll t.taus.(reg) ~pid)
+    | Release_name i -> of_bool (Tas_array.release t.names ~idx:i ~pid)
     | Read_word i -> Value t.words.(i)
     | Write_word { idx; value } ->
       t.words.(idx) <- value;

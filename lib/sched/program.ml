@@ -88,16 +88,17 @@ let tau_poll reg =
       | Op.Tau a -> Done a
       | resp -> bad_response op resp )
 
+(* One [Step] whose continuation re-polls itself: a pending answer
+   costs no allocation beyond the step. *)
 let tau_await reg =
-  let open Syntax in
-  let rec loop () =
-    let* answer = tau_poll reg in
-    match answer with
-    | Renaming_device.Tau_register.Pending -> loop ()
-    | Renaming_device.Tau_register.Won_bit -> return true
-    | Renaming_device.Tau_register.Lost_bit -> return false
+  let op = Op.Tau_poll reg in
+  let rec k = function
+    | Op.Tau Renaming_device.Tau_register.Pending -> Step (op, k)
+    | Op.Tau Renaming_device.Tau_register.Won_bit -> Done true
+    | Op.Tau Renaming_device.Tau_register.Lost_bit -> Done false
+    | resp -> bad_response op resp
   in
-  loop ()
+  Step (op, k)
 
 let scan_names ~first ~count =
   let open Syntax in

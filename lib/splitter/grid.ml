@@ -28,13 +28,12 @@ let create_instrumentation () = { splitter_violations = 0; boundary_exits = 0 }
 
 let program ?instr cfg ~pid =
   let side = cfg.side in
-  let record f = match instr with Some i -> f i | None -> () in
   let rec walk r d =
     if r + d > side - 1 then begin
       (* Off the triangle: only possible with more than [side]
          participants.  Fall back to a deterministic sweep so the run
          still terminates. *)
-      record (fun i -> i.boundary_exits <- i.boundary_exits + 1);
+      (match instr with Some i -> i.boundary_exits <- i.boundary_exits + 1 | None -> ());
       Program.scan_names ~first:0 ~count:(namespace cfg)
     end
     else begin
@@ -48,7 +47,9 @@ let program ?instr cfg ~pid =
         if won then Program.return (Some cell)
         else begin
           (* Witness of a splitter violation — cannot happen. *)
-          record (fun i -> i.splitter_violations <- i.splitter_violations + 1);
+          (match instr with
+          | Some i -> i.splitter_violations <- i.splitter_violations + 1
+          | None -> ());
           Program.scan_names ~first:0 ~count:(namespace cfg)
         end
     end

@@ -132,6 +132,29 @@ let test_tau_register_capacity () =
   in
   check Alcotest.int "exactly tau winners" 2 (List.length winners)
 
+let test_tau_register_sparse_pids_and_resubmit () =
+  (* Answers are kept per pid, for pids far beyond the first few; a pid
+     that never submitted reads [Pending]. *)
+  let tau = Tau.create ~base:0 ~tau:2 ~width:8 () in
+  List.iter (fun (pid, bit) -> Tau.submit tau ~pid ~bit) [ (3, 0); (40, 1); (1000, 2) ];
+  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  List.iter
+    (fun pid ->
+      check Alcotest.bool (Printf.sprintf "pid %d won" pid) true (Tau.poll tau ~pid = Tau.Won_bit))
+    [ 3; 40 ];
+  check Alcotest.bool "pid 1000 lost (device full)" true (Tau.poll tau ~pid:1000 = Tau.Lost_bit);
+  List.iter
+    (fun pid ->
+      check Alcotest.bool (Printf.sprintf "pid %d never asked" pid) true
+        (Tau.poll tau ~pid = Tau.Pending))
+    [ 0; 41; 999; 5000 ];
+  (* Re-submitting resets the pid's answer until the next cycle. *)
+  Tau.submit tau ~pid:40 ~bit:3;
+  check Alcotest.bool "resubmitted pid pending" true (Tau.poll tau ~pid:40 = Tau.Pending);
+  check Alcotest.bool "others keep their answer" true (Tau.poll tau ~pid:3 = Tau.Won_bit);
+  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  check Alcotest.bool "resubmitted pid answered" true (Tau.poll tau ~pid:40 = Tau.Lost_bit)
+
 let test_tau_register_resolve_order () =
   (* The adversary reverses the request order: the later submitter wins
      the contended bit. *)
@@ -196,6 +219,8 @@ let tests =
         Alcotest.test_case "invariants under load" `Quick test_invariants_hold_under_load;
         Alcotest.test_case "tau protocol" `Quick test_tau_register_protocol;
         Alcotest.test_case "tau capacity" `Quick test_tau_register_capacity;
+        Alcotest.test_case "tau sparse pids, resubmit" `Quick
+          test_tau_register_sparse_pids_and_resubmit;
         Alcotest.test_case "tau resolve order" `Quick test_tau_register_resolve_order;
         Alcotest.test_case "tau slot bounds" `Quick test_tau_slot_bounds;
         QCheck_alcotest.to_alcotest qcheck_device_never_exceeds_tau;

@@ -103,6 +103,60 @@ let test_pinned_uniform () =
      ae8df22e3c99dd99c290898598071963"
     (Geometric.run ~adversary { Geometric.n = 256; ell = 2 } ~seed:5L)
 
+(* ------------------------------------------------------------------ *)
+(* The tick's allocation floor.                                        *)
+
+module Memory = Renaming_sched.Memory
+module Op = Renaming_sched.Op
+module Tau_register = Renaming_device.Tau_register
+
+let minor_words = Test_service.minor_words
+
+let test_memory_apply_allocates_nothing () =
+  let tau = Tau_register.create ~base:0 ~tau:2 ~width:4 () in
+  let memory = Memory.create ~namespace:8 ~taus:[| tau |] () in
+  ignore (Memory.apply memory ~pid:0 (Op.Tau_submit { reg = 0; bit = 1 }));
+  Memory.tick_taus memory;
+  List.iter
+    (fun op ->
+      check Alcotest.int
+        (Format.asprintf "%a allocates no minor words" Op.pp op)
+        0
+        (minor_words ~calls:1000 (fun () -> Memory.apply memory ~pid:0 op)))
+    [ Op.Tas_name 3; Op.Read_name 3; Op.Read_name 5; Op.Tau_poll 0 ]
+
+let test_tau_poll_allocates_nothing () =
+  let tau = Tau_register.create ~base:0 ~tau:2 ~width:4 () in
+  Tau_register.submit tau ~pid:2 ~bit:1;
+  Tau_register.run_cycle tau ~resolve_order:(fun _ -> ());
+  List.iter
+    (fun pid ->
+      check Alcotest.int
+        (Printf.sprintf "poll pid %d allocates no minor words" pid)
+        0
+        (minor_words ~calls:1000 (fun () -> Tau_register.poll tau ~pid)))
+    [ 2; 0; 1000 ]
+
+(* With no listener attached a tick costs the program's own allocation
+   (its next [Step] and continuation, and the session statistics) plus
+   the adversary's decision.  Longlived allocates 50.4 words per tick
+   here, 67.7 when every tick also copied the view, built an unheard
+   event and boxed its response; the bound leaves a small margin. *)
+let longlived_words_per_tick_bound = 54.
+
+let test_longlived_tick_allocation () =
+  let inst =
+    Longlived.instance ~stats:(Longlived.create_stats ()) longlived ~stream:(Stream.create 1L)
+  in
+  let before = Gc.minor_words () in
+  let report = Executor.run ~adversary:(Adversary.round_robin ()) inst in
+  let words = Gc.minor_words () -. before in
+  let per_tick = words /. float_of_int report.Report.ticks in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f words per tick, at most %.0f" per_tick longlived_words_per_tick_bound)
+    true
+    (per_tick <= longlived_words_per_tick_bound)
+
 let tests =
   [
     ( "tick",
@@ -110,5 +164,9 @@ let tests =
         Alcotest.test_case "pinned: round-robin oneshot set" `Quick test_pinned_round_robin;
         Alcotest.test_case "pinned: crash-recovery" `Quick test_pinned_crash_recovery;
         Alcotest.test_case "pinned: uniform" `Quick test_pinned_uniform;
+        Alcotest.test_case "memory apply allocates nothing" `Quick
+          test_memory_apply_allocates_nothing;
+        Alcotest.test_case "tau poll allocates nothing" `Quick test_tau_poll_allocates_nothing;
+        Alcotest.test_case "longlived tick allocation" `Quick test_longlived_tick_allocation;
       ] );
   ]
