@@ -80,15 +80,16 @@ chaos-net-smoke:
 mcheck:
 	dune exec bin/main.exe -- mcheck
 
-# The fast subset that also runs inside `dune runtest`.
+# The fast subset that also runs inside `dune runtest`.  Written to its
+# own file so it never overwrites the full roster's results/mcheck.json.
 mcheck-tier1:
-	dune exec bin/main.exe -- mcheck --tier1
+	dune exec bin/main.exe -- mcheck --tier1 --out results/mcheck-tier1.json
 
 # The CI step: the enlarged tier-1 roster (n4 handoff entries plus
 # shard-handoff-n5) checked exhaustively under DPOR, with a wall-clock
 # budget assertion so reduction regressions fail loudly.
 mcheck-dpor-tier1:
-	dune exec bin/main.exe -- mcheck --tier1 --budget-seconds 60
+	dune exec bin/main.exe -- mcheck --tier1 --budget-seconds 60 --out results/mcheck-tier1.json
 
 # Coverage-guided schedule fuzzing: PCT adversaries plus mutation of an
 # interleaving-coverage corpus over the fuzz roster (clean algorithms
