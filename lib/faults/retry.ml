@@ -56,6 +56,11 @@ let rec idle k = if k <= 0 then Program.return () else Program.bind Program.yiel
      claims a name it cannot prove it won;
    - a read that keeps faulting counts as *set* — a scanner skips the
      register instead of fighting for information it cannot get. *)
+let budget_spent policy clock t0 =
+  match policy.time_budget with
+  | None -> false
+  | Some budget -> Clock.elapsed_since clock t0 >= budget
+
 let bool_op ?(clock = Clock.none) ~policy ~exhausted op =
   let t0 = Clock.now clock in
   let rec go attempt =
@@ -63,16 +68,9 @@ let bool_op ?(clock = Clock.none) ~policy ~exhausted op =
       ( op,
         function
         | Op.Bool b -> Program.Done b
-        | Op.Faulted ->
-          if
-            attempt >= policy.attempts
-            ||
-            match policy.time_budget with
-            | None -> false
-            | Some budget -> Clock.elapsed_since clock t0 >= budget
-          then Program.Done exhausted
-          else
-            Program.bind (idle (backoff_delay policy ~attempt)) (fun () -> go (attempt + 1))
+        | Op.Faulted when attempt < policy.attempts && not (budget_spent policy clock t0) ->
+          Program.bind (idle (backoff_delay policy ~attempt)) (fun () -> go (attempt + 1))
+        | Op.Faulted -> Program.Done exhausted
         | resp ->
           Format.kasprintf failwith "Retry: operation %a got response %a" Op.pp op Op.pp_response
             resp )
