@@ -28,14 +28,19 @@ val name_slot : t -> int -> int
 (** [name_slot t k] is the global name index of slot [k], [0 ≤ k < τ]. *)
 
 val submit : t -> pid:int -> bit:int -> unit
-(** Queue a TAS-bit request for the next cycle.  One step. *)
+(** Queue a TAS-bit request for the next cycle; [pid]'s answer reads
+    [Pending] again until that cycle runs.  One step.  The register
+    keeps one answer per pid that ever submitted to it.
+    @raise Invalid_argument if [pid < 0]. *)
 
 type answer = Pending | Won_bit | Lost_bit
 
 val poll : t -> pid:int -> answer
 (** The requester's view after its request: [Pending] until the cycle
     containing the request has run, then [Won_bit] (bit confirmed in
-    [out_reg]) or [Lost_bit] (lost the race or revoked).  One step. *)
+    [out_reg]) or [Lost_bit] (lost the race or revoked).  A pid that
+    never submitted, a negative one included, reads [Pending].  One
+    step; allocates nothing. *)
 
 val run_cycle : t -> resolve_order:((int * int) array -> unit) -> unit
 (** Run one device clock cycle over the queued requests.

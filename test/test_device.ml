@@ -134,7 +134,8 @@ let test_tau_register_capacity () =
 
 let test_tau_register_sparse_pids_and_resubmit () =
   (* Answers are kept per pid, for pids far beyond the first few; a pid
-     that never submitted reads [Pending]. *)
+     that never submitted, negative ones included, reads [Pending]; a
+     negative pid cannot submit. *)
   let tau = Tau.create ~base:0 ~tau:2 ~width:8 () in
   List.iter (fun (pid, bit) -> Tau.submit tau ~pid ~bit) [ (3, 0); (40, 1); (1000, 2) ];
   Tau.run_cycle tau ~resolve_order:(fun _ -> ());
@@ -147,13 +148,25 @@ let test_tau_register_sparse_pids_and_resubmit () =
     (fun pid ->
       check Alcotest.bool (Printf.sprintf "pid %d never asked" pid) true
         (Tau.poll tau ~pid = Tau.Pending))
-    [ 0; 41; 999; 5000 ];
+    [ 0; 41; 999; 5000; -1 ];
+  Alcotest.check_raises "negative pid" (Invalid_argument "Tau_register.submit: negative pid")
+    (fun () -> Tau.submit tau ~pid:(-1) ~bit:0);
   (* Re-submitting resets the pid's answer until the next cycle. *)
   Tau.submit tau ~pid:40 ~bit:3;
   check Alcotest.bool "resubmitted pid pending" true (Tau.poll tau ~pid:40 = Tau.Pending);
   check Alcotest.bool "others keep their answer" true (Tau.poll tau ~pid:3 = Tau.Won_bit);
   Tau.run_cycle tau ~resolve_order:(fun _ -> ());
   check Alcotest.bool "resubmitted pid answered" true (Tau.poll tau ~pid:40 = Tau.Lost_bit)
+
+let test_tau_register_storage_per_submitter () =
+  (* A register keeps one answer per submitter, however large its pid:
+     Tight's registers each see a few hundred pids drawn from all of
+     [0, n), so storage indexed by pid would cost n words per register. *)
+  let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
+  let before = Gc.allocated_bytes () in
+  Tau.submit tau ~pid:(1 lsl 20) ~bit:0;
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check Alcotest.bool (Printf.sprintf "%.0f words for one large pid" words) true (words < 64.)
 
 let test_tau_register_resolve_order () =
   (* The adversary reverses the request order: the later submitter wins
@@ -221,6 +234,8 @@ let tests =
         Alcotest.test_case "tau capacity" `Quick test_tau_register_capacity;
         Alcotest.test_case "tau sparse pids, resubmit" `Quick
           test_tau_register_sparse_pids_and_resubmit;
+        Alcotest.test_case "tau storage per submitter" `Quick
+          test_tau_register_storage_per_submitter;
         Alcotest.test_case "tau resolve order" `Quick test_tau_register_resolve_order;
         Alcotest.test_case "tau slot bounds" `Quick test_tau_slot_bounds;
         QCheck_alcotest.to_alcotest qcheck_device_never_exceeds_tau;

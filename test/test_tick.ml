@@ -135,7 +135,7 @@ let test_tau_poll_allocates_nothing () =
         (Printf.sprintf "poll pid %d allocates no minor words" pid)
         0
         (minor_words ~calls:1000 (fun () -> Tau_register.poll tau ~pid)))
-    [ 2; 0; 1000 ]
+    [ 2; 0; 1000; -1 ]
 
 (* With no listener attached a tick costs the program's own allocation
    (its next [Step] and continuation, and the session statistics) plus
