@@ -29,11 +29,12 @@ chaos:
 	dune exec bin/main.exe -- chaos
 
 # Lease-service churn campaign: crash-restart clients against the
-# lease/reclaim/fencing service with admission control, >= 10^6 client
-# sessions across four degradation regimes.  Exits nonzero on any
-# lease-safety violation, livelock, unfenced stale operation, or if the
-# campaign failed to exercise reclamation/shedding; JSON lands in
-# results/chaos.json (schema renaming.chaos-service/1).
+# lease/reclaim/fencing service with admission control (one service as
+# a one-shard, one-slice router), >= 10^6 client sessions across four
+# degradation regimes.  Exits nonzero on any lease-safety violation,
+# livelock, unfenced stale operation, or if the campaign failed to
+# exercise reclamation, shedding or ghost replays; JSON lands in
+# results/chaos.json (schema renaming.chaos-service/2).
 chaos-service:
 	dune exec bin/main.exe -- chaos --service
 
@@ -46,8 +47,9 @@ chaos-service-smoke:
 # routing, with the cross-shard uniqueness audit attached.  Exits
 # nonzero on any audit violation, livelock, wrongly fenced live lease,
 # unfenced stale ghost, or if the campaign failed to exercise handoffs
-# (including mid-transit crashes), adoption or shard crashes; JSON lands
-# in results/chaos.json (schema renaming.chaos-sharded/1).
+# (including mid-transit crashes), adoption, shard crashes or ghost
+# replays; JSON lands in results/chaos.json (schema
+# renaming.chaos-sharded/1).
 chaos-sharded:
 	dune exec bin/main.exe -- chaos --sharded
 
@@ -61,8 +63,8 @@ chaos-sharded-smoke:
 # per-slice at-most-once dedup, client timeout/retry and heartbeat
 # failure detection.  Exits nonzero on any audit violation, end-to-end
 # double grant, unexpected fence, successful ghost op — or if any piece
-# of the fault machinery failed to fire.  JSON lands in
-# results/chaos.json (schema renaming.chaos-net/1).
+# of the fault machinery (ghost replays included) failed to fire.  JSON
+# lands in results/chaos.json (schema renaming.chaos-net/1).
 chaos-net:
 	dune exec bin/main.exe -- chaos --net
 
@@ -139,5 +141,10 @@ examples:
 clean:
 	dune clean
 
+# Lines of OCaml (.ml + .mli) per top-level directory, then the sum.
+LOC_DIRS = lib bin bench test examples e2e_bench
 loc:
-	@find lib bin bench test examples \( -name '*.ml' -o -name '*.mli' \) | xargs wc -l | tail -1
+	@total=0; for d in $(LOC_DIRS); do \
+	  n=$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \
+	  printf '%8d %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%8d total\n' $$total

@@ -106,10 +106,14 @@ let bench_f3 () =
   ignore (Combined.run { Combined.n = 1024; variant = Combined.Geometric { ell = 3 } } ~seed:11L)
 
 let service_churn_cfg =
-  Renaming_service.Churn.make_config ~clients:64 ~sessions_target:2_000 ~capacity:32
-    ~crash_rate:0.25 ()
+  Renaming_service.Shard_churn.make_config ~clients:64 ~sessions_target:2_000
+    ~crash_rate:0.25 ~stale_wakeup:0.25 ~max_attempts:6
+    ~router:
+      (Renaming_service.Router.make_config ~shards:1 ~slices:1 ~slice_capacity:32
+         ~queue_limit:64 ~high_water:0.85 ~auto_rebalance:false ())
+    ()
 
-let bench_t17 () = ignore (Renaming_service.Churn.run service_churn_cfg ~seed:17L)
+let bench_t17 () = ignore (Renaming_service.Shard_churn.run service_churn_cfg ~seed:17L)
 
 let sharded_churn_cfg =
   Renaming_service.Shard_churn.make_config ~clients:32 ~sessions_target:1_000

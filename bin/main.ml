@@ -223,210 +223,32 @@ let write_metrics ~label obs metrics =
     Printf.printf "(metrics written to %s)\n" path
   | _ -> ()
 
-(* `chaos --service`: the lease-service churn campaign.  Safety here is
-   lease-safety (audited in-run); the command fails loudly unless the
-   campaign is violation- and livelock-free AND actually exercised the
-   robustness machinery (nonzero reclaims and sheds). *)
-let run_service_chaos ~sessions ~seed_count ~out ~metrics =
-  let module Scampaign = Renaming_service.Campaign in
-  let seeds = Renaming_harness.Seeds.take seed_count in
-  let spec = Scampaign.default_spec ~sessions_per_cell:sessions ~seeds () in
+(* `chaos --service/--sharded/--net`: a lease-service chaos campaign
+   (lib/service/chaos_campaign.ml).  The command fails loudly unless
+   every safety total is 0 AND the campaign exercised the machinery it
+   exists to test, so a clean report cannot come from faults silently
+   not firing. *)
+let run_service_campaign campaign ~sessions ~seed_count ~out ~metrics =
+  let module C = Renaming_service.Chaos_campaign in
+  let label = "chaos --" ^ campaign.C.name in
   let progress ~done_ ~total =
-    Printf.eprintf "\rchaos --service: run %d/%d%!" done_ total;
+    Printf.eprintf "\r%s: run %d/%d%!" label done_ total;
     if done_ = total then prerr_newline ()
   in
   let obs = obs_of_metrics metrics in
-  let summary = Scampaign.run ~progress ?obs spec in
-  Format.printf "%a@." Scampaign.pp summary;
-  write_file out (Scampaign.to_json summary ^ "\n");
+  let sessions = Option.value sessions ~default:campaign.C.default_sessions in
+  let result =
+    C.run ~progress ?obs campaign ~sessions ~seeds:(Renaming_harness.Seeds.take seed_count)
+  in
+  Format.printf "%a@." (C.pp campaign) result;
+  write_file out (C.to_json campaign result ^ "\n");
   Printf.printf "(json written to %s)\n" out;
-  write_metrics ~label:"chaos-service" obs metrics;
-  let fail fmt = Printf.eprintf fmt in
-  let failed = ref false in
-  if summary.Scampaign.total_violations > 0 then begin
-    fail "chaos --service: %d lease-safety violation(s)\n" summary.Scampaign.total_violations;
-    failed := true
-  end;
-  if summary.Scampaign.total_livelocks > 0 then begin
-    fail "chaos --service: %d livelocked run(s)\n" summary.Scampaign.total_livelocks;
-    failed := true
-  end;
-  if summary.Scampaign.total_stale_rejected <> summary.Scampaign.total_stale_ops then begin
-    fail "chaos --service: %d stale operation(s) not fenced\n"
-      (summary.Scampaign.total_stale_ops - summary.Scampaign.total_stale_rejected);
-    failed := true
-  end;
-  if summary.Scampaign.total_unexpected_fenced > 0 then begin
-    fail "chaos --service: %d live operation(s) wrongly fenced\n"
-      summary.Scampaign.total_unexpected_fenced;
-    failed := true
-  end;
-  if summary.Scampaign.total_reclaims = 0 then begin
-    fail "chaos --service: campaign reclaimed no leases (churn not exercised)\n";
-    failed := true
-  end;
-  if summary.Scampaign.total_sheds = 0 then begin
-    fail "chaos --service: campaign shed no requests (overload not exercised)\n";
-    failed := true
-  end;
-  let total_fenced =
-    List.fold_left
-      (fun acc r ->
-        acc + r.Scampaign.cr_summary.Renaming_service.Churn.service.Renaming_service.Service.fenced)
-      0 summary.Scampaign.results
-  in
-  Printf.printf
-    "chaos --service: %d sessions, %d reclaims, %d fenced ops, %d violations\n"
-    summary.Scampaign.total_sessions summary.Scampaign.total_reclaims total_fenced
-    summary.Scampaign.total_violations;
-  if !failed then exit 1
-
-(* `chaos --sharded`: the partition chaos campaign over the sharded
-   router.  Safety is global name uniqueness (cross-shard audit mirror)
-   plus graceful degradation: every operation against a dark or moving
-   slice resolves to a structured outcome, and nothing is fenced
-   without an injected cause.  The command also fails unless the
-   campaign actually exercised the machinery it exists to test:
-   handoffs (some crashed mid-transit), orphan adoption, redirects and
-   shard crashes. *)
-let run_sharded_chaos ~sessions ~seed_count ~out ~metrics =
-  let module Scampaign = Renaming_service.Shard_campaign in
-  let seeds = Renaming_harness.Seeds.take seed_count in
-  let spec = Scampaign.default_spec ~sessions_per_cell:sessions ~seeds () in
-  let progress ~done_ ~total =
-    Printf.eprintf "\rchaos --sharded: run %d/%d%!" done_ total;
-    if done_ = total then prerr_newline ()
-  in
-  let obs = obs_of_metrics metrics in
-  let summary = Scampaign.run ~progress ?obs spec in
-  Format.printf "%a@." Scampaign.pp summary;
-  write_file out (Scampaign.to_json summary ^ "\n");
-  Printf.printf "(json written to %s)\n" out;
-  write_metrics ~label:"chaos-sharded" obs metrics;
-  let fail fmt = Printf.eprintf fmt in
-  let failed = ref false in
-  if summary.Scampaign.total_violations > 0 then begin
-    fail "chaos --sharded: %d global-uniqueness/audit violation(s)\n"
-      summary.Scampaign.total_violations;
-    failed := true
-  end;
-  if summary.Scampaign.total_livelocks > 0 then begin
-    fail "chaos --sharded: %d livelocked run(s)\n" summary.Scampaign.total_livelocks;
-    failed := true
-  end;
-  if summary.Scampaign.total_unexpected_fenced > 0 then begin
-    fail "chaos --sharded: %d live operation(s) wrongly fenced\n"
-      summary.Scampaign.total_unexpected_fenced;
-    failed := true
-  end;
-  if summary.Scampaign.total_stale_ok > 0 then begin
-    fail "chaos --sharded: %d stale ghost operation(s) not fenced\n"
-      summary.Scampaign.total_stale_ok;
-    failed := true
-  end;
-  if summary.Scampaign.total_handoffs_started = 0 then begin
-    fail "chaos --sharded: no slice handoffs (rebalancing not exercised)\n";
-    failed := true
-  end;
-  if summary.Scampaign.total_handoffs_orphaned + summary.Scampaign.total_handoffs_aborted = 0
-  then begin
-    fail "chaos --sharded: no handoff was crashed mid-transit\n";
-    failed := true
-  end;
-  if summary.Scampaign.total_adoptions = 0 then begin
-    fail "chaos --sharded: no orphaned slice was adopted (degradation not exercised)\n";
-    failed := true
-  end;
-  if summary.Scampaign.total_shard_crashes = 0 then begin
-    fail "chaos --sharded: no shard crashes injected\n";
-    failed := true
-  end;
-  Printf.printf
-    "chaos --sharded: %d sessions, %d handoffs (%d crashed mid-transit), %d adoptions, \
-     %d redirects, %d violations\n"
-    summary.Scampaign.total_sessions summary.Scampaign.total_handoffs_started
-    (summary.Scampaign.total_handoffs_orphaned + summary.Scampaign.total_handoffs_aborted)
-    summary.Scampaign.total_adoptions summary.Scampaign.total_redirects
-    summary.Scampaign.total_violations;
-  if !failed then exit 1
-
-(* `chaos --net`: the unreliable-transport chaos campaign over the
-   sharded service.  Safety is end-to-end at-most-once (no request id
-   executes effectfully twice without the slice provably losing its
-   body), plus the sharded invariants: no audit violations, nothing
-   fenced without an injected cause, no ghost operation succeeds.  As
-   with the other campaigns, a clean report must also prove the faults
-   fired: drops, duplicates, reorders, partition blocks, dedup replays
-   and evictions, detector suspicions/recoveries/re-owns/incarnation
-   orphans, adoptions and redirects all have to be nonzero. *)
-let run_net_chaos ~sessions ~seed_count ~out ~metrics =
-  let module Ncampaign = Renaming_service.Net_campaign in
-  let seeds = Renaming_harness.Seeds.take seed_count in
-  let spec = Ncampaign.default_spec ~sessions_per_cell:sessions ~seeds () in
-  let progress ~done_ ~total =
-    Printf.eprintf "\rchaos --net: run %d/%d%!" done_ total;
-    if done_ = total then prerr_newline ()
-  in
-  let obs = obs_of_metrics metrics in
-  let summary = Ncampaign.run ~progress ?obs spec in
-  Format.printf "%a@." Ncampaign.pp summary;
-  write_file out (Ncampaign.to_json summary ^ "\n");
-  Printf.printf "(json written to %s)\n" out;
-  write_metrics ~label:"chaos-net" obs metrics;
-  let fail fmt = Printf.eprintf fmt in
-  let failed = ref false in
-  if summary.Ncampaign.total_violations > 0 then begin
-    fail "chaos --net: %d audit violation(s)\n" summary.Ncampaign.total_violations;
-    failed := true
-  end;
-  if summary.Ncampaign.total_double_grants > 0 then begin
-    fail "chaos --net: %d at-most-once violation(s) (rid executed twice)\n"
-      summary.Ncampaign.total_double_grants;
-    failed := true
-  end;
-  if summary.Ncampaign.total_unexpected_fenced > 0 then begin
-    fail "chaos --net: %d live operation(s) wrongly fenced\n"
-      summary.Ncampaign.total_unexpected_fenced;
-    failed := true
-  end;
-  if summary.Ncampaign.total_stale_ok > 0 then begin
-    fail "chaos --net: %d stale ghost operation(s) not fenced\n"
-      summary.Ncampaign.total_stale_ok;
-    failed := true
-  end;
-  if summary.Ncampaign.total_livelocks > 0 then begin
-    fail "chaos --net: %d livelocked run(s)\n" summary.Ncampaign.total_livelocks;
-    failed := true
-  end;
-  let exercised name v =
-    if v = 0 then begin
-      fail "chaos --net: no %s (fault machinery not exercised)\n" name;
-      failed := true
-    end
-  in
-  exercised "messages dropped" summary.Ncampaign.total_dropped;
-  exercised "messages duplicated" summary.Ncampaign.total_duplicated;
-  exercised "messages reordered" summary.Ncampaign.total_reordered;
-  exercised "messages blocked by partitions" summary.Ncampaign.total_blocked;
-  exercised "client retransmits" summary.Ncampaign.total_resends;
-  exercised "dedup replays" summary.Ncampaign.total_replays;
-  exercised "dedup evictions" summary.Ncampaign.total_evictions;
-  exercised "detector suspicions" summary.Ncampaign.total_suspicions;
-  exercised "detector recoveries" summary.Ncampaign.total_recoveries;
-  exercised "slice re-owns" summary.Ncampaign.total_reowns;
-  exercised "incarnation orphans" summary.Ncampaign.total_incarnation_orphans;
-  exercised "orphan adoptions" summary.Ncampaign.total_adoptions;
-  exercised "partitions" summary.Ncampaign.total_partitions;
-  exercised "shard crashes" summary.Ncampaign.total_shard_crashes;
-  exercised "redirects" summary.Ncampaign.total_redirects;
-  Printf.printf
-    "chaos --net: %d sessions, %d dropped, %d duplicated (%d replayed), %d suspicions, \
-     %d double grants, %d violations\n"
-    summary.Ncampaign.total_sessions summary.Ncampaign.total_dropped
-    summary.Ncampaign.total_duplicated summary.Ncampaign.total_replays
-    summary.Ncampaign.total_suspicions summary.Ncampaign.total_double_grants
-    summary.Ncampaign.total_violations;
-  if !failed then exit 1
+  write_metrics ~label:("chaos-" ^ campaign.C.name) obs metrics;
+  match C.failures campaign result with
+  | [] -> ()
+  | failures ->
+    List.iter (Printf.eprintf "%s: %s\n" label) failures;
+    exit 1
 
 let chaos_cmd =
   let module Campaign = Renaming_faults.Campaign in
@@ -475,16 +297,10 @@ let chaos_cmd =
       Printf.eprintf "chaos: --sessions must be >= 1\n";
       exit 2
     | _ -> ());
-    if net then
-      let sessions = Option.value sessions ~default:65_000 in
-      run_net_chaos ~sessions ~seed_count ~out ~metrics
-    else if sharded then
-      let sessions = Option.value sessions ~default:60_000 in
-      run_sharded_chaos ~sessions ~seed_count ~out ~metrics
-    else if service then begin
-      let sessions = Option.value sessions ~default:150_000 in
-      run_service_chaos ~sessions ~seed_count ~out ~metrics
-    end
+    let module C = Renaming_service.Chaos_campaign in
+    if net then run_service_campaign C.net ~sessions ~seed_count ~out ~metrics
+    else if sharded then run_service_campaign C.sharded ~sessions ~seed_count ~out ~metrics
+    else if service then run_service_campaign C.service ~sessions ~seed_count ~out ~metrics
     else begin
       if n < 8 then begin
         Printf.eprintf "chaos: -n must be >= 8 (the tight schedule's minimum)\n";

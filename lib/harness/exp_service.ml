@@ -1,12 +1,15 @@
-module Churn = Renaming_service.Churn
+module Shard_churn = Renaming_service.Shard_churn
+module Chaos_campaign = Renaming_service.Chaos_campaign
 module Service = Renaming_service.Service
 module Hist = Renaming_obs.Hist
 
 (* T17: the lease service under closed-loop crash-restart churn.  Each
-   row is one churn simulation; the claim under measurement is graceful
-   degradation — grants keep flowing, crashed clients' names come back
-   via lease reclamation (never a double grant), overload is resolved by
-   structured shedding/timeouts rather than collapse. *)
+   row is one cell of the [chaos --service] campaign at one seed: a
+   churn simulation against a single Service behind a one-shard router.
+   The claim under measurement is graceful degradation — grants keep
+   flowing, crashed clients' names come back via lease reclamation
+   (never a double grant), overload is resolved by structured
+   shedding/timeouts rather than collapse. *)
 let t17 scale =
   let table =
     Table.create ~title:"T17: lease-based renaming service under churn (crash/reclaim/shed)"
@@ -19,40 +22,29 @@ let t17 scale =
   let sessions =
     match scale with Runcfg.Quick -> 20_000 | Runcfg.Full -> 150_000
   in
-  let cells =
-    [
-      ("steady", Churn.make_config ~sessions_target:sessions ~crash_rate:0.2 ());
-      ( "queue-only",
-        Churn.make_config ~sessions_target:sessions ~crash_rate:0.2 ~high_water:1.5
-          ~queue_limit:32 ~request_timeout:2.0 ~clients:192 () );
-      ( "hot-zipf",
-        Churn.make_config ~sessions_target:sessions ~crash_rate:0.35 ~zipf_s:1.4
-          ~mean_think:1.5 () );
-    ]
-  in
   List.iter
     (fun (name, cfg) ->
-      let s = Churn.run cfg ~seed:(Seeds.take 1).(0) in
-      let sv = s.Churn.service in
+      let s = Shard_churn.run cfg ~seed:(Seeds.take 1).(0) in
+      let sv = s.Shard_churn.service in
       Table.add_row table
         [
           name;
-          Table.cell_int s.Churn.sessions;
-          Table.cell_float ~decimals:0 (100. *. cfg.Churn.crash_rate);
+          Table.cell_int s.Shard_churn.sessions;
+          Table.cell_float ~decimals:0 (100. *. cfg.Shard_churn.crash_rate);
           Table.cell_int sv.Service.grants;
           Table.cell_int sv.Service.reclaims;
           Table.cell_int (sv.Service.sheds_high_water + sv.Service.sheds_queue_full);
           Table.cell_int sv.Service.expired_requests;
-          Table.cell_int s.Churn.stale_rejected;
-          Table.cell_float (Hist.mean s.Churn.h_probes);
-          Table.cell_float (Hist.mean s.Churn.h_reclaim);
-          Table.cell_int s.Churn.peak_held;
+          Table.cell_int s.Shard_churn.stale_rejected;
+          Table.cell_float (Hist.mean s.Shard_churn.h_probes);
+          Table.cell_float (Hist.mean s.Shard_churn.h_reclaim);
+          Table.cell_int s.Shard_churn.peak_held;
           Table.cell_bool
-            (s.Churn.violation = None && (not s.Churn.livelocked)
-            && s.Churn.stale_rejected = s.Churn.stale_ops
-            && s.Churn.unexpected_fenced = 0);
+            (s.Shard_churn.violation = None && (not s.Shard_churn.livelocked)
+            && s.Shard_churn.stale_rejected = s.Shard_churn.stale_ops
+            && s.Shard_churn.unexpected_fenced = 0);
         ])
-    cells;
+    (Chaos_campaign.service.Chaos_campaign.cells ~sessions);
   Table.add_note table
     "safe = no audit violation, no livelock, every stale (crashed-then-woken) operation fenced; reclaim p-mean is mean centiticks between lease expiry and reclamation";
   table

@@ -6,7 +6,6 @@ module Check = Renaming_refine.Check
 module Exec_adapter = Renaming_refine.Exec_adapter
 module Lease_adapter = Renaming_refine.Lease_adapter
 module Longlived = Renaming_longlived.Longlived
-module Churn = Renaming_service.Churn
 module Shard_churn = Renaming_service.Shard_churn
 module Net_churn = Renaming_service.Net_churn
 module Router = Renaming_service.Router
@@ -148,26 +147,39 @@ let fuzz_stage ?obs ~smoke () =
   let runs = List.fold_left (fun acc r -> acc + r.Fuzz.r_iterations + 1) 0 summary.Fuzz.s_results in
   report ~name:"executor-fuzz" ~backend:"executor" ~runs t
 
-(* --- lease-service backend: closed-loop churn with crash-restart and
-   stale ghosts, observed through the audit tap --- *)
-
-let service_stage ?obs ~smoke () =
-  let cfg =
-    Churn.make_config
-      ~clients:(if smoke then 24 else 64)
-      ~sessions_target:(if smoke then 300 else 2_000)
-      ~capacity:32 ()
+(* Shard_churn runs observed through the router tap, one fresh spec per
+   seed. *)
+let shard_churn_stage ?obs ~name ~backend (cfg : Shard_churn.config) seeds =
+  let rcfg = cfg.Shard_churn.router in
+  let slice_width =
+    Longlived.namespace_for ~sessions:rcfg.Router.slice_capacity ~epsilon:rcfg.Router.epsilon
   in
-  let namespace = Longlived.namespace_for ~sessions:cfg.Churn.capacity ~epsilon:cfg.Churn.epsilon in
+  let namespace = rcfg.Router.slices * slice_width in
   let t = tally () in
-  let seeds = if smoke then [ 0x5EED_11L ] else [ 0x5EED_11L; 0x5EED_12L ] in
   List.iter
     (fun seed ->
       let adapter = Lease_adapter.create ?obs ~namespace () in
       remember t (Lease_adapter.check adapter);
-      ignore (Churn.run ~tap:(Lease_adapter.service_tap adapter) cfg ~seed))
+      ignore (Shard_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
     seeds;
-  report ~name:"service-churn" ~backend:"service" ~runs:(List.length seeds) t
+  report ~name ~backend ~runs:(List.length seeds) t
+
+(* --- lease-service backend: closed-loop churn with crash-restart and
+   stale ghosts against a single Service (a one-shard router) --- *)
+
+let service_stage ?obs ~smoke () =
+  let cfg =
+    Shard_churn.make_config
+      ~clients:(if smoke then 24 else 64)
+      ~sessions_target:(if smoke then 300 else 2_000)
+      ~crash_rate:0.2 ~stale_wakeup:0.25 ~max_attempts:6
+      ~router:
+        (Router.make_config ~shards:1 ~slices:1 ~slice_capacity:32 ~queue_limit:64
+           ~high_water:0.85 ~auto_rebalance:false ())
+      ()
+  in
+  shard_churn_stage ?obs ~name:"service-churn" ~backend:"service" cfg
+    (if smoke then [ 0x5EED_11L ] else [ 0x5EED_11L; 0x5EED_12L ])
 
 (* --- sharded-router backend: slice handoffs (some crashed mid-transit),
    shard stalls and bursts; absorbs arrive as [Tap_absorb] and refine to
@@ -182,20 +194,8 @@ let router_stage ?obs ~smoke () =
       ~stall:{ Shard_churn.st_every = 11.0; st_duration = 9.0 }
       ()
   in
-  let rcfg = cfg.Shard_churn.router in
-  let slice_width =
-    Longlived.namespace_for ~sessions:rcfg.Router.slice_capacity ~epsilon:rcfg.Router.epsilon
-  in
-  let namespace = rcfg.Router.slices * slice_width in
-  let t = tally () in
-  let seeds = if smoke then [ 0x5EED_21L ] else [ 0x5EED_21L; 0x5EED_22L ] in
-  List.iter
-    (fun seed ->
-      let adapter = Lease_adapter.create ?obs ~namespace () in
-      remember t (Lease_adapter.check adapter);
-      ignore (Shard_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
-    seeds;
-  report ~name:"router-churn" ~backend:"router" ~runs:(List.length seeds) t
+  shard_churn_stage ?obs ~name:"router-churn" ~backend:"router" cfg
+    (if smoke then [ 0x5EED_21L ] else [ 0x5EED_21L; 0x5EED_22L ])
 
 (* --- net backend: the same router observed through an unreliable
    transport — retransmits, dedup replays and fenced ghosts never reach

@@ -27,8 +27,6 @@ let audit_event t ~offset (ev : Audit.event) =
          spec can see. *)
       Check.stutter t.check
 
-let service_tap t ~now:_ ev = audit_event t ~offset:0 ev
-
 let router_tap t ~slice_width (ev : Router.tap_event) =
   match ev with
   | Router.Tap_audit { slice; ev; _ } -> audit_event t ~offset:(slice * slice_width) ev

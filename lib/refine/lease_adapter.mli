@@ -1,10 +1,10 @@
 (** Adapter from the lease-service audit streams to the {!Obs_event}
-    vocabulary — the refinement view of the {!Renaming_service.Service}
-    stack, the sharded {!Renaming_service.Router} and the net path.
+    vocabulary — the refinement view of the {!Renaming_service.Router}
+    (a single service is a one-shard router) and the net path.
 
-    The mapping rides the taps the service layer already exposes
-    ([Service.create ?tap], [Router.create ?tap]), so observing changes
-    nothing about the run:
+    The mapping rides the tap the router already exposes
+    ([Router.create ?tap]), so observing changes nothing about the
+    run:
 
     - [Granted] → [Invoked] + [Granted] (sessions are minted per
       attempt, so the invocation is implicit in the grant);
@@ -32,13 +32,9 @@
 type t
 
 val create : ?obs:Renaming_obs.Obs.t -> namespace:int -> unit -> t
-(** [namespace]: total slots — [Lease.slots] for a single service,
-    [slices × slice_width] for a router. *)
+(** [namespace]: total slots, [slices × slice_width]. *)
 
 val check : t -> Check.t
-
-val service_tap : t -> now:float -> Renaming_service.Audit.event -> unit
-(** Shape of [Service.create ?tap]. *)
 
 val router_tap : t -> slice_width:int -> Renaming_service.Router.tap_event -> unit
 (** Shape of [Router.create ?tap] (partially applied on

@@ -22,7 +22,7 @@ type config = {
 let make_config ?(shards = 4) ?(slices = 8) ?(slice_capacity = 16) ?(epsilon = 0.5)
     ?(ttl = 10.0) ?(queue_limit = 16) ?(request_timeout = 5.0) ?(high_water = 0.9)
     ?grace ?(hot_util = 0.7) ?(cold_util = 0.55) ?(auto_rebalance = true) () =
-  if shards < 2 then invalid_arg "Router.make_config: shards must be >= 2";
+  if shards < 1 then invalid_arg "Router.make_config: shards must be >= 1";
   if slices < shards then invalid_arg "Router.make_config: slices must be >= shards";
   if slice_capacity < 1 then invalid_arg "Router.make_config: slice_capacity must be >= 1";
   if ttl <= 0. then invalid_arg "Router.make_config: ttl must be positive";
@@ -279,13 +279,6 @@ let in_transit t =
       | _ -> ())
     t.dir;
   List.rev !acc
-
-let alive_shards t ~now =
-  let n = ref 0 in
-  for id = 0 to Array.length t.shards - 1 do
-    if Shard.alive t.shards.(id) ~now then incr n
-  done;
-  !n
 
 let total_held t =
   let n = ref 0 in

@@ -67,8 +67,11 @@ val make_config :
   unit ->
   config
 (** Defaults: 4 shards × 8 slices × 16 capacity, [grace = 1.5·ttl].
-    Raises if [grace < ttl] — absorbing before expiry would regrant
-    live names. *)
+    One shard over one slice is a single {!Service} behind the router:
+    a crash or a stall past [grace] leaves the slice dark until the
+    shard is back, and then it adopts the slice afresh.  Raises if
+    [shards < 1], [slices < shards] or [grace < ttl] — absorbing
+    before expiry would regrant live names. *)
 
 type t
 
@@ -232,7 +235,6 @@ val in_transit : t -> (int * int * int) list
 (** [(slice, from_, to_)] currently in transit. *)
 
 val shard : t -> id:int -> Shard.t
-val alive_shards : t -> now:float -> int
 val total_held : t -> int
 
 val audit_near_misses : t -> int

@@ -5,6 +5,7 @@ module Retry = Renaming_faults.Retry
 module Arrival = Renaming_workload.Arrival
 module Crash_pattern = Renaming_workload.Crash_pattern
 module Zipf = Renaming_workload.Zipf
+module Hist = Renaming_obs.Hist
 
 type burst = { b_at : int; b_width : int; b_failures : int }
 type stall_plan = { st_every : float; st_duration : float }
@@ -31,6 +32,7 @@ type config = {
   backoff_unit : float;
   arrival : Arrival.pattern;
   shard_burst : burst option;
+  client_burst : burst option;
   stall : stall_plan option;
   handoff : handoff_plan option;
   max_events : int;
@@ -41,7 +43,7 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     ?(mean_think = 4.0) ?(renew_every = 3.0) ?(crash_rate = 0.1)
     ?(stale_wakeup = 0.2) ?(client_restart_delay = 8.0)
     ?(shard_restart_delay = 30.0) ?(max_attempts = 8) ?(backoff_unit = 0.25)
-    ?(arrival = Arrival.Staggered { gap = 1 }) ?shard_burst ?stall ?handoff
+    ?(arrival = Arrival.Staggered { gap = 1 }) ?shard_burst ?client_burst ?stall ?handoff
     ?(max_events = 200_000_000) () =
   if clients < 1 then invalid_arg "Shard_churn.make_config: clients must be >= 1";
   if sessions_target < 1 then
@@ -72,6 +74,7 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     backoff_unit;
     arrival;
     shard_burst;
+    client_burst;
     stall;
     handoff;
     max_events;
@@ -94,6 +97,7 @@ type client = {
   mutable attempts : int;
   mutable prev_delay : int;  (* decorrelated-jitter walk state *)
   mutable hold_end : float;
+  mutable lease_end : float;  (* expiry of the held lease, as granted or renewed *)
   mutable hint : int option;  (* cached owning shard for the client's slice *)
   mutable d_gen : int;  (* slice disruption generation at grant time *)
 }
@@ -106,6 +110,7 @@ type ev =
   | E_client_crash of { client : int; gen : int }
   | E_client_restart of { client : int; gen : int }
   | E_stale of { fence : Router.gfence }
+  | E_client_burst of { client : int }
   | E_shard_crash of { shard : int }
   | E_shard_restart of { shard : int }
   | E_shard_stall of unit
@@ -141,7 +146,50 @@ type summary = {
   gaudit_violations : int;
   gaudit_live : int;
   router : Router.stats;
+  service : Service.stats;
+  h_probes : Hist.t;
+  h_reclaim : Hist.t;
+  h_wait : Hist.t;
+  h_lifetime : Hist.t;
 }
+
+let no_stats =
+  {
+    Service.grants = 0;
+    queued = 0;
+    renews = 0;
+    releases = 0;
+    fenced = 0;
+    sheds_high_water = 0;
+    sheds_queue_full = 0;
+    expired_requests = 0;
+    reclaims = 0;
+    validates = 0;
+  }
+
+let add_stats (a : Service.stats) (b : Service.stats) =
+  {
+    Service.grants = a.grants + b.grants;
+    queued = a.queued + b.queued;
+    renews = a.renews + b.renews;
+    releases = a.releases + b.releases;
+    fenced = a.fenced + b.fenced;
+    sheds_high_water = a.sheds_high_water + b.sheds_high_water;
+    sheds_queue_full = a.sheds_queue_full + b.sheds_queue_full;
+    expired_requests = a.expired_requests + b.expired_requests;
+    reclaims = a.reclaims + b.reclaims;
+    validates = a.validates + b.validates;
+  }
+
+(* Bodies created with an [obs] share the registry's histograms, so each
+   distinct histogram is merged once. *)
+let merge_hists hists =
+  let rec go seen acc = function
+    | [] -> acc
+    | h :: rest ->
+      if List.memq h seen then go seen acc rest else go (h :: seen) (Hist.merge acc h) rest
+  in
+  go [] (Hist.create ()) hists
 
 let run ?obs ?tap (cfg : config) ~seed =
   let stream = Stream.create seed in
@@ -180,6 +228,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           attempts = 0;
           prev_delay = 0;
           hold_end = 0.;
+          lease_end = 0.;
           hint = None;
           d_gen = 0;
         })
@@ -276,6 +325,7 @@ let run ?obs ?tap (cfg : config) ~seed =
     c.d_gen <- disruption.(slice);
     let fence = { Router.gf_slice = slice; gf_fence = grant.Lease.g_fence } in
     c.phase <- Holding fence;
+    c.lease_end <- !sim_now +. cfg.router.Router.ttl;
     let hold = jitter ~around:cfg.mean_hold in
     c.hold_end <- !sim_now +. hold;
     if Sample.bernoulli rng cfg.crash_rate then
@@ -289,9 +339,12 @@ let run ?obs ?tap (cfg : config) ~seed =
     end
   in
 
+  (* A fence is expected after a fault we injected on the slice, or once
+     the lease's own expiry has passed: a client retrying a busy release
+     stops renewing, and its backoff can outlast the lease. *)
   let classify_fenced idx slice =
     let c = clients.(idx) in
-    if disruption.(slice) > c.d_gen then incr expected_fenced
+    if disruption.(slice) > c.d_gen || !sim_now >= c.lease_end then incr expected_fenced
     else incr unexpected_fenced
   in
 
@@ -394,15 +447,18 @@ let run ?obs ?tap (cfg : config) ~seed =
   Array.iteri
     (fun idx at -> begin_session_attempt idx ~at:(float_of_int at *. 0.5))
     arrivals;
-  (* Correlated shard crashes, reusing the crash-pattern generator over
-     the shard space instead of the process space. *)
-  (match cfg.shard_burst with
-  | None -> ()
-  | Some b ->
+  (* Correlated crash bursts, reusing the crash-pattern generator over
+     the shard space and over the client space; a burst-crashed client
+     goes down only if it holds a lease when its event fires. *)
+  let burst b ~n ev =
     List.iter
-      (fun (time, shard) -> schedule ~at:(float_of_int time) (E_shard_crash { shard }))
-      (Crash_pattern.burst ~rng ~n:n_shards ~failures:b.b_failures ~at:b.b_at
-         ~width:b.b_width));
+      (fun (time, who) -> schedule ~at:(float_of_int time) (ev who))
+      (Crash_pattern.burst ~rng ~n ~failures:b.b_failures ~at:b.b_at ~width:b.b_width)
+  in
+  Option.iter (fun b -> burst b ~n:n_shards (fun shard -> E_shard_crash { shard })) cfg.shard_burst;
+  Option.iter
+    (fun b -> burst b ~n:cfg.clients (fun client -> E_client_burst { client }))
+    cfg.client_burst;
   (match cfg.stall with
   | None -> ()
   | Some st -> schedule ~at:st.st_every (E_shard_stall ()));
@@ -496,7 +552,9 @@ let run ?obs ?tap (cfg : config) ~seed =
                        (E_renew { client = idx; gen = c.gen })
                  in
                  match Router.renew router ~fence with
-                 | Ok _ -> reschedule ~after:cfg.renew_every
+                 | Ok expiry ->
+                   c.lease_end <- expiry;
+                   reschedule ~after:cfg.renew_every
                  | Error (`Busy b) ->
                    (* The slice is dark or moving: keep the lease warm
                       by retrying; if the body really died we will be
@@ -563,6 +621,7 @@ let run ?obs ?tap (cfg : config) ~seed =
              (match Router.use router ~fence with Ok _ -> incr ok | Error _ -> ());
              (match Router.release router ~fence with Ok _ -> incr ok | Error _ -> ());
              if !ok = 0 then incr stale_rejected else stale_ok := !stale_ok + !ok
+           | E_client_burst { client = idx } -> crash_holding idx
            | E_shard_crash { shard } -> crash_shard shard
            | E_shard_restart { shard } ->
              Router.restart_shard router ~id:shard;
@@ -624,6 +683,13 @@ let run ?obs ?tap (cfg : config) ~seed =
            peak_held := max !peak_held (Router.total_held router)
      done
    with Audit.Violation { kind; message } -> violation := Some (kind, message));
+  let bodies =
+    List.concat_map
+      (fun id ->
+        List.map (fun (sl : Shard.slice) -> sl.Shard.sl_svc) (Shard.slices (Router.shard router ~id)))
+      (List.init n_shards Fun.id)
+  in
+  let hist f = merge_hists (List.map f bodies) in
   {
     sessions = !minted;
     client_crashes = !client_crashes;
@@ -653,4 +719,9 @@ let run ?obs ?tap (cfg : config) ~seed =
     gaudit_violations = Router.gaudit_violations router;
     gaudit_live = Router.gaudit_live router;
     router = Router.stats router;
+    service = List.fold_left (fun acc svc -> add_stats acc (Service.stats svc)) no_stats bodies;
+    h_probes = hist Service.probes_hist;
+    h_reclaim = hist Service.reclaim_lateness_hist;
+    h_wait = hist Service.queue_wait_hist;
+    h_lifetime = hist Service.lifetime_hist;
   }

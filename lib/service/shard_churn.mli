@@ -2,9 +2,15 @@
 
     A population of clients keyed by Zipf rank works sessions against a
     {!Router}: acquire (with cached shard hints), renew while holding,
-    release — under client crashes with ghost (stale-fence) wakeups,
-    {e shard} crashes and stalls, and slice handoffs, some of which are
-    deliberately crashed mid-transit.
+    release — under client crashes (singly or in correlated bursts) with
+    ghost (stale-fence) wakeups, {e shard} crashes and stalls, and slice
+    handoffs, some of which are deliberately crashed mid-transit.  Over
+    a one-shard, one-slice router this is the closed-loop churn driver
+    of a single {!Service}.
+
+    Shed and timed-out clients retry after a decorrelated-jitter backoff
+    ({!Renaming_faults.Retry.jittered_delay}) and abandon the session
+    after [max_attempts].
 
     The driver asserts graceful degradation, not availability: every
     operation against a dark or moving slice must resolve to a
@@ -13,7 +19,9 @@
     slice body), and nothing may be fenced {e unexpectedly}.  A fence is
     expected only when the driver itself disrupted the slice (crashed
     its owner, or stalled it past the grace) after the lease was
-    granted; [unexpected_fenced > 0] means a clean handoff broke a live
+    granted, or when the lease's own expiry has passed (a client
+    retrying a busy release stops renewing, and its backoff can outlast
+    the ttl); [unexpected_fenced > 0] means a clean handoff broke a live
     lease.  Global name uniqueness is asserted continuously by the
     router's cross-shard audit mirror; a violation aborts the run and is
     reported in [violation].
@@ -21,9 +29,12 @@
     Fully deterministic: all randomness derives from [seed]. *)
 
 type burst = { b_at : int; b_width : int; b_failures : int }
-(** Correlated shard crashes: [b_failures] shards out of the fleet crash
+(** Correlated crashes: [b_failures] members of a population crash
     within [b_width] ticks of [b_at] (reuses
-    {!Renaming_workload.Crash_pattern.burst} over the shard space). *)
+    {!Renaming_workload.Crash_pattern.burst}).  As [shard_burst] the
+    population is the shard fleet; as [client_burst] it is the clients,
+    and a client goes down only if it holds a lease when its crash
+    fires. *)
 
 type stall_plan = { st_every : float; st_duration : float }
 (** Every [st_every], stall the next shard (round-robin) for
@@ -55,6 +66,7 @@ type config = {
   backoff_unit : float;
   arrival : Renaming_workload.Arrival.pattern;
   shard_burst : burst option;
+  client_burst : burst option;
   stall : stall_plan option;
   handoff : handoff_plan option;
   max_events : int;  (** livelock guard *)
@@ -76,6 +88,7 @@ val make_config :
   ?backoff_unit:float ->
   ?arrival:Renaming_workload.Arrival.pattern ->
   ?shard_burst:burst ->
+  ?client_burst:burst ->
   ?stall:stall_plan ->
   ?handoff:handoff_plan ->
   ?max_events:int ->
@@ -97,7 +110,7 @@ type summary = {
   redirects : int;  (** stale shard hints corrected by the directory *)
   shard_down_busy : int;
   in_handoff_busy : int;
-  expected_fenced : int;  (** fenced after a fault we injected on that slice *)
+  expected_fenced : int;  (** fenced after an injected fault on that slice, or after expiry *)
   unexpected_fenced : int;  (** fenced with no injected cause — must be 0 *)
   releases_dropped : int;  (** releases into a dark slice, left to expiry *)
   lost_tickets : int;  (** queue tickets that died with a slice body *)
@@ -111,7 +124,16 @@ type summary = {
   gaudit_violations : int;
   gaudit_live : int;
   router : Router.stats;
+  service : Service.stats;
+  h_probes : Renaming_obs.Hist.t;  (** probes per grant *)
+  h_reclaim : Renaming_obs.Hist.t;  (** reclaim lateness, centiticks *)
+  h_wait : Renaming_obs.Hist.t;  (** queue wait, centiticks *)
+  h_lifetime : Renaming_obs.Hist.t;  (** grant to release, centiticks *)
 }
+(** [service] and the four histograms are summed over the slice bodies
+    resident at the end of the run.  Bodies lost to a shard crash, or
+    dropped as stale after losing their slice, are not counted; with
+    one shard and no shard faults that is the whole run. *)
 
 val run :
   ?obs:Renaming_obs.Obs.t ->

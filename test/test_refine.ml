@@ -18,8 +18,9 @@ module Shrink = Renaming_faults.Shrink
 module Fuzz = Renaming_fuzz.Fuzz
 module Fuzz_roster = Renaming_harness.Fuzz_roster
 module Refine_campaign = Renaming_harness.Refine_campaign
-module Churn = Renaming_service.Churn
 module Longlived = Renaming_longlived.Longlived
+module Shard_churn = Renaming_service.Shard_churn
+module Router = Renaming_service.Router
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
 
@@ -368,25 +369,38 @@ let test_obs_counters () =
 
 (* --- Lease_adapter over the service backend --- *)
 
-let churn_config () = Churn.make_config ~clients:8 ~sessions_target:150 ~capacity:16 ()
+(* A single service: churn over a one-shard, one-slice router. *)
+let churn_config () =
+  Shard_churn.make_config ~clients:8 ~sessions_target:150 ~crash_rate:0.2 ~stale_wakeup:0.25
+    ~max_attempts:6
+    ~router:
+      (Router.make_config ~shards:1 ~slices:1 ~slice_capacity:16 ~queue_limit:64
+         ~high_water:0.85 ~auto_rebalance:false ())
+    ()
+
+let slice_width () = Longlived.namespace_for ~sessions:16 ~epsilon:0.5
 
 let test_lease_adapter_clean_churn () =
-  let cfg = churn_config () in
-  let namespace = Longlived.namespace_for ~sessions:cfg.Churn.capacity ~epsilon:cfg.Churn.epsilon in
-  let adapter = Lease_adapter.create ~namespace () in
-  let summary = Churn.run ~tap:(Lease_adapter.service_tap adapter) cfg ~seed:7L in
+  let adapter = Lease_adapter.create ~namespace:(slice_width ()) () in
+  let summary =
+    Shard_churn.run
+      ~tap:(Lease_adapter.router_tap adapter ~slice_width:(slice_width ()))
+      (churn_config ()) ~seed:7L
+  in
   let c = Lease_adapter.check adapter in
-  check Alcotest.bool "churn ran" true (summary.Churn.sessions >= 150);
+  check Alcotest.bool "churn ran" true (summary.Shard_churn.sessions >= 150);
   check Alcotest.int "no violations" 0 (Check.violations c);
   check Alcotest.bool "grants heard" true (Check.steps c > 0);
   check Alcotest.bool "renewals stuttered" true (Check.stutters c > 0)
 
 let test_observation_changes_nothing_service () =
-  let cfg = churn_config () in
-  let namespace = Longlived.namespace_for ~sessions:cfg.Churn.capacity ~epsilon:cfg.Churn.epsilon in
-  let bare = Churn.run cfg ~seed:7L in
-  let adapter = Lease_adapter.create ~namespace () in
-  let tapped = Churn.run ~tap:(Lease_adapter.service_tap adapter) cfg ~seed:7L in
+  let bare = Shard_churn.run (churn_config ()) ~seed:7L in
+  let adapter = Lease_adapter.create ~namespace:(slice_width ()) () in
+  let tapped =
+    Shard_churn.run
+      ~tap:(Lease_adapter.router_tap adapter ~slice_width:(slice_width ()))
+      (churn_config ()) ~seed:7L
+  in
   check Alcotest.bool "identical summary" true (bare = tapped)
 
 (* --- the seeded spec-divergence mutant --- *)

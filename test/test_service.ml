@@ -1,7 +1,7 @@
 (* Tests for the lease-based renaming service: the deterministic heap,
    the lease table (fencing, expiry, reclamation), the admission queue,
    session minting, the independent audit mirror, the service façade
-   under a hand-driven clock, and determinism of the churn simulation. *)
+   under a hand-driven clock, and determinism of the churn simulations. *)
 
 module Heap = Renaming_service.Heap
 module Lease = Renaming_service.Lease
@@ -9,7 +9,6 @@ module Admission = Renaming_service.Admission
 module Minter = Renaming_service.Minter
 module Audit = Renaming_service.Audit
 module Service = Renaming_service.Service
-module Churn = Renaming_service.Churn
 module Router = Renaming_service.Router
 module Shard = Renaming_service.Shard
 module Shard_churn = Renaming_service.Shard_churn
@@ -327,42 +326,49 @@ let test_service_stale_fence_rejected () =
   | Ok () -> Alcotest.fail "old fence revived by regrant")
 
 (* ------------------------------------------------------------------ *)
-(* Churn simulation: deterministic, safe, and it actually reclaims.   *)
+(* Churn against one Service (a one-shard router): deterministic,     *)
+(* safe, and it actually reclaims.                                    *)
 
 let churn_config () =
-  Churn.make_config ~clients:24 ~sessions_target:400 ~capacity:12 ~ttl:6.0
-    ~renew_every:2.0 ~queue_limit:16 ~request_timeout:3.0 ~crash_rate:0.4
-    ~stale_wakeup:0.5 ~mean_hold:4.0 ~mean_think:2.0 ~restart_delay:5.0 ()
+  Shard_churn.make_config ~clients:24 ~sessions_target:400 ~renew_every:2.0 ~crash_rate:0.4
+    ~stale_wakeup:0.5 ~mean_hold:4.0 ~mean_think:2.0 ~client_restart_delay:5.0
+    ~max_attempts:6
+    ~router:
+      (Router.make_config ~shards:1 ~slices:1 ~slice_capacity:12 ~ttl:6.0 ~queue_limit:16
+         ~request_timeout:3.0 ~high_water:0.85 ~auto_rebalance:false ())
+    ()
 
 let test_churn_safety_and_reclaim () =
-  let s = Churn.run (churn_config ()) ~seed:42L in
-  check Alcotest.(option (pair string string)) "no audit violation" None s.Churn.violation;
-  check Alcotest.bool "no livelock" false s.Churn.livelocked;
-  check Alcotest.bool "sessions ran" true (s.Churn.sessions >= 400);
-  check Alcotest.bool "crashes happened" true (s.Churn.crashes > 0);
-  check Alcotest.bool "names reclaimed" true (s.Churn.service.Service.reclaims > 0);
-  check Alcotest.int "every stale op fenced" s.Churn.stale_ops s.Churn.stale_rejected;
-  check Alcotest.bool "stale wakeups exercised" true (s.Churn.stale_ops > 0);
-  check Alcotest.int "no live-path fencing" 0 s.Churn.unexpected_fenced;
-  check Alcotest.bool "capacity respected" true (s.Churn.peak_held <= 12)
+  let s = Shard_churn.run (churn_config ()) ~seed:42L in
+  check Alcotest.(option (pair string string)) "no audit violation" None s.Shard_churn.violation;
+  check Alcotest.bool "no livelock" false s.Shard_churn.livelocked;
+  check Alcotest.bool "sessions ran" true (s.Shard_churn.sessions >= 400);
+  check Alcotest.bool "crashes happened" true (s.Shard_churn.client_crashes > 0);
+  check Alcotest.bool "names reclaimed" true (s.Shard_churn.service.Service.reclaims > 0);
+  check Alcotest.int "every stale op fenced" s.Shard_churn.stale_ops s.Shard_churn.stale_rejected;
+  check Alcotest.bool "stale wakeups exercised" true (s.Shard_churn.stale_ops > 0);
+  check Alcotest.int "no live-path fencing" 0 s.Shard_churn.unexpected_fenced;
+  check Alcotest.bool "capacity respected" true (s.Shard_churn.peak_held <= 12)
 
 let test_churn_deterministic () =
-  let a = Churn.run (churn_config ()) ~seed:11L in
-  let b = Churn.run (churn_config ()) ~seed:11L in
-  check Alcotest.int "sessions" a.Churn.sessions b.Churn.sessions;
-  check Alcotest.int "crashes" a.Churn.crashes b.Churn.crashes;
-  check Alcotest.int "restarts" a.Churn.restarts b.Churn.restarts;
-  check Alcotest.int "stale ops" a.Churn.stale_ops b.Churn.stale_ops;
-  check Alcotest.int "retries" a.Churn.retries b.Churn.retries;
-  check Alcotest.int "events" a.Churn.events b.Churn.events;
-  check (Alcotest.float 1e-9) "sim time" a.Churn.sim_time b.Churn.sim_time;
-  check Alcotest.int "grants" a.Churn.service.Service.grants
-    b.Churn.service.Service.grants;
-  check Alcotest.int "reclaims" a.Churn.service.Service.reclaims
-    b.Churn.service.Service.reclaims;
+  let a = Shard_churn.run (churn_config ()) ~seed:11L in
+  let b = Shard_churn.run (churn_config ()) ~seed:11L in
+  check Alcotest.int "sessions" a.Shard_churn.sessions b.Shard_churn.sessions;
+  check Alcotest.int "crashes" a.Shard_churn.client_crashes b.Shard_churn.client_crashes;
+  check Alcotest.int "restarts" a.Shard_churn.client_restarts b.Shard_churn.client_restarts;
+  check Alcotest.int "stale ops" a.Shard_churn.stale_ops b.Shard_churn.stale_ops;
+  check Alcotest.int "retries" a.Shard_churn.retries b.Shard_churn.retries;
+  check Alcotest.int "events" a.Shard_churn.events b.Shard_churn.events;
+  check (Alcotest.float 1e-9) "sim time" a.Shard_churn.sim_time b.Shard_churn.sim_time;
+  check Alcotest.int "grants" a.Shard_churn.service.Service.grants
+    b.Shard_churn.service.Service.grants;
+  check Alcotest.int "reclaims" a.Shard_churn.service.Service.reclaims
+    b.Shard_churn.service.Service.reclaims;
   check Alcotest.int "sheds"
-    (a.Churn.service.Service.sheds_high_water + a.Churn.service.Service.sheds_queue_full)
-    (b.Churn.service.Service.sheds_high_water + b.Churn.service.Service.sheds_queue_full)
+    (a.Shard_churn.service.Service.sheds_high_water
+    + a.Shard_churn.service.Service.sheds_queue_full)
+    (b.Shard_churn.service.Service.sheds_high_water
+    + b.Shard_churn.service.Service.sheds_queue_full)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties (the ISSUE's S3 trio).                           *)
@@ -690,6 +696,32 @@ let test_router_dst_crash_aborts_handoff () =
   | Ok _ -> ()
   | _ -> Alcotest.fail "aborted handoff broke a live lease"
 
+(* With one shard there is nobody else to absorb the slice: a stall past
+   the grace leaves it dark, and the woken shard adopts it back afresh,
+   which fences the leases of the stale body and nothing else. *)
+let test_router_one_shard_adopts_back () =
+  (match Router.make_config ~shards:0 ~slices:1 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "zero shards accepted");
+  let cfg =
+    Shard_churn.make_config ~clients:24 ~sessions_target:400
+      ~router:(Router.make_config ~shards:1 ~slices:1 ~auto_rebalance:false ())
+      ~stall:{ Shard_churn.st_every = 25.0; st_duration = 18.0 }
+      ()
+  in
+  List.iter
+    (fun seed ->
+      let s = Shard_churn.run cfg ~seed in
+      check Alcotest.(option (pair string string)) "no audit violation" None
+        s.Shard_churn.violation;
+      check Alcotest.int "no uniqueness breach" 0 s.Shard_churn.gaudit_violations;
+      check Alcotest.bool "no livelock" false s.Shard_churn.livelocked;
+      check Alcotest.int "no unexpected fences" 0 s.Shard_churn.unexpected_fenced;
+      check Alcotest.int "no fencing holes for ghosts" 0 s.Shard_churn.stale_ok;
+      check Alcotest.bool "stalls outlived the grace and the slice came back" true
+        (s.Shard_churn.shard_stalls > 0 && s.Shard_churn.router.Router.adoptions > 0))
+    [ 1L; 2L; 3L ]
+
 let test_router_stall_heals () =
   let t, r = router_fixture () in
   let _g = grant_on r ~session:1 ~key:0 in
@@ -708,10 +740,15 @@ let test_router_stall_heals () =
 (* ------------------------------------------------------------------ *)
 (* Sharded churn: safety under shard faults, and determinism.         *)
 
+(* Stalls shorter than the grace disrupt nothing, but a client whose
+   release meets one backs off and can outlive its lease: that fence is
+   expiry, not a broken live lease. *)
 let shard_churn_cfg () =
   Shard_churn.make_config ~clients:32 ~sessions_target:600 ~crash_rate:0.2
     ~handoff:{ Shard_churn.h_every = 8.0; h_crash_src = 0.3; h_crash_dst = 0.2 }
     ~shard_burst:{ Shard_churn.b_at = 40; b_width = 5; b_failures = 2 }
+    ~client_burst:{ Shard_churn.b_at = 30; b_width = 5; b_failures = 8 }
+    ~stall:{ Shard_churn.st_every = 12.0; st_duration = 9.0 }
     ~shard_restart_delay:30.0 ()
 
 let test_shard_churn_safety () =
@@ -1167,6 +1204,36 @@ let test_pinned_service_pump () =
     (buckets (Service.queue_wait_hist svc))
 
 (* ------------------------------------------------------------------ *)
+(* The chaos campaign runner: totals, JSON and checks.                *)
+
+let test_chaos_campaign_runner () =
+  let module C = Renaming_service.Chaos_campaign in
+  let module Json = Renaming_obs.Json in
+  let r = C.run C.service ~sessions:300 ~seeds:[| 1L |] in
+  check Alcotest.int "one run per cell" 4 (List.length r.C.runs);
+  check Alcotest.int "sessions summed" 1200 (List.assoc "sessions" r.C.totals);
+  check Alcotest.(list string) "safe and exercised" [] (C.failures C.service r);
+  (match Json.of_string (C.to_json C.service r) with
+  | Ok j ->
+    check Alcotest.(option string) "schema" (Some "renaming.chaos-service/2")
+      (Option.bind (Json.member "schema" j) Json.to_str)
+  | Error e -> Alcotest.fail e);
+  (* Ghosts that never wake leave the fencing path unexercised, and the
+     campaign must say so rather than report clean. *)
+  let no_ghosts =
+    {
+      C.service with
+      C.cells =
+        (fun ~sessions ->
+          List.map
+            (fun (name, cfg) -> (name, { cfg with Shard_churn.stale_wakeup = 0.0 }))
+            (C.service.C.cells ~sessions));
+    }
+  in
+  check Alcotest.(list string) "ghost check fires" [ "no ghost replays (not exercised)" ]
+    (C.failures no_ghosts (C.run no_ghosts ~sessions:300 ~seeds:[| 1L |]))
+
+(* ------------------------------------------------------------------ *)
 (* An idle pump is (nearly) free: the net path pumps every slice       *)
 (* before every event, and almost none has work.                       *)
 
@@ -1242,6 +1309,8 @@ let tests =
         Alcotest.test_case "router: src crash -> adopt" `Quick test_router_src_crash_orphans_then_adopts;
         Alcotest.test_case "router: dst crash -> abort" `Quick test_router_dst_crash_aborts_handoff;
         Alcotest.test_case "router: stall heals" `Quick test_router_stall_heals;
+        Alcotest.test_case "router: one shard adopts its slice back" `Quick
+          test_router_one_shard_adopts_back;
         Alcotest.test_case "shard churn: safety" `Quick test_shard_churn_safety;
         Alcotest.test_case "shard churn: deterministic" `Quick test_shard_churn_deterministic;
         Alcotest.test_case "transport: deterministic + bounded" `Quick
@@ -1260,6 +1329,8 @@ let tests =
           test_net_churn_config_validation;
         Alcotest.test_case "service: deadline-expiry metric" `Quick
           test_service_deadline_expired_metric;
+        Alcotest.test_case "chaos campaign: totals, json, checks" `Quick
+          test_chaos_campaign_runner;
         Alcotest.test_case "pinned: lossy net churn" `Quick test_pinned_net_churn;
         Alcotest.test_case "pinned: pump-driven service" `Quick test_pinned_service_pump;
         Alcotest.test_case "idle service pump allocates nothing" `Quick
