@@ -1,4 +1,5 @@
 module Stream = Renaming_rng.Stream
+module Xoshiro = Renaming_rng.Xoshiro
 module Sample = Renaming_rng.Sample
 module Clock = Renaming_clock.Clock
 module Obs = Renaming_obs.Obs
@@ -51,51 +52,72 @@ type segment =
   | Probe of { base : int; size : int; count : int }
   | Sweep of { base : int; size : int }
 
-(* A process's state.  Its pid is not stored: position [j] of domain
-   [d]'s shard is pid [d + j * domains].  [left] counts the steps left in
-   segment [seg] (probes for a Probe; cells for a Sweep, whose cursor is
-   [size - left]).  The process is finished once [seg] has run off the
-   schedule, which is also where a winner is put. *)
-type proc = {
-  rng : Renaming_rng.Xoshiro.t;
-  schedule : segment array;
-  mutable seg : int;
-  mutable left : int;
-  mutable name : int;  (* the register won, or -1 while unnamed *)
-  mutable steps : int;
+(* A domain's processes, one slot per process in flat arrays, so a run
+   allocates a few large arrays and no block per process.  Slot [j] of
+   domain [d]'s shard is pid [d + j * domains].  [left.(j)] counts the
+   steps left in segment [seg.(j)] of [schedule.(j)] (probes for a Probe;
+   cells for a Sweep, whose cursor is [size - left]).  A process is
+   finished once its [seg] has run off its schedule, which is also where
+   a winner is put.  Its generator state is the 32 bytes at
+   [j * state_bytes] of [rngs]. *)
+type shard = {
+  schedule : segment array array;
+  seg : int array;
+  left : int array;
+  name : int array;  (* the register won, or -1 while unnamed *)
+  steps : int array;
+  rngs : Bytes.t;
 }
 
-let finished p = p.seg >= Array.length p.schedule
+let state_bytes = Xoshiro.state_bytes
 
-(* Move to the first non-empty segment at or after [seg], or off the end
-   of the schedule. *)
-let rec enter_segment p seg =
-  p.seg <- seg;
-  if seg < Array.length p.schedule then begin
-    let len =
-      match p.schedule.(seg) with Probe { count; _ } -> count | Sweep { size; _ } -> size
-    in
-    if len > 0 then p.left <- len else enter_segment p (seg + 1)
-  end
+let finished sh j = sh.seg.(j) >= Array.length sh.schedule.(j)
 
-(* One shared-memory step of an unfinished process.  Returns [true] if
-   the process is still unfinished afterwards. *)
-let step regs ~pid p =
+let check_range ~namespace base size =
+  if base < 0 || size > namespace - base then
+    invalid_arg
+      (Printf.sprintf "Mc_run.execute: segment [%d, %d) is outside the namespace [0, %d)" base
+         (base + size) namespace)
+
+(* Move slot [j] to the first non-empty segment at or after [seg], or off
+   the end of its schedule.  A segment is range-checked here, once, so no
+   step can address a register outside the namespace. *)
+let rec enter_segment ~namespace sh j seg =
+  let schedule = sh.schedule.(j) in
+  sh.seg.(j) <- seg;
+  if seg < Array.length schedule then
+    match schedule.(seg) with
+    | Probe { count; size; _ } when count <= 0 || size <= 0 ->
+      enter_segment ~namespace sh j (seg + 1)
+    | Sweep { size; _ } when size <= 0 -> enter_segment ~namespace sh j (seg + 1)
+    | Probe { base; size; count } ->
+      check_range ~namespace base size;
+      sh.left.(j) <- count
+    | Sweep { base; size } ->
+      check_range ~namespace base size;
+      sh.left.(j) <- size
+
+(* One shared-memory step of the unfinished process in slot [j].
+   Returns [true] if it is still unfinished afterwards. *)
+let step regs ~namespace ~pid sh j =
+  let schedule = sh.schedule.(j) in
+  let seg = sh.seg.(j) and left = sh.left.(j) in
   let target =
-    match p.schedule.(p.seg) with
-    | Probe { base; size; count = _ } -> base + Sample.uniform_int p.rng size
-    | Sweep { base; size } -> base + size - p.left
+    match schedule.(seg) with
+    | Probe { base; size; count = _ } ->
+      base + Sample.uniform_int_at sh.rngs (j * state_bytes) size
+    | Sweep { base; size } -> base + size - left
   in
-  p.left <- p.left - 1;
-  p.steps <- p.steps + 1;
+  sh.left.(j) <- left - 1;
+  sh.steps.(j) <- sh.steps.(j) + 1;
   if Atomic_tas.test_and_set regs ~idx:target ~pid then begin
-    p.name <- target;
-    p.seg <- Array.length p.schedule;
+    sh.name.(j) <- target;
+    sh.seg.(j) <- Array.length schedule;
     false
   end
   else begin
-    if p.left = 0 then enter_segment p (p.seg + 1);
-    not (finished p)
+    if left = 1 then enter_segment ~namespace sh j (seg + 1);
+    not (finished sh j)
   end
 
 (* Obs recording happens strictly after the domains are joined: the
@@ -114,6 +136,8 @@ let record_result obs (r : result) =
 
 let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedule_of_pid ~seed
     () =
+  if n < 0 then invalid_arg "Mc_run.execute: n must be non-negative";
+  if namespace < 0 then invalid_arg "Mc_run.execute: namespace must be non-negative";
   let domains = match domains with Some d -> max 1 d | None -> recommended_domains () in
   (match deadline with
   | Some dl ->
@@ -123,52 +147,49 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
   | None -> ());
   let regs = Atomic_tas.create namespace in
   let stream = Stream.create seed in
-  let make_proc pid =
-    let p =
-      {
-        rng = Stream.fork stream ~index:pid;
-        schedule = schedule_of_pid pid;
-        seg = 0;
-        left = 0;
-        name = -1;
-        steps = 0;
-      }
-    in
-    enter_segment p 0;
-    p
-  in
   (* Watchdog shared state: the workers publish progress, the watchdog
      publishes cancellation.  Everything crossing domains is Atomic. *)
   let cancel = Atomic.make false in
   let progress = Array.init domains (fun _ -> Atomic.make 0) in
   let done_flags = Array.init domains (fun _ -> Atomic.make false) in
   (* Domain [d] runs pids [d], [d + domains], [d + 2 * domains], ...  It
-     builds that shard itself, so the stream forks run in parallel and
-     each record is allocated by the domain that mutates it. *)
+     builds that shard itself, so the schedules and stream forks run in
+     parallel and each array is allocated by the domain that mutates it.
+     The live set holds the slots of the unfinished processes in shard
+     order.  A sweep steps each of them once, so in-domain processes
+     advance concurrently too, and compacts the survivors stably; a sweep
+     costs what it steps, and exactly one step per live process keeps
+     the progress total. *)
   let sweep_shard d =
-    let shard =
-      Array.init ((n - d + domains - 1) / domains) (fun j -> make_proc (d + (j * domains)))
+    let m = (n - d + domains - 1) / domains in
+    let sh =
+      {
+        schedule = Array.make m [||];
+        seg = Array.make m 0;
+        left = Array.make m 0;
+        name = Array.make m (-1);
+        steps = Array.make m 0;
+        rngs = Bytes.create (m * state_bytes);
+      }
     in
-    (* The live set holds the shard positions of the unfinished
-       processes in shard order.  A sweep steps each of them once, so
-       in-domain processes advance concurrently too, and compacts the
-       survivors stably; a sweep costs what it steps, and exactly one
-       step per live process keeps the progress total. *)
-    let live = Array.make (Array.length shard) 0 in
+    let live = Array.make m 0 in
     let count = ref 0 in
-    Array.iteri
-      (fun j p ->
-        if not (finished p) then begin
-          live.(!count) <- j;
-          incr count
-        end)
-      shard;
+    for j = 0 to m - 1 do
+      let pid = d + (j * domains) in
+      sh.schedule.(j) <- schedule_of_pid pid;
+      Stream.fork_into stream ~index:pid sh.rngs (j * state_bytes);
+      enter_segment ~namespace sh j 0;
+      if not (finished sh j) then begin
+        live.(!count) <- j;
+        incr count
+      end
+    done;
     let total = ref 0 in
     while !count > 0 && not (Atomic.get cancel) do
       let kept = ref 0 in
       for i = 0 to !count - 1 do
         let j = live.(i) in
-        if step regs ~pid:(d + (j * domains)) shard.(j) then begin
+        if step regs ~namespace ~pid:(d + (j * domains)) sh j then begin
           live.(!kept) <- j;
           incr kept
         end
@@ -177,7 +198,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
       count := !kept;
       Atomic.set progress.(d) !total
     done;
-    shard
+    sh
   in
   (* A shard that raises cancels the others, so none is left spinning,
      and hands its exception back through [Domain.join]'s result: joins
@@ -242,11 +263,13 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
   let steps = Array.make n 0 in
   let names = Array.make n None in
   Array.iteri
-    (fun d ->
-      Array.iteri (fun j p ->
+    (fun d sh ->
+      Array.iteri
+        (fun j name ->
           let pid = d + (j * domains) in
-          steps.(pid) <- p.steps;
-          if p.name >= 0 then names.(pid) <- Some p.name))
+          steps.(pid) <- sh.steps.(j);
+          if name >= 0 then names.(pid) <- Some name)
+        sh.name)
     shards;
   let result =
     {

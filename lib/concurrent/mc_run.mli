@@ -8,17 +8,24 @@
     can be cross-checked between backends.
 
     Per-process randomness is forked from the seed exactly like in the
-    simulator ([Stream.fork ~index:pid]); scheduling nondeterminism is
+    simulator (the stream of [Stream.fork ~index:pid]); scheduling nondeterminism is
     genuine, so only distribution-level quantities are comparable across
     backends, not individual runs.
 
     Shard layout: with [d] domains, domain [k] runs pids [k], [k + d],
     [k + 2d], ...  Each domain builds its own shard: it calls
-    [schedule_of_pid] and [Stream.fork] for its pids on that domain, in
-    parallel with the others.  Then it sweeps its live processes (those
-    with a step left) in pid order, one step each per sweep, and drops
-    the finished ones without reordering the rest.  On one domain a run
-    is therefore a pure function of its seed and schedules.
+    [schedule_of_pid] and [Stream.fork_into] for its pids on that
+    domain, in parallel with the others.  A shard holds its processes
+    in flat arrays with one slot per process: [int] arrays for the
+    segment, the steps left in it, the name won and the step count, an
+    array of schedule pointers, and one [Bytes] buffer with every
+    process's 32-byte generator state.  A shard is therefore a few
+    large arrays and no block per process, which the minor collector
+    would otherwise copy into the major heap.  Each domain sweeps its live
+    processes (those with a step left) in pid order, one step each per
+    sweep, and drops the finished ones without reordering the rest.  On
+    one domain a run is therefore a pure function of its seed and
+    schedules.
 
     Time is injected as a {!Renaming_clock.Clock.t} capability: with the
     default {!Renaming_clock.Clock.none} the run measures no wall time
@@ -57,8 +64,10 @@ val unnamed_count : result -> int
 (** A process's life is a sequence of segments: [Probe] makes [count]
     uniform random TAS probes into [\[base, base+size)]; [Sweep] walks
     the range deterministically.  A segment with [count <= 0] or
-    [size <= 0] is skipped.  Exposed so tests can build adversarial
-    schedules (e.g. a probe loop on a taken register) directly. *)
+    [size <= 0] is skipped.  A non-empty segment must lie inside
+    [\[0, namespace)]; {!execute} checks it once, when a process enters
+    it.  Exposed so tests can build adversarial schedules (e.g. a probe
+    loop on a taken register) directly. *)
 type segment =
   | Probe of { base : int; size : int; count : int }
   | Sweep of { base : int; size : int }
@@ -75,9 +84,12 @@ val execute :
   unit ->
   result
 (** Run [n] processes with the given per-pid segment schedules over the
-    domain pool.  Raises [Invalid_argument] if [?deadline] is given
-    without a ticking clock (it could never expire), and {!Stalled} if
-    the deadline passes before all domains finish.
+    domain pool.  Raises [Invalid_argument] if [n] or [namespace] is
+    negative, if [?deadline] is given without a ticking clock (it could
+    never expire), or when a process enters a non-empty segment outside
+    [\[0, namespace)].  That check runs once per segment, on entry, so
+    it does not depend on the seed.  Raises {!Stalled} if the deadline
+    passes before all domains finish.
 
     [schedule_of_pid] runs on the worker domains, concurrently, so it
     must be pure and safe to call from any domain.  An exception it

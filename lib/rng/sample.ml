@@ -1,17 +1,26 @@
-let uniform_int rng bound =
+let[@inline] uniform_int_at buf off bound =
   if bound <= 0 then invalid_arg "Sample.uniform_int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias.  [next_int63] is uniform on
-     [0, max_int] (max_int = 2^62 - 1 on 64-bit), so we accept the
-     largest prefix that is a whole multiple of [bound].  2^62 itself is
-     not representable; computing [2^62 mod bound] as
-     [((max_int mod bound) + 1) mod bound] avoids the overflow. *)
-  let n_mod = ((max_int mod bound) + 1) mod bound in
-  let accept_max = max_int - n_mod in
-  let x = ref (Xoshiro.next_int63 rng) in
-  while !x > accept_max do
-    x := Xoshiro.next_int63 rng
-  done;
-  !x mod bound
+  if bound land (bound - 1) = 0 then
+    (* A power of two divides 2^62, so the rejection below would accept
+       every draw and [x mod bound] is [x land (bound - 1)]: the same
+       result, without the divisions. *)
+    Xoshiro.next_int63_at buf off land (bound - 1)
+  else begin
+    (* Rejection sampling to avoid modulo bias.  [next_int63] is uniform
+       on [0, max_int] (max_int = 2^62 - 1 on 64-bit), so we accept the
+       largest prefix that is a whole multiple of [bound].  2^62 itself
+       is not representable; computing [2^62 mod bound] as
+       [((max_int mod bound) + 1) mod bound] avoids the overflow. *)
+    let n_mod = ((max_int mod bound) + 1) mod bound in
+    let accept_max = max_int - n_mod in
+    let x = ref (Xoshiro.next_int63_at buf off) in
+    while !x > accept_max do
+      x := Xoshiro.next_int63_at buf off
+    done;
+    !x mod bound
+  end
+
+let uniform_int rng bound = uniform_int_at (rng : Xoshiro.t :> Bytes.t) 0 bound
 
 let uniform_in_range rng ~lo ~hi =
   if hi < lo then invalid_arg "Sample.uniform_in_range: hi < lo";

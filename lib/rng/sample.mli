@@ -1,9 +1,19 @@
 (** Unbiased sampling helpers on top of {!Xoshiro}. *)
 
 (** [uniform_int rng bound] is uniform on [0, bound).  Uses rejection
-    sampling, so there is no modulo bias.  Raises [Invalid_argument] when
-    [bound <= 0]. *)
+    sampling, so there is no modulo bias.  A power-of-two [bound] takes
+    the low bits of one draw ([next_int63 land (bound - 1)]), which is
+    the value rejection sampling returns for it, without its three
+    integer divisions.  Raises [Invalid_argument] when [bound <= 0]. *)
 val uniform_int : Xoshiro.t -> int -> int
+
+(** [uniform_int_at buf off bound] is {!uniform_int} on the generator
+    state at byte offset [off] of [buf] (see {!Xoshiro.next_int63_at}),
+    with one bounds check per draw; [uniform_int rng bound] is
+    [uniform_int_at (rng :> Bytes.t) 0 bound].  Raises
+    [Invalid_argument] when [bound <= 0] or the state at [off] is not
+    inside [buf]. *)
+val uniform_int_at : Bytes.t -> int -> int -> int
 
 (** [uniform_in_range rng ~lo ~hi] is uniform on [lo, hi] inclusive. *)
 val uniform_in_range : Xoshiro.t -> lo:int -> hi:int -> int

@@ -6,6 +6,8 @@ let seed t = t.seed
 
 let fork t ~index = Xoshiro.derive t.seed (Int64.of_int (index + 1))
 
+let fork_into t ~index buf off = Xoshiro.derive_at t.seed ~key:(index + 1) buf off
+
 (* FNV-1a, 64-bit.  Self-contained so per-name streams are stable
    across OCaml versions — Hashtbl.hash makes no such promise and has
    changed between releases, which would silently reseed every named

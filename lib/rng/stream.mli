@@ -16,6 +16,15 @@ val create : int64 -> t
     other forks. *)
 val fork : t -> index:int -> Xoshiro.t
 
+(** [fork_into t ~index buf off] writes substream [index]'s state into
+    [buf] at byte offset [off] (see {!Xoshiro.derive_at}): drawing
+    there with {!Xoshiro.next_int63_at} yields the stream
+    [fork t ~index] yields.  It allocates nothing, so a table of
+    per-process streams is one buffer of [Xoshiro.state_bytes] bytes
+    per process.  Raises [Invalid_argument] when the 32 bytes at [off]
+    are not inside [buf]. *)
+val fork_into : t -> index:int -> Bytes.t -> int -> unit
+
 (** [fork_named t ~name] derives a substream keyed by a string label
     (hashed with {!hash_name}); used for experiment-level streams such
     as ["workload"] or ["adversary"]. *)

@@ -11,9 +11,24 @@
     across modules, so an [int64] or [float] result is boxed whenever it
     leaves its module: {!next} allocates its [int64], as
     [Sample.float_unit] does its [float].  Hot paths should draw with
-    {!next_int63}. *)
+    {!next_int63}.
 
-type t
+    A generator is a 32-byte buffer with its state at offset 0.  Many
+    states can also share one larger buffer, {!state_bytes} bytes
+    apiece: {!derive_at} seeds a state at a byte offset and
+    {!next_int63_at} steps it there, so a table of [k] generators is
+    one [Bytes.t] of [32 * k] bytes rather than [k] heap blocks.  The
+    seeding and the step are written once, over a buffer and an offset;
+    the single-generator functions run them at offset 0.  Each call at an offset checks once that the 32 bytes lie inside the
+    buffer and raises [Invalid_argument] otherwise. *)
+
+type t = private Bytes.t
+(** The state, at offset 0 of a buffer of exactly {!state_bytes}
+    bytes.  Coercing it to [Bytes.t] gives a buffer the [_at] functions
+    accept at offset 0. *)
+
+val state_bytes : int
+(** Bytes per state: 32. *)
 
 (** [create seed] seeds the 256-bit state from [seed] via SplitMix64. *)
 val create : int64 -> t
@@ -24,6 +39,13 @@ val create : int64 -> t
     behind {!Stream.fork} and {!Stream.fork_named}. *)
 val derive : int64 -> int64 -> t
 
+(** [derive_at base ~key buf off] writes the state of
+    [derive base (Int64.of_int key)] into [buf] at byte offset [off],
+    allocating nothing: the key stays an immediate [int].  It is the
+    seeding behind {!Stream.fork_into}.  Raises [Invalid_argument] when
+    [\[off, off + 32)] is not inside [buf]. *)
+val derive_at : int64 -> key:int -> Bytes.t -> int -> unit
+
 (** [copy t] is an independent generator with the same current state. *)
 val copy : t -> t
 
@@ -33,6 +55,12 @@ val next : t -> int64
 (** [next_int63 t] is [next t] shifted right by 2: uniform on [0, 2^62)
     and returned as an immediate [int]. *)
 val next_int63 : t -> int
+
+(** [next_int63_at buf off] steps the state at byte offset [off] of
+    [buf] and returns its {!next_int63} output; [next_int63 t] is
+    [next_int63_at (t :> Bytes.t) 0].  Raises [Invalid_argument] when
+    [\[off, off + 32)] is not inside [buf]. *)
+val next_int63_at : Bytes.t -> int -> int
 
 (** [jump t] advances [t] by 2^128 steps in place; used to carve
     non-overlapping streams out of one seed. *)

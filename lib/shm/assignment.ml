@@ -23,17 +23,35 @@ type violation =
   | Out_of_range of { pid : int; name : int }
   | Duplicate of { name : int; pid_a : int; pid_b : int }
 
+(* Each name's first holder is kept in a flat array over the names below
+   [min namespace (4 * processes)] (one word per name: exactly the
+   namespace when it is at most four per process), and in a table for
+   the rest, which only out-of-range names and namespaces far larger
+   than the process count reach. *)
 let violations t =
-  let seen = Hashtbl.create (Array.length t.names) in
+  let flat = Array.make (max 0 (min t.namespace (4 * Array.length t.names))) (-1) in
+  let rest = Hashtbl.create 16 in
+  let first_holder name pid =
+    if name >= 0 && name < Array.length flat then begin
+      let holder = flat.(name) in
+      if holder < 0 then flat.(name) <- pid;
+      holder
+    end
+    else
+      match Hashtbl.find_opt rest name with
+      | Some holder -> holder
+      | None ->
+        Hashtbl.add rest name pid;
+        -1
+  in
   let acc = ref [] in
   Array.iteri
     (fun pid -> function
       | None -> ()
       | Some name ->
         if name < 0 || name >= t.namespace then acc := Out_of_range { pid; name } :: !acc;
-        (match Hashtbl.find_opt seen name with
-        | Some pid_a -> acc := Duplicate { name; pid_a; pid_b = pid } :: !acc
-        | None -> Hashtbl.add seen name pid))
+        let pid_a = first_holder name pid in
+        if pid_a >= 0 then acc := Duplicate { name; pid_a; pid_b = pid } :: !acc)
     t.names;
   List.rev !acc
 

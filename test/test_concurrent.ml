@@ -201,6 +201,68 @@ let test_mc_failing_shard_joins_the_others () =
       check Alcotest.bool "domain 1 joined before the raise" true (Atomic.get joined))
     [ (None, None); (Some (Clock.virtual_ ()), Some 1e9) ]
 
+(* A segment reaching outside the namespace is rejected when a process
+   enters it, whatever the draws: the first segment at shard build, a
+   later one once a process has lost every probe before it (n = 8
+   processes over 4 registers guarantee some do). *)
+let test_mc_segment_outside_namespace () =
+  let cases =
+    [
+      ( [| Mc_run.Probe { base = 2; size = 8; count = 3 } |],
+        "Mc_run.execute: segment [2, 10) is outside the namespace [0, 4)" );
+      ( [| Mc_run.Sweep { base = -1; size = 2 } |],
+        "Mc_run.execute: segment [-1, 1) is outside the namespace [0, 4)" );
+      ( [|
+          Mc_run.Probe { base = 0; size = 4; count = 1 };
+          Sweep { base = 9; size = 0 };
+          Sweep { base = 3; size = 2 };
+        |],
+        "Mc_run.execute: segment [3, 5) is outside the namespace [0, 4)" );
+    ]
+  in
+  List.iter
+    (fun (schedule, message) ->
+      List.iter
+        (fun domains ->
+          for seed = 1 to 20 do
+            Alcotest.check_raises
+              (Printf.sprintf "%d domain(s), seed %d" domains seed)
+              (Invalid_argument message)
+              (fun () ->
+                ignore
+                  (Mc_run.execute ~domains ~n:8 ~namespace:4
+                     ~schedule_of_pid:(fun _ -> schedule)
+                     ~seed:(Int64.of_int seed) ()))
+          done)
+        [ 1; 2 ])
+    cases;
+  Alcotest.check_raises "negative n" (Invalid_argument "Mc_run.execute: n must be non-negative")
+    (fun () ->
+      ignore
+        (Mc_run.execute ~domains:1 ~n:(-1) ~namespace:4
+           ~schedule_of_pid:(fun _ -> [||])
+           ~seed:1L ()))
+
+(* A run allocates a few arrays per domain and nothing per process
+   beyond their slots, the registers and the result.  The measure is
+   minor words plus major-heap words, so a block that the minor
+   collector promotes counts twice: one record per process (about 43
+   words per process by this measure) cannot hide under the floor, while
+   flat shards need about 21. *)
+let test_mc_allocation_floor () =
+  let n = 65_536 in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words
+  in
+  let before = words () in
+  let r = Mc_run.loose_geometric ~domains:1 ~n ~ell:2 ~seed:7L () in
+  let per_process = (words () -. before) /. float_of_int n in
+  check Alcotest.int "the run completed" n (Array.length r.Mc_run.steps);
+  check Alcotest.bool
+    (Printf.sprintf "%.1f words per process <= 24" per_process)
+    true (per_process <= 24.)
+
 let test_mc_steps_recorded () =
   let result = Mc_run.uniform_probing ~domains:2 ~n:256 ~m:512 ~seed:5L () in
   let nonzero = Array.for_all (fun s -> s > 0) result.Mc_run.steps in
@@ -329,6 +391,9 @@ let tests =
           test_mc_schedule_exception_propagates;
         Alcotest.test_case "mc failing shard joins the others" `Quick
           test_mc_failing_shard_joins_the_others;
+        Alcotest.test_case "mc segment outside the namespace" `Quick
+          test_mc_segment_outside_namespace;
+        Alcotest.test_case "mc allocation floor" `Quick test_mc_allocation_floor;
         Alcotest.test_case "mc steps recorded" `Quick test_mc_steps_recorded;
         Alcotest.test_case "mc repeated runs sound" `Quick test_mc_repeated_runs_sound;
         Alcotest.test_case "recommended domains" `Quick test_recommended_domains_positive;

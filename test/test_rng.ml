@@ -242,7 +242,8 @@ let test_sample_golden_outputs () =
   check (Alcotest.float 0.) "float_unit" 0x1.036595bfd860ap-1 f
 
 (* The probe path must not allocate: the paper's algorithms draw once per
-   step.  [Stream.fork] allocates the 32-byte state plus its boxed key. *)
+   step.  [Stream.fork] allocates the 32-byte state plus its boxed key;
+   [Stream.fork_into] seeds a state in place and allocates nothing. *)
 let test_probe_path_allocates_nothing () =
   let calls = 100_000 in
   let words f =
@@ -260,12 +261,94 @@ let test_probe_path_allocates_nothing () =
     (words (fun () -> sink := !sink lxor Sample.uniform_int rng 65536));
   check (Alcotest.float 0.) "Sample.bernoulli" 0.
     (words (fun () -> if Sample.bernoulli rng 0.5 then incr sink));
+  let buf = Bytes.create (4 * Xoshiro.state_bytes) in
+  Xoshiro.derive_at 5L ~key:1 buf 64;
+  check (Alcotest.float 0.) "Sample.uniform_int_at" 0.
+    (words (fun () -> sink := !sink lxor Sample.uniform_int_at buf 64 65536));
   let stream = Stream.create 5L in
+  check (Alcotest.float 0.) "Stream.fork_into" 0.
+    (words (fun () -> Stream.fork_into stream ~index:!sink buf 32));
   let forked = words (fun () -> ignore (Sys.opaque_identity (Stream.fork stream ~index:!sink))) in
   check Alcotest.bool
     (Printf.sprintf "Stream.fork: %.1f words per call <= 12" (forked /. float_of_int calls))
     true
     (forked <= 12. *. float_of_int calls)
+
+(* A state seeded at any offset of a shared buffer is the stream
+   [Stream.fork] gives, and drawing there leaves the bytes around it
+   alone. *)
+let test_fork_into_matches_fork () =
+  let stream = Stream.create 9L in
+  let buf = Bytes.make ((3 * Xoshiro.state_bytes) + 11) '\x5a' in
+  List.iter
+    (fun (index, off) ->
+      let work = Bytes.copy buf in
+      Stream.fork_into stream ~index work off;
+      let reference = Stream.fork stream ~index in
+      for draw = 1 to 200 do
+        let label = Printf.sprintf "index %d at offset %d, draw %d" index off draw in
+        if draw mod 2 = 0 then begin
+          let got = Xoshiro.next_int63_at work off in
+          check Alcotest.int label (Xoshiro.next_int63 reference) got
+        end
+        else begin
+          let got = Sample.uniform_int_at work off 1000 in
+          check Alcotest.int label (Sample.uniform_int reference 1000) got
+        end
+      done;
+      let outside = Bytes.copy work in
+      Bytes.blit buf off outside off Xoshiro.state_bytes;
+      check Alcotest.bytes
+        (Printf.sprintf "index %d at offset %d: the other bytes are untouched" index off)
+        buf outside)
+    [ (0, 0); (1, 1); (7, 8); (65535, 32); (3, 43); (12, Bytes.length buf - 32) ]
+
+(* The power-of-two path must return what the rejection formula does:
+   for such bounds it accepts every draw and [x mod bound] is
+   [x land (bound - 1)]. *)
+let test_uniform_int_power_of_two_is_rejection () =
+  let rejection rng bound =
+    let n_mod = ((max_int mod bound) + 1) mod bound in
+    let accept_max = max_int - n_mod in
+    let x = ref (Xoshiro.next_int63 rng) in
+    while !x > accept_max do
+      x := Xoshiro.next_int63 rng
+    done;
+    !x mod bound
+  in
+  for k = 0 to 30 do
+    let bound = 1 lsl k in
+    let a = Xoshiro.create (Int64.of_int (1000 + k)) in
+    let b = Xoshiro.create (Int64.of_int (1000 + k)) in
+    for draw = 1 to 10_000 do
+      let got = Sample.uniform_int a bound in
+      let expected = rejection b bound in
+      if got <> expected then
+        Alcotest.failf "bound 2^%d, draw %d: %d, rejection gives %d" k draw got expected
+    done
+  done
+
+let test_offset_outside_buffer_raises () =
+  let stream = Stream.create 1L in
+  let buf = Bytes.create 40 in
+  Stream.fork_into stream ~index:0 buf 8;
+  List.iter
+    (fun off ->
+      let raises name f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s at offset %d" name off)
+          (Invalid_argument (name ^ ": offset outside the buffer"))
+          (fun () -> ignore (f ()))
+      in
+      raises "Xoshiro.next_int63_at" (fun () -> Xoshiro.next_int63_at buf off);
+      raises "Xoshiro.next_int63_at" (fun () -> Sample.uniform_int_at buf off 16);
+      raises "Xoshiro.next_int63_at" (fun () -> Sample.uniform_int_at buf off 10);
+      raises "Xoshiro.derive_at" (fun () -> Xoshiro.derive_at 1L ~key:1 buf off);
+      raises "Xoshiro.derive_at" (fun () -> Stream.fork_into stream ~index:0 buf off))
+    [ -1; -32; 9; 39; 40; max_int; min_int ];
+  Alcotest.check_raises "an empty buffer"
+    (Invalid_argument "Xoshiro.next_int63_at: offset outside the buffer") (fun () ->
+      ignore (Xoshiro.next_int63_at Bytes.empty 0))
 
 let qcheck_uniform_int_in_bounds =
   QCheck.Test.make ~count:500 ~name:"uniform_int stays in [0,bound)"
@@ -318,6 +401,11 @@ let tests =
         Alcotest.test_case "xoshiro golden outputs" `Quick test_xoshiro_golden_outputs;
         Alcotest.test_case "sample golden outputs" `Quick test_sample_golden_outputs;
         Alcotest.test_case "probe path allocates nothing" `Quick test_probe_path_allocates_nothing;
+        Alcotest.test_case "fork_into matches fork" `Quick test_fork_into_matches_fork;
+        Alcotest.test_case "uniform_int 2^k is rejection" `Quick
+          test_uniform_int_power_of_two_is_rejection;
+        Alcotest.test_case "offset outside buffer raises" `Quick
+          test_offset_outside_buffer_raises;
         QCheck_alcotest.to_alcotest qcheck_uniform_int_in_bounds;
         QCheck_alcotest.to_alcotest qcheck_permutation_valid;
       ] );

@@ -120,6 +120,53 @@ let qcheck_tas_single_winner =
         (fun idx pid ok -> ok && Tas_array.owner t idx = Some pid)
         winners true)
 
+(* The first-holder table [Assignment.violations] used before it kept
+   first holders in a flat array: the reference the flat version must
+   match, list and order. *)
+let violations_by_table (t : Assignment.t) =
+  let seen = Hashtbl.create (Array.length t.names) in
+  let acc = ref [] in
+  Array.iteri
+    (fun pid -> function
+      | None -> ()
+      | Some name ->
+        if name < 0 || name >= t.namespace then
+          acc := Assignment.Out_of_range { pid; name } :: !acc;
+        (match Hashtbl.find_opt seen name with
+        | Some pid_a -> acc := Assignment.Duplicate { name; pid_a; pid_b = pid } :: !acc
+        | None -> Hashtbl.add seen name pid))
+    t.names;
+  List.rev !acc
+
+(* Small namespaces give many duplicates; names straddle both ends of
+   the namespace, and a namespace far above the process count sends
+   in-range names past the flat array too. *)
+let gen_assignment =
+  QCheck.Gen.(
+    let* namespace = oneof [ int_range 0 24; int_range 100 5000 ] in
+    let* len = int_range 0 40 in
+    let name =
+      frequency
+        [
+          (1, return None);
+          (4, map Option.some (int_range (-3) (min namespace 24 + 3)));
+          (1, map Option.some (int_range (-3) (namespace + 3)));
+        ]
+    in
+    let+ names = array_repeat len name in
+    Assignment.make ~namespace names)
+
+let qcheck_violations_match_table =
+  QCheck.Test.make ~count:1000 ~name:"violations match the first-holder table"
+    (QCheck.make
+       ~print:(fun (a : Assignment.t) ->
+         Printf.sprintf "namespace %d, names [%s]" a.namespace
+           (String.concat "; "
+              (Array.to_list
+                 (Array.map (function None -> "-" | Some x -> string_of_int x) a.names))))
+       gen_assignment)
+    (fun a -> Assignment.violations a = violations_by_table a)
+
 let tests =
   [
     ( "shm",
@@ -137,5 +184,6 @@ let tests =
         Alcotest.test_case "assignment out of range" `Quick test_assignment_out_of_range;
         Alcotest.test_case "assignment of names" `Quick test_assignment_of_names;
         QCheck_alcotest.to_alcotest qcheck_tas_single_winner;
+        QCheck_alcotest.to_alcotest qcheck_violations_match_table;
       ] );
   ]
