@@ -23,11 +23,12 @@ type violation =
   | Out_of_range of { pid : int; name : int }
   | Duplicate of { name : int; pid_a : int; pid_b : int }
 
-(* Each name's first holder is kept in a flat array over the names below
-   [min namespace (4 * processes)] (one word per name: exactly the
-   namespace when it is at most four per process), and in a table for
-   the rest, which only out-of-range names and namespaces far larger
-   than the process count reach. *)
+(* First holders live in a flat array indexed by name, one word per
+   name below [min namespace (4 * processes)]: the whole namespace
+   unless it has more than four names per process.  Other names (out of
+   range, or in a namespace far larger than the process count) go to a
+   small table.  [first_holder] records [pid] for a name not seen
+   before and returns -1; otherwise it returns the first holder. *)
 let violations t =
   let flat = Array.make (max 0 (min t.namespace (4 * Array.length t.names))) (-1) in
   let rest = Hashtbl.create 16 in
