@@ -30,11 +30,12 @@ chaos:
 
 # Lease-service churn campaign: crash-restart clients against the
 # lease/reclaim/fencing service with admission control (one service as
-# a one-shard, one-slice router), >= 10^6 client sessions across four
-# degradation regimes.  Exits nonzero on any lease-safety violation,
-# livelock, unfenced stale operation, or if the campaign failed to
-# exercise reclamation, shedding or ghost replays; JSON lands in
-# results/chaos.json (schema renaming.chaos-service/2).
+# a one-shard, one-slice router, driven by Net_churn over a perfect
+# transport), >= 10^6 client sessions across four degradation regimes.
+# Exits nonzero on any lease-safety violation, livelock, unfenced stale
+# operation, or if the campaign failed to exercise reclamation,
+# shedding or ghost replays; JSON lands in results/chaos.json (schema
+# renaming.chaos-service/3).
 chaos-service:
 	dune exec bin/main.exe -- chaos --service
 
@@ -42,14 +43,16 @@ chaos-service:
 chaos-service-smoke:
 	dune exec bin/main.exe -- chaos --service --sessions 12500 --seeds 2 --out results/chaos-service-smoke.json
 
-# Partition chaos campaign over the sharded router: Zipf-skewed
-# rebalancing, correlated shard crashes, crash-during-handoff and stall
-# routing, with the cross-shard uniqueness audit attached.  Exits
+# Partition chaos campaign over the sharded router, driven by Net_churn
+# over a perfect transport (shard crashes and stalls are found by
+# heartbeat loss): Zipf-skewed rebalancing, correlated shard crashes,
+# crash-during-handoff and stall routing, with the cross-shard
+# uniqueness audit attached.  Exits
 # nonzero on any audit violation, livelock, wrongly fenced live lease,
 # unfenced stale ghost, or if the campaign failed to exercise handoffs
 # (including mid-transit crashes), adoption, shard crashes or ghost
 # replays; JSON lands in results/chaos.json (schema
-# renaming.chaos-sharded/1).
+# renaming.chaos-sharded/2).
 chaos-sharded:
 	dune exec bin/main.exe -- chaos --sharded
 

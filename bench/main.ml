@@ -106,23 +106,24 @@ let bench_f3 () =
   ignore (Combined.run { Combined.n = 1024; variant = Combined.Geometric { ell = 3 } } ~seed:11L)
 
 let service_churn_cfg =
-  Renaming_service.Shard_churn.make_config ~clients:64 ~sessions_target:2_000
+  Renaming_service.Net_churn.make_config ~faults:Renaming_service.Transport.perfect
+    ~clients:64 ~sessions_target:2_000
     ~crash_rate:0.25 ~stale_wakeup:0.25 ~max_attempts:6
     ~router:
       (Renaming_service.Router.make_config ~shards:1 ~slices:1 ~slice_capacity:32
          ~queue_limit:64 ~high_water:0.85 ~auto_rebalance:false ())
     ()
 
-let bench_t17 () = ignore (Renaming_service.Shard_churn.run service_churn_cfg ~seed:17L)
+let bench_t17 () = ignore (Renaming_service.Net_churn.run service_churn_cfg ~seed:17L)
 
 let sharded_churn_cfg =
-  Renaming_service.Shard_churn.make_config ~clients:32 ~sessions_target:1_000
-    ~crash_rate:0.15
-    ~handoff:{ Renaming_service.Shard_churn.h_every = 10.0; h_crash_src = 0.2; h_crash_dst = 0.1 }
+  Renaming_service.Net_churn.make_config ~faults:Renaming_service.Transport.perfect
+    ~router:(Renaming_service.Router.make_config ())
+    ~clients:32 ~sessions_target:1_000 ~crash_rate:0.15
+    ~handoff:{ Renaming_service.Net_churn.h_every = 10.0; h_crash_src = 0.2; h_crash_dst = 0.1 }
     ()
 
-let bench_t18 () =
-  ignore (Renaming_service.Shard_churn.run sharded_churn_cfg ~seed:18L)
+let bench_t18 () = ignore (Renaming_service.Net_churn.run sharded_churn_cfg ~seed:18L)
 
 let micro_tests =
   Test.make_grouped ~name:"renaming"

@@ -6,9 +6,9 @@ module Check = Renaming_refine.Check
 module Exec_adapter = Renaming_refine.Exec_adapter
 module Lease_adapter = Renaming_refine.Lease_adapter
 module Longlived = Renaming_longlived.Longlived
-module Shard_churn = Renaming_service.Shard_churn
 module Net_churn = Renaming_service.Net_churn
 module Router = Renaming_service.Router
+module Transport = Renaming_service.Transport
 
 type backend_report = {
   b_name : string;
@@ -147,10 +147,10 @@ let fuzz_stage ?obs ~smoke () =
   let runs = List.fold_left (fun acc r -> acc + r.Fuzz.r_iterations + 1) 0 summary.Fuzz.s_results in
   report ~name:"executor-fuzz" ~backend:"executor" ~runs t
 
-(* Shard_churn runs observed through the router tap, one fresh spec per
+(* Net_churn runs observed through the router tap, one fresh spec per
    seed. *)
-let shard_churn_stage ?obs ~name ~backend (cfg : Shard_churn.config) seeds =
-  let rcfg = cfg.Shard_churn.router in
+let churn_stage ?obs ~name ~backend (cfg : Net_churn.config) seeds =
+  let rcfg = cfg.Net_churn.router in
   let slice_width =
     Longlived.namespace_for ~sessions:rcfg.Router.slice_capacity ~epsilon:rcfg.Router.epsilon
   in
@@ -160,16 +160,17 @@ let shard_churn_stage ?obs ~name ~backend (cfg : Shard_churn.config) seeds =
     (fun seed ->
       let adapter = Lease_adapter.create ?obs ~namespace () in
       remember t (Lease_adapter.check adapter);
-      ignore (Shard_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
+      ignore (Net_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
     seeds;
   report ~name ~backend ~runs:(List.length seeds) t
 
 (* --- lease-service backend: closed-loop churn with crash-restart and
-   stale ghosts against a single Service (a one-shard router) --- *)
+   stale ghosts against a single Service (a one-shard router over a
+   perfect transport) --- *)
 
 let service_stage ?obs ~smoke () =
   let cfg =
-    Shard_churn.make_config
+    Net_churn.make_config ~faults:Transport.perfect
       ~clients:(if smoke then 24 else 64)
       ~sessions_target:(if smoke then 300 else 2_000)
       ~crash_rate:0.2 ~stale_wakeup:0.25 ~max_attempts:6
@@ -178,7 +179,7 @@ let service_stage ?obs ~smoke () =
            ~high_water:0.85 ~auto_rebalance:false ())
       ()
   in
-  shard_churn_stage ?obs ~name:"service-churn" ~backend:"service" cfg
+  churn_stage ?obs ~name:"service-churn" ~backend:"service" cfg
     (if smoke then [ 0x5EED_11L ] else [ 0x5EED_11L; 0x5EED_12L ])
 
 (* --- sharded-router backend: slice handoffs (some crashed mid-transit),
@@ -187,14 +188,14 @@ let service_stage ?obs ~smoke () =
 
 let router_stage ?obs ~smoke () =
   let cfg =
-    Shard_churn.make_config
+    Net_churn.make_config ~faults:Transport.perfect ~router:(Router.make_config ())
       ~clients:(if smoke then 24 else 64)
       ~sessions_target:(if smoke then 300 else 2_000)
-      ~handoff:{ Shard_churn.h_every = 6.0; h_crash_src = 0.1; h_crash_dst = 0.1 }
-      ~stall:{ Shard_churn.st_every = 11.0; st_duration = 9.0 }
+      ~handoff:{ Net_churn.h_every = 6.0; h_crash_src = 0.1; h_crash_dst = 0.1 }
+      ~stall:{ Net_churn.st_every = 11.0; st_duration = 9.0 }
       ()
   in
-  shard_churn_stage ?obs ~name:"router-churn" ~backend:"router" cfg
+  churn_stage ?obs ~name:"router-churn" ~backend:"router" cfg
     (if smoke then [ 0x5EED_21L ] else [ 0x5EED_21L; 0x5EED_22L ])
 
 (* --- net backend: the same router observed through an unreliable
@@ -207,23 +208,10 @@ let net_stage ?obs ~smoke () =
       ~clients:(if smoke then 24 else 64)
       ~sessions_target:(if smoke then 300 else 1_500)
       ~partition:{ Net_churn.p_every = 40.0; p_duration = 4.0; p_both = 0.5 }
-      ~shard_crash:{ Net_churn.c_every = 60.0; c_restart = 10.0 }
-      ()
+      ~shard_crash_every:60.0 ~shard_restart:10.0 ()
   in
-  let rcfg = cfg.Net_churn.router in
-  let slice_width =
-    Longlived.namespace_for ~sessions:rcfg.Router.slice_capacity ~epsilon:rcfg.Router.epsilon
-  in
-  let namespace = rcfg.Router.slices * slice_width in
-  let t = tally () in
-  let seeds = if smoke then [ 0x5EED_31L ] else [ 0x5EED_31L; 0x5EED_32L ] in
-  List.iter
-    (fun seed ->
-      let adapter = Lease_adapter.create ?obs ~namespace () in
-      remember t (Lease_adapter.check adapter);
-      ignore (Net_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
-    seeds;
-  report ~name:"net-churn" ~backend:"net" ~runs:(List.length seeds) t
+  churn_stage ?obs ~name:"net-churn" ~backend:"net" cfg
+    (if smoke then [ 0x5EED_31L ] else [ 0x5EED_31L; 0x5EED_32L ])
 
 (* --- seeded-mutant self-test: the post-reclaim double grant must be
    found by the refinement-aware fuzzer, shrink to a 1-minimal [.repro],

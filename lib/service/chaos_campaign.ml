@@ -5,17 +5,18 @@ module Metrics = Renaming_obs.Metrics
 
 type check = Zero of string * string | Fired of string list * string
 
-type ('cfg, 's) t = {
+type t = {
   name : string;
   schema : string;
   default_sessions : int;
-  cells : sessions:int -> (string * 'cfg) list;
-  run : ?obs:Obs.t -> 'cfg -> seed:int64 -> 's;
-  fields : 's -> (string * Json.t) list;
-  totals : (string * ('s -> int)) list;
+  cells : sessions:int -> (string * Net_churn.config) list;
+  fields : Net_churn.summary -> (string * Json.t) list;
+  totals : (string * (Net_churn.summary -> int)) list;
   checks : check list;
   brief : string list;
 }
+
+module N = Net_churn
 
 let flag b = if b then 1 else 0
 
@@ -23,6 +24,8 @@ let violation_json = function
   | None -> Json.Null
   | Some (kind, message) ->
     Json.Obj [ ("kind", Json.String kind); ("message", Json.String message) ]
+
+let violations (s : N.summary) = s.N.gaudit_violations + flag (s.N.violation <> None)
 
 (* The checks every campaign shares: the safety totals must be 0 and
    ghost replays must have fired. *)
@@ -35,18 +38,19 @@ let safety_checks =
     Fired ([ "stale_ops" ], "ghost replays");
   ]
 
-(* {2 Shard_churn campaigns} *)
+(* {2 In-process campaigns}
 
-module S = Shard_churn
-
-let s_violations (s : S.summary) = s.S.gaudit_violations + flag (s.S.violation <> None)
+   The service and sharded campaigns run over a perfect transport: no
+   loss, zero delay, so the envelope path has the in-process semantics
+   and faults come only from the plans. *)
 
 let service_cells ~sessions =
   (* One shard serving one slice is a single Service behind the router,
      with the lease and admission parameters of the service cells. *)
   let router = Router.make_config ~shards:1 ~slices:1 ~slice_capacity:64 ~auto_rebalance:false in
   let base =
-    S.make_config ~sessions_target:sessions ~stale_wakeup:0.25 ~max_attempts:6
+    N.make_config ~sessions_target:sessions ~faults:Transport.perfect ~stale_wakeup:0.25
+      ~max_attempts:6
   in
   [
     (* Utilization shedding: the high-water mark refuses new work while
@@ -68,7 +72,7 @@ let service_cells ~sessions =
     ( "burst-reclaim",
       base ~clients:128 ~crash_rate:0.25
         ~router:(router ~queue_limit:64 ~high_water:0.85 ())
-        ~client_burst:{ S.b_at = 300; b_width = 10; b_failures = 42 }
+        ~client_burst:{ N.b_at = 300; b_width = 10; b_failures = 42 }
         () );
     (* Zipf-hot churn: skew 1.4 and short thinks concentrate arrivals on
        a few hot clients at a 35% crash rate. *)
@@ -79,20 +83,20 @@ let service_cells ~sessions =
   ]
 
 let service =
-  let sv (s : S.summary) = s.S.service in
+  let sv (s : N.summary) = s.N.service in
   {
     name = "service";
-    schema = "renaming.chaos-service/2";
+    schema = "renaming.chaos-service/3";
     default_sessions = 150_000;
     cells = service_cells;
-    run = (fun ?obs cfg ~seed -> S.run ?obs cfg ~seed);
     fields =
       (fun s ->
         let v = sv s in
         [
-          ("sessions", Json.Int s.S.sessions);
-          ("events", Json.Int s.S.events);
-          ("sim_time", Json.Float s.S.sim_time);
+          ("sessions", Json.Int s.N.sessions);
+          ("events", Json.Int s.N.events);
+          ("sim_time", Json.Float s.N.sim_time);
+          ("sent", Json.Int s.N.net.Transport.sent);
           ("grants", Json.Int v.Service.grants);
           ("queued", Json.Int v.Service.queued);
           ("renews", Json.Int v.Service.renews);
@@ -102,42 +106,44 @@ let service =
           ("sheds_queue_full", Json.Int v.Service.sheds_queue_full);
           ("expired_requests", Json.Int v.Service.expired_requests);
           ("fenced", Json.Int v.Service.fenced);
-          ("crashes", Json.Int s.S.client_crashes);
-          ("restarts", Json.Int s.S.client_restarts);
-          ("abandoned", Json.Int s.S.abandoned);
-          ("retries", Json.Int s.S.retries);
-          ("stale_ops", Json.Int s.S.stale_ops);
-          ("stale_rejected", Json.Int s.S.stale_rejected);
-          ("stale_ok", Json.Int s.S.stale_ok);
-          ("unexpected_fenced", Json.Int s.S.unexpected_fenced);
-          ("audit_near_misses", Json.Int s.S.audit_near_misses);
-          ("gaudit_violations", Json.Int s.S.gaudit_violations);
-          ("peak_held", Json.Int s.S.peak_held);
-          ("final_held", Json.Int s.S.final_held);
-          ("livelocked", Json.Bool s.S.livelocked);
-          ("violation", violation_json s.S.violation);
-          ("hist_probes", Export.hist_json s.S.h_probes);
-          ("hist_reclaim_lateness", Export.hist_json s.S.h_reclaim);
-          ("hist_queue_wait", Export.hist_json s.S.h_wait);
-          ("hist_lease_lifetime", Export.hist_json s.S.h_lifetime);
+          ("crashes", Json.Int s.N.client_crashes);
+          ("restarts", Json.Int s.N.client_restarts);
+          ("abandoned", Json.Int s.N.abandoned);
+          ("retries", Json.Int s.N.retries);
+          ("resends", Json.Int s.N.resends);
+          ("expected_fenced", Json.Int s.N.expected_fenced);
+          ("stale_ops", Json.Int s.N.stale_ops);
+          ("stale_rejected", Json.Int s.N.stale_rejected);
+          ("stale_ok", Json.Int s.N.stale_ok);
+          ("unexpected_fenced", Json.Int s.N.unexpected_fenced);
+          ("audit_near_misses", Json.Int s.N.audit_near_misses);
+          ("gaudit_violations", Json.Int s.N.gaudit_violations);
+          ("peak_held", Json.Int s.N.peak_held);
+          ("final_held", Json.Int s.N.final_held);
+          ("livelocked", Json.Bool s.N.livelocked);
+          ("violation", violation_json s.N.violation);
+          ("hist_probes", Export.hist_json s.N.h_probes);
+          ("hist_reclaim_lateness", Export.hist_json s.N.h_reclaim);
+          ("hist_queue_wait", Export.hist_json s.N.h_wait);
+          ("hist_lease_lifetime", Export.hist_json s.N.h_lifetime);
         ]);
     totals =
       [
-        ("sessions", fun s -> s.S.sessions);
+        ("sessions", fun s -> s.N.sessions);
         ("grants", fun s -> (sv s).Service.grants);
         ("reclaims", fun s -> (sv s).Service.reclaims);
         ( "sheds",
           fun s -> (sv s).Service.sheds_high_water + (sv s).Service.sheds_queue_full );
         ("expired_requests", fun s -> (sv s).Service.expired_requests);
-        ("stale_ops", fun s -> s.S.stale_ops);
-        ("stale_rejected", fun s -> s.S.stale_rejected);
-        ("stale_ok", fun s -> s.S.stale_ok);
-        ("crashes", fun s -> s.S.client_crashes);
-        ("abandoned", fun s -> s.S.abandoned);
-        ("violations", s_violations);
-        ("livelocks", fun s -> flag s.S.livelocked);
-        ("unexpected_fenced", fun s -> s.S.unexpected_fenced);
-        ("audit_near_misses", fun s -> s.S.audit_near_misses);
+        ("stale_ops", fun s -> s.N.stale_ops);
+        ("stale_rejected", fun s -> s.N.stale_rejected);
+        ("stale_ok", fun s -> s.N.stale_ok);
+        ("crashes", fun s -> s.N.client_crashes);
+        ("abandoned", fun s -> s.N.abandoned);
+        ("violations", violations);
+        ("livelocks", fun s -> flag s.N.livelocked);
+        ("unexpected_fenced", fun s -> s.N.unexpected_fenced);
+        ("audit_near_misses", fun s -> s.N.audit_near_misses);
       ];
     checks =
       safety_checks
@@ -151,7 +157,7 @@ let service =
   }
 
 let sharded_cells ~sessions =
-  let base = S.make_config ~sessions_target:sessions in
+  let base = N.make_config ~sessions_target:sessions ~faults:Transport.perfect in
   let router = Router.make_config in
   [
     (* Zipf skew concentrates the hot slices on shard 0; the
@@ -168,91 +174,97 @@ let sharded_cells ~sessions =
        they actually observe the (expected) fence after adoption
        instead of giving up first. *)
     ( "shard-crash",
-      base ~crash_rate:0.15 ~mean_hold:20.0
-        ~shard_burst:{ S.b_at = 120; b_width = 8; b_failures = 2 }
-        ~shard_restart_delay:40.0 () );
+      base ~crash_rate:0.15 ~mean_hold:20.0 ~router:(router ())
+        ~shard_burst:{ N.b_at = 120; b_width = 8; b_failures = 2 }
+        ~shard_restart:40.0 () );
     (* Crash-during-handoff: forced slice transfers where source or
        destination dies in the in-transit window.  The epoch fence must
        turn every such crash into an orphan or an abort — never a
        double-served slice. *)
     ( "handoff-crash",
-      base ~crash_rate:0.1
-        ~handoff:{ S.h_every = 12.0; h_crash_src = 0.3; h_crash_dst = 0.2 }
-        ~shard_restart_delay:35.0 () );
-    (* Stall routing: shards pause in rotation, some stalls shorter than
-       the grace (the shard serves again on wake), one cadence longer
-       (the router reassigns under it and the woken shard must drop its
-       stale bodies). *)
+      base ~crash_rate:0.1 ~router:(router ())
+        ~handoff:{ N.h_every = 12.0; h_crash_src = 0.3; h_crash_dst = 0.2 }
+        ~shard_restart:35.0 () );
+    (* Stall routing: shards pause in rotation past the suspicion window;
+       the router orphans their slices, and the longest stalls outlive
+       the grace too, so the slices are adopted under the stalled shard
+       and the woken shard must drop its stale bodies. *)
     ( "stall-routing",
-      base ~crash_rate:0.1 ~stall:{ S.st_every = 25.0; st_duration = 18.0 } () );
+      base ~crash_rate:0.1 ~router:(router ())
+        ~stall:{ N.st_every = 25.0; st_duration = 18.0 } () );
   ]
 
 let sharded =
-  let rt (s : S.summary) = s.S.router in
+  let rt (s : N.summary) = s.N.router in
   {
     name = "sharded";
-    schema = "renaming.chaos-sharded/1";
+    schema = "renaming.chaos-sharded/2";
     default_sessions = 60_000;
     cells = sharded_cells;
-    run = (fun ?obs cfg ~seed -> S.run ?obs cfg ~seed);
     fields =
       (fun s ->
-        let r = rt s in
+        let r = rt s and f = s.N.detector in
         [
-          ("sessions", Json.Int s.S.sessions);
-          ("events", Json.Int s.S.events);
-          ("sim_time", Json.Float s.S.sim_time);
+          ("sessions", Json.Int s.N.sessions);
+          ("events", Json.Int s.N.events);
+          ("sim_time", Json.Float s.N.sim_time);
+          ("sent", Json.Int s.N.net.Transport.sent);
           ("handoffs_started", Json.Int r.Router.handoffs_started);
           ("handoffs_completed", Json.Int r.Router.handoffs_completed);
           ("handoffs_aborted", Json.Int r.Router.handoffs_aborted);
           ("handoffs_orphaned", Json.Int r.Router.handoffs_orphaned);
           ("adoptions", Json.Int r.Router.adoptions);
+          ("suspicions", Json.Int f.Router.suspicions);
+          ("reowns", Json.Int f.Router.reowns);
+          ("incarnation_orphans", Json.Int f.Router.incarnation_orphans);
           ("fenced_ops", Json.Int r.Router.fenced_ops);
-          ("shard_crashes", Json.Int s.S.shard_crashes);
-          ("shard_restarts", Json.Int s.S.shard_restarts);
-          ("shard_stalls", Json.Int s.S.shard_stalls);
-          ("client_crashes", Json.Int s.S.client_crashes);
-          ("redirects", Json.Int s.S.redirects);
-          ("shard_down_busy", Json.Int s.S.shard_down_busy);
-          ("in_handoff_busy", Json.Int s.S.in_handoff_busy);
-          ("retries", Json.Int s.S.retries);
-          ("abandoned", Json.Int s.S.abandoned);
-          ("expected_fenced", Json.Int s.S.expected_fenced);
-          ("unexpected_fenced", Json.Int s.S.unexpected_fenced);
-          ("releases_dropped", Json.Int s.S.releases_dropped);
-          ("lost_tickets", Json.Int s.S.lost_tickets);
-          ("stale_ops", Json.Int s.S.stale_ops);
-          ("stale_rejected", Json.Int s.S.stale_rejected);
-          ("stale_ok", Json.Int s.S.stale_ok);
-          ("audit_near_misses", Json.Int s.S.audit_near_misses);
-          ("gaudit_violations", Json.Int s.S.gaudit_violations);
-          ("gaudit_live", Json.Int s.S.gaudit_live);
-          ("peak_held", Json.Int s.S.peak_held);
-          ("final_held", Json.Int s.S.final_held);
-          ("livelocked", Json.Bool s.S.livelocked);
-          ("violation", violation_json s.S.violation);
+          ("shard_crashes", Json.Int s.N.shard_crashes);
+          ("shard_restarts", Json.Int s.N.shard_restarts);
+          ("shard_stalls", Json.Int s.N.shard_stalls);
+          ("client_crashes", Json.Int s.N.client_crashes);
+          ("redirects", Json.Int s.N.redirects);
+          ("shard_down_busy", Json.Int s.N.shard_down_busy);
+          ("in_handoff_busy", Json.Int s.N.in_handoff_busy);
+          ("retries", Json.Int s.N.retries);
+          ("resends", Json.Int s.N.resends);
+          ("timeouts", Json.Int s.N.timeouts);
+          ("abandoned", Json.Int s.N.abandoned);
+          ("expected_fenced", Json.Int s.N.expected_fenced);
+          ("unexpected_fenced", Json.Int s.N.unexpected_fenced);
+          ("releases_dropped", Json.Int s.N.releases_dropped);
+          ("lost_tickets", Json.Int s.N.lost_tickets);
+          ("stale_ops", Json.Int s.N.stale_ops);
+          ("stale_rejected", Json.Int s.N.stale_rejected);
+          ("stale_ok", Json.Int s.N.stale_ok);
+          ("audit_near_misses", Json.Int s.N.audit_near_misses);
+          ("gaudit_violations", Json.Int s.N.gaudit_violations);
+          ("gaudit_live", Json.Int s.N.gaudit_live);
+          ("peak_held", Json.Int s.N.peak_held);
+          ("final_held", Json.Int s.N.final_held);
+          ("livelocked", Json.Bool s.N.livelocked);
+          ("violation", violation_json s.N.violation);
         ]);
     totals =
       [
-        ("sessions", fun s -> s.S.sessions);
+        ("sessions", fun s -> s.N.sessions);
         ("handoffs_started", fun s -> (rt s).Router.handoffs_started);
         ("handoffs_completed", fun s -> (rt s).Router.handoffs_completed);
         ("handoffs_aborted", fun s -> (rt s).Router.handoffs_aborted);
         ("handoffs_orphaned", fun s -> (rt s).Router.handoffs_orphaned);
         ("adoptions", fun s -> (rt s).Router.adoptions);
-        ("redirects", fun s -> s.S.redirects);
-        ("shard_down_busy", fun s -> s.S.shard_down_busy);
-        ("in_handoff_busy", fun s -> s.S.in_handoff_busy);
-        ("shard_crashes", fun s -> s.S.shard_crashes);
-        ("shard_stalls", fun s -> s.S.shard_stalls);
-        ("expected_fenced", fun s -> s.S.expected_fenced);
-        ("unexpected_fenced", fun s -> s.S.unexpected_fenced);
-        ("lost_tickets", fun s -> s.S.lost_tickets);
-        ("stale_ops", fun s -> s.S.stale_ops);
-        ("stale_ok", fun s -> s.S.stale_ok);
-        ("audit_near_misses", fun s -> s.S.audit_near_misses);
-        ("violations", s_violations);
-        ("livelocks", fun s -> flag s.S.livelocked);
+        ("redirects", fun s -> s.N.redirects);
+        ("shard_down_busy", fun s -> s.N.shard_down_busy);
+        ("in_handoff_busy", fun s -> s.N.in_handoff_busy);
+        ("shard_crashes", fun s -> s.N.shard_crashes);
+        ("shard_stalls", fun s -> s.N.shard_stalls);
+        ("expected_fenced", fun s -> s.N.expected_fenced);
+        ("unexpected_fenced", fun s -> s.N.unexpected_fenced);
+        ("lost_tickets", fun s -> s.N.lost_tickets);
+        ("stale_ops", fun s -> s.N.stale_ops);
+        ("stale_ok", fun s -> s.N.stale_ok);
+        ("audit_near_misses", fun s -> s.N.audit_near_misses);
+        ("violations", violations);
+        ("livelocks", fun s -> flag s.N.livelocked);
       ];
     checks =
       safety_checks
@@ -270,9 +282,7 @@ let sharded =
         "expected_fenced"; "unexpected_fenced"; "peak_held" ];
   }
 
-(* {2 The Net_churn campaign} *)
-
-module N = Net_churn
+(* {2 The unreliable-network campaign} *)
 
 let net_cells ~sessions =
   let base = N.make_config ~sessions_target:sessions in
@@ -314,7 +324,7 @@ let net_cells ~sessions =
     ( "crash-detect",
       base
         ~faults:(faults ~drop:0.03 ~duplicate:0.03 ~reorder:0.05 ~reorder_extra:0.2 ())
-        ~shard_crash:{ N.c_every = 45.0; c_restart = 2.0 }
+        ~shard_crash_every:45.0 ~shard_restart:2.0
         () );
   ]
 
@@ -326,7 +336,6 @@ let net =
     schema = "renaming.chaos-net/1";
     default_sessions = 65_000;
     cells = net_cells;
-    run = (fun ?obs cfg ~seed -> N.run ?obs cfg ~seed);
     fields =
       (fun s ->
         let net = tp s and d = dd s and f = fd s in
@@ -406,8 +415,7 @@ let net =
         ("stale_ops", fun s -> s.N.stale_ops);
         ("stale_ok", fun s -> s.N.stale_ok);
         ("audit_near_misses", fun s -> s.N.audit_near_misses);
-        ( "violations",
-          fun s -> s.N.gaudit_violations + flag (s.N.violation <> None) );
+        ("violations", violations);
         ("livelocks", fun s -> flag s.N.livelocked);
       ];
     checks =
@@ -440,7 +448,7 @@ let net =
 
 (* {2 The runner} *)
 
-type 's result = { runs : (string * int64 * 's) list; totals : (string * int) list }
+type result = { runs : (string * int64 * N.summary) list; totals : (string * int) list }
 
 let run ?progress ?obs c ~sessions ~seeds =
   let cells = c.cells ~sessions in
@@ -452,7 +460,7 @@ let run ?progress ?obs c ~sessions ~seeds =
         Array.to_list
           (Array.map
              (fun seed ->
-               let s = c.run ?obs cfg ~seed in
+               let s = N.run ?obs cfg ~seed in
                incr done_;
                Option.iter (fun f -> f ~done_:!done_ ~total) progress;
                (name, seed, s))

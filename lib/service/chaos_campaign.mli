@@ -10,15 +10,17 @@
     not running.  Every campaign demands that ghost replays fired
     ([stale_ops > 0]).
 
-    - {!service}: closed-loop churn against a single {!Service}, run as
-      {!Shard_churn} over a one-shard, one-slice {!Router}: utilization
-      shedding, queue-only admission, a correlated client crash burst
-      and Zipf-hot churn at crash rates of 25–35%, over 10^6 sessions by
-      default (schema ["renaming.chaos-service/2"]).
-    - {!sharded}: {!Shard_churn} over four shards — Zipf-skewed
+    Every cell is a {!Net_churn} config:
+
+    - {!service}: closed-loop churn against a single {!Service}, a
+      one-shard, one-slice {!Router} over {!Transport.perfect}:
+      utilization shedding, queue-only admission, a correlated client
+      crash burst and Zipf-hot churn at crash rates of 25–35%, 150,000
+      sessions per cell by default (schema ["renaming.chaos-service/3"]).
+    - {!sharded}: four shards over {!Transport.perfect} — Zipf-skewed
       rebalancing, correlated shard crashes, crash-during-handoff and
-      stall routing (schema ["renaming.chaos-sharded/1"]).
-    - {!net}: {!Net_churn} over the unreliable transport — loss,
+      stall routing (schema ["renaming.chaos-sharded/2"]).
+    - {!net}: four shards over the unreliable transport — loss,
       duplication and reordering, directional partitions and silent
       shard crashes found by heartbeat loss (schema
       ["renaming.chaos-net/1"]).
@@ -32,43 +34,43 @@ type check =
       (** [Fired (totals, what)] fails with ["no what"] when [totals] sum
           to 0. *)
 
-type ('cfg, 's) t = {
+type t = {
   name : string;  (** the CLI flag, and the [chaos_<name>/] obs prefix *)
   schema : string;
   default_sessions : int;  (** sessions per cell *)
-  cells : sessions:int -> (string * 'cfg) list;
-  run : ?obs:Renaming_obs.Obs.t -> 'cfg -> seed:int64 -> 's;
-  fields : 's -> (string * Renaming_obs.Json.t) list;
+  cells : sessions:int -> (string * Net_churn.config) list;
+  fields : Net_churn.summary -> (string * Renaming_obs.Json.t) list;
       (** one run's JSON fields, written after its cell and seed *)
-  totals : (string * ('s -> int)) list;
+  totals : (string * (Net_churn.summary -> int)) list;
       (** summed over runs; written in this order as [total_<name>] *)
   checks : check list;
   brief : string list;  (** the fields {!pp} prints for each run *)
 }
 
-val service : (Shard_churn.config, Shard_churn.summary) t
-val sharded : (Shard_churn.config, Shard_churn.summary) t
-val net : (Net_churn.config, Net_churn.summary) t
+val service : t
+val sharded : t
+val net : t
 
-type 's result = {
-  runs : (string * int64 * 's) list;  (** (cell, seed, summary), cells × seeds in order *)
+type result = {
+  runs : (string * int64 * Net_churn.summary) list;
+      (** (cell, seed, summary), cells × seeds in order *)
   totals : (string * int) list;
 }
 
 val run :
   ?progress:(done_:int -> total:int -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ('cfg, 's) t ->
+  t ->
   sessions:int ->
   seeds:int64 array ->
-  's result
+  result
 (** With [obs], also adds the run count to [chaos_<name>/runs] and each
     total to [chaos_<name>/<total>]. *)
 
-val failures : ('cfg, 's) t -> 's result -> string list
+val failures : t -> result -> string list
 (** One message per failed check, in the campaign's check order. *)
 
-val to_json : ('cfg, 's) t -> 's result -> string
+val to_json : t -> result -> string
 (** The schema, the totals, then one object per run. *)
 
-val pp : ('cfg, 's) t -> Format.formatter -> 's result -> unit
+val pp : t -> Format.formatter -> result -> unit

@@ -3,10 +3,27 @@ module Stream = Renaming_rng.Stream
 module Sample = Renaming_rng.Sample
 module Retry = Renaming_faults.Retry
 module Arrival = Renaming_workload.Arrival
+module Crash_pattern = Renaming_workload.Crash_pattern
 module Zipf = Renaming_workload.Zipf
+module Hist = Renaming_obs.Hist
 
 type partition_plan = { p_every : float; p_duration : float; p_both : float }
-type crash_plan = { c_every : float; c_restart : float }
+type burst = { b_at : int; b_width : int; b_failures : int }
+type stall_plan = { st_every : float; st_duration : float }
+type handoff_plan = { h_every : float; h_crash_src : float; h_crash_dst : float }
+
+(* Client timing: the retransmit timeout, same-rid retransmits before a
+   fresh attempt, and the sim time of one jittered backoff tick. *)
+let rto = 0.75
+let rto_retries = 3
+let backoff_unit = 0.25
+
+(* Livelock guard: events (timers and deliveries) before a run gives up. *)
+let max_events = 200_000_000
+
+(* A queued rid is re-polled every rto until its queue outcome is known. *)
+let max_polls (router : Router.config) =
+  int_of_float (ceil ((router.Router.request_timeout +. router.Router.ttl) /. rto)) + 4
 
 type config = {
   clients : int;
@@ -16,7 +33,6 @@ type config = {
   hb_every : float;
   suspicion : float;
   dedup_window : float;
-  rto : float;
   zipf_s : float;
   mean_hold : float;
   mean_think : float;
@@ -25,23 +41,23 @@ type config = {
   stale_wakeup : float;
   client_restart_delay : float;
   max_attempts : int;
-  rto_retries : int;
-  backoff_unit : float;
-  arrival : Arrival.pattern;
   partition : partition_plan option;
-  shard_crash : crash_plan option;
-  max_events : int;
+  shard_crash_every : float option;
+  shard_restart : float;
+  shard_burst : burst option;
+  client_burst : burst option;
+  stall : stall_plan option;
+  handoff : handoff_plan option;
 }
 
 let make_config ?(clients = 96) ?(sessions_target = 8_000)
     ?(router = Router.make_config ~ttl:15.0 ~grace:24.0 ~auto_rebalance:false ())
     ?(faults = Transport.make_faults ()) ?(hb_every = 1.0) ?(suspicion = 2.5)
-    ?(dedup_window = 60.0) ?(rto = 0.75) ?(zipf_s = 1.0) ?(mean_hold = 6.0)
+    ?(dedup_window = 60.0) ?(zipf_s = 1.0) ?(mean_hold = 6.0)
     ?(mean_think = 4.0) ?(renew_every = 3.0) ?(crash_rate = 0.1)
-    ?(stale_wakeup = 0.2) ?(client_restart_delay = 8.0) ?(max_attempts = 8)
-    ?(rto_retries = 3) ?(backoff_unit = 0.25)
-    ?(arrival = Arrival.Staggered { gap = 1 }) ?partition ?shard_crash
-    ?(max_events = 200_000_000) () =
+    ?(stale_wakeup = 0.2) ?(client_restart_delay = 8.0) ?(max_attempts = 8) ?partition
+    ?shard_crash_every ?(shard_restart = 30.0) ?shard_burst ?client_burst ?stall ?handoff
+    () =
   let maxd = faults.Transport.delay_max +. faults.Transport.reorder_extra in
   if clients < 1 then invalid_arg "Net_churn.make_config: clients must be >= 1";
   if sessions_target < 1 then
@@ -49,17 +65,21 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
   if hb_every <= 0. then invalid_arg "Net_churn.make_config: hb_every must be > 0";
   if suspicion <= hb_every then
     invalid_arg "Net_churn.make_config: suspicion must exceed hb_every";
-  if rto <= 0. then invalid_arg "Net_churn.make_config: rto must be > 0";
   if renew_every <= 0. || renew_every >= router.Router.ttl then
     invalid_arg "Net_churn.make_config: renew_every must be in (0, ttl)";
   if crash_rate < 0. || crash_rate > 1. then
     invalid_arg "Net_churn.make_config: crash_rate must be in [0, 1]";
   if stale_wakeup < 0. || stale_wakeup > 1. then
     invalid_arg "Net_churn.make_config: stale_wakeup must be in [0, 1]";
-  (* Holds must end safely inside the unrenewed lease lifetime: renewals
-     are belt and braces over a lossy network, never load-bearing. *)
-  if (1.5 *. mean_hold) +. (4. *. rto) >= router.Router.ttl then
-    invalid_arg "Net_churn.make_config: 1.5*mean_hold + 4*rto must stay below ttl";
+  (* Where a renew can be lost, holds must end safely inside the
+     unrenewed lease lifetime: renewals are belt and braces, never
+     load-bearing.  A network that loses nothing needs no such margin. *)
+  if
+    (faults.Transport.drop > 0. || partition <> None)
+    && (1.5 *. mean_hold) +. (4. *. rto) >= router.Router.ttl
+  then
+    invalid_arg
+      "Net_churn.make_config: 1.5*mean_hold + 4*rto must stay below ttl on a lossy network";
   (* A silently crashed shard may have served renews until one heartbeat
      period after its last heartbeat; suspicion starts the grace clock at
      last + suspicion, so grace must absorb a full lease lifetime plus
@@ -68,12 +88,8 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     invalid_arg "Net_churn.make_config: grace must be >= ttl + hb_every + 2*max_delay";
   (* Safe-eviction bound: no duplicate of a rid can arrive after its
      client's last possible retransmit plus the delivery bound.  The
-     retransmit horizon is dominated by queue polling (a queued rid is
-     re-polled every rto until the queue outcome is known). *)
-  let max_polls =
-    int_of_float (ceil ((router.Router.request_timeout +. router.Router.ttl) /. rto)) + 4
-  in
-  let horizon = rto *. float_of_int (max_polls + rto_retries + 8) in
+     retransmit horizon is dominated by queue polling. *)
+  let horizon = rto *. float_of_int (max_polls router + rto_retries + 8) in
   if dedup_window < horizon +. (2. *. maxd) then
     invalid_arg "Net_churn.make_config: dedup_window below the retransmit horizon";
   (match partition with
@@ -81,10 +97,30 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     ->
     invalid_arg "Net_churn.make_config: malformed partition plan"
   | _ -> ());
-  (match shard_crash with
-  | Some c when c.c_every <= 0. || c.c_restart <= 0. ->
-    invalid_arg "Net_churn.make_config: malformed crash plan"
+  (match shard_crash_every with
+  | Some e when e <= 0. -> invalid_arg "Net_churn.make_config: malformed crash plan"
   | _ -> ());
+  if shard_restart <= 0. then
+    invalid_arg "Net_churn.make_config: shard_restart must be > 0";
+  (* A plan that re-arms itself at the same instant would spin until the
+     livelock guard; a burst must fit its population. *)
+  (match stall with
+  | Some st when st.st_every <= 0. || st.st_duration <= 0. ->
+    invalid_arg "Net_churn.make_config: malformed stall plan"
+  | _ -> ());
+  (match handoff with
+  | Some h
+    when h.h_every <= 0. || h.h_crash_src < 0. || h.h_crash_dst < 0.
+         || h.h_crash_src +. h.h_crash_dst > 1. ->
+    invalid_arg "Net_churn.make_config: malformed handoff plan"
+  | _ -> ());
+  let check_burst what ~n = function
+    | Some b when b.b_at < 0 || b.b_width < 1 || b.b_failures < 1 || b.b_failures >= n ->
+      invalid_arg (Printf.sprintf "Net_churn.make_config: malformed %s burst" what)
+    | _ -> ()
+  in
+  check_burst "shard" ~n:router.Router.shards shard_burst;
+  check_burst "client" ~n:clients client_burst;
   {
     clients;
     sessions_target;
@@ -93,7 +129,6 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     hb_every;
     suspicion;
     dedup_window;
-    rto;
     zipf_s;
     mean_hold;
     mean_think;
@@ -102,12 +137,13 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     stale_wakeup;
     client_restart_delay;
     max_attempts;
-    rto_retries;
-    backoff_unit;
-    arrival;
     partition;
-    shard_crash;
-    max_events;
+    shard_crash_every;
+    shard_restart;
+    shard_burst;
+    client_burst;
+    stall;
+    handoff;
   }
 
 (* {2 Wire types} *)
@@ -129,6 +165,7 @@ type body =
   | B_timeout
   | B_fenced
   | B_ok
+  | B_renewed of float  (* the expiry the service set *)
 
 type msg =
   | M_req of req
@@ -160,6 +197,7 @@ type client = {
   mutable prev_delay : int;  (* decorrelated-jitter walk state *)
   mutable renew_pending : (int * int) option;  (* seq, resends *)
   mutable hold_end : float;
+  mutable lease_end : float;  (* expiry of the held lease, as granted or renewed *)
   mutable hint : int option;
   mutable acq_d_gen : int;  (* slice disruption gen when the rid was first sent *)
   mutable d_gen : int;  (* ... when the grant was accepted *)
@@ -177,7 +215,11 @@ type ev =
   | E_hb of { shard : int }
   | E_partition of unit
   | E_shard_crash of unit
+  | E_burst_crash of { shard : int }
+  | E_client_burst of { client : int }
   | E_shard_restart of { shard : int }
+  | E_stall of unit
+  | E_handoff of unit
   | E_tick of unit
 
 type summary = {
@@ -187,7 +229,9 @@ type summary = {
   shard_crashes : int;
   shard_restarts : int;
   partitions : int;
+  shard_stalls : int;
   abandoned : int;
+  retries : int;
   resends : int;
   timeouts : int;
   lost_tickets : int;
@@ -216,7 +260,50 @@ type summary = {
   dedup : Dedup.stats;
   detector : Router.detector_stats;
   router : Router.stats;
+  service : Service.stats;
+  h_probes : Hist.t;
+  h_reclaim : Hist.t;
+  h_wait : Hist.t;
+  h_lifetime : Hist.t;
 }
+
+let no_stats =
+  {
+    Service.grants = 0;
+    queued = 0;
+    renews = 0;
+    releases = 0;
+    fenced = 0;
+    sheds_high_water = 0;
+    sheds_queue_full = 0;
+    expired_requests = 0;
+    reclaims = 0;
+    validates = 0;
+  }
+
+let add_stats (a : Service.stats) (b : Service.stats) =
+  {
+    Service.grants = a.grants + b.grants;
+    queued = a.queued + b.queued;
+    renews = a.renews + b.renews;
+    releases = a.releases + b.releases;
+    fenced = a.fenced + b.fenced;
+    sheds_high_water = a.sheds_high_water + b.sheds_high_water;
+    sheds_queue_full = a.sheds_queue_full + b.sheds_queue_full;
+    expired_requests = a.expired_requests + b.expired_requests;
+    reclaims = a.reclaims + b.reclaims;
+    validates = a.validates + b.validates;
+  }
+
+(* Bodies created with an [obs] share the registry's histograms, so each
+   distinct histogram is merged once. *)
+let merge_hists hists =
+  let rec go seen acc = function
+    | [] -> acc
+    | h :: rest ->
+      if List.memq h seen then go seen acc rest else go (h :: seen) (Hist.merge acc h) rest
+  in
+  go [] (Hist.create ()) hists
 
 let run ?obs ?tap (cfg : config) ~seed =
   let stream = Stream.create seed in
@@ -235,11 +322,8 @@ let run ?obs ?tap (cfg : config) ~seed =
   let retry_policy = Retry.make_policy ~attempts:(cfg.max_attempts + 1) () in
   let n_slices = Router.slices router in
   let n_shards = cfg.router.Router.shards in
-  let max_polls =
-    int_of_float
-      (ceil ((cfg.router.Router.request_timeout +. cfg.router.Router.ttl) /. cfg.rto))
-    + 4
-  in
+  let ttl = cfg.router.Router.ttl in
+  let max_polls = max_polls cfg.router in
   (* Bumped whenever a slice provably loses (or will lose) its body;
      grants accepted before the bump are *expected* to be fenced. *)
   let disruption = Array.make n_slices 0 in
@@ -281,6 +365,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           prev_delay = 0;
           renew_pending = None;
           hold_end = 0.;
+          lease_end = 0.;
           hint = None;
           acq_d_gen = 0;
           d_gen = 0;
@@ -293,7 +378,9 @@ let run ?obs ?tap (cfg : config) ~seed =
   let shard_crashes = ref 0 in
   let shard_restarts = ref 0 in
   let partitions = ref 0 in
+  let shard_stalls = ref 0 in
   let abandoned = ref 0 in
+  let retries = ref 0 in
   let resends = ref 0 in
   let timeouts = ref 0 in
   let lost_tickets = ref 0 in
@@ -316,6 +403,8 @@ let run ?obs ?tap (cfg : config) ~seed =
   let active_clients = ref cfg.clients in
   let partition_rr = ref 0 in
   let crash_rr = ref 0 in
+  let stall_rr = ref 0 in
+  let handoff_rr = ref 0 in
   let ghost_next = ref cfg.clients in
   (* (slice, ticket) -> (client, rid seq), for turning queue completions
      back into replies to the rid that enqueued. *)
@@ -376,7 +465,7 @@ let run ?obs ?tap (cfg : config) ~seed =
   let backoff c =
     let d = Retry.jittered_delay retry_policy ~rng ~prev:c.prev_delay in
     c.prev_delay <- d;
-    float_of_int d *. cfg.backoff_unit
+    float_of_int d *. backoff_unit
   in
 
   let retry_or_abandon idx =
@@ -387,15 +476,20 @@ let run ?obs ?tap (cfg : config) ~seed =
       finish_session idx ~next_in:(think c)
     end
     else begin
+      incr retries;
       c.gen <- c.gen + 1;
       c.phase <- Idle;
       schedule ~at:(!sim_now +. backoff c) (E_start { client = idx; gen = c.gen })
     end
   in
 
+  (* A fence is expected after a disruption of the slice since the
+     grant, or once the lease's own expiry has passed: a renew that meets
+     a dark shard is lost, and a client retrying a release stops
+     renewing. *)
   let classify_fenced idx slice =
     let c = clients.(idx) in
-    if disruption.(slice) > c.d_gen then incr expected_fenced
+    if disruption.(slice) > c.d_gen || !sim_now >= c.lease_end then incr expected_fenced
     else incr unexpected_fenced
   in
 
@@ -405,7 +499,7 @@ let run ?obs ?tap (cfg : config) ~seed =
     | Holding fence when c.renew_pending = None ->
       let seq = send_req idx (Op_renew fence) in
       c.renew_pending <- Some (seq, 0);
-      schedule ~at:(!sim_now +. cfg.rto) (E_renew_rto { client = idx; gen = c.gen; seq })
+      schedule ~at:(!sim_now +. rto) (E_renew_rto { client = idx; gen = c.gen; seq })
     | _ -> ()
   in
 
@@ -419,6 +513,7 @@ let run ?obs ?tap (cfg : config) ~seed =
     c.renew_pending <- None;
     ignore slice;
     c.phase <- Holding fence;
+    c.lease_end <- !sim_now +. ttl;
     let hold = jitter ~around:cfg.mean_hold in
     c.hold_end <- !sim_now +. hold;
     if Sample.bernoulli rng cfg.crash_rate then
@@ -444,30 +539,33 @@ let run ?obs ?tap (cfg : config) ~seed =
     done
   in
 
+  (* Every shard crash is silent: the router learns of it only from
+     missing heartbeats or the restart's incarnation bump.  The slices
+     lost are the shard's resident bodies at the directory's epoch —
+     owned, in transit from it, or orphaned under a false suspicion —
+     and with each body go its dedup table and its pending tickets (an
+     adopted body restarts tickets at 0). *)
   let silent_crash shard =
     let sh = Router.shard router ~id:shard in
     if Shard.alive sh ~now:!sim_now then begin
-      disrupt_owned ~shard;
+      let lost =
+        List.filter_map
+          (fun (sl : Shard.slice) ->
+            let slice = sl.Shard.sl_id in
+            if sl.Shard.sl_epoch = Router.slice_epoch router ~slice then Some slice else None)
+          (Shard.slices sh)
+      in
       List.iter
-        (fun (slice, from_, _to) ->
-          if from_ = shard then disruption.(slice) <- disruption.(slice) + 1)
-        (Router.in_transit router);
-      (* The body and its dedup tables die together; pending tickets on
-         the lost slices can never complete. *)
-      for slice = 0 to n_slices - 1 do
-        if Router.owner router ~slice = Some shard then begin
-          retire_dedup slice;
-          waiting := List.filter (fun ((s, _), _) -> s <> slice) !waiting
-        end
-      done;
+        (fun slice ->
+          disruption.(slice) <- disruption.(slice) + 1;
+          retire_dedup slice)
+        lost;
+      waiting := List.filter (fun ((s, _), _) -> not (List.mem s lost)) !waiting;
       Shard.crash sh ~now:!sim_now;
       incr shard_crashes;
-      match cfg.shard_crash with
-      | Some c ->
-        schedule
-          ~at:(!sim_now +. jitter ~around:c.c_restart)
-          (E_shard_restart { shard })
-      | None -> ()
+      schedule
+        ~at:(!sim_now +. jitter ~around:cfg.shard_restart)
+        (E_shard_restart { shard })
     end
   in
 
@@ -526,7 +624,7 @@ let run ?obs ?tap (cfg : config) ~seed =
       | Service.Shed _ -> B_shed)
     | Op_renew gf -> (
       match Service.renew sl.Shard.sl_svc ~fence:gf.Router.gf_fence with
-      | Ok _ -> B_ok
+      | Ok expiry -> B_renewed expiry
       | Error `Fenced -> B_fenced)
     | Op_use gf -> (
       match Service.use sl.Shard.sl_svc ~fence:gf.Router.gf_fence with
@@ -572,7 +670,7 @@ let run ?obs ?tap (cfg : config) ~seed =
       c.gen <- c.gen + 1;
       c.rto_count <- 0;
       (match c.phase with Acquiring { seq } -> c.phase <- Queued_wait { seq } | _ -> ());
-      schedule ~at:(!sim_now +. cfg.rto) (E_rto { client = idx; gen = c.gen })
+      schedule ~at:(!sim_now +. rto) (E_rto { client = idx; gen = c.gen })
     | B_redirect { shard } ->
       incr redirects;
       c.hint <- Some shard;
@@ -590,7 +688,7 @@ let run ?obs ?tap (cfg : config) ~seed =
       incr in_handoff_busy;
       retry_or_abandon idx
     | B_timeout -> retry_or_abandon idx
-    | B_fenced | B_ok -> ()
+    | B_fenced | B_ok | B_renewed _ -> ()
   in
 
   let queued_reply idx body =
@@ -599,20 +697,22 @@ let run ?obs ?tap (cfg : config) ~seed =
     | B_timeout -> retry_or_abandon idx
     | B_busy `Down -> incr shard_down_busy
     | B_busy `Handoff -> incr in_handoff_busy
-    | B_queued | B_shed | B_redirect _ | B_fenced | B_ok -> ()
+    | B_queued | B_shed | B_redirect _ | B_fenced | B_ok | B_renewed _ -> ()
   in
 
   let renew_reply idx fence body =
     let c = clients.(idx) in
     match body with
-    | B_ok -> c.renew_pending <- None
+    | B_renewed expiry ->
+      c.renew_pending <- None;
+      c.lease_end <- expiry
     | B_fenced ->
       c.renew_pending <- None;
       classify_fenced idx fence.Router.gf_slice;
       finish_session idx ~next_in:(think c)
     | B_busy `Down -> incr shard_down_busy
     | B_busy `Handoff -> incr in_handoff_busy
-    | B_granted _ | B_queued | B_shed | B_redirect _ | B_timeout -> ()
+    | B_granted _ | B_queued | B_shed | B_redirect _ | B_timeout | B_ok -> ()
   in
 
   let release_reply idx fence body =
@@ -624,12 +724,12 @@ let run ?obs ?tap (cfg : config) ~seed =
       finish_session idx ~next_in:(think c)
     | B_busy `Down -> incr shard_down_busy
     | B_busy `Handoff -> incr in_handoff_busy
-    | B_granted _ | B_queued | B_shed | B_redirect _ | B_timeout -> ()
+    | B_granted _ | B_queued | B_shed | B_redirect _ | B_timeout | B_renewed _ -> ()
   in
 
   let ghost_reply body =
     match body with
-    | B_ok -> incr stale_ok
+    | B_ok | B_renewed _ -> incr stale_ok
     | B_fenced | B_busy _ | B_timeout -> incr stale_rejected
     | B_granted _ | B_queued | B_shed | B_redirect _ -> ()
   in
@@ -743,16 +843,14 @@ let run ?obs ?tap (cfg : config) ~seed =
         (E_client_restart { client = idx; gen = c.gen });
       if Sample.bernoulli rng cfg.stale_wakeup then
         schedule
-          ~at:
-            (!sim_now +. (1.5 *. cfg.router.Router.ttl)
-            +. (Sample.float_unit rng *. cfg.router.Router.ttl))
+          ~at:(!sim_now +. (1.5 *. ttl) +. (Sample.float_unit rng *. ttl))
           (E_stale { fence })
     | _ -> ()
   in
 
   (* {2 Seeding} *)
 
-  let arrivals = Arrival.times cfg.arrival ~n:cfg.clients in
+  let arrivals = Arrival.times (Arrival.Staggered { gap = 1 }) ~n:cfg.clients in
   Array.iteri
     (fun idx at -> begin_session_attempt idx ~at:(float_of_int at *. 0.5))
     arrivals;
@@ -764,10 +862,24 @@ let run ?obs ?tap (cfg : config) ~seed =
   (match cfg.partition with
   | None -> ()
   | Some p -> schedule ~at:p.p_every (E_partition ()));
-  (match cfg.shard_crash with
+  (match cfg.shard_crash_every with
   | None -> ()
-  | Some c -> schedule ~at:c.c_every (E_shard_crash ()));
-  schedule ~at:(cfg.router.Router.ttl /. 2.) (E_tick ());
+  | Some every -> schedule ~at:every (E_shard_crash ()));
+  (* Correlated crash bursts over the shard fleet and over the clients;
+     a burst-crashed client goes down only if it holds a lease when its
+     event fires. *)
+  let burst b ~n ev =
+    List.iter
+      (fun (time, who) -> schedule ~at:(float_of_int time) (ev who))
+      (Crash_pattern.burst ~rng ~n ~failures:b.b_failures ~at:b.b_at ~width:b.b_width)
+  in
+  Option.iter (fun b -> burst b ~n:n_shards (fun shard -> E_burst_crash { shard })) cfg.shard_burst;
+  Option.iter
+    (fun b -> burst b ~n:cfg.clients (fun client -> E_client_burst { client }))
+    cfg.client_burst;
+  Option.iter (fun st -> schedule ~at:st.st_every (E_stall ())) cfg.stall;
+  Option.iter (fun h -> schedule ~at:h.h_every (E_handoff ())) cfg.handoff;
+  schedule ~at:(ttl /. 2.) (E_tick ());
 
   let fresh c gen = c.gen = gen in
 
@@ -791,7 +903,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           c.acq_d_gen <- disruption.(c.c_slice);
           let seq = send_req idx (acquire_op c) in
           c.phase <- Acquiring { seq };
-          schedule ~at:(!sim_now +. cfg.rto) (E_rto { client = idx; gen = c.gen })
+          schedule ~at:(!sim_now +. rto) (E_rto { client = idx; gen = c.gen })
       end
     | E_rto { client = idx; gen } ->
       let c = clients.(idx) in
@@ -799,13 +911,13 @@ let run ?obs ?tap (cfg : config) ~seed =
         match c.phase with
         | Acquiring { seq } ->
           c.rto_count <- c.rto_count + 1;
-          if c.rto_count > cfg.rto_retries then begin
+          if c.rto_count > rto_retries then begin
             incr timeouts;
             retry_or_abandon idx
           end
           else begin
             resend_req idx ~seq (acquire_op c);
-            schedule ~at:(!sim_now +. cfg.rto) (E_rto { client = idx; gen = c.gen })
+            schedule ~at:(!sim_now +. rto) (E_rto { client = idx; gen = c.gen })
           end
         | Queued_wait { seq } ->
           c.rto_count <- c.rto_count + 1;
@@ -815,7 +927,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           end
           else begin
             resend_req idx ~seq (acquire_op c);
-            schedule ~at:(!sim_now +. cfg.rto) (E_rto { client = idx; gen = c.gen })
+            schedule ~at:(!sim_now +. rto) (E_rto { client = idx; gen = c.gen })
           end
         | Releasing { seq; fence } ->
           c.rto_count <- c.rto_count + 1;
@@ -827,7 +939,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           end
           else begin
             resend_req idx ~seq (Op_release fence);
-            schedule ~at:(!sim_now +. cfg.rto) (E_rto { client = idx; gen = c.gen })
+            schedule ~at:(!sim_now +. rto) (E_rto { client = idx; gen = c.gen })
           end
         | Idle | Holding _ | Crashed | Finished -> ())
     | E_renew { client = idx; gen } ->
@@ -849,7 +961,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           else begin
             c.renew_pending <- Some (s, tries + 1);
             resend_req idx ~seq (Op_renew fence);
-            schedule ~at:(!sim_now +. cfg.rto)
+            schedule ~at:(!sim_now +. rto)
               (E_renew_rto { client = idx; gen = c.gen; seq })
           end
         | _ -> ())
@@ -863,7 +975,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           c.renew_pending <- None;
           let seq = send_req idx (Op_release fence) in
           c.phase <- Releasing { seq; fence };
-          schedule ~at:(!sim_now +. cfg.rto) (E_rto { client = idx; gen = c.gen })
+          schedule ~at:(!sim_now +. rto) (E_rto { client = idx; gen = c.gen })
         | _ -> ())
     | E_client_crash { client = idx; gen } ->
       let c = clients.(idx) in
@@ -923,9 +1035,9 @@ let run ?obs ?tap (cfg : config) ~seed =
         if !active_clients > 0 then
           schedule ~at:(!sim_now +. p.p_every) (E_partition ()))
     | E_shard_crash () -> (
-      match cfg.shard_crash with
+      match cfg.shard_crash_every with
       | None -> ()
-      | Some c ->
+      | Some every ->
         let alive =
           let n = ref 0 in
           for s = 0 to n_shards - 1 do
@@ -938,8 +1050,9 @@ let run ?obs ?tap (cfg : config) ~seed =
           incr crash_rr;
           silent_crash shard
         end;
-        if !active_clients > 0 then
-          schedule ~at:(!sim_now +. c.c_every) (E_shard_crash ()))
+        if !active_clients > 0 then schedule ~at:(!sim_now +. every) (E_shard_crash ()))
+    | E_burst_crash { shard } -> silent_crash shard
+    | E_client_burst { client = idx } -> crash_holding idx
     | E_shard_restart { shard } ->
       let sh = Router.shard router ~id:shard in
       Shard.restart sh;
@@ -952,16 +1065,61 @@ let run ?obs ?tap (cfg : config) ~seed =
          only through the bump. *)
       send ~src:(Transport.Shard shard) ~dst:Transport.Router
         (M_hb { shard; incarnation = incarnation.(shard) })
+    | E_stall () -> (
+      match cfg.stall with
+      | None -> ()
+      | Some st ->
+        let shard = !stall_rr mod n_shards in
+        incr stall_rr;
+        if Shard.alive (Router.shard router ~id:shard) ~now:!sim_now then begin
+          (* A stall past the grace may see the slices adopted under the
+             shard.  A shorter one only loses the renews sent into it,
+             and a lease that expires meanwhile is fenced by expiry. *)
+          if st.st_duration > cfg.router.Router.grace then disrupt_owned ~shard;
+          Router.stall_shard router ~id:shard ~until:(!sim_now +. st.st_duration);
+          incr shard_stalls
+        end;
+        if !active_clients > 0 then schedule ~at:(!sim_now +. st.st_every) (E_stall ()))
+    | E_handoff () -> (
+      match cfg.handoff with
+      | None -> ()
+      | Some h ->
+        (* Forced rebalancing: rotate through the slices for one that can
+           move to the next live shard.  The transit completes on a
+           strictly later pump, so a crash injected now lands mid-handoff. *)
+        let alive id = Shard.alive (Router.shard router ~id) ~now:!sim_now in
+        let started = ref false and tries = ref 0 in
+        while (not !started) && !tries < n_slices do
+          let slice = !handoff_rr mod n_slices in
+          incr handoff_rr;
+          incr tries;
+          match Router.owner router ~slice with
+          | None -> ()
+          | Some from_ -> (
+            let dst = ref ((from_ + 1) mod n_shards) in
+            while !dst <> from_ && not (alive !dst) do
+              dst := (!dst + 1) mod n_shards
+            done;
+            let to_ = !dst in
+            match Router.begin_handoff router ~slice ~to_ with
+            | Error `Unavailable -> ()
+            | Ok () ->
+              started := true;
+              let u = Sample.float_unit rng in
+              if u < h.h_crash_src then silent_crash from_
+              else if u < h.h_crash_src +. h.h_crash_dst then silent_crash to_)
+        done;
+        if !active_clients > 0 then schedule ~at:(!sim_now +. h.h_every) (E_handoff ()))
     | E_tick () ->
       Array.iter (fun d -> ignore (Dedup.sweep d ~now:!sim_now)) dedup;
       if !active_clients > 0 then
-        schedule ~at:(!sim_now +. (cfg.router.Router.ttl /. 2.)) (E_tick ())
+        schedule ~at:(!sim_now +. (ttl /. 2.)) (E_tick ())
   in
 
   (try
      let continue_ = ref true in
      while !continue_ do
-       if !n_events > cfg.max_events then begin
+       if !n_events > max_events then begin
          livelocked := true;
          continue_ := false
        end
@@ -1003,6 +1161,15 @@ let run ?obs ?tap (cfg : config) ~seed =
         acc)
       dedup_retired dedup
   in
+  let bodies =
+    List.concat_map
+      (fun id ->
+        List.map
+          (fun (sl : Shard.slice) -> sl.Shard.sl_svc)
+          (Shard.slices (Router.shard router ~id)))
+      (List.init n_shards Fun.id)
+  in
+  let hist f = merge_hists (List.map f bodies) in
   {
     sessions = !minted;
     client_crashes = !client_crashes;
@@ -1010,7 +1177,9 @@ let run ?obs ?tap (cfg : config) ~seed =
     shard_crashes = !shard_crashes;
     shard_restarts = !shard_restarts;
     partitions = !partitions;
+    shard_stalls = !shard_stalls;
     abandoned = !abandoned;
+    retries = !retries;
     resends = !resends;
     timeouts = !timeouts;
     lost_tickets = !lost_tickets;
@@ -1039,4 +1208,9 @@ let run ?obs ?tap (cfg : config) ~seed =
     dedup = dedup_total;
     detector = Option.get (Router.detector_stats router);
     router = Router.stats router;
+    service = List.fold_left (fun acc svc -> add_stats acc (Service.stats svc)) no_stats bodies;
+    h_probes = hist Service.probes_hist;
+    h_reclaim = hist Service.reclaim_lateness_hist;
+    h_wait = hist Service.queue_wait_hist;
+    h_lifetime = hist Service.lifetime_hist;
   }

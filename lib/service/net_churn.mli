@@ -1,30 +1,43 @@
-(** Churn workload for the sharded service over an unreliable network.
-
-    Unlike {!Shard_churn}, where clients call the router in-process,
-    every operation here is a typed envelope through {!Transport}:
-    clients send requests to the router node, the router resolves the
-    slice through its directory and failure-detector view ({!Router.route})
-    and forwards to the owning shard with the directory epoch, the shard
-    executes against its resident slice body and replies directly to the
-    client.  Messages are dropped, duplicated, reordered, delayed and
-    partitioned per the configured {!Transport.faults}, so the protocol
-    layers under test are:
+(** The closed-loop churn driver of the lease service: clients keyed
+    by Zipf rank work sessions (acquire, renew while holding, release)
+    against the sharded service, and every operation is a typed envelope
+    through {!Transport}.  Clients send requests to the router node, the
+    router resolves the slice through its directory and failure-detector
+    view ({!Router.route}) and forwards to the owning shard with the
+    directory epoch, and the shard executes against its resident slice
+    body and replies directly to the client.  Over {!Transport.perfect}
+    (no loss, zero delay) this is the in-process service; a one-shard,
+    one-slice router makes it the churn driver of a single {!Service}.
+    Messages are dropped, duplicated, reordered, delayed and partitioned
+    per the configured {!Transport.faults}, so the protocol layers under
+    test are:
 
     - {b at-most-once dedup} ({!Dedup}, one table per slice, moving with
       the body on clean handoff and dying with it on a crash): duplicate
       deliveries replay the cached reply, reordered stragglers are
       discarded, and a fresh execution is recorded before its reply is
       sent;
-    - {b timeout/retry}: clients retransmit the same request id on a
-      timeout (same sequence number — the dedup key), back off between
-      whole attempts with {!Renaming_faults.Retry.jittered_delay}, and
-      abandon after bounded attempts;
+    - {b timeout/retry}: clients retransmit the same request id (same
+      sequence number — the dedup key) after a timeout [rto] of 0.75, up
+      to 3 times, back off between whole attempts with
+      {!Renaming_faults.Retry.jittered_delay} (0.25 per tick), and
+      abandon after [max_attempts];
     - {b failure detection}: shards heartbeat the router; the router
       suspects silence, orphans suspected shards' slices, re-owns them on
       recovery and adopts them after grace ({!Router.enable_detector}).
-      Shard crashes are {e silent} ([Shard.crash] directly, not
-      [Router.crash_shard]) — the router only ever learns from missing
-      heartbeats or a higher incarnation number.
+      Every shard crash — periodic, in a burst, or mid-handoff — is
+      {e silent} ([Shard.crash] directly, not [Router.crash_shard]): the
+      router only ever learns from missing heartbeats or a higher
+      incarnation number.  A stalled shard stops heartbeating and
+      serving, and comes back by re-own or finds its slices adopted.
+
+    The driver asserts graceful degradation, not availability: nothing
+    may hang, and nothing may be fenced {e unexpectedly}.  A fence is
+    expected when the driver disrupted the slice after the grant
+    (crashed its body, or stalled or partitioned its shard long enough
+    to be suspected), or once the lease's own expiry has passed — a
+    renew sent into a dark shard is lost, and the renew reply carries
+    the exact expiry the service set.
 
     The run aborts on the first audit violation, and additionally audits
     {e at-most-once} end-to-end: a request id whose acquire executes
@@ -34,8 +47,11 @@
 
     Config validation enforces the safety sizing rules rather than
     documenting them: [suspicion > hb_every],
-    [grace >= ttl + hb_every + 2·max network delay], and
-    [dedup_window >= retransmit horizon + 2·max network delay]. *)
+    [grace >= ttl + hb_every + 2·max network delay],
+    [dedup_window >= retransmit horizon + 2·max network delay], and —
+    only where a message can be lost ([drop > 0] or a partition plan) —
+    [1.5·mean_hold + 4·rto < ttl], so holds end inside the unrenewed
+    lease lifetime.  Malformed fault plans are rejected too. *)
 
 type partition_plan = {
   p_every : float;  (** mean time between partition injections *)
@@ -46,13 +62,28 @@ type partition_plan = {
           classic false-suspicion asymmetry] *)
 }
 
-type crash_plan = {
-  c_every : float;  (** mean time between silent shard crashes *)
-  c_restart : float;
-      (** mean restart delay, jittered ×[0.5, 1.5] so restarts land both
-          inside the suspicion window (exercising incarnation orphans)
-          and outside it (exercising sweep suspicions) *)
+type burst = { b_at : int; b_width : int; b_failures : int }
+(** Correlated crashes: [b_failures] members of a population crash
+    within [b_width] ticks of [b_at] ({!Renaming_workload.Crash_pattern.burst}).
+    As [shard_burst] the population is the shard fleet; as
+    [client_burst] it is the clients, and a client goes down only if it
+    holds a lease when its crash fires.  Needs [b_at >= 0],
+    [b_width >= 1] and [1 <= b_failures < population]. *)
+
+type stall_plan = { st_every : float; st_duration : float }
+(** Every [st_every], stall the next shard (round-robin) for
+    [st_duration]; both must be [> 0].  A stall past the suspicion
+    window orphans the shard's slices, and one past the grace as well
+    gets them adopted under it. *)
+
+type handoff_plan = {
+  h_every : float;  (** [> 0] *)
+  h_crash_src : float;  (** P[crash the source shard mid-transit] *)
+  h_crash_dst : float;  (** P[crash the destination shard mid-transit] *)
 }
+(** Every [h_every], force a slice handoff to the next live shard, and
+    crash its source or destination in the transit window with the given
+    probabilities (each [>= 0], summing to at most 1). *)
 
 type config = {
   clients : int;
@@ -62,7 +93,6 @@ type config = {
   hb_every : float;  (** heartbeat period *)
   suspicion : float;  (** heartbeat silence before suspicion *)
   dedup_window : float;  (** per-slice dedup entry idle eviction age *)
-  rto : float;  (** client retransmit timeout *)
   zipf_s : float;
   mean_hold : float;
   mean_think : float;
@@ -71,12 +101,19 @@ type config = {
   stale_wakeup : float;  (** P[a crashed client's ghost replays its fence] *)
   client_restart_delay : float;
   max_attempts : int;  (** whole-request attempts before abandoning *)
-  rto_retries : int;  (** same-rid retransmits before a fresh attempt *)
-  backoff_unit : float;  (** scales jittered backoff ticks to sim time *)
-  arrival : Renaming_workload.Arrival.pattern;
   partition : partition_plan option;
-  shard_crash : crash_plan option;
-  max_events : int;
+  shard_crash_every : float option;
+      (** mean time between periodic silent shard crashes (a majority
+          of the fleet is kept alive) *)
+  shard_restart : float;
+      (** mean restart delay of a crashed shard, jittered ×[0.5, 1.5] so
+          restarts land both inside the suspicion window (exercising
+          incarnation orphans) and outside it (exercising sweep
+          suspicions) *)
+  shard_burst : burst option;
+  client_burst : burst option;
+  stall : stall_plan option;
+  handoff : handoff_plan option;
 }
 
 val make_config :
@@ -87,7 +124,6 @@ val make_config :
   ?hb_every:float ->
   ?suspicion:float ->
   ?dedup_window:float ->
-  ?rto:float ->
   ?zipf_s:float ->
   ?mean_hold:float ->
   ?mean_think:float ->
@@ -96,17 +132,19 @@ val make_config :
   ?stale_wakeup:float ->
   ?client_restart_delay:float ->
   ?max_attempts:int ->
-  ?rto_retries:int ->
-  ?backoff_unit:float ->
-  ?arrival:Renaming_workload.Arrival.pattern ->
   ?partition:partition_plan ->
-  ?shard_crash:crash_plan ->
-  ?max_events:int ->
+  ?shard_crash_every:float ->
+  ?shard_restart:float ->
+  ?shard_burst:burst ->
+  ?client_burst:burst ->
+  ?stall:stall_plan ->
+  ?handoff:handoff_plan ->
   unit ->
   config
-(** Raises on any violated sizing rule (see module doc).  Default router
-    config: 4 shards × 8 slices, [ttl = 15], [grace = 24], auto
-    rebalancing off (ownership moves only through failure detection). *)
+(** Raises a named [Invalid_argument] on any violated sizing rule or
+    malformed plan (see module doc).  Default router config: 4 shards ×
+    8 slices, [ttl = 15], [grace = 24], auto rebalancing off (ownership
+    moves only through failure detection and the handoff plan). *)
 
 type summary = {
   sessions : int;
@@ -115,7 +153,9 @@ type summary = {
   shard_crashes : int;
   shard_restarts : int;
   partitions : int;
+  shard_stalls : int;
   abandoned : int;
+  retries : int;  (** whole-request attempts retried after a backoff *)
   resends : int;  (** same-rid retransmits (timeout, poll and renew) *)
   timeouts : int;  (** rid retransmit budgets exhausted *)
   lost_tickets : int;
@@ -123,8 +163,8 @@ type summary = {
   shard_down_busy : int;
   in_handoff_busy : int;
   sheds : int;
-  expected_fenced : int;
-  unexpected_fenced : int;  (** fenced with no disruption to blame — must be 0 *)
+  expected_fenced : int;  (** fenced after a disruption of the slice, or after expiry *)
+  unexpected_fenced : int;  (** fenced with no cause to blame — must be 0 *)
   releases_dropped : int;
   late_grants_released : int;
       (** grants nobody was waiting for (abandoned or crashed requester),
@@ -132,14 +172,16 @@ type summary = {
   double_grants : int;
       (** at-most-once violations: a rid executed effectfully twice with
           no body loss in between — must be 0 *)
-  stale_ops : int;
+  stale_ops : int;  (** ghost operations sent, three per ghost (renew, use, release) *)
   stale_rejected : int;
+      (** ghost operations answered fenced or busy; an operation routed to a
+          dead shard gets no answer and is in neither count *)
   stale_ok : int;  (** ghost operations that succeeded — must be 0 *)
   events : int;
   sim_time : float;
   peak_held : int;
   final_held : int;
-  livelocked : bool;
+  livelocked : bool;  (** hit the guard of 2·10^8 timers and deliveries *)
   violation : (string * string) option;
   audit_near_misses : int;
   gaudit_violations : int;
@@ -149,7 +191,16 @@ type summary = {
                             tables retired by crashes *)
   detector : Router.detector_stats;
   router : Router.stats;
+  service : Service.stats;
+  h_probes : Renaming_obs.Hist.t;  (** probes per grant *)
+  h_reclaim : Renaming_obs.Hist.t;  (** reclaim lateness, centiticks *)
+  h_wait : Renaming_obs.Hist.t;  (** queue wait, centiticks *)
+  h_lifetime : Renaming_obs.Hist.t;  (** grant to release, centiticks *)
 }
+(** [service] and the four histograms are summed over the slice bodies
+    resident at the end of the run.  Bodies lost to a shard crash, or
+    dropped as stale after losing their slice, are not counted; with
+    one shard and no shard faults that is the whole run. *)
 
 val run :
   ?obs:Renaming_obs.Obs.t ->

@@ -19,7 +19,8 @@ module Fuzz = Renaming_fuzz.Fuzz
 module Fuzz_roster = Renaming_harness.Fuzz_roster
 module Refine_campaign = Renaming_harness.Refine_campaign
 module Longlived = Renaming_longlived.Longlived
-module Shard_churn = Renaming_service.Shard_churn
+module Net_churn = Renaming_service.Net_churn
+module Transport = Renaming_service.Transport
 module Router = Renaming_service.Router
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
@@ -369,10 +370,11 @@ let test_obs_counters () =
 
 (* --- Lease_adapter over the service backend --- *)
 
-(* A single service: churn over a one-shard, one-slice router. *)
+(* A single service: churn over a one-shard, one-slice router and a
+   perfect transport. *)
 let churn_config () =
-  Shard_churn.make_config ~clients:8 ~sessions_target:150 ~crash_rate:0.2 ~stale_wakeup:0.25
-    ~max_attempts:6
+  Net_churn.make_config ~faults:Transport.perfect ~clients:8 ~sessions_target:150
+    ~crash_rate:0.2 ~stale_wakeup:0.25 ~max_attempts:6
     ~router:
       (Router.make_config ~shards:1 ~slices:1 ~slice_capacity:16 ~queue_limit:64
          ~high_water:0.85 ~auto_rebalance:false ())
@@ -383,21 +385,21 @@ let slice_width () = Longlived.namespace_for ~sessions:16 ~epsilon:0.5
 let test_lease_adapter_clean_churn () =
   let adapter = Lease_adapter.create ~namespace:(slice_width ()) () in
   let summary =
-    Shard_churn.run
+    Net_churn.run
       ~tap:(Lease_adapter.router_tap adapter ~slice_width:(slice_width ()))
       (churn_config ()) ~seed:7L
   in
   let c = Lease_adapter.check adapter in
-  check Alcotest.bool "churn ran" true (summary.Shard_churn.sessions >= 150);
+  check Alcotest.bool "churn ran" true (summary.Net_churn.sessions >= 150);
   check Alcotest.int "no violations" 0 (Check.violations c);
   check Alcotest.bool "grants heard" true (Check.steps c > 0);
   check Alcotest.bool "renewals stuttered" true (Check.stutters c > 0)
 
 let test_observation_changes_nothing_service () =
-  let bare = Shard_churn.run (churn_config ()) ~seed:7L in
+  let bare = Net_churn.run (churn_config ()) ~seed:7L in
   let adapter = Lease_adapter.create ~namespace:(slice_width ()) () in
   let tapped =
-    Shard_churn.run
+    Net_churn.run
       ~tap:(Lease_adapter.router_tap adapter ~slice_width:(slice_width ()))
       (churn_config ()) ~seed:7L
   in

@@ -11,7 +11,6 @@ module Audit = Renaming_service.Audit
 module Service = Renaming_service.Service
 module Router = Renaming_service.Router
 module Shard = Renaming_service.Shard
-module Shard_churn = Renaming_service.Shard_churn
 module Transport = Renaming_service.Transport
 module Dedup = Renaming_service.Dedup
 module Net_churn = Renaming_service.Net_churn
@@ -330,45 +329,45 @@ let test_service_stale_fence_rejected () =
 (* safe, and it actually reclaims.                                    *)
 
 let churn_config () =
-  Shard_churn.make_config ~clients:24 ~sessions_target:400 ~renew_every:2.0 ~crash_rate:0.4
-    ~stale_wakeup:0.5 ~mean_hold:4.0 ~mean_think:2.0 ~client_restart_delay:5.0
-    ~max_attempts:6
+  Net_churn.make_config ~faults:Transport.perfect ~clients:24 ~sessions_target:400
+    ~renew_every:2.0 ~crash_rate:0.4 ~stale_wakeup:0.5 ~mean_hold:4.0 ~mean_think:2.0
+    ~client_restart_delay:5.0 ~max_attempts:6
     ~router:
       (Router.make_config ~shards:1 ~slices:1 ~slice_capacity:12 ~ttl:6.0 ~queue_limit:16
          ~request_timeout:3.0 ~high_water:0.85 ~auto_rebalance:false ())
     ()
 
 let test_churn_safety_and_reclaim () =
-  let s = Shard_churn.run (churn_config ()) ~seed:42L in
-  check Alcotest.(option (pair string string)) "no audit violation" None s.Shard_churn.violation;
-  check Alcotest.bool "no livelock" false s.Shard_churn.livelocked;
-  check Alcotest.bool "sessions ran" true (s.Shard_churn.sessions >= 400);
-  check Alcotest.bool "crashes happened" true (s.Shard_churn.client_crashes > 0);
-  check Alcotest.bool "names reclaimed" true (s.Shard_churn.service.Service.reclaims > 0);
-  check Alcotest.int "every stale op fenced" s.Shard_churn.stale_ops s.Shard_churn.stale_rejected;
-  check Alcotest.bool "stale wakeups exercised" true (s.Shard_churn.stale_ops > 0);
-  check Alcotest.int "no live-path fencing" 0 s.Shard_churn.unexpected_fenced;
-  check Alcotest.bool "capacity respected" true (s.Shard_churn.peak_held <= 12)
+  let s = Net_churn.run (churn_config ()) ~seed:42L in
+  check Alcotest.(option (pair string string)) "no audit violation" None s.Net_churn.violation;
+  check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
+  check Alcotest.bool "sessions ran" true (s.Net_churn.sessions >= 400);
+  check Alcotest.bool "crashes happened" true (s.Net_churn.client_crashes > 0);
+  check Alcotest.bool "names reclaimed" true (s.Net_churn.service.Service.reclaims > 0);
+  check Alcotest.int "every stale op fenced" s.Net_churn.stale_ops s.Net_churn.stale_rejected;
+  check Alcotest.bool "stale wakeups exercised" true (s.Net_churn.stale_ops > 0);
+  check Alcotest.int "no live-path fencing" 0 s.Net_churn.unexpected_fenced;
+  check Alcotest.bool "capacity respected" true (s.Net_churn.peak_held <= 12)
 
 let test_churn_deterministic () =
-  let a = Shard_churn.run (churn_config ()) ~seed:11L in
-  let b = Shard_churn.run (churn_config ()) ~seed:11L in
-  check Alcotest.int "sessions" a.Shard_churn.sessions b.Shard_churn.sessions;
-  check Alcotest.int "crashes" a.Shard_churn.client_crashes b.Shard_churn.client_crashes;
-  check Alcotest.int "restarts" a.Shard_churn.client_restarts b.Shard_churn.client_restarts;
-  check Alcotest.int "stale ops" a.Shard_churn.stale_ops b.Shard_churn.stale_ops;
-  check Alcotest.int "retries" a.Shard_churn.retries b.Shard_churn.retries;
-  check Alcotest.int "events" a.Shard_churn.events b.Shard_churn.events;
-  check (Alcotest.float 1e-9) "sim time" a.Shard_churn.sim_time b.Shard_churn.sim_time;
-  check Alcotest.int "grants" a.Shard_churn.service.Service.grants
-    b.Shard_churn.service.Service.grants;
-  check Alcotest.int "reclaims" a.Shard_churn.service.Service.reclaims
-    b.Shard_churn.service.Service.reclaims;
+  let a = Net_churn.run (churn_config ()) ~seed:11L in
+  let b = Net_churn.run (churn_config ()) ~seed:11L in
+  check Alcotest.int "sessions" a.Net_churn.sessions b.Net_churn.sessions;
+  check Alcotest.int "crashes" a.Net_churn.client_crashes b.Net_churn.client_crashes;
+  check Alcotest.int "restarts" a.Net_churn.client_restarts b.Net_churn.client_restarts;
+  check Alcotest.int "stale ops" a.Net_churn.stale_ops b.Net_churn.stale_ops;
+  check Alcotest.int "retries" a.Net_churn.retries b.Net_churn.retries;
+  check Alcotest.int "events" a.Net_churn.events b.Net_churn.events;
+  check (Alcotest.float 1e-9) "sim time" a.Net_churn.sim_time b.Net_churn.sim_time;
+  check Alcotest.int "grants" a.Net_churn.service.Service.grants
+    b.Net_churn.service.Service.grants;
+  check Alcotest.int "reclaims" a.Net_churn.service.Service.reclaims
+    b.Net_churn.service.Service.reclaims;
   check Alcotest.int "sheds"
-    (a.Shard_churn.service.Service.sheds_high_water
-    + a.Shard_churn.service.Service.sheds_queue_full)
-    (b.Shard_churn.service.Service.sheds_high_water
-    + b.Shard_churn.service.Service.sheds_queue_full)
+    (a.Net_churn.service.Service.sheds_high_water
+    + a.Net_churn.service.Service.sheds_queue_full)
+    (b.Net_churn.service.Service.sheds_high_water
+    + b.Net_churn.service.Service.sheds_queue_full)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties (the ISSUE's S3 trio).                           *)
@@ -697,29 +696,32 @@ let test_router_dst_crash_aborts_handoff () =
   | _ -> Alcotest.fail "aborted handoff broke a live lease"
 
 (* With one shard there is nobody else to absorb the slice: a stall past
-   the grace leaves it dark, and the woken shard adopts it back afresh,
-   which fences the leases of the stale body and nothing else. *)
+   the grace leaves it dark until the shard wakes.  The woken shard
+   takes the slice back (adopted afresh, or re-owned when its heartbeat
+   reaches the failure detector first), and only leases that expired
+   meanwhile are fenced. *)
 let test_router_one_shard_adopts_back () =
   (match Router.make_config ~shards:0 ~slices:1 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero shards accepted");
   let cfg =
-    Shard_churn.make_config ~clients:24 ~sessions_target:400
+    Net_churn.make_config ~faults:Transport.perfect ~clients:24 ~sessions_target:400
       ~router:(Router.make_config ~shards:1 ~slices:1 ~auto_rebalance:false ())
-      ~stall:{ Shard_churn.st_every = 25.0; st_duration = 18.0 }
+      ~stall:{ Net_churn.st_every = 25.0; st_duration = 18.0 }
       ()
   in
   List.iter
     (fun seed ->
-      let s = Shard_churn.run cfg ~seed in
+      let s = Net_churn.run cfg ~seed in
       check Alcotest.(option (pair string string)) "no audit violation" None
-        s.Shard_churn.violation;
-      check Alcotest.int "no uniqueness breach" 0 s.Shard_churn.gaudit_violations;
-      check Alcotest.bool "no livelock" false s.Shard_churn.livelocked;
-      check Alcotest.int "no unexpected fences" 0 s.Shard_churn.unexpected_fenced;
-      check Alcotest.int "no fencing holes for ghosts" 0 s.Shard_churn.stale_ok;
+        s.Net_churn.violation;
+      check Alcotest.int "no uniqueness breach" 0 s.Net_churn.gaudit_violations;
+      check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
+      check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
+      check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
       check Alcotest.bool "stalls outlived the grace and the slice came back" true
-        (s.Shard_churn.shard_stalls > 0 && s.Shard_churn.router.Router.adoptions > 0))
+        (s.Net_churn.shard_stalls > 0
+        && s.Net_churn.router.Router.adoptions + s.Net_churn.detector.Router.reowns > 0))
     [ 1L; 2L; 3L ]
 
 let test_router_stall_heals () =
@@ -740,40 +742,41 @@ let test_router_stall_heals () =
 (* ------------------------------------------------------------------ *)
 (* Sharded churn: safety under shard faults, and determinism.         *)
 
-(* Stalls shorter than the grace disrupt nothing, but a client whose
-   release meets one backs off and can outlive its lease: that fence is
-   expiry, not a broken live lease. *)
+(* Stalls shorter than the grace disrupt nothing, but the renews sent
+   into one are lost and a lease can expire under its holder: that fence
+   is expiry, not a broken live lease. *)
 let shard_churn_cfg () =
-  Shard_churn.make_config ~clients:32 ~sessions_target:600 ~crash_rate:0.2
-    ~handoff:{ Shard_churn.h_every = 8.0; h_crash_src = 0.3; h_crash_dst = 0.2 }
-    ~shard_burst:{ Shard_churn.b_at = 40; b_width = 5; b_failures = 2 }
-    ~client_burst:{ Shard_churn.b_at = 30; b_width = 5; b_failures = 8 }
-    ~stall:{ Shard_churn.st_every = 12.0; st_duration = 9.0 }
-    ~shard_restart_delay:30.0 ()
+  Net_churn.make_config ~faults:Transport.perfect ~router:(Router.make_config ())
+    ~clients:32 ~sessions_target:600 ~crash_rate:0.2
+    ~handoff:{ Net_churn.h_every = 8.0; h_crash_src = 0.3; h_crash_dst = 0.2 }
+    ~shard_burst:{ Net_churn.b_at = 40; b_width = 5; b_failures = 2 }
+    ~client_burst:{ Net_churn.b_at = 30; b_width = 5; b_failures = 8 }
+    ~stall:{ Net_churn.st_every = 12.0; st_duration = 9.0 }
+    ~shard_restart:30.0 ()
 
 let test_shard_churn_safety () =
-  let s = Shard_churn.run (shard_churn_cfg ()) ~seed:0xD15EA5EL in
-  check Alcotest.int "all sessions ran" 600 s.Shard_churn.sessions;
-  check Alcotest.bool "no livelock" false s.Shard_churn.livelocked;
-  (match s.Shard_churn.violation with
+  let s = Net_churn.run (shard_churn_cfg ()) ~seed:0xD15EA5EL in
+  check Alcotest.int "all sessions ran" 600 s.Net_churn.sessions;
+  check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
+  (match s.Net_churn.violation with
   | None -> ()
   | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "audit violation %s: %s" kind msg));
-  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Shard_churn.gaudit_violations;
-  check Alcotest.int "no unexpected fences" 0 s.Shard_churn.unexpected_fenced;
-  check Alcotest.int "no fencing holes for ghosts" 0 s.Shard_churn.stale_ok;
+  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Net_churn.gaudit_violations;
+  check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
+  check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
   check Alcotest.bool "faults actually injected" true
-    (s.Shard_churn.shard_crashes >= 2
-    && s.Shard_churn.router.Router.handoffs_started >= 1)
+    (s.Net_churn.shard_crashes >= 2
+    && s.Net_churn.router.Router.handoffs_started >= 1)
 
 let test_shard_churn_deterministic () =
-  let run () = Shard_churn.run (shard_churn_cfg ()) ~seed:0xFACEL in
+  let run () = Net_churn.run (shard_churn_cfg ()) ~seed:0xFACEL in
   let a = run () and b = run () in
   check Alcotest.bool "same seed, same summary" true (a = b);
-  let c = Shard_churn.run (shard_churn_cfg ()) ~seed:0xFACE2L in
+  let c = Net_churn.run (shard_churn_cfg ()) ~seed:0xFACE2L in
   check Alcotest.bool "different seed, different trajectory" true
-    (c.Shard_churn.events <> a.Shard_churn.events
-    || c.Shard_churn.retries <> a.Shard_churn.retries
-    || c.Shard_churn.client_crashes <> a.Shard_churn.client_crashes)
+    (c.Net_churn.events <> a.Net_churn.events
+    || c.Net_churn.retries <> a.Net_churn.retries
+    || c.Net_churn.client_crashes <> a.Net_churn.client_crashes)
 
 (* ------------------------------------------------------------------ *)
 (* Transport: deterministic lossy messaging with bounded delivery.    *)
@@ -979,7 +982,7 @@ let net_churn_cfg () =
     ~faults:
       (Transport.make_faults ~drop:0.05 ~duplicate:0.1 ~delay_min:0.01 ~delay_max:0.08
          ~reorder:0.15 ~reorder_extra:0.2 ())
-    ~shard_crash:{ Net_churn.c_every = 30.0; c_restart = 2.0 }
+    ~shard_crash_every:30.0 ~shard_restart:2.0
     ()
 
 let test_net_churn_safety () =
@@ -1021,13 +1024,80 @@ let test_net_churn_config_validation () =
   (match Net_churn.make_config ~faults ~dedup_window:0.5 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "dedup window below the retry horizon must be rejected");
-  match
-    Net_churn.make_config
-      ~router:(Router.make_config ~ttl:15.0 ~grace:15.0 ~auto_rebalance:false ())
-      ()
-  with
+  (match
+     Net_churn.make_config
+       ~router:(Router.make_config ~ttl:15.0 ~grace:15.0 ~auto_rebalance:false ())
+       ()
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "grace below ttl + heartbeat + 2*delay must be rejected"
+  | _ -> Alcotest.fail "grace below ttl + heartbeat + 2*delay must be rejected");
+  (* Holds past the ttl are fine where no renew can be lost, and rejected
+     where one can. *)
+  let router = Router.make_config ~ttl:10.0 () in
+  ignore (Net_churn.make_config ~router ~faults:Transport.perfect ~mean_hold:20.0 ());
+  (match
+     Net_churn.make_config ~router ~faults:(Transport.make_faults ~drop:0.05 ())
+       ~mean_hold:20.0 ()
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "holds past the ttl on a lossy network must be rejected");
+  (* Malformed plans are rejected by name, not left to spin until the
+     livelock guard or to fail inside the run. *)
+  let rejected what f =
+    match f () with
+    | exception Invalid_argument msg ->
+      check Alcotest.bool (what ^ " named") true
+        (String.length msg > 21 && String.sub msg 0 21 = "Net_churn.make_config")
+    | _ -> Alcotest.fail (what ^ " must be rejected")
+  in
+  let burst ~at ~width ~failures =
+    { Net_churn.b_at = at; b_width = width; b_failures = failures }
+  in
+  let handoff every src dst = { Net_churn.h_every = every; h_crash_src = src; h_crash_dst = dst } in
+  let stall every duration = { Net_churn.st_every = every; st_duration = duration } in
+  List.iter
+    (fun (what, f) -> rejected what f)
+    [
+      ("stall every 0", fun () -> Net_churn.make_config ~stall:(stall 0.0 5.0) ());
+      ("stall duration 0", fun () -> Net_churn.make_config ~stall:(stall 10.0 0.0) ());
+      ("handoff every 0", fun () -> Net_churn.make_config ~handoff:(handoff 0.0 0.1 0.1) ());
+      ("negative src crash", fun () -> Net_churn.make_config ~handoff:(handoff 5.0 (-0.1) 0.1) ());
+      ("negative dst crash", fun () -> Net_churn.make_config ~handoff:(handoff 5.0 0.1 (-0.1)) ());
+      ("crash odds above 1", fun () -> Net_churn.make_config ~handoff:(handoff 5.0 0.6 0.5) ());
+      ( "whole-fleet shard burst",
+        fun () -> Net_churn.make_config ~shard_burst:(burst ~at:10 ~width:5 ~failures:4) () );
+      ( "empty client burst",
+        fun () -> Net_churn.make_config ~client_burst:(burst ~at:10 ~width:5 ~failures:0) () );
+      ( "zero-width burst",
+        fun () -> Net_churn.make_config ~client_burst:(burst ~at:10 ~width:0 ~failures:3) () );
+      ( "burst before time 0",
+        fun () -> Net_churn.make_config ~shard_burst:(burst ~at:(-1) ~width:5 ~failures:1) () );
+      ("crash every 0", fun () -> Net_churn.make_config ~shard_crash_every:0.0 ());
+      ("restart delay 0", fun () -> Net_churn.make_config ~shard_restart:0.0 ());
+    ]
+
+(* Every forced handoff loses its source mid-transit: the body dies with
+   the source, so the slice is orphaned and adopted fresh, and its dedup
+   table and queue tickets must die with it. *)
+let test_net_churn_handoff_src_crash () =
+  let cfg =
+    Net_churn.make_config ~faults:Transport.perfect ~router:(Router.make_config ())
+      ~clients:24 ~sessions_target:400 ~shard_restart:10.0
+      ~handoff:{ Net_churn.h_every = 8.0; h_crash_src = 1.0; h_crash_dst = 0.0 }
+      ()
+  in
+  let s = Net_churn.run cfg ~seed:0x0DDL in
+  check Alcotest.int "all sessions ran" 400 s.Net_churn.sessions;
+  check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
+  (match s.Net_churn.violation with
+  | None -> ()
+  | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "audit violation %s: %s" kind msg));
+  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Net_churn.gaudit_violations;
+  check Alcotest.int "at-most-once end to end" 0 s.Net_churn.double_grants;
+  check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
+  check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
+  check Alcotest.bool "sources crashed mid-transit" true
+    (s.Net_churn.router.Router.handoffs_orphaned > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Admission deadline expiry is a first-class observable.             *)
@@ -1107,7 +1177,7 @@ let test_pinned_net_churn () =
         (Transport.make_faults ~drop:0.05 ~duplicate:0.1 ~delay_min:0.01 ~delay_max:0.08
            ~reorder:0.15 ~reorder_extra:0.2 ())
       ~partition:{ Net_churn.p_every = 20.0; p_duration = 8.0; p_both = 0.5 }
-      ~shard_crash:{ Net_churn.c_every = 45.0; c_restart = 2.0 }
+      ~shard_crash_every:45.0 ~shard_restart:2.0
       ~dedup_window:33.0 ()
   in
   let s = Net_churn.run cfg ~seed:0x5EEDL in
@@ -1215,7 +1285,7 @@ let test_chaos_campaign_runner () =
   check Alcotest.(list string) "safe and exercised" [] (C.failures C.service r);
   (match Json.of_string (C.to_json C.service r) with
   | Ok j ->
-    check Alcotest.(option string) "schema" (Some "renaming.chaos-service/2")
+    check Alcotest.(option string) "schema" (Some "renaming.chaos-service/3")
       (Option.bind (Json.member "schema" j) Json.to_str)
   | Error e -> Alcotest.fail e);
   (* Ghosts that never wake leave the fencing path unexercised, and the
@@ -1226,7 +1296,7 @@ let test_chaos_campaign_runner () =
       C.cells =
         (fun ~sessions ->
           List.map
-            (fun (name, cfg) -> (name, { cfg with Shard_churn.stale_wakeup = 0.0 }))
+            (fun (name, cfg) -> (name, { cfg with Net_churn.stale_wakeup = 0.0 }))
             (C.service.C.cells ~sessions));
     }
   in
@@ -1325,6 +1395,8 @@ let tests =
           test_router_detector_incarnation_orphans;
         Alcotest.test_case "net churn: safety" `Quick test_net_churn_safety;
         Alcotest.test_case "net churn: deterministic" `Quick test_net_churn_deterministic;
+        Alcotest.test_case "net churn: handoff source crash" `Quick
+          test_net_churn_handoff_src_crash;
         Alcotest.test_case "net churn: config validation" `Quick
           test_net_churn_config_validation;
         Alcotest.test_case "service: deadline-expiry metric" `Quick
