@@ -152,18 +152,23 @@ let multicore_cmd =
     let clock = Option.map (fun _ -> real_clock ()) deadline in
     match Renaming_concurrent.Mc_run.loose_geometric ?domains ?clock ?deadline ~n ~ell ~seed () with
     | result ->
+      let valid = Renaming_shm.Assignment.is_valid result.Renaming_concurrent.Mc_run.assignment in
       Printf.printf
         "multicore loose-geometric: n=%d domains=%d wall=%.3fs max steps=%d unnamed=%d valid=%b\n" n
         result.Renaming_concurrent.Mc_run.domains
         result.Renaming_concurrent.Mc_run.wall_seconds
         (Renaming_concurrent.Mc_run.max_steps result)
         (Renaming_concurrent.Mc_run.unnamed_count result)
-        (Renaming_shm.Assignment.is_valid result.Renaming_concurrent.Mc_run.assignment)
+        valid;
+      if not valid then exit 1
     | exception (Renaming_concurrent.Mc_run.Stalled _ as e) ->
       Printf.eprintf "%s\n" (Printexc.to_string e);
       exit 1
   in
-  Cmd.v (Cmd.info "multicore" ~doc:"Run the Lemma 6 algorithm on real OCaml 5 domains.")
+  Cmd.v
+    (Cmd.info "multicore"
+       ~doc:"Run the Lemma 6 algorithm on real OCaml 5 domains; exit 1 on an invalid assignment \
+             or a stall.")
     Term.(const run $ n $ ell $ domains $ seed $ deadline)
 
 let rec mkdir_p dir =

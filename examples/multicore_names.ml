@@ -1,17 +1,20 @@
 (* Multicore demo: the standard-model loose algorithms on real OCaml 5
-   domains with lock-free Atomic test-and-set registers — the closest
-   this repository gets to the hardware-TAS machine the paper assumes.
+   domains — the closest this repository gets to the hardware-TAS machine
+   the paper assumes.  A name is one bit of a packed register file, 32
+   registers to an Atomic word, won with a lock-free compare-and-set.
 
-   Run with:  dune exec examples/multicore_names.exe *)
+   Run with:  dune exec examples/multicore_names.exe
+   It exits 1 if any run hands out an invalid assignment. *)
 
 module Mc_run = Renaming_concurrent.Mc_run
 module Assignment = Renaming_shm.Assignment
 
 let show label (result : Mc_run.result) =
+  let valid = Assignment.is_valid result.Mc_run.assignment in
   Printf.printf "  %-22s domains=%d  wall=%6.3fs  max steps=%3d  unnamed=%5d  valid=%b\n%!"
     label result.Mc_run.domains result.Mc_run.wall_seconds (Mc_run.max_steps result)
-    (Mc_run.unnamed_count result)
-    (Assignment.is_valid result.Mc_run.assignment)
+    (Mc_run.unnamed_count result) valid;
+  if not valid then exit 1
 
 let () =
   let n = 1 lsl 17 in

@@ -1,33 +1,30 @@
-type t = int Atomic.t array
+(* Register [i] is bit [i land 31] of word [i lsr 5]; the last word's
+   bits from [size] up are spare and never set. *)
+type t = { size : int; words : int Atomic.t array }
 
 let create size =
   if size < 0 then invalid_arg "Atomic_tas.create: negative size";
-  Array.init size (fun _ -> Atomic.make (-1))
+  { size; words = Array.init ((size + 31) lsr 5) (fun _ -> Atomic.make 0) }
 
-let size t = Array.length t
+let size t = t.size
 
-let test_and_set t ~idx ~pid =
-  if pid < 0 then invalid_arg "Atomic_tas.test_and_set: negative pid";
-  (* Test-and-test-and-set: a probe of a taken register only reads it,
-     leaving the cache line shared instead of taking it exclusive. *)
-  let cell = t.(idx) in
-  Atomic.get cell = -1 && Atomic.compare_and_set cell (-1) pid
+let out_of_range fn t idx =
+  invalid_arg (Printf.sprintf "Atomic_tas.%s: register %d outside [0, %d)" fn idx t.size)
 
-let is_set t idx = Atomic.get t.(idx) <> -1
+(* Test-and-test-and-set: a taken register is only read, so its line
+   stays shared.  Top-level, with the word and bit as arguments, so a
+   TAS allocates no closure. *)
+let rec set_bit word bit =
+  let v = Atomic.get word in
+  v land bit = 0 && (Atomic.compare_and_set word v (v lor bit) || set_bit word bit)
 
-let owner t idx =
-  match Atomic.get t.(idx) with
-  | -1 -> None
-  | pid -> Some pid
+let test_and_set t ~idx =
+  if idx < 0 || idx >= t.size then out_of_range "test_and_set" t idx;
+  set_bit t.words.(idx lsr 5) (1 lsl (idx land 31))
 
-let set_count t = Array.fold_left (fun acc c -> if Atomic.get c <> -1 then acc + 1 else acc) 0 t
+let is_set t idx =
+  if idx < 0 || idx >= t.size then out_of_range "is_set" t idx;
+  Atomic.get t.words.(idx lsr 5) land (1 lsl (idx land 31)) <> 0
 
-let to_assignment t ~processes =
-  let names = Array.make processes None in
-  Array.iteri
-    (fun idx cell ->
-      match Atomic.get cell with
-      | -1 -> ()
-      | pid -> if pid < processes then names.(pid) <- Some idx)
-    t;
-  Renaming_shm.Assignment.make ~namespace:(Array.length t) names
+let set_count t =
+  Array.fold_left (fun acc w -> acc + Renaming_bitops.Word.popcount (Atomic.get w)) 0 t.words

@@ -1,26 +1,28 @@
-(** Lock-free test-and-set register arrays on real shared memory.
+(** Lock-free test-and-set registers on real shared memory, for {!Mc_run}.
 
-    The OCaml 5 multicore backend: registers are [Atomic.t] cells and a
-    TAS is one [compare_and_set] from the free state — exactly the
-    hardware TAS the paper's standard model assumes (§IV: "registers …
-    on which they can perform TAS operations implemented in hardware").
-    Used by {!Mc_run} to execute the loose algorithms on actual parallel
-    domains rather than under the simulator. *)
+    A register is one bit, set once: the hardware TAS of the paper's
+    standard model (§IV).  As in the τ-register of §II-C, the bits share
+    words: register [i] is bit [i land 31] of [int Atomic.t] word
+    [i lsr 5], so no block is allocated per register.  A TAS reads the
+    word and, if its bit is clear, [compare_and_set]s it with the bit
+    added, retrying only when another bit of the word changed meanwhile:
+    lock-free, not wait-free (OCaml 5.1 has no atomic fetch-or).  The
+    step accounting counts one TAS as one step. *)
 
 type t
 
 val create : int -> t
+(** Raises [Invalid_argument] on a negative size. *)
 
 val size : t -> int
 
-val test_and_set : t -> idx:int -> pid:int -> bool
-(** Linearizable; exactly one caller ever wins each register. *)
+val test_and_set : t -> idx:int -> bool
+(** Linearizable: exactly one caller ever wins each register.  Raises
+    [Invalid_argument] unless [0 <= idx < size t]; the spare bits of the
+    last word are not registers. *)
 
 val is_set : t -> int -> bool
-
-val owner : t -> int -> int option
+(** Range-checked like {!test_and_set}. *)
 
 val set_count : t -> int
-(** O(size); intended for post-run validation, not hot paths. *)
-
-val to_assignment : t -> processes:int -> Renaming_shm.Assignment.t
+(** A popcount per word; for post-run validation, not hot paths. *)

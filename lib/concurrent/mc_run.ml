@@ -99,7 +99,7 @@ let rec enter_segment ~namespace sh j seg =
 
 (* One shared-memory step of the unfinished process in slot [j].
    Returns [true] if it is still unfinished afterwards. *)
-let step regs ~namespace ~pid sh j =
+let step regs ~namespace sh j =
   let schedule = sh.schedule.(j) in
   let seg = sh.seg.(j) and left = sh.left.(j) in
   let target =
@@ -110,7 +110,7 @@ let step regs ~namespace ~pid sh j =
   in
   sh.left.(j) <- left - 1;
   sh.steps.(j) <- sh.steps.(j) + 1;
-  if Atomic_tas.test_and_set regs ~idx:target ~pid then begin
+  if Atomic_tas.test_and_set regs ~idx:target then begin
     sh.name.(j) <- target;
     sh.seg.(j) <- Array.length schedule;
     false
@@ -189,7 +189,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
       let kept = ref 0 in
       for i = 0 to !count - 1 do
         let j = live.(i) in
-        if step regs ~namespace ~pid:(d + (j * domains)) sh j then begin
+        if step regs ~namespace sh j then begin
           live.(!kept) <- j;
           incr kept
         end

@@ -19,13 +19,14 @@
     in flat arrays with one slot per process: [int] arrays for the
     segment, the steps left in it, the name won and the step count, an
     array of schedule pointers, and one [Bytes] buffer with every
-    process's 32-byte generator state.  A shard is therefore a few
-    large arrays and no block per process, which the minor collector
-    would otherwise copy into the major heap.  Each domain sweeps its live
-    processes (those with a step left) in pid order, one step each per
-    sweep, and drops the finished ones without reordering the rest.  On
-    one domain a run is therefore a pure function of its seed and
-    schedules.
+    process's 32-byte generator state.  With the registers packed 32 to
+    an [Atomic] word ({!Atomic_tas}), a run allocates no block per
+    process and none per name for the minor collector to copy into the
+    major heap; what it still promotes is its result's [Some] boxes.
+    Each domain sweeps its live processes (those with a step left) in
+    pid order, one step each per sweep, and drops the finished ones
+    without reordering the rest.  On one domain a run is therefore a
+    pure function of its seed and schedules.
 
     Time is injected as a {!Renaming_clock.Clock.t} capability: with the
     default {!Renaming_clock.Clock.none} the run measures no wall time

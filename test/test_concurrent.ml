@@ -11,56 +11,110 @@ let check = Alcotest.check
 let test_atomic_tas_basics () =
   let t = Atomic_tas.create 4 in
   check Alcotest.int "size" 4 (Atomic_tas.size t);
-  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:1 ~pid:3);
-  check Alcotest.bool "lose" false (Atomic_tas.test_and_set t ~idx:1 ~pid:4);
-  check Alcotest.(option int) "owner" (Some 3) (Atomic_tas.owner t 1);
+  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:1);
+  check Alcotest.bool "lose" false (Atomic_tas.test_and_set t ~idx:1);
+  check Alcotest.bool "neighbours free" false
+    (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 2 || Atomic_tas.is_set t 3);
   check Alcotest.bool "is_set" true (Atomic_tas.is_set t 1);
   check Alcotest.int "set count" 1 (Atomic_tas.set_count t)
 
 let test_atomic_tas_losing_leaves_owner () =
-  (* A lost TAS changes nothing: the owner, the set count and the free
-     neighbours stay as they were. *)
+  (* A lost TAS changes nothing: the won register, the set count and the
+     free neighbours stay as they were. *)
   let t = Atomic_tas.create 3 in
-  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:1 ~pid:5);
-  for pid = 0 to 9 do
-    check Alcotest.bool "lose" false (Atomic_tas.test_and_set t ~idx:1 ~pid)
+  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:1);
+  for _ = 0 to 9 do
+    check Alcotest.bool "lose" false (Atomic_tas.test_and_set t ~idx:1)
   done;
-  check Alcotest.(option int) "owner kept" (Some 5) (Atomic_tas.owner t 1);
+  check Alcotest.bool "still set" true (Atomic_tas.is_set t 1);
   check Alcotest.int "set count kept" 1 (Atomic_tas.set_count t);
-  check Alcotest.bool "neighbours free" false (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 2);
-  Alcotest.check_raises "negative pid" (Invalid_argument "Atomic_tas.test_and_set: negative pid")
-    (fun () -> ignore (Atomic_tas.test_and_set t ~idx:0 ~pid:(-1)))
+  check Alcotest.bool "neighbours free" false (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 2)
 
-let test_atomic_tas_parallel_single_winner () =
-  (* Many domains race on every register; each register must end with
-     exactly one owner and every domain's win-claims must be disjoint. *)
-  let size = 64 in
-  let t = Atomic_tas.create size in
-  let domains = 4 in
+(* Registers share a word, so the file checks indices itself: the spare
+   bits of the last word (70 to 95 here) are not registers. *)
+let test_atomic_tas_range_check () =
+  let t = Atomic_tas.create 70 in
+  check Alcotest.bool "last register" true (Atomic_tas.test_and_set t ~idx:69);
+  List.iter
+    (fun idx ->
+      let msg = Printf.sprintf "register %d outside [0, 70)" idx in
+      Alcotest.check_raises ("test_and_set " ^ string_of_int idx)
+        (Invalid_argument ("Atomic_tas.test_and_set: " ^ msg))
+        (fun () -> ignore (Atomic_tas.test_and_set t ~idx));
+      Alcotest.check_raises ("is_set " ^ string_of_int idx)
+        (Invalid_argument ("Atomic_tas.is_set: " ^ msg))
+        (fun () -> ignore (Atomic_tas.is_set t idx)))
+    [ 70; 95; -1 ];
+  check Alcotest.int "only the last register set" 1 (Atomic_tas.set_count t);
+  let empty = Atomic_tas.create 0 in
+  check Alcotest.int "empty size" 0 (Atomic_tas.size empty);
+  check Alcotest.int "empty set count" 0 (Atomic_tas.set_count empty);
+  Alcotest.check_raises "empty file has no register 0"
+    (Invalid_argument "Atomic_tas.test_and_set: register 0 outside [0, 0)")
+    (fun () -> ignore (Atomic_tas.test_and_set empty ~idx:0));
+  Alcotest.check_raises "negative size" (Invalid_argument "Atomic_tas.create: negative size")
+    (fun () -> ignore (Atomic_tas.create (-1)))
+
+(* Domains race on [rounds] fresh files in turn, walking a file's
+   registers in [order d]; a spin barrier starts each round together.
+   Every register must be won exactly once, with the claims disjoint. *)
+let race_files ?(rounds = 1) ~size ~domains order =
+  let files = Array.init rounds (fun _ -> Atomic_tas.create size) in
+  let arrived = Atomic.make 0 in
   let worker d () =
-    let wins = ref [] in
-    for idx = 0 to size - 1 do
-      if Atomic_tas.test_and_set t ~idx ~pid:d then wins := idx :: !wins
-    done;
-    !wins
+    Array.mapi
+      (fun r t ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < domains * (r + 1) do Domain.cpu_relax () done;
+        List.filter (fun idx -> Atomic_tas.test_and_set t ~idx) (order d))
+      files
   in
   let handles = Array.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
   let w0 = worker 0 () in
   let all_wins = w0 :: Array.to_list (Array.map Domain.join handles) in
-  let total = List.fold_left (fun acc l -> acc + List.length l) 0 all_wins in
-  check Alcotest.int "every register won exactly once" size total;
-  check Alcotest.int "set count" size (Atomic_tas.set_count t);
-  (* Claimed wins match recorded owners. *)
-  List.iteri
-    (fun _ wins -> List.iter (fun idx -> check Alcotest.bool "owned" true (Atomic_tas.is_set t idx)) wins)
-    all_wins
+  Array.iteri
+    (fun r t ->
+      let claims = Array.make size 0 in
+      List.iter (fun wins -> List.iter (fun idx -> claims.(idx) <- claims.(idx) + 1) wins.(r))
+        all_wins;
+      let label = Printf.sprintf "round %d: " r in
+      check Alcotest.(list int) (label ^ "registers not won exactly once") []
+        (List.filter (fun idx -> claims.(idx) <> 1) (List.init size Fun.id));
+      check Alcotest.int (label ^ "set count") size (Atomic_tas.set_count t);
+      check Alcotest.bool (label ^ "every register set") true
+        (List.for_all (Atomic_tas.is_set t) (List.init size Fun.id)))
+    files
+
+let test_atomic_tas_parallel_single_winner () =
+  let size = 64 in
+  race_files ~size ~domains:4 (fun _ -> List.init size Fun.id)
+
+(* Opposite and interleaved walks of 70-register files, so the domains
+   hit different bits of one word at once and a CAS can fail on a
+   neighbour's bit: the retry path.  A TAS that gave up there instead
+   would leave a register that no domain won. *)
+let test_atomic_tas_contended_words () =
+  let size = 70 in
+  let up = List.init size Fun.id in
+  let down = List.rev up in
+  let evens, odds = List.partition (fun i -> i land 1 = 0) up in
+  race_files ~rounds:500 ~size ~domains:2 (fun d -> if d = 0 then up else down);
+  race_files ~rounds:500 ~size ~domains:2 (fun d -> if d = 0 then evens @ odds else odds @ evens);
+  race_files ~rounds:50 ~size ~domains:4 (fun d ->
+      match d with 0 -> up | 1 -> down | 2 -> odds @ evens | _ -> List.rev (evens @ odds));
+  (* A namespace that is not a multiple of 32 on two domains. *)
+  let r = Mc_run.uniform_probing ~domains:2 ~n:4099 ~m:4100 ~seed:9L () in
+  check Alcotest.bool "n = 4099, m = 4100: complete" true
+    (Assignment.is_complete r.Mc_run.assignment)
 
 let test_atomic_to_assignment () =
+  (* Winning register 2 sets register 2 and nothing else. *)
   let t = Atomic_tas.create 4 in
-  ignore (Atomic_tas.test_and_set t ~idx:2 ~pid:0);
-  let a = Atomic_tas.to_assignment t ~processes:2 in
-  check Alcotest.(option int) "pid 0 name" (Some 2) a.Assignment.names.(0);
-  check Alcotest.(option int) "pid 1 unnamed" None a.Assignment.names.(1)
+  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:2);
+  check Alcotest.bool "register 2 set" true (Atomic_tas.is_set t 2);
+  check Alcotest.bool "others free" false
+    (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 1 || Atomic_tas.is_set t 3);
+  check Alcotest.int "one register set" 1 (Atomic_tas.set_count t)
 
 let test_mc_loose_geometric () =
   let result = Mc_run.loose_geometric ~domains:4 ~n:4096 ~ell:2 ~seed:1L () in
@@ -375,7 +429,9 @@ let tests =
       [
         Alcotest.test_case "atomic tas basics" `Quick test_atomic_tas_basics;
         Alcotest.test_case "losing tas leaves owner" `Quick test_atomic_tas_losing_leaves_owner;
+        Alcotest.test_case "tas range check" `Quick test_atomic_tas_range_check;
         Alcotest.test_case "parallel single winner" `Quick test_atomic_tas_parallel_single_winner;
+        Alcotest.test_case "contended tas words" `Quick test_atomic_tas_contended_words;
         Alcotest.test_case "to assignment" `Quick test_atomic_to_assignment;
         Alcotest.test_case "mc loose geometric" `Quick test_mc_loose_geometric;
         Alcotest.test_case "mc loose clustered" `Quick test_mc_loose_clustered;
