@@ -62,7 +62,9 @@ let pop t =
     Some (top.e_time, top.e_value)
   end
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).e_time
+(* The stored float is already boxed in its entry, so this allocates
+   nothing. *)
+let top_time t = if t.size = 0 then infinity else t.data.(0).e_time
 
 let due t ~now = t.size > 0 && t.data.(0).e_time <= now
 

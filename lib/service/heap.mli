@@ -14,12 +14,12 @@ val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Smallest [(time, seq)] first; [None] when empty. *)
 
-val peek_time : 'a t -> float option
+val top_time : 'a t -> float
+(** The smallest entry's time; [infinity] when empty.  Allocates
+    nothing, so hot loops can poll it. *)
 
 val due : 'a t -> now:float -> bool
-(** [due t ~now] is true iff the smallest entry's time is [<= now], that
-    is iff [peek_time t] is [Some x] with [x <= now].  Unlike
-    [peek_time] it allocates nothing, so hot loops can poll it. *)
+(** [due t ~now] is true iff the smallest entry's time is [<= now]. *)
 
 val size : 'a t -> int
 

@@ -162,7 +162,7 @@ let holder t ~name =
   else if t.holders.(name) < 0 then None
   else Some t.holders.(name)
 
-let maintenance_due t ~now = Heap.due t.expiry_queue ~now || compaction_due t
+let next_due t = if compaction_due t then neg_infinity else Heap.top_time t.expiry_queue
 
 let pending_expiries t = Heap.size t.expiry_queue
 let compactions t = t.compactions

@@ -69,11 +69,12 @@ val reclaim_expired : t -> now:float -> reclaimed list
     leases are skipped (their heap entries are stale — lazy deletion);
     reclaimed slots get an epoch bump and return to the free pool. *)
 
-val maintenance_due : t -> now:float -> bool
-(** True iff {!reclaim_expired} at [now] has work: an expiry-heap entry
-    (live or dead) is due at or before [now], or the heap is due for
-    compaction.  When false, [reclaim_expired t ~now] returns [[]] and
-    changes nothing.  Allocation-free. *)
+val next_due : t -> float
+(** The earliest [now] at which {!reclaim_expired} has work:
+    [neg_infinity] when the expiry heap is due for compaction, else the
+    time of its smallest entry (live or dead), [infinity] when it is
+    empty.  Before that instant [reclaim_expired t ~now] returns [[]]
+    and changes nothing.  Allocation-free. *)
 
 val holder : t -> name:int -> int option
 (** Session currently holding [name], if any (for auditing). *)

@@ -1124,13 +1124,12 @@ let run ?obs ?tap (cfg : config) ~seed =
          continue_ := false
        end
        else begin
-         let t_heap = Heap.peek_time heap in
-         let t_net = Transport.next_delivery net in
-         match (t_heap, t_net) with
-         | None, None -> continue_ := false
-         | _ ->
-           let th = Option.value t_heap ~default:infinity in
-           let tn = Option.value t_net ~default:infinity in
+         (* Both queues hold finite times only, so [infinity] means
+            empty. *)
+         let th = Heap.top_time heap in
+         let tn = Transport.next_delivery net in
+         if th = infinity && tn = infinity then continue_ := false
+         else begin
            if tn <= th then begin
              if tn > !sim_now then sim_now := tn;
              pump ();
@@ -1147,6 +1146,7 @@ let run ?obs ?tap (cfg : config) ~seed =
            end;
            let held = Router.total_held router in
            if held > !peak_held then peak_held := held
+         end
        end
      done
    with Audit.Violation { kind; message } -> violation := Some (kind, message));

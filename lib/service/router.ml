@@ -120,6 +120,8 @@ type stats = {
   mutable shard_downs : int;
   mutable in_handoff_busy : int;
   mutable fenced_ops : int;
+  mutable pumps : int;
+  mutable full_pumps : int;
 }
 
 (* {2 Failure detection}
@@ -168,10 +170,25 @@ type tap_event =
   | Tap_audit of { slice : int; now : float; ev : Audit.event }
   | Tap_absorb of { slice : int; now : float }
 
+(* The deadlines [pump]'s guard checks besides the wake cell, kept in
+   the arithmetic of the phases they stand for.  Float-only, so updating
+   them allocates nothing. *)
+type deadlines = {
+  mutable hb_oldest : float;
+      (* oldest last heartbeat of an unsuspected shard; [infinity]
+         without a detector *)
+  mutable suspicion : float;  (* [infinity] without a detector *)
+  mutable since_oldest : float;
+      (* oldest grace clock that can still run out: an orphan inside its
+         grace, or (without a detector) a stalled shard that owns slices *)
+}
+
 type t = {
   cfg : config;
   clock : Clock.t;
   stream : Stream.t;
+  wake : Service.wake;
+  due : deadlines;
   shards : Shard.t array;
   dir : entry array;
   gaudit : Gaudit.t;
@@ -197,7 +214,7 @@ let slice_service t ~slice ~epoch =
     Admission.make_config ~queue_limit:t.cfg.queue_limit
       ~request_timeout:t.cfg.request_timeout ~high_water:t.cfg.high_water ()
   in
-  Service.create ?obs:t.obs
+  Service.create ?obs:t.obs ~wake:t.wake
     ~tap:(fun ~now ev ->
       Gaudit.on_event t.gaudit ~slice ev;
       match t.tap with Some f -> f (Tap_audit { slice; now; ev }) | None -> ())
@@ -217,12 +234,22 @@ let create ?obs ?tap ~clock ~seed cfg =
         })
       obs
   in
+  (* A held count steers the pump only through rebalancing. *)
+  let wake =
+    {
+      Service.at = neg_infinity;
+      on_held = (if cfg.auto_rebalance then neg_infinity else infinity);
+    }
+  in
   let t =
     {
       cfg;
       clock;
       stream = Stream.create seed;
-      shards = Array.init cfg.shards (fun id -> Shard.create ~id);
+      wake;
+      due =
+        { hb_oldest = infinity; suspicion = infinity; since_oldest = infinity };
+      shards = Array.init cfg.shards (fun id -> Shard.create ~id ~wake);
       dir = Array.make cfg.slices (Owned { shard = 0; epoch = 0 });
       gaudit = Gaudit.create ~slices:cfg.slices ~width:slice_width ~grace:cfg.grace;
       slice_width;
@@ -237,6 +264,8 @@ let create ?obs ?tap ~clock ~seed cfg =
           shard_downs = 0;
           in_handoff_busy = 0;
           fenced_ops = 0;
+          pumps = 0;
+          full_pumps = 0;
         };
       obs;
       counters;
@@ -306,8 +335,15 @@ let shard_available t ~shard ~now =
   | None -> Shard.alive t.shards.(shard) ~now
   | Some d -> now -. d.d_last.(shard) <= d.d_suspicion
 
+(* The next pump after a directory write runs in full. *)
+let force t = t.wake.Service.at <- neg_infinity
+
+let set_entry t ~slice entry =
+  t.dir.(slice) <- entry;
+  force t
+
 let orphan_entry t ~slice ~last ~epoch ~since =
-  t.dir.(slice) <- Orphaned { last; epoch; since }
+  set_entry t ~slice (Orphaned { last; epoch; since })
 
 let enable_detector t ~suspicion =
   if suspicion <= 0. then invalid_arg "Router.enable_detector: suspicion must be > 0";
@@ -320,7 +356,10 @@ let enable_detector t ~suspicion =
         d_incarnation = Array.make t.cfg.shards 0;
         d_flag = Array.make t.cfg.shards false;
         d_st = { suspicions = 0; recoveries = 0; reowns = 0; incarnation_orphans = 0 };
-      }
+      };
+  t.due.hb_oldest <- now;
+  t.due.suspicion <- suspicion;
+  force t
 
 let detector_stats t = Option.map (fun d -> d.d_st) t.fd
 let suspected t ~shard = match t.fd with Some d -> d.d_flag.(shard) | None -> false
@@ -349,6 +388,11 @@ let heartbeat t ~shard ~incarnation =
   | None -> ()
   | Some d ->
     let now = Clock.now t.clock in
+    (* A shard the router could not route to becomes a candidate to
+       adopt or to receive a rebalanced slice. *)
+    if not (now -. d.d_last.(shard) <= d.d_suspicion) then force t;
+    (* Unsuspected from now on, if it was not already. *)
+    if now < t.due.hb_oldest then t.due.hb_oldest <- now;
     if incarnation > d.d_incarnation.(shard) then begin
       (* Restarted amnesiac: everything it owned died with the previous
          incarnation.  Orphan from that incarnation's last heartbeat —
@@ -372,7 +416,7 @@ let heartbeat t ~shard ~incarnation =
             when last = shard && Shard.alive t.shards.(shard) ~now -> (
             match Shard.find_slice t.shards.(shard) ~slice with
             | Some sl when sl.Shard.sl_epoch = epoch ->
-              t.dir.(slice) <- Owned { shard; epoch };
+              set_entry t ~slice (Owned { shard; epoch });
               d.d_st.reowns <- d.d_st.reowns + 1
             | _ -> ())
           | _ -> ())
@@ -497,8 +541,6 @@ let crash_shard t ~id =
       | _ -> ())
     t.dir
 
-let restart_shard t ~id = Shard.restart t.shards.(id)
-
 let stall_shard t ~id ~until =
   let now = Clock.now t.clock in
   Shard.stall t.shards.(id) ~now ~until
@@ -513,7 +555,7 @@ let begin_handoff t ~slice ~to_ =
          && Shard.alive t.shards.(from_) ~now
          && Shard.alive t.shards.(to_) ~now
          && Shard.find_slice t.shards.(from_) ~slice <> None ->
-    t.dir.(slice) <- In_transit { from_; to_; epoch; since = now };
+    set_entry t ~slice (In_transit { from_; to_; epoch; since = now });
     t.st.handoffs_started <- t.st.handoffs_started + 1;
     bump t (fun c -> c.c_handoffs);
     Ok ()
@@ -607,7 +649,7 @@ let rec drop_stale t sh = function
         | None -> true
         | Some _ -> last <> id || epoch <> sl.Shard.sl_epoch)
     in
-    if stale then Shard.drop sh ~slice:sl.Shard.sl_id;
+    if stale then ignore (Shard.detach sh ~slice:sl.Shard.sl_id);
     drop_stale t sh rest
 
 let validate_bodies t ~now =
@@ -635,7 +677,7 @@ let step_transits t ~now =
         match Shard.find_slice src ~slice with
         | Some sl ->
           sl.Shard.sl_epoch <- epoch + 1;
-          t.dir.(slice) <- Owned { shard = from_; epoch = epoch + 1 };
+          set_entry t ~slice (Owned { shard = from_; epoch = epoch + 1 });
           t.st.handoffs_aborted <- t.st.handoffs_aborted + 1
         | None ->
           orphan_entry t ~slice ~last:from_ ~epoch ~since;
@@ -648,7 +690,7 @@ let step_transits t ~now =
         | Some sl ->
           sl.Shard.sl_epoch <- epoch + 1;
           Shard.attach dst sl;
-          t.dir.(slice) <- Owned { shard = to_; epoch = epoch + 1 };
+          set_entry t ~slice (Owned { shard = to_; epoch = epoch + 1 });
           t.st.handoffs_completed <- t.st.handoffs_completed + 1
         | None ->
           orphan_entry t ~slice ~last:from_ ~epoch ~since;
@@ -695,7 +737,7 @@ let adopt_orphans t ~now =
           }
         in
         Shard.attach t.shards.(adopter) sl;
-        t.dir.(slice) <- Owned { shard = adopter; epoch = epoch + 1 };
+        set_entry t ~slice (Owned { shard = adopter; epoch = epoch + 1 });
         t.st.adoptions <- t.st.adoptions + 1;
         bump t (fun c -> c.c_adoptions))
     | _ -> ()
@@ -706,21 +748,89 @@ let rec wrap_completions ~slice ~shard acc = function
   | d :: rest ->
     wrap_completions ~slice ~shard ({ c_slice = slice; c_shard = shard; c_done = d } :: acc) rest
 
-let pump t =
-  let now = Clock.now t.clock in
-  detector_sweep t ~now;
-  orphan_stalled t ~now;
-  step_transits t ~now;
-  validate_bodies t ~now;
-  adopt_orphans t ~now;
-  maybe_rebalance t ~now;
-  let completions = ref [] in
+let lower (w : Service.wake) x = if x < w.Service.at then w.Service.at <- x
+
+(* After a full pump, bring the guard's inputs up to date: the wake cell
+   gets the earliest instant a phase could act again, and [t.due] the
+   oldest heartbeat and grace clock.  Each input below is named after
+   the phase it stands for; whatever else can give a phase work (a
+   directory write, a shard status change, a heartbeat from an
+   unavailable shard, a service operation) lowers the cell itself. *)
+let rearm t ~now =
+  let d = t.due in
+  (match t.fd with
+  | None -> ()
+  | Some fd ->
+    (* [detector_sweep] *)
+    d.hb_oldest <- infinity;
+    for shard = 0 to Array.length fd.d_last - 1 do
+      if (not fd.d_flag.(shard)) && fd.d_last.(shard) < d.hb_oldest then
+        d.hb_oldest <- fd.d_last.(shard)
+    done);
+  d.since_oldest <- infinity;
+  (* A stall heals at [until]; its bodies are pumped and validated again. *)
+  for id = 0 to Array.length t.shards - 1 do
+    match Shard.status t.shards.(id) ~now with
+    | Shard.Stalled { until; _ } -> lower t.wake until
+    | Shard.Alive | Shard.Crashed _ -> ()
+  done;
   for slice = 0 to Array.length t.dir - 1 do
     match t.dir.(slice) with
-    | Owned { shard; epoch } when Shard.alive t.shards.(shard) ~now -> (
-      match Shard.pump_slice t.shards.(shard) ~slice ~epoch with
-      | [] -> ()
-      | done_ -> completions := wrap_completions ~slice ~shard !completions done_)
-    | _ -> ()
-  done;
-  List.rev !completions
+    | In_transit _ -> force t  (* [step_transits] *)
+    | Orphaned { since; _ } ->
+      (* [adopt_orphans]: an orphan past its grace is still here only
+         because no shard could adopt it, and it waits for a status
+         change or a heartbeat. *)
+      if (not (now -. since >= t.cfg.grace)) && since < d.since_oldest then
+        d.since_oldest <- since
+    | Owned { shard; epoch } -> (
+      let sh = t.shards.(shard) in
+      match Shard.status sh ~now with
+      | Shard.Alive -> (
+        match Shard.find_slice sh ~slice with
+        | Some sl when sl.Shard.sl_epoch = epoch ->
+          lower t.wake (Service.next_due sl.Shard.sl_svc)  (* the slice pumps *)
+        | _ -> ())
+      | Shard.Stalled { since; _ } -> (
+        match t.fd with
+        | None -> if since < d.since_oldest then d.since_oldest <- since  (* [orphan_stalled] *)
+        | Some _ -> ())
+      | Shard.Crashed _ -> ())
+  done
+
+(* Nothing is due: no phase of [pump] would act.  The detector and grace
+   deadlines are compared exactly as [detector_sweep], [orphan_stalled]
+   and [adopt_orphans] compare them, so rounding cannot delay them. *)
+let idle t ~now =
+  let d = t.due in
+  now < t.wake.Service.at
+  && (not (now -. d.hb_oldest > d.suspicion))
+  && not (now -. d.since_oldest >= t.cfg.grace)
+
+let pump t =
+  let now = Clock.now t.clock in
+  t.st.pumps <- t.st.pumps + 1;
+  if idle t ~now then []
+  else begin
+    t.st.full_pumps <- t.st.full_pumps + 1;
+    t.wake.Service.at <- infinity;
+    detector_sweep t ~now;
+    orphan_stalled t ~now;
+    step_transits t ~now;
+    validate_bodies t ~now;
+    adopt_orphans t ~now;
+    maybe_rebalance t ~now;
+    let completions = ref [] in
+    for slice = 0 to Array.length t.dir - 1 do
+      match t.dir.(slice) with
+      | Owned { shard; epoch } when Shard.alive t.shards.(shard) ~now -> (
+        match Shard.find_slice t.shards.(shard) ~slice with
+        | Some sl when sl.Shard.sl_epoch = epoch ->
+          completions :=
+            wrap_completions ~slice ~shard !completions (Service.pump sl.Shard.sl_svc)
+        | _ -> ())
+      | _ -> ()
+    done;
+    rearm t ~now;
+    List.rev !completions
+  end

@@ -146,19 +146,32 @@ val pump : t -> completion list
     rebalancing, then reclaim/expire/grant on every reachable slice.
     Completions come back in slice order.
 
-    Cost: every phase is a plain loop over the directory or the shards,
-    and a slice with nothing due costs one {!Service.pump} check, so a
-    pump with nothing due does work linear in the number of slices and
-    allocates nothing.  Anything more is proportional to what is due:
-    expiries, queued requests, transits, orphans, a rebalance. *)
+    Wake invariant: the router keeps the earliest instant at which any
+    of these phases could act, and before it [pump] returns [[]] at a
+    guard that reads three floats and allocates nothing.  A full pump
+    recomputes that instant from what it left behind:
+    - the {!Service.next_due} of every body the slice loop pumps;
+    - the end of every stall;
+    - the oldest heartbeat of an unsuspected shard, compared as the
+      suspicion sweep compares it ([now -. last > suspicion]);
+    - the oldest grace clock that can still run out, compared as
+      adoption compares it ([now -. since >= grace]);
+    - any slice in transit, which keeps every pump full until the
+      handoff resolves.
+    In between, whatever can give a phase work lowers it at once: every
+    operation on a slice body, including one made directly on
+    {!Shard.find_slice}'s body rather than through the router (the
+    bodies share the router's wake cell); every directory write,
+    handoff start and shard crash, restart or stall; a heartbeat from a
+    shard the router could not route to; and, with [auto_rebalance],
+    any change in a body's held count.  So a pump the guard skips is
+    exactly one that would have changed nothing.  {!stats} counts the
+    calls ([pumps]) and the ones that ran the phases ([full_pumps]). *)
 
 (** {2 Fault injection} *)
 
 val crash_shard : t -> id:int -> unit
 (** Lose every resident slice body; its slices become orphaned now. *)
-
-val restart_shard : t -> id:int -> unit
-(** The shard returns empty and becomes eligible to adopt slices. *)
 
 val stall_shard : t -> id:int -> until:float -> unit
 (** The shard stops serving until [until] on the injected clock.  If the
@@ -223,6 +236,8 @@ type stats = {
   mutable shard_downs : int;
   mutable in_handoff_busy : int;
   mutable fenced_ops : int;
+  mutable pumps : int;  (** {!pump} calls *)
+  mutable full_pumps : int;  (** {!pump} calls that got past the wake guard *)
 }
 
 val stats : t -> stats

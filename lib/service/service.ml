@@ -5,6 +5,8 @@ module Hist = Renaming_obs.Hist
 
 type config = { lease : Lease.config; admission : Admission.config }
 
+type wake = { mutable at : float; mutable on_held : float }
+
 let make_config ?lease ?admission () =
   let lease = match lease with Some l -> l | None -> Lease.make_config ~capacity:64 () in
   let admission = match admission with Some a -> a | None -> Admission.make_config () in
@@ -45,6 +47,7 @@ type t = {
   admission : Admission.t;
   audit : Audit.t;
   tap : (now:float -> Audit.event -> unit) option;
+  wake : wake option;
   st : stats;
   counters : counters option;
   h_probes : Hist.t;
@@ -55,7 +58,7 @@ type t = {
 
 let centiticks x = if x <= 0. then 0 else int_of_float ((x *. 100.) +. 0.5)
 
-let create ?obs ?tap ~clock ~rng (cfg : config) =
+let create ?obs ?tap ?wake ~clock ~rng (cfg : config) =
   let lease = Lease.create cfg.lease in
   let hist name = match obs with Some o -> Obs.histogram o name | None -> Hist.create () in
   let counters =
@@ -81,6 +84,7 @@ let create ?obs ?tap ~clock ~rng (cfg : config) =
     admission = Admission.create cfg.admission;
     audit = Audit.create ?obs ~capacity:cfg.lease.Lease.capacity ~slots:(Lease.slots lease) ();
     tap;
+    wake;
     st =
       {
         grants = 0;
@@ -113,6 +117,24 @@ let observe t ~now event =
 let capacity t = t.cfg.lease.Lease.capacity
 let ttl t = t.cfg.lease.Lease.ttl
 
+let next_due t =
+  if Admission.depth t.admission > 0 then neg_infinity else Lease.next_due t.lease
+
+(* Lower the shared wake cell to this body's due time.  Every operation
+   that can move that time earlier (a grant or renew pushes an expiry, a
+   request queues, a release makes compaction due) ends here. *)
+let note_due t =
+  match t.wake with
+  | None -> ()
+  | Some w ->
+    let due = next_due t in
+    if due < w.at then w.at <- due
+
+let note_held t =
+  match t.wake with
+  | None -> ()
+  | Some w -> if w.on_held < w.at then w.at <- w.on_held
+
 (* Every entry point reclaims first: expiry work is driven by whoever
    touches the service, so no background thread is needed and the
    auditor always sees reclaims before any operation at the same
@@ -124,6 +146,7 @@ let reclaim t ~now =
         (Audit.Reclaimed { fence = r.Lease.r_fence; expired_at = r.Lease.r_expired_at });
       t.st.reclaims <- t.st.reclaims + 1;
       bump t (fun c -> c.c_reclaims);
+      note_held t;
       Hist.observe t.h_reclaim (centiticks r.Lease.r_lateness))
     (Lease.reclaim_expired t.lease ~now)
 
@@ -137,6 +160,7 @@ let do_grant t ~session ~now =
       (Audit.Granted { fence = grant.Lease.g_fence; expires = now +. ttl t });
     t.st.grants <- t.st.grants + 1;
     bump t (fun c -> c.c_grants);
+    note_held t;
     Hist.observe t.h_probes grant.Lease.g_probes;
     grant
 
@@ -149,22 +173,26 @@ let acquire t ~session =
   let now = Clock.now t.clock in
   reclaim t ~now;
   let util = Lease.utilization t.lease in
-  if
-    Admission.depth t.admission = 0
-    && util < t.cfg.admission.Admission.high_water
-    && Lease.held t.lease < capacity t
-  then Granted (do_grant t ~session ~now)
-  else
-    match Admission.offer t.admission ~session ~now ~utilization:util with
-    | Error reason ->
-      (match reason with
-      | Admission.High_water -> t.st.sheds_high_water <- t.st.sheds_high_water + 1
-      | Admission.Queue_full -> t.st.sheds_queue_full <- t.st.sheds_queue_full + 1);
-      bump t (fun c -> c.c_sheds);
-      Shed reason
-    | Ok ticket ->
-      t.st.queued <- t.st.queued + 1;
-      Queued ticket
+  let outcome =
+    if
+      Admission.depth t.admission = 0
+      && util < t.cfg.admission.Admission.high_water
+      && Lease.held t.lease < capacity t
+    then Granted (do_grant t ~session ~now)
+    else
+      match Admission.offer t.admission ~session ~now ~utilization:util with
+      | Error reason ->
+        (match reason with
+        | Admission.High_water -> t.st.sheds_high_water <- t.st.sheds_high_water + 1
+        | Admission.Queue_full -> t.st.sheds_queue_full <- t.st.sheds_queue_full + 1);
+        bump t (fun c -> c.c_sheds);
+        Shed reason
+      | Ok ticket ->
+        t.st.queued <- t.st.queued + 1;
+        Queued ticket
+  in
+  note_due t;
+  outcome
 
 let renew t ~fence =
   let now = Clock.now t.clock in
@@ -181,6 +209,7 @@ let renew t ~fence =
     t.st.fenced <- t.st.fenced + 1;
     bump t (fun c -> c.c_fenced)
   end;
+  note_due t;
   result
 
 let use t ~fence =
@@ -206,10 +235,12 @@ let release t ~fence =
   | Ok held_for ->
     t.st.releases <- t.st.releases + 1;
     bump t (fun c -> c.c_releases);
-    Hist.observe t.h_lifetime (centiticks held_for)
+    Hist.observe t.h_lifetime (centiticks held_for);
+    note_held t
   | Error `Fenced ->
     t.st.fenced <- t.st.fenced + 1;
     bump t (fun c -> c.c_fenced));
+  note_due t;
   result
 
 type completion =
@@ -243,20 +274,18 @@ let pump_due t ~now =
         Hist.observe t.h_wait (centiticks waited);
         drain (Done { ticket; session; grant; waited } :: acc)
   in
-  timed_out @ drain []
+  let completions = timed_out @ drain [] in
+  note_due t;
+  completions
 
-(* With an empty queue and no lease maintenance due, every step of
-   [pump_due] is a no-op, so the pump returns before touching anything:
-   the router pumps every slice before every event, and almost none has
-   work. *)
+(* Before [next_due] every step of [pump_due] is a no-op, so the pump
+   returns before touching anything. *)
 let pump t =
   let now = Clock.now t.clock in
-  if Admission.depth t.admission = 0 && not (Lease.maintenance_due t.lease ~now) then []
-  else pump_due t ~now
+  if now < next_due t then [] else pump_due t ~now
 
 let stats t = t.st
 let held t = Lease.held t.lease
-let utilization t = Lease.utilization t.lease
 let slots t = Lease.slots t.lease
 let queue_depth t = Admission.depth t.admission
 let deadline_expired t = Admission.expired_total t.admission

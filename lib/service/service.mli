@@ -20,16 +20,32 @@ val make_config : ?lease:Lease.config -> ?admission:Admission.config -> unit -> 
 
 type t
 
+(** A wake cell that several bodies share with their owner.  Its fields
+    are floats only, so updating it allocates nothing. *)
+type wake = {
+  mutable at : float;
+      (** Every operation that moves a sharing body's {!next_due} earlier
+          lowers [at] to it, so [at] stays at or below the [next_due] of
+          every sharing body until the owner raises it again. *)
+  mutable on_held : float;
+      (** What a change in a sharing body's {!held} lowers [at] to:
+          [neg_infinity] when the owner's pump reads held counts (the
+          router's rebalancing), [infinity] otherwise. *)
+}
+
 val create :
   ?obs:Renaming_obs.Obs.t ->
   ?tap:(now:float -> Audit.event -> unit) ->
+  ?wake:wake ->
   clock:Renaming_clock.Clock.t ->
   rng:Renaming_rng.Xoshiro.t ->
   config ->
   t
 (** [?tap] hears every audit event after the mirror has accepted it —
     the sharded router uses it to feed a cross-shard global-uniqueness
-    mirror without the service knowing about shards. *)
+    mirror without the service knowing about shards.  [?wake] is the
+    cell this body lowers (see {!wake}); without one it lowers
+    nothing. *)
 
 (** {2 Client operations} *)
 
@@ -60,11 +76,16 @@ val pump : t -> completion list
 (** Reclaim expired leases, expire overdue queued requests, then grant
     from the queue head while capacity allows.
 
-    With nothing due — the admission queue empty, no expiry-heap entry
-    at or before now ({!Lease.maintenance_due}), no heap compaction due
-    — [pump] returns [[]] and changes nothing: no statistic, histogram,
-    counter or audit event moves.  That check is all an idle pump
-    costs; it allocates nothing. *)
+    Before {!next_due}, [pump] returns [[]] and changes nothing: no
+    statistic, histogram, counter or audit event moves.  That check is
+    all an idle pump costs; it allocates nothing. *)
+
+val next_due : t -> float
+(** The earliest clock reading at which {!pump} has work:
+    [neg_infinity] while the admission queue is non-empty or the expiry
+    heap is due for compaction, otherwise the expiry heap's smallest
+    entry ({!Lease.next_due}), or [infinity] when the heap is empty.
+    O(1) and allocation-free. *)
 
 (** {2 Introspection} *)
 
@@ -83,7 +104,6 @@ type stats = {
 
 val stats : t -> stats
 val held : t -> int
-val utilization : t -> float
 val slots : t -> int
 val queue_depth : t -> int
 
@@ -105,7 +125,8 @@ val probes_hist : t -> Renaming_obs.Hist.t
 (** Probes per grant. *)
 
 val reclaim_lateness_hist : t -> Renaming_obs.Hist.t
-(** Centiticks between lease expiry and its reclamation. *)
+(** Centiticks between lease expiry and its reclamation (1 clock unit
+    = 100 centiticks, as in the histograms below). *)
 
 val queue_wait_hist : t -> Renaming_obs.Hist.t
 (** Centiticks queued requests waited before grant or timeout. *)
@@ -113,6 +134,3 @@ val queue_wait_hist : t -> Renaming_obs.Hist.t
 val lifetime_hist : t -> Renaming_obs.Hist.t
 (** Centiticks between grant and voluntary release. *)
 
-val centiticks : float -> int
-(** The fixed time→bucket scaling used by the histograms above
-    (1 clock unit = 100 centiticks). *)

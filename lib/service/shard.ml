@@ -2,25 +2,16 @@ type status = Alive | Stalled of { since : float; until : float } | Crashed of {
 
 type slice = { sl_id : int; mutable sl_epoch : int; mutable sl_svc : Service.t }
 
-type stats = {
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable stalls : int;
-  mutable dropped_slices : int;
-}
-
 type t = {
   id : int;
+  wake : Service.wake;
   mutable status : status;
   mutable slices : slice list;  (* bodies resident here, sorted by sl_id *)
-  st : stats;
 }
 
-let create ~id =
-  { id; status = Alive; slices = []; st = { crashes = 0; restarts = 0; stalls = 0; dropped_slices = 0 } }
+let create ~id ~wake = { id; wake; status = Alive; slices = [] }
 
 let id t = t.id
-let stats t = t.st
 let slices t = t.slices
 
 (* A stall heals by itself once the clock passes [until]; crashes only
@@ -40,17 +31,6 @@ let rec find_in ~slice = function
 
 let find_slice t ~slice = find_in ~slice t.slices
 
-(* The pump's lookup: walks the resident list directly, so a slice with
-   nothing due costs no allocation at all. *)
-let rec pump_in ~slice ~epoch = function
-  | [] -> []
-  | sl :: rest ->
-    if sl.sl_id <> slice then pump_in ~slice ~epoch rest
-    else if sl.sl_epoch = epoch then Service.pump sl.sl_svc
-    else []
-
-let pump_slice t ~slice ~epoch = pump_in ~slice ~epoch t.slices
-
 let attach t sl =
   t.slices <- List.sort (fun a b -> compare a.sl_id b.sl_id) (sl :: t.slices)
 
@@ -61,28 +41,21 @@ let detach t ~slice =
     t.slices <- List.filter (fun s -> s.sl_id <> slice) t.slices;
     Some sl
 
-let drop t ~slice =
-  match detach t ~slice with
-  | None -> ()
-  | Some _ -> t.st.dropped_slices <- t.st.dropped_slices + 1
+(* A status change can give the owner's pump work at once (a restarted
+   shard may adopt an orphan), so each one wakes it. *)
+let set_status t s =
+  t.status <- s;
+  t.wake.Service.at <- neg_infinity
 
 (* Crashing loses every resident slice body — the state is gone, exactly
    like a process crash in the fault model.  The router moves the
    directory entries to orphaned; reclamation happens by lease expiry. *)
 let crash t ~now =
-  t.status <- Crashed { since = now };
-  t.st.crashes <- t.st.crashes + 1;
+  set_status t (Crashed { since = now });
   t.slices <- []
 
-let restart t =
-  (match t.status with Crashed _ -> t.st.restarts <- t.st.restarts + 1 | _ -> ());
-  t.status <- Alive
-
-let stall t ~now ~until =
-  if until > now then begin
-    t.status <- Stalled { since = now; until };
-    t.st.stalls <- t.st.stalls + 1
-  end
+let restart t = set_status t Alive
+let stall t ~now ~until = if until > now then set_status t (Stalled { since = now; until })
 
 let rec held_in acc = function
   | [] -> acc

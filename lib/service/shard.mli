@@ -27,18 +27,14 @@ type slice = { sl_id : int; mutable sl_epoch : int; mutable sl_svc : Service.t }
 (** A slice body: its id, its {e slice epoch} (bumped on every ownership
     transfer) and the service stack holding its leases. *)
 
-type stats = {
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable stalls : int;
-  mutable dropped_slices : int;  (** stale bodies discarded after losing ownership *)
-}
-
 type t
 
-val create : id:int -> t
+val create : id:int -> wake:Service.wake -> t
+(** [wake] is the owner's wake cell: {!crash}, {!restart} and {!stall}
+    set its [at] to [neg_infinity], so the owner's next pump sees the
+    new status. *)
+
 val id : t -> int
-val stats : t -> stats
 val slices : t -> slice list
 
 val status : t -> now:float -> status
@@ -48,15 +44,8 @@ val alive : t -> now:float -> bool
 
 val find_slice : t -> slice:int -> slice option
 
-val pump_slice : t -> slice:int -> epoch:int -> Service.completion list
-(** {!Service.pump} on the resident body of [slice] if its epoch is
-    [epoch]; [[]] when there is no such body.  Allocates nothing when
-    the body has nothing due. *)
-
 val attach : t -> slice -> unit
 val detach : t -> slice:int -> slice option
-val drop : t -> slice:int -> unit
-(** [detach] + count as a fenced stale body. *)
 
 val crash : t -> now:float -> unit
 val restart : t -> unit

@@ -95,18 +95,17 @@ let send t ~now ~src ~dst payload =
     end
   end
 
-let next_delivery t = Heap.peek_time t.flight
+let next_delivery t = Heap.top_time t.flight
 
 let deliver t ~now =
   let rec drain acc =
-    match Heap.peek_time t.flight with
-    | Some time when time <= now -> (
+    if not (Heap.due t.flight ~now) then List.rev acc
+    else
       match Heap.pop t.flight with
       | Some (_, m) ->
         t.st.delivered <- t.st.delivered + 1;
         drain ((m.m_src, m.m_dst, m.m_payload) :: acc)
-      | None -> List.rev acc)
-    | _ -> List.rev acc
+      | None -> List.rev acc
   in
   drain []
 

@@ -82,8 +82,9 @@ val heal : 'a t -> src:addr -> dst:addr -> unit
 
 val partitioned : 'a t -> now:float -> src:addr -> dst:addr -> bool
 
-val next_delivery : 'a t -> float option
-(** Earliest in-flight delivery time; [None] when nothing is in flight. *)
+val next_delivery : 'a t -> float
+(** Earliest in-flight delivery time; [infinity] when nothing is in
+    flight.  Allocates nothing. *)
 
 val deliver : 'a t -> now:float -> (addr * addr * 'a) list
 (** Pop every message due at or before [now] as [(src, dst, payload)],

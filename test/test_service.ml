@@ -33,7 +33,7 @@ let test_heap_deterministic_order () =
   List.iter (fun (time, v) -> Heap.push h ~time v)
     [ (3.0, "late"); (1.0, "first"); (2.0, "mid"); (1.0, "second") ];
   check Alcotest.int "size" 4 (Heap.size h);
-  check (Alcotest.option (Alcotest.float 1e-9)) "peek" (Some 1.0) (Heap.peek_time h);
+  check (Alcotest.float 1e-9) "peek" 1.0 (Heap.top_time h);
   let drain = ref [] in
   let rec go () =
     match Heap.pop h with
@@ -43,7 +43,8 @@ let test_heap_deterministic_order () =
   go ();
   check Alcotest.(list string) "FIFO within equal times"
     [ "first"; "second"; "mid"; "late" ] (List.rev !drain);
-  check Alcotest.bool "empty after drain" true (Heap.is_empty h)
+  check Alcotest.bool "empty after drain" true (Heap.is_empty h);
+  check (Alcotest.float 0.) "empty top" infinity (Heap.top_time h)
 
 (* ------------------------------------------------------------------ *)
 (* Lease table: capacity, fencing, release epoch bump.                *)
@@ -795,13 +796,13 @@ let test_transport_deterministic_and_bounded () =
     done;
     let log = ref [] in
     let rec pump () =
-      match Transport.next_delivery tr with
-      | None -> ()
-      | Some at ->
+      let at = Transport.next_delivery tr in
+      if at < infinity then begin
         List.iter
           (fun (_, _, payload) -> log := (at, payload) :: !log)
           (Transport.deliver tr ~now:at);
         pump ()
+      end
     in
     pump ();
     check Alcotest.int "drained" 0 (Transport.in_flight tr);
@@ -1304,8 +1305,8 @@ let test_chaos_campaign_runner () =
     (C.failures no_ghosts (C.run no_ghosts ~sessions:300 ~seeds:[| 1L |]))
 
 (* ------------------------------------------------------------------ *)
-(* An idle pump is (nearly) free: the net path pumps every slice       *)
-(* before every event, and almost none has work.                       *)
+(* An idle pump is free: the net path pumps before every event, and   *)
+(* almost never has work.                                              *)
 
 (* Minor-heap words allocated by [calls] runs of [f], after one warm-up
    run.  [Gc.minor_words] is unboxed in native code, so the probe
@@ -1344,14 +1345,156 @@ let test_idle_router_pump_allocation () =
   done;
   time := 1.0;
   check Alcotest.int "nothing due" 0 (List.length (Router.pump r));
-  let calls = 1000 in
-  let words = minor_words ~calls (fun () -> Router.pump r) in
-  check Alcotest.bool
-    (Printf.sprintf "idle pump: %d words per call over %d slices, at most 2 per slice"
-       (words / calls) cfg.Router.slices)
-    true
-    (words <= 2 * cfg.Router.slices * calls);
+  check Alcotest.int "idle pump allocates no minor words" 0
+    (minor_words ~calls:1000 (fun () -> Router.pump r));
   check Alcotest.int "and changes nothing" 16 (Router.total_held r)
+
+(* ------------------------------------------------------------------ *)
+(* The router's wake guard: a pump it skips is one that would have    *)
+(* changed nothing, so work is never delayed past the pump that would *)
+(* have done it.                                                      *)
+
+let full_pumps r = (Router.stats r).Router.full_pumps
+
+(* [Net_churn.on_shard] serves a request on the body it finds in the
+   shard, without going through the router; the router must still hear
+   of the queued request. *)
+let test_wake_direct_body_op () =
+  let time, clock = manual_clock () in
+  let r =
+    Router.create ~clock ~seed:3L
+      (Router.make_config ~shards:1 ~slices:1 ~slice_capacity:2 ~high_water:1.5
+         ~auto_rebalance:false ())
+  in
+  let f1 = Router.fence_of_grant (grant_on r ~session:1 ~key:0) in
+  ignore (grant_on r ~session:2 ~key:0);
+  time := 1.0;
+  check Alcotest.int "nothing due" 0 (List.length (Router.pump r));
+  let before = full_pumps r in
+  ignore (Router.pump r);
+  check Alcotest.int "an idle pump is skipped" before (full_pumps r);
+  let body =
+    match Shard.find_slice (Router.shard r ~id:0) ~slice:0 with
+    | Some sl -> sl.Shard.sl_svc
+    | None -> Alcotest.fail "no resident body"
+  in
+  let ticket =
+    match Service.acquire body ~session:3 with
+    | Service.Queued ticket -> ticket
+    | _ -> Alcotest.fail "at capacity the request must queue"
+  in
+  (match Service.release body ~fence:f1.Router.gf_fence with
+  | Ok _ -> ()
+  | Error `Fenced -> Alcotest.fail "live release fenced");
+  time := 1.5;
+  match Router.pump r with
+  | [ { Router.c_done = Service.Done { ticket = t; session = 3; _ }; _ } ] ->
+    check Alcotest.int "the queued ticket" ticket t
+  | _ -> Alcotest.fail "the first pump after capacity frees must grant the queued request"
+
+(* The smallest clock reading at which [now -. last > suspicion]. *)
+let first_past ~last ~suspicion =
+  let past x = x -. last > suspicion in
+  let rec down x = if past (Float.pred x) then down (Float.pred x) else x in
+  let rec up x = if past x then down x else up (Float.succ x) in
+  up (last +. suspicion)
+
+let test_wake_detector_deadline () =
+  let time, r = router_fixture () in
+  Router.enable_detector r ~suspicion:0.2;
+  time := 0.1;
+  for shard = 0 to 3 do
+    Router.heartbeat r ~shard ~incarnation:0
+  done;
+  ignore (Router.pump r);
+  let deadline = first_past ~last:0.1 ~suspicion:0.2 in
+  time := 0.2;
+  ignore (Router.pump r);
+  time := Float.pred deadline;
+  ignore (Router.pump r);
+  check Alcotest.bool "not suspected at the last reading within suspicion" false
+    (Router.suspected r ~shard:0);
+  time := deadline;
+  ignore (Router.pump r);
+  check Alcotest.bool "suspected on the first pump past last + suspicion" true
+    (Router.suspected r ~shard:0)
+
+let test_wake_stall_end () =
+  let time, r = router_fixture () in
+  ignore (grant_on r ~session:1 ~key:0);
+  time := 1.0;
+  ignore (Router.pump r);
+  (* Shorter than the grace: the slice stays with the stalled shard. *)
+  Router.stall_shard r ~id:0 ~until:11.0;
+  List.iter
+    (fun at ->
+      time := at;
+      ignore (Router.pump r);
+      check Alcotest.int (Printf.sprintf "stalled at %g: nothing reclaimed" at) 1
+        (Router.total_held r))
+    [ 1.0; 10.0; 10.5; Float.pred 11.0 ];
+  time := 11.0;
+  ignore (Router.pump r);
+  check Alcotest.int "the overdue lease is reclaimed on the first pump at [until]" 0
+    (Router.total_held r)
+
+let two_shard_router () =
+  let time, clock = manual_clock () in
+  ( time,
+    Router.create ~clock ~seed:5L
+      (Router.make_config ~shards:2 ~slices:2 ~ttl:10.0 ~grace:12.0 ~auto_rebalance:false ()) )
+
+(* A restart made on the shard itself, as [Net_churn] makes it, lets a
+   stranded orphan be adopted on the next pump. *)
+let test_wake_shard_restart () =
+  let time, r = two_shard_router () in
+  Router.crash_shard r ~id:0;
+  Router.crash_shard r ~id:1;
+  time := 13.0;
+  ignore (Router.pump r);
+  check Alcotest.(option int) "no shard left to adopt" None (Router.owner r ~slice:0);
+  time := 14.0;
+  let before = full_pumps r in
+  ignore (Router.pump r);
+  check Alcotest.int "a stranded orphan does not keep every pump full" before (full_pumps r);
+  Shard.restart (Router.shard r ~id:0);
+  ignore (Router.pump r);
+  check Alcotest.(option int) "adopted on the next pump" (Some 0) (Router.owner r ~slice:0)
+
+(* Shard 1 restarts amnesiac but stays unavailable until its first
+   heartbeat reaches the detector; that heartbeat re-owns nothing, yet
+   it makes shard 1 an adopter. *)
+let test_wake_heartbeat () =
+  let time, r = two_shard_router () in
+  Router.enable_detector r ~suspicion:1.0;
+  Shard.crash (Router.shard r ~id:0) ~now:0.0;
+  Shard.crash (Router.shard r ~id:1) ~now:0.0;
+  time := 2.0;
+  ignore (Router.pump r);
+  Shard.restart (Router.shard r ~id:1);
+  time := 14.0;
+  ignore (Router.pump r);
+  check Alcotest.(option int) "nobody available to adopt" None (Router.owner r ~slice:0);
+  Router.heartbeat r ~shard:1 ~incarnation:1;
+  ignore (Router.pump r);
+  check Alcotest.(option int) "adopted on the next pump" (Some 1) (Router.owner r ~slice:0)
+
+let test_wake_handoff () =
+  let time, r = router_fixture () in
+  ignore (grant_on r ~session:1 ~key:0);
+  time := 1.0;
+  ignore (Router.pump r);
+  ignore (Router.pump r);
+  (match Router.begin_handoff r ~slice:0 ~to_:1 with
+  | Ok () -> ()
+  | Error `Unavailable -> Alcotest.fail "handoff refused");
+  ignore (Router.pump r);
+  check Alcotest.bool "a same-instant pump leaves it in transit" true
+    (Router.in_transit r <> []);
+  time := Float.succ 1.0;
+  ignore (Router.pump r);
+  check Alcotest.(option int) "moved on the next strictly later pump" (Some 1)
+    (Router.owner r ~slice:0)
 
 let tests =
   [
@@ -1408,6 +1551,13 @@ let tests =
         Alcotest.test_case "idle service pump allocates nothing" `Quick
           test_idle_service_pump_allocates_nothing;
         Alcotest.test_case "idle router pump allocation" `Quick test_idle_router_pump_allocation;
+        Alcotest.test_case "wake: a direct body op wakes the router" `Quick
+          test_wake_direct_body_op;
+        Alcotest.test_case "wake: detector deadline" `Quick test_wake_detector_deadline;
+        Alcotest.test_case "wake: stall end" `Quick test_wake_stall_end;
+        Alcotest.test_case "wake: handoff" `Quick test_wake_handoff;
+        Alcotest.test_case "wake: shard restart" `Quick test_wake_shard_restart;
+        Alcotest.test_case "wake: heartbeat" `Quick test_wake_heartbeat;
         QCheck_alcotest.to_alcotest qcheck_compact_preserves_pop_order;
         QCheck_alcotest.to_alcotest qcheck_expiry_monotone;
         QCheck_alcotest.to_alcotest qcheck_reclaim_never_revokes_renewed;
