@@ -7,20 +7,30 @@ type stats = {
 
 type 'r entry = { mutable e_seq : int; mutable e_reply : 'r option; mutable e_touched : float }
 
-type 'r t = { window : float; table : (int, 'r entry) Hashtbl.t; st : stats }
+(* Keyed by client id: small non-negative ints, so the id is its own
+   hash and lookups compare ints directly rather than through the
+   polymorphic hash and compare. *)
+module Clients = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+type 'r t = { window : float; table : 'r entry Clients.t; st : stats }
 
 let create ?(window = infinity) () =
   if window <= 0. then invalid_arg "Dedup.create: window must be > 0";
   {
     window;
-    table = Hashtbl.create 64;
+    table = Clients.create 64;
     st = { fresh = 0; replays = 0; stale = 0; evictions = 0 };
   }
 
 type 'r verdict = Fresh | Replay of 'r | Stale
 
 let admit t ~client ~seq ~now =
-  match Hashtbl.find_opt t.table client with
+  match Clients.find_opt t.table client with
   | None ->
     t.st.fresh <- t.st.fresh + 1;
     Fresh
@@ -42,19 +52,19 @@ let admit t ~client ~seq ~now =
     end
 
 let record t ~client ~seq ~now reply =
-  match Hashtbl.find_opt t.table client with
+  match Clients.find_opt t.table client with
   | Some e when seq >= e.e_seq ->
     e.e_seq <- seq;
     e.e_reply <- Some reply;
     e.e_touched <- now
   | Some _ -> ()  (* stale execution result: never regress the window *)
-  | None -> Hashtbl.replace t.table client { e_seq = seq; e_reply = Some reply; e_touched = now }
+  | None -> Clients.replace t.table client { e_seq = seq; e_reply = Some reply; e_touched = now }
 
 let sweep t ~now =
   if t.window = infinity then 0
   else begin
     let doomed =
-      Hashtbl.fold
+      Clients.fold
         (fun client e acc -> if now -. e.e_touched > t.window then client :: acc else acc)
         t.table []
     in
@@ -62,11 +72,11 @@ let sweep t ~now =
        unspecified); the count is what callers observe but determinism
        is a repo-wide invariant. *)
     let doomed = List.sort compare doomed in
-    List.iter (Hashtbl.remove t.table) doomed;
+    List.iter (Clients.remove t.table) doomed;
     let n = List.length doomed in
     t.st.evictions <- t.st.evictions + n;
     n
   end
 
-let entries t = Hashtbl.length t.table
+let entries t = Clients.length t.table
 let stats t = t.st

@@ -21,7 +21,7 @@ type t = {
   holders : int array;  (* session id, or -1 when free *)
   expiries : float array;  (* valid only while held *)
   grant_times : float array;
-  expiry_queue : (int * int) Heap.t;  (* (name, epoch) — lazy deletion *)
+  expiry_queue : int Heap.t;  (* name, with its epoch as aux — lazy deletion *)
   mutable n_held : int;
   mutable compactions : int;
 }
@@ -58,7 +58,7 @@ let grant_slot t ~name ~session ~now =
   t.grant_times.(name) <- now;
   t.n_held <- t.n_held + 1;
   let fence = { f_name = name; f_session = session; f_epoch = t.epochs.(name) } in
-  Heap.push t.expiry_queue ~time:t.expiries.(name) (name, fence.f_epoch);
+  Heap.push t.expiry_queue ~time:t.expiries.(name) ~aux:fence.f_epoch name;
   fence
 
 let acquire t ~session ~now ~rng =
@@ -89,7 +89,7 @@ let acquire t ~session ~now ~rng =
 (* A heap entry is live iff it is the slot's *current* expiry under the
    current epoch: renewed, released and reclaimed leases all leave dead
    entries behind (lazy deletion), which compaction discards. *)
-let entry_live t ~time (name, epoch) =
+let entry_live t ~time ~aux:epoch name =
   t.epochs.(name) = epoch && t.holders.(name) >= 0 && t.expiries.(name) = time
 
 let compaction_due t =
@@ -98,7 +98,7 @@ let compaction_due t =
 
 let maybe_compact t =
   if compaction_due t then begin
-    Heap.compact t.expiry_queue ~live:(fun ~time v -> entry_live t ~time v);
+    Heap.compact t.expiry_queue ~live:(fun ~time ~aux name -> entry_live t ~time ~aux name);
     t.compactions <- t.compactions + 1
   end
 
@@ -107,7 +107,7 @@ let renew t ~fence ~now =
   else begin
     let expiry = now +. t.cfg.ttl in
     t.expiries.(fence.f_name) <- expiry;
-    Heap.push t.expiry_queue ~time:expiry (fence.f_name, fence.f_epoch);
+    Heap.push t.expiry_queue ~time:expiry ~aux:fence.f_epoch fence.f_name;
     maybe_compact t;
     Ok expiry
   end
@@ -132,26 +132,26 @@ type reclaimed = { r_fence : fence; r_expired_at : float; r_lateness : float }
 let reclaim_expired t ~now =
   let rec drain acc =
     if not (Heap.due t.expiry_queue ~now) then List.rev acc
-    else
-      match Heap.pop t.expiry_queue with
-      | None -> List.rev acc
-      | Some (_, (name, epoch)) ->
-        if t.epochs.(name) <> epoch || t.holders.(name) < 0 then
-          (* Stale entry: the lease was renewed, released, or already
-             reclaimed since this heap entry was pushed. *)
-          drain acc
-        else if t.expiries.(name) > now then
-          (* Renewed to a later expiry under the same epoch — the newer
-             heap entry will cover it. *)
-          drain acc
-        else begin
-          let expired_at = t.expiries.(name) in
-          let fence = { f_name = name; f_session = t.holders.(name); f_epoch = epoch } in
-          free_slot t ~name;
-          drain
-            ({ r_fence = fence; r_expired_at = expired_at; r_lateness = now -. expired_at }
-            :: acc)
-        end
+    else begin
+      let epoch = Heap.top_aux t.expiry_queue in
+      let name = Heap.take t.expiry_queue in
+      if t.epochs.(name) <> epoch || t.holders.(name) < 0 then
+        (* Stale entry: the lease was renewed, released, or already
+           reclaimed since this heap entry was pushed. *)
+        drain acc
+      else if t.expiries.(name) > now then
+        (* Renewed to a later expiry under the same epoch — the newer
+           heap entry will cover it. *)
+        drain acc
+      else begin
+        let expired_at = t.expiries.(name) in
+        let fence = { f_name = name; f_session = t.holders.(name); f_epoch = epoch } in
+        free_slot t ~name;
+        drain
+          ({ r_fence = fence; r_expired_at = expired_at; r_lateness = now -. expired_at }
+          :: acc)
+      end
+    end
   in
   let reclaimed = drain [] in
   maybe_compact t;
@@ -161,6 +161,8 @@ let holder t ~name =
   if name < 0 || name >= t.n_slots then None
   else if t.holders.(name) < 0 then None
   else Some t.holders.(name)
+
+let due t ~now = compaction_due t || Heap.due t.expiry_queue ~now
 
 let next_due t = if compaction_due t then neg_infinity else Heap.top_time t.expiry_queue
 

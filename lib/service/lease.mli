@@ -69,12 +69,18 @@ val reclaim_expired : t -> now:float -> reclaimed list
     leases are skipped (their heap entries are stale — lazy deletion);
     reclaimed slots get an epoch bump and return to the free pool. *)
 
+val due : t -> now:float -> bool
+(** Whether {!reclaim_expired} [~now] has work: the expiry heap is due
+    for compaction, or its smallest entry (live or dead) expires at or
+    before [now].  When false, [reclaim_expired t ~now] returns [[]]
+    and changes nothing.  A [bool] so that hot callers (every service
+    operation, every pump) box no float; allocation-free. *)
+
 val next_due : t -> float
-(** The earliest [now] at which {!reclaim_expired} has work:
-    [neg_infinity] when the expiry heap is due for compaction, else the
-    time of its smallest entry (live or dead), [infinity] when it is
-    empty.  Before that instant [reclaim_expired t ~now] returns [[]]
-    and changes nothing.  Allocation-free. *)
+(** The earliest [now] at which {!due} holds: [neg_infinity] when the
+    expiry heap is due for compaction, else the time of its smallest
+    entry, [infinity] when it is empty.  Boxes its result (two words),
+    so the idle checks ask {!due} instead. *)
 
 val holder : t -> name:int -> int option
 (** Session currently holding [name], if any (for auditing). *)

@@ -138,17 +138,19 @@ let note_held t =
 (* Every entry point reclaims first: expiry work is driven by whoever
    touches the service, so no background thread is needed and the
    auditor always sees reclaims before any operation at the same
-   instant could observe the freed slot. *)
+   instant could observe the freed slot.  Nothing due (the common case)
+   returns before the closure and the list are built. *)
 let reclaim t ~now =
-  List.iter
-    (fun (r : Lease.reclaimed) ->
-      observe t ~now
-        (Audit.Reclaimed { fence = r.Lease.r_fence; expired_at = r.Lease.r_expired_at });
-      t.st.reclaims <- t.st.reclaims + 1;
-      bump t (fun c -> c.c_reclaims);
-      note_held t;
-      Hist.observe t.h_reclaim (centiticks r.Lease.r_lateness))
-    (Lease.reclaim_expired t.lease ~now)
+  if Lease.due t.lease ~now then
+    List.iter
+      (fun (r : Lease.reclaimed) ->
+        observe t ~now
+          (Audit.Reclaimed { fence = r.Lease.r_fence; expired_at = r.Lease.r_expired_at });
+        t.st.reclaims <- t.st.reclaims + 1;
+        bump t (fun c -> c.c_reclaims);
+        note_held t;
+        Hist.observe t.h_reclaim (centiticks r.Lease.r_lateness))
+      (Lease.reclaim_expired t.lease ~now)
 
 (* Callers must ensure [held < capacity]; the lease table then cannot
    refuse (the probe cap falls back to a sweep over a non-full table). *)
@@ -279,10 +281,12 @@ let pump_due t ~now =
   completions
 
 (* Before [next_due] every step of [pump_due] is a no-op, so the pump
-   returns before touching anything. *)
+   returns before touching anything.  The test is [next_due <= now]
+   asked as bools: a float [next_due] would be boxed on the way back
+   from [Lease]. *)
 let pump t =
   let now = Clock.now t.clock in
-  if now < next_due t then [] else pump_due t ~now
+  if Admission.depth t.admission > 0 || Lease.due t.lease ~now then pump_due t ~now else []
 
 let stats t = t.st
 let held t = Lease.held t.lease

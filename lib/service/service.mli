@@ -78,14 +78,20 @@ val pump : t -> completion list
 
     Before {!next_due}, [pump] returns [[]] and changes nothing: no
     statistic, histogram, counter or audit event moves.  That check is
-    all an idle pump costs; it allocates nothing. *)
+    all an idle pump costs, and it allocates nothing: it reads the queue
+    depth and asks {!Lease.due}, a [bool], rather than comparing with
+    the float {!next_due}, which would come back boxed.
+
+    The client operations make the same check before reclaiming: with
+    nothing due they build no list and no closure for it. *)
 
 val next_due : t -> float
 (** The earliest clock reading at which {!pump} has work:
     [neg_infinity] while the admission queue is non-empty or the expiry
     heap is due for compaction, otherwise the expiry heap's smallest
     entry ({!Lease.next_due}), or [infinity] when the heap is empty.
-    O(1) and allocation-free. *)
+    O(1); the result is boxed (two words), so the idle checks in {!pump}
+    and before a reclaim ask {!Lease.due} instead. *)
 
 (** {2 Introspection} *)
 

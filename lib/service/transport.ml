@@ -1,5 +1,3 @@
-module Sample = Renaming_rng.Sample
-
 type addr = Client of int | Router | Shard of int
 
 type faults = {
@@ -40,12 +38,25 @@ type stats = {
   mutable blocked : int;
 }
 
-type 'a msg = { m_src : addr; m_dst : addr; m_payload : 'a }
+(* In flight, a message is its payload in the heap's value column and
+   its two addresses packed into the [aux] column as codes: [Router] is
+   0, [Shard s] is [2s + 1] and [Client i] is [2i + 2].  [addrs] maps a
+   code back to an address value sent earlier, so decoding allocates
+   nothing. *)
+let code_bits = 31
+
+let code =
+  let index i =
+    if i < 0 || i >= 1 lsl 29 then invalid_arg "Transport.send: address index out of range";
+    2 * i
+  in
+  function Router -> 0 | Shard s -> index s + 1 | Client i -> index i + 2
 
 type 'a t = {
   faults : faults;
   rng : Renaming_rng.Xoshiro.t;
-  flight : 'a msg Heap.t;
+  flight : 'a Heap.t;
+  mutable addrs : addr array;
   mutable partitions : (addr * addr * float) list;
   st : stats;
 }
@@ -55,6 +66,7 @@ let create ?(faults = perfect) ~rng () =
     faults;
     rng;
     flight = Heap.create ();
+    addrs = Array.make 16 Router;
     partitions = [];
     st =
       { sent = 0; delivered = 0; dropped = 0; duplicated = 0; reordered = 0; blocked = 0 };
@@ -69,45 +81,73 @@ let partition t ~src ~dst ~until =
 let heal t ~src ~dst =
   t.partitions <- List.filter (fun (s, d, _) -> (s, d) <> (src, dst)) t.partitions
 
-let partitioned t ~now ~src ~dst =
-  List.exists (fun (s, d, until) -> s = src && d = dst && now < until) t.partitions
+let rec blocked_by ~now ~src ~dst = function
+  | [] -> false
+  | (s, d, until) :: rest -> (s = src && d = dst && now < until) || blocked_by ~now ~src ~dst rest
 
-let sample_delay t =
+let partitioned t ~now ~src ~dst = blocked_by ~now ~src ~dst t.partitions
+
+(* Remember [a] under its code, so that a delivery can hand it back. *)
+let intern t a =
+  let c = code a in
+  let n = Array.length t.addrs in
+  if c >= n then begin
+    let addrs = Array.make (max (c + 1) (2 * n)) Router in
+    Array.blit t.addrs 0 addrs 0 n;
+    t.addrs <- addrs
+  end;
+  if c <> 0 && t.addrs.(c) == Router then t.addrs.(c) <- a;
+  c
+
+(* [Renaming_rng.Sample.float_unit] and [Sample.bernoulli], written out
+   here: the same draw and the same arithmetic, but a float returned
+   from [Sample] would be boxed. *)
+let[@inline] float_unit t =
+  float_of_int (Renaming_rng.Xoshiro.next_int63 t.rng lsr 9) *. 0x1.0p-53
+
+let[@inline] bernoulli t p = float_unit t < p
+
+(* The delivery time of one copy: a uniform delay, plus the reorder
+   extra with probability [reorder]. *)
+let[@inline] arrival t ~now =
   let f = t.faults in
-  let base = f.delay_min +. (Sample.float_unit t.rng *. (f.delay_max -. f.delay_min)) in
-  if f.reorder > 0. && Sample.bernoulli t.rng f.reorder then begin
+  let base = f.delay_min +. (float_unit t *. (f.delay_max -. f.delay_min)) in
+  if f.reorder > 0. && bernoulli t f.reorder then begin
     t.st.reordered <- t.st.reordered + 1;
-    base +. (Sample.float_unit t.rng *. f.reorder_extra)
+    now +. (base +. (float_unit t *. f.reorder_extra))
   end
-  else base
+  else now +. base
 
 let send t ~now ~src ~dst payload =
-  if partitioned t ~now ~src ~dst then t.st.blocked <- t.st.blocked + 1
-  else if t.faults.drop > 0. && Sample.bernoulli t.rng t.faults.drop then
+  if blocked_by ~now ~src ~dst t.partitions then t.st.blocked <- t.st.blocked + 1
+  else if t.faults.drop > 0. && bernoulli t t.faults.drop then
     t.st.dropped <- t.st.dropped + 1
   else begin
-    let msg = { m_src = src; m_dst = dst; m_payload = payload } in
-    Heap.push t.flight ~time:(now +. sample_delay t) msg;
+    let aux = (intern t src lsl code_bits) lor intern t dst in
+    Heap.push t.flight ~time:(arrival t ~now) ~aux payload;
     t.st.sent <- t.st.sent + 1;
-    if t.faults.duplicate > 0. && Sample.bernoulli t.rng t.faults.duplicate then begin
-      Heap.push t.flight ~time:(now +. sample_delay t) msg;
+    if t.faults.duplicate > 0. && bernoulli t t.faults.duplicate then begin
+      Heap.push t.flight ~time:(arrival t ~now) ~aux payload;
       t.st.duplicated <- t.st.duplicated + 1
     end
   end
 
 let next_delivery t = Heap.top_time t.flight
 
-let deliver t ~now =
-  let rec drain acc =
-    if not (Heap.due t.flight ~now) then List.rev acc
-    else
-      match Heap.pop t.flight with
-      | Some (_, m) ->
-        t.st.delivered <- t.st.delivered + 1;
-        drain ((m.m_src, m.m_dst, m.m_payload) :: acc)
-      | None -> List.rev acc
-  in
-  drain []
+let delivers_first t heap = Heap.top_le t.flight heap
+
+let delivery_after t ~now = Heap.top_after t.flight ~now
+
+(* Only messages pushed before entry: one sent from inside [f] waits for
+   the next call, even when it is due already. *)
+let deliver t ~now f =
+  let bound = Heap.pushed t.flight in
+  while Heap.due_before t.flight ~now ~seq:bound do
+    let aux = Heap.top_aux t.flight in
+    let payload = Heap.take t.flight in
+    t.st.delivered <- t.st.delivered + 1;
+    f t.addrs.(aux lsr code_bits) t.addrs.(aux land ((1 lsl code_bits) - 1)) payload
+  done
 
 let in_flight t = Heap.size t.flight
 let stats t = t.st

@@ -71,6 +71,11 @@ val max_delay : 'a t -> float
     flight longer than this. *)
 
 val send : 'a t -> now:float -> src:addr -> dst:addr -> 'a -> unit
+(** Subject to the faults, put [payload] in flight.  The fault and delay
+    draws are made in a fixed order (drop, delay, reorder, then
+    duplicate and the copy's delay), so the send sequence and the seed
+    fix every delivery.  Raises [Invalid_argument] for a [Client] or
+    [Shard] index outside [[0, 2^29)]. *)
 
 val partition : 'a t -> src:addr -> dst:addr -> until:float -> unit
 (** Discard messages sent from [src] to [dst] until [until] (checked at
@@ -84,11 +89,30 @@ val partitioned : 'a t -> now:float -> src:addr -> dst:addr -> bool
 
 val next_delivery : 'a t -> float
 (** Earliest in-flight delivery time; [infinity] when nothing is in
-    flight.  Allocates nothing. *)
+    flight.  Boxes its result (see {!Heap}); an event loop asks
+    {!delivers_first} and {!delivery_after} instead. *)
 
-val deliver : 'a t -> now:float -> (addr * addr * 'a) list
-(** Pop every message due at or before [now] as [(src, dst, payload)],
-    in deterministic [(time, send seq)] order. *)
+val delivers_first : 'a t -> 'b Heap.t -> bool
+(** [delivers_first t heap] is [next_delivery t <= Heap.top_time heap],
+    an empty side counting as [infinity], decided without boxing a
+    float: the merge test of an event loop that lets a delivery go
+    before a timer due at the same instant. *)
+
+val delivery_after : 'a t -> now:float -> bool
+(** A message is in flight and its delivery time is [> now]. *)
+
+val deliver : 'a t -> now:float -> (addr -> addr -> 'a -> unit) -> unit
+(** [deliver t ~now f] calls [f src dst payload] for every message due
+    at or before [now], in deterministic [(time, send seq)] order.
+
+    The drain is bounded at entry: it delivers only messages sent before
+    the call.  A message [f] sends is not delivered by this call, even
+    with zero delay; it arrives on the next call whose [now] reaches
+    it.  (A caller that never sends with a [now] earlier than the
+    drain's gets exactly the messages that were due at entry.)
+
+    Builds no list and no record per message: the addresses handed to
+    [f] are values passed to {!send} earlier. *)
 
 val in_flight : 'a t -> int
 val stats : 'a t -> stats

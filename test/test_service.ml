@@ -26,25 +26,35 @@ let manual_clock () =
   (t, Clock.of_fn ~label:"test-manual" (fun () -> !t))
 
 (* ------------------------------------------------------------------ *)
-(* Heap: deterministic pop order, ties broken by insertion sequence.  *)
+(* Heap: deterministic take order, ties broken by push sequence.     *)
+
+(* Take every entry, smallest [(time, seq)] first, as (time, aux, value). *)
+let heap_drain h =
+  let out = ref [] in
+  while not (Heap.is_empty h) do
+    let time = Heap.top_time h and aux = Heap.top_aux h in
+    out := (time, aux, Heap.take h) :: !out
+  done;
+  List.rev !out
 
 let test_heap_deterministic_order () =
   let h = Heap.create () in
-  List.iter (fun (time, v) -> Heap.push h ~time v)
+  List.iteri (fun aux (time, v) -> Heap.push h ~time ~aux v)
     [ (3.0, "late"); (1.0, "first"); (2.0, "mid"); (1.0, "second") ];
   check Alcotest.int "size" 4 (Heap.size h);
   check (Alcotest.float 1e-9) "peek" 1.0 (Heap.top_time h);
-  let drain = ref [] in
-  let rec go () =
-    match Heap.pop h with
-    | Some (_, v) -> drain := v :: !drain; go ()
-    | None -> ()
-  in
-  go ();
+  check Alcotest.int "peek aux" 1 (Heap.top_aux h);
+  let drained = heap_drain h in
   check Alcotest.(list string) "FIFO within equal times"
-    [ "first"; "second"; "mid"; "late" ] (List.rev !drain);
+    [ "first"; "second"; "mid"; "late" ] (List.map (fun (_, _, v) -> v) drained);
+  check Alcotest.(list int) "aux travels with its entry" [ 1; 3; 2; 0 ]
+    (List.map (fun (_, aux, _) -> aux) drained);
   check Alcotest.bool "empty after drain" true (Heap.is_empty h);
-  check (Alcotest.float 0.) "empty top" infinity (Heap.top_time h)
+  check (Alcotest.float 0.) "empty top" infinity (Heap.top_time h);
+  check Alcotest.int "pushed counts every push" 4 (Heap.pushed h);
+  match Heap.take h with
+  | _ -> Alcotest.fail "take on an empty heap must raise"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lease table: capacity, fencing, release epoch bump.                *)
@@ -477,47 +487,86 @@ let qcheck_stale_fence_never_writes =
 
 let test_heap_compact_preserves_order () =
   let h = Heap.create () in
-  List.iter (fun (t, v) -> Heap.push h ~time:t v)
+  List.iter (fun (t, v) -> Heap.push h ~time:t ~aux:(10 * v) v)
     [ (3.0, 0); (1.0, 1); (2.0, 2); (1.0, 3); (2.0, 4); (5.0, 5) ];
   (* Keep the odd values; note 1 and 3 tie on time and must stay in
      insertion order after compaction. *)
-  Heap.compact h ~live:(fun ~time:_ v -> v mod 2 = 1);
+  Heap.compact h ~live:(fun ~time:_ ~aux v -> v mod 2 = 1 && aux = 10 * v);
   check Alcotest.int "compacted size" 3 (Heap.size h);
-  let drain = ref [] in
-  let rec go () =
-    match Heap.pop h with Some (_, v) -> drain := v :: !drain; go () | None -> ()
-  in
-  go ();
-  check Alcotest.(list int) "pop order of survivors" [ 1; 3; 5 ] (List.rev !drain)
+  check Alcotest.(list int) "take order of survivors" [ 1; 3; 5 ]
+    (List.map (fun (_, _, v) -> v) (heap_drain h))
 
 let qcheck_compact_preserves_pop_order =
   QCheck.Test.make ~count:300 ~name:"heap compaction preserves pop order"
     QCheck.(small_list (pair (int_range 0 12) bool))
     (fun entries ->
       (* Two heaps with identical push sequences; one is compacted to
-         its live subset.  Popping both must agree on the live entries,
+         its live subset.  Draining both must agree on the live entries,
          ties and all — compaction may not disturb (time, seq) keys. *)
       let reference = Heap.create () in
       let compacted = Heap.create () in
       List.iteri
         (fun i (t, alive) ->
           let time = float_of_int t in
-          Heap.push reference ~time (i, alive);
-          Heap.push compacted ~time (i, alive))
+          Heap.push reference ~time ~aux:i alive;
+          Heap.push compacted ~time ~aux:i alive)
         entries;
-      Heap.compact compacted ~live:(fun ~time:_ (_, alive) -> alive);
-      let drain h =
-        let out = ref [] in
-        let rec go () =
-          match Heap.pop h with Some (t, v) -> out := (t, v) :: !out; go () | None -> ()
-        in
-        go ();
-        List.rev !out
-      in
-      let live_reference =
-        List.filter (fun (_, (_, alive)) -> alive) (drain reference)
-      in
-      drain compacted = live_reference)
+      Heap.compact compacted ~live:(fun ~time:_ ~aux:_ alive -> alive);
+      let live_reference = List.filter (fun (_, _, alive) -> alive) (heap_drain reference) in
+      heap_drain compacted = live_reference)
+
+(* The heap against a reference list kept sorted by (time, push seq),
+   over random runs of pushes, takes and compactions. *)
+type heap_op = Push of int | Take | Compact of int
+
+let qcheck_heap_differential =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun t -> Push t) (int_range 0 9));
+          (4, return Take);
+          (* [Compact 1] drops every entry and shrinks the columns. *)
+          (1, map (fun m -> Compact m) (int_range 1 4));
+        ])
+  in
+  let print = function
+    | Push t -> Printf.sprintf "push %d" t
+    | Take -> "take"
+    | Compact m -> Printf.sprintf "compact %d" m
+  in
+  QCheck.Test.make ~count:500 ~name:"heap: takes in (time, push seq) order, like a sorted list"
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let h = Heap.create () in
+      (* (time, seq, value), sorted; value = seq, aux = 7 * seq. *)
+      let model = ref [] and seq = ref 0 in
+      let key (t, s, _) = (t, s) in
+      List.iter
+        (fun op ->
+          match op with
+          | Push t ->
+            let time = float_of_int t /. 4. in
+            Heap.push h ~time ~aux:(7 * !seq) !seq;
+            model := List.merge (fun a b -> compare (key a) (key b)) !model [ (time, !seq, !seq) ];
+            incr seq
+          | Take -> (
+            match !model with
+            | [] ->
+              if not (Heap.is_empty h) then QCheck.Test.fail_report "model empty, heap not"
+            | (time, s, v) :: rest ->
+              model := rest;
+              if Heap.top_time h <> time then QCheck.Test.fail_report "top_time";
+              if Heap.top_aux h <> 7 * s then QCheck.Test.fail_report "top_aux";
+              if Heap.take h <> v then QCheck.Test.fail_report "take order")
+          | Compact m ->
+            let live ~time:_ ~aux v = aux = 7 * v && v mod m <> 0 in
+            Heap.compact h ~live;
+            model := List.filter (fun (_, _, v) -> v mod m <> 0) !model)
+        ops;
+      Heap.size h = List.length !model
+      && Heap.pushed h = !seq
+      && heap_drain h = List.map (fun (t, s, v) -> (t, 7 * s, v)) !model)
 
 let test_lease_heap_compaction () =
   let rng = Xoshiro.create 11L in
@@ -798,9 +847,10 @@ let test_transport_deterministic_and_bounded () =
     let rec pump () =
       let at = Transport.next_delivery tr in
       if at < infinity then begin
-        List.iter
-          (fun (_, _, payload) -> log := (at, payload) :: !log)
-          (Transport.deliver tr ~now:at);
+        Transport.deliver tr ~now:at (fun src dst payload ->
+            if src <> Transport.Client payload || dst <> Transport.Router then
+              Alcotest.fail "addresses must come back as sent";
+            log := (at, payload) :: !log);
         pump ()
       end
     in
@@ -826,6 +876,29 @@ let test_transport_deterministic_and_bounded () =
       check Alcotest.bool "within max_delay of the send" true
         (at -. sent_at <= 0.8 +. 1e-9))
     log_a
+
+(* A drain delivers what was in flight when it began: a zero-delay
+   message sent from the handler waits for the next call. *)
+let test_transport_drain_boundary () =
+  let tr = Transport.create ~faults:Transport.perfect ~rng:(Xoshiro.create 5L) () in
+  Transport.send tr ~now:1.0 ~src:(Transport.Client 0) ~dst:(Transport.Shard 3) "ping";
+  let got = ref [] in
+  let handler src dst payload =
+    got := (src, dst, payload) :: !got;
+    if payload = "ping" then Transport.send tr ~now:1.0 ~src:dst ~dst:src "pong"
+  in
+  Transport.deliver tr ~now:1.0 handler;
+  check Alcotest.int "only the ping in the first drain" 1 (List.length !got);
+  check Alcotest.int "the pong is in flight" 1 (Transport.in_flight tr);
+  check Alcotest.bool "and due already" false (Transport.delivery_after tr ~now:1.0);
+  Transport.deliver tr ~now:1.0 handler;
+  check Alcotest.bool "the pong arrives on the next call, back to the sender" true
+    (List.rev !got
+    = [
+        (Transport.Client 0, Transport.Shard 3, "ping");
+        (Transport.Shard 3, Transport.Client 0, "pong");
+      ]);
+  check Alcotest.int "drained" 0 (Transport.in_flight tr)
 
 let test_transport_partition_directional () =
   let tr = Transport.create ~rng:(Xoshiro.create 5L) () in
@@ -1349,6 +1422,186 @@ let test_idle_router_pump_allocation () =
     (minor_words ~calls:1000 (fun () -> Router.pump r));
   check Alcotest.int "and changes nothing" 16 (Router.total_held r)
 
+(* Once its columns have grown, the heap moves entries within them: a
+   push and a take allocate nothing.  [time] is a float constant, so
+   passing it boxes nothing either. *)
+let test_heap_steady_state_allocation () =
+  let h = Heap.create () in
+  for i = 0 to 99 do
+    Heap.push h ~time:(float_of_int (i mod 7)) ~aux:i i
+  done;
+  let time = 3.5 in
+  check Alcotest.int "push + take allocate no minor words" 0
+    (minor_words ~calls:1000 (fun () ->
+         Heap.push h ~time ~aux:1 7;
+         Heap.take h));
+  check Alcotest.int "and keep the size" 100 (Heap.size h)
+
+(* The net-lossy configuration of the end-to-end benchmark (without its
+   refinement tap and telemetry), at a pinned seed.  The driver loop,
+   the transport and the heaps allocate nothing per message, and a
+   session costs about 1,520 minor words.  The budget sits just above
+   that, so a change that puts a list, a closure or a boxed float back
+   on the per-message path fails here before it shows in the
+   benchmark. *)
+let test_net_churn_allocation_budget () =
+  let cfg =
+    Net_churn.make_config ~sessions_target:300
+      ~faults:
+        (Transport.make_faults ~drop:0.05 ~duplicate:0.05 ~reorder:0.1 ~reorder_extra:0.05 ())
+      ~renew_every:0.5 ()
+  in
+  let before = Gc.minor_words () in
+  let s = Net_churn.run cfg ~seed:1L in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "sessions" 300 s.Net_churn.sessions;
+  let per_session = int_of_float (words /. float_of_int s.Net_churn.sessions) in
+  if per_session > 1_600 then
+    Alcotest.failf "%d minor words a session, over the budget of 1600" per_session
+
+(* [Net_churn] samples [Router.total_held] only after a step that
+   granted, which is exact only if the total never rises without a
+   grant.  Random scripts of router operations, operations made on a
+   resident body directly, shard crashes (through the router and
+   silent), restarts, stalls, handoffs, heartbeats and pumps check that
+   after every step. *)
+type router_step =
+  | S_acquire of int
+  | S_direct of int
+  | S_release of int
+  | S_renew of int
+  | S_crash of int
+  | S_silent_crash of int
+  | S_restart of int
+  | S_stall of int * int
+  | S_handoff of int * int
+  | S_heartbeat of int
+  | S_pump
+  | S_advance of int
+
+let qcheck_held_rises_only_at_grants =
+  let shards = 3 and slices = 6 in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> S_acquire k) (int_bound 11));
+          (3, map (fun k -> S_direct k) (int_bound (slices - 1)));
+          (3, map (fun i -> S_release i) (int_bound 20));
+          (2, map (fun i -> S_renew i) (int_bound 20));
+          (1, map (fun s -> S_crash s) (int_bound (shards - 1)));
+          (1, map (fun s -> S_silent_crash s) (int_bound (shards - 1)));
+          (2, map (fun s -> S_restart s) (int_bound (shards - 1)));
+          (1, map2 (fun s d -> S_stall (s, d)) (int_bound (shards - 1)) (int_range 1 30));
+          (2, map2 (fun sl d -> S_handoff (sl, d)) (int_bound (slices - 1)) (int_bound (shards - 1)));
+          (3, map (fun s -> S_heartbeat s) (int_bound (shards - 1)));
+          (6, return S_pump);
+          (5, map (fun d -> S_advance d) (int_range 1 8));
+        ])
+  in
+  let print = function
+    | S_acquire k -> Printf.sprintf "acquire %d" k
+    | S_direct sl -> Printf.sprintf "direct %d" sl
+    | S_release i -> Printf.sprintf "release %d" i
+    | S_renew i -> Printf.sprintf "renew %d" i
+    | S_crash s -> Printf.sprintf "crash %d" s
+    | S_silent_crash s -> Printf.sprintf "silent-crash %d" s
+    | S_restart s -> Printf.sprintf "restart %d" s
+    | S_stall (s, d) -> Printf.sprintf "stall %d %d" s d
+    | S_handoff (sl, d) -> Printf.sprintf "handoff %d->%d" sl d
+    | S_heartbeat s -> Printf.sprintf "heartbeat %d" s
+    | S_pump -> "pump"
+    | S_advance d -> Printf.sprintf "advance %d" d
+  in
+  QCheck.Test.make ~count:300 ~name:"router: the held total rises only at a grant"
+    (QCheck.make
+       ~print:QCheck.Print.(pair bool (pair bool (list print)))
+       QCheck.Gen.(pair bool (pair bool (list_size (int_range 1 150) step))))
+    (fun (detector, (auto_rebalance, script)) ->
+      let time, clock = manual_clock () in
+      let r =
+        Router.create ~clock ~seed:9L
+          (Router.make_config ~shards ~slices ~slice_capacity:3 ~queue_limit:4 ~ttl:10.0
+             ~grace:14.0 ~high_water:0.9 ~auto_rebalance ())
+      in
+      if detector then Router.enable_detector r ~suspicion:3.0;
+      let fences = ref [] and session = ref 0 and peak = ref 0 in
+      let incarnation = Array.make shards 0 in
+      let pick i = match !fences with [] -> None | l -> Some (List.nth l (i mod List.length l)) in
+      let body slice =
+        match Router.owner r ~slice with
+        | None -> None
+        | Some shard -> (
+          match Shard.find_slice (Router.shard r ~id:shard) ~slice with
+          | Some sl -> Some sl.Shard.sl_svc
+          | None -> None)
+      in
+      List.iter
+        (fun step ->
+          incr session;
+          let granted =
+            match step with
+            | S_acquire key -> (
+              match Router.acquire r ~session:!session ~key with
+              | Router.Granted g ->
+                fences := Router.fence_of_grant g :: !fences;
+                true
+              | _ -> false)
+            | S_direct slice -> (
+              match body slice with
+              | Some svc -> (
+                match Service.acquire svc ~session:!session with
+                | Service.Granted g ->
+                  fences := { Router.gf_slice = slice; gf_fence = g.Lease.g_fence } :: !fences;
+                  true
+                | _ -> false)
+              | None -> false)
+            | S_release i ->
+              Option.iter (fun fence -> ignore (Router.release r ~fence)) (pick i);
+              false
+            | S_renew i ->
+              Option.iter (fun fence -> ignore (Router.renew r ~fence)) (pick i);
+              false
+            | S_crash id ->
+              Router.crash_shard r ~id;
+              false
+            | S_silent_crash id ->
+              Shard.crash (Router.shard r ~id) ~now:!time;
+              false
+            | S_restart id ->
+              let sh = Router.shard r ~id in
+              if not (Shard.alive sh ~now:!time) then begin
+                Shard.restart sh;
+                incarnation.(id) <- incarnation.(id) + 1
+              end;
+              false
+            | S_stall (id, d) ->
+              Router.stall_shard r ~id ~until:(!time +. float_of_int d);
+              false
+            | S_handoff (slice, to_) ->
+              ignore (Router.begin_handoff r ~slice ~to_);
+              false
+            | S_heartbeat shard ->
+              if Shard.alive (Router.shard r ~id:shard) ~now:!time then
+                Router.heartbeat r ~shard ~incarnation:incarnation.(shard);
+              false
+            | S_pump ->
+              List.exists
+                (fun c ->
+                  match c.Router.c_done with Service.Done _ -> true | Service.Timed_out _ -> false)
+                (Router.pump r)
+            | S_advance d ->
+              time := !time +. float_of_int d;
+              false
+          in
+          let held = Router.total_held r in
+          if granted && held > !peak then peak := held;
+          if held > !peak then
+            QCheck.Test.fail_reportf "held %d after %s, above the peak %d sampled at grants" held
+              (print step) !peak)
+        script;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* The router's wake guard: a pump it skips is one that would have    *)
 (* changed nothing, so work is never delayed past the pump that would *)
@@ -1528,6 +1781,8 @@ let tests =
         Alcotest.test_case "shard churn: deterministic" `Quick test_shard_churn_deterministic;
         Alcotest.test_case "transport: deterministic + bounded" `Quick
           test_transport_deterministic_and_bounded;
+        Alcotest.test_case "transport: a drain stops at its entry bound" `Quick
+          test_transport_drain_boundary;
         Alcotest.test_case "transport: directional partition" `Quick
           test_transport_partition_directional;
         Alcotest.test_case "dedup: verdicts" `Quick test_dedup_verdicts;
@@ -1551,6 +1806,10 @@ let tests =
         Alcotest.test_case "idle service pump allocates nothing" `Quick
           test_idle_service_pump_allocates_nothing;
         Alcotest.test_case "idle router pump allocation" `Quick test_idle_router_pump_allocation;
+        Alcotest.test_case "heap: push + take allocate nothing" `Quick
+          test_heap_steady_state_allocation;
+        Alcotest.test_case "net churn: allocation budget" `Quick
+          test_net_churn_allocation_budget;
         Alcotest.test_case "wake: a direct body op wakes the router" `Quick
           test_wake_direct_body_op;
         Alcotest.test_case "wake: detector deadline" `Quick test_wake_detector_deadline;
@@ -1559,6 +1818,8 @@ let tests =
         Alcotest.test_case "wake: shard restart" `Quick test_wake_shard_restart;
         Alcotest.test_case "wake: heartbeat" `Quick test_wake_heartbeat;
         QCheck_alcotest.to_alcotest qcheck_compact_preserves_pop_order;
+        QCheck_alcotest.to_alcotest qcheck_heap_differential;
+        QCheck_alcotest.to_alcotest qcheck_held_rises_only_at_grants;
         QCheck_alcotest.to_alcotest qcheck_expiry_monotone;
         QCheck_alcotest.to_alcotest qcheck_reclaim_never_revokes_renewed;
         QCheck_alcotest.to_alcotest qcheck_stale_fence_never_writes;
