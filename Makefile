@@ -80,8 +80,7 @@ chaos-net-smoke:
 # independence relation, preemption-bounded) and the safety monitor on
 # every interleaving.  Violations are auto-shrunk to minimal repros
 # under results/repros/; exits nonzero on any violation; JSON lands in
-# results/mcheck.json (schema renaming.mcheck/2).  `--legacy-dfs`
-# switches back to the pre-DPOR sleep-set engine for differential runs.
+# results/mcheck.json (schema renaming.mcheck/2).
 mcheck:
 	dune exec bin/main.exe -- mcheck
 
@@ -127,9 +126,12 @@ refine-smoke:
 # Static analysis: the commutation-audited independence oracle (the
 # footprint table mcheck's DPOR race detection prunes with,
 # machine-checked against Memory.apply, plus a soundness audit of the
-# race relation itself) and the source-level concurrency lint over
-# lib/.  Exits nonzero on any failure; JSON lands in results/analyze.json.
+# race relation itself), the source-level concurrency lint over lib/
+# and the unused-export rule.  The rule reads the typed trees that
+# `dune build @check` writes, so that runs first.  Exits nonzero on any
+# failure; JSON lands in results/analyze.json.
 analyze:
+	dune build @check
 	dune exec bin/main.exe -- analyze
 
 examples:

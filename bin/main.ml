@@ -358,17 +358,12 @@ let mcheck_cmd =
     Arg.(value & opt_all string [] & info [ "only" ] ~docv:"NAME"
            ~doc:"Check only the named roster entries (repeatable).")
   in
-  let legacy_dfs =
-    Arg.(value & flag & info [ "legacy-dfs" ]
-           ~doc:"Escape hatch for differential runs: explore with the pre-DPOR sleep-set DFS \
-                 engine instead of source-DPOR.")
-  in
   let budget_seconds =
     Arg.(value & opt (some Arg.float) None & info [ "budget-seconds" ] ~docv:"SECONDS"
            ~doc:"Wall-clock budget assertion: exit nonzero if the whole run (exploration plus \
                  shrinking) takes longer than $(docv).  Used by the mcheck-dpor-tier1 CI step.")
   in
-  let run tier1 out only legacy_dfs budget_seconds metrics no_refine =
+  let run tier1 out only budget_seconds metrics no_refine =
     let entries = if tier1 then Roster.tier1 () else Roster.roster () in
     let entries =
       if only = [] then entries
@@ -378,14 +373,13 @@ let mcheck_cmd =
       Printf.eprintf "mcheck: no roster entries selected\n";
       exit 2
     end;
-    let engine = if legacy_dfs then `Legacy_dfs else `Dpor in
     let t0 = Unix.gettimeofday () in
     let obs = obs_of_metrics metrics in
     let all =
       List.map
         (fun e ->
           let stats =
-            Roster.run_entry ~engine ?obs ?refine:(refine_factory ~no_refine obs) e
+            Roster.run_entry ?obs ?refine:(refine_factory ~no_refine obs) e
           in
           Format.printf "%a@." Mcheck.pp_stats stats;
           write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
@@ -416,14 +410,15 @@ let mcheck_cmd =
        ~doc:
          "Exhaustively model-check small instances: every schedule (plus bounded crash, recovery \
           and transient-fault injections) under the online safety monitor, explored with \
-          source-DPOR over the audited independence relation (wakeup trees, preemption bounding; \
-          $(b,--legacy-dfs) for the pre-DPOR sleep-set engine).")
-    Term.(const run $ tier1 $ out $ only $ legacy_dfs $ budget_seconds $ metrics_arg
+          source-DPOR over the audited independence relation (wakeup trees, preemption \
+          bounding).")
+    Term.(const run $ tier1 $ out $ only $ budget_seconds $ metrics_arg
           $ no_refine_arg)
 
 let analyze_cmd =
   let module Analyze = Renaming_analysis.Analyze in
   let module Commute = Renaming_analysis.Commute in
+  let module Unused_export = Renaming_analysis.Unused_export in
   let module Roster = Renaming_harness.Mcheck_roster in
   let lint_root =
     Arg.(value & opt string "lib" & info [ "lint-root" ] ~docv:"DIR"
@@ -435,17 +430,27 @@ let analyze_cmd =
            ~doc:"Write the JSON report to $(docv).")
   in
   let inject =
-    let kind = Arg.enum [ ("broken-footprint", `Broken_footprint) ] in
+    let kind =
+      Arg.enum [ ("broken-footprint", `Broken_footprint); ("unused-export", `Unused_export) ]
+    in
     Arg.(value & opt (some kind) None & info [ "inject" ] ~docv:"BUG"
-           ~doc:"Self-check: audit a deliberately broken footprint table \
-                 ($(b,broken-footprint): tas-name misdeclared as a pure read) and verify the \
-                 oracle rejects it — the command must exit nonzero.")
+           ~doc:"Self-check: audit a deliberately broken input and verify the layer rejects it \
+                 — the command must exit nonzero.  $(b,broken-footprint): tas-name misdeclared \
+                 as a pure read in the footprint table; $(b,unused-export): the unused-export \
+                 rule run as if bin/ did not exist, so the exports only the CLI uses are unused.")
   in
   let run lint_root skip_lint out inject =
     let table =
       match inject with
       | Some `Broken_footprint -> Some Commute.broken_table
-      | None -> None
+      | Some `Unused_export | None -> None
+    in
+    let exports =
+      let cfg = Unused_export.default in
+      if skip_lint then None
+      else if inject = Some `Unused_export then
+        Some { cfg with Unused_export.users = List.filter (( <> ) "bin") cfg.Unused_export.users }
+      else Some cfg
     in
     let roster =
       List.map
@@ -455,6 +460,7 @@ let analyze_cmd =
     let result =
       Analyze.run ?table ~dependent:Renaming_mcheck.Races.dependent
         ~lint_root:(if skip_lint then None else Some lint_root)
+        ?exports
         ~roster ()
     in
     Format.printf "%a@." Analyze.pp result;

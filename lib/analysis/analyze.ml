@@ -3,10 +3,11 @@ type t = {
   coverage : Commute.audit;
   dependence : Commute.audit option;
   lint_files : int;
+  exported : int option;
   lint : Lint.finding list;
 }
 
-let run ?table ?dependent ?(lint_root = Some "lib") ~roster () =
+let run ?table ?dependent ?(lint_root = Some "lib") ?exports ~roster () =
   let pairs = Commute.audit_pairs ?table () in
   let coverage = Commute.audit_coverage ?table roster in
   let dependence =
@@ -15,7 +16,10 @@ let run ?table ?dependent ?(lint_root = Some "lib") ~roster () =
   let lint_files, lint =
     match lint_root with None -> (0, []) | Some root -> Lint.lint_dir root
   in
-  { pairs; coverage; dependence; lint_files; lint }
+  let exports = Option.map Unused_export.run exports in
+  let exported = Option.map (fun r -> r.Unused_export.exported) exports in
+  let lint = lint @ Option.fold ~none:[] ~some:(fun r -> r.Unused_export.findings) exports in
+  { pairs; coverage; dependence; lint_files; exported; lint }
 
 let ok t =
   t.pairs.Commute.a_failures = []
@@ -38,6 +42,7 @@ let pp fmt t =
   Format.fprintf fmt "%-22s %8d files   %3d findings (%d waived)@ " "source lint" t.lint_files
     (List.length t.lint)
     (List.length t.lint - List.length (Lint.active t.lint));
+  Option.iter (Format.fprintf fmt "%-22s %8d exported values@ " "unused-export") t.exported;
   List.iter (fun f -> Format.fprintf fmt "  %a@ " Lint.pp_finding f) t.lint;
   Format.fprintf fmt "verdict: %s@]" (if ok t then "ok" else "FAILED")
 

@@ -11,20 +11,25 @@ type t = {
       (** {!Commute.audit_dependence} of the model checker's race
           relation; [None] when no [dependent] predicate was supplied *)
   lint_files : int;
-  lint : Lint.finding list;
+  exported : int option;
+      (** values the [exports] directories export; [None] when the
+          unused-export rule did not run *)
+  lint : Lint.finding list;  (** the source lint's findings, then the unused-export rule's *)
 }
 
 val run :
   ?table:(Renaming_sched.Op.t -> Footprint.t) ->
   ?dependent:(Renaming_sched.Op.t -> Renaming_sched.Op.t -> bool) ->
   ?lint_root:string option ->
+  ?exports:Unused_export.config ->
   roster:(string * (unit -> Renaming_sched.Executor.instance)) list ->
   unit ->
   t
 (** [table] defaults to the shipped {!Footprint.of_op}; [dependent] is
     the model checker's race relation (callers above lib/mcheck pass
     [Renaming_mcheck.Races.dependent]; omitting it skips that leg);
-    [lint_root] defaults to [Some "lib"] ([None] skips the lint leg). *)
+    [lint_root] defaults to [Some "lib"] ([None] skips the lint leg);
+    [exports] runs {!Unused_export} over that layout (omitted: skipped). *)
 
 val ok : t -> bool
 (** No audit failures and no unwaived lint findings. *)

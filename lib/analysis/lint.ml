@@ -10,28 +10,6 @@ type finding = {
   l_waived : bool;
 }
 
-let rules =
-  [
-    ( "global-mutable",
-      "module-level mutable state (ref / Atomic.make / Hashtbl.create / Array.make ...) is \
-       cross-process shared state; confine it to lib/concurrent or lib/shm" );
-    ("atomic-outside-shm", "Atomic.* outside the whitelisted lib/concurrent / lib/shm modules");
-    ("obj-magic", "Obj.* defeats the type system");
-    ( "nondeterministic-rng",
-      "Random.* uses hidden global state (and Random.self_init wall-clock entropy); use \
-       Renaming_rng streams" );
-    ("wall-clock", "wall-clock reads (Unix.gettimeofday / Sys.time ...) in library code");
-    ( "blocking-sleep",
-      "Unix.sleep/Unix.sleepf blocks the whole domain and stalls every process the scheduler \
-       multiplexes onto it; poll cooperatively or drive timing through the executor" );
-    ( "unstable-hash",
-      "Hashtbl.hash is not stable across OCaml versions; derive keys with a pinned hash" );
-    ( "stdout-print",
-      "direct stdout/stderr printing (Printf.printf / print_endline / Format.printf ...) in \
-       library code; return data or emit through the Renaming_obs exporters" );
-    ("parse-error", "file does not parse");
-  ]
-
 (* --- waivers ---
 
    A finding is waived by an inline comment on the same line or the
@@ -203,23 +181,21 @@ let lint_file ?(whitelist = default_whitelist) ?(print_whitelist = default_print
   let print_whitelisted = List.mem dir print_whitelist in
   lint_source ~whitelisted ~print_whitelisted ~path (read_file path)
 
-let rec ml_files dir =
+let rec files ?(hidden = false) dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | entries ->
     Array.sort compare entries;
-    Array.fold_left
-      (fun acc entry ->
+    List.concat_map
+      (fun entry ->
         let path = Filename.concat dir entry in
-        if Sys.is_directory path then
-          if entry = "_build" || String.length entry > 0 && entry.[0] = '.' then acc
-          else acc @ ml_files path
-        else if Filename.check_suffix entry ".ml" then acc @ [ path ]
-        else acc)
-      [] entries
+        if not (Sys.is_directory path) then [ path ]
+        else if entry = "_build" || ((not hidden) && entry.[0] = '.') then []
+        else files ~hidden path)
+      (Array.to_list entries)
 
 let lint_dir ?whitelist ?print_whitelist root =
-  let files = ml_files root in
+  let files = List.filter (fun f -> Filename.check_suffix f ".ml") (files root) in
   (List.length files, List.concat_map (lint_file ?whitelist ?print_whitelist) files)
 
 let active findings = List.filter (fun f -> not f.l_waived) findings

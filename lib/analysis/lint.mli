@@ -33,23 +33,22 @@ type finding = {
   l_waived : bool;
 }
 
-val rules : (string * string) list
-(** Rule id, one-line description. *)
-
-val default_whitelist : string list
-(** Directory basenames exempt from the shared-mutable-state rules:
-    [["concurrent"; "shm"]]. *)
-
-val default_print_whitelist : string list
-(** Directory basenames exempt from [stdout-print]: [["obs"]]. *)
-
+(* lint: allow unused-export — test hook: lints one seeded file *)
 val lint_file :
   ?whitelist:string list -> ?print_whitelist:string list -> string -> finding list
+
+val files : ?hidden:bool -> string -> string list
+(** Every file under a directory, recursively, in sorted order, skipping
+    [_build] and (unless [hidden]) dotted directories. *)
 
 val lint_dir :
   ?whitelist:string list -> ?print_whitelist:string list -> string -> int * finding list
 (** Walk [root] recursively (skipping [_build] and dotted directories)
     and lint every [.ml] file; returns (files linted, findings). *)
+
+val is_waived : lines:string array -> rule:string -> line:int -> bool
+(** Does line [line] (1-based) of a file split into [lines], or the
+    line above it, carry a waiver for [rule]? *)
 
 val active : finding list -> finding list
 (** The findings that are not waived — the ones that fail the run. *)

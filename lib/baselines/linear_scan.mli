@@ -7,8 +7,6 @@
 
 type config = { n : int; m : int }
 
-val program : config -> int option Renaming_sched.Program.t
-
 val instance : config -> Renaming_sched.Executor.instance
 
 val run :

@@ -20,9 +20,6 @@ type config = {
 val make_config : ?max_probes:int -> n:int -> m:int -> unit -> config
 (** [max_probes] defaults to [4·m]. *)
 
-val program :
-  config -> rng:Renaming_rng.Xoshiro.t -> int option Renaming_sched.Program.t
-
 val instance :
   config -> stream:Renaming_rng.Stream.t -> Renaming_sched.Executor.instance
 

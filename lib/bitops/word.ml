@@ -14,7 +14,6 @@ let test_bit w i = (w lsr i) land 1 = 1
 
 let set_bit w i = w lor (1 lsl i)
 
-let clear_bit w i = w land lnot (1 lsl i)
 
 let shift_left ~width w k = if k >= width then 0 else (w lsl k) land mask ~width
 

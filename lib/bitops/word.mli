@@ -16,6 +16,7 @@ type t = int
 val max_width : int
 (** Largest supported width (62). *)
 
+(* lint: allow unused-export — test hook: builds test words *)
 val mask : width:int -> t
 (** [mask ~width] has the low [width] bits set. *)
 
@@ -27,7 +28,6 @@ val test_bit : t -> int -> bool
     [bt(w, i+1)]. *)
 
 val set_bit : t -> int -> t
-val clear_bit : t -> int -> t
 
 val shift_left : width:int -> t -> int -> t
 (** [shift_left ~width w k] shifts left by [k], dropping bits that leave
@@ -41,6 +41,7 @@ val logxor : t -> t -> t
 val logor : t -> t -> t
 val logand : t -> t -> t
 
+(* lint: allow unused-export — unit-tested, no caller yet: bit-scan primitive *)
 val lowest_set_bit : t -> int
 (** Index of the least significant set bit; raises [Not_found] on zero. *)
 
@@ -48,9 +49,11 @@ val keep_lowest : t -> int -> t
 (** [keep_lowest w k] clears all but the [k] lowest-indexed set bits of
     [w].  This is the reference semantics of the device's discard step. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: bit-scan primitive *)
 val fold_set_bits : width:int -> t -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Folds [f] over the indices of set bits, lowest first. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: bit rendering *)
 val to_bit_list : width:int -> t -> bool list
 (** Low-to-high list of the register's bits, for display and tests. *)
 

@@ -14,6 +14,7 @@ type t
 val create : int -> t
 (** Raises [Invalid_argument] on a negative size. *)
 
+(* lint: allow unused-export — test hook: observes the register file *)
 val size : t -> int
 
 val test_and_set : t -> idx:int -> bool
@@ -21,8 +22,10 @@ val test_and_set : t -> idx:int -> bool
     [Invalid_argument] unless [0 <= idx < size t]; the spare bits of the
     last word are not registers. *)
 
+(* lint: allow unused-export — test hook: observes one register *)
 val is_set : t -> int -> bool
 (** Range-checked like {!test_and_set}. *)
 
+(* lint: allow unused-export — test hook: observes the register file *)
 val set_count : t -> int
 (** A popcount per word; for post-run validation, not hot paths. *)

@@ -55,6 +55,7 @@ exception
     before every domain finishes.  The workers are joined before the
     exception is raised, so no domain is leaked. *)
 
+(* lint: allow unused-export — test hook: renders a stall *)
 val stalled_to_string : exn -> string
 (** Render a {!Stalled} diagnostic; raises [Invalid_argument] on any
     other exception.  Also installed as a [Printexc] printer. *)
@@ -73,6 +74,7 @@ type segment =
   | Probe of { base : int; size : int; count : int }
   | Sweep of { base : int; size : int }
 
+(* lint: allow unused-export — test hook: runs bespoke schedules on real domains *)
 val execute :
   ?obs:Renaming_obs.Obs.t ->
   ?domains:int ->

@@ -37,8 +37,6 @@ let namespace cfg =
   let base, size = bounds.(Array.length bounds - 1) in
   base + size
 
-let predicted_levels_used cfg = Mathx.log2_ceil (max 2 cfg.k) + 1
-
 (* Budget for one level: the Lemma 6 step budget under the estimate
    2^j, i.e. sum of 2^i over ell * logloglog(2^j) rounds. *)
 let level_budget cfg j =

@@ -30,18 +30,12 @@ type config = {
 
 val make_config : ?ell:int -> ?epsilon:float -> k:int -> unit -> config
 
-val levels : config -> int
-(** Levels provisioned so the final block certainly fits all [k]
-    participants: [⌈log₂ k⌉ + 3]. *)
-
+(* lint: allow unused-export — test hook: the block layout *)
 val block_bounds : config -> (int * int) array
 (** Per level, the [(base, size)] slice of the namespace. *)
 
 val namespace : config -> int
 (** Total names provisioned across all levels — [O((1+ε)k)]. *)
-
-val predicted_levels_used : config -> int
-(** [⌈log₂ k⌉ + 1]: the level at which the estimate first reaches k. *)
 
 val instance :
   config -> stream:Renaming_rng.Stream.t -> Renaming_sched.Executor.instance

@@ -20,6 +20,7 @@ val program :
 (** Probes names [base .. base+size-1].  Returns [Some name]; [None] is
     impossible unless more than [size] processes run the program. *)
 
+(* lint: allow unused-export — test hook: the random-phase budget *)
 val max_random_steps : size:int -> int
 (** Random probes spent before the deterministic sweep kicks in
     (the doubling rounds stop once a batch would exceed [4·size]). *)

@@ -23,6 +23,7 @@ val steps_per_phase : config -> int
 
 val step_budget : config -> int
 
+(* lint: allow unused-export — test hook: the cluster layout *)
 val cluster_bounds : config -> (int * int) array
 (** Per phase (0-based), the [(base, size)] register range of its
     cluster. *)

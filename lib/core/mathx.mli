@@ -4,6 +4,7 @@
     real-valued; where an algorithm needs an integer count we use the
     ceiling, which only strengthens the w.h.p. guarantees. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: integer log *)
 val log2_floor : int -> int
 (** [log2_floor n] for [n ≥ 1]. *)
 
@@ -21,5 +22,6 @@ val logloglog2_ceil : int -> int
 val pow_int : int -> int -> int
 (** [pow_int b e] for [e ≥ 0]; overflow is the caller's concern. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: ceiling division *)
 val cdiv : int -> int -> int
 (** Ceiling division for positive divisors. *)

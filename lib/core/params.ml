@@ -83,14 +83,6 @@ let block_of_tau t tau_id =
   if tau_id < 0 || tau_id >= t.total_taus then invalid_arg "Params.block_of_tau: bad id";
   { tau_id; name_base = tau_id * t.tau }
 
-let predicted_steps t =
-  (* Per round: one device request + O(1) polls; a winner then scans up
-     to τ names; a loser of all rounds scans the reserve. *)
-  let rounds = float_of_int (round_count t) in
-  let scan = float_of_int t.tau in
-  let reserve = float_of_int (reserve_size t) in
-  (2. *. rounds) +. Float.max scan reserve
-
 let pp fmt t =
   let policy = match t.policy with Paper_literal -> "paper-literal" | Mass_conserving -> "mass-conserving" in
   Format.fprintf fmt

@@ -65,8 +65,4 @@ val tau_geometry : t -> (int * int) array
 
 val block_of_tau : t -> int -> block
 
-val predicted_steps : t -> float
-(** The analytic step bound: [O(log n)] with the schedule's constants
-    made explicit, used for table columns. *)
-
 val pp : Format.formatter -> t -> unit

@@ -18,7 +18,6 @@ let create ?(rule = Literal) ~width ~threshold () =
   { rule; width; threshold; in_reg = 0; out_reg = 0; cycles = 0; prev_out = 0 }
 
 let width t = t.width
-let threshold t = t.threshold
 let in_reg t = t.in_reg
 let out_reg t = t.out_reg
 let accepted_count t = Word.popcount t.out_reg

@@ -36,7 +36,6 @@ val create : ?rule:discard_rule -> width:int -> threshold:int -> unit -> t
     [threshold] is τ, [1 ≤ threshold ≤ width]. *)
 
 val width : t -> int
-val threshold : t -> int
 
 val in_reg : t -> Renaming_bitops.Word.t
 val out_reg : t -> Renaming_bitops.Word.t

@@ -33,8 +33,6 @@ let create ?rule ~base ~tau ~width () =
   }
 
 let base t = t.base
-let tau t = t.tau
-let device t = t.device
 
 let name_slot t k =
   if k < 0 || k >= t.tau then invalid_arg "Tau_register.name_slot: slot out of range";

@@ -20,10 +20,10 @@ type t
 val create :
   ?rule:Counting_device.discard_rule -> base:int -> tau:int -> width:int -> unit -> t
 
+(* lint: allow unused-export — test hook: observes the register *)
 val base : t -> int
-val tau : t -> int
-val device : t -> Counting_device.t
 
+(* lint: allow unused-export — test hook: the slot range check *)
 val name_slot : t -> int -> int
 (** [name_slot t k] is the global name index of slot [k], [0 ≤ k < τ]. *)
 
@@ -47,6 +47,8 @@ val run_cycle : t -> resolve_order:((int * int) array -> unit) -> unit
     [resolve_order] lets the adversary permute same-cycle requests
     (it may reorder the array in place) before they race. *)
 
+(* lint: allow unused-export — test hook: observes the answer table *)
 val pending_count : t -> int
 
+(* lint: allow unused-export — test hook: observes the answer table *)
 val accepted_count : t -> int

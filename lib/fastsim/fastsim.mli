@@ -33,6 +33,7 @@ val loose_clustered : ?boost:int -> n:int -> ell:int -> seed:int64 -> unit -> re
     winners as if they kept probing — and that a small constant boost
     restores the claimed bound. *)
 
+(* lint: allow unused-export — test hook: the uniform-probing baseline at scale *)
 val uniform_probing : n:int -> m:int -> seed:int64 -> result
 (** The naive baseline: probe until named (deterministic sweep after
     [4m] probes guarantees completion).  [named_per_phase] is empty. *)

@@ -85,20 +85,6 @@ let baseline ~max_ticks ~seeds algo =
     seeds;
   !total /. float_of_int (max 1 (Array.length seeds))
 
-(* Rebuild the run's decision sequence from its recorded trace: every
-   scheduled step whose execution drew an injected fault becomes a
-   [Fault] choice, so a directed replay reproduces the injection without
-   the RNG. *)
-let choices_of_trace trace ~faulted =
-  List.mapi
-    (fun i event ->
-      match event with
-      | Trace.Scheduled { pid; _ } ->
-        if List.mem i faulted then Directed.Fault pid else Directed.Step pid
-      | Trace.Crashed { pid; _ } -> Directed.Crash pid
-      | Trace.Recovered { pid; _ } -> Directed.Recover pid)
-    (Trace.events trace)
-
 let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
   let violations = ref 0 in
   let messages = ref [] in
@@ -174,7 +160,7 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
              Shrink.label = algo.algo_name;
              build = (fun () -> algo.build ~seed);
              check_ownership = algo.check_ownership;
-             choices = choices_of_trace trace ~faulted:!faulted;
+             choices = Directed.choices_of_trace trace ~faulted:!faulted;
              max_ticks;
              tau_cadence = 1;
            }

@@ -61,10 +61,6 @@ type cell = {
           1-minimal replayable counterexample (see {!Shrink}) *)
 }
 
-val degradation : cell -> float
-(** Step-complexity degradation: mean max-steps of the cell over the
-    algorithm's fault-free round-robin baseline. *)
-
 type summary = {
   cells : cell list;
   total_runs : int;

@@ -15,15 +15,6 @@ let window ~from_ ~until ~rate ~rng : t =
   let inner = bernoulli ~rate ~rng in
   fun ~time ~pid ~op -> time >= from_ && time < until && inner ~time ~pid ~op
 
-let targeting ~pids ~rate ~rng : t =
-  let victims = Hashtbl.create (List.length pids) in
-  List.iter (fun pid -> Hashtbl.replace victims pid ()) pids;
-  let inner = bernoulli ~rate ~rng in
-  fun ~time ~pid ~op -> Hashtbl.mem victims pid && inner ~time ~pid ~op
-
-let any injectors : t =
-  fun ~time ~pid ~op -> List.exists (fun i -> i ~time ~pid ~op) injectors
-
 let counting inner =
   let count = ref 0 in
   let injector ~time ~pid ~op =

@@ -9,21 +9,14 @@
 
 type t = time:int -> pid:int -> op:Renaming_sched.Op.t -> bool
 
-val none : t
-
 val bernoulli : rate:float -> rng:Renaming_rng.Xoshiro.t -> t
 (** Each faultable operation faults independently with probability
     [rate]. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: windowed fault injector *)
 val window : from_:int -> until:int -> rate:float -> rng:Renaming_rng.Xoshiro.t -> t
 (** Bernoulli faults confined to ticks [from_, until) — a transient
     event (EMI burst, failing DIMM before replacement). *)
-
-val targeting : pids:int list -> rate:float -> rng:Renaming_rng.Xoshiro.t -> t
-(** Bernoulli faults that only hit the given processes. *)
-
-val any : t list -> t
-(** Faults when any component injector faults. *)
 
 val counting : t -> t * (unit -> int)
 (** Wraps an injector with a hit counter (for reports). *)

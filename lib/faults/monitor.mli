@@ -54,5 +54,6 @@ val hook : t -> Renaming_sched.Executor.event -> unit
 val finalize : t -> Renaming_sched.Report.t -> unit
 (** Post-run consistency checks; raises {!Violation} on mismatch. *)
 
+(* lint: allow unused-export — test hook: observes the monitor *)
 val violation_count : t -> int
 (** Number of violations raised through this monitor so far. *)

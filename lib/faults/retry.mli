@@ -37,8 +37,7 @@ val make_policy :
   ?attempts:int -> ?base_delay:int -> ?max_delay:int -> ?time_budget:float -> unit -> policy
 (** Defaults: 8 attempts, base delay 1, delay cap 64, no time budget. *)
 
-val default : policy
-
+(* lint: allow unused-export — test hook: the backoff schedule *)
 val backoff_delay : policy -> attempt:int -> int
 (** Yield steps inserted after failed attempt [attempt] (1-based). *)
 
@@ -59,6 +58,7 @@ val tas_name :
 val tas_aux :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
 
+(* lint: allow unused-export — unit-tested, no caller yet: fault-tolerant read *)
 val read_name :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
 

@@ -47,6 +47,7 @@ type result = {
   r_replays : int;  (** executions spent, including the initial check *)
 }
 
+(* lint: allow unused-export — test hook: replays a shrunk prefix *)
 val execute :
   ?extra:(unit -> Renaming_sched.Executor.event -> unit) ->
   input ->

@@ -19,8 +19,6 @@ let size t = t.count
 
 let seen_edges t = Hashtbl.length t.seen
 
-let entries t = Array.to_list (Array.sub t.entries 0 t.count)
-
 let push t entry =
   if t.count = Array.length t.entries then begin
     let cap = max 8 (2 * Array.length t.entries) in

@@ -26,9 +26,6 @@ val size : t -> int
 val seen_edges : t -> int
 (** Total distinct coverage edges observed across all executions. *)
 
-val entries : t -> entry list
-(** Admission order. *)
-
 val observe :
   t -> iteration:int -> prefix:Renaming_sched.Directed.choice list -> int64 list -> int
 (** [observe t ~iteration ~prefix edges] folds one execution's edge list

@@ -69,16 +69,6 @@ let repros s =
     (fun r -> List.filter_map (fun v -> v.v_repro) r.r_violations)
     s.s_results
 
-(* The failing run's decision sequence, replayable through the directed
-   executor (same mapping as the chaos campaign's). *)
-let choices_of_trace trace =
-  List.map
-    (function
-      | Trace.Scheduled { pid; _ } -> Directed.Step pid
-      | Trace.Crashed { pid; _ } -> Directed.Crash pid
-      | Trace.Recovered { pid; _ } -> Directed.Recover pid)
-    (Trace.events trace)
-
 type outcome_class =
   | Clean
   | Livelocked
@@ -193,11 +183,12 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
          k := max 8 report.Report.ticks;
          report)
    with
-  | Clean, edges -> record_coverage ~iteration:(-1) ~prefix:(choices_of_trace baseline_trace) edges
+  | Clean, edges ->
+    record_coverage ~iteration:(-1) ~prefix:(Directed.choices_of_trace baseline_trace) edges
   | Livelocked, _ -> incr livelocks
   | Violated { kind; message }, _ ->
     record_violation ~iteration:(-1) ~mode:"baseline"
-      ~prefix:(choices_of_trace baseline_trace) kind message);
+      ~prefix:(Directed.choices_of_trace baseline_trace) kind message);
   let i = ref 0 in
   while !violations = [] && !i < iterations && not (should_stop ()) do
     let iteration = !i in
@@ -247,7 +238,7 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
       let outcome, edges =
         observe_run ?refine target ~tseed ~drive:(traced_executor_run adversary trace)
       in
-      let prefix = choices_of_trace trace in
+      let prefix = Directed.choices_of_trace trace in
       match outcome with
       | Clean -> record_coverage ~iteration ~prefix edges
       | Livelocked ->

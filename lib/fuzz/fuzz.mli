@@ -114,8 +114,6 @@ val ok : summary -> bool
 (** Every mutant target found (with a shrunk repro for each violation)
     {e and} every clean target violation-free. *)
 
-val target_ok : target_result -> bool
-
 val repros : summary -> Renaming_faults.Shrink.repro list
 (** All shrunk artifacts, in target order. *)
 

@@ -13,15 +13,6 @@ val algorithms : n:int -> Renaming_faults.Campaign.algorithm list
     adaptive, uniform-probing, linear-scan — all with the ownership
     check enabled.  [n] must be ≥ 8 (the tight schedule's minimum). *)
 
-val adversaries : unit -> Renaming_faults.Campaign.adversary_spec list
-(** round-robin, uniform, adaptive-contention, colluding. *)
-
-val patterns : n:int -> Renaming_faults.Campaign.pattern list
-(** none, crash-permanent, crash-recovery, burst-recovery; n/4 failures
-    over a 2n-tick horizon, recovery n/2 ticks after each crash. *)
-
-val default_fault_rates : float list
-
 val spec :
   ?n:int ->
   ?seed_count:int ->

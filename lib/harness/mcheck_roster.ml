@@ -59,11 +59,12 @@ let entry ?(check_ownership = true) ?baseline ~name ~n ~build ~bounds () =
     e_baseline = baseline;
   }
 
-(* [baseline] is the sleep-set (legacy-dfs) schedule count of the entry,
-   measured once and frozen: the denominator of the DPOR reduction ratio
-   reported in results/mcheck.json.  Entries added after the DPOR switch
-   (the n5 configurations, infeasible under the legacy engine's budget)
-   have no baseline. *)
+(* [baseline] is a frozen count: the schedules the pre-DPOR sleep-set
+   DFS explored for the entry, measured once with that engine's pruning,
+   which is gone.  It stays as the denominator of the DPOR reduction
+   ratio reported in results/mcheck.json, and cannot be re-measured.
+   Entries added after the DPOR switch (the n5 configurations,
+   infeasible under the old engine's budget) have no baseline. *)
 let roster () =
   [
     (* Schedule-only exploration, preemption bound 2. *)
@@ -180,7 +181,7 @@ let target e =
     t_check_ownership = e.e_check_ownership;
   }
 
-let run_entry ?engine ?obs ?refine e =
+let run_entry ?obs ?refine e =
   let refine =
     Option.map
       (fun make ->
@@ -191,7 +192,7 @@ let run_entry ?engine ?obs ?refine e =
         fun () -> make ~name:e.e_name ~namespace)
       refine
   in
-  Mcheck.check ?engine ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs ?refine (target e)
+  Mcheck.check ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs ?refine (target e)
 
 let repro_of_case e (c : Mcheck.case) =
   match c.Mcheck.v_shrunk with
@@ -221,13 +222,3 @@ let builder ~name ~n =
     with
     | Some a -> Some a.Campaign.build
     | None -> Fuzz_roster.builder ~name ~n)
-
-let check_ownership_of ~name =
-  (* Handoff-protocol targets return a name they never TASed in the
-     namespace (the grant lives in aux registers), so ownership checking
-     would misfire; uniqueness is still checked. *)
-  let prefixed p = String.length name >= String.length p && String.sub name 0 (String.length p) = p in
-  not
-    (prefixed "lease-handoff" || prefixed "mutant-lease" || prefixed "shard-handoff"
-   || prefixed "mutant-shard" || prefixed "net-dedup" || prefixed "mutant-net"
-   || prefixed "refine-grant" || prefixed "mutant-refine")

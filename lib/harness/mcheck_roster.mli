@@ -16,9 +16,10 @@ type entry = {
   e_build : seed:int64 -> Renaming_sched.Executor.instance;
   e_bounds : Renaming_mcheck.Mcheck.bounds;
   e_baseline : int option;
-      (** frozen sleep-set ([`Legacy_dfs]) schedule count — the
-          denominator of the DPOR reduction ratio; [None] for entries
-          that were infeasible before DPOR (the n5 configurations) *)
+      (** the schedule count of the pre-DPOR sleep-set DFS, frozen: that
+          pruning is gone, so it cannot be re-measured.  The denominator
+          of the DPOR reduction ratio; [None] for entries that were
+          infeasible before DPOR (the n5 configurations) *)
 }
 
 val roster : unit -> entry list
@@ -35,15 +36,14 @@ val tier1 : unit -> entry list
 val target : entry -> Renaming_mcheck.Mcheck.target
 
 val run_entry :
-  ?engine:Renaming_mcheck.Mcheck.engine ->
   ?obs:Renaming_obs.Obs.t ->
   ?refine:(name:string -> namespace:int -> (Renaming_sched.Executor.event -> unit)) ->
   entry ->
   Renaming_mcheck.Mcheck.stats
-(** [engine] defaults to [`Dpor]; the entry's frozen [e_baseline] is
-    threaded into the stats for reduction-ratio reporting.  [refine]
-    (the campaign-factory shape, applied to the entry's name and
-    namespace) attaches a fresh refinement checker to every explored
+(** Explores the entry with {!Renaming_mcheck.Mcheck.check}; its frozen
+    [e_baseline] is threaded into the stats for reduction-ratio
+    reporting.  [refine] (the campaign-factory shape, applied to the
+    entry's name and namespace) attaches a fresh refinement checker to every explored
     schedule — see {!Renaming_mcheck.Mcheck.check}. *)
 
 val repro_of_case :
@@ -55,7 +55,3 @@ val builder :
 (** Resolve a repro artifact's algorithm name back to an instance
     builder: roster entries first (exact name and [n] match), then the
     chaos roster ({!Chaos.algorithms}) by algorithm name. *)
-
-val check_ownership_of : name:string -> bool
-(** Whether the named algorithm supports the monitor's ownership check
-    (true for every roster and chaos algorithm today). *)

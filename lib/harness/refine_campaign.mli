@@ -63,7 +63,6 @@ val ok : summary -> bool
 (** Zero violations on every backend {e and} the mutant caught, shrunk
     and round-tripped. *)
 
-val backend_ok : backend_report -> bool
 val mutant_ok : mutant_report -> bool
 
 val to_json : summary -> string

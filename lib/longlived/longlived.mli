@@ -45,6 +45,7 @@ val namespace_for : sessions:int -> epsilon:float -> int
     with the lease-based service layer ({!Renaming_service.Lease}),
     which sizes its slot table with the same slack. *)
 
+(* lint: allow unused-export — test hook: the probe cap *)
 val probe_cap : config -> int
 (** The effective probe cap ([config.probe_cap] or the [64 · m]
     default). *)
@@ -66,6 +67,7 @@ type stats = {
 
 val create_stats : unit -> stats ref
 
+(* lint: allow unused-export — test hook: one process under a custom executor *)
 val program :
   ?stats:stats ref ->
   config ->
@@ -76,6 +78,7 @@ val program :
     run it against a custom memory, e.g. to force the exhaustion
     path). *)
 
+(* lint: allow unused-export — test hook: the pinned tick workload *)
 val instance :
   ?stats:stats ref -> config -> stream:Renaming_rng.Stream.t -> Renaming_sched.Executor.instance
 (** Every program returns [None]; the outcome of a long-lived run is

@@ -13,10 +13,6 @@ type target = {
   t_check_ownership : bool;
 }
 
-type engine = [ `Dpor | `Legacy_dfs ]
-
-let engine_name = function `Dpor -> "dpor" | `Legacy_dfs -> "legacy-dfs"
-
 type bounds = {
   b_preemptions : int;
   b_crashes : int;
@@ -24,7 +20,6 @@ type bounds = {
   b_faults : int;
   b_max_ticks : int;
   b_max_schedules : int;
-  b_sleep : bool;
   b_yield_rotate : int option;
 }
 
@@ -36,7 +31,6 @@ let default_bounds =
     b_faults = 0;
     b_max_ticks = 50_000;
     b_max_schedules = 200_000;
-    b_sleep = true;
     b_yield_rotate = Some 32;
   }
 
@@ -64,17 +58,9 @@ type stats = {
   s_cases : case list;
 }
 
-(* Static independence of operations lives in the audited
-   Renaming_analysis.Footprint table: both engines below are only sound
-   if that table never claims independence for a non-commuting pair,
-   and `renaming analyze` machine-checks exactly that (pairwise
-   commutation + dynamic access-set coverage + agreement with the
-   {!Races.dependent} relation DPOR reverses races over). *)
-let independent = Renaming_analysis.Footprint.independent
-
 exception Capped
 
-(* Mutable accumulators shared by both engines. *)
+(* Mutable accumulators shared by both explorers. *)
 type acc = {
   a_schedules : int ref;
   a_points : int ref;
@@ -93,10 +79,6 @@ let notify acc (run : Directed.result) =
   match acc.a_on_schedule with None -> () | Some f -> f run.Directed.taken
 
 (* ------------------------------------------------------------------ *)
-(* Legacy engine: CHESS-style DFS with sleep sets.  Kept verbatim as
-   the [--legacy-dfs] escape hatch for differential runs against the
-   DPOR engine; its schedule enumeration must stay byte-identical. *)
-
 (* Compose the per-execution event hook: the monitor first (existing
    violation kinds stay stable), then a fresh refinement checker when
    one is attached. *)
@@ -109,10 +91,23 @@ let monitored_hook ?refine monitor =
       mhook ev;
       rhook ev
 
-let check_legacy ?refine ~bounds ~acc target =
+let prev_runnable (pt : Directed.point) =
+  pt.Directed.prev >= 0 && Array.exists (fun q -> q = pt.Directed.prev) pt.Directed.runnable
+
+(* Switching away from a still-runnable process costs one preemption,
+   in both explorers, so they bound the same schedule universe (the
+   differential tests rely on this). *)
+let switch_cost (pt : Directed.point) pid =
+  if prev_runnable pt && pt.Directed.prev <> pid then 1
+  else 0
+
+(* The unpruned enumerator: CHESS-style stateless DFS over every enabled
+   alternative at every decision point, under the same preemption cost
+   model as DPOR and no reduction at all — the oracle DPOR's verdicts
+   and schedule counts are checked against. *)
+let check_unpruned ?refine ~bounds ~acc target =
   let schedules = acc.a_schedules in
   let points = acc.a_points in
-  let slept = acc.a_pruned in
   let livelocks = acc.a_livelocks in
   let capped = ref false in
   (* One stateless exploration step: execute [prefix] (plus the
@@ -120,7 +115,7 @@ let check_legacy ?refine ~bounds ~acc target =
      alternative at every decision point past the prefix.  Each complete
      execution differs from its parent's at exactly the branched index,
      so no interleaving is visited twice. *)
-  let rec explore prefix ~sleep ~preemptions ~crashes ~recoveries ~faults =
+  let rec explore prefix ~preemptions ~crashes ~recoveries ~faults =
     if !schedules >= bounds.b_max_schedules then raise Capped;
     incr schedules;
     let inst = target.t_build () in
@@ -146,7 +141,6 @@ let check_legacy ?refine ~bounds ~acc target =
         try Monitor.finalize monitor report
         with Monitor.Violation v ->
           acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run));
-    let cur_sleep = ref sleep in
     Array.iter
       (fun (pt : Directed.point) ->
         incr points;
@@ -157,58 +151,26 @@ let check_legacy ?refine ~bounds ~acc target =
           | Directed.Step p -> p
           | Directed.Fault _ | Directed.Crash _ | Directed.Recover _ -> assert false
         in
-        let taken_op =
-          let k = ref (-1) in
-          Array.iteri (fun i q -> if q = taken_pid then k := i) pt.Directed.runnable;
-          pt.Directed.ops.(!k)
-        in
         let base = Array.to_list (Array.sub run.Directed.taken 0 pt.Directed.index) in
-        let prev_runnable =
-          pt.Directed.prev >= 0 && Array.exists (fun q -> q = pt.Directed.prev) pt.Directed.runnable
-        in
-        let step_cost q = if prev_runnable && q <> pt.Directed.prev then 1 else 0 in
-        let explored = ref [] in
+        let step_cost = switch_cost pt in
         (* Alternative schedules of other runnable processes. *)
-        Array.iteri
-          (fun k q ->
-            if q <> taken_pid then begin
-              let opq = pt.Directed.ops.(k) in
-              if
-                bounds.b_sleep
-                && List.exists (fun (r, opr) -> r = q && opr = opq) !cur_sleep
-              then incr slept
-              else begin
-                let cost = step_cost q in
-                if cost <= preemptions then begin
-                  let child_sleep =
-                    if not bounds.b_sleep then []
-                    else
-                      List.filter
-                        (fun (r, opr) -> r <> q && independent opr opq)
-                        (!explored @ !cur_sleep)
-                  in
-                  explore
-                    (base @ [ Directed.Step q ])
-                    ~sleep:child_sleep ~preemptions:(preemptions - cost) ~crashes ~recoveries
-                    ~faults;
-                  explored := (q, opq) :: !explored
-                end
-              end
-            end)
+        Array.iter
+          (fun q ->
+            let cost = step_cost q in
+            if q <> taken_pid && cost <= preemptions then
+              explore
+                (base @ [ Directed.Step q ])
+                ~preemptions:(preemptions - cost) ~crashes ~recoveries ~faults)
           pt.Directed.runnable;
         (* Transient-fault injections (including on the taken pid). *)
         if faults > 0 then
           Array.iteri
             (fun k q ->
-              let opq = pt.Directed.ops.(k) in
-              if Op.faultable opq then begin
-                let cost = step_cost q in
-                if cost <= preemptions then
-                  explore
-                    (base @ [ Directed.Fault q ])
-                    ~sleep:[] ~preemptions:(preemptions - cost) ~crashes ~recoveries
-                    ~faults:(faults - 1)
-              end)
+              let cost = step_cost q in
+              if Op.faultable pt.Directed.ops.(k) && cost <= preemptions then
+                explore
+                  (base @ [ Directed.Fault q ])
+                  ~preemptions:(preemptions - cost) ~crashes ~recoveries ~faults:(faults - 1))
             pt.Directed.runnable;
         (* Crash / recovery injections. *)
         if crashes > 0 then
@@ -216,27 +178,19 @@ let check_legacy ?refine ~bounds ~acc target =
             (fun q ->
               explore
                 (base @ [ Directed.Crash q ])
-                ~sleep:[] ~preemptions ~crashes:(crashes - 1) ~recoveries ~faults)
+                ~preemptions ~crashes:(crashes - 1) ~recoveries ~faults)
             pt.Directed.runnable;
         if recoveries > 0 then
           Array.iter
             (fun q ->
               explore
                 (base @ [ Directed.Recover q ])
-                ~sleep:[] ~preemptions ~crashes ~recoveries:(recoveries - 1) ~faults)
-            pt.Directed.crashed;
-        (* Walk into the taken branch: wake sleepers dependent on the
-           taken operation, put the explored alternatives to sleep. *)
-        cur_sleep :=
-          if not bounds.b_sleep then []
-          else
-            List.filter
-              (fun (r, opr) -> r <> taken_pid && independent opr taken_op)
-              (!explored @ !cur_sleep))
+                ~preemptions ~crashes ~recoveries:(recoveries - 1) ~faults)
+            pt.Directed.crashed)
       run.Directed.points
   in
   (try
-     explore [] ~sleep:[] ~preemptions:bounds.b_preemptions ~crashes:bounds.b_crashes
+     explore [] ~preemptions:bounds.b_preemptions ~crashes:bounds.b_crashes
        ~recoveries:bounds.b_recoveries ~faults:bounds.b_faults
    with Capped -> capped := true);
   !capped
@@ -255,7 +209,13 @@ let check_legacy ?refine ~bounds ~acc target =
    set), a pending branch (tree cover) or the preemption budget rules
    it out.  Sleep sets record fully-explored branches per node, so a
    committed branch is never re-inserted: no explored schedule is ever
-   revisited. *)
+   revisited.
+
+   Dependence comes from the audited Renaming_analysis.Footprint table
+   through {!Races.dependent}: the engine is only sound if that table
+   never claims independence for a non-commuting pair, and `renaming
+   analyze` machine-checks exactly that (pairwise commutation + dynamic
+   access-set coverage + agreement with {!Races.dependent}). *)
 
 type nd = {
   nd_point : Directed.point;
@@ -277,16 +237,6 @@ let op_at (pt : Directed.point) pid =
   match !r with
   | Some o -> o
   | None -> invalid_arg (Printf.sprintf "Mcheck.op_at: pid %d not runnable" pid)
-
-let prev_runnable (pt : Directed.point) =
-  pt.Directed.prev >= 0 && Array.exists (fun q -> q = pt.Directed.prev) pt.Directed.runnable
-
-(* Switching away from a still-runnable process costs one preemption —
-   the exact cost model of the legacy engine, so both engines bound the
-   same schedule universe (the differential tests rely on this). *)
-let switch_cost (pt : Directed.point) pid =
-  if prev_runnable pt && pt.Directed.prev <> pid then 1
-  else 0
 
 let event_of_choice (pt : Directed.point) = function
   | Directed.Step pid -> Races.step ~pid (op_at pt pid)
@@ -363,7 +313,7 @@ let check_dpor ?refine ~bounds ~acc target =
         (!pre, !cr, !re, !fa, sleep, w, next)
     in
     (* Injection alternatives at this point, enumerated exhaustively
-       (budget-gated), exactly as the legacy engine does. *)
+       (budget-gated), exactly as the unpruned enumerator does. *)
     let inj = ref [] in
     if recoveries > 0 then Array.iter (fun q -> inj := Directed.Recover q :: !inj) pt.Directed.crashed;
     if crashes > 0 then Array.iter (fun q -> inj := Directed.Crash q :: !inj) pt.Directed.runnable;
@@ -495,13 +445,13 @@ let check_dpor ?refine ~bounds ~acc target =
                    reversal needs a preemption the budget no longer
                    allows.  Dropping it outright would lose even the
                    free reorderings a bounded run can reach (at budget 0
-                   the legacy engine still explores every
+                   the unpruned enumerator still explores every
                    run-to-completion order), so fall back to the one
                    switch that is always free — scheduling the racing
                    process first, at the root.  Deliberately lazy:
                    reversals needing a mid-trace preemption the budget
-                   cannot pay stay skipped, mirroring the legacy
-                   engine's budget gating. *)
+                   cannot pay stay skipped, mirroring the unpruned
+                   enumerator's budget gating. *)
                 let nd0 = nodes.(0) in
                 if
                   Array.exists (fun q -> q = p0) nd0.nd_point.Directed.runnable
@@ -551,7 +501,7 @@ let check_dpor ?refine ~bounds ~acc target =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_cases = 8)
+let explore ~engine ~explorer ?(bounds = default_bounds) ?(shrink = true) ?(max_cases = 8)
     ?baseline ?on_schedule ?obs ?refine target =
   let schedules = ref 0 in
   let points = ref 0 in
@@ -605,15 +555,11 @@ let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_ca
       a_on_schedule = on_schedule;
     }
   in
-  let capped =
-    match engine with
-    | `Legacy_dfs -> check_legacy ?refine ~bounds ~acc target
-    | `Dpor -> check_dpor ?refine ~bounds ~acc target
-  in
+  let capped = explorer ?refine ~bounds ~acc target in
   let stats =
     {
       s_target = target.t_name;
-      s_engine = engine_name engine;
+      s_engine = engine;
       s_schedules = !schedules;
       s_points = !points;
       s_races = !races;
@@ -639,6 +585,9 @@ let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_ca
     Metrics.add (Obs.counter o "mcheck/violations") stats.s_violations;
     Metrics.add (Obs.counter o "mcheck/livelocks") stats.s_livelocks);
   stats
+
+let check = explore ~engine:"dpor" ~explorer:check_dpor
+let enumerate = explore ~engine:"unpruned" ~explorer:check_unpruned
 
 let reduction s =
   match s.s_baseline with

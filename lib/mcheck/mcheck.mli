@@ -5,10 +5,10 @@
 
     The exploration is *stateless* in the CHESS style: a schedule is a
     {!Renaming_sched.Directed.choice} prefix, re-executed from scratch
-    on a fresh deterministic instance.  Two engines share that
+    on a fresh deterministic instance.  Two explorers share that
     substrate:
 
-    - {b [`Dpor]} (default): source-DPOR with wakeup trees.  After each
+    - {!check}: source-DPOR with wakeup trees.  After each
       completed execution, *reversible races* — pairs of dependent
       steps of different processes with no happens-before path between
       them, computed with vector clocks over the
@@ -25,22 +25,22 @@
       [b_yield_rotate] fairness bound so retry/backoff loops in the
       handoff services terminate instead of burning the livelock guard.
 
-    - {b [`Legacy_dfs]}: the previous sleep-set DFS, kept byte-identical
-      as an escape hatch ([renaming mcheck --legacy-dfs]) for
-      differential runs; it enumerates every enabled alternative at
-      every point, pruned by sleep sets and preemption bounding.
+    - {!enumerate}: the unpruned DFS, which branches on every enabled
+      alternative at every point, bounded only by the budgets — the
+      oracle the differential tests check DPOR's verdicts and schedule
+      counts against.
 
-    Both engines bound preemptions with the same cost model (switching
+    Both bound preemptions with the same cost model (switching
     away from a still-runnable process costs one unit of
     [b_preemptions]), so they explore the same bounded schedule
     universe.  Independence is judged statically from the audited
     {!Renaming_analysis.Footprint} table, machine-checked against the
     concrete semantics of [Memory.apply] by [renaming analyze]
     ({!Renaming_analysis.Commute}), including agreement with
-    {!Races.dependent}.  Under a *finite* preemption bound, both engines
-    are heuristic: a race whose reversal needs more preemptions than
+    {!Races.dependent}.  Under a *finite* preemption bound, DPOR is
+    heuristic: a race whose reversal needs more preemptions than
     remain is skipped (counted in [s_budget_skipped]), mirroring the
-    legacy engine's budget gating.  With generous bounds both are
+    enumerator's budget gating.  With generous bounds it is
     exhaustive up to Mazurkiewicz-trace equivalence, which is sound for
     the monitor's trace-invariant verdicts.
 
@@ -56,11 +56,6 @@ type target = {
   t_check_ownership : bool;  (** see {!Renaming_faults.Monitor.create} *)
 }
 
-type engine = [ `Dpor | `Legacy_dfs ]
-
-val engine_name : engine -> string
-(** ["dpor"] / ["legacy-dfs"] — the [s_engine] stats field. *)
-
 type bounds = {
   b_preemptions : int;  (** preemption budget per schedule *)
   b_crashes : int;  (** crash injections per schedule *)
@@ -68,18 +63,14 @@ type bounds = {
   b_faults : int;  (** transient-fault injections per schedule *)
   b_max_ticks : int;  (** livelock guard per execution *)
   b_max_schedules : int;  (** hard cap on executions; sets [s_capped] *)
-  b_sleep : bool;  (** sleep-set pruning — legacy engine only (DPOR
-                       requires sleep sets for its no-revisit guarantee
-                       and always keeps them) *)
   b_yield_rotate : int option;
-      (** fairness bound of the default tail — DPOR engine only (the
-          legacy engine's tail must stay byte-identical); see
-          {!Renaming_sched.Directed.run} *)
+      (** fairness bound of DPOR's default tail (the enumerator runs the
+          plain tail); see {!Renaming_sched.Directed.run} *)
 }
 
 val default_bounds : bounds
 (** [{ b_preemptions = 2; b_crashes = 0; b_recoveries = 0; b_faults = 0;
-      b_max_ticks = 50_000; b_max_schedules = 200_000; b_sleep = true;
+      b_max_ticks = 50_000; b_max_schedules = 200_000;
       b_yield_rotate = Some 32 }] *)
 
 type case = {
@@ -97,15 +88,14 @@ type case = {
 
 type stats = {
   s_target : string;
-  s_engine : string;  (** {!engine_name} of the engine that ran *)
+  s_engine : string;  (** ["dpor"] ({!check}) or ["unpruned"] ({!enumerate}) *)
   s_schedules : int;  (** distinct complete executions checked *)
   s_points : int;  (** decision points expanded *)
   s_races : int;  (** reversible races detected (DPOR) *)
   s_wakeups : int;  (** reordering witnesses committed to wakeup trees (DPOR) *)
   s_pruned : int;
-      (** alternatives skipped as redundant: sleep-set hits (both
-          engines) and witnesses already covered by a pending branch
-          (DPOR) *)
+      (** alternatives DPOR skipped as redundant: sleep-set hits and
+          witnesses already covered by a pending branch *)
   s_budget_skipped : int;
       (** witnesses or runs discarded by the preemption budget or an
           infeasible wakeup descent (DPOR) *)
@@ -113,16 +103,12 @@ type stats = {
   s_violations : int;  (** total failing executions *)
   s_capped : bool;  (** exploration stopped at [b_max_schedules] *)
   s_baseline : int option;
-      (** sleep-set baseline schedule count for this target, when known
+      (** frozen pre-DPOR schedule count for this target, when known
           (from the roster) — the denominator of the reduction ratio *)
   s_cases : case list;  (** first few violations, in discovery order *)
 }
 
-val reduction : stats -> float option
-(** [s_schedules / s_baseline], when a positive baseline is known. *)
-
 val check :
-  ?engine:engine ->
   ?bounds:bounds ->
   ?shrink:bool ->
   ?max_cases:int ->
@@ -132,8 +118,8 @@ val check :
   ?refine:(unit -> Renaming_sched.Executor.event -> unit) ->
   target ->
   stats
-(** Exhaustively explores [target] within [bounds] using [engine]
-    (default [`Dpor]).  [shrink] (default [true]): minimise each
+(** Exhaustively explores [target] within [bounds] with source-DPOR.
+    [shrink] (default [true]): minimise each
     recorded violation.  [max_cases] (default [8]) caps the number of
     *recorded* cases ([s_violations] still counts all of them).
     [baseline] is stored in [s_baseline] for reduction-ratio reporting.
@@ -148,11 +134,25 @@ val check :
 
     [refine] builds one extra event hook per executed schedule (fresh
     refinement-checker state each time), composed after the safety
-    monitor's hook at both engines and through shrinking replays; a
+    monitor's hook and through shrinking replays; a
     [Monitor.Violation] it raises registers like any other kind
     (["refine:..."]).  On a violation-free target the visited schedule
     space is identical with or without it (a violation aborts its
     execution early, exactly as a monitor violation does). *)
+
+(* lint: allow unused-export — test hook: the unpruned oracle of DPOR's differential tests *)
+val enumerate :
+  ?bounds:bounds ->
+  ?shrink:bool ->
+  ?max_cases:int ->
+  ?baseline:int ->
+  ?on_schedule:(Renaming_sched.Directed.choice array -> unit) ->
+  ?obs:Renaming_obs.Obs.t ->
+  ?refine:(unit -> Renaming_sched.Executor.event -> unit) ->
+  target ->
+  stats
+(** {!check}'s contract, explored by the unpruned enumerator:
+    [s_races], [s_wakeups], [s_pruned] and [s_budget_skipped] stay 0. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

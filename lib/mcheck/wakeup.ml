@@ -71,14 +71,3 @@ let rec insert ?dependent t v =
       Inserted)
 
 let rec size t = List.fold_left (fun acc b -> acc + 1 + size b.b_sub) 0 t.bs
-
-let rec pp fmt t =
-  Format.fprintf fmt "[";
-  List.iteri
-    (fun i b ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%d:%a%a" b.b_pid Op.pp b.b_op
-        (fun fmt sub -> if not (is_empty sub) then pp fmt sub)
-        b.b_sub)
-    t.bs;
-  Format.fprintf fmt "]"

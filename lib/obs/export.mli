@@ -4,9 +4,6 @@
 
 (** {2 JSONL event stream} *)
 
-val event_to_json : Ring.event -> Json.t
-val event_of_json : Json.t -> (Ring.event, string) result
-
 val jsonl : Ring.event list -> string
 (** One JSON object per line. *)
 
@@ -24,5 +21,4 @@ val chrome_trace : ?process_name:string -> Ring.event list -> string
 (** {2 Metrics snapshot} *)
 
 val hist_json : Hist.t -> Json.t
-val metrics_json : ?label:string -> Metrics.t -> Json.t
 val metrics_to_string : ?label:string -> Metrics.t -> string

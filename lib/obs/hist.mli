@@ -9,15 +9,11 @@
 
 type t
 
-val default_bounds : int array
-(** [2^0 .. 2^20], inclusive upper bounds. *)
-
 val create : ?bounds:int array -> unit -> t
 (** [bounds] must be strictly increasing and non-negative; an overflow
     bucket above the last bound is added automatically. *)
 
 val observe : t -> int -> unit
-val observe_many : t -> int -> count:int -> unit
 
 val count : t -> int
 (** Total observations. *)
@@ -41,4 +37,5 @@ val merge : t -> t -> t
 (** Fresh histogram with element-wise summed counts; raises
     [Invalid_argument] when the bucket bounds differ. *)
 
+(* lint: allow unused-export — test hook: merge laws *)
 val equal : t -> t -> bool

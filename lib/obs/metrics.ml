@@ -37,7 +37,6 @@ let counter t name =
 
 let incr c = c.c <- c.c + 1
 let add c v = c.c <- c.c + v
-let value c = c.c
 
 let histogram ?bounds t name =
   match Hashtbl.find_opt t.tbl name with
@@ -74,8 +73,6 @@ let snapshot t =
       (name, v) :: acc)
     t.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let names t = List.map fst (snapshot t)
 
 let find_counter t name =
   match Hashtbl.find_opt t.tbl name with Some (Counter c) -> Some c.c | _ -> None

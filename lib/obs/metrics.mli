@@ -19,10 +19,9 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
 
 val histogram : ?bounds:int array -> t -> string -> Hist.t
-(** Get-or-create ({!Hist.default_bounds} unless [bounds] given). *)
+(** Get-or-create (power-of-two bounds unless [bounds] given). *)
 
 val gauge : t -> string -> (unit -> float) -> unit
 (** Register a read-through gauge; re-registering rebinds it. *)
@@ -41,7 +40,6 @@ type value =
 val snapshot : t -> (string * value) list
 (** Current values, sorted by name. *)
 
-val names : t -> string list
-
+(* lint: allow unused-export — test hook: reads a counter back *)
 val find_counter : t -> string -> int option
 val find_histogram : t -> string -> Hist.t option

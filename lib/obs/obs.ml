@@ -23,7 +23,6 @@ let ring t = t.ring
 (* The executor installs its tick counter here at run start, so events
    recorded from inside program continuations carry executor time. *)
 let set_now t f = t.now <- f
-let now t = t.now ()
 
 let counter t name = Metrics.counter t.metrics name
 let histogram ?bounds t name = Metrics.histogram ?bounds t.metrics name
@@ -47,7 +46,6 @@ type scoped = { sc_obs : t; sc_pid : int }
 
 let scoped t ~pid = { sc_obs = t; sc_pid = pid }
 let scoped_obs s = s.sc_obs
-let scoped_pid s = s.sc_pid
 
 let s_instant s ?args name = instant s.sc_obs ~pid:s.sc_pid ?args name
 let s_begin s ?args name = span_begin s.sc_obs ~pid:s.sc_pid ?args name

@@ -21,8 +21,6 @@ val set_now : t -> (unit -> int) -> unit
 (** Install the logical clock; the executor does this at run start so
     events carry executor ticks. *)
 
-val now : t -> int
-
 (** {2 Metrics shorthands} *)
 
 val counter : t -> string -> Metrics.counter
@@ -32,7 +30,6 @@ val vector : t -> string -> int array -> unit
 
 (** {2 Events} *)
 
-val event : t -> pid:int -> kind:Ring.kind -> ?args:(string * int) list -> string -> unit
 val instant : t -> pid:int -> ?args:(string * int) list -> string -> unit
 val span_begin : t -> pid:int -> ?args:(string * int) list -> string -> unit
 val span_end : t -> pid:int -> ?args:(string * int) list -> string -> unit
@@ -50,7 +47,6 @@ type scoped
 
 val scoped : t -> pid:int -> scoped
 val scoped_obs : scoped -> t
-val scoped_pid : scoped -> int
 
 val s_instant : scoped -> ?args:(string * int) list -> string -> unit
 val s_begin : scoped -> ?args:(string * int) list -> string -> unit

@@ -27,7 +27,6 @@ let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { buf = Array.make capacity dummy; capacity; start = 0; len = 0; dropped = 0 }
 
-let capacity t = t.capacity
 let length t = t.len
 let dropped t = t.dropped
 
@@ -44,11 +43,6 @@ let add t ev =
   end
 
 let to_list t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.capacity))
-
-let clear t =
-  t.start <- 0;
-  t.len <- 0;
-  t.dropped <- 0
 
 let kind_name = function Span_begin -> "begin" | Span_end -> "end" | Instant -> "instant"
 

@@ -18,7 +18,7 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 65536 events. *)
 
-val capacity : t -> int
+(* lint: allow unused-export — test hook: observes the ring *)
 val length : t -> int
 
 val dropped : t -> int
@@ -27,8 +27,6 @@ val dropped : t -> int
 val add : t -> event -> unit
 val to_list : t -> event list
 (** Oldest first. *)
-
-val clear : t -> unit
 
 val kind_name : kind -> string
 val kind_of_name : string -> kind option

@@ -12,8 +12,6 @@ let create cfg =
   if cfg.namespace <= 0 then invalid_arg "Spec.create: namespace must be positive";
   { cfg; holders = Hashtbl.create 64; sessions = Hashtbl.create 64 }
 
-let config t = t.cfg
-
 type verdict = [ `Step | `Stutter | `Reject of string ]
 
 let session t id =

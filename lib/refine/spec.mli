@@ -41,7 +41,6 @@ type config = {
 type t
 
 val create : config -> t
-val config : t -> config
 
 type verdict = [ `Step | `Stutter | `Reject of string ]
 
@@ -51,9 +50,11 @@ val apply : t -> Obs_event.t -> verdict
 val holder : t -> name:int -> int option
 (** The session currently holding [name], if any. *)
 
+(* lint: allow unused-export — test hook: observes the spec state *)
 val held : t -> int
 (** Names currently held. *)
 
+(* lint: allow unused-export — test hook: compares spec states *)
 val snapshot : t -> string
 (** Canonical rendering of the full state (sorted), for determinism
     tests and counterexample reports. *)

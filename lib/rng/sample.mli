@@ -25,6 +25,7 @@ val bernoulli : Xoshiro.t -> float -> bool
 val float_unit : Xoshiro.t -> float
 
 (** [shuffle_in_place rng arr] applies a Fisher–Yates shuffle. *)
+(* lint: allow unused-export — unit-tested, no caller yet: sampler *)
 val shuffle_in_place : Xoshiro.t -> 'a array -> unit
 
 (** [permutation rng n] is a uniform random permutation of [0 .. n-1]. *)
@@ -32,4 +33,5 @@ val permutation : Xoshiro.t -> int -> int array
 
 (** [choose rng arr] picks a uniform element of [arr].  Raises
     [Invalid_argument] on an empty array. *)
+(* lint: allow unused-export — unit-tested, no caller yet: sampler *)
 val choose : Xoshiro.t -> 'a array -> 'a

@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let next t =
@@ -12,5 +10,3 @@ let next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let next_int63 t = Int64.to_int (Int64.shift_right_logical (next t) 2)

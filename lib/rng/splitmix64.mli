@@ -8,14 +8,9 @@ type t
 
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
+(* lint: allow unused-export — unit-tested, no caller yet: the SplitMix64 reference generator *)
 val create : int64 -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
 (** [next t] advances the state and returns the next 64-bit output. *)
+(* lint: allow unused-export — unit-tested, no caller yet: the SplitMix64 reference generator *)
 val next : t -> int64
-
-(** [next_int63 t] is [next t] truncated to OCaml's non-negative [int]
-    range, i.e. uniform on [0, 2^62). *)
-val next_int63 : t -> int

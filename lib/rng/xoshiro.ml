@@ -87,6 +87,7 @@ let next_int63 t = next_int63_at t 0
 let jump_table =
   [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
+(* Advance [t] by 2^128 steps in place. *)
 let jump t =
   let acc = Bytes.make state_bytes '\000' in
   Array.iter

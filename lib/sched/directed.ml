@@ -26,6 +26,16 @@ let choice_of_string s =
     | _ -> Error (Printf.sprintf "unknown choice verb in %S" s))
   | _ -> Error (Printf.sprintf "malformed choice %S (want \"<verb> <pid>\")" s)
 
+let choices_of_trace ?(faulted = []) trace =
+  List.mapi
+    (fun i event ->
+      match event with
+      | Trace.Scheduled { pid; _ } ->
+        if List.mem i faulted then Fault pid else Step pid
+      | Trace.Crashed { pid; _ } -> Crash pid
+      | Trace.Recovered { pid; _ } -> Recover pid)
+    (Trace.events trace)
+
 type point = {
   index : int;
   time : int;

@@ -21,13 +21,17 @@ type choice =
   | Crash of int
   | Recover of int
 
-val pp_choice : Format.formatter -> choice -> unit
-
 val choice_to_string : choice -> string
 (** ["step 3"], ["fault 1"], ["crash 0"], ["recover 2"] — the repro
     artifact line format, inverse of {!choice_of_string}. *)
 
 val choice_of_string : string -> (choice, string) result
+
+val choices_of_trace : ?faulted:int list -> Trace.t -> choice list
+(** The decision sequence of a recorded run, replayable through {!run}.
+    A scheduled step whose event index is in [faulted] (default none)
+    drew an injected fault and becomes a [Fault] choice, so the replay
+    reproduces the injection without the RNG. *)
 
 (** One decision point of the recorded execution. *)
 type point = {

@@ -46,7 +46,6 @@ let create ~namespace ?(aux = 0) ?(words = 0) ?(taus = [||]) () =
 
 let names t = t.names
 let aux t = t.aux
-let taus t = t.taus
 let words t = t.words
 
 let namespace t = Tas_array.size t.names

@@ -39,8 +39,6 @@ val names : t -> Renaming_shm.Tas_array.t
 val aux : t -> Renaming_shm.Tas_array.t
 (** Auxiliary TAS bits (the loose algorithms use none). *)
 
-val taus : t -> Renaming_device.Tau_register.t array
-
 val words : t -> int array
 (** Plain atomic read/write registers (all start at 0) — the substrate
     of read/write constructions such as splitters. *)

@@ -9,11 +9,8 @@ let rec bind p f =
   | Done v -> f v
   | Step (op, k) -> Step (op, fun resp -> bind (k resp) f)
 
-let map f p = bind p (fun v -> Done (f v))
-
 module Syntax = struct
   let ( let* ) = bind
-  let ( let+ ) p f = map f p
 end
 
 let bad_response op resp =
@@ -29,7 +26,6 @@ let bool_op op =
 let tas_name i = bool_op (Op.Tas_name i)
 let tas_aux i = bool_op (Op.Tas_aux i)
 let read_name i = bool_op (Op.Read_name i)
-let read_aux i = bool_op (Op.Read_aux i)
 let owned_name i = bool_op (Op.Owned_name i)
 
 let yield =
@@ -49,10 +45,7 @@ let try_bool_op op =
       | Op.Faulted -> Done (Error `Faulted)
       | resp -> bad_response op resp )
 
-let try_tas_name i = try_bool_op (Op.Tas_name i)
 let try_tas_aux i = try_bool_op (Op.Tas_aux i)
-let try_read_name i = try_bool_op (Op.Read_name i)
-let try_read_aux i = try_bool_op (Op.Read_aux i)
 
 let release_name i = bool_op (Op.Release_name i)
 

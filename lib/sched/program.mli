@@ -14,11 +14,8 @@ val return : 'a -> 'a t
 
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-
 module Syntax : sig
   val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
-  val ( let+ ) : 'a t -> ('a -> 'b) -> 'b t
 end
 
 (** {2 Primitive operations} *)
@@ -28,15 +25,9 @@ val tas_name : int -> bool t
 
 val tas_aux : int -> bool t
 val read_name : int -> bool t
-val read_aux : int -> bool t
 val release_name : int -> bool t
 (** Free a namespace register this process owns; [true] iff it did own
     it (long-lived renaming only). *)
-
-val owned_name : int -> bool t
-(** Does this process own namespace register [i]?  The crash-recovery
-    primitive: a resurrected process re-discovers a name it won before
-    crashing.  Costs one step; never faulted. *)
 
 val yield : unit t
 (** One deliberate no-op step — the backoff unit of the transient-fault
@@ -51,10 +42,7 @@ val yield : unit t
     fault-tolerant retry loops ({!Renaming_faults.Retry}) build on these
     variants. *)
 
-val try_tas_name : int -> (bool, [ `Faulted ]) result t
 val try_tas_aux : int -> (bool, [ `Faulted ]) result t
-val try_read_name : int -> (bool, [ `Faulted ]) result t
-val try_read_aux : int -> (bool, [ `Faulted ]) result t
 
 val read_word : int -> int t
 (** Read an atomic read/write register. *)
@@ -77,11 +65,13 @@ val scan_names : first:int -> count:int -> int option t
     returns the won name, or [None] if all were taken. *)
 
 val recover_owned : namespace:int -> int option t
-(** Sweep the namespace with {!owned_name} and return the register this
+(** Sweep the namespace with one ownership query per register (one
+    step each, never faulted) and return the register this
     process already owns, if any.  The standard recovery preamble: run
     after a crash-restart so a process that won a name before crashing
     keeps it instead of leaking it.  Costs up to [namespace] steps. *)
 
+(* lint: allow unused-export — test hook: evaluates a program without memory *)
 val run_local : 'a t -> 'a option
 (** Runs a program only if it performs no shared-memory operation;
     [None] if it parks.  Used in unit tests. *)

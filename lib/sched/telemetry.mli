@@ -20,13 +20,4 @@ val op_label : Op.t -> string
 val op_args : Op.t -> (string * int) list
 (** The operation's operands as event args. *)
 
-val access_logger :
-  ?events:bool ->
-  Renaming_obs.Obs.t ->
-  pid:int ->
-  Op.t ->
-  Memory.access list ->
-  unit
-(** The raw logger, for composing with another logger by hand. *)
-
 val attach : ?events:bool -> Renaming_obs.Obs.t -> Memory.t -> unit

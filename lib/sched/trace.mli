@@ -37,6 +37,7 @@ exception Divergence of divergence
     exhausted while processes still run.  Structured so shrinkers and
     users can act on it instead of parsing a [Failure] string. *)
 
+(* lint: allow unused-export — test hook: renders a divergence *)
 val pp_divergence : Format.formatter -> divergence -> unit
 
 type t
@@ -58,6 +59,7 @@ val replaying : t -> Adversary.t
     decision names a process that is not in the required state) or the
     trace is exhausted while processes still run. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: trace census *)
 val census : t -> (string * int) list
 (** Operation counts by kind (["tas-name", 812; ...]), sorted by kind
     name; crashes appear as ["crash"]. *)

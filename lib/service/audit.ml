@@ -144,6 +144,5 @@ let observe t ~now event =
     free_slot t fence
 
 let live t = t.n_live
-let events t = t.n_events
 let violations t = t.n_violations
 let near_misses t = t.n_near_misses

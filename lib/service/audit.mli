@@ -41,9 +41,6 @@ val observe : t -> now:float -> event -> unit
 val live : t -> int
 (** Leases the mirror believes are currently live. *)
 
-val events : t -> int
-(** Total events observed. *)
-
 val violations : t -> int
 (** Violations detected (each also raised {!Violation}). *)
 

@@ -52,5 +52,6 @@ val record : 'r t -> client:int -> seq:int -> now:float -> 'r -> unit
 val sweep : 'r t -> now:float -> int
 (** Evict entries idle longer than the window; returns how many. *)
 
+(* lint: allow unused-export — test hook: observes the table *)
 val entries : 'r t -> int
 val stats : 'r t -> stats

@@ -4,6 +4,7 @@ module Memory = Renaming_sched.Memory
 module Retry = Renaming_faults.Retry
 open Program.Syntax
 
+(* Epochs modelled: one reclamation cycle. *)
 let max_epoch = 2
 
 let grant_lock e = 2 * e
@@ -13,6 +14,9 @@ let read_epoch =
   let* v = Program.read_word 0 in
   Program.return (max 0 (min v (max_epoch - 1)))
 
+(* Read the epoch, grab its grant lock, hold, commit via the settle
+   lock; [Some 0] iff committed, retrying a fresh epoch read up to
+   [tries] times. *)
 let rec claimant ~tries =
   if tries <= 0 then Program.return None
   else
@@ -28,6 +32,8 @@ let rec claimant ~tries =
 
 let holder = claimant ~tries:1
 
+(* Revoke the current epoch (settle-lock TAS) and advance the epoch
+   register; never returns a name. *)
 let reclaimer =
   let* e = read_epoch in
   let* revoked = Retry.tas_aux (settle_lock e) in

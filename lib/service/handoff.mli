@@ -24,32 +24,13 @@
     client.  All namespace traffic goes through {!Renaming_faults.Retry},
     so the protocol also survives transient-fault injection. *)
 
-val max_epoch : int
-(** Epochs modelled (2: one reclamation cycle). *)
-
-val claimant : tries:int -> int option Renaming_sched.Program.t
-(** Read epoch, grab the grant lock, hold, commit via the settle lock;
-    returns [Some 0] iff committed, retrying a fresh epoch read up to
-    [tries] times. *)
-
-val holder : int option Renaming_sched.Program.t
-(** [claimant ~tries:1] — the incumbent whose lease is being taken. *)
-
-val reclaimer : int option Renaming_sched.Program.t
-(** Revoke the current epoch (settle-lock TAS) and advance the epoch
-    register; never returns a name. *)
-
-val stale_holder : int option Renaming_sched.Program.t
-(** Seeded mutant: validates by {e re-reading the epoch register}
-    instead of taking the settle lock — the time-of-check/time-of-use
-    bug fencing exists to prevent.  A schedule where the holder
-    validates before the reclaimer advances the epoch yields two
-    committed holders; fuzz must find it. *)
-
 val instance : n:int -> seed:int64 -> Renaming_sched.Executor.instance
 (** [n >= 2] processes: the holder, the reclaimer, and [n - 2]
     claimants (two tries each).  Deterministic — [seed] is unused but
     kept for roster-builder uniformity. *)
 
 val instance_stale_write : n:int -> seed:int64 -> Renaming_sched.Executor.instance
-(** Same shape with {!stale_holder} in place of {!holder}. *)
+(** Same shape with the seeded mutant in place of the holder: it
+    validates by re-reading the epoch register instead of taking the
+    settle lock, so a schedule where it validates before the reclaimer
+    advances the epoch yields two committed holders; fuzz must find it. *)

@@ -111,19 +111,23 @@ type stats = {
 val stats : t -> stats
 val held : t -> int
 val slots : t -> int
+(* lint: allow unused-export — test hook: observes admission *)
 val queue_depth : t -> int
 
+(* lint: allow unused-export — test hook: observes admission *)
 val deadline_expired : t -> int
 (** Requests that hit their deadline while queued
     ({!Admission.expired_total}); also published as the
     [admission/deadline_expired] obs counter when the service was
     created with [?obs]. *)
 
+(* lint: allow unused-export — test hook: observes the audit *)
 val audit_live : t -> int
 
 val audit_near_misses : t -> int
 (** Stale operations the audit mirror saw correctly fenced. *)
 
+(* lint: allow unused-export — test hook: observes the audit *)
 val audit_violations : t -> int
 (** Violations the audit mirror detected (each also raised). *)
 

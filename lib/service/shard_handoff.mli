@@ -24,9 +24,6 @@
     new epoch's regrant of the same name: a global double grant, which
     the checker and fuzzer must find. *)
 
-val width : int
-(** Names per slice in the model (2). *)
-
 val instance : n:int -> seed:int64 -> Renaming_sched.Executor.instance
 (** [n >= 2] processes: the epoch-0 owner of name 0, the slice taker,
     and [n - 2] extra grantors spread over the slice's names. *)

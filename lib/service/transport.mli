@@ -66,6 +66,7 @@ type 'a t
 
 val create : ?faults:faults -> rng:Renaming_rng.Xoshiro.t -> unit -> 'a t
 
+(* lint: allow unused-export — test hook: the delivery bound dedup rests on *)
 val max_delay : 'a t -> float
 (** The delivery bound: [delay_max + reorder_extra].  No message is in
     flight longer than this. *)
@@ -82,6 +83,7 @@ val partition : 'a t -> src:addr -> dst:addr -> until:float -> unit
     send time).  Re-partitioning a pair extends/replaces its deadline;
     in-flight messages already past the send check are unaffected. *)
 
+(* lint: allow unused-export — test hook: ends a partition *)
 val heal : 'a t -> src:addr -> dst:addr -> unit
 (** Remove the [src -> dst] rule now, before its deadline. *)
 

@@ -59,8 +59,3 @@ let violations t =
 let is_valid t = violations t = []
 
 let is_complete t = is_valid t && named_count t = Array.length t.names
-
-let pp_violation fmt = function
-  | Out_of_range { pid; name } -> Format.fprintf fmt "process %d holds out-of-range name %d" pid name
-  | Duplicate { name; pid_a; pid_b } ->
-    Format.fprintf fmt "name %d assigned to both %d and %d" name pid_a pid_b

@@ -13,6 +13,7 @@ type t = {
 
 val make : namespace:int -> int option array -> t
 
+(* lint: allow unused-export — test hook: builds an assignment *)
 val of_names : namespace:int -> Tas_array.t -> processes:int -> t
 (** Reads the winners out of the namespace registers. *)
 
@@ -24,6 +25,7 @@ type violation =
   | Out_of_range of { pid : int; name : int }
   | Duplicate of { name : int; pid_a : int; pid_b : int }
 
+(* lint: allow unused-export — test hook: lists violations *)
 val violations : t -> violation list
 
 val is_valid : t -> bool
@@ -33,5 +35,3 @@ val is_valid : t -> bool
 
 val is_complete : t -> bool
 (** Valid and every process has a name. *)
-
-val pp_violation : Format.formatter -> violation -> unit

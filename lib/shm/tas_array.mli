@@ -22,15 +22,18 @@ val test_and_set : t -> idx:int -> pid:int -> bool
     [idx] (it was free).  Out-of-range indices raise
     [Invalid_argument]. *)
 
+(* lint: allow unused-export — test hook: observes one register *)
 val get : t -> int -> cell
 
 val is_set : t -> int -> bool
 
 val owner : t -> int -> int option
 
+(* lint: allow unused-export — test hook: observes the array *)
 val set_count : t -> int
 (** Number of registers currently won; O(1). *)
 
+(* lint: allow unused-export — test hook: observes the array *)
 val free_count : t -> int
 
 val release : t -> idx:int -> pid:int -> bool
@@ -39,6 +42,7 @@ val release : t -> idx:int -> pid:int -> bool
     algorithms never call this — it exists for the *long-lived*
     extension (related work [13]), where names are recycled. *)
 
+(* lint: allow unused-export — test hook: clears the array *)
 val reset : t -> unit
 (** Frees every register (between experiment repetitions). *)
 

@@ -71,6 +71,3 @@ let sorts t =
 let compose a b =
   if a.width <> b.width then invalid_arg "Network.compose: width mismatch";
   { width = a.width; layers = Array.append a.layers b.layers }
-
-let pp fmt t =
-  Format.fprintf fmt "network width=%d depth=%d size=%d" t.width (depth t) (size t)

@@ -19,6 +19,7 @@ val create : width:int -> layer list -> t
 
 val width : t -> int
 val depth : t -> int
+(* lint: allow unused-export — test hook: counts comparators *)
 val size : t -> int
 (** Total number of comparators. *)
 
@@ -27,13 +28,10 @@ val layers : t -> layer array
 val apply : t -> 'a array -> cmp:('a -> 'a -> int) -> 'a array
 (** Functionally sorts a copy of the input through the network. *)
 
-val apply_in_place : t -> 'a array -> cmp:('a -> 'a -> int) -> unit
-
 val sorts : t -> bool
 (** Exhaustive 0-1-principle check; exponential in width, use for
     widths ≤ ~20 in tests.  See {!Zero_one} for the sampled variant. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: network composition *)
 val compose : t -> t -> t
 (** [compose a b] runs [a] then [b]; widths must agree. *)
-
-val pp : Format.formatter -> t -> unit

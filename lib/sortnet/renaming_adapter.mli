@@ -20,15 +20,11 @@ val prepare : Network.t -> t
 (** Precomputes the per-layer wire→comparator maps and assigns one
     auxiliary TAS bit per comparator. *)
 
+(* lint: allow unused-export — test hook: the aux-register budget *)
 val aux_bits : t -> int
 (** Number of auxiliary TAS bits required (= network size). *)
 
-val width : t -> int
-
-val program : t -> entry:int -> int option Renaming_sched.Program.t
-(** The protocol for a process entering on wire [entry]; returns the
-    exit wire as its new name.  Never returns [None]. *)
-
+(* lint: allow unused-export — test hook: the entry-wire check *)
 val instance :
   t ->
   entries:int array ->

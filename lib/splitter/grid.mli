@@ -30,6 +30,7 @@ val make_config : ?side:int -> n:int -> unit -> config
 val namespace : config -> int
 (** [side·(side+1)/2]. *)
 
+(* lint: allow unused-export — test hook: the grid layout *)
 val cell_index : side:int -> r:int -> d:int -> int
 (** Row-major index of cell [(r, d)] on diagonal [r + d]. *)
 
@@ -42,12 +43,6 @@ type instrumentation = {
 }
 
 val create_instrumentation : unit -> instrumentation
-
-val program :
-  ?instr:instrumentation -> config -> pid:int -> int option Renaming_sched.Program.t
-
-val instance :
-  ?instr:instrumentation -> config -> Renaming_sched.Executor.instance
 
 val run :
   ?instr:instrumentation ->

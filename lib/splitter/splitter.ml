@@ -15,8 +15,3 @@ let enter ~base ~pid =
     let* () = Program.write_word ~idx:y ~value:1 in
     let* x_now = Program.read_word x in
     if x_now = pid + 1 then Program.return Stop else Program.return Down
-
-let pp_outcome fmt = function
-  | Stop -> Format.fprintf fmt "stop"
-  | Right -> Format.fprintf fmt "right"
-  | Down -> Format.fprintf fmt "down"

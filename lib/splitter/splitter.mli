@@ -30,5 +30,3 @@ val enter : base:int -> pid:int -> outcome Renaming_sched.Program.t
 (** Run the splitter whose X register is [words.(base)] and door is
     [words.(base+1)].  [pid] must be ≥ 0 (stored as [pid+1]; 0 means
     empty). *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

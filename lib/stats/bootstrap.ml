@@ -22,5 +22,3 @@ let mean_ci ?(resamples = 2000) ?(confidence = 0.95) ~rng samples =
   let alpha = (1. -. confidence) /. 2. in
   let index p = min (resamples - 1) (max 0 (int_of_float (p *. float_of_int resamples))) in
   { lo = means.(index alpha); mean = mean samples; hi = means.(index (1. -. alpha)) }
-
-let pp fmt { lo; mean; hi } = Format.fprintf fmt "%.2f [%.2f, %.2f]" mean lo hi

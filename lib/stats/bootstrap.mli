@@ -7,6 +7,7 @@
 
 type interval = { lo : float; mean : float; hi : float }
 
+(* lint: allow unused-export — unit-tested, no caller yet: bootstrap interval *)
 val mean_ci :
   ?resamples:int ->
   ?confidence:float ->
@@ -17,5 +18,3 @@ val mean_ci :
     mean ([resamples] defaults to 2000, [confidence] to 0.95).  Raises
     [Invalid_argument] on an empty sample or a confidence outside
     (0, 1). *)
-
-val pp : Format.formatter -> interval -> unit

@@ -2,10 +2,6 @@ let upper ~mu ~delta =
   if delta < 0. then invalid_arg "Chernoff.upper: negative delta";
   if delta <= 1. then exp (-.mu *. delta *. delta /. 3.) else exp (-.mu *. delta /. 3.)
 
-let lower ~mu ~delta =
-  if delta < 0. || delta > 1. then invalid_arg "Chernoff.lower: delta outside [0,1]";
-  exp (-.mu *. delta *. delta /. 3.)
-
 let empty_bins_expected ~balls ~bins =
   if bins <= 0 then invalid_arg "Chernoff.empty_bins_expected: bins must be positive";
   let b = float_of_int bins in

@@ -5,14 +5,13 @@
     bounds the paper's proofs rely on, and by {!Lemma3} style
     computations (empty-bins probability). *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: Chernoff bound *)
 val upper : mu:float -> delta:float -> float
 (** [upper ~mu ~delta] bounds [P(X >= (1+delta)·mu)] per Lemma 1(1)/(2):
     [exp(-mu·delta²/3)] for [delta ≤ 1], [exp(-mu·delta/3)] for
     [delta > 1].  Raises [Invalid_argument] for negative [delta]. *)
 
-val lower : mu:float -> delta:float -> float
-(** [lower ~mu ~delta] bounds [P(X <= (1-delta)·mu)] per Lemma 1(3). *)
-
+(* lint: allow unused-export — unit-tested, no caller yet: empty-bin expectation *)
 val empty_bins_expected : balls:int -> bins:int -> float
 (** Expected number of empty bins after throwing [balls] balls i.u.r.
     into [bins] bins: [bins·(1 - 1/bins)^balls]. *)

@@ -16,6 +16,7 @@ type shape =
   | Log_log_pow of int  (** (log₂ log₂ n)^k *)
   | Linear  (** n *)
 
+(* lint: allow unused-export — test hook: names the fitted shape *)
 val shape_name : shape -> string
 
 val eval_shape : shape -> float -> float
@@ -29,6 +30,7 @@ type fit = {
   r_squared : float;  (** coefficient of determination *)
 }
 
+(* lint: allow unused-export — test hook: fits one shape *)
 val fit_shape : shape -> (float * float) array -> fit
 (** [fit_shape s points] least-squares fit of [y = a·f(n) + b] over
     [(n, y)] points.  Raises [Invalid_argument] with fewer than two

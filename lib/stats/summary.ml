@@ -24,7 +24,6 @@ let add_int t x = add t (float_of_int x)
 let count t = t.count
 let mean t = t.mean
 let variance t = if t.count < 2 then 0. else t.m2 /. float_of_int (t.count - 1)
-let stddev t = sqrt (variance t)
 let min t = t.min
 let max t = t.max
 
@@ -52,9 +51,3 @@ let merge a b =
   Vec.iter (add t) a.samples;
   Vec.iter (add t) b.samples;
   t
-
-let pp fmt t =
-  if t.count = 0 then Format.fprintf fmt "(empty)"
-  else
-    Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" t.count t.mean
-      (stddev t) t.min (median t) t.max

@@ -12,10 +12,10 @@ val add_int : t -> int -> unit
 
 val count : t -> int
 val mean : t -> float
+(* lint: allow unused-export — unit-tested, no caller yet: summary statistic *)
 val variance : t -> float
 (** Sample variance (n-1 denominator); 0 for fewer than two samples. *)
 
-val stddev : t -> float
 val min : t -> float
 val max : t -> float
 
@@ -27,9 +27,9 @@ val percentile : t -> float -> float
 val median : t -> float
 
 (** All retained samples in insertion order. *)
+(* lint: allow unused-export — test hook: the pinned probe counts *)
 val samples : t -> float array
 
 (** [merge a b] is a summary over both sample sets. *)
+(* lint: allow unused-export — unit-tested, no caller yet: summary merge *)
 val merge : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -26,5 +26,3 @@ let iter f t =
   done
 
 let to_array t = Array.sub t.data 0 t.len
-
-let clear t = t.len <- 0

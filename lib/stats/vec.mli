@@ -8,4 +8,3 @@ val add_last : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 val iter : ('a -> unit) -> 'a t -> unit
 val to_array : 'a t -> 'a array
-val clear : 'a t -> unit

@@ -20,8 +20,3 @@ let check ~trials ~bound ~failed =
   let sigma = sqrt (mean *. (1. -. bound)) in
   let limit = Float.max 1. (mean +. (3. *. sigma)) in
   { trials; failures; failure_rate; bound; holds = float_of_int failures <= limit }
-
-let pp fmt v =
-  Format.fprintf fmt "%d/%d failures (rate %.4f, claimed bound %.2e) -> %s" v.failures v.trials
-    v.failure_rate v.bound
-    (if v.holds then "HOLDS" else "VIOLATED")

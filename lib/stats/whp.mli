@@ -21,5 +21,3 @@ val check : trials:int -> bound:float -> failed:(int -> bool) -> verdict
     observed failures are within what a true failure probability of
     [bound] would produce at 3 sigma, with an absolute floor of one
     failure. *)
-
-val pp : Format.formatter -> verdict -> unit

@@ -8,12 +8,14 @@ val random :
 (** [failures] distinct pids crash at uniform times in [0, horizon).
     [failures = 0] is allowed and yields the empty schedule. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: crash pattern *)
 val early_half :
   n:int -> failures:int -> (int * int) list
 (** The first [failures] pids crash at time 0 — the adversary kills a
     prefix before anyone moves.  Surviving processes must still rename
     correctly within the full namespace. *)
 
+(* lint: allow unused-export — unit-tested, no caller yet: crash pattern *)
 val spread :
   n:int -> failures:int -> horizon:int -> (int * int) list
 (** [failures] evenly spaced pids crash at evenly spaced times.

@@ -13,12 +13,15 @@ val create : ?s:float -> n:int -> unit -> t
 (** [s] is the skew exponent, default 1.0; [s = 0.] degenerates to
     uniform.  [n] must be >= 1. *)
 
+(* lint: allow unused-export — test hook: observes the distribution *)
 val n : t -> int
 
+(* lint: allow unused-export — unit-tested, no caller yet: Zipf sampler *)
 val draw : t -> rng:Renaming_rng.Xoshiro.t -> int
 (** A rank in [0, n), hot ranks (low indices) more likely; inverse-CDF
     by binary search, O(log n). *)
 
+(* lint: allow unused-export — test hook: observes the distribution *)
 val weight : t -> int -> float
 (** Normalized probability of rank [k]; decreasing in [k]. *)
 

@@ -9,6 +9,7 @@ module Footprint = Renaming_analysis.Footprint
 module Commute = Renaming_analysis.Commute
 module Lint = Renaming_analysis.Lint
 module Analyze = Renaming_analysis.Analyze
+module Unused_export = Renaming_analysis.Unused_export
 module Roster = Renaming_harness.Mcheck_roster
 
 let check = Alcotest.check
@@ -248,6 +249,67 @@ let test_lint_parse_error_is_a_finding () =
       check (Alcotest.list Alcotest.string) "parse error surfaces" [ "parse-error" ]
         (rules_of (Lint.lint_file path)))
 
+(* --- the unused-export rule, over test/unused_fixture --- *)
+
+(* Tests run in _build/default/test; the typed trees name their sources
+   relative to _build/default. *)
+let fixture =
+  {
+    Unused_export.src_root = "..";
+    build_root = "..";
+    exports = [ "test/unused_fixture/lib" ];
+    users = [ "test/unused_fixture/bin" ];
+    tests = [ "test/unused_fixture/test" ];
+  }
+
+let summary (f : Lint.finding) = (f.Lint.l_line, f.Lint.l_message, f.Lint.l_waived)
+
+let test_unused_export_fixture () =
+  let r = Unused_export.run fixture in
+  check Alcotest.int "exported values" 8 r.Unused_export.exported;
+  check
+    Alcotest.(list (triple int string bool))
+    "exactly the expected findings"
+    [
+      (4, "Fixture.by_test is used only by tests", false);
+      (8, "Fixture.hook is used only by tests", true);
+      (14, "Fixture.own is used nowhere outside its own module", false);
+      (17, "Fixture.never is used nowhere outside its own module", false);
+    ]
+    (List.map summary r.Unused_export.findings);
+  check Alcotest.bool "all in the interface" true
+    (List.for_all
+       (fun f -> f.Lint.l_file = "test/unused_fixture/lib/fixture.mli" && f.Lint.l_rule = "unused-export")
+       r.Unused_export.findings)
+
+(* A copy of the fixture's sources under a scratch root: one edited
+   since it was compiled, one never compiled. *)
+let test_unused_export_stale_or_missing_unit_fails () =
+  let root = Filename.temp_dir "unused-export" "" in
+  let dir = Filename.concat root "test/unused_fixture/lib" in
+  let write name contents =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc contents)
+  in
+  let read name = In_channel.with_open_bin (Filename.concat "unused_fixture/lib" name) In_channel.input_all in
+  ignore (Sys.command (Filename.quote_command "mkdir" [ "-p"; dir ]));
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; root ])))
+    (fun () ->
+      write "fixture.mli" (read "fixture.mli");
+      write "fixture.ml" (read "fixture.ml" ^ "let edited = ()\n");
+      write "extra.ml" "let x = 1\n";
+      let r = Unused_export.run { fixture with Unused_export.src_root = root } in
+      check
+        Alcotest.(list (pair string string))
+        "stale and missing units named"
+        [
+          ("test/unused_fixture/lib/extra.ml", "no compiled unit; run `dune build @check`");
+          ("test/unused_fixture/lib/fixture.ml", "compiled unit is stale; run `dune build @check`");
+        ]
+        (List.map (fun f -> (f.Lint.l_file, f.Lint.l_message)) r.Unused_export.findings);
+      check Alcotest.bool "none waivable" true
+        (List.for_all (fun f -> not f.Lint.l_waived) r.Unused_export.findings))
+
 (* --- the aggregate driver --- *)
 
 let json_contains json needle =
@@ -278,6 +340,13 @@ let test_analyze_dependence_leg_optional_and_gating () =
     Analyze.run ~dependent:(fun _ _ -> false) ~lint_root:None ~roster:(roster_instances ()) ()
   in
   check Alcotest.bool "broken predicate fails the layer" false (Analyze.ok broken)
+
+let test_unused_export_gates_analyze () =
+  let r = Analyze.run ~lint_root:None ~exports:fixture ~roster:[] () in
+  check Alcotest.(option int) "exports counted" (Some 8) r.Analyze.exported;
+  check Alcotest.bool "active findings fail the layer" false (Analyze.ok r);
+  check Alcotest.bool "findings serialised" true
+    (json_contains (Analyze.to_json r) "\"rule\":\"unused-export\"")
 
 let test_analyze_broken_table_fails_and_reports () =
   let result =
@@ -341,6 +410,13 @@ let tests =
         Alcotest.test_case "stdout-print waiver" `Quick test_lint_stdout_print_waiver;
         Alcotest.test_case "blocking-sleep rule" `Quick test_lint_blocking_sleep_rule;
         Alcotest.test_case "parse error is a finding" `Quick test_lint_parse_error_is_a_finding;
+      ] );
+    ( "analysis.exports",
+      [
+        Alcotest.test_case "fixture findings" `Quick test_unused_export_fixture;
+        Alcotest.test_case "stale or missing unit fails" `Quick
+          test_unused_export_stale_or_missing_unit_fails;
+        Alcotest.test_case "findings gate the layer" `Quick test_unused_export_gates_analyze;
       ] );
     ( "analysis.analyze",
       [

@@ -3,7 +3,6 @@
 module Table = Renaming_harness.Table
 module Seeds = Renaming_harness.Seeds
 module Runcfg = Renaming_harness.Runcfg
-module Replicate = Renaming_harness.Replicate
 module Registry = Renaming_harness.Registry
 
 let check = Alcotest.check
@@ -50,13 +49,6 @@ let test_runcfg () =
     (Array.length (Runcfg.sweep_ns Runcfg.Quick) < Array.length (Runcfg.sweep_ns Runcfg.Full));
   check Alcotest.bool "trials positive" true (Runcfg.trials Runcfg.Quick > 0)
 
-let test_replicate () =
-  let seeds = [| 1L; 2L; 3L |] in
-  let s = Replicate.summaries ~seeds ~f:Int64.to_float in
-  check (Alcotest.float 1e-9) "mean over seeds" 2. (Renaming_stats.Summary.mean s);
-  check Alcotest.int "failure count" 1
-    (Replicate.count_failures ~seeds ~f:(fun seed -> seed = 2L))
-
 let test_registry_complete () =
   (* One entry per table/figure announced in DESIGN.md. *)
   let ids = List.map (fun e -> e.Registry.id) Registry.all in
@@ -94,7 +86,6 @@ let tests =
         Alcotest.test_case "table cells" `Quick test_table_cells;
         Alcotest.test_case "seeds" `Quick test_seeds;
         Alcotest.test_case "runcfg" `Quick test_runcfg;
-        Alcotest.test_case "replicate" `Quick test_replicate;
         Alcotest.test_case "registry complete" `Quick test_registry_complete;
         Alcotest.test_case "registry find" `Quick test_registry_find;
         Alcotest.test_case "registry runnable" `Quick test_registry_entries_runnable;

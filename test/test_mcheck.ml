@@ -1,5 +1,5 @@
 (* Tests for the bounded model checker: directed execution, the
-   analytic schedule-count vector, sleep-set pruning cross-checks,
+   analytic schedule-count vector, DPOR against the unpruned enumerator,
    detection + shrinking of seeded broken algorithms, and the tier-1
    roster. *)
 
@@ -26,14 +26,13 @@ let instance ~namespace ~label programs = { Executor.memory = Memory.create ~nam
 let target ?(check_ownership = false) ~label build =
   { Mcheck.t_name = label; t_build = build; t_check_ownership = check_ownership }
 
-let bounds ?(preemptions = 2) ?(crashes = 0) ?(recoveries = 0) ?(faults = 0) ?(sleep = true) () =
+let bounds ?(preemptions = 2) ?(crashes = 0) ?(recoveries = 0) ?(faults = 0) () =
   {
     Mcheck.default_bounds with
     Mcheck.b_preemptions = preemptions;
     b_crashes = crashes;
     b_recoveries = recoveries;
     b_faults = faults;
-    b_sleep = sleep;
   }
 
 (* --- directed execution --- *)
@@ -98,7 +97,7 @@ let test_choice_strings_roundtrip () =
 (* --- the analytic schedule-count vector ---
 
    Two processes, two TAS steps each, all on the same register: every
-   operation conflicts, so sleep sets must prune nothing and the
+   operation conflicts, so DPOR can reduce nothing and both explorers'
    schedule counts are exactly the by-hand interleaving counts
    {aabb,bbaa} / +{abba,baab} / +{abab,baba} at preemption bounds
    0 / 1 / 2. *)
@@ -110,34 +109,6 @@ let two_tas =
 
 let conflict_target =
   target ~label:"two-tas" (fun () -> instance ~namespace:1 ~label:"two-tas" [| two_tas; two_tas |])
-
-let test_schedule_counts_match_enumeration () =
-  List.iter
-    (fun (preemptions, expected) ->
-      (* The legacy sleep-set DFS, with and without pruning... *)
-      List.iter
-        (fun sleep ->
-          let stats =
-            Mcheck.check ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions ~sleep ())
-              conflict_target
-          in
-          check Alcotest.int
-            (Printf.sprintf "legacy bound %d (sleep %b)" preemptions sleep)
-            expected stats.Mcheck.s_schedules;
-          check Alcotest.int "fully dependent ops: nothing pruned" 0 stats.Mcheck.s_pruned;
-          check Alcotest.int "no violations" 0 stats.Mcheck.s_violations)
-        [ true; false ];
-      (* ...and source-DPOR must land on exactly the same analytic
-         vector: with every operation pair dependent there is nothing to
-         reduce, only races to reverse within the preemption budget. *)
-      let stats = Mcheck.check ~bounds:(bounds ~preemptions ()) conflict_target in
-      check Alcotest.int
-        (Printf.sprintf "dpor bound %d" preemptions)
-        expected stats.Mcheck.s_schedules;
-      check Alcotest.int "no violations (dpor)" 0 stats.Mcheck.s_violations)
-    [ (0, 2); (1, 4); (2, 6) ]
-
-(* --- sleep sets prune commuting interleavings, soundly --- *)
 
 let disjoint_target =
   (* p0 touches registers {0,2}, p1 touches {1,3}: every pair of
@@ -155,20 +126,29 @@ let disjoint_target =
   in
   target ~label:"disjoint" (fun () -> instance ~namespace:4 ~label:"disjoint" [| p0; p1 |])
 
-let test_sleep_sets_prune_but_stay_sound () =
-  let legacy sleep =
-    Mcheck.check ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions:2 ~sleep ()) disjoint_target
-  in
-  let with_sleep = legacy true in
-  let without = legacy false in
-  check Alcotest.int "unpruned count is the full interleaving count" 6 without.Mcheck.s_schedules;
-  check Alcotest.bool "sleep prunes something" true
-    (with_sleep.Mcheck.s_schedules < without.Mcheck.s_schedules);
-  check Alcotest.bool "sleep records pruned alternatives" true (with_sleep.Mcheck.s_pruned > 0);
-  check Alcotest.int "no violations with sleep" 0 with_sleep.Mcheck.s_violations;
-  check Alcotest.int "no violations without sleep" 0 without.Mcheck.s_violations;
-  (* Fully independent processes have no races at all, so source-DPOR
-     explores exactly one schedule: the initial execution. *)
+let test_schedule_counts_match_enumeration () =
+  List.iter
+    (fun (preemptions, expected) ->
+      (* The unpruned enumerator... *)
+      let stats = Mcheck.enumerate ~bounds:(bounds ~preemptions ()) conflict_target in
+      check Alcotest.int
+        (Printf.sprintf "unpruned bound %d" preemptions)
+        expected stats.Mcheck.s_schedules;
+      check Alcotest.int "no violations" 0 stats.Mcheck.s_violations;
+      (* ...and source-DPOR must land on exactly the same analytic
+         vector: with every operation pair dependent there is nothing to
+         reduce, only races to reverse within the preemption budget. *)
+      let stats = Mcheck.check ~bounds:(bounds ~preemptions ()) conflict_target in
+      check Alcotest.int
+        (Printf.sprintf "dpor bound %d" preemptions)
+        expected stats.Mcheck.s_schedules;
+      check Alcotest.int "no violations (dpor)" 0 stats.Mcheck.s_violations)
+    [ (0, 2); (1, 4); (2, 6) ];
+  (* With every operation pair commuting, the enumerator still walks
+     all 6 interleavings, while DPOR finds no race and explores one. *)
+  let unpruned = Mcheck.enumerate ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
+  check Alcotest.int "unpruned count is the full interleaving count" 6
+    unpruned.Mcheck.s_schedules;
   let dpor = Mcheck.check ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
   check Alcotest.int "dpor explores a single representative" 1 dpor.Mcheck.s_schedules;
   check Alcotest.int "dpor detects no races" 0 dpor.Mcheck.s_races;
@@ -191,10 +171,10 @@ let broken_target =
 
 let test_mcheck_finds_and_shrinks_double_claim () =
   List.iter
-    (fun engine ->
-      let stats = Mcheck.check ~engine ~bounds:(bounds ~preemptions:2 ()) broken_target in
+    (fun explore ->
+      let stats = explore broken_target in
       check Alcotest.bool
-        (Printf.sprintf "violations found (%s)" (Mcheck.engine_name engine))
+        (Printf.sprintf "violations found (%s)" stats.Mcheck.s_engine)
         true
         (stats.Mcheck.s_violations > 0);
       match stats.Mcheck.s_cases with
@@ -227,7 +207,10 @@ let test_mcheck_finds_and_shrinks_double_claim () =
           in
           check Alcotest.string "replays" "duplicate-name" (kind ());
           check Alcotest.string "deterministically" (kind ()) (kind ())))
-    [ `Dpor; `Legacy_dfs ]
+    [
+      Mcheck.check ~bounds:(bounds ~preemptions:2 ());
+      Mcheck.enumerate ~bounds:(bounds ~preemptions:2 ());
+    ]
 
 (* --- the fault branch: a claim based on a faulted TAS --- *)
 
@@ -438,12 +421,13 @@ let test_dpor_schedules_unique () =
       ("fault-claimer", fault_target, bounds ~preemptions:1 ~faults:1 ());
     ]
 
-(* --- engine differential: random programs, identical verdicts ---
+(* --- differential: random programs, identical verdicts ---
 
-   Both engines bound preemptions with the same cost model, so with a
-   budget generous enough to cover every interleaving of these small
-   programs they must agree on whether a violation exists — and DPOR
-   must never explore more schedules than the unpruned enumeration. *)
+   DPOR and the unpruned enumerator bound preemptions with the same
+   cost model, so with a budget generous enough to cover every
+   interleaving of these small programs they must agree on whether a
+   violation exists — and DPOR must never explore more schedules than
+   the enumerator. *)
 
 let qcheck_engine_differential =
   let build_proc (ops, (tail_kind, reg)) =
@@ -490,15 +474,11 @@ let qcheck_engine_differential =
               [| build_proc spec0; build_proc spec1 |])
       in
       let b = bounds ~preemptions:10 () in
-      let dpor = Mcheck.check ~engine:`Dpor ~bounds:b ~shrink:false tgt in
-      let legacy = Mcheck.check ~engine:`Legacy_dfs ~bounds:b ~shrink:false tgt in
-      let unpruned =
-        Mcheck.check ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions:10 ~sleep:false ())
-          ~shrink:false tgt
-      in
-      if (dpor.Mcheck.s_violations > 0) <> (legacy.Mcheck.s_violations > 0) then
-        QCheck.Test.fail_reportf "verdicts differ: dpor %d vs legacy %d violations"
-          dpor.Mcheck.s_violations legacy.Mcheck.s_violations;
+      let dpor = Mcheck.check ~bounds:b ~shrink:false tgt in
+      let unpruned = Mcheck.enumerate ~bounds:b ~shrink:false tgt in
+      if (dpor.Mcheck.s_violations > 0) <> (unpruned.Mcheck.s_violations > 0) then
+        QCheck.Test.fail_reportf "verdicts differ: dpor %d vs unpruned %d violations"
+          dpor.Mcheck.s_violations unpruned.Mcheck.s_violations;
       if dpor.Mcheck.s_schedules > unpruned.Mcheck.s_schedules then
         QCheck.Test.fail_reportf "dpor explored %d schedules > %d unpruned"
           dpor.Mcheck.s_schedules unpruned.Mcheck.s_schedules;
@@ -545,7 +525,6 @@ let tests =
       [
         Alcotest.test_case "schedule counts match enumeration" `Quick
           test_schedule_counts_match_enumeration;
-        Alcotest.test_case "sleep sets prune soundly" `Quick test_sleep_sets_prune_but_stay_sound;
         Alcotest.test_case "finds and shrinks double claim" `Quick
           test_mcheck_finds_and_shrinks_double_claim;
         Alcotest.test_case "fault injection finds unbacked claim" `Quick

@@ -43,31 +43,6 @@ let test_summary_merge () =
   check Alcotest.int "merged count" 4 (Summary.count m);
   checkf "merged mean" 2.5 (Summary.mean m)
 
-let test_histogram_basic () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 1; 1; 2; 5 ];
-  check Alcotest.int "count" 4 (Histogram.count h);
-  check Alcotest.int "freq 1" 2 (Histogram.frequency h 1);
-  check Alcotest.int "freq 3" 0 (Histogram.frequency h 3);
-  check Alcotest.int "max value" 5 (Histogram.max_value h);
-  check Alcotest.int "mode" 1 (Histogram.mode h);
-  check Alcotest.int "tail > 1" 2 (Histogram.tail_count h ~threshold:1)
-
-let test_histogram_assoc_sorted () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 5; 1; 3; 1 ];
-  check
-    Alcotest.(list (pair int int))
-    "sorted assoc"
-    [ (1, 2); (3, 1); (5, 1) ]
-    (Histogram.to_assoc h)
-
-let test_histogram_empty () =
-  let h = Histogram.create () in
-  check Alcotest.int "empty max" (-1) (Histogram.max_value h);
-  Alcotest.check_raises "empty mode" (Invalid_argument "Histogram.mode: empty") (fun () ->
-      ignore (Histogram.mode h))
-
 let test_fit_recovers_log () =
   (* y = 3 log2 n + 1 exactly. *)
   let points =
@@ -163,9 +138,7 @@ let test_vec () =
   done;
   check Alcotest.int "length" 100 (Vec.length v);
   check Alcotest.int "get" 37 (Vec.get v 37);
-  check Alcotest.(array int) "to_array" (Array.init 100 Fun.id) (Vec.to_array v);
-  Vec.clear v;
-  check Alcotest.int "cleared" 0 (Vec.length v)
+  check Alcotest.(array int) "to_array" (Array.init 100 Fun.id) (Vec.to_array v)
 
 let qcheck_summary_mean_bounds =
   QCheck.Test.make ~count:300 ~name:"mean lies within [min, max]"
@@ -192,9 +165,6 @@ let tests =
         Alcotest.test_case "summary percentiles" `Quick test_summary_percentiles;
         Alcotest.test_case "summary empty percentile" `Quick test_summary_percentile_empty;
         Alcotest.test_case "summary merge" `Quick test_summary_merge;
-        Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
-        Alcotest.test_case "histogram sorted assoc" `Quick test_histogram_assoc_sorted;
-        Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
         Alcotest.test_case "fit recovers log" `Quick test_fit_recovers_log;
         Alcotest.test_case "best fit log^2" `Quick test_best_fit_prefers_true_shape;
         Alcotest.test_case "best fit linear" `Quick test_best_fit_linear;
