@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke refine refine-smoke analyze examples clean loc
+.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke soak-net mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke refine refine-smoke analyze examples clean loc
 
 all: build test
 
@@ -74,6 +74,14 @@ chaos-net:
 # CI-sized slice of the same campaign (all four cells, fewer sessions).
 chaos-net-smoke:
 	dune exec bin/main.exe -- chaos --net --sessions 2000 --seeds 2 --out results/chaos-net-smoke.json
+
+# Bounded memory over long runs: the default lossy Net_churn at 10^5 and
+# at 10^6 sessions, each in a fresh process; exits nonzero if the long
+# run's peak major heap exceeds 1.25x the short run's, or if either run
+# is unsafe (~15 s).
+soak-net:
+	dune build ./test/soak/soak_net.exe
+	./_build/default/test/soak/soak_net.exe
 
 # Bounded model checking: exhaustively explore every schedule of the
 # small roster instances with source-DPOR (wakeup trees over the audited

@@ -3,14 +3,13 @@ module Metrics = Renaming_obs.Metrics
 
 exception Violation of { kind : string; message : string }
 
-type slot = { s_fence : Lease.fence; s_expires : float }
-
 type counters = { c_violations : Metrics.counter; c_near_misses : Metrics.counter }
 
 type t = {
   capacity : int;
   n_slots : int;
-  mirror : slot option array;
+  holders : Lease.fence array;  (* [vacant] where the slot is free *)
+  expiries : Float.Array.t;  (* valid while held *)
   mutable n_live : int;
   mutable n_events : int;
   mutable n_violations : int;
@@ -18,6 +17,8 @@ type t = {
   mutable last_now : float;
   counters : counters option;
 }
+
+let vacant = { Lease.f_name = -1; f_session = -1; f_epoch = -1 }
 
 let create ?obs ~capacity ~slots () =
   let counters =
@@ -32,7 +33,8 @@ let create ?obs ~capacity ~slots () =
   {
     capacity;
     n_slots = slots;
-    mirror = Array.make slots None;
+    holders = Array.make slots vacant;
+    expiries = Float.Array.make slots 0.;
     n_live = 0;
     n_events = 0;
     n_violations = 0;
@@ -71,13 +73,10 @@ let pp_fence (f : Lease.fence) =
 let current t (fence : Lease.fence) =
   fence.Lease.f_name >= 0
   && fence.Lease.f_name < t.n_slots
-  &&
-  match t.mirror.(fence.Lease.f_name) with
-  | Some s -> s.s_fence = fence
-  | None -> false
+  && t.holders.(fence.Lease.f_name) = fence
 
 let free_slot t (fence : Lease.fence) =
-  t.mirror.(fence.Lease.f_name) <- None;
+  t.holders.(fence.Lease.f_name) <- vacant;
   t.n_live <- t.n_live - 1
 
 let observe t ~now event =
@@ -90,25 +89,25 @@ let observe t ~now event =
     if fence.Lease.f_name < 0 || fence.Lease.f_name >= t.n_slots then
       fail t ~kind:"slot-range" "grant outside namespace: %s (slots=%d)" (pp_fence fence)
         t.n_slots;
-    (match t.mirror.(fence.Lease.f_name) with
-    | Some held ->
+    let held = t.holders.(fence.Lease.f_name) in
+    if held != vacant then
       fail t ~kind:"double-grant" "slot granted while held: new=%s held-by=%s"
-        (pp_fence fence) (pp_fence held.s_fence)
-    | None -> ());
+        (pp_fence fence) (pp_fence held);
     if t.n_live >= t.capacity then
       fail t ~kind:"capacity-exceeded" "grant %s would make %d live leases (capacity %d)"
         (pp_fence fence) (t.n_live + 1) t.capacity;
-    t.mirror.(fence.Lease.f_name) <- Some { s_fence = fence; s_expires = expires };
+    t.holders.(fence.Lease.f_name) <- fence;
+    Float.Array.set t.expiries fence.Lease.f_name expires;
     t.n_live <- t.n_live + 1
   | Renewed { fence; expires; accepted } ->
     if accepted then begin
       if not (current t fence) then
         fail t ~kind:"stale-accept" "renew accepted for dead fence %s" (pp_fence fence);
-      let s = Option.get t.mirror.(fence.Lease.f_name) in
-      if expires < s.s_expires then
+      let held_until = Float.Array.get t.expiries fence.Lease.f_name in
+      if expires < held_until then
         fail t ~kind:"expiry-regression" "renew moved expiry of %s from %g back to %g"
-          (pp_fence fence) s.s_expires expires;
-      t.mirror.(fence.Lease.f_name) <- Some { s with s_expires = expires }
+          (pp_fence fence) held_until expires;
+      Float.Array.set t.expiries fence.Lease.f_name expires
     end
     else if current t fence then
       fail t ~kind:"fenced-live" "renew fenced for live fence %s" (pp_fence fence)
@@ -134,10 +133,10 @@ let observe t ~now event =
   | Reclaimed { fence; expired_at } ->
     if not (current t fence) then
       fail t ~kind:"stale-accept" "reclaim of a slot not held by %s" (pp_fence fence);
-    let s = Option.get t.mirror.(fence.Lease.f_name) in
-    if now < s.s_expires then
+    let held_until = Float.Array.get t.expiries fence.Lease.f_name in
+    if now < held_until then
       fail t ~kind:"early-reclaim" "reclaim of %s at %g before expiry %g" (pp_fence fence)
-        now s.s_expires;
+        now held_until;
     if expired_at > now then
       fail t ~kind:"early-reclaim" "reclaim of %s reports future expiry %g at %g"
         (pp_fence fence) expired_at now;

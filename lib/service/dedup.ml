@@ -5,7 +5,8 @@ type stats = {
   mutable evictions : int;
 }
 
-type 'r entry = { mutable e_seq : int; mutable e_reply : 'r option; mutable e_touched : float }
+(* Entries are made only by [record], so every entry holds a reply. *)
+type 'r entry = { mutable e_seq : int; mutable e_reply : 'r; mutable e_touched : float }
 
 (* Keyed by client id: small non-negative ints, so the id is its own
    hash and lookups compare ints directly rather than through the
@@ -29,12 +30,13 @@ let create ?(window = infinity) () =
 
 type 'r verdict = Fresh | Replay of 'r | Stale
 
+(* [find] rather than [find_opt]: a hit builds no [Some]. *)
 let admit t ~client ~seq ~now =
-  match Clients.find_opt t.table client with
-  | None ->
+  match Clients.find t.table client with
+  | exception Not_found ->
     t.st.fresh <- t.st.fresh + 1;
     Fresh
-  | Some e ->
+  | e ->
     e.e_touched <- now;
     if seq > e.e_seq then begin
       t.st.fresh <- t.st.fresh + 1;
@@ -42,9 +44,7 @@ let admit t ~client ~seq ~now =
     end
     else if seq = e.e_seq then begin
       t.st.replays <- t.st.replays + 1;
-      match e.e_reply with
-      | Some r -> Replay r
-      | None -> Stale  (* recorded seq with no reply cannot happen via [record] *)
+      Replay e.e_reply
     end
     else begin
       t.st.stale <- t.st.stale + 1;
@@ -52,13 +52,16 @@ let admit t ~client ~seq ~now =
     end
 
 let record t ~client ~seq ~now reply =
-  match Clients.find_opt t.table client with
-  | Some e when seq >= e.e_seq ->
-    e.e_seq <- seq;
-    e.e_reply <- Some reply;
-    e.e_touched <- now
-  | Some _ -> ()  (* stale execution result: never regress the window *)
-  | None -> Clients.replace t.table client { e_seq = seq; e_reply = Some reply; e_touched = now }
+  match Clients.find t.table client with
+  | exception Not_found ->
+    Clients.replace t.table client { e_seq = seq; e_reply = reply; e_touched = now }
+  | e ->
+    (* A stale execution result never regresses the window. *)
+    if seq >= e.e_seq then begin
+      e.e_seq <- seq;
+      e.e_reply <- reply;
+      e.e_touched <- now
+    end
 
 let sweep t ~now =
   if t.window = infinity then 0
@@ -77,6 +80,12 @@ let sweep t ~now =
     t.st.evictions <- t.st.evictions + n;
     n
   end
+
+let add_stats ~into (s : stats) =
+  into.fresh <- into.fresh + s.fresh;
+  into.replays <- into.replays + s.replays;
+  into.stale <- into.stale + s.stale;
+  into.evictions <- into.evictions + s.evictions
 
 let entries t = Clients.length t.table
 let stats t = t.st

@@ -52,6 +52,9 @@ val record : 'r t -> client:int -> seq:int -> now:float -> 'r -> unit
 val sweep : 'r t -> now:float -> int
 (** Evict entries idle longer than the window; returns how many. *)
 
+val add_stats : into:stats -> stats -> unit
+(** Add [s]'s counts to [into]'s. *)
+
 (* lint: allow unused-export — test hook: observes the table *)
 val entries : 'r t -> int
 val stats : 'r t -> stats

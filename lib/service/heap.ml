@@ -78,16 +78,37 @@ let resize t cap filler =
   t.auxs <- auxs;
   t.values <- values
 
-let push t ~time ~aux value =
-  if t.size = Array.length t.values then resize t (max 16 (2 * t.size)) value;
+(* Make room for an entry at position [t.size], whose time the caller
+   then writes before calling [place]. *)
+let reserve t value = if t.size = Array.length t.values then resize t (max 16 (2 * t.size)) value
+
+let place t ~aux value =
   let i = t.size in
-  Float.Array.set t.times i time;
   t.seqs.(i) <- t.next_seq;
   t.auxs.(i) <- aux;
   t.values.(i) <- value;
   t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
   sift_up t ~src:i i
+
+let push t ~time ~aux value =
+  reserve t value;
+  Float.Array.set t.times t.size time;
+  place t ~aux value
+
+let push_cell t cells i ~aux value =
+  reserve t value;
+  Float.Array.set t.times t.size (Float.Array.get cells i);
+  place t ~aux value
+
+(* The sum goes straight into the column and is compared there: bound
+   to a variable, it would be boxed. *)
+let push_after t ~now ~delay ~aux value =
+  reserve t value;
+  let i = t.size in
+  Float.Array.set t.times i (now +. delay);
+  if not (Float.Array.get t.times i >= now) then Float.Array.set t.times i now;
+  place t ~aux value
 
 let take t =
   if t.size = 0 then invalid_arg "Heap.take: empty heap";
@@ -133,6 +154,9 @@ let compact t ~live =
   for i = 1 to t.size - 1 do
     sift_up t ~src:i i
   done;
-  (* Release the dead tail so week-long churn stays bounded. *)
-  let cap = Array.length t.values in
-  if cap > 16 && t.size * 4 < cap then resize t (max 16 (2 * t.size)) t.values.(0)
+  (* Release the dead tail so week-long churn stays bounded, but keep
+     room for the owner to refill: the lease table compacts whenever dead
+     entries outnumber the live ones (and the heap holds more than 32),
+     and columns shrunk to fit the survivors would be regrown at once. *)
+  let cap = Array.length t.values and keep = max 64 (4 * t.size) in
+  if cap > 2 * keep then resize t keep t.values.(0)

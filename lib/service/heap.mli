@@ -25,6 +25,18 @@ val push : 'a t -> time:float -> aux:int -> 'a -> unit
     table keeps the slot epoch there, the transport the packed source
     and destination); owners with no use for it pass [0]. *)
 
+val push_cell : 'a t -> Float.Array.t -> int -> aux:int -> 'a -> unit
+(** [push_cell t cells i] is {!push} at time [Float.Array.get cells i].
+    A caller that computes a time writes it into a cell of its own
+    [Float.Array], where it stays unboxed, rather than passing it to
+    {!push} boxed. *)
+
+val push_after : 'a t -> now:float -> delay:float -> aux:int -> 'a -> unit
+(** [push] at [max (now +. delay) now].  The sum is formed here, so a
+    caller whose [now] and [delay] are already boxed (a clock held in a
+    [float ref], a config field, a constant) allocates nothing, where
+    passing a computed [~time] to {!push} would box it. *)
+
 val take : 'a t -> 'a
 (** Remove the smallest [(time, seq)] entry and return its value; read
     its time and [aux] with {!top_time} and {!top_aux} first if needed.
@@ -65,4 +77,5 @@ val compact : 'a t -> live:(time:float -> aux:int -> 'a -> bool) -> unit
     take order is exactly what it would have been without compaction.
     Owners using lazy deletion (the lease table) call this when dead
     entries dominate, bounding heap memory under long churn; the
-    columns are shrunk when mostly empty. *)
+    columns are shrunk to [max 64 (4 * size)] entries when that is less
+    than half their length. *)

@@ -58,7 +58,7 @@ let grant_slot t ~name ~session ~now =
   t.grant_times.(name) <- now;
   t.n_held <- t.n_held + 1;
   let fence = { f_name = name; f_session = session; f_epoch = t.epochs.(name) } in
-  Heap.push t.expiry_queue ~time:t.expiries.(name) ~aux:fence.f_epoch name;
+  Heap.push_after t.expiry_queue ~now ~delay:t.cfg.ttl ~aux:fence.f_epoch name;
   fence
 
 let acquire t ~session ~now ~rng =
@@ -107,7 +107,7 @@ let renew t ~fence ~now =
   else begin
     let expiry = now +. t.cfg.ttl in
     t.expiries.(fence.f_name) <- expiry;
-    Heap.push t.expiry_queue ~time:expiry ~aux:fence.f_epoch fence.f_name;
+    Heap.push_after t.expiry_queue ~now ~delay:t.cfg.ttl ~aux:fence.f_epoch fence.f_name;
     maybe_compact t;
     Ok expiry
   end

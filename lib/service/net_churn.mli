@@ -43,7 +43,11 @@
     {e at-most-once} end-to-end: a request id whose acquire executes
     effectfully twice without the slice provably losing its body in
     between is a [double_grants] — the exact failure the dedup window
-    bound exists to prevent (docs/fault_model.md §8).
+    bound exists to prevent (docs/fault_model.md §8).  The audit forgets
+    a grant once no copy of its request can still arrive (the retransmit
+    horizon plus two delivery bounds), and ghosts reuse the network
+    identities of long-gone ghosts, so a run's memory does not grow with
+    its length.
 
     Config validation enforces the safety sizing rules rather than
     documenting them: [suspicion > hb_every],
@@ -147,39 +151,39 @@ val make_config :
     moves only through failure detection and the handoff plan). *)
 
 type summary = {
-  sessions : int;
-  client_crashes : int;
-  client_restarts : int;
-  shard_crashes : int;
-  shard_restarts : int;
-  partitions : int;
-  shard_stalls : int;
-  abandoned : int;
-  retries : int;  (** whole-request attempts retried after a backoff *)
-  resends : int;  (** same-rid retransmits (timeout, poll and renew) *)
-  timeouts : int;  (** rid retransmit budgets exhausted *)
-  lost_tickets : int;
-  redirects : int;
-  shard_down_busy : int;
-  in_handoff_busy : int;
-  sheds : int;
-  expected_fenced : int;  (** fenced after a disruption of the slice, or after expiry *)
-  unexpected_fenced : int;  (** fenced with no cause to blame — must be 0 *)
-  releases_dropped : int;
-  late_grants_released : int;
+  mutable sessions : int;
+  mutable client_crashes : int;
+  mutable client_restarts : int;
+  mutable shard_crashes : int;
+  mutable shard_restarts : int;
+  mutable partitions : int;
+  mutable shard_stalls : int;
+  mutable abandoned : int;
+  mutable retries : int;  (** whole-request attempts retried after a backoff *)
+  mutable resends : int;  (** same-rid retransmits (timeout, poll and renew) *)
+  mutable timeouts : int;  (** rid retransmit budgets exhausted *)
+  mutable lost_tickets : int;
+  mutable redirects : int;
+  mutable shard_down_busy : int;
+  mutable in_handoff_busy : int;
+  mutable sheds : int;
+  mutable expected_fenced : int;  (** fenced after a disruption of the slice, or after expiry *)
+  mutable unexpected_fenced : int;  (** fenced with no cause to blame — must be 0 *)
+  mutable releases_dropped : int;
+  mutable late_grants_released : int;
       (** grants nobody was waiting for (abandoned or crashed requester),
           handed straight back *)
-  double_grants : int;
+  mutable double_grants : int;
       (** at-most-once violations: a rid executed effectfully twice with
           no body loss in between — must be 0 *)
-  stale_ops : int;  (** ghost operations sent, three per ghost (renew, use, release) *)
-  stale_rejected : int;
+  mutable stale_ops : int;  (** ghost operations sent, three per ghost (renew, use, release) *)
+  mutable stale_rejected : int;
       (** ghost operations answered fenced or busy; an operation routed to a
           dead shard gets no answer and is in neither count *)
-  stale_ok : int;  (** ghost operations that succeeded — must be 0 *)
-  events : int;
+  mutable stale_ok : int;  (** ghost operations that succeeded — must be 0 *)
+  mutable events : int;
   sim_time : float;
-  peak_held : int;
+  mutable peak_held : int;
   final_held : int;
   livelocked : bool;  (** hit the guard of 2·10^8 timers and deliveries *)
   violation : (string * string) option;
@@ -197,7 +201,10 @@ type summary = {
   h_wait : Renaming_obs.Hist.t;  (** queue wait, centiticks *)
   h_lifetime : Renaming_obs.Hist.t;  (** grant to release, centiticks *)
 }
-(** [service] and the four histograms are summed over the slice bodies
+(** The counts are mutable only so that {!run} can keep them in place
+    while it runs.
+
+    [service] and the four histograms are summed over the slice bodies
     resident at the end of the run.  Bodies lost to a shard crash, or
     dropped as stale after losing their slice, are not counted; with
     one shard and no shard faults that is the whole run. *)

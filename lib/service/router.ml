@@ -461,6 +461,9 @@ type outcome =
   | Shed of Admission.shed_reason
   | Busy of busy
 
+let route_in_handoff = -1
+let route_down = -2
+
 (* Directory + detector view only — what a real router can know without
    reaching into a shard's memory.  The network path forwards on this
    and lets the shard itself refuse epoch-mismatched or missing bodies
@@ -468,11 +471,9 @@ type outcome =
 let route t ~slice =
   let now = Clock.now t.clock in
   match t.dir.(slice) with
-  | In_transit _ -> Error (In_handoff { slice })
-  | Orphaned { last; _ } -> Error (Shard_down { shard = last })
-  | Owned { shard; epoch } ->
-    if shard_available t ~shard ~now then Ok (shard, epoch)
-    else Error (Shard_down { shard })
+  | In_transit _ -> route_in_handoff
+  | Orphaned _ -> route_down
+  | Owned { shard; _ } -> if shard_available t ~shard ~now then shard else route_down
 
 let resolve t ~slice ~now =
   match t.dir.(slice) with

@@ -117,14 +117,20 @@ type outcome =
   | Shed of Admission.shed_reason
   | Busy of busy
 
-val route : t -> slice:int -> (int * int, busy) result
-(** Resolve [slice] to its [(shard, epoch)] from the directory and the
-    failure detector's availability view {e only} — no shard-body
+val route : t -> slice:int -> int
+(** Resolve [slice] to the shard to forward to from the directory and
+    the failure detector's availability view {e only} — no shard-body
     inspection, so this is what a real router node can decide before
-    forwarding.  The shard itself must check the carried epoch against
-    its resident body at delivery time (a mismatch means the directory
-    moved on while the request was in flight, and the request must be
-    refused, not served).  Does not update routing stats. *)
+    forwarding.  The forward carries {!slice_epoch}, and the shard
+    itself must check it against its resident body at delivery time (a
+    mismatch means the directory moved on while the request was in
+    flight, and the request must be refused, not served).  A negative
+    answer is {!route_in_handoff} or {!route_down} (the owner is down,
+    suspected or orphaned).  An [int], so a forward allocates nothing;
+    does not update routing stats. *)
+
+val route_in_handoff : int
+val route_down : int
 
 val acquire : ?hint:int -> t -> session:int -> key:int -> outcome
 (** [key] is the placement key ([slice = key mod slices]).  When [hint]

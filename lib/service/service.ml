@@ -121,8 +121,8 @@ let next_due t =
   if Admission.depth t.admission > 0 then neg_infinity else Lease.next_due t.lease
 
 (* Lower the shared wake cell to this body's due time.  Every operation
-   that can move that time earlier (a grant or renew pushes an expiry, a
-   request queues, a release makes compaction due) ends here. *)
+   that can move that time earlier (a grant into an empty expiry heap, a
+   request that queues, a release that makes compaction due) ends here. *)
 let note_due t =
   match t.wake with
   | None -> ()
@@ -211,7 +211,10 @@ let renew t ~fence =
     t.st.fenced <- t.st.fenced + 1;
     bump t (fun c -> c.c_fenced)
   end;
-  note_due t;
+  (* No [note_due]: the expiry a renew pushes, [now + ttl], is no
+     earlier than any entry in the expiry heap (each was pushed at an
+     earlier [now] with the same ttl), and [Lease.renew] leaves no
+     compaction due, so the due time cannot have moved earlier. *)
   result
 
 let use t ~fence =
@@ -289,6 +292,38 @@ let pump t =
   if Admission.depth t.admission > 0 || Lease.due t.lease ~now then pump_due t ~now else []
 
 let stats t = t.st
+
+let sum_stats ts =
+  let acc =
+    {
+      grants = 0;
+      queued = 0;
+      renews = 0;
+      releases = 0;
+      fenced = 0;
+      sheds_high_water = 0;
+      sheds_queue_full = 0;
+      expired_requests = 0;
+      reclaims = 0;
+      validates = 0;
+    }
+  in
+  List.iter
+    (fun t ->
+      let s = t.st in
+      acc.grants <- acc.grants + s.grants;
+      acc.queued <- acc.queued + s.queued;
+      acc.renews <- acc.renews + s.renews;
+      acc.releases <- acc.releases + s.releases;
+      acc.fenced <- acc.fenced + s.fenced;
+      acc.sheds_high_water <- acc.sheds_high_water + s.sheds_high_water;
+      acc.sheds_queue_full <- acc.sheds_queue_full + s.sheds_queue_full;
+      acc.expired_requests <- acc.expired_requests + s.expired_requests;
+      acc.reclaims <- acc.reclaims + s.reclaims;
+      acc.validates <- acc.validates + s.validates)
+    ts;
+  acc
+
 let held t = Lease.held t.lease
 let slots t = Lease.slots t.lease
 let queue_depth t = Admission.depth t.admission

@@ -108,7 +108,12 @@ type stats = {
   mutable validates : int;
 }
 
+(* lint: allow unused-export — test hook: observes one body's counts *)
 val stats : t -> stats
+
+val sum_stats : t list -> stats
+(** A fresh record of the services' summed counts. *)
+
 val held : t -> int
 val slots : t -> int
 (* lint: allow unused-export — test hook: observes admission *)

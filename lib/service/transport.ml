@@ -56,6 +56,7 @@ type 'a t = {
   faults : faults;
   rng : Renaming_rng.Xoshiro.t;
   flight : 'a Heap.t;
+  arrival_cell : Float.Array.t;  (* a send's delivery time, kept unboxed *)
   mutable addrs : addr array;
   mutable partitions : (addr * addr * float) list;
   st : stats;
@@ -66,6 +67,7 @@ let create ?(faults = perfect) ~rng () =
     faults;
     rng;
     flight = Heap.create ();
+    arrival_cell = Float.Array.make 1 0.;
     addrs = Array.make 16 Router;
     partitions = [];
     st =
@@ -124,10 +126,12 @@ let send t ~now ~src ~dst payload =
     t.st.dropped <- t.st.dropped + 1
   else begin
     let aux = (intern t src lsl code_bits) lor intern t dst in
-    Heap.push t.flight ~time:(arrival t ~now) ~aux payload;
+    Float.Array.set t.arrival_cell 0 (arrival t ~now);
+    Heap.push_cell t.flight t.arrival_cell 0 ~aux payload;
     t.st.sent <- t.st.sent + 1;
     if t.faults.duplicate > 0. && bernoulli t t.faults.duplicate then begin
-      Heap.push t.flight ~time:(arrival t ~now) ~aux payload;
+      Float.Array.set t.arrival_cell 0 (arrival t ~now);
+      Heap.push_cell t.flight t.arrival_cell 0 ~aux payload;
       t.st.duplicated <- t.st.duplicated + 1
     end
   end

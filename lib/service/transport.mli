@@ -66,7 +66,6 @@ type 'a t
 
 val create : ?faults:faults -> rng:Renaming_rng.Xoshiro.t -> unit -> 'a t
 
-(* lint: allow unused-export — test hook: the delivery bound dedup rests on *)
 val max_delay : 'a t -> float
 (** The delivery bound: [delay_max + reorder_extra].  No message is in
     flight longer than this. *)

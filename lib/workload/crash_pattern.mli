@@ -8,19 +8,6 @@ val random :
 (** [failures] distinct pids crash at uniform times in [0, horizon).
     [failures = 0] is allowed and yields the empty schedule. *)
 
-(* lint: allow unused-export — unit-tested, no caller yet: crash pattern *)
-val early_half :
-  n:int -> failures:int -> (int * int) list
-(** The first [failures] pids crash at time 0 — the adversary kills a
-    prefix before anyone moves.  Surviving processes must still rename
-    correctly within the full namespace. *)
-
-(* lint: allow unused-export — unit-tested, no caller yet: crash pattern *)
-val spread :
-  n:int -> failures:int -> horizon:int -> (int * int) list
-(** [failures] evenly spaced pids crash at evenly spaced times.
-    [failures = 0] is allowed and yields the empty schedule. *)
-
 val burst :
   rng:Renaming_rng.Xoshiro.t -> n:int -> failures:int -> at:int -> width:int -> (int * int) list
 (** All [failures] crashes land in the short window [at, at + width):
@@ -31,4 +18,4 @@ val burst :
     Raises [Invalid_argument] when [failures = 0]: an empty burst is
     always a caller bug (typically [n / k] underflowing to 0 at small
     [n]) that would silently turn a crash cell into a fault-free run —
-    unlike {!random} and {!spread}, which accept 0. *)
+    unlike {!random}, which accepts 0. *)

@@ -1,6 +1,4 @@
-module Sample = Renaming_rng.Sample
-
-type t = { count : int; weights : float array; cdf : float array }
+type t = { count : int; weights : float array }
 
 let create ?(s = 1.0) ~n () =
   if n < 1 then invalid_arg "Zipf.create: n must be >= 1";
@@ -8,27 +6,9 @@ let create ?(s = 1.0) ~n () =
   let weights = Array.init n (fun k -> 1. /. (float_of_int (k + 1) ** s)) in
   let total = Array.fold_left ( +. ) 0. weights in
   Array.iteri (fun k w -> weights.(k) <- w /. total) weights;
-  let cdf = Array.make n 0. in
-  let acc = ref 0. in
-  Array.iteri
-    (fun k w ->
-      acc := !acc +. w;
-      cdf.(k) <- !acc)
-    weights;
-  cdf.(n - 1) <- 1.0;
-  { count = n; weights; cdf }
+  { count = n; weights }
 
 let n t = t.count
-
-let draw t ~rng =
-  let u = Sample.float_unit rng in
-  (* Smallest rank whose cumulative probability covers [u]. *)
-  let lo = ref 0 and hi = ref (t.count - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.cdf.(mid) < u then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 let weight t k =
   if k < 0 || k >= t.count then invalid_arg "Zipf.weight: rank out of range";

@@ -1,11 +1,10 @@
 (** Zipf-distributed skew for workload generation.
 
     Real client populations are not uniform: a few hot clients issue
-    most of the traffic.  A [Zipf.t] precomputes the CDF of the
-    Zipf(s) distribution over ranks [0..n-1] (probability of rank [k]
-    proportional to [1/(k+1)^s]) so the churn driver can draw skewed
-    client identities, and exposes the per-rank weight so per-client
-    think times can be scaled (hot clients re-arrive sooner). *)
+    most of the traffic.  A [Zipf.t] holds the weights of the Zipf(s)
+    distribution over ranks [0..n-1] (probability of rank [k]
+    proportional to [1/(k+1)^s]), so that per-client think times can be
+    scaled by rank (hot clients re-arrive sooner). *)
 
 type t
 
@@ -15,11 +14,6 @@ val create : ?s:float -> n:int -> unit -> t
 
 (* lint: allow unused-export — test hook: observes the distribution *)
 val n : t -> int
-
-(* lint: allow unused-export — unit-tested, no caller yet: Zipf sampler *)
-val draw : t -> rng:Renaming_rng.Xoshiro.t -> int
-(** A rank in [0, n), hot ranks (low indices) more likely; inverse-CDF
-    by binary search, O(log n). *)
 
 (* lint: allow unused-export — test hook: observes the distribution *)
 val weight : t -> int -> float
