@@ -11,6 +11,7 @@ type t = {
                                flat array doubles as a deterministic,
                                iteration-order-stable ledger *)
   mutable ledger : int;  (* granted tokens according to the ledger *)
+  request : int array;  (* a probe's one-request cycle buffer, reused *)
 }
 
 let create ?rule ?(tau = 16) ~capacity () =
@@ -22,7 +23,8 @@ let create ?rule ?(tau = 16) ~capacity () =
         let this_tau = min tau (capacity - (d * tau)) in
         Device.create ?rule ~width:(2 * this_tau) ~threshold:this_tau ())
   in
-  { capacity; tau; devices; token_owner = Array.make (device_count * 2 * tau) (-1); ledger = 0 }
+  let token_owner = Array.make (device_count * 2 * tau) (-1) in
+  { capacity; tau; devices; token_owner; ledger = 0; request = [| 0 |] }
 
 let capacity t = t.capacity
 let device_count t = Array.length t.devices
@@ -36,9 +38,9 @@ let is_exhausted t = remaining t = 0
 
 type grant = { token : int; probes : int }
 
-(* One probe: submit a single-request cycle for a random free-looking
-   bit of device [d]; a Confirmed outcome is a token. *)
-let probe_device t ~pid d =
+(* One probe: submit a single-request cycle for the first free-looking
+   bit of device [d]; a confirmed verdict is a token. *)
+let probe_device t d =
   let device = t.devices.(d) in
   if Device.is_full device then None
   else begin
@@ -46,20 +48,20 @@ let probe_device t ~pid d =
     (* Deterministically target the first unset bit: with one request
        per cycle there is no race to lose, only the threshold check. *)
     let in_reg = Device.in_reg device in
-    let rec first_free bit = if bit >= width then None else
-        if not (Renaming_bitops.Word.test_bit in_reg bit) then Some bit
-        else first_free (bit + 1)
-    in
-    match first_free 0 with
-    | None -> None
-    | Some bit ->
-      let outcomes = Device.tick device ~requests:[| (pid, bit) |] in
-      (match outcomes.(0) with
-      | Device.Confirmed ->
+    let bit = ref 0 in
+    while !bit < width && Renaming_bitops.Word.test_bit in_reg !bit do
+      incr bit
+    done;
+    if !bit >= width then None
+    else begin
+      t.request.(0) <- !bit;
+      Device.cycle device t.request 1;
+      if t.request.(0) = Device.confirmed then
         (* A bit is won at most once, so (device, bit) is a unique
            token id; ids are sparse but stable. *)
-        Some ((d * 2 * t.tau) + bit)
-      | Device.Lost | Device.Revoked -> None)
+        Some ((d * 2 * t.tau) + !bit)
+      else None
+    end
   end
 
 let try_acquire t ~pid ~rng =
@@ -70,7 +72,7 @@ let try_acquire t ~pid ~rng =
     if attempts = 0 then None
     else begin
       incr probes;
-      match probe_device t ~pid (Sample.uniform_int rng n_dev) with
+      match probe_device t (Sample.uniform_int rng n_dev) with
       | Some token -> Some token
       | None -> random_phase (attempts - 1)
     end
@@ -80,7 +82,7 @@ let try_acquire t ~pid ~rng =
       if d >= n_dev then None
       else begin
         incr probes;
-        match probe_device t ~pid d with Some token -> Some token | None -> go (d + 1)
+        match probe_device t d with Some token -> Some token | None -> go (d + 1)
       end
     in
     go 0

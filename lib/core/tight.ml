@@ -75,8 +75,7 @@ let program ?instr ?obs (params : Params.t) ~rng =
         Obs.s_begin s ~args:[ ("round", i) ] "round";
         Obs.s_instant s ~args:[ ("tau", tau_id); ("bit", bit) ] "probe"
       | None -> ());
-      let* () = Program.tau_submit ~reg:tau_id ~bit in
-      let* won = Program.tau_await tau_id in
+      let* won = Program.tau_request ~reg:tau_id ~bit in
       if won then begin
         (match instr with
         | Some s -> s.wins_per_round.(i) <- s.wins_per_round.(i) + 1

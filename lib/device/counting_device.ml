@@ -52,22 +52,25 @@ let literal_survivors ~width ~allowed util0 =
 
 let reference_survivors ~width:_ ~allowed util0 = Word.keep_lowest util0 allowed
 
-let tick t ~requests =
+(* Verdict codes [cycle] writes over its requests.  During lines 2–3 an
+   entry holds its bit (a preliminary win) or [lost]; lines 4–14 then
+   turn each preliminary win into [confirmed] or [revoked]. *)
+let lost = -1
+let confirmed = -2
+let revoked = -3
+
+let cycle t bits count =
+  if count < 0 || count > Array.length bits then invalid_arg "Counting_device.cycle: bad count";
   t.prev_out <- t.out_reg;
   (* Line 1: capacity left this cycle. *)
   let allowed_bits = t.threshold - Word.popcount t.in_reg in
   (* Lines 2–3: concurrent TAS on the in_reg bits; first requester of a
      free bit preliminarily wins, all others lose. *)
-  let outcomes = Array.make (Array.length requests) Lost in
-  let prelim = Array.make (Array.length requests) (-1) in
-  Array.iteri
-    (fun i (_pid, bit) ->
-      if bit < 0 || bit >= t.width then invalid_arg "Counting_device.tick: bit out of range";
-      if not (Word.test_bit t.in_reg bit) then begin
-        t.in_reg <- Word.set_bit t.in_reg bit;
-        prelim.(i) <- bit
-      end)
-    requests;
+  for i = 0 to count - 1 do
+    let bit = bits.(i) in
+    if bit < 0 || bit >= t.width then invalid_arg "Counting_device.cycle: bit out of range";
+    if Word.test_bit t.in_reg bit then bits.(i) <- lost else t.in_reg <- Word.set_bit t.in_reg bit
+  done;
   (* Lines 4–14: unset supernumerary new bits if τ is exceeded. *)
   if Word.popcount t.in_reg > t.threshold then begin
     let util0 = Word.logxor t.out_reg t.in_reg in
@@ -80,13 +83,16 @@ let tick t ~requests =
     t.in_reg <- t.out_reg
   end
   else t.out_reg <- t.in_reg;
-  Array.iteri
-    (fun i bit ->
-      if bit >= 0 then
-        outcomes.(i) <- (if Word.test_bit t.out_reg bit then Confirmed else Revoked))
-    prelim;
-  t.cycles <- t.cycles + 1;
-  outcomes
+  for i = 0 to count - 1 do
+    let bit = bits.(i) in
+    if bit >= 0 then bits.(i) <- (if Word.test_bit t.out_reg bit then confirmed else revoked)
+  done;
+  t.cycles <- t.cycles + 1
+
+let tick t ~requests =
+  let bits = Array.map snd requests in
+  cycle t bits (Array.length bits);
+  Array.map (fun v -> if v = confirmed then Confirmed else if v = revoked then Revoked else Lost) bits
 
 let check_invariants t =
   if accepted_count t > t.threshold then

@@ -18,7 +18,10 @@
 
     A process that preliminarily won learns its fate from the cycle's
     outcome: [Confirmed] (bit set in [out_reg]) or [Revoked] (bit unset
-    again in [in_reg]).
+    again in [in_reg]).  {!cycle} is the one implementation of a clock
+    cycle: it works in place on an [int] array of requested bits and
+    writes each request's verdict over it, allocating nothing; {!tick}
+    wraps it for callers that hold [(pid, bit)] tuples.
 
     Two discard rules are provided: [Literal] executes the paper's
     shifting procedure verbatim on masked machine words; [Reference]
@@ -52,11 +55,24 @@ type outcome =
   | Confirmed  (** preliminary win survived the discard step *)
   | Revoked  (** preliminary win was unset by the discard step *)
 
+val cycle : t -> int array -> int -> unit
+(** [cycle t bits count] runs one clock cycle (lines 1–14) over the
+    requests [bits.(0) .. bits.(count-1)], each a bit index, in that
+    order (the order encodes the adversary's resolution of same-bit
+    races).  It overwrites each entry with its verdict: {!confirmed} for
+    a preliminary win that survived the discard step, another negative
+    code for a lost or revoked request.  Allocates nothing.
+    @raise Invalid_argument on an out-of-range bit index or [count]. *)
+
+val confirmed : int
+(** The verdict {!cycle} writes for a request whose bit is now set in
+    [out_reg]. *)
+
 val tick : t -> requests:(int * int) array -> outcome array
-(** [tick t ~requests] runs one clock cycle over [(pid, bit)] requests,
-    in the given order (the order encodes the adversary's resolution of
-    same-bit races).  Returns one outcome per request, positionally.
-    Raises [Invalid_argument] on out-of-range bit indices. *)
+(** [tick t ~requests] is {!cycle} over [(pid, bit)] requests, with one
+    outcome per request, positionally; the pids only label the
+    requests.  It allocates its arrays, so the simulator and the apps
+    call {!cycle}. *)
 
 val cycles : t -> int
 (** Number of clock cycles executed. *)

@@ -4,7 +4,12 @@ type t = {
   base : int;
   tau : int;
   device : Counting_device.t;
-  mutable queue : (int * int) list;  (* (pid, bit), newest first *)
+  (* The queued requests in submission order: [pids.(i)] asked for bit
+     [bits.(i)], for [i < queued].  Both arrays grow by doubling and are
+     reused across cycles; [run_cycle] overwrites [bits] with verdicts. *)
+  mutable pids : int array;
+  mutable bits : int array;
+  mutable queued : int;
   (* pid -> answer for every pid that ever submitted: an open-addressing
      table with linear probing, at most half full, so [poll] is a few
      array reads and the storage grows with the submitters, not with
@@ -17,6 +22,7 @@ type t = {
 
 let empty = -1
 let initial_bits = 4
+let initial_queue = 4
 
 let create ?rule ~base ~tau ~width () =
   if base < 0 then invalid_arg "Tau_register.create: negative base";
@@ -25,7 +31,9 @@ let create ?rule ~base ~tau ~width () =
     base;
     tau;
     device = Counting_device.create ?rule ~width ~threshold:tau ();
-    queue = [];
+    pids = Array.make initial_queue 0;
+    bits = Array.make initial_queue 0;
+    queued = 0;
     keys = Array.make (1 lsl initial_bits) empty;
     answers = Array.make (1 lsl initial_bits) Pending;
     shift = Sys.int_size - initial_bits;
@@ -67,7 +75,15 @@ let rec set t pid answer =
 let submit t ~pid ~bit =
   if pid < 0 then invalid_arg "Tau_register.submit: negative pid";
   set t pid Pending;
-  t.queue <- (pid, bit) :: t.queue
+  let q = t.queued in
+  if q = Array.length t.pids then begin
+    let grow a = Array.append a (Array.make q 0) in
+    t.pids <- grow t.pids;
+    t.bits <- grow t.bits
+  end;
+  t.pids.(q) <- pid;
+  t.bits.(q) <- bit;
+  t.queued <- q + 1
 
 let poll t ~pid =
   if pid < 0 then Pending
@@ -75,24 +91,26 @@ let poll t ~pid =
     let i = find t.keys t.shift pid in
     if t.keys.(i) = pid then t.answers.(i) else Pending
 
-let run_cycle t ~resolve_order =
-  match t.queue with
-  | [] -> ()
-  | queue ->
-    let requests = Array.of_list (List.rev queue) in
-    t.queue <- [];
-    resolve_order requests;
-    let outcomes = Counting_device.tick t.device ~requests in
-    Array.iteri
-      (fun i (pid, _bit) ->
-        let answer =
-          match outcomes.(i) with
-          | Counting_device.Confirmed -> Won_bit
-          | Counting_device.Lost | Counting_device.Revoked -> Lost_bit
-        in
-        set t pid answer)
-      requests
+let run_cycle ?resolve_order t =
+  let q = t.queued in
+  if q > 0 then begin
+    (match resolve_order with
+    | None -> ()
+    | Some resolve ->
+      let requests = Array.init q (fun i -> (t.pids.(i), t.bits.(i))) in
+      resolve requests;
+      Array.iteri
+        (fun i (pid, bit) ->
+          t.pids.(i) <- pid;
+          t.bits.(i) <- bit)
+        requests);
+    t.queued <- 0;
+    Counting_device.cycle t.device t.bits q;
+    for i = 0 to q - 1 do
+      set t t.pids.(i) (if t.bits.(i) = Counting_device.confirmed then Won_bit else Lost_bit)
+    done
+  end
 
-let pending_count t = List.length t.queue
+let pending_count t = t.queued
 
 let accepted_count t = Counting_device.accepted_count t.device

@@ -10,10 +10,11 @@
       it wins one — guaranteed, because at most τ searchers exist for
       exactly τ slots.
 
-    Requests to the device are queued here and answered when the device
-    clock next ticks; the executor drives [run_cycle] at a configurable
-    cadence, modelling the paper's "requests are only answered in a
-    certain phase … the processing may start with a (constant) delay". *)
+    Requests to the device are queued here, in two [int] arrays of pids
+    and bits, and answered when the device clock next ticks; the
+    executor drives [run_cycle] at a configurable cadence, modelling the
+    paper's "requests are only answered in a certain phase … the
+    processing may start with a (constant) delay". *)
 
 type t
 
@@ -42,10 +43,12 @@ val poll : t -> pid:int -> answer
     never submitted, a negative one included, reads [Pending].  One
     step; allocates nothing. *)
 
-val run_cycle : t -> resolve_order:((int * int) array -> unit) -> unit
-(** Run one device clock cycle over the queued requests.
-    [resolve_order] lets the adversary permute same-cycle requests
-    (it may reorder the array in place) before they race. *)
+val run_cycle : ?resolve_order:((int * int) array -> unit) -> t -> unit
+(** Run one device clock cycle ({!Counting_device.cycle}) over the
+    queued requests, in submission order.  Allocates nothing once the
+    queue has grown.  [resolve_order] lets a test permute same-cycle
+    requests: it receives them as [(pid, bit)] pairs and may reorder the
+    array in place before they race; only then is that array built. *)
 
 (* lint: allow unused-export — test hook: observes the answer table *)
 val pending_count : t -> int

@@ -61,21 +61,23 @@ let budget_spent policy clock t0 =
   | None -> false
   | Some budget -> Clock.elapsed_since clock t0 >= budget
 
+(* Attempt [attempt] of [op]: a top-level function, so an attempt builds
+   its [Step] and one continuation and no recursive closure. *)
+let rec attempt_op policy clock t0 exhausted op attempt =
+  Program.Step (op, fun resp -> on_response policy clock t0 exhausted op attempt resp)
+
+and on_response policy clock t0 exhausted op attempt = function
+  | Op.Bool true -> Program.Done true
+  | Op.Bool false -> Program.Done false
+  | Op.Faulted when attempt < policy.attempts && not (budget_spent policy clock t0) ->
+    Program.bind (idle (backoff_delay policy ~attempt)) (fun () ->
+        attempt_op policy clock t0 exhausted op (attempt + 1))
+  | Op.Faulted -> Program.Done exhausted
+  | resp ->
+    Format.kasprintf failwith "Retry: operation %a got response %a" Op.pp op Op.pp_response resp
+
 let bool_op ?(clock = Clock.none) ~policy ~exhausted op =
-  let t0 = Clock.now clock in
-  let rec go attempt =
-    Program.Step
-      ( op,
-        function
-        | Op.Bool b -> Program.Done b
-        | Op.Faulted when attempt < policy.attempts && not (budget_spent policy clock t0) ->
-          Program.bind (idle (backoff_delay policy ~attempt)) (fun () -> go (attempt + 1))
-        | Op.Faulted -> Program.Done exhausted
-        | resp ->
-          Format.kasprintf failwith "Retry: operation %a got response %a" Op.pp op Op.pp_response
-            resp )
-  in
-  go 1
+  attempt_op policy clock (Clock.now clock) exhausted op 1
 
 let tas_name ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_name i)
 let tas_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_aux i)

@@ -24,13 +24,13 @@ let namespace_for ~sessions ~epsilon =
 let namespace cfg = namespace_for ~sessions:cfg.sessions ~epsilon:cfg.epsilon
 
 type stats = {
-  acquires : int;
-  releases : int;
-  release_failures : int;
+  mutable acquires : int;
+  mutable releases : int;
+  mutable release_failures : int;
   probe_summary : Summary.t;
-  max_held : int;
-  cap_exhaustions : int;
-  aborted_sessions : int;
+  mutable max_held : int;
+  mutable cap_exhaustions : int;
+  mutable aborted_sessions : int;
 }
 
 let create_stats () =
@@ -55,7 +55,9 @@ let probe_cap cfg =
    adversary a window to interleave. *)
 let program ?stats cfg ~held_counter ~rng =
   let m = namespace cfg in
-  let bump f = match stats with Some s -> s := f !s | None -> () in
+  (* Statistics are updated in place; an update that needs no local
+     state is a closed, statically allocated function. *)
+  let bump f = match stats with Some s -> f !s | None -> () in
   let cap = probe_cap cfg in
   (* Random probing up to the cap, then one deterministic sweep.  The
      cap is unreachable in practice (success probability has a positive
@@ -66,7 +68,7 @@ let program ?stats cfg ~held_counter ~rng =
      session ([stats.aborted_sessions]) instead of looping forever. *)
   let rec acquire probes =
     if probes >= cap then begin
-      bump (fun s -> { s with cap_exhaustions = s.cap_exhaustions + 1 });
+      bump (fun s -> s.cap_exhaustions <- s.cap_exhaustions + 1);
       let* name = Program.scan_names ~first:0 ~count:m in
       match name with
       | Some nm -> Program.return (Some (nm, probes + m))
@@ -85,21 +87,22 @@ let program ?stats cfg ~held_counter ~rng =
       | None ->
         (* Probe cap tripped and the recovery sweep found every register
            held: give the session up gracefully rather than livelock. *)
-        bump (fun s -> { s with aborted_sessions = s.aborted_sessions + 1 });
+        bump (fun s -> s.aborted_sessions <- s.aborted_sessions + 1);
         Program.return None
       | Some (name, probes) ->
-        bump (fun s -> { s with acquires = s.acquires + 1 });
-        (match stats with
-        | Some s -> Summary.add_int !s.probe_summary probes
-        | None -> ());
         incr held_counter;
-        bump (fun s -> { s with max_held = max s.max_held !held_counter });
+        (match stats with
+        | Some s ->
+          let s = !s in
+          s.acquires <- s.acquires + 1;
+          Summary.add_int s.probe_summary probes;
+          s.max_held <- max s.max_held !held_counter
+        | None -> ());
         let* _ = Program.read_name name in
         decr held_counter;
         let* released = Program.release_name name in
-        bump (fun s ->
-            if released then { s with releases = s.releases + 1 }
-            else { s with release_failures = s.release_failures + 1 });
+        if released then bump (fun s -> s.releases <- s.releases + 1)
+        else bump (fun s -> s.release_failures <- s.release_failures + 1);
         cycle (r - 1)
   in
   cycle cfg.rounds

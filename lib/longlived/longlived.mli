@@ -51,15 +51,15 @@ val probe_cap : config -> int
     default). *)
 
 type stats = {
-  acquires : int;
-  releases : int;
-  release_failures : int;  (** owner-check refusals; must be 0 *)
+  mutable acquires : int;
+  mutable releases : int;
+  mutable release_failures : int;  (** owner-check refusals; must be 0 *)
   probe_summary : Renaming_stats.Summary.t;  (** probes per successful acquire *)
-  max_held : int;  (** peak simultaneously-held names observed *)
-  cap_exhaustions : int;
+  mutable max_held : int;  (** peak simultaneously-held names observed *)
+  mutable cap_exhaustions : int;
       (** probe-cap trips (each followed by a deterministic sweep);
           0 in every fair run of sensible configurations *)
-  aborted_sessions : int;
+  mutable aborted_sessions : int;
       (** sessions that gave up after a tripped cap *and* a failed
           sweep — the structured form of the former "unreachable in
           practice" branch *)

@@ -22,9 +22,10 @@ type t = {
   aux : Tas_array.t;
   taus : Tau_register.t array;
   words : int array;  (* atomic read/write registers, init 0 *)
-  (* τ-registers with queued requests, so a device tick only visits
-     registers that actually have work. *)
-  mutable dirty : int list;
+  (* τ-registers with queued requests, a stack of [n_dirty] indices, so
+     a device tick only visits registers that actually have work. *)
+  dirty : int array;
+  mutable n_dirty : int;
   dirty_flag : bool array;
   (* Optional instrumentation: the static-analysis audit attaches a
      logger here and [apply] reports the concrete cells each executed
@@ -39,7 +40,8 @@ let create ~namespace ?(aux = 0) ?(words = 0) ?(taus = [||]) () =
     aux = Tas_array.create aux;
     taus;
     words = Array.make words 0;
-    dirty = [];
+    dirty = Array.make (Array.length taus) 0;
+    n_dirty = 0;
     dirty_flag = Array.make (Array.length taus) false;
     logger = None;
   }
@@ -101,7 +103,8 @@ let apply t ~pid (op : Op.t) : Op.response =
       Tau_register.submit t.taus.(reg) ~pid ~bit;
       if not t.dirty_flag.(reg) then begin
         t.dirty_flag.(reg) <- true;
-        t.dirty <- reg :: t.dirty
+        t.dirty.(t.n_dirty) <- reg;
+        t.n_dirty <- t.n_dirty + 1
       end;
       Unit
     | Tau_poll reg -> of_answer (Tau_register.poll t.taus.(reg) ~pid)
@@ -117,13 +120,13 @@ let apply t ~pid (op : Op.t) : Op.response =
   response
 
 let tick_taus t =
-  let dirty = t.dirty in
-  t.dirty <- [];
-  List.iter
-    (fun reg ->
-      t.dirty_flag.(reg) <- false;
-      Tau_register.run_cycle t.taus.(reg) ~resolve_order:(fun _ -> ()))
-    dirty
+  while t.n_dirty > 0 do
+    let n = t.n_dirty - 1 in
+    t.n_dirty <- n;
+    let reg = t.dirty.(n) in
+    t.dirty_flag.(reg) <- false;
+    Tau_register.run_cycle t.taus.(reg)
+  done
 
 let assignment_of_returns t returns =
   Renaming_shm.Assignment.make ~namespace:(namespace t) returns

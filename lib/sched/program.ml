@@ -16,11 +16,14 @@ end
 let bad_response op resp =
   Format.kasprintf failwith "Program: operation %a got response %a" Op.pp op Op.pp_response resp
 
+(* [Done true] and [Done false] are static constants, so a Bool answer
+   allocates nothing. *)
 let bool_op op =
   Step
     ( op,
       function
-      | Op.Bool b -> Done b
+      | Op.Bool true -> Done true
+      | Op.Bool false -> Done false
       | resp -> bad_response op resp )
 
 let tas_name i = bool_op (Op.Tas_name i)
@@ -81,17 +84,18 @@ let tau_poll reg =
       | Op.Tau a -> Done a
       | resp -> bad_response op resp )
 
-(* One [Step] whose continuation re-polls itself: a pending answer
-   costs no allocation beyond the step. *)
-let tau_await reg =
-  let op = Op.Tau_poll reg in
+(* Submit, then poll until answered, as one program with no bind
+   between the two: one continuation takes the submit's [Unit] and every
+   poll's answer alike, so the request builds one closure. *)
+let tau_request ~reg ~bit =
+  let poll = Op.Tau_poll reg in
   let rec k = function
-    | Op.Tau Renaming_device.Tau_register.Pending -> Step (op, k)
+    | Op.Unit | Op.Tau Renaming_device.Tau_register.Pending -> Step (poll, k)
     | Op.Tau Renaming_device.Tau_register.Won_bit -> Done true
     | Op.Tau Renaming_device.Tau_register.Lost_bit -> Done false
-    | resp -> bad_response op resp
+    | resp -> bad_response poll resp
   in
-  Step (op, k)
+  Step (Op.Tau_submit { reg; bit }, k)
 
 let scan_names ~first ~count =
   let open Syntax in

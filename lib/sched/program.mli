@@ -53,10 +53,11 @@ val tau_submit : reg:int -> bit:int -> unit t
 
 val tau_poll : int -> Renaming_device.Tau_register.answer t
 
-val tau_await : int -> bool t
-(** Poll τ-register [reg] until the answer is no longer [Pending];
-    [true] iff the bit was won.  Each poll is a step; the executor's
-    device cadence bounds the number of polls by a constant. *)
+val tau_request : reg:int -> bit:int -> bool t
+(** Submit a request for [bit] to τ-register [reg], then poll it until
+    the answer is no longer [Pending]; [true] iff the bit was won.  The
+    submit and each poll are a step; the executor's device cadence
+    bounds the number of polls by a constant. *)
 
 (** {2 Composite helpers used by several algorithms} *)
 

@@ -85,7 +85,7 @@ let test_empty_tick () =
 let test_bad_bit_index () =
   let d = Device.create ~width:8 ~threshold:4 () in
   Alcotest.check_raises "bit out of range"
-    (Invalid_argument "Counting_device.tick: bit out of range") (fun () ->
+    (Invalid_argument "Counting_device.cycle: bit out of range") (fun () ->
       ignore (Device.tick d ~requests:[| (0, 8) |]))
 
 let test_invariants_hold_under_load () =
@@ -118,7 +118,7 @@ let test_tau_register_protocol () =
   Tau.submit tau ~pid:1 ~bit:1;
   check Alcotest.int "pending" 2 (Tau.pending_count tau);
   check Alcotest.bool "pending answer" true (Tau.poll tau ~pid:0 = Tau.Pending);
-  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  Tau.run_cycle tau;
   check Alcotest.bool "pid 0 won" true (Tau.poll tau ~pid:0 = Tau.Won_bit);
   check Alcotest.bool "pid 1 lost" true (Tau.poll tau ~pid:1 = Tau.Lost_bit);
   check Alcotest.int "accepted" 1 (Tau.accepted_count tau)
@@ -126,7 +126,7 @@ let test_tau_register_protocol () =
 let test_tau_register_capacity () =
   let tau = Tau.create ~base:0 ~tau:2 ~width:6 () in
   List.iter (fun (pid, bit) -> Tau.submit tau ~pid ~bit) [ (0, 0); (1, 1); (2, 2); (3, 3) ];
-  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  Tau.run_cycle tau;
   let winners =
     List.filter (fun pid -> Tau.poll tau ~pid = Tau.Won_bit) [ 0; 1; 2; 3 ]
   in
@@ -138,7 +138,7 @@ let test_tau_register_sparse_pids_and_resubmit () =
      negative pid cannot submit. *)
   let tau = Tau.create ~base:0 ~tau:2 ~width:8 () in
   List.iter (fun (pid, bit) -> Tau.submit tau ~pid ~bit) [ (3, 0); (40, 1); (1000, 2) ];
-  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  Tau.run_cycle tau;
   List.iter
     (fun pid ->
       check Alcotest.bool (Printf.sprintf "pid %d won" pid) true (Tau.poll tau ~pid = Tau.Won_bit))
@@ -155,7 +155,7 @@ let test_tau_register_sparse_pids_and_resubmit () =
   Tau.submit tau ~pid:40 ~bit:3;
   check Alcotest.bool "resubmitted pid pending" true (Tau.poll tau ~pid:40 = Tau.Pending);
   check Alcotest.bool "others keep their answer" true (Tau.poll tau ~pid:3 = Tau.Won_bit);
-  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  Tau.run_cycle tau;
   check Alcotest.bool "resubmitted pid answered" true (Tau.poll tau ~pid:40 = Tau.Lost_bit)
 
 let test_tau_register_storage_per_submitter () =
@@ -215,6 +215,38 @@ let qcheck_literal_equals_reference =
           o1 = o2 && Device.out_reg lit = Device.out_reg refd)
         batches)
 
+(* [cycle] in place and the [tick] wrapper agree verdict for verdict
+   and register for register, under both discard rules; [cycle] reads
+   and writes only the first [count] entries of its buffer. *)
+let qcheck_cycle_equals_tick =
+  QCheck.Test.make ~count:200 ~name:"cycle in place equals tick"
+    QCheck.(
+      triple (int_range 2 24) (int_bound 1000)
+        (list_of_size (Gen.int_range 1 6) (list_of_size (Gen.int_range 0 30) (int_bound 23))))
+    (fun (width, tseed, batches) ->
+      let threshold = 1 + (tseed mod width) in
+      List.for_all
+        (fun rule ->
+          let ticked = Device.create ~rule ~width ~threshold () in
+          let cycled = Device.create ~rule ~width ~threshold () in
+          List.for_all
+            (fun batch ->
+              let requests = Array.of_list (List.mapi (fun i b -> (i, b mod width)) batch) in
+              let count = Array.length requests in
+              let outcomes = Device.tick ticked ~requests in
+              let bits = Array.append (Array.map snd requests) [| width; -7 |] in
+              Device.cycle cycled bits count;
+              Array.for_all2
+                (fun o v -> (o = Device.Confirmed) = (v = Device.confirmed))
+                outcomes (Array.sub bits 0 count)
+              && bits.(count) = width
+              && bits.(count + 1) = -7
+              && Device.in_reg ticked = Device.in_reg cycled
+              && Device.out_reg ticked = Device.out_reg cycled
+              && Device.cycles ticked = Device.cycles cycled)
+            batches)
+        [ Device.Literal; Device.Reference ])
+
 let tests =
   [
     ( "device",
@@ -240,6 +272,7 @@ let tests =
         Alcotest.test_case "tau slot bounds" `Quick test_tau_slot_bounds;
         QCheck_alcotest.to_alcotest qcheck_device_never_exceeds_tau;
         QCheck_alcotest.to_alcotest qcheck_literal_equals_reference;
+        QCheck_alcotest.to_alcotest qcheck_cycle_equals_tick;
       ] );
   ]
 

@@ -128,7 +128,7 @@ let test_memory_apply_allocates_nothing () =
 let test_tau_poll_allocates_nothing () =
   let tau = Tau_register.create ~base:0 ~tau:2 ~width:4 () in
   Tau_register.submit tau ~pid:2 ~bit:1;
-  Tau_register.run_cycle tau ~resolve_order:(fun _ -> ());
+  Tau_register.run_cycle tau;
   List.iter
     (fun pid ->
       check Alcotest.int
@@ -139,23 +139,49 @@ let test_tau_poll_allocates_nothing () =
 
 (* With no listener attached a tick costs the program's own allocation
    (its next [Step] and continuation, and the session statistics) plus
-   the adversary's decision.  Longlived allocates 50.4 words per tick
-   here, 67.7 when every tick also copied the view, built an unheard
-   event and boxed its response; the bound leaves a small margin. *)
-let longlived_words_per_tick_bound = 54.
-
-let test_longlived_tick_allocation () =
-  let inst =
-    Longlived.instance ~stats:(Longlived.create_stats ()) longlived ~stream:(Stream.create 1L)
-  in
+   the adversary's decision.  Each bound is the measured words per tick
+   at seed 1 plus a small margin: Tight 29.9, Loose_geometric 28.2 and
+   Longlived 35.4. *)
+let check_tick_allocation label bound inst =
   let before = Gc.minor_words () in
   let report = Executor.run ~adversary:(Adversary.round_robin ()) inst in
-  let words = Gc.minor_words () -. before in
-  let per_tick = words /. float_of_int report.Report.ticks in
+  let per_tick = (Gc.minor_words () -. before) /. float_of_int report.Report.ticks in
   check Alcotest.bool
-    (Printf.sprintf "%.1f words per tick, at most %.0f" per_tick longlived_words_per_tick_bound)
-    true
-    (per_tick <= longlived_words_per_tick_bound)
+    (Printf.sprintf "%s: %.1f words per tick, at most %.0f" label per_tick bound)
+    true (per_tick <= bound)
+
+let tight_words_per_tick_bound = 33.
+let geometric_words_per_tick_bound = 31.
+let longlived_words_per_tick_bound = 39.
+
+let test_tight_tick_allocation () =
+  check_tick_allocation "tight" tight_words_per_tick_bound
+    (Tight.instance ~params:tight_params ~stream:(Stream.create 1L) ())
+
+let test_geometric_tick_allocation () =
+  check_tick_allocation "loose-geometric" geometric_words_per_tick_bound
+    (Geometric.instance geo ~stream:(Stream.create 1L))
+
+let test_longlived_tick_allocation () =
+  check_tick_allocation "longlived" longlived_words_per_tick_bound
+    (Longlived.instance ~stats:(Longlived.create_stats ()) longlived ~stream:(Stream.create 1L))
+
+(* A τ-request costs the program its [Step]s, not the register: queueing
+   one and running its device cycle allocate nothing once the queue has
+   grown, and a device tick with no queued request does no work. *)
+let test_tau_cycle_allocates_nothing () =
+  let tau = Tau_register.create ~base:0 ~tau:2 ~width:4 () in
+  let memory = Memory.create ~namespace:8 ~taus:[| tau |] () in
+  let submit = Op.Tau_submit { reg = 0; bit = 1 } in
+  let submit_and_tick () =
+    ignore (Memory.apply memory ~pid:0 submit);
+    Memory.tick_taus memory
+  in
+  submit_and_tick ();
+  check Alcotest.int "tau submit + tick_taus allocates no minor words" 0
+    (minor_words ~calls:1000 submit_and_tick);
+  check Alcotest.int "idle tick_taus allocates no minor words" 0
+    (minor_words ~calls:1000 (fun () -> Memory.tick_taus memory))
 
 let tests =
   [
@@ -167,6 +193,9 @@ let tests =
         Alcotest.test_case "memory apply allocates nothing" `Quick
           test_memory_apply_allocates_nothing;
         Alcotest.test_case "tau poll allocates nothing" `Quick test_tau_poll_allocates_nothing;
+        Alcotest.test_case "tau cycle allocates nothing" `Quick test_tau_cycle_allocates_nothing;
+        Alcotest.test_case "tight tick allocation" `Quick test_tight_tick_allocation;
+        Alcotest.test_case "loose-geometric tick allocation" `Quick test_geometric_tick_allocation;
         Alcotest.test_case "longlived tick allocation" `Quick test_longlived_tick_allocation;
       ] );
   ]
