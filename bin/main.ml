@@ -205,22 +205,6 @@ let metrics_arg =
 
 let obs_of_metrics metrics = Option.map (fun _ -> Obs.create ()) metrics
 
-(* Shared --no-refine option: the executor campaigns (chaos, mcheck,
-   fuzz) and repro replays run the refinement checker alongside the
-   safety monitor by default; this is the escape hatch. *)
-let no_refine_arg =
-  Arg.(value & flag & info [ "no-refine" ]
-         ~doc:"Do not check runs against the centralized renaming spec (the refinement layer; \
-               see docs/refinement.md).  On by default; refinement violations surface as \
-               refine:* kinds.")
-
-let refine_factory ~no_refine obs =
-  if no_refine then None
-  else
-    Some
-      (fun ~name ~namespace ->
-        Renaming_refine.Exec_adapter.hook_for ?obs ~name ~namespace ())
-
 let write_metrics ~label obs metrics =
   match (obs, metrics) with
   | Some obs, Some path ->
@@ -287,7 +271,7 @@ let chaos_cmd =
            ~doc:"With $(b,--service), $(b,--sharded) or $(b,--net): client sessions per \
                  campaign cell (defaults: 150000, 60000 and 65000).")
   in
-  let run n seed_count max_ticks out metrics service sharded net sessions no_refine =
+  let run n seed_count max_ticks out metrics service sharded net sessions =
     if seed_count < 1 then begin
       Printf.eprintf "chaos: --seeds must be >= 1\n";
       exit 2
@@ -317,7 +301,7 @@ let chaos_cmd =
         if done_ = total then prerr_newline ()
       in
       let obs = obs_of_metrics metrics in
-      let summary = Campaign.run ~progress ?obs ?refine:(refine_factory ~no_refine obs) spec in
+      let summary = Campaign.run ~progress ?obs spec in
       Format.printf "%a@." Campaign.pp summary;
       write_file out (Campaign.to_json summary ^ "\n");
       Printf.printf "(json written to %s)\n" out;
@@ -340,8 +324,7 @@ let chaos_cmd =
           slice handoff, degraded-mode routing, cross-shard uniqueness audit); with $(b,--net), \
           the unreliable-transport campaign (lossy messaging, at-most-once dedup, timeout/retry, \
           heartbeat failure detection).")
-    Term.(const run $ n $ seeds $ max_ticks $ out $ metrics_arg $ service $ sharded $ net $ sessions
-          $ no_refine_arg)
+    Term.(const run $ n $ seeds $ max_ticks $ out $ metrics_arg $ service $ sharded $ net $ sessions)
 
 let mcheck_cmd =
   let module Mcheck = Renaming_mcheck.Mcheck in
@@ -363,7 +346,7 @@ let mcheck_cmd =
            ~doc:"Wall-clock budget assertion: exit nonzero if the whole run (exploration plus \
                  shrinking) takes longer than $(docv).  Used by the mcheck-dpor-tier1 CI step.")
   in
-  let run tier1 out only budget_seconds metrics no_refine =
+  let run tier1 out only budget_seconds metrics =
     let entries = if tier1 then Roster.tier1 () else Roster.roster () in
     let entries =
       if only = [] then entries
@@ -378,9 +361,7 @@ let mcheck_cmd =
     let all =
       List.map
         (fun e ->
-          let stats =
-            Roster.run_entry ?obs ?refine:(refine_factory ~no_refine obs) e
-          in
+          let stats = Roster.run_entry ?obs e in
           Format.printf "%a@." Mcheck.pp_stats stats;
           write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
             (List.filter_map (Roster.repro_of_case e) stats.Mcheck.s_cases);
@@ -412,8 +393,7 @@ let mcheck_cmd =
           and transient-fault injections) under the online safety monitor, explored with \
           source-DPOR over the audited independence relation (wakeup trees, preemption \
           bounding).")
-    Term.(const run $ tier1 $ out $ only $ budget_seconds $ metrics_arg
-          $ no_refine_arg)
+    Term.(const run $ tier1 $ out $ only $ budget_seconds $ metrics_arg)
 
 let analyze_cmd =
   let module Analyze = Renaming_analysis.Analyze in
@@ -490,7 +470,7 @@ let shrink_cmd =
     Arg.(value & opt (some int) None & info [ "max-ticks" ]
            ~doc:"Override the artifact's livelock guard.")
   in
-  let run file max_ticks no_refine =
+  let run file max_ticks =
     let contents =
       let ic = open_in file in
       let len = in_channel_length ic in
@@ -519,17 +499,7 @@ let shrink_cmd =
             tau_cadence = repro.Shrink.rp_tau_cadence;
           }
         in
-        let extra =
-          if no_refine then None
-          else
-            let namespace =
-              Renaming_sched.Memory.namespace
-                (build ~seed:repro.Shrink.rp_seed).Renaming_sched.Executor.memory
-            in
-            Some
-              (fun () -> Renaming_refine.Exec_adapter.hook_for ~name ~namespace ())
-        in
-        match Shrink.shrink ?extra input with
+        match Shrink.shrink input with
         | None ->
           Printf.eprintf
             "shrink: the artifact's trace does not reproduce a failure (%d choices replayed \
@@ -567,7 +537,7 @@ let shrink_cmd =
        ~doc:
          "Replay a .repro counterexample artifact and minimise it with delta debugging; exits \
           with status 2 if the artifact no longer fails.")
-    Term.(const run $ file $ max_ticks $ no_refine_arg)
+    Term.(const run $ file $ max_ticks)
 
 let fuzz_cmd =
   let module Fuzz = Renaming_fuzz.Fuzz in
@@ -598,17 +568,13 @@ let fuzz_cmd =
     Arg.(value & opt string "results/fuzz.json" & info [ "out" ] ~docv:"FILE"
            ~doc:"Write the JSON summary to $(docv).")
   in
-  let run seed iterations depth max_seconds mutants_only only out metrics no_refine =
+  let run seed iterations depth max_seconds mutants_only only out metrics =
     if iterations < 1 || depth < 1 then begin
       Printf.eprintf "fuzz: --iterations and --depth must be >= 1\n";
       exit 2
     end;
     let obs = obs_of_metrics metrics in
-    let refine = refine_factory ~no_refine obs in
     let targets = if mutants_only then Roster.mutants () else Roster.roster () in
-    (* The refinement mutants are only detectable with the checker
-       attached, so they join the roster exactly when it is. *)
-    let targets = if refine = None then targets else targets @ Roster.refine_mutants () in
     let targets =
       if only = [] then targets
       else List.filter (fun t -> List.mem t.Fuzz.fz_name only) targets
@@ -623,7 +589,7 @@ let fuzz_cmd =
       if done_ = total then prerr_newline ()
     in
     let summary =
-      Fuzz.run ?clock ?max_seconds ~depth ~progress ?obs ?refine ~seed ~iterations targets
+      Fuzz.run ?clock ?max_seconds ~depth ~progress ?obs ~seed ~iterations targets
     in
     Format.printf "%a@." Fuzz.pp summary;
     write_file out (Fuzz.to_json summary ^ "\n");
@@ -644,7 +610,7 @@ let fuzz_cmd =
           mixes clean algorithms (must stay clean) with seeded schedule-depth mutants (must be \
           found).")
     Term.(const run $ seed $ iterations $ depth $ max_seconds $ mutants_only $ only $ out
-          $ metrics_arg $ no_refine_arg)
+          $ metrics_arg)
 
 (* --- telemetry subcommands --- *)
 
@@ -833,14 +799,15 @@ let metrics_cmd =
   let run algorithm n ell seed out =
     let obs = Obs.create () in
     let inst = obs_instance ~algorithm ~n ~ell ~seed ~mem_events:false obs in
-    (* The refinement checker rides along, so the snapshot also carries
-       the refine/events, refine/stutters and refine/violations counters. *)
-    let refine_hook =
-      Renaming_refine.Exec_adapter.hook_for ~obs ~name:inst.Executor.label
-        ~namespace:(Renaming_sched.Memory.namespace inst.Executor.memory) ()
+    (* The safety monitor rides along, so the snapshot also carries the
+       refine/events, refine/stutters and refine/violations counters. *)
+    let monitor =
+      Renaming_faults.Monitor.create ~name:inst.Executor.label ~check_ownership:false
+        ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ~obs ()
     in
     let report =
-      Executor.run ~obs ~on_event:refine_hook ~adversary:(Adversary.round_robin ()) inst
+      Executor.run ~obs ~on_event:(Renaming_faults.Monitor.hook monitor)
+        ~adversary:(Adversary.round_robin ()) inst
     in
     write_file out (Export.metrics_to_string ~label:inst.Executor.label (Obs.metrics obs) ^ "\n");
     Printf.printf "%s: n=%d ticks=%d max-steps=%d unnamed=%d\n(metrics written to %s)\n"

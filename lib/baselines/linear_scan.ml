@@ -1,5 +1,5 @@
 module Program = Renaming_sched.Program
-module Retry = Renaming_faults.Retry
+module Retry = Renaming_sched.Retry
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary

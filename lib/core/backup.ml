@@ -1,5 +1,5 @@
 module Program = Renaming_sched.Program
-module Retry = Renaming_faults.Retry
+module Retry = Renaming_sched.Retry
 module Sample = Renaming_rng.Sample
 open Program.Syntax
 

@@ -2,7 +2,7 @@ module Program = Renaming_sched.Program
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
-module Retry = Renaming_faults.Retry
+module Retry = Renaming_sched.Retry
 module Stream = Renaming_rng.Stream
 module Obs = Renaming_obs.Obs
 open Program.Syntax

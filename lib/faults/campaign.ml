@@ -1,5 +1,4 @@
 module Executor = Renaming_sched.Executor
-module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
 module Report = Renaming_sched.Report
 module Trace = Renaming_sched.Trace
@@ -85,7 +84,7 @@ let baseline ~max_ticks ~seeds algo =
     seeds;
   !total /. float_of_int (max 1 (Array.length seeds))
 
-let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
+let run_cell ?obs ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
   let violations = ref 0 in
   let messages = ref [] in
   let repros = ref [] in
@@ -117,25 +116,16 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
         hit
       in
       let monitor =
-        Monitor.create ~check_ownership:algo.check_ownership ~memory:inst.Executor.memory
-          ~processes:n ()
+        Monitor.create ~name:algo.algo_name ~check_ownership:algo.check_ownership
+          ~memory:inst.Executor.memory ~processes:n ?obs ()
       in
-      (* The refinement checker (when attached) runs after the monitor,
-         with a fresh state per run. *)
-      let on_event =
-        match refine with
-        | None -> Monitor.hook monitor
-        | Some make ->
-          let rhook =
-            make ~name:algo.algo_name ~namespace:(Memory.namespace inst.Executor.memory)
-          and mhook = Monitor.hook monitor in
-          fun ev ->
-            mhook ev;
-            rhook ev
+      let outcome =
+        match Executor.run ~max_ticks ~inject ~on_event:(Monitor.hook monitor) ~adversary inst with
+        | report -> Directed.Finished report
+        | exception e -> Directed.Raised e
       in
-      (try
-         let report = Executor.run ~max_ticks ~inject ~on_event ~adversary inst in
-         Monitor.finalize monitor report;
+      (match Monitor.judge monitor outcome with
+       | Monitor.Passed report | Monitor.Livelocked report ->
          (* Belt and braces: the monitor already checks uniqueness and
             bounds online; a post-hoc failure here means the monitor has
             a blind spot. *)
@@ -151,7 +141,7 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
          crashed := !crashed + List.length report.Report.crashed;
          recovered := !recovered + List.length report.Report.recovered;
          unnamed := !unnamed + List.length (Report.surviving_unnamed report)
-       with Monitor.Violation v ->
+       | Monitor.Failed v ->
          incr violations;
          messages := v.Monitor.message :: !messages;
          (* Auto-shrink every violation to a 1-minimal replayable repro. *)
@@ -165,13 +155,7 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
              tau_cadence = 1;
            }
          in
-         let extra =
-           Option.map
-             (fun make () ->
-               make ~name:algo.algo_name ~namespace:(Memory.namespace inst.Executor.memory))
-             refine
-         in
-         (match Shrink.shrink ?extra shrink_input with
+         (match Shrink.shrink shrink_input with
          | Some r ->
            repros :=
              {
@@ -208,7 +192,7 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
     c_repros = List.rev !repros;
   }
 
-let run ?progress ?obs ?refine spec =
+let run ?progress ?obs spec =
   let report_progress =
     match progress with Some f -> f | None -> fun ~done_:_ ~total:_ -> ()
   in
@@ -228,7 +212,7 @@ let run ?progress ?obs ?refine spec =
                 List.map
                   (fun rate ->
                     let cell =
-                      run_cell ?refine ~max_ticks:spec.max_ticks ~seeds:spec.seeds
+                      run_cell ?obs ~max_ticks:spec.max_ticks ~seeds:spec.seeds
                         ~baseline_max_steps algo adv pattern rate
                     in
                     incr done_cells;

@@ -72,20 +72,15 @@ type summary = {
 val run :
   ?progress:(done_:int -> total:int -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(name:string -> namespace:int -> (Renaming_sched.Executor.event -> unit)) ->
   spec ->
   summary
-(** Runs every cell; a monitor violation aborts only that run and is
-    recorded in the cell.  Deterministic given [spec.seeds].  With
+(** Runs every cell; a monitor violation (a raised exception included,
+    as ["exception:<slot>"]) aborts only that run and is recorded in
+    the cell, auto-shrunk.  Deterministic given [spec.seeds].  With
     [obs], campaign totals are recorded on the registry as the
     [chaos/cells], [chaos/runs], [chaos/violations], [chaos/livelocks]
-    and [chaos/injected_faults] counters.
-
-    [refine] attaches the refinement checker to every run: the factory
-    is applied once per run (fresh checker state) with the algorithm
-    name and instance namespace, and its hook runs after the monitor's
-    on every event — including shrinking replays, so ["refine:..."]
-    violations reduce to replayable repros like any monitor kind. *)
+    and [chaos/injected_faults] counters, and every run's monitor bumps
+    the [refine/*] counters. *)
 
 val to_json : summary -> string
 

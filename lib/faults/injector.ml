@@ -10,11 +10,6 @@ let bernoulli ~rate ~rng : t =
   if rate = 0. then none
   else fun ~time:_ ~pid:_ ~op -> Op.faultable op && Sample.bernoulli rng rate
 
-let window ~from_ ~until ~rate ~rng : t =
-  if from_ > until then invalid_arg "Injector.window: empty window";
-  let inner = bernoulli ~rate ~rng in
-  fun ~time ~pid ~op -> time >= from_ && time < until && inner ~time ~pid ~op
-
 let counting inner =
   let count = ref 0 in
   let injector ~time ~pid ~op =

@@ -13,10 +13,5 @@ val bernoulli : rate:float -> rng:Renaming_rng.Xoshiro.t -> t
 (** Each faultable operation faults independently with probability
     [rate]. *)
 
-(* lint: allow unused-export — unit-tested, no caller yet: windowed fault injector *)
-val window : from_:int -> until:int -> rate:float -> rng:Renaming_rng.Xoshiro.t -> t
-(** Bernoulli faults confined to ticks [from_, until) — a transient
-    event (EMI burst, failing DIMM before replacement). *)
-
 val counting : t -> t * (unit -> int)
 (** Wraps an injector with a hit counter (for reports). *)

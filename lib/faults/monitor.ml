@@ -1,8 +1,12 @@
 module Executor = Renaming_sched.Executor
+module Directed = Renaming_sched.Directed
 module Memory = Renaming_sched.Memory
+module Op = Renaming_sched.Op
 module Report = Renaming_sched.Report
-module Tas_array = Renaming_shm.Tas_array
 module Step_ledger = Renaming_shm.Step_ledger
+module Check = Renaming_refine.Check
+module Obs_event = Renaming_refine.Obs_event
+module Spec = Renaming_refine.Spec
 
 type violation = { kind : string; message : string }
 
@@ -13,16 +17,35 @@ let () =
     | Violation { kind; message } -> Some (Printf.sprintf "Monitor.Violation[%s]: %s" kind message)
     | _ -> None)
 
+type mode = Tas | Returns | Announce
+
+let has_prefix s ~prefix =
+  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+let returns_prefixes =
+  [ "lease-handoff"; "mutant-lease"; "shard-handoff"; "mutant-shard"; "net-dedup"; "mutant-net" ]
+
+let announce_prefixes = [ "refine-grant"; "mutant-refine" ]
+
+let mode_of_name name =
+  if List.exists (fun prefix -> has_prefix name ~prefix) returns_prefixes then Returns
+  else if List.exists (fun prefix -> has_prefix name ~prefix) announce_prefixes then Announce
+  else Tas
+
+(* Trace excerpt length. *)
+let window = 24
+
 type t = {
-  memory : Memory.t;
-  namespace : int;
-  processes : int;
+  mode : mode;
   check_ownership : bool;
+  check : Check.t;
+  processes : int;
   steps : int array;
   mutable total_steps : int;
   crashed : bool array;
+  invoked : bool array;
   has_returned : bool array;
-  claimed : (int, int) Hashtbl.t;  (* name -> pid *)
+  returned : int array;  (* the name each pid returned, -1 for none *)
   (* Ring buffer of recent events, for the fail-fast trace excerpt. *)
   ring : string array;
   mutable ring_filled : int;
@@ -30,19 +53,19 @@ type t = {
   mutable violations : int;
 }
 
-let create ?(check_ownership = false) ?(window = 24) ~memory ~processes () =
+let create ~name ~check_ownership ~memory ~processes ?obs () =
   if processes < 0 then invalid_arg "Monitor.create: negative processes";
-  if window < 1 then invalid_arg "Monitor.create: window must be >= 1";
   {
-    memory;
-    namespace = Memory.namespace memory;
-    processes;
+    mode = mode_of_name name;
     check_ownership;
+    check = Check.create ?obs ~config:{ Spec.namespace = Memory.namespace memory; one_shot = true } ();
+    processes;
     steps = Array.make processes 0;
     total_steps = 0;
     crashed = Array.make processes false;
+    invoked = Array.make processes false;
     has_returned = Array.make processes false;
-    claimed = Hashtbl.create (max 16 processes);
+    returned = Array.make processes (-1);
     ring = Array.make window "";
     ring_filled = 0;
     ring_next = 0;
@@ -51,15 +74,14 @@ let create ?(check_ownership = false) ?(window = 24) ~memory ~processes () =
 
 let remember t event =
   t.ring.(t.ring_next) <- Format.asprintf "%a" Executor.pp_event event;
-  t.ring_next <- (t.ring_next + 1) mod Array.length t.ring;
-  if t.ring_filled < Array.length t.ring then t.ring_filled <- t.ring_filled + 1
+  t.ring_next <- (t.ring_next + 1) mod window;
+  if t.ring_filled < window then t.ring_filled <- t.ring_filled + 1
 
 let excerpt t =
-  let w = Array.length t.ring in
   let buf = Buffer.create 256 in
   Buffer.add_string buf "trace excerpt (oldest first):";
   for i = 0 to t.ring_filled - 1 do
-    let idx = (t.ring_next - t.ring_filled + i + w) mod w in
+    let idx = (t.ring_next - t.ring_filled + i + window) mod window in
     Buffer.add_string buf "\n  ";
     Buffer.add_string buf t.ring.(idx)
   done;
@@ -67,29 +89,96 @@ let excerpt t =
 
 let violation_count t = t.violations
 
+let raise_violation t ~kind message =
+  t.violations <- t.violations + 1;
+  raise (Violation { kind; message = message ^ "\n" ^ excerpt t })
+
 let fail t ~kind fmt =
-  Format.kasprintf
-    (fun msg ->
-      t.violations <- t.violations + 1;
-      raise
-        (Violation
-           { kind; message = Printf.sprintf "safety violation: %s\n%s" msg (excerpt t) }))
-    fmt
+  Format.kasprintf (fun msg -> raise_violation t ~kind ("safety violation: " ^ msg)) fmt
+
+(* --- the spec side: each event adapted to observable events --- *)
+
+let feed t ev =
+  match Check.observe t.check ev with
+  | `Ok -> ()
+  | `Violation v ->
+    raise_violation t ~kind:("refine:" ^ v.Check.v_reason)
+      (Format.asprintf "refinement: %a" Check.pp_violation v)
+
+(* The lazy invocation of the one-shot world: a pid has asked for a name
+   the moment it takes its first step. *)
+let ensure_invoked t pid =
+  if not t.invoked.(pid) then (
+    t.invoked.(pid) <- true;
+    feed t (Obs_event.Invoked { session = pid }))
+
+(* A returned name re-asserts a grant the pid holds.  A name it does not
+   hold is an unbacked claim under [check_ownership]; otherwise the
+   return is the grant itself (a τ-slot the namespace registers never
+   saw, or a service model's only observable grant).  Either way,
+   returning a name someone else holds is inexplicable. *)
+let on_return t pid name =
+  ensure_invoked t pid;
+  if t.check_ownership || Spec.holder (Check.spec t.check) ~name = Some pid then
+    feed t (Obs_event.Claimed { session = pid; name })
+  else feed t (Obs_event.Granted { session = pid; name })
+
+let on_tas t (ev : Executor.event) =
+  match ev with
+  | Stepped { pid; response = Op.Faulted; _ } ->
+    (* An injected fault: the op did not touch memory. *)
+    ensure_invoked t pid;
+    Check.stutter t.check
+  | Stepped { pid; op; response; _ } -> (
+    ensure_invoked t pid;
+    match (op, response) with
+    | Op.Tas_name name, Op.Bool true -> feed t (Obs_event.Granted { session = pid; name })
+    | Op.Release_name name, Op.Bool true -> feed t (Obs_event.Released { session = pid; name })
+    | Op.Owned_name name, Op.Bool true -> feed t (Obs_event.Claimed { session = pid; name })
+    | _ -> Check.stutter t.check)
+  | Crashed { pid; _ } -> feed t (Obs_event.Crashed { session = pid })
+  | Recovered { pid; _ } -> feed t (Obs_event.Recovered { session = pid })
+  | Returned { pid; value = Some name; _ } -> on_return t pid name
+  | Returned { value = None; _ } -> Check.stutter t.check
+
+let on_returns t (ev : Executor.event) =
+  match ev with
+  | Stepped { pid; _ } ->
+    ensure_invoked t pid;
+    Check.stutter t.check
+  | Crashed { pid; _ } -> feed t (Obs_event.Crashed { session = pid })
+  | Recovered { pid; _ } -> feed t (Obs_event.Recovered { session = pid })
+  | Returned { pid; value = Some name; _ } -> on_return t pid name
+  | Returned { value = None; _ } -> Check.stutter t.check
+
+let on_announce t (ev : Executor.event) =
+  match ev with
+  | Stepped { response = Op.Faulted; _ } -> Check.stutter t.check
+  | Stepped { op = Op.Write_word { idx = 0; value }; _ } -> (
+    match Obs_event.decode value with
+    | Some obs_ev -> feed t obs_ev
+    | None ->
+      fail t ~kind:"refine:bad-announce" "announce register wrote undecodable value %d" value)
+  | Stepped _ | Crashed _ | Recovered _ | Returned _ ->
+    (* Executor crashes hit pids, not the model's announced sessions;
+       the model's own narration is the only observable. *)
+    Check.stutter t.check
+
+(* --- the executor discipline, then the spec --- *)
 
 let check_pid t pid =
   if pid < 0 || pid >= t.processes then fail t ~kind:"unknown-pid" "unknown pid %d" pid
 
-let hook t (event : Executor.event) =
-  remember t event;
+let discipline t (event : Executor.event) =
   match event with
   | Executor.Stepped { pid; time; op; _ } ->
     check_pid t pid;
     if t.crashed.(pid) then
-      fail t ~kind:"step-after-crash" "process %d stepped (%a) at t=%d after crashing" pid
-        Renaming_sched.Op.pp op time;
+      fail t ~kind:"step-after-crash" "process %d stepped (%a) at t=%d after crashing" pid Op.pp
+        op time;
     if t.has_returned.(pid) then
-      fail t ~kind:"step-after-return" "process %d stepped (%a) at t=%d after returning" pid
-        Renaming_sched.Op.pp op time;
+      fail t ~kind:"step-after-return" "process %d stepped (%a) at t=%d after returning" pid Op.pp
+        op time;
     t.steps.(pid) <- t.steps.(pid) + 1;
     t.total_steps <- t.total_steps + 1
   | Executor.Crashed { pid; time } ->
@@ -110,25 +199,15 @@ let hook t (event : Executor.event) =
     if t.crashed.(pid) then
       fail t ~kind:"return-while-crashed" "process %d returned at t=%d while crashed" pid time;
     t.has_returned.(pid) <- true;
-    (match value with
-    | None -> ()
-    | Some name ->
-      if name < 0 || name >= t.namespace then
-        fail t ~kind:"out-of-range-name" "process %d claimed out-of-range name %d (namespace %d)"
-          pid name t.namespace;
-      (match Hashtbl.find_opt t.claimed name with
-      | Some other ->
-        fail t ~kind:"duplicate-name" "duplicate name %d: claimed by both %d and %d" name other pid
-      | None -> Hashtbl.add t.claimed name pid);
-      if t.check_ownership then
-        match Tas_array.owner (Memory.names t.memory) name with
-        | Some owner when owner = pid -> ()
-        | Some owner ->
-          fail t ~kind:"unbacked-claim" "process %d claimed name %d owned by process %d" pid name
-            owner
-        | None ->
-          fail t ~kind:"unbacked-claim" "process %d claimed name %d whose register is free" pid
-            name)
+    Option.iter (fun name -> t.returned.(pid) <- name) value
+
+let hook t event =
+  remember t event;
+  discipline t event;
+  match t.mode with
+  | Tas -> on_tas t event
+  | Returns -> on_returns t event
+  | Announce -> on_announce t event
 
 let finalize t (report : Report.t) =
   for pid = 0 to t.processes - 1 do
@@ -144,10 +223,18 @@ let finalize t (report : Report.t) =
   Array.iteri
     (fun pid value ->
       match value with
-      | None -> ()
-      | Some name ->
-        if Hashtbl.find_opt t.claimed name <> Some pid then
-          fail t ~kind:"assignment-mismatch"
-            "final assignment gives %d to process %d but the monitor never saw that return" name
-            pid)
+      | Some name when t.returned.(pid) <> name ->
+        fail t ~kind:"assignment-mismatch"
+          "final assignment gives %d to process %d but the monitor never saw that return" name pid
+      | _ -> ())
     report.Report.assignment.Renaming_shm.Assignment.names
+
+type verdict = Passed of Report.t | Livelocked of Report.t | Failed of violation
+
+let judge t = function
+  | Directed.Raised (Violation v) -> Failed v
+  | Directed.Raised e ->
+    Failed { kind = "exception:" ^ Printexc.exn_slot_name e; message = Printexc.to_string e }
+  | Directed.Finished report when Report.is_livelock report -> Livelocked report
+  | Directed.Finished report -> (
+    match finalize t report with () -> Passed report | exception Violation v -> Failed v)

@@ -1,21 +1,39 @@
-(** Online safety monitor: checks the paper's safety invariants on every
-    executor event and fails fast with a trace excerpt.
+(** Online safety monitor: checks every executor event against the
+    centralized renaming spec ({!Renaming_refine.Spec}) and the
+    executor's own discipline, and fails fast with a trace excerpt.
 
-    Wire {!hook} into {!Renaming_sched.Executor.run}'s [on_event]; call
-    {!finalize} on the resulting report.  Invariants checked
-    incrementally, the moment they break:
+    Wire {!hook} into {!Renaming_sched.Executor.run}'s (or
+    {!Renaming_sched.Directed.run}'s) [on_event], then classify the
+    outcome with {!judge}.
 
-    - name uniqueness: no two processes return the same name;
-    - namespace bounds: every returned name is in [0, namespace);
-    - ownership (optional): a returned name's TAS register is owned by
-      the returning process — the claim is backed by a win;
-    - crash discipline: no step, return or second crash by a crashed
-      process; recovery only of crashed processes; no activity after
-      returning;
-    - step-ledger consistency (at {!finalize}): the report's per-process
-      ledger and tick count match the monitor's own event counts, and
-      the final assignment contains exactly the returns the monitor
-      observed.
+    The spec is the one oracle for the paper's safety property — no two
+    processes hold the same name, every name lies in the namespace, and
+    (with [check_ownership]) every returned name is backed by a grant.
+    Each event is adapted to {!Renaming_refine.Obs_event}s under the
+    mode {!mode_of_name} picks from the run's name:
+
+    - {!Tas}: the paper algorithms.  A name is granted by winning its
+      namespace TAS register, released by [Release_name], asserted by a
+      successful [Owned_name] probe or a [Some] return value.  Without
+      [check_ownership], a return of a name the process does not hold
+      is itself the grant (the τ-device admission algorithms claim
+      names their namespace registers never see); with it, such a
+      return is an unbacked claim.  Faulted operations never touch
+      memory, so they are stutters.
+    - {!Returns}: the service protocol models ([Handoff],
+      [Shard_handoff], [Net_dedup] and their mutants).  Names live in
+      model-internal words/aux registers, so the only observable grant
+      is the returned value; everything else is a stutter.
+    - {!Announce}: models that narrate their own observable events by
+      writing {!Renaming_refine.Obs_event.encode}d values to word 0
+      ({!Renaming_refine.Grant_model}); executor crashes and returns are
+      stutters there.
+
+    The executor-discipline checks are the monitor's own: an unknown
+    pid; a step, return or second crash by a crashed process; recovery
+    of a live process; activity after returning; and, when {!judge}
+    classifies a finished run, the report's per-process ledger, tick
+    count and final assignment against the monitor's event counts.
 
     A violation raises {!Violation} carrying a stable [kind] tag (used
     by the model checker and shrinker to decide whether two failures are
@@ -25,34 +43,57 @@
 
 type violation = {
   kind : string;
-      (** stable machine-readable tag, e.g. ["duplicate-name"],
-          ["step-after-crash"], ["unbacked-claim"], ["ledger-mismatch"] *)
+      (** stable machine-readable tag: ["refine:<reason>"] for a spec
+          rejection (e.g. ["refine:name-held"],
+          ["refine:claim-unbacked"]), else a discipline check such as
+          ["step-after-crash"] or ["ledger-mismatch"] *)
   message : string;  (** human-readable description plus trace excerpt *)
 }
 
 exception Violation of violation
 
+type mode = Tas | Returns | Announce
+
+(* lint: allow unused-export — test hook: pins the mode table *)
+val mode_of_name : string -> mode
+(** By run-name prefix: the service-model families ([lease-handoff],
+    [shard-handoff], [net-dedup] and their mutants) map to {!Returns},
+    the [refine-grant] / [mutant-refine] family to {!Announce},
+    everything else to {!Tas}. *)
+
 type t
 
 val create :
-  ?check_ownership:bool ->
-  ?window:int ->
+  name:string ->
+  check_ownership:bool ->
   memory:Renaming_sched.Memory.t ->
   processes:int ->
+  ?obs:Renaming_obs.Obs.t ->
   unit ->
   t
-(** [check_ownership] (default false): enable the register-ownership
-    check — valid for algorithms that claim names exclusively by winning
-    namespace TAS registers (all of [lib/core] and [lib/baselines]'
-    probing/scanning ones; not the splitter grid, which derives names
-    from read/write registers).  [window] (default 24) is the trace
-    excerpt length. *)
+(** One monitor per run; it owns the run's {!Renaming_refine.Check.t},
+    sized by [Memory.namespace memory].  [name] picks the {!mode}.
+    [check_ownership]: every returned name must be one the process was
+    granted — valid for algorithms that claim names exclusively by
+    winning namespace TAS registers (all of [lib/core] and
+    [lib/baselines]' probing/scanning ones; not the splitter grid,
+    which derives names from read/write registers).  With [obs], the
+    checker bumps the shared [refine/events], [refine/stutters] and
+    [refine/violations] counters. *)
 
 val hook : t -> Renaming_sched.Executor.event -> unit
 (** Feed one event; raises {!Violation} on the first broken invariant. *)
 
-val finalize : t -> Renaming_sched.Report.t -> unit
-(** Post-run consistency checks; raises {!Violation} on mismatch. *)
+type verdict =
+  | Passed of Renaming_sched.Report.t
+  | Livelocked of Renaming_sched.Report.t  (** cut off by the livelock guard *)
+  | Failed of violation
+
+val judge : t -> Renaming_sched.Directed.outcome -> verdict
+(** The outcome-to-kind mapping every monitored runner shares: a raised
+    {!Violation} fails with its kind, any other exception with
+    ["exception:<slot>"]; a livelocked report is {!Livelocked};
+    otherwise the post-run consistency checks decide. *)
 
 (* lint: allow unused-export — test hook: observes the monitor *)
 val violation_count : t -> int

@@ -1,6 +1,5 @@
 module Executor = Renaming_sched.Executor
 module Directed = Renaming_sched.Directed
-module Report = Renaming_sched.Report
 
 type failure = { f_kind : string; f_message : string }
 
@@ -21,51 +20,26 @@ type result = {
   r_replays : int;
 }
 
-let execute ?extra input prefix =
+let execute input prefix =
   let inst = input.build () in
   let monitor =
-    Monitor.create ~check_ownership:input.check_ownership ~memory:inst.Executor.memory
-      ~processes:(Array.length inst.Executor.programs) ()
-  in
-  (* The extra hook gets a fresh state per replay and runs after the
-     monitor, so a failure the monitor can already see keeps its kind. *)
-  let on_event =
-    match extra with
-    | None -> Monitor.hook monitor
-    | Some make ->
-      let hook = make () and mhook = Monitor.hook monitor in
-      fun ev ->
-        mhook ev;
-        hook ev
+    Monitor.create ~name:input.label ~check_ownership:input.check_ownership
+      ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ()
   in
   let run =
-    Directed.run ~max_ticks:input.max_ticks ~tau_cadence:input.tau_cadence ~on_event ~prefix
-      inst
+    Directed.run ~max_ticks:input.max_ticks ~tau_cadence:input.tau_cadence
+      ~on_event:(Monitor.hook monitor) ~prefix inst
   in
   let failure =
-    match run.Directed.outcome with
-    | Directed.Raised (Monitor.Violation v) ->
-      Some { f_kind = v.Monitor.kind; f_message = v.Monitor.message }
-    | Directed.Raised e ->
+    match Monitor.judge monitor run.Directed.outcome with
+    | Monitor.Passed _ -> None
+    | Monitor.Livelocked _ ->
       Some
         {
-          f_kind = "exception:" ^ Printexc.exn_slot_name e;
-          f_message = Printexc.to_string e;
+          f_kind = "livelock";
+          f_message = Printf.sprintf "run hit the %d-tick livelock guard" input.max_ticks;
         }
-    | Directed.Finished report ->
-      if Report.is_livelock report then
-        Some
-          {
-            f_kind = "livelock";
-            f_message =
-              Printf.sprintf "run hit the %d-tick livelock guard" input.max_ticks;
-          }
-      else (
-        try
-          Monitor.finalize monitor report;
-          None
-        with Monitor.Violation v ->
-          Some { f_kind = v.Monitor.kind; f_message = v.Monitor.message })
+    | Monitor.Failed v -> Some { f_kind = v.Monitor.kind; f_message = v.Monitor.message }
   in
   (run, failure)
 
@@ -93,9 +67,9 @@ let rec ddmin test lst n =
     | None -> if n < len then ddmin test lst (min len (2 * n)) else lst
   end
 
-let shrink ?(max_replays = 4000) ?extra input =
+let shrink ?(max_replays = 4000) input =
   let replays = ref 1 in
-  let run0, fail0 = execute ?extra input input.choices in
+  let run0, fail0 = execute input input.choices in
   match fail0 with
   | None -> None
   | Some f0 ->
@@ -105,7 +79,7 @@ let shrink ?(max_replays = 4000) ?extra input =
       if !replays >= max_replays then false
       else begin
         incr replays;
-        match execute ?extra input candidate with
+        match execute input candidate with
         | _, Some f when String.equal f.f_kind kind ->
           last_failure := f;
           true

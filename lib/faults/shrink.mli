@@ -4,7 +4,8 @@
     Given a deterministic instance builder and a failing
     {!Renaming_sched.Directed.choice} prefix, {!shrink} searches for a
     1-minimal prefix that still triggers the *same* failure — same
-    {!Monitor.violation} [kind] (or livelock) — by re-replaying the
+    {!Monitor.violation} [kind] (or livelock), as {!Monitor.judge}
+    classifies it — by re-replaying the
     instance from scratch after every candidate cut.  Passes, in order:
 
     + truncate to the decisions the failing run actually took;
@@ -25,7 +26,9 @@ type failure = {
 }
 
 type input = {
-  label : string;  (** algorithm name, for reporting *)
+  label : string;
+      (** algorithm name, for reporting; also picks the monitor's
+          {!Monitor.mode} *)
   build : unit -> Renaming_sched.Executor.instance;
       (** must return a fresh, deterministic instance — same memory and
           programs every call — or replays diverge *)
@@ -49,30 +52,16 @@ type result = {
 
 (* lint: allow unused-export — test hook: replays a shrunk prefix *)
 val execute :
-  ?extra:(unit -> Renaming_sched.Executor.event -> unit) ->
-  input ->
-  Renaming_sched.Directed.choice list ->
-  Renaming_sched.Directed.result * failure option
+  input -> Renaming_sched.Directed.choice list -> Renaming_sched.Directed.result * failure option
 (** One monitored replay of a candidate prefix (permissive mode):
-    builds a fresh instance, runs it under the safety monitor, and
-    classifies the outcome.  [None] means the run completed cleanly.
+    builds a fresh instance, runs it under a fresh safety monitor, and
+    classifies the outcome.  [None] means the run completed cleanly. *)
 
-    [extra] builds an additional per-replay event hook, composed after
-    the monitor's — the refinement checker rides replays this way.  A
-    violation it raises as {!Monitor.Violation} classifies like any
-    other (so ["refine:..."] kinds shrink with exact-kind matching);
-    the monitor runs first so failures both can see keep their
-    original kind. *)
-
-val shrink :
-  ?max_replays:int ->
-  ?extra:(unit -> Renaming_sched.Executor.event -> unit) ->
-  input ->
-  result option
+val shrink : ?max_replays:int -> input -> result option
 (** [None] if [input.choices] does not fail in the first place.
     [max_replays] (default [4000]) caps total executions; if the budget
     runs out the result is still a valid counterexample, just not
-    necessarily 1-minimal.  [extra] as in {!execute}. *)
+    necessarily 1-minimal. *)
 
 type trace_format =
   | Choices  (** one {!Renaming_sched.Directed.choice_to_string} line per choice *)

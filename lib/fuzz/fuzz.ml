@@ -1,5 +1,4 @@
 module Executor = Renaming_sched.Executor
-module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
 module Directed = Renaming_sched.Directed
 module Report = Renaming_sched.Report
@@ -69,59 +68,24 @@ let repros s =
     (fun r -> List.filter_map (fun v -> v.v_repro) r.r_violations)
     s.s_results
 
-type outcome_class =
-  | Clean
-  | Livelocked
-  | Violated of { kind : string; message : string }
-
 (* One monitored, coverage-instrumented execution of [target] under
    [drive].  Detaches the logger before returning so instances never
    leak a collector. *)
-let observe_run ?refine target ~tseed ~drive =
+let observe_run ?obs target ~tseed ~drive =
   let inst = target.fz_build ~seed:tseed in
   let cov = Coverage.create () in
   Coverage.attach cov inst.Executor.memory;
   let monitor =
-    Monitor.create ~check_ownership:target.fz_check_ownership ~memory:inst.Executor.memory
-      ~processes:(Array.length inst.Executor.programs) ()
+    Monitor.create ~name:target.fz_name ~check_ownership:target.fz_check_ownership
+      ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ?obs ()
   in
-  let on_event =
-    match refine with
-    | None -> Monitor.hook monitor
-    | Some make ->
-      let rhook = make ~name:target.fz_name ~namespace:(Memory.namespace inst.Executor.memory)
-      and mhook = Monitor.hook monitor in
-      fun ev ->
-        mhook ev;
-        rhook ev
-  in
-  let classify_report report =
-    if Report.is_livelock report then Livelocked
-    else (
-      try
-        Monitor.finalize monitor report;
-        Clean
-      with Monitor.Violation v -> Violated { kind = v.Monitor.kind; message = v.Monitor.message })
-  in
-  let outcome =
-    match drive ~inst ~on_event with
-    | report -> classify_report report
-    | exception Monitor.Violation v ->
-      Violated { kind = v.Monitor.kind; message = v.Monitor.message }
-  in
+  let verdict = Monitor.judge monitor (drive ~inst ~on_event:(Monitor.hook monitor)) in
   Coverage.detach inst.Executor.memory;
-  (outcome, Coverage.edges cov)
+  (verdict, Coverage.edges cov)
 
-let shrink_violation ?refine target ~tseed ~prefix =
-  let extra =
-    Option.map
-      (fun make ->
-        let namespace = Memory.namespace (target.fz_build ~seed:tseed).Executor.memory in
-        fun () -> make ~name:target.fz_name ~namespace)
-      refine
-  in
+let shrink_violation target ~tseed ~prefix =
   match
-    Shrink.shrink ?extra
+    Shrink.shrink
       {
         Shrink.label = target.fz_name;
         build = (fun () -> target.fz_build ~seed:tseed);
@@ -146,7 +110,7 @@ let shrink_violation ?refine target ~tseed ~prefix =
         rp_choices = r.Shrink.r_choices;
       }
 
-let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
+let fuzz_target ?obs ~master ~depth ~iterations ~should_stop target =
   (* The instance seed is fixed per target (derived from the campaign
      seed and the target name): corpus prefixes then stay meaningful
      across iterations — only the schedule varies, exactly the
@@ -163,32 +127,36 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
       growth := { g_iteration = iteration; g_edges = Corpus.seen_edges corpus } :: !growth
   in
   let record_violation ~iteration ~mode ~prefix kind message =
-    let repro = shrink_violation ?refine target ~tseed ~prefix in
+    let repro = shrink_violation target ~tseed ~prefix in
     violations := { v_kind = kind; v_message = message; v_iteration = iteration; v_mode = mode; v_repro = repro } :: !violations
   in
   (* Baseline: one fair round-robin run.  It estimates k (the expected
      decision count PCT spreads its change points over) and seeds the
      corpus with the fair schedule's coverage. *)
   let traced_executor_run adversary trace ~inst ~on_event =
-    Executor.run ~tau_cadence:target.fz_tau_cadence ~max_ticks:target.fz_max_ticks ~on_event
-      ~adversary:(Trace.recording trace ~base:adversary)
-      inst
+    match
+      Executor.run ~tau_cadence:target.fz_tau_cadence ~max_ticks:target.fz_max_ticks ~on_event
+        ~adversary:(Trace.recording trace ~base:adversary)
+        inst
+    with
+    | report -> Directed.Finished report
+    | exception e -> Directed.Raised e
   in
   let k = ref 32 in
   let baseline_trace = Trace.create () in
   (match
-     observe_run ?refine target ~tseed
-       ~drive:(fun ~inst ~on_event ->
-         let report = traced_executor_run (Adversary.round_robin ()) baseline_trace ~inst ~on_event in
-         k := max 8 report.Report.ticks;
-         report)
+     observe_run ?obs target ~tseed
+       ~drive:(traced_executor_run (Adversary.round_robin ()) baseline_trace)
    with
-  | Clean, edges ->
+  | Monitor.Passed report, edges ->
+    k := max 8 report.Report.ticks;
     record_coverage ~iteration:(-1) ~prefix:(Directed.choices_of_trace baseline_trace) edges
-  | Livelocked, _ -> incr livelocks
-  | Violated { kind; message }, _ ->
+  | Monitor.Livelocked report, _ ->
+    k := max 8 report.Report.ticks;
+    incr livelocks
+  | Monitor.Failed v, _ ->
     record_violation ~iteration:(-1) ~mode:"baseline"
-      ~prefix:(Directed.choices_of_trace baseline_trace) kind message);
+      ~prefix:(Directed.choices_of_trace baseline_trace) v.Monitor.kind v.Monitor.message);
   let i = ref 0 in
   while !violations = [] && !i < iterations && not (should_stop ()) do
     let iteration = !i in
@@ -202,24 +170,23 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
           ~allow_crashes:target.fz_allow_crashes parent
       in
       let taken = ref [||] in
-      let outcome, edges =
-        observe_run ?refine target ~tseed ~drive:(fun ~inst ~on_event ->
+      let verdict, edges =
+        observe_run ?obs target ~tseed ~drive:(fun ~inst ~on_event ->
             let r =
               Directed.run ~max_ticks:target.fz_max_ticks ~tau_cadence:target.fz_tau_cadence
                 ~on_event ~prefix:child inst
             in
             taken := r.Directed.taken;
-            match r.Directed.outcome with
-            | Directed.Finished report -> report
-            | Directed.Raised e -> raise e)
+            r.Directed.outcome)
       in
-      match outcome with
-      | Clean -> record_coverage ~iteration ~prefix:child edges
-      | Livelocked ->
+      match verdict with
+      | Monitor.Passed _ -> record_coverage ~iteration ~prefix:child edges
+      | Monitor.Livelocked _ ->
         incr livelocks;
         record_coverage ~iteration ~prefix:child edges
-      | Violated { kind; message } ->
-        record_violation ~iteration ~mode:"mutation" ~prefix:(Array.to_list !taken) kind message
+      | Monitor.Failed v ->
+        record_violation ~iteration ~mode:"mutation" ~prefix:(Array.to_list !taken) v.Monitor.kind
+          v.Monitor.message
     end
     else begin
       (* PCT round: sweep depths 1..depth, alternating the plain and the
@@ -235,16 +202,16 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
       in
       let mode = adversary.Adversary.name in
       let trace = Trace.create () in
-      let outcome, edges =
-        observe_run ?refine target ~tseed ~drive:(traced_executor_run adversary trace)
+      let verdict, edges =
+        observe_run ?obs target ~tseed ~drive:(traced_executor_run adversary trace)
       in
       let prefix = Directed.choices_of_trace trace in
-      match outcome with
-      | Clean -> record_coverage ~iteration ~prefix edges
-      | Livelocked ->
+      match verdict with
+      | Monitor.Passed _ -> record_coverage ~iteration ~prefix edges
+      | Monitor.Livelocked _ ->
         incr livelocks;
         record_coverage ~iteration ~prefix edges
-      | Violated { kind; message } -> record_violation ~iteration ~mode ~prefix kind message
+      | Monitor.Failed v -> record_violation ~iteration ~mode ~prefix v.Monitor.kind v.Monitor.message
     end
   done;
   {
@@ -259,7 +226,7 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
     r_violations = List.rev !violations;
   }
 
-let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ?refine ~seed ~iterations targets =
+let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ~seed ~iterations targets =
   if depth < 1 then invalid_arg "Fuzz.run: depth must be >= 1";
   if iterations < 0 then invalid_arg "Fuzz.run: iterations must be >= 0";
   let master = Stream.create seed in
@@ -278,7 +245,7 @@ let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ?refine ~
   let results =
     List.mapi
       (fun idx target ->
-        let r = fuzz_target ?refine ~master ~depth ~iterations ~should_stop target in
+        let r = fuzz_target ?obs ~master ~depth ~iterations ~should_stop target in
         report_progress ~target:target.fz_name ~done_:(idx + 1) ~total;
         r)
       targets

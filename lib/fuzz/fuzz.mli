@@ -86,7 +86,6 @@ val run :
   ?max_seconds:float ->
   ?progress:(target:string -> done_:int -> total:int -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(name:string -> namespace:int -> (Renaming_sched.Executor.event -> unit)) ->
   seed:int64 ->
   iterations:int ->
   target list ->
@@ -99,16 +98,9 @@ val run :
     With [obs], campaign totals are accumulated onto the
     [fuzz/targets], [fuzz/iterations], [fuzz/livelocks],
     [fuzz/corpus_entries], [fuzz/coverage_edges] and [fuzz/violations]
-    counters; the fuzzing loop itself never sees [obs], so results are
-    identical either way.
-
-    [refine] attaches the refinement checker to every run: the factory
-    is applied once per run (fresh checker state) with the target name
-    and instance namespace, and its hook is composed after the safety
-    monitor's — including shrinking replays, so ["refine:..."]
-    violations ddmin-reduce like any monitor kind.  The schedules a
-    campaign attempts are unchanged; on targets it never flags, results
-    are identical with or without it. *)
+    counters, and every fuzzed run's monitor bumps the [refine/*]
+    counters; the fuzzing loop itself never reads [obs], so results are
+    identical either way. *)
 
 val ok : summary -> bool
 (** Every mutant target found (with a shrunk repro for each violation)

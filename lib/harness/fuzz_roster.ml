@@ -233,17 +233,11 @@ let mutants () =
     target ~name:"mutant-net-dedup-evict" ~n:3 ~check_ownership:false
       ~expect_violation:true
       (fun ~seed -> Renaming_service.Net_dedup.instance_evict ~n:3 ~seed);
-  ]
-
-let refine_mutants () =
-  [
     (* Post-reclaim double grant: the reclaimer announces the reclaim
        and then re-announces the grant for a session that never
-       re-invoked.  Invisible to the safety monitor (no name is ever
-       double-held in memory) and to the fair baseline (clients settle
-       before the reclaimer's sweep); only the refinement checker, fed
-       the announce stream, can flag it — so this mutant belongs to the
-       fuzz roster only when the campaign runs with [~refine]. *)
+       re-invoked.  No name is ever double-held in memory, and the fair
+       baseline is clean (clients settle before the reclaimer's sweep);
+       only the spec, fed the announce stream, can flag it. *)
     target ~name:"mutant-refine-regrant" ~n:2 ~check_ownership:false ~allow_crashes:true
       ~expect_violation:true
       (fun ~seed -> grant_model_regrant ~n:2 ~seed);
@@ -255,7 +249,7 @@ let builder ~name ~n =
   match
     List.find_opt
       (fun t -> String.equal t.Fuzz.fz_name name && t.Fuzz.fz_n = n)
-      (roster () @ refine_mutants ())
+      (roster ())
   with
   | Some t -> Some t.Fuzz.fz_build
   | None -> None

@@ -8,8 +8,10 @@
       monitor blind spot) and fails the campaign.
     - {!mutants}: deliberately seeded schedule-depth bugs — a
       double-claim in the loose-geometric probe path, a τ-device
-      over-admit, and a dropped straggler in the Combined backup path.
-      Each is clean under the fair round-robin baseline and breaks only
+      over-admit, a dropped straggler in the Combined backup path,
+      double grants in the lease, slice and dedup handoff protocols,
+      and a post-reclaim re-grant only the spec can see
+      ({!Renaming_refine.Grant_model.instance_regrant}).  Each is clean under the fair round-robin baseline and breaks only
       under a rare bounded-depth interleaving; the fuzzer {e must} find
       and shrink every one within its budget, or the campaign fails.
       This is the fuzzing analogue of
@@ -19,17 +21,8 @@ val clean : unit -> Renaming_fuzz.Fuzz.target list
 
 val mutants : unit -> Renaming_fuzz.Fuzz.target list
 
-val refine_mutants : unit -> Renaming_fuzz.Fuzz.target list
-(** Mutants only the refinement checker can see (their bug is a
-    spec-inexplicable announce, not a memory-level safety violation):
-    today the post-reclaim double grant of
-    {!Renaming_refine.Grant_model.instance_regrant}.  Append them to the
-    campaign only when {!Renaming_fuzz.Fuzz.run} gets [~refine] — without
-    it they can never be found and would fail the campaign vacuously. *)
-
 val roster : unit -> Renaming_fuzz.Fuzz.target list
-(** [clean () @ mutants ()] — the refine-blind campaign;
-    {!refine_mutants} ride along only under [~refine]. *)
+(** [clean () @ mutants ()]. *)
 
 val builder :
   name:string ->

@@ -135,8 +135,8 @@ let roster () =
       ~bounds:(bounds ~preemptions:3 ()) ();
     (* The grant/reclaim announce model (Renaming_refine.Grant_model):
        every protocol action is self-reported on the announce word, so
-       under [renaming mcheck]'s refinement ride-along this entry proves
-       the model spec-legal on *every* schedule within bounds — crashes
+       under the monitor's spec check this entry proves the model
+       spec-legal on *every* schedule within bounds — crashes
        and recoveries included, which is exactly where the spec's
        crash-abandons-claims rule earns its keep.  Post-DPOR addition,
        so no legacy baseline. *)
@@ -181,18 +181,7 @@ let target e =
     t_check_ownership = e.e_check_ownership;
   }
 
-let run_entry ?obs ?refine e =
-  let refine =
-    Option.map
-      (fun make ->
-        let namespace =
-          Renaming_sched.Memory.namespace
-            (e.e_build ~seed:e.e_seed).Renaming_sched.Executor.memory
-        in
-        fun () -> make ~name:e.e_name ~namespace)
-      refine
-  in
-  Mcheck.check ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs ?refine (target e)
+let run_entry ?obs e = Mcheck.check ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs (target e)
 
 let repro_of_case e (c : Mcheck.case) =
   match c.Mcheck.v_shrunk with

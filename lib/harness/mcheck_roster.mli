@@ -35,16 +35,10 @@ val tier1 : unit -> entry list
 
 val target : entry -> Renaming_mcheck.Mcheck.target
 
-val run_entry :
-  ?obs:Renaming_obs.Obs.t ->
-  ?refine:(name:string -> namespace:int -> (Renaming_sched.Executor.event -> unit)) ->
-  entry ->
-  Renaming_mcheck.Mcheck.stats
+val run_entry : ?obs:Renaming_obs.Obs.t -> entry -> Renaming_mcheck.Mcheck.stats
 (** Explores the entry with {!Renaming_mcheck.Mcheck.check}; its frozen
     [e_baseline] is threaded into the stats for reduction-ratio
-    reporting.  [refine] (the campaign-factory shape, applied to the
-    entry's name and namespace) attaches a fresh refinement checker to every explored
-    schedule — see {!Renaming_mcheck.Mcheck.check}. *)
+    reporting. *)
 
 val repro_of_case :
   entry -> Renaming_mcheck.Mcheck.case -> Renaming_faults.Shrink.repro option

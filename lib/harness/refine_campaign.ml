@@ -3,12 +3,13 @@ module Shrink = Renaming_faults.Shrink
 module Mcheck = Renaming_mcheck.Mcheck
 module Fuzz = Renaming_fuzz.Fuzz
 module Check = Renaming_refine.Check
-module Exec_adapter = Renaming_refine.Exec_adapter
 module Lease_adapter = Renaming_refine.Lease_adapter
 module Longlived = Renaming_longlived.Longlived
 module Net_churn = Renaming_service.Net_churn
 module Router = Renaming_service.Router
 module Transport = Renaming_service.Transport
+module Obs = Renaming_obs.Obs
+module Metrics = Renaming_obs.Metrics
 
 type backend_report = {
   b_name : string;
@@ -39,8 +40,9 @@ let mutant_ok m = m.m_found && m.m_shrunk && m.m_roundtrip
 
 let ok s = List.for_all backend_ok s.backends && mutant_ok s.mutant
 
-(* --- checker bookkeeping: every adapter a stage creates is retained so
-   its per-trace counts can be totalled after the stage returns --- *)
+(* --- checker bookkeeping: the lease-side stages retain every checker
+   they create so its per-trace counts can be totalled after the stage
+   returns --- *)
 
 type tally = { mutable checks : Check.t list }
 
@@ -70,16 +72,43 @@ let report ~name ~backend ~runs tally =
     b_first = first;
   }
 
-(* The executor-side factory shape shared by the chaos / mcheck / fuzz
-   [?refine] hooks: fresh adapter per run, retained for counting. *)
-let exec_factory ?obs tally ~name ~namespace =
-  let adapter = Exec_adapter.create ?obs ~mode:(Exec_adapter.mode_of_name name) ~namespace () in
-  remember tally (Exec_adapter.check adapter);
-  Exec_adapter.hook adapter
+(* An executor stage: [run] drives a campaign whose every run's monitor
+   feeds the spec and bumps the shared refine/* counters on the given
+   registry (the caller's, else a fresh one); the counters' growth
+   totals the stage.  Every spec event is a step, a stutter or a
+   rejection.  A rejection ends its run, so the first one comes from
+   the violation messages [run] returns (the monitor renders it as a
+   "refinement: <violation>" line). *)
+let exec_stage ?obs ~name run =
+  let obs = match obs with Some o -> o | None -> Obs.create () in
+  let count c = Option.value ~default:0 (Metrics.find_counter (Obs.metrics obs) c) in
+  let counts () = (count "refine/events", count "refine/stutters", count "refine/violations") in
+  let e0, s0, v0 = counts () in
+  let runs, messages = run obs in
+  let e1, s1, v1 = counts () in
+  let prefix = "refinement: " in
+  let first =
+    List.find_map
+      (fun m ->
+        let line = List.hd (String.split_on_char '\n' m) in
+        if String.starts_with ~prefix line then
+          Some (String.sub line (String.length prefix) (String.length line - String.length prefix))
+        else None)
+      messages
+  in
+  {
+    b_name = name;
+    b_backend = "executor";
+    b_runs = runs;
+    b_events = e1 - e0;
+    b_steps = e1 - e0 - (s1 - s0) - (v1 - v0);
+    b_stutters = s1 - s0;
+    b_violations = v1 - v0;
+    b_first = first;
+  }
 
 (* --- executor backend, chaos leg: the tier-1 cross-product (trimmed to
-   one seed and two algorithms in smoke mode) with the refinement hook
-   riding every run --- *)
+   one seed and two algorithms in smoke mode), every run monitored --- *)
 
 let chaos_stage ?obs ~smoke () =
   let spec = Chaos.tier1_spec () in
@@ -93,9 +122,10 @@ let chaos_stage ?obs ~smoke () =
       }
     else spec
   in
-  let t = tally () in
-  let summary = Campaign.run ?obs ~refine:(exec_factory ?obs t) spec in
-  report ~name:"executor-chaos" ~backend:"executor" ~runs:summary.Campaign.total_runs t
+  exec_stage ?obs ~name:"executor-chaos" (fun obs ->
+      let summary = Campaign.run ~obs spec in
+      ( summary.Campaign.total_runs,
+        List.concat_map (fun c -> c.Campaign.c_messages) summary.Campaign.cells ))
 
 (* --- executor backend, mcheck leg: systematic exploration of the
    announce model (crashes included — the spec's crash rule is load
@@ -109,26 +139,17 @@ let mcheck_stage ?obs ~smoke () =
   let entries =
     List.filter (fun e -> List.mem e.Mcheck_roster.e_name keep) (Mcheck_roster.roster ())
   in
-  let t = tally () in
-  let runs =
-    List.fold_left
-      (fun acc e ->
-        let stats =
-          Mcheck.check ~bounds:e.Mcheck_roster.e_bounds
-            ~refine:(fun () ->
-              exec_factory ?obs t ~name:e.Mcheck_roster.e_name
-                ~namespace:
-                  (Renaming_sched.Memory.namespace
-                     (e.Mcheck_roster.e_build ~seed:e.Mcheck_roster.e_seed).Renaming_sched.Executor.memory))
-            ?obs (Mcheck_roster.target e)
-        in
-        acc + stats.Mcheck.s_schedules)
-      0 entries
-  in
-  report ~name:"executor-mcheck" ~backend:"executor" ~runs t
+  exec_stage ?obs ~name:"executor-mcheck" (fun obs ->
+      let stats =
+        List.map
+          (fun e -> Mcheck.check ~bounds:e.Mcheck_roster.e_bounds ~obs (Mcheck_roster.target e))
+          entries
+      in
+      ( List.fold_left (fun acc s -> acc + s.Mcheck.s_schedules) 0 stats,
+        List.concat_map (fun s -> List.map (fun c -> c.Mcheck.v_message) s.Mcheck.s_cases) stats ))
 
 (* --- executor backend, fuzz leg: the clean roster under PCT + mutation
-   schedules, refinement hook on every run and every shrink replay --- *)
+   schedules, every run monitored --- *)
 
 let fuzz_stage ?obs ~smoke () =
   let targets =
@@ -138,14 +159,14 @@ let fuzz_stage ?obs ~smoke () =
         (Fuzz_roster.clean ())
     else Fuzz_roster.clean ()
   in
-  let t = tally () in
-  let summary =
-    Fuzz.run ?obs ~refine:(exec_factory ?obs t) ~seed:0x5EEDL
-      ~iterations:(if smoke then 40 else 200)
-      targets
-  in
-  let runs = List.fold_left (fun acc r -> acc + r.Fuzz.r_iterations + 1) 0 summary.Fuzz.s_results in
-  report ~name:"executor-fuzz" ~backend:"executor" ~runs t
+  exec_stage ?obs ~name:"executor-fuzz" (fun obs ->
+      let summary =
+        Fuzz.run ~obs ~seed:0x5EEDL ~iterations:(if smoke then 40 else 200) targets
+      in
+      let results = summary.Fuzz.s_results in
+      ( List.fold_left (fun acc r -> acc + r.Fuzz.r_iterations + 1) 0 results,
+        List.concat_map (fun r -> List.map (fun v -> v.Fuzz.v_message) r.Fuzz.r_violations) results
+      ))
 
 (* Net_churn runs observed through the router tap, one fresh spec per
    seed. *)
@@ -214,16 +235,15 @@ let net_stage ?obs ~smoke () =
     (if smoke then [ 0x5EED_31L ] else [ 0x5EED_31L; 0x5EED_32L ])
 
 (* --- seeded-mutant self-test: the post-reclaim double grant must be
-   found by the refinement-aware fuzzer, shrink to a 1-minimal [.repro],
-   and survive the artifact round-trip --- *)
+   found by the fuzzer, shrink to a 1-minimal [.repro], and survive the
+   artifact round-trip --- *)
 
 let mutant_stage ?obs () =
-  let t = tally () in
-  let summary =
-    Fuzz.run ?obs ~refine:(exec_factory ?obs t) ~seed:1L ~iterations:200
-      (Fuzz_roster.refine_mutants ())
-  in
   let name = "mutant-refine-regrant" in
+  let summary =
+    Fuzz.run ?obs ~seed:1L ~iterations:200
+      (List.filter (fun tg -> tg.Fuzz.fz_name = name) (Fuzz_roster.mutants ()))
+  in
   let violation =
     List.concat_map (fun r -> r.Fuzz.r_violations) summary.Fuzz.s_results
     |> List.find_opt (fun v ->

@@ -7,8 +7,9 @@
     - {b executor} (three legs): the tier-1 chaos cross-product, a
       bounded-model-checking subset (crashes included — systematic
       coverage of the spec's crash-abandons-claims rule), and the clean
-      fuzz roster — each with the {!Renaming_refine.Exec_adapter} hook
-      riding every run;
+      fuzz roster — every run under {!Renaming_faults.Monitor}, which
+      checks it against the spec; the [refine/*] counters total each
+      leg;
     - {b service}: lease-service churn observed through the audit tap
       ({!Renaming_refine.Lease_adapter});
     - {b router}: sharded churn with slice handoffs, stalls and
@@ -17,10 +18,10 @@
       retransmits, dedup replays and fenced ghosts never reach the
       audit tap, so they refine to stutters by construction.
 
-    The mutant self-test runs the refinement-aware fuzzer over
-    {!Fuzz_roster.refine_mutants} and demands the post-reclaim double
-    grant be caught, ddmin-shrunk and round-tripped through the
-    [.repro] format.
+    The mutant self-test fuzzes [mutant-refine-regrant] from
+    {!Fuzz_roster.mutants} and demands the post-reclaim double grant be
+    caught, ddmin-shrunk and round-tripped through the [.repro]
+    format.
 
     Fully deterministic: every stage's seeds are pinned. *)
 

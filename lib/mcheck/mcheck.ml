@@ -78,18 +78,18 @@ type acc = {
 let notify acc (run : Directed.result) =
   match acc.a_on_schedule with None -> () | Some f -> f run.Directed.taken
 
-(* ------------------------------------------------------------------ *)
-(* Compose the per-execution event hook: the monitor first (existing
-   violation kinds stay stable), then a fresh refinement checker when
-   one is attached. *)
-let monitored_hook ?refine monitor =
-  match refine with
-  | None -> Monitor.hook monitor
-  | Some make ->
-    let rhook = make () and mhook = Monitor.hook monitor in
-    fun ev ->
-      mhook ev;
-      rhook ev
+(* A fresh monitor for one execution of [target]. *)
+let monitor_for ?obs target (inst : Executor.instance) =
+  Monitor.create ~name:target.t_name ~check_ownership:target.t_check_ownership
+    ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ?obs ()
+
+(* Classify a counted execution: a failure registers, a livelock
+   counts. *)
+let record acc monitor (run : Directed.result) =
+  match Monitor.judge monitor run.Directed.outcome with
+  | Monitor.Passed _ -> ()
+  | Monitor.Livelocked _ -> incr acc.a_livelocks
+  | Monitor.Failed v -> acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run
 
 let prev_runnable (pt : Directed.point) =
   pt.Directed.prev >= 0 && Array.exists (fun q -> q = pt.Directed.prev) pt.Directed.runnable
@@ -105,10 +105,9 @@ let switch_cost (pt : Directed.point) pid =
    alternative at every decision point, under the same preemption cost
    model as DPOR and no reduction at all — the oracle DPOR's verdicts
    and schedule counts are checked against. *)
-let check_unpruned ?refine ~bounds ~acc target =
+let check_unpruned ?obs ~bounds ~acc target =
   let schedules = acc.a_schedules in
   let points = acc.a_points in
-  let livelocks = acc.a_livelocks in
   let capped = ref false in
   (* One stateless exploration step: execute [prefix] (plus the
      non-preemptive default tail), check it, then branch on every
@@ -119,28 +118,13 @@ let check_unpruned ?refine ~bounds ~acc target =
     if !schedules >= bounds.b_max_schedules then raise Capped;
     incr schedules;
     let inst = target.t_build () in
-    let monitor =
-      Monitor.create ~check_ownership:target.t_check_ownership ~memory:inst.Executor.memory
-        ~processes:(Array.length inst.Executor.programs) ()
-    in
+    let monitor = monitor_for ?obs target inst in
     let run =
       Directed.run ~max_ticks:bounds.b_max_ticks ~record_from:(List.length prefix)
-        ~on_event:(monitored_hook ?refine monitor) ~prefix inst
+        ~on_event:(Monitor.hook monitor) ~prefix inst
     in
     notify acc run;
-    (match run.Directed.outcome with
-    | Directed.Raised (Monitor.Violation v) ->
-      acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run
-    | Directed.Raised e ->
-      acc.a_register
-        ~kind:("exception:" ^ Printexc.exn_slot_name e)
-        ~message:(Printexc.to_string e) run
-    | Directed.Finished report ->
-      if Report.is_livelock report then incr livelocks
-      else (
-        try Monitor.finalize monitor report
-        with Monitor.Violation v ->
-          acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run));
+    record acc monitor run;
     Array.iter
       (fun (pt : Directed.point) ->
         incr points;
@@ -244,7 +228,7 @@ let event_of_choice (pt : Directed.point) = function
 
 exception Budget_exceeded
 
-let check_dpor ?refine ~bounds ~acc target =
+let check_dpor ?obs ~bounds ~acc target =
   let path_rev = ref [] in
   (* path head = deepest node *)
   let depth = ref 0 in
@@ -358,14 +342,10 @@ let check_dpor ?refine ~bounds ~acc target =
         @ (match !path_rev with [] -> [] | nd :: _ -> leftmost nd.nd_next)
       in
       let inst = target.t_build () in
-      let monitor =
-        Monitor.create ~check_ownership:target.t_check_ownership ~memory:inst.Executor.memory
-          ~processes:(Array.length inst.Executor.programs) ()
-      in
+      let monitor = monitor_for ?obs target inst in
       let run =
         Directed.run ~max_ticks:bounds.b_max_ticks ~record_from:0
-          ?yield_rotate:bounds.b_yield_rotate ~on_event:(monitored_hook ?refine monitor)
-          ~prefix inst
+          ?yield_rotate:bounds.b_yield_rotate ~on_event:(Monitor.hook monitor) ~prefix inst
       in
       let livelocked =
         match run.Directed.outcome with
@@ -396,19 +376,7 @@ let check_dpor ?refine ~bounds ~acc target =
       else begin
         incr acc.a_schedules;
         notify acc run;
-        (match run.Directed.outcome with
-        | Directed.Raised (Monitor.Violation v) ->
-          acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run
-        | Directed.Raised e ->
-          acc.a_register
-            ~kind:("exception:" ^ Printexc.exn_slot_name e)
-            ~message:(Printexc.to_string e) run
-        | Directed.Finished report ->
-          if Report.is_livelock report then incr acc.a_livelocks
-          else (
-            try Monitor.finalize monitor report
-            with Monitor.Violation v ->
-              acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run));
+        record acc monitor run;
         if not livelocked then begin
           acc.a_points := !(acc.a_points) + (!depth - depth0);
           (* Race detection on the completed execution, and witness
@@ -502,7 +470,7 @@ let check_dpor ?refine ~bounds ~acc target =
 (* ------------------------------------------------------------------ *)
 
 let explore ~engine ~explorer ?(bounds = default_bounds) ?(shrink = true) ?(max_cases = 8)
-    ?baseline ?on_schedule ?obs ?refine target =
+    ?baseline ?on_schedule ?obs target =
   let schedules = ref 0 in
   let points = ref 0 in
   let races = ref 0 in
@@ -519,7 +487,7 @@ let explore ~engine ~explorer ?(bounds = default_bounds) ?(shrink = true) ?(max_
       let shrunk =
         if not shrink then None
         else
-          Shrink.shrink ?extra:refine
+          Shrink.shrink
             {
               Shrink.label = target.t_name;
               build = target.t_build;
@@ -555,7 +523,7 @@ let explore ~engine ~explorer ?(bounds = default_bounds) ?(shrink = true) ?(max_
       a_on_schedule = on_schedule;
     }
   in
-  let capped = explorer ?refine ~bounds ~acc target in
+  let capped = explorer ?obs ~bounds ~acc target in
   let stats =
     {
       s_target = target.t_name;

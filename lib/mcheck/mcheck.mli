@@ -115,7 +115,6 @@ val check :
   ?baseline:int ->
   ?on_schedule:(Renaming_sched.Directed.choice array -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(unit -> Renaming_sched.Executor.event -> unit) ->
   target ->
   stats
 (** Exhaustively explores [target] within [bounds] with source-DPOR.
@@ -128,17 +127,10 @@ val check :
     schedule is ever revisited).  With [obs], the final stats are
     accumulated onto the [mcheck/targets], [mcheck/schedules],
     [mcheck/points], [mcheck/races], [mcheck/wakeups], [mcheck/pruned],
-    [mcheck/violations] and [mcheck/livelocks] counters.  The
-    exploration itself never sees [obs], so the visited schedule space
-    is identical either way.
-
-    [refine] builds one extra event hook per executed schedule (fresh
-    refinement-checker state each time), composed after the safety
-    monitor's hook and through shrinking replays; a
-    [Monitor.Violation] it raises registers like any other kind
-    (["refine:..."]).  On a violation-free target the visited schedule
-    space is identical with or without it (a violation aborts its
-    execution early, exactly as a monitor violation does). *)
+    [mcheck/violations] and [mcheck/livelocks] counters, and every
+    execution's monitor bumps the [refine/*] counters.  The exploration
+    itself never reads [obs], so the visited schedule space is
+    identical either way. *)
 
 (* lint: allow unused-export — test hook: the unpruned oracle of DPOR's differential tests *)
 val enumerate :
@@ -148,7 +140,6 @@ val enumerate :
   ?baseline:int ->
   ?on_schedule:(Renaming_sched.Directed.choice array -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(unit -> Renaming_sched.Executor.event -> unit) ->
   target ->
   stats
 (** {!check}'s contract, explored by the unpruned enumerator:

@@ -4,8 +4,9 @@
     One checker per trace (the spec state is the simulation relation's
     abstract state); violations carry the event index and the first
     inexplicable event, which is everything a counterexample needs to
-    be replayed — the executor adapters turn it into a
-    {!Renaming_faults.Monitor.Violation} so the existing ddmin /
+    be replayed.  The executors' safety monitor
+    ([Renaming_faults.Monitor]) owns one checker per run and raises a
+    rejection as a ["refine:<reason>"] violation, so the ddmin /
     [.repro] machinery applies unchanged. *)
 
 type violation = { v_index : int; v_event : Obs_event.t; v_reason : string }

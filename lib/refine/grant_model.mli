@@ -1,8 +1,8 @@
 (** The refinement layer's seeded-mutant self-test: a small
     grant/reclaim protocol over the plain executor whose processes
     narrate their observable events through the announce register
-    (word 0, {!Obs_event.encode}), checked in {!Exec_adapter.Announce}
-    mode.
+    (word 0, {!Obs_event.encode}), checked in the executor monitor's
+    [Announce] mode ([Renaming_faults.Monitor]).
 
     [n - 1] clients (session [i] works name [i]) and one reclaimer
     (pid [n - 1]).  A client announces [Invoked] then [Granted],

@@ -2,7 +2,8 @@
 
     Every backend — the one-shot executors, the lease service, the
     sharded router, the net path — is reduced to a stream of these
-    events by an adapter ({!Exec_adapter}, {!Lease_adapter}); the
+    events by an adapter (the executors' safety monitor,
+    [Renaming_faults.Monitor]; {!Lease_adapter}); the
     stream is then replayed against the centralized {!Spec}.  Anything
     a backend does that has no counterpart here (handoffs, retransmits,
     dedup replays, renewals) is an internal step and must refine to a

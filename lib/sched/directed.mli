@@ -97,7 +97,7 @@ val run :
     default policy hands the processor to the cyclically next runnable
     pid at the spinning pid's next [Yield] (deliberate backoff) point
     instead of spinning the waiter against the livelock guard.
-    Retry/backoff loops ([Renaming_faults.Retry], the service handoff
+    Retry/backoff loops ({!Retry}, the service handoff
     protocols) yield while waiting for another process's progress; an
     unfair tail would burn the whole [max_ticks] budget there.  The
     bound only redirects the deterministic *default* policy — explicit

@@ -20,7 +20,8 @@ type instance = {
 }
 
 (** Everything observable about a run, in execution order — the feed of
-    the online safety monitor ({!Renaming_faults.Monitor}). *)
+    the online safety monitor ([Renaming_faults.Monitor]), which checks
+    it against the centralized renaming spec. *)
 type event =
   | Stepped of { time : int; pid : int; op : Op.t; response : Op.response }
   | Crashed of { time : int; pid : int }

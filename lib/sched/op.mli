@@ -29,7 +29,7 @@ type t =
   | Yield
       (** a deliberate no-op step: burns one scheduling step without
           touching memory.  The backoff primitive of the transient-fault
-          retry helpers ({!Renaming_faults.Retry}); responds [Unit]. *)
+          retry helpers ({!Retry}); responds [Unit]. *)
 
 type response =
   | Bool of bool

@@ -39,7 +39,7 @@ val yield : unit t
     fault as [Error `Faulted] instead of raising.  The plain primitives
     treat [Faulted] as a protocol error ([Failure]) so that code not
     written for the fault model fails fast rather than misbehaving;
-    fault-tolerant retry loops ({!Renaming_faults.Retry}) build on these
+    fault-tolerant retry loops ({!Retry}) build on these
     variants. *)
 
 val try_tas_aux : int -> (bool, [ `Faulted ]) result t

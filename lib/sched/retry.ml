@@ -1,5 +1,3 @@
-module Program = Renaming_sched.Program
-module Op = Renaming_sched.Op
 module Clock = Renaming_clock.Clock
 
 type policy = {
@@ -81,7 +79,6 @@ let bool_op ?(clock = Clock.none) ~policy ~exhausted op =
 
 let tas_name ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_name i)
 let tas_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_aux i)
-let read_name ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:true (Op.Read_name i)
 let read_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:true (Op.Read_aux i)
 
 let scan_names ?(policy = default) ?clock ~first ~count () =

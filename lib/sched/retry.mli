@@ -1,15 +1,15 @@
 (** Bounded retry with exponential backoff over transient memory faults.
 
     Transient faults (docs/fault_model.md) make a TAS or read respond
-    {!Renaming_sched.Op.Faulted} instead of taking effect.  These
+    {!Op.Faulted} instead of taking effect.  These
     combinators retry the operation up to [attempts] times, idling
     [base_delay * 2^(k-1)] steps (capped at [max_delay]) before the
-    k+1-th attempt via explicit {!Renaming_sched.Op.Yield} steps — in an
+    k+1-th attempt via explicit {!Op.Yield} steps — in an
     asynchronous model, backing off can only mean burning scheduled
     steps.
 
     In a fault-free run every combinator behaves exactly like its
-    {!Renaming_sched.Program} counterpart at identical step cost, so the
+    {!Program} counterpart at identical step cost, so the
     core algorithms route all namespace traffic through here
     unconditionally.
 
@@ -53,17 +53,13 @@ val jittered_delay : policy -> rng:Renaming_rng.Xoshiro.t -> prev:int -> int
     which must stay schedule-reproducible. *)
 
 val tas_name :
-  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
+  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
 
 val tas_aux :
-  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
-
-(* lint: allow unused-export — unit-tested, no caller yet: fault-tolerant read *)
-val read_name :
-  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
+  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
 
 val read_aux :
-  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
+  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
 
 val scan_names :
   ?policy:policy ->
@@ -71,6 +67,6 @@ val scan_names :
   first:int ->
   count:int ->
   unit ->
-  int option Renaming_sched.Program.t
-(** Fault-tolerant {!Renaming_sched.Program.scan_names}: registers whose
+  int option Program.t
+(** Fault-tolerant {!Program.scan_names}: registers whose
     retries exhaust are skipped as if taken. *)

@@ -4,7 +4,9 @@
     the event stream the service emits, and raises {!Violation} the
     moment an event contradicts the lease-safety invariants.  It shares
     no state with {!Lease} — a bug in the table cannot also hide the
-    evidence (same pattern as {!Renaming_faults.Monitor}).
+    evidence.  The same stream also feeds the centralized renaming
+    spec through [Renaming_refine.Lease_adapter]; the executors'
+    counterpart is [Renaming_faults.Monitor].
 
     Invariants checked:
     - {b double-grant}: a grant names a slot the mirror believes is held;

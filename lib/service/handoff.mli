@@ -21,7 +21,7 @@
     service): at most one process ever returns the name, because
     committing at epoch [e] and opening epoch [e+1] race for the one
     settle-lock TAS — a claimant that lost it is exactly a fenced stale
-    client.  All namespace traffic goes through {!Renaming_faults.Retry},
+    client.  All namespace traffic goes through {!Renaming_sched.Retry},
     so the protocol also survives transient-fault injection. *)
 
 val instance : n:int -> seed:int64 -> Renaming_sched.Executor.instance

@@ -25,7 +25,7 @@
 module Clock = Renaming_clock.Clock
 module Stream = Renaming_rng.Stream
 module Sample = Renaming_rng.Sample
-module Retry = Renaming_faults.Retry
+module Retry = Renaming_sched.Retry
 module Arrival = Renaming_workload.Arrival
 module Crash_pattern = Renaming_workload.Crash_pattern
 module Zipf = Renaming_workload.Zipf

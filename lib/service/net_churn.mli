@@ -20,7 +20,7 @@
     - {b timeout/retry}: clients retransmit the same request id (same
       sequence number — the dedup key) after a timeout [rto] of 0.75, up
       to 3 times, back off between whole attempts with
-      {!Renaming_faults.Retry.jittered_delay} (0.25 per tick), and
+      {!Renaming_sched.Retry.jittered_delay} (0.25 per tick), and
       abandon after [max_attempts];
     - {b failure detection}: shards heartbeat the router; the router
       suspects silence, orphans suspected shards' slices, re-owns them on

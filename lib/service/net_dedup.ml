@@ -1,7 +1,7 @@
 module Program = Renaming_sched.Program
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
-module Retry = Renaming_faults.Retry
+module Retry = Renaming_sched.Retry
 open Program.Syntax
 
 let max_epoch = 2

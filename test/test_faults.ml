@@ -11,13 +11,14 @@ module Executor = Renaming_sched.Executor
 module Report = Renaming_sched.Report
 module Stream = Renaming_rng.Stream
 module Xoshiro = Renaming_rng.Xoshiro
-module Retry = Renaming_faults.Retry
+module Retry = Renaming_sched.Retry
 module Clock = Renaming_clock.Clock
 module Injector = Renaming_faults.Injector
 module Monitor = Renaming_faults.Monitor
 module Campaign = Renaming_faults.Campaign
 module Chaos = Renaming_harness.Chaos
 module Assignment = Renaming_shm.Assignment
+module Directed = Renaming_sched.Directed
 
 let check = Alcotest.check
 open Program.Syntax
@@ -140,14 +141,18 @@ let test_retry_time_budget_inert_without_clock () =
 
 let test_retry_read_exhaustion_is_set () =
   (* A read whose retries exhaust reports "set" — the safe direction: a
-     scanner skips the register instead of claiming on no information. *)
+     caller skips the register instead of acting on no information. *)
   let policy = Retry.make_policy ~attempts:2 () in
   let program =
-    let* set = Retry.read_name ~policy 0 in
+    let* set = Retry.read_aux ~policy 0 in
     Program.return (if set then None else Some 0)
   in
-  let report, _ =
-    run_single program ~namespace:1 ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op)
+  let memory = Memory.create ~namespace:1 ~aux:1 () in
+  let report =
+    Executor.run
+      ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op)
+      ~adversary:(Adversary.round_robin ())
+      { Executor.memory; programs = [| program |]; label = "test" }
   in
   check Alcotest.int "treated as set, nothing claimed" 0 (Report.named_count report)
 
@@ -193,11 +198,7 @@ let test_injector_respects_faultable () =
   check Alcotest.bool "never faults tau" false
     (inj ~time:0 ~pid:0 ~op:(Op.Tau_submit { reg = 0; bit = 0 }))
 
-let test_injector_window_and_counting () =
-  let inj = Injector.window ~from_:10 ~until:20 ~rate:1.0 ~rng:(Xoshiro.create 7L) in
-  check Alcotest.bool "before window" false (inj ~time:9 ~pid:0 ~op:(Op.Tas_name 0));
-  check Alcotest.bool "inside window" true (inj ~time:10 ~pid:0 ~op:(Op.Tas_name 0));
-  check Alcotest.bool "after window" false (inj ~time:20 ~pid:0 ~op:(Op.Tas_name 0));
+let test_injector_counting () =
   let counted, count = Injector.counting (Injector.bernoulli ~rate:1.0 ~rng:(Xoshiro.create 7L)) in
   ignore (counted ~time:0 ~pid:0 ~op:(Op.Tas_name 0));
   ignore (counted ~time:1 ~pid:0 ~op:Op.Yield);
@@ -274,24 +275,36 @@ let test_recovery_under_monitor () =
       label = "recovery-monitored";
     }
   in
-  let monitor = Monitor.create ~check_ownership:true ~memory ~processes:2 () in
+  let monitor =
+    Monitor.create ~name:"recovery-monitored" ~check_ownership:true ~memory ~processes:2 ()
+  in
   let adversary =
     Adversary.with_crash_recovery ~base:(Adversary.round_robin ())
       ~crashes:[ (4, 0) ] ~recover_after:3
   in
   let report = Executor.run ~on_event:(Monitor.hook monitor) ~adversary instance in
-  Monitor.finalize monitor report;
+  (match Monitor.judge monitor (Directed.Finished report) with
+  | Monitor.Passed _ -> ()
+  | Monitor.Livelocked _ -> Alcotest.fail "livelocked"
+  | Monitor.Failed v -> Alcotest.failf "unexpected violation %s" v.Monitor.kind);
   check Alcotest.int "no violations" 0 (Monitor.violation_count monitor)
 
 (* --- monitor negative tests: seeded violations must be caught --- *)
 
-let expect_violation name f =
+let monitor ?(name = "test") ?(check_ownership = false) ~memory ~processes () =
+  Monitor.create ~name ~check_ownership ~memory ~processes ()
+
+let expect_violation name ~kind f =
   match f () with
-  | exception Monitor.Violation _ -> ()
+  | exception Monitor.Violation v -> check Alcotest.string (name ^ ": kind") kind v.Monitor.kind
   | _ -> Alcotest.failf "%s: expected Monitor.Violation" name
 
+let run_monitored m instance =
+  Executor.run ~on_event:(Monitor.hook m) ~adversary:(Adversary.round_robin ()) instance
+
 let test_monitor_catches_duplicate_name () =
-  (* Mutation: both processes return name 0 (the second one lies). *)
+  (* Mutation: both processes return name 0 (the second one lies); the
+     spec sees a grant of a name another process holds. *)
   let memory = Memory.create ~namespace:4 () in
   let liar =
     let* won = Program.tas_name 0 in
@@ -299,65 +312,66 @@ let test_monitor_catches_duplicate_name () =
     Program.return (Some 0)
   in
   let instance = { Executor.memory; programs = [| liar; liar |]; label = "dup-mutation" } in
-  let monitor = Monitor.create ~memory ~processes:2 () in
-  expect_violation "duplicate name" (fun () ->
-      Executor.run ~on_event:(Monitor.hook monitor) ~adversary:(Adversary.round_robin ()) instance);
-  check Alcotest.bool "violation recorded" true (Monitor.violation_count monitor > 0)
+  let m = monitor ~memory ~processes:2 () in
+  expect_violation "duplicate name" ~kind:"refine:name-held" (fun () -> run_monitored m instance);
+  check Alcotest.bool "violation recorded" true (Monitor.violation_count m > 0)
 
 let test_monitor_catches_out_of_range () =
   let memory = Memory.create ~namespace:4 () in
   let instance =
     { Executor.memory; programs = [| Program.return (Some 99) |]; label = "range-mutation" }
   in
-  let monitor = Monitor.create ~memory ~processes:1 () in
-  expect_violation "out of range" (fun () ->
-      Executor.run ~on_event:(Monitor.hook monitor) ~adversary:(Adversary.round_robin ()) instance)
+  expect_violation "out of range" ~kind:"refine:name-out-of-range" (fun () ->
+      run_monitored (monitor ~memory ~processes:1 ()) instance)
 
 let test_monitor_catches_unbacked_claim () =
-  (* The ownership check: returning a name whose register the process
-     never won. *)
+  (* The ownership check: returning a name the process was never
+     granted. *)
   let memory = Memory.create ~namespace:4 () in
   let instance =
     { Executor.memory; programs = [| Program.return (Some 2) |]; label = "ownership-mutation" }
   in
-  let monitor = Monitor.create ~check_ownership:true ~memory ~processes:1 () in
-  expect_violation "unbacked claim" (fun () ->
-      Executor.run ~on_event:(Monitor.hook monitor) ~adversary:(Adversary.round_robin ()) instance)
+  expect_violation "unbacked claim" ~kind:"refine:claim-unbacked" (fun () ->
+      run_monitored (monitor ~check_ownership:true ~memory ~processes:1 ()) instance)
 
 let test_monitor_catches_step_after_crash () =
   (* Synthetic event feed: activity by a crashed process. *)
-  let memory = Memory.create ~namespace:2 () in
-  let monitor = Monitor.create ~memory ~processes:2 () in
-  Monitor.hook monitor (Executor.Crashed { time = 0; pid = 1 });
-  expect_violation "step after crash" (fun () ->
-      Monitor.hook monitor
+  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  Monitor.hook m (Executor.Crashed { time = 0; pid = 1 });
+  expect_violation "step after crash" ~kind:"step-after-crash" (fun () ->
+      Monitor.hook m
         (Executor.Stepped { time = 1; pid = 1; op = Op.Tas_name 0; response = Op.Bool true }))
 
 let test_monitor_catches_recover_of_live () =
-  let memory = Memory.create ~namespace:2 () in
-  let monitor = Monitor.create ~memory ~processes:2 () in
-  expect_violation "recover of live pid" (fun () ->
-      Monitor.hook monitor (Executor.Recovered { time = 0; pid = 0 }))
+  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  expect_violation "recover of live pid" ~kind:"recover-of-live" (fun () ->
+      Monitor.hook m (Executor.Recovered { time = 0; pid = 0 }))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let test_monitor_violation_carries_trace () =
-  let memory = Memory.create ~namespace:2 () in
-  let monitor = Monitor.create ~memory ~processes:2 () in
-  Monitor.hook monitor
+  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  Monitor.hook m
     (Executor.Stepped { time = 0; pid = 0; op = Op.Tas_name 0; response = Op.Bool true });
-  Monitor.hook monitor (Executor.Crashed { time = 1; pid = 0 });
-  (match
-     Monitor.hook monitor (Executor.Returned { time = 2; pid = 0; value = Some 0 })
-   with
+  Monitor.hook m (Executor.Crashed { time = 1; pid = 0 });
+  (match Monitor.hook m (Executor.Returned { time = 2; pid = 0; value = Some 0 }) with
   | exception Monitor.Violation { kind; message } ->
     check Alcotest.string "structured kind" "return-while-crashed" kind;
-    check Alcotest.bool "message embeds trace excerpt" true
-      (let contains s sub =
-         let n = String.length s and m = String.length sub in
-         let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-         go 0
-       in
-       contains message "crash")
-  | _ -> Alcotest.fail "expected Monitor.Violation")
+    check Alcotest.bool "message embeds trace excerpt" true (contains message "crash")
+  | _ -> Alcotest.fail "expected Monitor.Violation");
+  (* A spec rejection carries the same excerpt. *)
+  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  Monitor.hook m
+    (Executor.Stepped { time = 0; pid = 0; op = Op.Tas_name 0; response = Op.Bool true });
+  match Monitor.hook m (Executor.Returned { time = 1; pid = 1; value = Some 0 }) with
+  | exception Monitor.Violation { kind; message } ->
+    check Alcotest.string "spec kind" "refine:name-held" kind;
+    check Alcotest.bool "spec message embeds trace excerpt" true
+      (contains message "trace excerpt" && contains message "tas-name")
+  | _ -> Alcotest.fail "expected Monitor.Violation"
 
 let test_monitor_violation_kinds () =
   (* Every check reports a stable machine-readable kind — the shrinker's
@@ -368,14 +382,19 @@ let test_monitor_violation_kinds () =
     | _ -> "no-violation"
   in
   let fresh ?(check_ownership = true) () =
-    Monitor.create ~check_ownership ~memory:(Memory.create ~namespace:2 ()) ~processes:2 ()
+    monitor ~check_ownership ~memory:(Memory.create ~namespace:2 ()) ~processes:2 ()
   in
-  check Alcotest.string "duplicate-name" "duplicate-name"
+  let won m pid name =
+    Monitor.hook m
+      (Executor.Stepped { time = 0; pid; op = Op.Tas_name name; response = Op.Bool true })
+  in
+  check Alcotest.string "duplicate name" "refine:name-held"
     (kind_of (fun () ->
-         (* Ownership checking off: the synthetic feed never touches the
-            registers, and unbacked-claim would otherwise fire first. *)
+         (* Without ownership checking a return of an unheld name is a
+            grant, and the spec refuses it while another process holds
+            the name. *)
          let m = fresh ~check_ownership:false () in
-         Monitor.hook m (Executor.Stepped { time = 0; pid = 0; op = Op.Tas_name 0; response = Op.Bool true });
+         won m 0 0;
          Monitor.hook m (Executor.Returned { time = 1; pid = 0; value = Some 0 });
          Monitor.hook m (Executor.Returned { time = 2; pid = 1; value = Some 0 })));
   check Alcotest.string "double-crash" "double-crash"
@@ -387,14 +406,71 @@ let test_monitor_violation_kinds () =
     (kind_of (fun () ->
          let m = fresh () in
          Monitor.hook m (Executor.Recovered { time = 0; pid = 0 })));
-  check Alcotest.string "out-of-range-name" "out-of-range-name"
+  check Alcotest.string "out-of-range name" "refine:name-out-of-range"
     (kind_of (fun () ->
          let m = fresh () in
          Monitor.hook m (Executor.Returned { time = 0; pid = 0; value = Some 7 })));
-  check Alcotest.string "unbacked-claim" "unbacked-claim"
+  check Alcotest.string "ownership return of a free register" "refine:claim-unbacked"
     (kind_of (fun () ->
          let m = fresh () in
-         Monitor.hook m (Executor.Returned { time = 0; pid = 0; value = Some 1 })))
+         Monitor.hook m (Executor.Returned { time = 0; pid = 0; value = Some 1 })));
+  check Alcotest.string "ownership return of another's name" "refine:claim-unbacked"
+    (kind_of (fun () ->
+         let m = fresh () in
+         won m 0 1;
+         Monitor.hook m (Executor.Returned { time = 1; pid = 1; value = Some 1 })));
+  check Alcotest.string "ownership return of a won name" "no-violation"
+    (kind_of (fun () ->
+         let m = fresh () in
+         won m 0 1;
+         Monitor.hook m (Executor.Returned { time = 1; pid = 0; value = Some 1 })))
+
+(* --- the spec side of the monitor: mode table, clean runs refine, and
+   observing changes nothing --- *)
+
+let test_monitor_mode_of_name () =
+  let mode =
+    Alcotest.testable
+      (fun fmt (m : Monitor.mode) ->
+        Format.pp_print_string fmt
+          (match m with Tas -> "Tas" | Returns -> "Returns" | Announce -> "Announce"))
+      ( = )
+  in
+  check mode "paper algorithm" Monitor.Tas (Monitor.mode_of_name "tight");
+  check mode "handoff model" Monitor.Returns (Monitor.mode_of_name "lease-handoff-n3");
+  check mode "shard mutant" Monitor.Returns
+    (Monitor.mode_of_name "mutant-shard-unfenced-handoff");
+  check mode "announce model" Monitor.Announce (Monitor.mode_of_name "refine-grant-n2");
+  check mode "announce mutant" Monitor.Announce (Monitor.mode_of_name "mutant-refine-regrant")
+
+let linear_scan ~n =
+  Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n }
+
+let refine_count obs name =
+  Option.value ~default:0
+    (Renaming_obs.Metrics.find_counter (Renaming_obs.Obs.metrics obs) ("refine/" ^ name))
+
+let test_monitor_clean_tas_run_refines () =
+  let obs = Renaming_obs.Obs.create () in
+  let inst = linear_scan ~n:3 in
+  let m =
+    Monitor.create ~name:"linear-scan-n3" ~check_ownership:true ~memory:inst.Executor.memory
+      ~processes:3 ~obs ()
+  in
+  let report = run_monitored m inst in
+  check Alcotest.int "all named" 3 (Report.named_count report);
+  check Alcotest.int "no violations" 0 (refine_count obs "violations");
+  check Alcotest.bool "grants stepped the spec" true
+    (refine_count obs "events" - refine_count obs "stutters" >= 3)
+
+let test_monitor_observation_changes_nothing () =
+  let bare = Executor.run ~adversary:(Adversary.round_robin ()) (linear_scan ~n:4) in
+  let inst = linear_scan ~n:4 in
+  let m =
+    Monitor.create ~name:"linear-scan-n4" ~check_ownership:true ~memory:inst.Executor.memory
+      ~processes:4 ()
+  in
+  check Alcotest.bool "identical report" true (bare = run_monitored m inst)
 
 (* --- satellite 4: soundness property across algorithms, adversaries,
    crash-recovery, seeds --- *)
@@ -466,7 +542,6 @@ let test_campaign_json_shape () =
 (* --- auto-shrinking of campaign violations --- *)
 
 module Shrink = Renaming_faults.Shrink
-module Directed = Renaming_sched.Directed
 
 (* Deliberately broken double-claim: check-then-act without trusting the
    TAS result.  Correct when run solo; two interleaved reads both see
@@ -509,7 +584,7 @@ let test_campaign_autoshrinks_violations () =
   check Alcotest.int "violation detected" 1 summary.Campaign.total_violations;
   match List.concat_map (fun c -> c.Campaign.c_repros) summary.Campaign.cells with
   | [ repro ] ->
-    check Alcotest.string "kind" "duplicate-name" repro.Shrink.rp_kind;
+    check Alcotest.string "kind" "refine:name-held" repro.Shrink.rp_kind;
     (* 1-minimal: one process reads, then the other is scheduled before
        the first TAS lands.  Two choices, no more. *)
     check Alcotest.int "minimal repro has two choices" 2 (List.length repro.Shrink.rp_choices);
@@ -529,7 +604,7 @@ let test_campaign_autoshrinks_violations () =
       | _, Some f -> f.Shrink.f_kind
       | _, None -> "no-failure"
     in
-    check Alcotest.string "replays to the violation" "duplicate-name" (replay ());
+    check Alcotest.string "replays to the violation" "refine:name-held" (replay ());
     check Alcotest.string "replay is deterministic" (replay ()) (replay ())
   | repros -> Alcotest.failf "expected exactly one repro, got %d" (List.length repros)
 
@@ -562,7 +637,7 @@ let test_repro_roundtrip () =
       rp_check_ownership = true;
       rp_max_ticks = 50_000;
       rp_tau_cadence = 2;
-      rp_kind = "duplicate-name";
+      rp_kind = "refine:name-held";
       rp_choices = [ Directed.Step 0; Directed.Fault 2; Directed.Crash 1; Directed.Recover 1 ];
     }
   in
@@ -610,7 +685,7 @@ let test_repro_condensed_roundtrip () =
       rp_check_ownership = false;
       rp_max_ticks = 50_000;
       rp_tau_cadence = 1;
-      rp_kind = "duplicate-name";
+      rp_kind = "refine:name-held";
       rp_choices =
         [
           Directed.Step 0; Directed.Step 0; Directed.Step 1; Directed.Fault 1;
@@ -644,7 +719,7 @@ let preexisting_artifact =
    check-ownership: false\n\
    max-ticks: 50000\n\
    tau-cadence: 1\n\
-   kind: duplicate-name\n\
+   kind: refine:name-held\n\
    trace:\n\
    step 1\nstep 1\nstep 1\nstep 1\nstep 1\nstep 2\n"
 
@@ -706,7 +781,7 @@ let tests =
       [
         Alcotest.test_case "deterministic" `Quick test_injector_deterministic;
         Alcotest.test_case "respects faultable" `Quick test_injector_respects_faultable;
-        Alcotest.test_case "window and counting" `Quick test_injector_window_and_counting;
+        Alcotest.test_case "counting" `Quick test_injector_counting;
       ] );
     ( "faults.recovery",
       [
@@ -725,6 +800,10 @@ let tests =
           test_monitor_catches_recover_of_live;
         Alcotest.test_case "violation carries trace" `Quick test_monitor_violation_carries_trace;
         Alcotest.test_case "violation kinds are stable" `Quick test_monitor_violation_kinds;
+        Alcotest.test_case "mode resolution" `Quick test_monitor_mode_of_name;
+        Alcotest.test_case "clean tas run refines" `Quick test_monitor_clean_tas_run_refines;
+        Alcotest.test_case "observation changes nothing" `Quick
+          test_monitor_observation_changes_nothing;
       ] );
     ( "faults.property",
       [

@@ -12,7 +12,7 @@ module Trace = Renaming_sched.Trace
 module Directed = Renaming_sched.Directed
 module Monitor = Renaming_faults.Monitor
 module Shrink = Renaming_faults.Shrink
-module Retry = Renaming_faults.Retry
+module Retry = Renaming_sched.Retry
 module Mcheck = Renaming_mcheck.Mcheck
 module Races = Renaming_mcheck.Races
 module Wakeup = Renaming_mcheck.Wakeup
@@ -111,20 +111,22 @@ let conflict_target =
   target ~label:"two-tas" (fun () -> instance ~namespace:1 ~label:"two-tas" [| two_tas; two_tas |])
 
 let disjoint_target =
-  (* p0 touches registers {0,2}, p1 touches {1,3}: every pair of
-     operations commutes, so of the 6 interleavings only the
-     Mazurkiewicz representatives need exploring. *)
-  let p0 =
-    let* _ = Program.tas_name 0 in
-    let* _ = Program.tas_name 2 in
+  (* p0 touches name 0 and aux bit 0, p1 name 1 and aux bit 1: every
+     pair of operations commutes, so of the 6 interleavings only the
+     Mazurkiewicz representatives need exploring.  Each process wins
+     one name (the second TAS is on an aux bit): a one-shot process
+     that won two names would be a spec violation (double-hold). *)
+  let proc i =
+    let* _ = Program.tas_name i in
+    let* _ = Program.tas_aux i in
     Program.return None
   in
-  let p1 =
-    let* _ = Program.tas_name 1 in
-    let* _ = Program.tas_name 3 in
-    Program.return None
-  in
-  target ~label:"disjoint" (fun () -> instance ~namespace:4 ~label:"disjoint" [| p0; p1 |])
+  target ~label:"disjoint" (fun () ->
+      {
+        Executor.memory = Memory.create ~namespace:2 ~aux:2 ();
+        programs = [| proc 0; proc 1 |];
+        label = "disjoint";
+      })
 
 let test_schedule_counts_match_enumeration () =
   List.iter
@@ -180,14 +182,14 @@ let test_mcheck_finds_and_shrinks_double_claim () =
       match stats.Mcheck.s_cases with
       | [] -> Alcotest.fail "no case recorded"
       | c :: _ -> (
-        check Alcotest.string "kind" "duplicate-name" c.Mcheck.v_kind;
+        check Alcotest.string "kind" "refine:name-held" c.Mcheck.v_kind;
         match c.Mcheck.v_shrunk with
         | None -> Alcotest.fail "violation was not shrunk"
         | Some r ->
           (* 1-minimal: read of one process, then a context switch to
              the other's read.  Exactly two choices. *)
           check Alcotest.int "minimal counterexample" 2 (List.length r.Shrink.r_choices);
-          check Alcotest.string "same failure after shrinking" "duplicate-name"
+          check Alcotest.string "same failure after shrinking" "refine:name-held"
             r.Shrink.r_failure.Shrink.f_kind;
           (* The minimal trace replays deterministically. *)
           let input =
@@ -205,7 +207,7 @@ let test_mcheck_finds_and_shrinks_double_claim () =
             | _, Some f -> f.Shrink.f_kind
             | _, None -> "no-failure"
           in
-          check Alcotest.string "replays" "duplicate-name" (kind ());
+          check Alcotest.string "replays" "refine:name-held" (kind ());
           check Alcotest.string "deterministically" (kind ()) (kind ())))
     [
       Mcheck.check ~bounds:(bounds ~preemptions:2 ());
@@ -233,7 +235,7 @@ let test_mcheck_fault_injection_finds_unbacked_claim () =
   let stats = Mcheck.check ~bounds:(bounds ~preemptions:1 ~faults:1 ()) fault_target in
   check Alcotest.bool "violation found" true (stats.Mcheck.s_violations > 0);
   match stats.Mcheck.s_cases with
-  | { Mcheck.v_kind = "unbacked-claim"; v_shrunk = Some r; _ } :: _ ->
+  | { Mcheck.v_kind = "refine:claim-unbacked"; v_shrunk = Some r; _ } :: _ ->
     check Alcotest.bool "minimal trace is the single fault" true
       (r.Shrink.r_choices = [ Directed.Fault 0 ])
   | c :: _ -> Alcotest.failf "unexpected first case kind %s" c.Mcheck.v_kind

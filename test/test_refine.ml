@@ -7,7 +7,6 @@
 module Spec = Renaming_refine.Spec
 module Obs_event = Renaming_refine.Obs_event
 module Check = Renaming_refine.Check
-module Exec_adapter = Renaming_refine.Exec_adapter
 module Lease_adapter = Renaming_refine.Lease_adapter
 module Grant_model = Renaming_refine.Grant_model
 module Executor = Renaming_sched.Executor
@@ -15,6 +14,9 @@ module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
 module Report = Renaming_sched.Report
 module Shrink = Renaming_faults.Shrink
+module Monitor = Renaming_faults.Monitor
+module Campaign = Renaming_faults.Campaign
+module Mcheck = Renaming_mcheck.Mcheck
 module Fuzz = Renaming_fuzz.Fuzz
 module Fuzz_roster = Renaming_harness.Fuzz_roster
 module Refine_campaign = Renaming_harness.Refine_campaign
@@ -278,95 +280,53 @@ let qcheck_spec_session_symmetry =
         [ true; false ];
       true)
 
-(* --- Exec_adapter --- *)
-
-let test_mode_of_name () =
-  let mode = Alcotest.testable (fun fmt (m : Exec_adapter.mode) ->
-      Format.pp_print_string fmt
-        (match m with Tas -> "Tas" | Returns -> "Returns" | Announce -> "Announce")) ( = )
-  in
-  check mode "paper algorithm" Exec_adapter.Tas (Exec_adapter.mode_of_name "tight");
-  check mode "handoff model" Exec_adapter.Returns (Exec_adapter.mode_of_name "lease-handoff-n3");
-  check mode "shard mutant" Exec_adapter.Returns
-    (Exec_adapter.mode_of_name "mutant-shard-unfenced-handoff");
-  check mode "announce model" Exec_adapter.Announce (Exec_adapter.mode_of_name "refine-grant-n2");
-  check mode "announce mutant" Exec_adapter.Announce
-    (Exec_adapter.mode_of_name "mutant-refine-regrant")
+(* --- the announce model under the executor's monitor --- *)
 
 let linear_scan ~n = Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n }
 
-let test_tas_adapter_clean_run () =
-  let inst = linear_scan ~n:3 in
-  let adapter =
-    Exec_adapter.create ~mode:Exec_adapter.Tas ~namespace:(Memory.namespace inst.Executor.memory) ()
-  in
-  let report =
-    Executor.run ~adversary:(Adversary.round_robin ()) ~on_event:(Exec_adapter.hook adapter) inst
-  in
-  let c = Exec_adapter.check adapter in
-  check Alcotest.int "all named" 3 (Report.named_count report);
-  check Alcotest.int "no violations" 0 (Check.violations c);
-  check Alcotest.bool "grants stepped the spec" true (Check.steps c >= 3);
-  check Alcotest.int "everything granted is still held" 3 (Spec.held (Check.spec c))
+let refine_count obs name =
+  Option.value ~default:0 (Metrics.find_counter (Obs.metrics obs) ("refine/" ^ name))
 
-let test_observation_changes_nothing_executor () =
-  let bare = Executor.run ~adversary:(Adversary.round_robin ()) (linear_scan ~n:4) in
-  let inst = linear_scan ~n:4 in
-  let hook =
-    Exec_adapter.hook_for ~name:"linear-scan-n4" ~namespace:(Memory.namespace inst.Executor.memory)
-      ()
+let monitored_run ?obs ~name inst =
+  let m =
+    Monitor.create ~name ~check_ownership:false ~memory:inst.Executor.memory
+      ~processes:(Array.length inst.Executor.programs) ?obs ()
   in
-  let observed = Executor.run ~adversary:(Adversary.round_robin ()) ~on_event:hook inst in
-  check Alcotest.bool "identical report" true (bare = observed)
+  Executor.run ~adversary:(Adversary.round_robin ()) ~on_event:(Monitor.hook m) inst
 
 let test_announce_model_clean_round_robin () =
   (* Fair schedules never let the reclaimer settle first — both the
      clean model and the mutant are clean here, which is exactly why the
-     mutant needs the fuzzer (and the refinement checker) to be seen. *)
+     mutant needs the fuzzer (and the spec) to be seen. *)
   List.iter
-    (fun (label, inst) ->
-      let adapter =
-        Exec_adapter.create ~mode:Exec_adapter.Announce
-          ~namespace:(Memory.namespace inst.Executor.memory) ()
-      in
-      ignore
-        (Executor.run ~adversary:(Adversary.round_robin ()) ~on_event:(Exec_adapter.hook adapter)
-           inst);
-      check Alcotest.int (label ^ ": no violations") 0 (Check.violations (Exec_adapter.check adapter));
-      check Alcotest.bool (label ^ ": announces heard") true
-        (Check.steps (Exec_adapter.check adapter) > 0))
+    (fun (name, inst) ->
+      let obs = Obs.create () in
+      ignore (monitored_run ~obs ~name inst);
+      check Alcotest.int (name ^ ": no violations") 0 (refine_count obs "violations");
+      check Alcotest.bool (name ^ ": announces heard") true
+        (refine_count obs "events" > refine_count obs "stutters"))
     [
-      ("clean", Grant_model.instance ~n:2 ~seed:0L);
-      ("mutant", Grant_model.instance_regrant ~n:2 ~seed:0L);
+      ("refine-grant-n2", Grant_model.instance ~n:2 ~seed:0L);
+      ("mutant-refine-regrant", Grant_model.instance_regrant ~n:2 ~seed:0L);
     ]
 
 (* --- telemetry counters --- *)
 
 let test_obs_counters () =
+  (* Two monitors sharing one registry: the counters are get-or-create
+     and accumulate across traces. *)
   let obs = Obs.create () in
   let run_once () =
-    let inst = linear_scan ~n:3 in
-    let adapter =
-      Exec_adapter.create ~obs ~mode:Exec_adapter.Tas
-        ~namespace:(Memory.namespace inst.Executor.memory) ()
-    in
-    ignore
-      (Executor.run ~adversary:(Adversary.round_robin ()) ~on_event:(Exec_adapter.hook adapter) inst);
-    Exec_adapter.check adapter
+    ignore (monitored_run ~obs ~name:"linear-scan-n3" (linear_scan ~n:3));
+    (refine_count obs "events", refine_count obs "stutters")
   in
-  (* Two checkers sharing one registry: the counters are get-or-create
-     and accumulate across traces. *)
-  let c1 = run_once () in
-  let c2 = run_once () in
-  let m = Obs.metrics obs in
-  check Alcotest.(option int) "refine/events"
-    (Some (Check.events c1 + Check.events c2))
-    (Metrics.find_counter m "refine/events");
-  check Alcotest.(option int) "refine/stutters"
-    (Some (Check.stutters c1 + Check.stutters c2))
-    (Metrics.find_counter m "refine/stutters");
+  let events1, stutters1 = run_once () in
+  let events2, stutters2 = run_once () in
+  check Alcotest.bool "events counted" true (events1 > 0);
+  check Alcotest.int "refine/events accumulate" (2 * events1) events2;
+  check Alcotest.int "refine/stutters accumulate" (2 * stutters1) stutters2;
   check Alcotest.(option int) "refine/violations" (Some 0)
-    (Metrics.find_counter m "refine/violations")
+    (Metrics.find_counter (Obs.metrics obs) "refine/violations")
 
 (* --- Lease_adapter over the service backend --- *)
 
@@ -407,9 +367,54 @@ let test_observation_changes_nothing_service () =
 
 (* --- the seeded spec-divergence mutant --- *)
 
+let regrant = "mutant-refine-regrant"
+
+let regrant_targets = List.filter (fun t -> t.Fuzz.fz_name = regrant) (Fuzz_roster.mutants ())
+
+let test_spec_always_on () =
+  (* Every executor runner checks against the spec by construction: with
+     no extra argument, each one names the re-grant's divergence. *)
+  let kind = "refine:grant-without-invoke" in
+  let build ~seed = Grant_model.instance_regrant ~n:2 ~seed in
+  let campaign =
+    Campaign.run
+      {
+        Campaign.algorithms = [ { Campaign.algo_name = regrant; build; check_ownership = false } ];
+        adversaries =
+          [ { Campaign.adv_name = "round-robin"; make_adversary = (fun ~seed:_ -> Adversary.round_robin ()) } ];
+        (* The client crashes after publishing its grant, before its
+           settle lock; the reclaimer then reclaims and re-grants. *)
+        patterns =
+          [
+            {
+              Campaign.pat_name = "crash-client";
+              schedule = (fun ~seed:_ ~n:_ -> [ (7, 0) ]);
+              recover_after = (fun ~n:_ -> None);
+            };
+          ];
+        fault_rates = [ 0. ];
+        seeds = [| 1L |];
+        max_ticks = 1_000;
+      }
+  in
+  check Alcotest.(list string) "Campaign.run" [ kind ]
+    (List.concat_map
+       (fun c -> List.map (fun r -> r.Shrink.rp_kind) c.Campaign.c_repros)
+       campaign.Campaign.cells);
+  let fuzz = Fuzz.run ~seed:1L ~iterations:200 regrant_targets in
+  check Alcotest.(list string) "Fuzz.run" [ kind ]
+    (List.concat_map
+       (fun r -> List.map (fun v -> v.Fuzz.v_kind) r.Fuzz.r_violations)
+       fuzz.Fuzz.s_results);
+  let mcheck =
+    Mcheck.check ~max_cases:1
+      { Mcheck.t_name = regrant; t_build = (fun () -> build ~seed:0L); t_check_ownership = false }
+  in
+  check Alcotest.(list string) "Mcheck.check" [ kind ]
+    (List.map (fun c -> c.Mcheck.v_kind) mcheck.Mcheck.s_cases)
+
 let test_refine_mutant_caught_and_shrunk () =
-  let refine ~name ~namespace = Exec_adapter.hook_for ~name ~namespace () in
-  let summary = Fuzz.run ~refine ~seed:1L ~iterations:50 (Fuzz_roster.refine_mutants ()) in
+  let summary = Fuzz.run ~seed:1L ~iterations:50 regrant_targets in
   check Alcotest.bool "fuzz campaign ok (mutant found, shrunk)" true (Fuzz.ok summary);
   let v =
     match List.concat_map (fun r -> r.Fuzz.r_violations) summary.Fuzz.s_results with
@@ -447,10 +452,6 @@ let tests =
         QCheck_alcotest.to_alcotest qcheck_spec_deterministic;
         QCheck_alcotest.to_alcotest qcheck_spec_invariants;
         QCheck_alcotest.to_alcotest qcheck_spec_session_symmetry;
-        Alcotest.test_case "exec adapter: mode resolution" `Quick test_mode_of_name;
-        Alcotest.test_case "exec adapter: clean tas run refines" `Quick test_tas_adapter_clean_run;
-        Alcotest.test_case "exec adapter: observation changes nothing" `Quick
-          test_observation_changes_nothing_executor;
         Alcotest.test_case "announce model: clean under fair schedules" `Quick
           test_announce_model_clean_round_robin;
         Alcotest.test_case "telemetry: refine/* counters shared get-or-create" `Quick
@@ -461,5 +462,7 @@ let tests =
           test_observation_changes_nothing_service;
         Alcotest.test_case "mutant: caught, shrunk, artifact round-trips" `Quick
           test_refine_mutant_caught_and_shrunk;
+        Alcotest.test_case "spec always on: chaos, fuzz and mcheck name the re-grant" `Quick
+          test_spec_always_on;
       ] );
   ]
