@@ -1,23 +1,17 @@
-module Program = Renaming_sched.Program
-module Retry = Renaming_sched.Retry
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
+module Plan_exec = Renaming_sched.Plan_exec
+module Plan = Renaming_plan.Plan
 
 type config = { n : int; m : int }
 
-let validate { n; m } =
+let instance { n; m } =
   if n < 1 then invalid_arg "Linear_scan: n must be >= 1";
-  if m < n then invalid_arg "Linear_scan: m must be >= n"
-
-let program cfg =
-  validate cfg;
-  Retry.scan_names ~first:0 ~count:cfg.m ()
-
-let instance cfg =
-  validate cfg;
-  let memory = Memory.create ~namespace:cfg.m () in
-  let programs = Array.init cfg.n (fun _ -> program cfg) in
+  if m < n then invalid_arg "Linear_scan: m must be >= n";
+  let memory = Memory.create ~namespace:m () in
+  let plan = Plan.linear_scan ~first:0 ~count:m in
+  let programs = Array.init n (fun _ -> Plan_exec.program plan) in
   { Executor.memory; programs; label = "linear-scan" }
 
 let run ?adversary cfg =

@@ -14,11 +14,12 @@
 type config = {
   n : int;  (** processes *)
   m : int;  (** namespace size, [m ≥ n] *)
-  max_probes : int;  (** random probes before the deterministic sweep *)
+  plan : Renaming_plan.Plan.t;  (** {!Renaming_plan.Plan.uniform_probing} over [m] *)
 }
 
 val make_config : ?max_probes:int -> n:int -> m:int -> unit -> config
-(** [max_probes] defaults to [4·m]. *)
+(** [max_probes], the random probes before the deterministic sweep,
+    defaults to [4·m]. *)
 
 val instance :
   config -> stream:Renaming_rng.Stream.t -> Renaming_sched.Executor.instance

@@ -4,6 +4,7 @@ module Sample = Renaming_rng.Sample
 module Clock = Renaming_clock.Clock
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
+module Plan = Renaming_plan.Plan
 
 type result = {
   assignment : Renaming_shm.Assignment.t;
@@ -46,12 +47,6 @@ let unnamed_count r =
 
 let recommended_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
-(* A process's life is a sequence of segments: random probes into a
-   register range, or a deterministic sweep of a range. *)
-type segment =
-  | Probe of { base : int; size : int; count : int }
-  | Sweep of { base : int; size : int }
-
 (* A domain's processes, one slot per process in flat arrays, so a run
    allocates a few large arrays and no block per process.  Slot [j] of
    domain [d]'s shard is pid [d + j * domains].  [left.(j)] counts the
@@ -61,7 +56,7 @@ type segment =
    a winner is put.  Its generator state is the 32 bytes at
    [j * state_bytes] of [rngs]. *)
 type shard = {
-  schedule : segment array array;
+  schedule : Plan.t array;
   seg : int array;
   left : int array;
   name : int array;  (* the register won, or -1 while unnamed *)
@@ -87,13 +82,13 @@ let rec enter_segment ~namespace sh j seg =
   sh.seg.(j) <- seg;
   if seg < Array.length schedule then
     match schedule.(seg) with
-    | Probe { count; size; _ } when count <= 0 || size <= 0 ->
+    | Plan.Probe { count; size; _ } when count <= 0 || size <= 0 ->
       enter_segment ~namespace sh j (seg + 1)
-    | Sweep { size; _ } when size <= 0 -> enter_segment ~namespace sh j (seg + 1)
-    | Probe { base; size; count } ->
+    | Plan.Sweep { size; _ } when size <= 0 -> enter_segment ~namespace sh j (seg + 1)
+    | Plan.Probe { base; size; count } ->
       check_range ~namespace base size;
       sh.left.(j) <- count
-    | Sweep { base; size } ->
+    | Plan.Sweep { base; size } ->
       check_range ~namespace base size;
       sh.left.(j) <- size
 
@@ -104,9 +99,9 @@ let step regs ~namespace sh j =
   let seg = sh.seg.(j) and left = sh.left.(j) in
   let target =
     match schedule.(seg) with
-    | Probe { base; size; count = _ } ->
+    | Plan.Probe { base; size; count = _ } ->
       base + Sample.uniform_int_at sh.rngs (j * state_bytes) size
-    | Sweep { base; size } -> base + size - left
+    | Plan.Sweep { base; size } -> base + size - left
   in
   sh.left.(j) <- left - 1;
   sh.steps.(j) <- sh.steps.(j) + 1;
@@ -282,43 +277,15 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
   record_result obs result;
   result
 
-let pow2 e =
-  let rec go acc e = if e = 0 then acc else go (acc * 2) (e - 1) in
-  go 1 e
-
-let log2_ceil n =
-  let rec go acc p = if p >= n then acc else go (acc + 1) (p * 2) in
-  go 0 1
-
-let loglog_ceil n = max 1 (log2_ceil (max 2 (log2_ceil n)))
-
-let logloglog_ceil n = max 1 (log2_ceil (max 2 (loglog_ceil n)))
+let run_plan ?obs ?domains ?clock ?deadline ~n ~namespace plan ~seed =
+  execute ?obs ?domains ?clock ?deadline ~n ~namespace ~schedule_of_pid:(fun _ -> plan) ~seed ()
 
 let loose_geometric ?obs ?domains ?clock ?deadline ~n ~ell ~seed () =
-  if n < 4 || ell < 1 then invalid_arg "Mc_run.loose_geometric: bad parameters";
-  let rounds = ell * logloglog_ceil n in
-  let schedule =
-    Array.init rounds (fun i -> Probe { base = 0; size = n; count = pow2 (i + 1) })
-  in
-  execute ?obs ?domains ?clock ?deadline ~n ~namespace:n ~schedule_of_pid:(fun _ -> schedule)
-    ~seed ()
+  run_plan ?obs ?domains ?clock ?deadline ~n ~namespace:n (Plan.loose_geometric ~n ~ell) ~seed
 
 let loose_clustered ?obs ?domains ?clock ?deadline ~n ~ell ~seed () =
-  if n < 4 || ell < 1 then invalid_arg "Mc_run.loose_clustered: bad parameters";
-  let phases = loglog_ceil n in
-  let per_phase = 2 * ell * loglog_ceil n in
-  let schedule = Array.make phases (Probe { base = 0; size = n; count = per_phase }) in
-  let base = ref 0 in
-  for j = 1 to phases do
-    let size = if j = phases then n - !base else max 1 (n / pow2 j) in
-    schedule.(j - 1) <- Probe { base = !base; size; count = per_phase };
-    base := !base + size
-  done;
-  execute ?obs ?domains ?clock ?deadline ~n ~namespace:n ~schedule_of_pid:(fun _ -> schedule)
-    ~seed ()
+  run_plan ?obs ?domains ?clock ?deadline ~n ~namespace:n (Plan.loose_clustered ~n ~ell ()) ~seed
 
 let uniform_probing ?obs ?domains ?clock ?deadline ~n ~m ~seed () =
   if n < 1 || m < n then invalid_arg "Mc_run.uniform_probing: bad parameters";
-  let schedule = [| Probe { base = 0; size = m; count = 4 * m }; Sweep { base = 0; size = m } |] in
-  execute ?obs ?domains ?clock ?deadline ~n ~namespace:m ~schedule_of_pid:(fun _ -> schedule)
-    ~seed ()
+  run_plan ?obs ?domains ?clock ?deadline ~n ~namespace:m (Plan.uniform_probing ~m ()) ~seed

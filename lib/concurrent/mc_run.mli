@@ -7,10 +7,15 @@
     the same accounting as the simulator, so the step-complexity tables
     can be cross-checked between backends.
 
-    Per-process randomness is forked from the seed exactly like in the
-    simulator (the stream of [Stream.fork ~index:pid]); scheduling nondeterminism is
-    genuine, so only distribution-level quantities are comparable across
-    backends, not individual runs.
+    A process runs a probe plan ({!Renaming_plan.Plan}), the same one
+    the simulator runs through [Renaming_sched.Plan_exec], and its
+    randomness is forked from the seed exactly like in the simulator
+    (the stream of [Stream.fork ~index:pid]).  On one domain a run is
+    the simulator's run under a round robin that steps the live
+    processes in pid order: the same per-pid names and step counts
+    (test/test_plan.ml checks this).  On several domains scheduling
+    nondeterminism is genuine, so only distribution-level quantities
+    are comparable across backends, not individual runs.
 
     Shard layout: with [d] domains, domain [k] runs pids [k], [k + d],
     [k + 2d], ...  Each domain builds its own shard: it calls
@@ -63,18 +68,6 @@ val stalled_to_string : exn -> string
 val max_steps : result -> int
 val unnamed_count : result -> int
 
-(** A process's life is a sequence of segments: [Probe] makes [count]
-    uniform random TAS probes into [\[base, base+size)]; [Sweep] walks
-    the range deterministically.  A segment with [count <= 0] or
-    [size <= 0] is skipped.  A non-empty segment must lie inside
-    [\[0, namespace)]; {!execute} checks it once, when a process enters
-    it.  Exposed so tests can build adversarial schedules (e.g. a probe
-    loop on a taken register) directly. *)
-type segment =
-  | Probe of { base : int; size : int; count : int }
-  | Sweep of { base : int; size : int }
-
-(* lint: allow unused-export — test hook: runs bespoke schedules on real domains *)
 val execute :
   ?obs:Renaming_obs.Obs.t ->
   ?domains:int ->
@@ -82,12 +75,13 @@ val execute :
   ?deadline:float ->
   n:int ->
   namespace:int ->
-  schedule_of_pid:(int -> segment array) ->
+  schedule_of_pid:(int -> Renaming_plan.Plan.t) ->
   seed:int64 ->
   unit ->
   result
-(** Run [n] processes with the given per-pid segment schedules over the
-    domain pool.  Raises [Invalid_argument] if [n] or [namespace] is
+(** Run [n] processes with the given per-pid probe plans
+    ({!Renaming_plan.Plan}) over the domain pool.  Raises
+    [Invalid_argument] if [n] or [namespace] is
     negative, if [?deadline] is given without a ticking clock (it could
     never expire), or when a process enters a non-empty segment outside
     [\[0, namespace)].  That check runs once per segment, on entry, so
@@ -118,7 +112,8 @@ val loose_geometric :
   seed:int64 ->
   unit ->
   result
-(** Lemma 6 on real domains: namespace [n], geometric rounds. *)
+(** Lemma 6 on real domains: {!Renaming_plan.Plan.loose_geometric}
+    over the namespace [n]. *)
 
 val loose_clustered :
   ?obs:Renaming_obs.Obs.t ->
@@ -130,7 +125,7 @@ val loose_clustered :
   seed:int64 ->
   unit ->
   result
-(** Lemma 8 on real domains (with the tail-absorbing last cluster). *)
+(** Lemma 8 on real domains: {!Renaming_plan.Plan.loose_clustered}. *)
 
 val uniform_probing :
   ?obs:Renaming_obs.Obs.t ->
@@ -142,7 +137,7 @@ val uniform_probing :
   seed:int64 ->
   unit ->
   result
-(** The naive baseline; probes until won (deterministic sweep after
-    [4m] probes, as in the simulator backend). *)
+(** The naive baseline: {!Renaming_plan.Plan.uniform_probing} over
+    [m], with its default probe budget. *)
 
 val recommended_domains : unit -> int

@@ -1,3 +1,4 @@
+module Mathx = Renaming_plan.Mathx
 module Program = Renaming_sched.Program
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory

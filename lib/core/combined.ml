@@ -2,7 +2,9 @@ module Program = Renaming_sched.Program
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
-module Retry = Renaming_sched.Retry
+module Plan_exec = Renaming_sched.Plan_exec
+module Plan = Renaming_plan.Plan
+module Mathx = Renaming_plan.Mathx
 module Stream = Renaming_rng.Stream
 module Obs = Renaming_obs.Obs
 open Program.Syntax
@@ -51,7 +53,7 @@ let program ?obs cfg ~rng =
   | Some nm -> Program.return (Some nm)
   | None ->
     (match obs with Some s -> Obs.s_begin s ~args:[ ("size", ext) ] "backup" | None -> ());
-    let* name = Backup.program ~base:cfg.n ~size:ext ~rng in
+    let* name = Plan_exec.program (Plan.backup ~base:cfg.n ~size:ext) ~rng in
     (match obs with Some s -> Obs.s_end s "backup" | None -> ());
     (match name with
     | Some nm -> Program.return (Some nm)
@@ -60,7 +62,7 @@ let program ?obs cfg ~rng =
          more than [ext] unnamed — the event the corollary bounds).
          With m > n a free main-namespace register must exist. *)
       (match obs with Some s -> Obs.s_instant s "main-sweep" | None -> ());
-      Retry.scan_names ~first:0 ~count:cfg.n ())
+      Plan_exec.program (Plan.linear_scan ~first:0 ~count:cfg.n))
 
 let instance ?obs cfg ~stream =
   let memory = Memory.create ~namespace:(namespace cfg) () in

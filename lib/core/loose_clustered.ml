@@ -1,13 +1,11 @@
-module Program = Renaming_sched.Program
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
-module Retry = Renaming_sched.Retry
+module Plan_exec = Renaming_sched.Plan_exec
+module Plan = Renaming_plan.Plan
+module Mathx = Renaming_plan.Mathx
 module Stream = Renaming_rng.Stream
-module Sample = Renaming_rng.Sample
 module Obs = Renaming_obs.Obs
-module Metrics = Renaming_obs.Metrics
-open Program.Syntax
 
 type config = { n : int; ell : int }
 
@@ -15,31 +13,13 @@ let validate { n; ell } =
   if n < 4 then invalid_arg "Loose_clustered: n must be >= 4";
   if ell < 1 then invalid_arg "Loose_clustered: ell must be >= 1"
 
-let phases cfg =
+let plan cfg =
   validate cfg;
-  Mathx.loglog2_ceil cfg.n
+  Plan.loose_clustered ~n:cfg.n ~ell:cfg.ell ()
 
-let steps_per_phase cfg = 2 * cfg.ell * Mathx.loglog2_ceil cfg.n
-
-let step_budget cfg = phases cfg * steps_per_phase cfg
-
-let cluster_bounds cfg =
-  let p = phases cfg in
-  let bounds = Array.make p (0, 0) in
-  let base = ref 0 in
-  for j = 1 to p do
-    (* Literally, cluster j holds n/2^j registers; summed over all
-       phases that covers only n - n/2^p ≈ n - n/log n registers, which
-       would put a structural floor of n/log n on the unnamed count —
-       above Lemma 8's claimed n/(log n)^{2ℓ}.  Following the evident
-       intent (DESIGN.md §3), the last cluster absorbs the tail so the
-       clusters jointly cover the whole namespace. *)
-    let size = if j = p then cfg.n - !base else max 1 (cfg.n / Mathx.pow_int 2 j) in
-    bounds.(j - 1) <- (!base, size);
-    base := !base + size
-  done;
-  assert (!base = cfg.n);
-  bounds
+let phases cfg = Array.length (plan cfg)
+let step_budget cfg = Plan.probe_budget (plan cfg)
+let steps_per_phase cfg = step_budget cfg / phases cfg
 
 let predicted_unnamed cfg =
   let logn = Mathx.log2f (float_of_int cfg.n) in
@@ -54,61 +34,23 @@ let create_instrumentation ?obs cfg =
   | Some o -> Obs.vector o "loose-clustered/named_in_phase" instr.named_in_phase);
   instr
 
-let program ?instr ?obs cfg ~rng =
-  let bounds = cluster_bounds cfg in
-  let per_phase = steps_per_phase cfg in
-  let probes, wins =
-    match obs with
-    | None -> (None, None)
-    | Some s ->
-      let o = Obs.scoped_obs s in
-      (Some (Obs.counter o "loose-clustered/probes"), Some (Obs.counter o "loose-clustered/wins"))
+let run_plan ?instr ?obs plan ~rng =
+  let spans =
+    Plan_exec.spans
+      ?named:(Option.map (fun s -> s.named_in_phase) instr)
+      ?obs ~prefix:"loose-clustered" ~span:"phase" ~first:0 ()
   in
-  let bump = function Some c -> Metrics.incr c | None -> () in
-  let rec phase j =
-    if j >= Array.length bounds then begin
-      (match obs with Some s -> Obs.s_instant s "give-up" | None -> ());
-      Program.return None
-    end
-    else begin
-      (match obs with Some s -> Obs.s_begin s ~args:[ ("phase", j) ] "phase" | None -> ());
-      step j per_phase
-    end
-  and step j remaining =
-    if remaining = 0 then begin
-      (match obs with Some s -> Obs.s_end s "phase" | None -> ());
-      phase (j + 1)
-    end
-    else begin
-      let base, size = bounds.(j) in
-      let target = base + Sample.uniform_int rng size in
-      bump probes;
-      (match obs with Some s -> Obs.s_instant s ~args:[ ("target", target) ] "probe" | None -> ());
-      let* won = Retry.tas_name target in
-      if won then begin
-        (match instr with
-        | Some s -> s.named_in_phase.(j) <- s.named_in_phase.(j) + 1
-        | None -> ());
-        bump wins;
-        (match obs with
-        | Some s ->
-          Obs.s_instant s ~args:[ ("phase", j); ("name", target) ] "win";
-          Obs.s_end s "phase"
-        | None -> ());
-        Program.return (Some target)
-      end
-      else step j (remaining - 1)
-    end
-  in
-  phase 0
+  Plan_exec.program ?spans plan ~rng
+
+let program ?instr ?obs cfg ~rng = run_plan ?instr ?obs (plan cfg) ~rng
 
 let instance ?instr ?obs cfg ~stream =
-  validate cfg;
+  let plan = plan cfg in
   let memory = Memory.create ~namespace:cfg.n () in
   let programs =
     Array.init cfg.n (fun pid ->
         let obs = Option.map (fun o -> Obs.scoped o ~pid) obs in
-        program ?instr ?obs cfg ~rng:(Stream.fork stream ~index:pid))
+        run_plan ?instr ?obs plan ~rng:(Stream.fork stream ~index:pid))
   in
   { Executor.memory; programs; label = "loose-clustered" }
 

@@ -11,7 +11,9 @@
     n − n/log n] registers, which would floor the unnamed count at
     [n/log n] — above the lemma's claim.  As documented in DESIGN.md §3
     we follow the evident intent: the last cluster absorbs the tail, so
-    the clusters jointly cover the whole namespace. *)
+    the clusters jointly cover the whole namespace.  The schedule is
+    {!Renaming_plan.Plan.loose_clustered}, run by
+    {!Renaming_sched.Plan_exec}. *)
 
 type config = { n : int; ell : int }
 
@@ -22,11 +24,6 @@ val steps_per_phase : config -> int
 (** [2ℓ·⌈log log n⌉]. *)
 
 val step_budget : config -> int
-
-(* lint: allow unused-export — test hook: the cluster layout *)
-val cluster_bounds : config -> (int * int) array
-(** Per phase (0-based), the [(base, size)] register range of its
-    cluster. *)
 
 val predicted_unnamed : config -> float
 (** Lemma 8's expectation [n/(log n)^{2ℓ}]. *)

@@ -6,7 +6,8 @@
     random register (becoming inactive on a win).  Lemma 6: w.h.p. at
     most [2n/(log log n)^ℓ] processes remain unnamed, after a total of
     at most [(log log n)^ℓ] steps (up to the constant from the geometric
-    sum). *)
+    sum).  The schedule is {!Renaming_plan.Plan.loose_geometric}, run by
+    {!Renaming_sched.Plan_exec}. *)
 
 type config = { n : int; ell : int }
 

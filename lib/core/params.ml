@@ -1,3 +1,5 @@
+module Mathx = Renaming_plan.Mathx
+
 type policy = Paper_literal | Mass_conserving
 
 type block = { tau_id : int; name_base : int }

@@ -46,8 +46,9 @@ type t = {
   invoked : bool array;
   has_returned : bool array;
   returned : int array;  (* the name each pid returned, -1 for none *)
-  (* Ring buffer of recent events, for the fail-fast trace excerpt. *)
-  ring : string array;
+  (* Ring buffer of recent events, for the fail-fast trace excerpt.
+     Events are rendered only when a violation reads the excerpt. *)
+  ring : Executor.event array;
   mutable ring_filled : int;
   mutable ring_next : int;
   mutable violations : int;
@@ -66,14 +67,15 @@ let create ~name ~check_ownership ~memory ~processes ?obs () =
     invoked = Array.make processes false;
     has_returned = Array.make processes false;
     returned = Array.make processes (-1);
-    ring = Array.make window "";
+    (* A placeholder: slots at or past [ring_filled] are never read. *)
+    ring = Array.make window (Executor.Crashed { time = 0; pid = 0 });
     ring_filled = 0;
     ring_next = 0;
     violations = 0;
   }
 
 let remember t event =
-  t.ring.(t.ring_next) <- Format.asprintf "%a" Executor.pp_event event;
+  t.ring.(t.ring_next) <- event;
   t.ring_next <- (t.ring_next + 1) mod window;
   if t.ring_filled < window then t.ring_filled <- t.ring_filled + 1
 
@@ -83,7 +85,7 @@ let excerpt t =
   for i = 0 to t.ring_filled - 1 do
     let idx = (t.ring_next - t.ring_filled + i + window) mod window in
     Buffer.add_string buf "\n  ";
-    Buffer.add_string buf t.ring.(idx)
+    Buffer.add_string buf (Format.asprintf "%a" Executor.pp_event t.ring.(idx))
   done;
   Buffer.contents buf
 

@@ -26,7 +26,7 @@ let t2 scale =
   let stream = Stream.create 0xB4115L in
   Array.iter
     (fun n ->
-      let log_n = Renaming_core.Mathx.log2_ceil n in
+      let log_n = Renaming_plan.Mathx.log2_ceil n in
       let balls = 2 * c * log_n and bins = 2 * log_n in
       let rng = Stream.fork_named stream ~name:(Printf.sprintf "lemma3-%d" n) in
       let verdict =

@@ -101,11 +101,11 @@ let f2 scale =
   Array.iteri
     (fun i named ->
       unnamed := !unnamed - named;
-      let claim = float_of_int n /. float_of_int (Renaming_core.Mathx.pow_int 2 (i + 1)) in
+      let claim = float_of_int n /. float_of_int (Renaming_plan.Mathx.pow_int 2 (i + 1)) in
       Table.add_row table
         [
           Table.cell_int (i + 1);
-          Table.cell_int (Renaming_core.Mathx.pow_int 2 (i + 1));
+          Table.cell_int (Renaming_plan.Mathx.pow_int 2 (i + 1));
           Table.cell_int named;
           Table.cell_int !unnamed;
           Table.cell_float ~decimals:0 claim;

@@ -4,7 +4,7 @@ module Report = Renaming_sched.Report
 module Summary = Renaming_stats.Summary
 module Fit = Renaming_stats.Fit
 
-let log2f = Renaming_core.Mathx.log2f
+let log2f = Renaming_plan.Mathx.log2f
 
 let t1 scale =
   let table =

@@ -138,7 +138,7 @@ let all =
       id = "F4";
       title = "Lemmas 6/8 at a million processes";
       claim = "the poly-double-logarithmic step budgets hold at n = 2^20 .. 2^22";
-      run = Exp_fastsim.f4;
+      run = Exp_multicore.f4;
     };
   ]
 

@@ -20,7 +20,3 @@ let pow_int b e =
   if e < 0 then invalid_arg "Mathx.pow_int: negative exponent";
   let rec go acc b e = if e = 0 then acc else go (if e land 1 = 1 then acc * b else acc) (b * b) (e lsr 1) in
   go 1 b e
-
-let cdiv a b =
-  if b <= 0 then invalid_arg "Mathx.cdiv: divisor must be positive";
-  (a + b - 1) / b

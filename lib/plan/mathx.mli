@@ -4,10 +4,6 @@
     real-valued; where an algorithm needs an integer count we use the
     ceiling, which only strengthens the w.h.p. guarantees. *)
 
-(* lint: allow unused-export — unit-tested, no caller yet: integer log *)
-val log2_floor : int -> int
-(** [log2_floor n] for [n ≥ 1]. *)
-
 val log2_ceil : int -> int
 (** [log2_ceil n] for [n ≥ 1]; [log2_ceil 1 = 0]. *)
 
@@ -21,7 +17,3 @@ val logloglog2_ceil : int -> int
 
 val pow_int : int -> int -> int
 (** [pow_int b e] for [e ≥ 0]; overflow is the caller's concern. *)
-
-(* lint: allow unused-export — unit-tested, no caller yet: ceiling division *)
-val cdiv : int -> int -> int
-(** Ceiling division for positive divisors. *)

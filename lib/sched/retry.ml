@@ -81,6 +81,10 @@ let tas_name ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:fa
 let tas_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_aux i)
 let read_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:true (Op.Read_aux i)
 
+(* Attempt 1 of [tas_name i] has answered [Faulted]: go on from there. *)
+let tas_name_after_fault i =
+  on_response default Clock.none (Clock.now Clock.none) false (Op.Tas_name i) 1 Op.Faulted
+
 let scan_names ?(policy = default) ?clock ~first ~count () =
   let open Program.Syntax in
   let rec loop k =

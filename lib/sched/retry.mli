@@ -55,6 +55,12 @@ val jittered_delay : policy -> rng:Renaming_rng.Xoshiro.t -> prev:int -> int
 val tas_name :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
 
+val tas_name_after_fault : int -> bool Program.t
+(** The rest of [tas_name i] (default policy, no clock) once its first
+    attempt has answered {!Op.Faulted}: the same backoff and the same
+    later attempts.  A caller that issues the first attempt itself, as
+    [Plan_exec] does, hands a fault over here. *)
+
 val tas_aux :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
 

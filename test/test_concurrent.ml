@@ -3,6 +3,7 @@
 
 module Atomic_tas = Renaming_concurrent.Atomic_tas
 module Mc_run = Renaming_concurrent.Mc_run
+module Plan = Renaming_plan.Plan
 module Assignment = Renaming_shm.Assignment
 module Clock = Renaming_clock.Clock
 
@@ -173,7 +174,7 @@ let test_mc_single_domain_sweep_deterministic () =
   let n = 1024 in
   let steps, unnamed =
     run ~n ~namespace:n
-      [| Mc_run.Probe { base = 0; size = n; count = 1 }; Sweep { base = 0; size = n } |]
+      [| Plan.Probe { base = 0; size = n; count = 1 }; Sweep { base = 0; size = n } |]
       11L
   in
   check Alcotest.int "probe 1 + sweep n=1024 seed 11: steps" 202317 steps;
@@ -181,7 +182,7 @@ let test_mc_single_domain_sweep_deterministic () =
   let steps, unnamed =
     run ~n:300 ~namespace:256
       [|
-        Mc_run.Probe { base = 0; size = 256; count = 0 };
+        Plan.Probe { base = 0; size = 256; count = 0 };
         Sweep { base = 0; size = 0 };
         Probe { base = 128; size = 128; count = 2 };
         Sweep { base = 0; size = 0 };
@@ -200,7 +201,7 @@ let test_mc_more_domains_than_processes () =
     (fun (domains, clock, deadline) ->
       let r =
         Mc_run.execute ~domains ?clock ?deadline ~n:3 ~namespace:3
-          ~schedule_of_pid:(fun _ -> [| Mc_run.Sweep { base = 0; size = 3 } |])
+          ~schedule_of_pid:(fun _ -> [| Plan.Sweep { base = 0; size = 3 } |])
           ~seed:13L ()
       in
       check Alcotest.bool "valid" true (Assignment.is_valid r.Mc_run.assignment);
@@ -213,7 +214,7 @@ let test_mc_schedule_exception_propagates () =
   (* Schedules are built on the worker domains; a failing one must
      surface from [execute], not hang the watchdog until its deadline. *)
   let schedule_of_pid pid =
-    if pid = 1 then failwith "no schedule" else [| Mc_run.Sweep { base = 0; size = 4 } |]
+    if pid = 1 then failwith "no schedule" else [| Plan.Sweep { base = 0; size = 4 } |]
   in
   List.iter
     (fun (clock, deadline) ->
@@ -246,7 +247,7 @@ let test_mc_failing_shard_joins_the_others () =
           done;
           Atomic.set joined true
         end;
-        [| Mc_run.Probe { base = 0; size = 1; count = max_int } |]
+        [| Plan.Probe { base = 0; size = 1; count = max_int } |]
       in
       Alcotest.check_raises "pid 0 failure" (Failure "pid 0") (fun () ->
           ignore
@@ -262,12 +263,12 @@ let test_mc_failing_shard_joins_the_others () =
 let test_mc_segment_outside_namespace () =
   let cases =
     [
-      ( [| Mc_run.Probe { base = 2; size = 8; count = 3 } |],
+      ( [| Plan.Probe { base = 2; size = 8; count = 3 } |],
         "Mc_run.execute: segment [2, 10) is outside the namespace [0, 4)" );
-      ( [| Mc_run.Sweep { base = -1; size = 2 } |],
+      ( [| Plan.Sweep { base = -1; size = 2 } |],
         "Mc_run.execute: segment [-1, 1) is outside the namespace [0, 4)" );
       ( [|
-          Mc_run.Probe { base = 0; size = 4; count = 1 };
+          Plan.Probe { base = 0; size = 4; count = 1 };
           Sweep { base = 9; size = 0 };
           Sweep { base = 3; size = 2 };
         |],
@@ -366,7 +367,7 @@ let test_recommended_domains_positive () =
 (* Every process probes the single register forever: one wins and
    retires, the rest are livelocked.  [count] is effectively infinite
    relative to any deadline. *)
-let livelock_schedule _pid = [| Mc_run.Probe { base = 0; size = 1; count = max_int } |]
+let livelock_schedule _pid = [| Plan.Probe { base = 0; size = 1; count = max_int } |]
 
 let test_watchdog_stalls_livelocked_run () =
   (* A unit-step virtual clock makes the deadline trip after a handful
@@ -413,7 +414,7 @@ let test_watchdog_parameter_validation () =
   let run ?clock ?deadline () =
     ignore
       (Mc_run.execute ?clock ?deadline ~domains:1 ~n:2 ~namespace:2
-         ~schedule_of_pid:(fun _ -> [| Mc_run.Sweep { base = 0; size = 2 } |])
+         ~schedule_of_pid:(fun _ -> [| Plan.Sweep { base = 0; size = 2 } |])
          ~seed:4L ())
   in
   Alcotest.check_raises "deadline without a clock"

@@ -1,14 +1,15 @@
 (* Tests for the paper's algorithms: parameter schedules, tight renaming
    (Theorem 5), the loose lemmas, the backup phase and the corollaries. *)
 
-module Mathx = Renaming_core.Mathx
+module Mathx = Renaming_plan.Mathx
+module Plan = Renaming_plan.Plan
 module Params = Renaming_core.Params
 module Tight = Renaming_core.Tight
 module Geometric = Renaming_core.Loose_geometric
 module Clustered = Renaming_core.Loose_clustered
-module Backup = Renaming_core.Backup
 module Combined = Renaming_core.Combined
 module Program = Renaming_sched.Program
+module Plan_exec = Renaming_sched.Plan_exec
 module Memory = Renaming_sched.Memory
 module Executor = Renaming_sched.Executor
 module Adversary = Renaming_sched.Adversary
@@ -20,9 +21,6 @@ let check = Alcotest.check
 (* ---------- Mathx ---------- *)
 
 let test_log2 () =
-  check Alcotest.int "floor 1" 0 (Mathx.log2_floor 1);
-  check Alcotest.int "floor 1024" 10 (Mathx.log2_floor 1024);
-  check Alcotest.int "floor 1025" 10 (Mathx.log2_floor 1025);
   check Alcotest.int "ceil 1024" 10 (Mathx.log2_ceil 1024);
   check Alcotest.int "ceil 1025" 11 (Mathx.log2_ceil 1025);
   check Alcotest.int "ceil 1" 0 (Mathx.log2_ceil 1)
@@ -33,11 +31,9 @@ let test_loglog () =
   check Alcotest.int "loglog 4" 1 (Mathx.loglog2_ceil 4);
   check Alcotest.int "logloglog 65536" 2 (Mathx.logloglog2_ceil 65536)
 
-let test_pow_cdiv () =
+let test_pow () =
   check Alcotest.int "2^10" 1024 (Mathx.pow_int 2 10);
-  check Alcotest.int "x^0" 1 (Mathx.pow_int 7 0);
-  check Alcotest.int "cdiv exact" 4 (Mathx.cdiv 8 2);
-  check Alcotest.int "cdiv round up" 5 (Mathx.cdiv 9 2)
+  check Alcotest.int "x^0" 1 (Mathx.pow_int 7 0)
 
 (* ---------- Params ---------- *)
 
@@ -204,8 +200,13 @@ let test_geometric_validation () =
 (* ---------- Loose clustered (Lemma 8) ---------- *)
 
 let test_clustered_cluster_bounds_cover_namespace () =
-  let cfg = { Clustered.n = 4096; ell = 1 } in
-  let bounds = Clustered.cluster_bounds cfg in
+  let bounds =
+    Array.map
+      (function
+        | Plan.Probe { base; size; count = _ } -> (base, size)
+        | Plan.Sweep _ -> Alcotest.fail "Lemma 8's plan has no sweep")
+      (Plan.loose_clustered ~n:4096 ~ell:1 ())
+  in
   let total = Array.fold_left (fun acc (_, size) -> acc + size) 0 bounds in
   check Alcotest.int "clusters cover n" 4096 total;
   (* geometric halving for all but the last cluster *)
@@ -239,7 +240,7 @@ let run_backup ~stragglers ~size ~seed =
   let stream = Stream.create seed in
   let programs =
     Array.init stragglers (fun pid ->
-        Backup.program ~base:0 ~size ~rng:(Stream.fork stream ~index:pid))
+        Plan_exec.program (Plan.backup ~base:0 ~size) ~rng:(Stream.fork stream ~index:pid))
   in
   Executor.run ~adversary:(Adversary.round_robin ())
     { Executor.memory; programs; label = "backup" }
@@ -255,9 +256,10 @@ let test_backup_exact_fit () =
   check Alcotest.int "all named" 64 (Report.named_count report)
 
 let test_backup_max_random_steps () =
-  check Alcotest.bool "budget positive" true (Backup.max_random_steps ~size:100 > 0);
+  let budget = Plan.probe_budget (Plan.backup ~base:0 ~size:100) in
+  check Alcotest.bool "budget positive" true (budget > 0);
   (* doubling batches 1+2+...+cap: bounded by 8*size *)
-  check Alcotest.bool "budget bounded" true (Backup.max_random_steps ~size:100 <= 8 * 100)
+  check Alcotest.bool "budget bounded" true (budget <= 8 * 100)
 
 (* ---------- Combined (Corollaries 7 and 9) ---------- *)
 
@@ -325,7 +327,7 @@ let tests =
       [
         Alcotest.test_case "log2" `Quick test_log2;
         Alcotest.test_case "loglog" `Quick test_loglog;
-        Alcotest.test_case "pow/cdiv" `Quick test_pow_cdiv;
+        Alcotest.test_case "pow" `Quick test_pow;
         Alcotest.test_case "params mass-conserving geometry" `Quick
           test_params_mass_conserving_geometry;
         Alcotest.test_case "params literal Definition 2" `Quick test_params_literal_matches_definition2;

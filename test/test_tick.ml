@@ -14,6 +14,7 @@ module Ledger = Renaming_shm.Step_ledger
 module Params = Renaming_core.Params
 module Tight = Renaming_core.Tight
 module Geometric = Renaming_core.Loose_geometric
+module Combined = Renaming_core.Combined
 module Longlived = Renaming_longlived.Longlived
 module Stream = Renaming_rng.Stream
 module Summary = Renaming_stats.Summary
@@ -84,7 +85,9 @@ let test_pinned_round_robin () =
     ]
 
 (* Crash-recovery: crashed Tight processes may hold a device bit or a
-   pending τ-poll, and restart behind the recovery preamble. *)
+   pending τ-poll, and restart behind the recovery preamble.  Crashed
+   plan-built processes (Lemma 6, and Corollary 7's chained plans)
+   restart at their first probe and go on drawing from their stream. *)
 let test_pinned_crash_recovery () =
   let crashes = List.init 12 (fun k -> ((k * 37) + 5, (k * 11) mod 64)) in
   let adversary =
@@ -94,7 +97,21 @@ let test_pinned_crash_recovery () =
   pin "tight crash-recovery"
     "ticks=1857 total=1857 max=118 named=64 crashed=0 recovered=11 \
      80f3987de9432eae98f9c9e102ecc2ec"
-    (Tight.run ~adversary ~params ~seed:3L ())
+    (Tight.run ~adversary ~params ~seed:3L ());
+  let crashes = List.init 32 (fun k -> (64 + (2 * k), ((k * 2) + 1) mod 64)) in
+  let adversary () =
+    Adversary.with_crash_recovery ~base:(Adversary.round_robin ()) ~crashes ~recover_after:20
+  in
+  pin "loose-geometric crash-recovery"
+    "ticks=727 total=727 max=97 named=61 crashed=0 recovered=7 \
+     bf29f84c34fac4fdd54e37ca0bfbbdd0"
+    (Geometric.run ~adversary:(adversary ()) { Geometric.n = 64; ell = 2 } ~seed:3L);
+  pin "cor7 crash-recovery"
+    "ticks=835 total=835 max=113 named=64 crashed=0 recovered=7 \
+     7e45ba95cff1dd76b0223679e28450f5"
+    (Combined.run ~adversary:(adversary ())
+       { Combined.n = 64; variant = Combined.Geometric { ell = 2 } }
+       ~seed:3L)
 
 let test_pinned_uniform () =
   let adversary = Adversary.uniform (Stream.fork_named (Stream.create 11L) ~name:"adversary") in
@@ -140,8 +157,10 @@ let test_tau_poll_allocates_nothing () =
 (* With no listener attached a tick costs the program's own allocation
    (its next [Step] and continuation, and the session statistics) plus
    the adversary's decision.  Each bound is the measured words per tick
-   at seed 1 plus a small margin: Tight 29.9, Loose_geometric 28.2 and
-   Longlived 35.4. *)
+   at seed 1 plus a small margin: Tight 29.9, Loose_geometric 6.7 and
+   Longlived 35.4.  Loose_geometric runs its plan through [Plan_exec],
+   whose probe step builds a [Tas_name] and a [Step] around one
+   continuation per process. *)
 let check_tick_allocation label bound inst =
   let before = Gc.minor_words () in
   let report = Executor.run ~adversary:(Adversary.round_robin ()) inst in
@@ -151,7 +170,7 @@ let check_tick_allocation label bound inst =
     true (per_tick <= bound)
 
 let tight_words_per_tick_bound = 33.
-let geometric_words_per_tick_bound = 31.
+let geometric_words_per_tick_bound = 10.
 let longlived_words_per_tick_bound = 39.
 
 let test_tight_tick_allocation () =
