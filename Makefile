@@ -35,7 +35,7 @@ chaos:
 # Exits nonzero on any lease-safety violation, livelock, unfenced stale
 # operation, or if the campaign failed to exercise reclamation,
 # shedding or ghost replays; JSON lands in results/chaos.json (schema
-# renaming.chaos-service/3).
+# renaming.chaos-service/4).
 chaos-service:
 	dune exec bin/main.exe -- chaos --service
 
@@ -46,13 +46,13 @@ chaos-service-smoke:
 # Partition chaos campaign over the sharded router, driven by Net_churn
 # over a perfect transport (shard crashes and stalls are found by
 # heartbeat loss): Zipf-skewed rebalancing, correlated shard crashes,
-# crash-during-handoff and stall routing, with the cross-shard
-# uniqueness audit attached.  Exits
-# nonzero on any audit violation, livelock, wrongly fenced live lease,
+# crash-during-handoff and stall routing, with the refinement spec
+# attached (as to every lease-service campaign).  Exits
+# nonzero on any safety violation, livelock, wrongly fenced live lease,
 # unfenced stale ghost, or if the campaign failed to exercise handoffs
 # (including mid-transit crashes), adoption, shard crashes or ghost
 # replays; JSON lands in results/chaos.json (schema
-# renaming.chaos-sharded/2).
+# renaming.chaos-sharded/3).
 chaos-sharded:
 	dune exec bin/main.exe -- chaos --sharded
 
@@ -64,10 +64,10 @@ chaos-sharded-smoke:
 # operation is a typed envelope through the simulated network (drops,
 # duplicates, reordering, bounded delay, directional partitions), with
 # per-slice at-most-once dedup, client timeout/retry and heartbeat
-# failure detection.  Exits nonzero on any audit violation, end-to-end
+# failure detection.  Exits nonzero on any safety violation, end-to-end
 # double grant, unexpected fence, successful ghost op — or if any piece
 # of the fault machinery (ghost replays included) failed to fire.  JSON
-# lands in results/chaos.json (schema renaming.chaos-net/1).
+# lands in results/chaos.json (schema renaming.chaos-net/2).
 chaos-net:
 	dune exec bin/main.exe -- chaos --net
 
@@ -76,7 +76,8 @@ chaos-net-smoke:
 	dune exec bin/main.exe -- chaos --net --sessions 2000 --seeds 2 --out results/chaos-net-smoke.json
 
 # Bounded memory over long runs: the default lossy Net_churn at 10^5 and
-# at 10^6 sessions, each in a fresh process; exits nonzero if the long
+# at 10^6 sessions, each in a fresh process, with the refinement spec on
+# the router's tap; exits nonzero if the long
 # run's peak major heap exceeds 1.25x the short run's, or if either run
 # is unsafe (~15 s).
 soak-net:

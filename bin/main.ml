@@ -213,12 +213,12 @@ let write_metrics ~label obs metrics =
   | _ -> ()
 
 (* `chaos --service/--sharded/--net`: a lease-service chaos campaign
-   (lib/service/chaos_campaign.ml).  The command fails loudly unless
+   (lib/harness/chaos_campaign.ml).  The command fails loudly unless
    every safety total is 0 AND the campaign exercised the machinery it
    exists to test, so a clean report cannot come from faults silently
    not firing. *)
 let run_service_campaign campaign ~sessions ~seed_count ~out ~metrics =
-  let module C = Renaming_service.Chaos_campaign in
+  let module C = Renaming_harness.Chaos_campaign in
   let label = "chaos --" ^ campaign.C.name in
   let progress ~done_ ~total =
     Printf.eprintf "\r%s: run %d/%d%!" label done_ total;
@@ -286,7 +286,7 @@ let chaos_cmd =
       Printf.eprintf "chaos: --sessions must be >= 1\n";
       exit 2
     | _ -> ());
-    let module C = Renaming_service.Chaos_campaign in
+    let module C = Renaming_harness.Chaos_campaign in
     if net then run_service_campaign C.net ~sessions ~seed_count ~out ~metrics
     else if sharded then run_service_campaign C.sharded ~sessions ~seed_count ~out ~metrics
     else if service then run_service_campaign C.service ~sessions ~seed_count ~out ~metrics
@@ -438,10 +438,16 @@ let analyze_cmd =
         (Roster.roster ())
     in
     let result =
-      Analyze.run ?table ~dependent:Renaming_mcheck.Races.dependent
-        ~lint_root:(if skip_lint then None else Some lint_root)
-        ?exports
-        ~roster ()
+      match
+        Analyze.run ?table ~dependent:Renaming_mcheck.Races.dependent
+          ~lint_root:(if skip_lint then None else Some lint_root)
+          ?exports ~roster ()
+      with
+      | result -> result
+      | exception Sys_error message ->
+        (* A lint root or a scanned directory that is not there. *)
+        Printf.eprintf "analyze: %s\n" message;
+        exit 1
     in
     Format.printf "%a@." Analyze.pp result;
     write_file out (Analyze.to_json result ^ "\n");

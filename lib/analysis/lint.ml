@@ -182,17 +182,15 @@ let lint_file ?(whitelist = default_whitelist) ?(print_whitelist = default_print
   lint_source ~whitelisted ~print_whitelisted ~path (read_file path)
 
 let rec files ?(hidden = false) dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-    Array.sort compare entries;
-    List.concat_map
-      (fun entry ->
-        let path = Filename.concat dir entry in
-        if not (Sys.is_directory path) then [ path ]
-        else if entry = "_build" || ((not hidden) && entry.[0] = '.') then []
-        else files ~hidden path)
-      (Array.to_list entries)
+  let entries = Sys.readdir dir in
+  Array.sort compare entries;
+  List.concat_map
+    (fun entry ->
+      let path = Filename.concat dir entry in
+      if not (Sys.is_directory path) then [ path ]
+      else if entry = "_build" || ((not hidden) && entry.[0] = '.') then []
+      else files ~hidden path)
+    (Array.to_list entries)
 
 let lint_dir ?whitelist ?print_whitelist root =
   let files = List.filter (fun f -> Filename.check_suffix f ".ml") (files root) in

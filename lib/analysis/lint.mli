@@ -39,12 +39,14 @@ val lint_file :
 
 val files : ?hidden:bool -> string -> string list
 (** Every file under a directory, recursively, in sorted order, skipping
-    [_build] and (unless [hidden]) dotted directories. *)
+    [_build] and (unless [hidden]) dotted directories.  A directory
+    that does not exist raises [Sys_error], never reads as empty. *)
 
 val lint_dir :
   ?whitelist:string list -> ?print_whitelist:string list -> string -> int * finding list
 (** Walk [root] recursively (skipping [_build] and dotted directories)
-    and lint every [.ml] file; returns (files linted, findings). *)
+    and lint every [.ml] file; returns (files linted, findings).  Raises
+    [Sys_error] if [root] does not exist. *)
 
 val is_waived : lines:string array -> rule:string -> line:int -> bool
 (** Does line [line] (1-based) of a file split into [lines], or the

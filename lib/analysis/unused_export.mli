@@ -12,7 +12,9 @@
     [(* lint: allow unused-export — test hook *)].
 
     No silent pass: a scanned source with no compiled unit, or whose
-    unit was compiled from different text, is an unwaivable finding. *)
+    unit was compiled from different text, is an unwaivable finding,
+    and a configured directory that does not exist (under either root)
+    raises [Sys_error]. *)
 
 type config = {
   src_root : string;  (** the tree the scanned directories are read from *)

@@ -2,6 +2,14 @@ module Json = Renaming_obs.Json
 module Export = Renaming_obs.Export
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
+module Net_churn = Renaming_service.Net_churn
+module Router = Renaming_service.Router
+module Service = Renaming_service.Service
+module Transport = Renaming_service.Transport
+module Dedup = Renaming_service.Dedup
+module Check = Renaming_refine.Check
+module Spec = Renaming_refine.Spec
+module Lease_adapter = Renaming_refine.Lease_adapter
 
 type check = Zero of string * string | Fired of string list * string
 
@@ -25,17 +33,18 @@ let violation_json = function
   | Some (kind, message) ->
     Json.Obj [ ("kind", Json.String kind); ("message", Json.String message) ]
 
-let violations (s : N.summary) = s.N.gaudit_violations + flag (s.N.violation <> None)
+let violations (s : N.summary) = flag (s.N.violation <> None)
 
-(* The checks every campaign shares: the safety totals must be 0 and
-   ghost replays must have fired. *)
+(* The checks every campaign shares: the safety totals must be 0, and
+   ghost replays and the refinement spec must have fired. *)
 let safety_checks =
   [
-    Zero ("violations", "audit violation(s)");
+    Zero ("violations", "safety violation(s)");
     Zero ("livelocks", "livelocked run(s)");
     Zero ("unexpected_fenced", "live operation(s) wrongly fenced");
     Zero ("stale_ok", "stale ghost operation(s) not fenced");
     Fired ([ "stale_ops" ], "ghost replays");
+    Fired ([ "refine_events" ], "refinement events");
   ]
 
 (* {2 In-process campaigns}
@@ -86,7 +95,7 @@ let service =
   let sv (s : N.summary) = s.N.service in
   {
     name = "service";
-    schema = "renaming.chaos-service/3";
+    schema = "renaming.chaos-service/4";
     default_sessions = 150_000;
     cells = service_cells;
     fields =
@@ -116,8 +125,6 @@ let service =
           ("stale_rejected", Json.Int s.N.stale_rejected);
           ("stale_ok", Json.Int s.N.stale_ok);
           ("unexpected_fenced", Json.Int s.N.unexpected_fenced);
-          ("audit_near_misses", Json.Int s.N.audit_near_misses);
-          ("gaudit_violations", Json.Int s.N.gaudit_violations);
           ("peak_held", Json.Int s.N.peak_held);
           ("final_held", Json.Int s.N.final_held);
           ("livelocked", Json.Bool s.N.livelocked);
@@ -143,7 +150,6 @@ let service =
         ("violations", violations);
         ("livelocks", fun s -> flag s.N.livelocked);
         ("unexpected_fenced", fun s -> s.N.unexpected_fenced);
-        ("audit_near_misses", fun s -> s.N.audit_near_misses);
       ];
     checks =
       safety_checks
@@ -198,7 +204,7 @@ let sharded =
   let rt (s : N.summary) = s.N.router in
   {
     name = "sharded";
-    schema = "renaming.chaos-sharded/2";
+    schema = "renaming.chaos-sharded/3";
     default_sessions = 60_000;
     cells = sharded_cells;
     fields =
@@ -236,9 +242,6 @@ let sharded =
           ("stale_ops", Json.Int s.N.stale_ops);
           ("stale_rejected", Json.Int s.N.stale_rejected);
           ("stale_ok", Json.Int s.N.stale_ok);
-          ("audit_near_misses", Json.Int s.N.audit_near_misses);
-          ("gaudit_violations", Json.Int s.N.gaudit_violations);
-          ("gaudit_live", Json.Int s.N.gaudit_live);
           ("peak_held", Json.Int s.N.peak_held);
           ("final_held", Json.Int s.N.final_held);
           ("livelocked", Json.Bool s.N.livelocked);
@@ -262,7 +265,6 @@ let sharded =
         ("lost_tickets", fun s -> s.N.lost_tickets);
         ("stale_ops", fun s -> s.N.stale_ops);
         ("stale_ok", fun s -> s.N.stale_ok);
-        ("audit_near_misses", fun s -> s.N.audit_near_misses);
         ("violations", violations);
         ("livelocks", fun s -> flag s.N.livelocked);
       ];
@@ -333,7 +335,7 @@ let net =
   let fd (s : N.summary) = s.N.detector in
   {
     name = "net";
-    schema = "renaming.chaos-net/1";
+    schema = "renaming.chaos-net/2";
     default_sessions = 65_000;
     cells = net_cells;
     fields =
@@ -378,9 +380,6 @@ let net =
           ("stale_ops", Json.Int s.N.stale_ops);
           ("stale_rejected", Json.Int s.N.stale_rejected);
           ("stale_ok", Json.Int s.N.stale_ok);
-          ("audit_near_misses", Json.Int s.N.audit_near_misses);
-          ("gaudit_violations", Json.Int s.N.gaudit_violations);
-          ("gaudit_live", Json.Int s.N.gaudit_live);
           ("peak_held", Json.Int s.N.peak_held);
           ("final_held", Json.Int s.N.final_held);
           ("livelocked", Json.Bool s.N.livelocked);
@@ -414,7 +413,6 @@ let net =
         ("double_grants", fun s -> s.N.double_grants);
         ("stale_ops", fun s -> s.N.stale_ops);
         ("stale_ok", fun s -> s.N.stale_ok);
-        ("audit_near_misses", fun s -> s.N.audit_near_misses);
         ("violations", violations);
         ("livelocks", fun s -> flag s.N.livelocked);
       ];
@@ -448,7 +446,16 @@ let net =
 
 (* {2 The runner} *)
 
-type result = { runs : (string * int64 * N.summary) list; totals : (string * int) list }
+type run = { cell : string; seed : int64; summary : N.summary; refine_events : int; refine_held : int }
+type result = { runs : run list; totals : (string * int) list }
+
+(* What every run reports of the spec that judged it, after the
+   campaign's own fields and totals. *)
+let refine_fields r =
+  [
+    ("refine_events", Json.Int r.refine_events);
+    ("refine_held", Json.Int r.refine_held);
+  ]
 
 let run ?progress ?obs c ~sessions ~seeds =
   let cells = c.cells ~sessions in
@@ -456,21 +463,27 @@ let run ?progress ?obs c ~sessions ~seeds =
   let done_ = ref 0 in
   let runs =
     List.concat_map
-      (fun (name, cfg) ->
+      (fun (cell, cfg) ->
         Array.to_list
           (Array.map
              (fun seed ->
-               let s = N.run ?obs cfg ~seed in
+               let summary, refine = Lease_adapter.run ?obs cfg ~seed in
                incr done_;
                Option.iter (fun f -> f ~done_:!done_ ~total) progress;
-               (name, seed, s))
+               {
+                 cell;
+                 seed;
+                 summary;
+                 refine_events = Check.events refine;
+                 refine_held = Spec.held (Check.spec refine);
+               })
              seeds))
       cells
   in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
   let totals =
-    List.map
-      (fun (key, f) -> (key, List.fold_left (fun acc (_, _, s) -> acc + f s) 0 runs))
-      c.totals
+    List.map (fun (key, f) -> (key, sum (fun r -> f r.summary))) c.totals
+    @ [ ("refine_events", sum (fun r -> r.refine_events)) ]
   in
   Option.iter
     (fun o ->
@@ -497,8 +510,11 @@ let failures c r =
 let seed_string seed = Printf.sprintf "0x%Lx" seed
 
 let to_json c r =
-  let run_json (cell, seed, s) =
-    Json.Obj (("cell", Json.String cell) :: ("seed", Json.String (seed_string seed)) :: c.fields s)
+  let run_json run =
+    Json.Obj
+      (("cell", Json.String run.cell)
+      :: ("seed", Json.String (seed_string run.seed))
+      :: (c.fields run.summary @ refine_fields run))
   in
   Json.to_string
     (Json.Obj
@@ -511,9 +527,9 @@ let pp c fmt r =
   List.iter (fun (k, v) -> Format.fprintf fmt ",@ %d %s" v k) r.totals;
   Format.fprintf fmt "@]@.";
   List.iter
-    (fun (cell, seed, s) ->
-      let fields = c.fields s in
-      Format.fprintf fmt "  %-14s seed=%s" cell (seed_string seed);
+    (fun run ->
+      let fields = c.fields run.summary in
+      Format.fprintf fmt "  %-14s seed=%s" run.cell (seed_string run.seed);
       List.iter
         (fun k -> Format.fprintf fmt " %s=%s" k (Json.to_string (List.assoc k fields)))
         c.brief;

@@ -4,26 +4,32 @@
     A campaign is data: its JSON schema, its default sessions per cell,
     its cells (a name and a simulator config each), the JSON fields of
     one run, the totals summed over runs, and the checks a clean report
-    must pass — totals that must be 0 (safety: audit violations,
-    livelocks, wrong fences, fencing holes) and totals that must be
-    positive, so a clean report cannot come from a fault path silently
-    not running.  Every campaign demands that ghost replays fired
-    ([stale_ops > 0]).
+    must pass — totals that must be 0 (safety: violations, livelocks,
+    wrong fences, fencing holes) and totals that must be positive, so a
+    clean report cannot come from a fault path silently not running.
+    Every campaign demands that ghost replays fired ([stale_ops > 0]).
 
-    Every cell is a {!Net_churn} config:
+    Every run is judged by the refinement spec
+    ([Renaming_refine.Lease_adapter.run]): its first rejection ends the
+    run as its [violation], and every campaign demands that it heard
+    events ([refine_events > 0]).  Each run's JSON ends with
+    [refine_events] and [refine_held] (names the spec holds at the end,
+    leases of lost bodies included).
 
-    - {!service}: closed-loop churn against a single {!Service}, a
-      one-shard, one-slice {!Router} over {!Transport.perfect}:
+    Every cell is a {!Renaming_service.Net_churn} config:
+
+    - {!service}: closed-loop churn against a single service, a
+      one-shard, one-slice router over a perfect transport:
       utilization shedding, queue-only admission, a correlated client
       crash burst and Zipf-hot churn at crash rates of 25–35%, 150,000
-      sessions per cell by default (schema ["renaming.chaos-service/3"]).
-    - {!sharded}: four shards over {!Transport.perfect} — Zipf-skewed
+      sessions per cell by default (schema ["renaming.chaos-service/4"]).
+    - {!sharded}: four shards over a perfect transport — Zipf-skewed
       rebalancing, correlated shard crashes, crash-during-handoff and
-      stall routing (schema ["renaming.chaos-sharded/2"]).
+      stall routing (schema ["renaming.chaos-sharded/3"]).
     - {!net}: four shards over the unreliable transport — loss,
       duplication and reordering, directional partitions and silent
       shard crashes found by heartbeat loss (schema
-      ["renaming.chaos-net/1"]).
+      ["renaming.chaos-net/2"]).
 
     Runs are deterministic in their seeds, so the JSON is too. *)
 
@@ -38,10 +44,10 @@ type t = {
   name : string;  (** the CLI flag, and the [chaos_<name>/] obs prefix *)
   schema : string;
   default_sessions : int;  (** sessions per cell *)
-  cells : sessions:int -> (string * Net_churn.config) list;
-  fields : Net_churn.summary -> (string * Renaming_obs.Json.t) list;
+  cells : sessions:int -> (string * Renaming_service.Net_churn.config) list;
+  fields : Renaming_service.Net_churn.summary -> (string * Renaming_obs.Json.t) list;
       (** one run's JSON fields, written after its cell and seed *)
-  totals : (string * (Net_churn.summary -> int)) list;
+  totals : (string * (Renaming_service.Net_churn.summary -> int)) list;
       (** summed over runs; written in this order as [total_<name>] *)
   checks : check list;
   brief : string list;  (** the fields {!pp} prints for each run *)
@@ -51,9 +57,16 @@ val service : t
 val sharded : t
 val net : t
 
+type run = {
+  cell : string;
+  seed : int64;
+  summary : Renaming_service.Net_churn.summary;
+  refine_events : int;  (** events the refinement spec judged *)
+  refine_held : int;  (** names the spec held at the end *)
+}
+
 type result = {
-  runs : (string * int64 * Net_churn.summary) list;
-      (** (cell, seed, summary), cells × seeds in order *)
+  runs : run list;  (** cells × seeds in order *)
   totals : (string * int) list;
 }
 

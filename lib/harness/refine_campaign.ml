@@ -4,7 +4,6 @@ module Mcheck = Renaming_mcheck.Mcheck
 module Fuzz = Renaming_fuzz.Fuzz
 module Check = Renaming_refine.Check
 module Lease_adapter = Renaming_refine.Lease_adapter
-module Longlived = Renaming_longlived.Longlived
 module Net_churn = Renaming_service.Net_churn
 module Router = Renaming_service.Router
 module Transport = Renaming_service.Transport
@@ -171,18 +170,8 @@ let fuzz_stage ?obs ~smoke () =
 (* Net_churn runs observed through the router tap, one fresh spec per
    seed. *)
 let churn_stage ?obs ~name ~backend (cfg : Net_churn.config) seeds =
-  let rcfg = cfg.Net_churn.router in
-  let slice_width =
-    Longlived.namespace_for ~sessions:rcfg.Router.slice_capacity ~epsilon:rcfg.Router.epsilon
-  in
-  let namespace = rcfg.Router.slices * slice_width in
   let t = tally () in
-  List.iter
-    (fun seed ->
-      let adapter = Lease_adapter.create ?obs ~namespace () in
-      remember t (Lease_adapter.check adapter);
-      ignore (Net_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
-    seeds;
+  List.iter (fun seed -> remember t (snd (Lease_adapter.run ?obs cfg ~seed))) seeds;
   report ~name ~backend ~runs:(List.length seeds) t
 
 (* --- lease-service backend: closed-loop churn with crash-restart and

@@ -27,6 +27,32 @@ val observe : t -> Obs_event.t -> [ `Ok | `Violation of violation ]
     can count several violations (the first is kept in
     {!first_violation}). *)
 
+(** {2 Timed lease events}
+
+    The {!Spec} timed transitions ({!Spec.at} and the rest), each one
+    event.  A rejection is recorded against the event it stands for:
+    [Granted] for a lease, [Claimed] for a renewal or a use, and
+    [Reclaimed] for an absorb.  Nothing is allocated unless the event
+    is rejected, so a renewal or a use costs no allocation. *)
+
+val observe_at : t -> now:float -> Obs_event.t -> [ `Ok | `Violation of violation ]
+
+val lease :
+  t ->
+  now:float ->
+  session:int ->
+  name:int ->
+  expires:float ->
+  slice:int ->
+  capacity:int ->
+  [ `Ok | `Violation of violation ]
+
+val renew :
+  t -> now:float -> session:int -> name:int -> expires:float -> [ `Ok | `Violation of violation ]
+
+val use : t -> now:float -> session:int -> name:int -> [ `Ok | `Violation of violation ]
+val absorb : t -> now:float -> session:int -> name:int -> [ `Ok | `Violation of violation ]
+
 val stutter : t -> unit
 (** Count one adapter-level stutter: an internal backend event
     (renewal, retransmit, dedup replay, handoff) heard and mapped to

@@ -3,8 +3,9 @@
     read in a sitting.
 
     State: which session holds which name, plus per-session
-    invoked/crashed flags.  The safety invariants are enabledness
-    conditions on {!apply}:
+    invoked/crashed flags, and for the lease backends a clock, each
+    held lease's expiry and each slice's held count.  The safety
+    invariants are enabledness conditions on {!apply}:
 
     - {b uniqueness}: [Granted] is disabled while another session holds
       the name;
@@ -24,6 +25,7 @@
       old name is a stutter), but the recovered re-run may win a fresh
       name without tripping the one-claim rule.
 
+    The lease backends add time ({!section-timed}).
     A backend trace refines the spec iff every adapted event is either
     an enabled transition ([`Step]), or changes nothing ([`Stutter]).
     [`Reject] names the first inexplicable event. *)
@@ -50,9 +52,47 @@ val apply : t -> Obs_event.t -> verdict
 val holder : t -> name:int -> int option
 (** The session currently holding [name], if any. *)
 
-(* lint: allow unused-export — test hook: observes the spec state *)
 val held : t -> int
 (** Names currently held. *)
+
+(** {2:timed The timed lease rules}
+
+    The lease backends run on a clock, and a lease lasts until an
+    expiry its holder may push forward.  Their adapter
+    ([Lease_adapter]) stamps each event with the clock and calls the
+    functions below, which add these rules:
+
+    - [time-regression]: no timed event is enabled before the clock;
+    - [over-capacity]: a slice (one lease table) holds at most its
+      capacity;
+    - [expiry-regression]: a renewal never moves an expiry back;
+    - [early-reclaim], [early-absorb]: a reclaim or a router's slice
+      absorb takes a name from its holder, so it is enabled only once
+      the holder's lease has expired;
+    - an accepted renewal or use is a claim by the holder.
+
+    An accepted timed event moves the clock to its [now] (time alone
+    makes no step); a rejected one changes nothing.  An untimed grant
+    has already expired, and {!apply} judges a [Reclaimed] at the
+    clock. *)
+
+val at : t -> now:float -> Obs_event.t -> verdict
+(** {!apply} at [now]. *)
+
+val lease :
+  t -> now:float -> session:int -> name:int -> expires:float -> slice:int -> capacity:int -> verdict
+(** [Granted] until [expires], from slice [slice] (an index below the
+    namespace) of at most [capacity] names. *)
+
+val renew : t -> now:float -> session:int -> name:int -> expires:float -> verdict
+(** A claim that moves the holder's expiry to [expires]: a [`Step], or
+    a [`Stutter] if it stays put. *)
+
+val use : t -> now:float -> session:int -> name:int -> verdict
+(** A claim: a [`Stutter]. *)
+
+val absorb : t -> now:float -> session:int -> name:int -> verdict
+(** The holder loses [name] to a slice absorb. *)
 
 (* lint: allow unused-export — test hook: compares spec states *)
 val snapshot : t -> string

@@ -127,7 +127,7 @@ let release t ~fence ~now =
     Ok held_for
   end
 
-type reclaimed = { r_fence : fence; r_expired_at : float; r_lateness : float }
+type reclaimed = { r_fence : fence; r_lateness : float }
 
 let reclaim_expired t ~now =
   let rec drain acc =
@@ -144,12 +144,10 @@ let reclaim_expired t ~now =
            heap entry will cover it. *)
         drain acc
       else begin
-        let expired_at = t.expiries.(name) in
         let fence = { f_name = name; f_session = t.holders.(name); f_epoch = epoch } in
+        let r_lateness = now -. t.expiries.(name) in
         free_slot t ~name;
-        drain
-          ({ r_fence = fence; r_expired_at = expired_at; r_lateness = now -. expired_at }
-          :: acc)
+        drain ({ r_fence = fence; r_lateness } :: acc)
       end
     end
   in

@@ -60,7 +60,7 @@ val release : t -> fence:fence -> now:float -> (float, [ `Fenced ]) result
 (** Voluntary release; returns the held duration.  Bumps the epoch so
     the released fence is dead immediately. *)
 
-type reclaimed = { r_fence : fence; r_expired_at : float; r_lateness : float }
+type reclaimed = { r_fence : fence; r_lateness : float }
 (** [r_lateness = reclaim time − expiry]: how long the name sat expired
     before the sweep caught it. *)
 

@@ -187,9 +187,6 @@ type summary = {
   final_held : int;
   livelocked : bool;
   violation : (string * string) option;
-  audit_near_misses : int;
-  gaudit_violations : int;
-  gaudit_live : int;
   net : Transport.stats;
   dedup : Dedup.stats;
   detector : Router.detector_stats;
@@ -1051,9 +1048,6 @@ let run ?obs ?tap (cfg : config) ~seed =
       final_held = 0;
       livelocked = false;
       violation = None;
-      audit_near_misses = 0;
-      gaudit_violations = 0;
-      gaudit_live = 0;
       net = Transport.stats net;
       dedup = dedup_retired;
       detector = Option.get (Router.detector_stats router);
@@ -1215,9 +1209,6 @@ let run ?obs ?tap (cfg : config) ~seed =
     final_held = Router.total_held router;
     livelocked = !livelocked;
     violation = !violation;
-    audit_near_misses = Router.audit_near_misses router;
-    gaudit_violations = Router.gaudit_violations router;
-    gaudit_live = Router.gaudit_live router;
     service = Service.sum_stats bodies;
     h_probes = hist Service.probes_hist;
     h_reclaim = hist Service.reclaim_lateness_hist;

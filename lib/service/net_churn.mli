@@ -39,10 +39,11 @@
     renew sent into a dark shard is lost, and the renew reply carries
     the exact expiry the service set.
 
-    The run aborts on the first audit violation, and additionally audits
-    {e at-most-once} end-to-end: a request id whose acquire executes
-    effectfully twice without the slice provably losing its body in
-    between is a [double_grants] — the exact failure the dedup window
+    The run aborts on the first {!Audit.Violation} its tap raises (the
+    refinement spec, when [Renaming_refine.Lease_adapter] is attached),
+    and additionally audits {e at-most-once} end-to-end: a request id
+    whose acquire executes effectfully twice without the slice provably
+    losing its body in between is a [double_grants] — the exact failure the dedup window
     bound exists to prevent (docs/fault_model.md §8).  The audit forgets
     a grant once no copy of its request can still arrive (the retransmit
     horizon plus two delivery bounds), and ghosts reuse the network
@@ -187,9 +188,8 @@ type summary = {
   final_held : int;
   livelocked : bool;  (** hit the guard of 2·10^8 timers and deliveries *)
   violation : (string * string) option;
-  audit_near_misses : int;
-  gaudit_violations : int;
-  gaudit_live : int;
+      (** the kind and message of the {!Audit.Violation} that ended the
+          run: a tap's, such as the refinement spec's ["refine:*"] kinds *)
   net : Transport.stats;
   dedup : Dedup.stats;  (** aggregated over every slice table, including
                             tables retired by crashes *)
@@ -216,7 +216,8 @@ val run :
   seed:int64 ->
   summary
 (** Deterministic for a given [(config, seed)].  [?tap] is passed
-    through to {!Router.create} (audit events + slice absorbs, for the
-    refinement harness).  Observation only — retransmits, dedup
-    replays and fenced ghosts are invisible at the audit level and
-    refine to stutters for free. *)
+    through to {!Router.create} (service events + slice absorbs, for
+    the refinement spec).  Observation only, up to the first
+    {!Audit.Violation} it raises — retransmits, dedup replays and
+    fenced ghosts never reach the tap as effects and refine to
+    stutters for free. *)

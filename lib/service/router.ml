@@ -55,61 +55,6 @@ type entry =
   | In_transit of { from_ : int; to_ : int; epoch : int; since : float }
   | Orphaned of { last : int; epoch : int; since : float }
 
-(* Cross-shard mirror of global name ownership, fed by every slice
-   service's audit tap.  Independent of the lease tables and of the
-   per-slice auditors: it is the only component that can see two shards
-   both granting the same global name. *)
-module Gaudit = struct
-  type t = {
-    width : int;
-    grace : float;
-    holders : int array;  (* global slot -> session, -1 when free *)
-    mutable violations : int;
-    mutable absorbs : int;
-  }
-
-  let create ~slices ~width ~grace =
-    { width; grace; holders = Array.make (slices * width) (-1); violations = 0; absorbs = 0 }
-
-  let fail g ~kind fmt =
-    Printf.ksprintf
-      (fun message ->
-        g.violations <- g.violations + 1;
-        raise (Audit.Violation { kind; message }))
-      fmt
-
-  let on_event g ~slice (ev : Audit.event) =
-    let idx (f : Lease.fence) = (slice * g.width) + f.Lease.f_name in
-    match ev with
-    | Audit.Granted { fence; _ } ->
-      let i = idx fence in
-      if g.holders.(i) >= 0 then
-        fail g ~kind:"global-double-grant"
-          "slice %d name %d granted to session %d while session %d holds it globally"
-          slice fence.Lease.f_name fence.Lease.f_session g.holders.(i)
-      else g.holders.(i) <- fence.Lease.f_session
-    | Audit.Released { fence; accepted = true } ->
-      g.holders.(idx fence) <- -1
-    | Audit.Reclaimed { fence; _ } -> g.holders.(idx fence) <- -1
-    | Audit.Renewed _ | Audit.Validated _ | Audit.Released { accepted = false; _ } -> ()
-
-  (* Clearing a slice's global slots is only sound once every lease the
-     lost body could have issued has expired — the absorb-after-expiry
-     rule, enforced here so a too-eager router is itself a violation. *)
-  let absorb g ~slice ~now ~since =
-    if now -. since < g.grace then
-      fail g ~kind:"early-absorb"
-        "slice %d absorbed %.3f after orphaning; grace is %.3f" slice (now -. since)
-        g.grace;
-    for k = slice * g.width to ((slice + 1) * g.width) - 1 do
-      g.holders.(k) <- -1
-    done;
-    g.absorbs <- g.absorbs + 1
-
-  let live g =
-    Array.fold_left (fun acc h -> if h >= 0 then acc + 1 else acc) 0 g.holders
-end
-
 type stats = {
   mutable handoffs_started : int;
   mutable handoffs_completed : int;
@@ -161,9 +106,8 @@ type counters = {
   c_adoptions : Metrics.counter;
 }
 
-(* External observation of the audit-relevant surface: every per-slice
-   audit event (after the global mirror has accepted it) plus every
-   slice absorb.  The refinement harness's cross-backend checker rides
+(* External observation of the safety-relevant surface: every per-slice
+   service event plus every slice absorb.  The refinement spec rides
    this; clean handoffs move slice bodies intact and are deliberately
    invisible here. *)
 type tap_event =
@@ -191,7 +135,6 @@ type t = {
   due : deadlines;
   shards : Shard.t array;
   dir : entry array;
-  gaudit : Gaudit.t;
   slice_width : int;
   st : stats;
   obs : Obs.t option;
@@ -214,11 +157,8 @@ let slice_service t ~slice ~epoch =
     Admission.make_config ~queue_limit:t.cfg.queue_limit
       ~request_timeout:t.cfg.request_timeout ~high_water:t.cfg.high_water ()
   in
-  Service.create ?obs:t.obs ~wake:t.wake
-    ~tap:(fun ~now ev ->
-      Gaudit.on_event t.gaudit ~slice ev;
-      match t.tap with Some f -> f (Tap_audit { slice; now; ev }) | None -> ())
-    ~clock:t.clock ~rng
+  let tap = Option.map (fun f ~now ev -> f (Tap_audit { slice; now; ev })) t.tap in
+  Service.create ?obs:t.obs ?tap ~wake:t.wake ~clock:t.clock ~rng
     { Service.lease; admission }
 
 let create ?obs ?tap ~clock ~seed cfg =
@@ -251,7 +191,6 @@ let create ?obs ?tap ~clock ~seed cfg =
         { hb_oldest = infinity; suspicion = infinity; since_oldest = infinity };
       shards = Array.init cfg.shards (fun id -> Shard.create ~id ~wake);
       dir = Array.make cfg.slices (Owned { shard = 0; epoch = 0 });
-      gaudit = Gaudit.create ~slices:cfg.slices ~width:slice_width ~grace:cfg.grace;
       slice_width;
       st =
         {
@@ -315,17 +254,6 @@ let total_held t =
     n := !n + Shard.held t.shards.(id)
   done;
   !n
-
-let audit_near_misses t =
-  Array.fold_left
-    (fun acc sh ->
-      List.fold_left
-        (fun acc (sl : Shard.slice) -> acc + Service.audit_near_misses sl.Shard.sl_svc)
-        acc (Shard.slices sh))
-    0 t.shards
-
-let gaudit_violations t = t.gaudit.Gaudit.violations
-let gaudit_live t = Gaudit.live t.gaudit
 
 (* Routing availability: the detector's view when one is enabled (the
    router then has no direct knowledge of shard status), the shard's
@@ -728,7 +656,6 @@ let adopt_orphans t ~now =
       match coldest_alive t ~now () with
       | None -> ()  (* nobody left: the slice stays dark, never unsafe *)
       | Some (_, adopter) ->
-        Gaudit.absorb t.gaudit ~slice ~now ~since;
         (match t.tap with Some f -> f (Tap_absorb { slice; now }) | None -> ());
         let sl =
           {

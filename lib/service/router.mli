@@ -31,10 +31,12 @@
     availability).  Stale clients of the old body are fenced by the
     fresh lease table.
 
-    {b Cross-shard audit.}  Every slice service's audit stream is tapped
-    into a global mirror asserting that no global name is ever backed by
-    two live leases — the only observer that can see two shards granting
-    the same name — and that no absorb fires before its grace. *)
+    {b Observation.}  The router checks no safety property itself.  Its
+    tap ({!create}'s [?tap]) hears every slice service's events, tagged
+    with the slice, and every absorb — the stream on which the
+    refinement spec ([Renaming_refine.Lease_adapter]) judges that no
+    global name is ever backed by two live leases and that no absorb
+    takes a lease before it expired. *)
 
 type config = {
   shards : int;
@@ -75,11 +77,12 @@ val make_config :
 
 type t
 
-(** External observation of the audit-relevant surface: every per-slice
-    audit event (delivered after the cross-shard mirror accepted it)
-    plus every slice absorb.  The refinement harness taps this to feed
-    its centralized spec; clean handoffs move slice bodies intact and
-    are deliberately invisible here (they refine to stutters). *)
+(** External observation of the safety-relevant surface: every
+    per-slice {!Audit.event} plus every slice absorb, each with the
+    clock's reading.  The refinement harness taps this to feed its
+    centralized spec; clean handoffs move slice bodies intact and are
+    deliberately invisible here (they refine to stutters).  Without a
+    tap no event is built. *)
 type tap_event =
   | Tap_audit of { slice : int; now : float; ev : Audit.event }
   | Tap_absorb of { slice : int; now : float }
@@ -260,10 +263,3 @@ val in_transit : t -> (int * int * int) list
 
 val shard : t -> id:int -> Shard.t
 val total_held : t -> int
-
-val audit_near_misses : t -> int
-(** Sum of the resident slice auditors' near-miss counters. *)
-
-val gaudit_violations : t -> int
-val gaudit_live : t -> int
-(** Names the cross-shard mirror believes are live, over all slices. *)

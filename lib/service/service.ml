@@ -45,7 +45,6 @@ type t = {
   rng : Renaming_rng.Xoshiro.t;
   lease : Lease.t;
   admission : Admission.t;
-  audit : Audit.t;
   tap : (now:float -> Audit.event -> unit) option;
   wake : wake option;
   st : stats;
@@ -82,7 +81,6 @@ let create ?obs ?tap ?wake ~clock ~rng (cfg : config) =
     rng;
     lease;
     admission = Admission.create cfg.admission;
-    audit = Audit.create ?obs ~capacity:cfg.lease.Lease.capacity ~slots:(Lease.slots lease) ();
     tap;
     wake;
     st =
@@ -107,13 +105,6 @@ let create ?obs ?tap ?wake ~clock ~rng (cfg : config) =
 
 let bump t f = match t.counters with Some c -> Metrics.incr (f c) | None -> ()
 
-(* The audit mirror sees every event first (it may raise); the optional
-   tap then hears the same stream — the sharded router uses this to feed
-   its cross-shard global-uniqueness mirror. *)
-let observe t ~now event =
-  Audit.observe t.audit ~now event;
-  match t.tap with Some f -> f ~now event | None -> ()
-
 let capacity t = t.cfg.lease.Lease.capacity
 let ttl t = t.cfg.lease.Lease.ttl
 
@@ -137,15 +128,16 @@ let note_held t =
 
 (* Every entry point reclaims first: expiry work is driven by whoever
    touches the service, so no background thread is needed and the
-   auditor always sees reclaims before any operation at the same
-   instant could observe the freed slot.  Nothing due (the common case)
+   tap always hears reclaims before any operation at the same instant
+   could observe the freed slot.  Nothing due (the common case)
    returns before the closure and the list are built. *)
 let reclaim t ~now =
   if Lease.due t.lease ~now then
     List.iter
       (fun (r : Lease.reclaimed) ->
-        observe t ~now
-          (Audit.Reclaimed { fence = r.Lease.r_fence; expired_at = r.Lease.r_expired_at });
+        (match t.tap with
+        | Some f -> f ~now (Audit.Reclaimed { fence = r.Lease.r_fence })
+        | None -> ());
         t.st.reclaims <- t.st.reclaims + 1;
         bump t (fun c -> c.c_reclaims);
         note_held t;
@@ -158,8 +150,11 @@ let do_grant t ~session ~now =
   match Lease.acquire t.lease ~session ~now ~rng:t.rng with
   | Error `At_capacity -> invalid_arg "Service.do_grant: called at capacity"
   | Ok grant ->
-    observe t ~now
-      (Audit.Granted { fence = grant.Lease.g_fence; expires = now +. ttl t });
+    (match t.tap with
+    | Some f ->
+      f ~now
+        (Audit.Granted { fence = grant.Lease.g_fence; expires = now +. ttl t; capacity = capacity t })
+    | None -> ());
     t.st.grants <- t.st.grants + 1;
     bump t (fun c -> c.c_grants);
     note_held t;
@@ -201,8 +196,11 @@ let renew t ~fence =
   reclaim t ~now;
   let result = Lease.renew t.lease ~fence ~now in
   let accepted = Result.is_ok result in
-  let expires = match result with Ok e -> e | Error `Fenced -> 0. in
-  observe t ~now (Audit.Renewed { fence; expires; accepted });
+  (match t.tap with
+  | Some f ->
+    let expires = match result with Ok e -> e | Error `Fenced -> 0. in
+    f ~now (Audit.Renewed { fence; expires; accepted })
+  | None -> ());
   if accepted then begin
     t.st.renews <- t.st.renews + 1;
     bump t (fun c -> c.c_renews)
@@ -222,7 +220,7 @@ let use t ~fence =
   reclaim t ~now;
   let result = Lease.validate t.lease ~fence in
   let accepted = Result.is_ok result in
-  observe t ~now (Audit.Validated { fence; accepted });
+  (match t.tap with Some f -> f ~now (Audit.Validated { fence; accepted }) | None -> ());
   t.st.validates <- t.st.validates + 1;
   if not accepted then begin
     t.st.fenced <- t.st.fenced + 1;
@@ -235,7 +233,7 @@ let release t ~fence =
   reclaim t ~now;
   let result = Lease.release t.lease ~fence ~now in
   let accepted = Result.is_ok result in
-  observe t ~now (Audit.Released { fence; accepted });
+  (match t.tap with Some f -> f ~now (Audit.Released { fence; accepted }) | None -> ());
   (match result with
   | Ok held_for ->
     t.st.releases <- t.st.releases + 1;
@@ -328,9 +326,6 @@ let held t = Lease.held t.lease
 let slots t = Lease.slots t.lease
 let queue_depth t = Admission.depth t.admission
 let deadline_expired t = Admission.expired_total t.admission
-let audit_live t = Audit.live t.audit
-let audit_near_misses t = Audit.near_misses t.audit
-let audit_violations t = Audit.violations t.audit
 let probes_hist t = t.h_probes
 let reclaim_lateness_hist t = t.h_reclaim
 let queue_wait_hist t = t.h_wait

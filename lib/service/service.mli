@@ -2,9 +2,12 @@
 
     One object ties the pieces together: the {!Lease} table (names,
     TTLs, fencing epochs), the {!Admission} queue (bounded waiting,
-    shedding, request deadlines), an independent {!Audit} mirror that
-    raises on any safety violation, and telemetry (plain counters always,
+    shedding, request deadlines), an optional tap that hears every
+    {!Audit.event}, and telemetry (plain counters always,
     {!Renaming_obs.Obs} registration when a capability is supplied).
+    The service checks no safety property itself: a caller that wants
+    one judged attaches the refinement spec to the tap
+    ([Renaming_refine.Lease_adapter]).
 
     Time comes exclusively from the injected {!Renaming_clock.Clock} —
     the service never reads the wall clock — so simulated runs are
@@ -41,11 +44,11 @@ val create :
   rng:Renaming_rng.Xoshiro.t ->
   config ->
   t
-(** [?tap] hears every audit event after the mirror has accepted it —
-    the sharded router uses it to feed a cross-shard global-uniqueness
-    mirror without the service knowing about shards.  [?wake] is the
-    cell this body lowers (see {!wake}); without one it lowers
-    nothing. *)
+(** [?tap] hears every {!Audit.event}, stamped with the clock's
+    reading; without one no event is built.  The router uses it to
+    forward each slice's events, tagged with the slice, without the
+    service knowing about shards.  [?wake] is the cell this body lowers
+    (see {!wake}); without one it lowers nothing. *)
 
 (** {2 Client operations} *)
 
@@ -77,7 +80,7 @@ val pump : t -> completion list
     from the queue head while capacity allows.
 
     Before {!next_due}, [pump] returns [[]] and changes nothing: no
-    statistic, histogram, counter or audit event moves.  That check is
+    statistic, histogram, counter or tap event moves.  That check is
     all an idle pump costs, and it allocates nothing: it reads the queue
     depth and asks {!Lease.due}, a [bool], rather than comparing with
     the float {!next_due}, which would come back boxed.
@@ -125,16 +128,6 @@ val deadline_expired : t -> int
     ({!Admission.expired_total}); also published as the
     [admission/deadline_expired] obs counter when the service was
     created with [?obs]. *)
-
-(* lint: allow unused-export — test hook: observes the audit *)
-val audit_live : t -> int
-
-val audit_near_misses : t -> int
-(** Stale operations the audit mirror saw correctly fenced. *)
-
-(* lint: allow unused-export — test hook: observes the audit *)
-val audit_violations : t -> int
-(** Violations the audit mirror detected (each also raised). *)
 
 val probes_hist : t -> Renaming_obs.Hist.t
 (** Probes per grant. *)

@@ -2,14 +2,17 @@
 
    [soak_net.exe] runs the default lossy [Net_churn] configuration at
    10^5 and at 10^6 sessions, each in a fresh process of its own
-   ([soak_net.exe --run N]), and exits 1 if the long run's peak major
-   heap is more than 1.25 times the short run's, or if either run is
-   unsafe.  State that grows with the number of sessions (a table that
+   ([soak_net.exe --run N]), with the refinement spec on the router's
+   tap as every chaos run has it, and exits 1 if the long run's peak
+   major heap is more than 1.25 times the short run's, or if either
+   run is unsafe.  State that grows with the number of sessions (a table that
    never forgets, a queue that never drains) fails it; state bounded by
    the number of clients, slices and messages in flight does not. *)
 
 module Net_churn = Renaming_service.Net_churn
 module Transport = Renaming_service.Transport
+module Lease_adapter = Renaming_refine.Lease_adapter
+module Check = Renaming_refine.Check
 
 let short = 100_000
 let long = 1_000_000
@@ -19,9 +22,12 @@ let run sessions =
   let faults =
     Transport.make_faults ~drop:0.05 ~duplicate:0.05 ~reorder:0.1 ~reorder_extra:0.05 ()
   in
-  let s = Net_churn.run (Net_churn.make_config ~sessions_target:sessions ~faults ()) ~seed:1L in
+  let s, refine =
+    Lease_adapter.run (Net_churn.make_config ~sessions_target:sessions ~faults ()) ~seed:1L
+  in
   let safe =
     s.Net_churn.violation = None && (not s.Net_churn.livelocked) && s.Net_churn.double_grants = 0
+    && Check.events refine > 0
   in
   Printf.printf "%d %d %b\n" s.Net_churn.sessions (Gc.quick_stat ()).Gc.top_heap_words safe
 

@@ -251,12 +251,16 @@ let test_lint_parse_error_is_a_finding () =
 
 (* --- the unused-export rule, over test/unused_fixture --- *)
 
-(* Tests run in _build/default/test; the typed trees name their sources
-   relative to _build/default. *)
+(* The typed trees name their sources relative to _build/default, where
+   dune copies the sources too.  The test executable lives in
+   _build/default/test, so the root is found from it, not from the
+   working directory. *)
+let build_default = Filename.dirname (Filename.dirname Sys.executable_name)
+
 let fixture =
   {
-    Unused_export.src_root = "..";
-    build_root = "..";
+    Unused_export.src_root = build_default;
+    build_root = build_default;
     exports = [ "test/unused_fixture/lib" ];
     users = [ "test/unused_fixture/bin" ];
     tests = [ "test/unused_fixture/test" ];
@@ -282,16 +286,23 @@ let test_unused_export_fixture () =
        (fun f -> f.Lint.l_file = "test/unused_fixture/lib/fixture.mli" && f.Lint.l_rule = "unused-export")
        r.Unused_export.findings)
 
-(* A copy of the fixture's sources under a scratch root: one edited
-   since it was compiled, one never compiled. *)
+(* A copy of the fixture's library sources under a scratch root (its
+   user and test directories there are empty): one edited since it was
+   compiled, one never compiled. *)
 let test_unused_export_stale_or_missing_unit_fails () =
   let root = Filename.temp_dir "unused-export" "" in
   let dir = Filename.concat root "test/unused_fixture/lib" in
   let write name contents =
     Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc contents)
   in
-  let read name = In_channel.with_open_bin (Filename.concat "unused_fixture/lib" name) In_channel.input_all in
-  ignore (Sys.command (Filename.quote_command "mkdir" [ "-p"; dir ]));
+  let read name =
+    In_channel.with_open_bin
+      (Filename.concat (Filename.concat build_default "test/unused_fixture/lib") name)
+      In_channel.input_all
+  in
+  List.iter
+    (fun d -> ignore (Sys.command (Filename.quote_command "mkdir" [ "-p"; Filename.concat root d ])))
+    [ "test/unused_fixture/lib"; "test/unused_fixture/bin"; "test/unused_fixture/test" ];
   Fun.protect
     ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; root ])))
     (fun () ->
@@ -309,6 +320,18 @@ let test_unused_export_stale_or_missing_unit_fails () =
         (List.map (fun f -> (f.Lint.l_file, f.Lint.l_message)) r.Unused_export.findings);
       check Alcotest.bool "none waivable" true
         (List.for_all (fun f -> not f.Lint.l_waived) r.Unused_export.findings))
+
+(* A root that is not there is an error, not an empty tree that passes. *)
+let test_unused_export_missing_root_fails () =
+  let missing = Filename.concat build_default "no-such-directory" in
+  let raises f =
+    match f () with _ -> false | exception Sys_error _ -> true
+  in
+  check Alcotest.bool "a missing source root" true
+    (raises (fun () -> Unused_export.run { fixture with Unused_export.src_root = missing }));
+  check Alcotest.bool "a missing build root" true
+    (raises (fun () -> Unused_export.run { fixture with Unused_export.build_root = missing }));
+  check Alcotest.bool "a missing lint root" true (raises (fun () -> Lint.lint_dir missing))
 
 (* --- the aggregate driver --- *)
 
@@ -416,6 +439,7 @@ let tests =
         Alcotest.test_case "fixture findings" `Quick test_unused_export_fixture;
         Alcotest.test_case "stale or missing unit fails" `Quick
           test_unused_export_stale_or_missing_unit_fails;
+        Alcotest.test_case "a missing root fails" `Quick test_unused_export_missing_root_fails;
         Alcotest.test_case "findings gate the layer" `Quick test_unused_export_gates_analyze;
       ] );
     ( "analysis.analyze",

@@ -158,6 +158,20 @@ let test_spec_lease_mode () =
   check verdict "uniqueness still binds" (`Reject "name-held")
     (Spec.apply t (Obs_event.Granted { session = 1; name = 0 }))
 
+let test_spec_lease_mode_forgets_sessions () =
+  (* Lease sessions are minted per attempt: one that holds nothing is
+     forgotten, so the spec's state is bounded by the names held. *)
+  let t = spec ~one_shot:false () in
+  check (Alcotest.list verdict) "invoke, grant, release"
+    [ `Step; `Step; `Step ]
+    (feed t
+       [
+         Obs_event.Invoked { session = 1 };
+         Obs_event.Granted { session = 1; name = 0 };
+         Obs_event.Released { session = 1; name = 0 };
+       ]);
+  check Alcotest.string "nothing left" "holders:\nsessions:" (Spec.snapshot t)
+
 let test_spec_crash_abandons_claims () =
   let t = spec () in
   check (Alcotest.list verdict) "grant, crash"
@@ -250,6 +264,59 @@ let qcheck_spec_invariants =
           if Spec.held t <> !held then
             QCheck.Test.fail_report "held count disagrees with the holder map")
         evs;
+      true)
+
+(* Timed lease traces over two slices of two names, each of capacity
+   1: a rejected event changes nothing, the clock never goes back, and
+   no slice ever holds more than its capacity. *)
+type timed = Lease of int * int * float | Renew of int * int * float | Use of int * int | Plain of Obs_event.t | Absorb of int * int
+
+let timed_arb =
+  let open QCheck.Gen in
+  let session = int_range 0 2 and name = int_range 0 3 and time = map float_of_int (int_range 0 6) in
+  let op =
+    oneof
+      [
+        map3 (fun s n e -> Lease (s, n, e)) session name time;
+        map3 (fun s n e -> Renew (s, n, e)) session name time;
+        map2 (fun s n -> Use (s, n)) session name;
+        map2 (fun s n -> Plain (Obs_event.Released { session = s; name = n })) session name;
+        map2 (fun s n -> Plain (Obs_event.Reclaimed { session = s; name = n })) session name;
+        map2 (fun s n -> Absorb (s, n)) session name;
+      ]
+  in
+  QCheck.make (list_size (int_range 0 40) (pair time op))
+
+let qcheck_spec_timed =
+  QCheck.Test.make ~name:"spec: timed rejects change nothing, clock and capacity hold" ~count:300
+    timed_arb (fun trace ->
+      let t = spec ~one_shot:false () in
+      let clock = ref neg_infinity in
+      List.iter
+        (fun (now, op) ->
+          let before = Spec.snapshot t in
+          let v =
+            match op with
+            | Lease (session, name, expires) ->
+                Spec.lease t ~now ~session ~name ~expires ~slice:(name / 2) ~capacity:1
+            | Renew (session, name, expires) -> Spec.renew t ~now ~session ~name ~expires
+            | Use (session, name) -> Spec.use t ~now ~session ~name
+            | Plain ev -> Spec.at t ~now ev
+            | Absorb (session, name) -> Spec.absorb t ~now ~session ~name
+          in
+          (match v with
+          | `Reject _ ->
+              if Spec.snapshot t <> before then
+                QCheck.Test.fail_report "a rejected timed event changed the state"
+          | `Step | `Stutter ->
+              if now < !clock then QCheck.Test.fail_report "an event before the clock was accepted";
+              clock := now);
+          for slice = 0 to 1 do
+            let held name = Spec.holder t ~name <> None in
+            if held (2 * slice) && held ((2 * slice) + 1) then
+              QCheck.Test.fail_report "a slice holds more than its capacity"
+          done)
+        trace;
       true)
 
 let relabel perm ev =
@@ -353,7 +420,7 @@ let test_lease_adapter_clean_churn () =
   check Alcotest.bool "churn ran" true (summary.Net_churn.sessions >= 150);
   check Alcotest.int "no violations" 0 (Check.violations c);
   check Alcotest.bool "grants heard" true (Check.steps c > 0);
-  check Alcotest.bool "renewals stuttered" true (Check.stutters c > 0)
+  check Alcotest.bool "fenced operations and uses stuttered" true (Check.stutters c > 0)
 
 let test_observation_changes_nothing_service () =
   let bare = Net_churn.run (churn_config ()) ~seed:7L in
@@ -447,10 +514,13 @@ let tests =
         Alcotest.test_case "spec: fencing" `Quick test_spec_fencing;
         Alcotest.test_case "spec: one-shot invocation discipline" `Quick
           test_spec_one_shot_invocation;
+        Alcotest.test_case "spec: lease mode forgets an empty session" `Quick
+          test_spec_lease_mode_forgets_sessions;
         Alcotest.test_case "spec: lease mode" `Quick test_spec_lease_mode;
         Alcotest.test_case "spec: crash abandons claims" `Quick test_spec_crash_abandons_claims;
         QCheck_alcotest.to_alcotest qcheck_spec_deterministic;
         QCheck_alcotest.to_alcotest qcheck_spec_invariants;
+        QCheck_alcotest.to_alcotest qcheck_spec_timed;
         QCheck_alcotest.to_alcotest qcheck_spec_session_symmetry;
         Alcotest.test_case "announce model: clean under fair schedules" `Quick
           test_announce_model_clean_round_robin;

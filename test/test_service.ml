@@ -1,6 +1,6 @@
 (* Tests for the lease-based renaming service: the deterministic heap,
    the lease table (fencing, expiry, reclamation), the admission queue,
-   session minting, the independent audit mirror, the service façade
+   session minting, the refinement spec on the event stream, the service façade
    under a hand-driven clock, and determinism of the churn simulations. *)
 
 module Heap = Renaming_service.Heap
@@ -14,6 +14,9 @@ module Shard = Renaming_service.Shard
 module Transport = Renaming_service.Transport
 module Dedup = Renaming_service.Dedup
 module Net_churn = Renaming_service.Net_churn
+module Lease_adapter = Renaming_refine.Lease_adapter
+module Check = Renaming_refine.Check
+module Spec = Renaming_refine.Spec
 module Clock = Renaming_clock.Clock
 module Xoshiro = Renaming_rng.Xoshiro
 module Obs = Renaming_obs.Obs
@@ -173,7 +176,8 @@ let test_minter_unique_across_blocks () =
   check Alcotest.bool "probes counted" true (Minter.probes m >= 100)
 
 (* ------------------------------------------------------------------ *)
-(* Audit mirror: each invariant fires on a contradicting stream.      *)
+(* The refinement spec on the service's event stream: each lease-path *)
+(* rule fires on a contradicting stream fed through the router tap.   *)
 
 let expect_violation ~kind f =
   match f () with
@@ -184,41 +188,83 @@ let expect_violation ~kind f =
 let fence ~name ~session ~epoch =
   { Lease.f_name = name; f_session = session; f_epoch = epoch }
 
+(* Two slices of 8 names, each a lease table of capacity 4. *)
+let slice_width = 8
+
+let spec_tap () =
+  let adapter = Lease_adapter.create ~namespace:(2 * slice_width) () in
+  let tap = Lease_adapter.router_tap adapter ~slice_width in
+  (adapter, fun ?(slice = 0) ~now ev -> tap (Router.Tap_audit { slice; now; ev }))
+
+let granted ?(epoch = 1) ~name ~session expires =
+  Audit.Granted { fence = fence ~name ~session ~epoch; expires; capacity = 4 }
+
 let test_audit_catches_double_grant () =
-  let a = Audit.create ~capacity:4 ~slots:8 () in
-  Audit.observe a ~now:0.0
-    (Audit.Granted { fence = fence ~name:0 ~session:1 ~epoch:1; expires = 10.0 });
-  expect_violation ~kind:"double-grant" (fun () ->
-      Audit.observe a ~now:1.0
-        (Audit.Granted { fence = fence ~name:0 ~session:2 ~epoch:2; expires = 11.0 }))
+  let _, feed = spec_tap () in
+  feed ~now:0.0 (granted ~name:0 ~session:1 10.0);
+  expect_violation ~kind:"refine:name-held" (fun () ->
+      feed ~now:1.0 (granted ~name:0 ~session:2 ~epoch:2 11.0))
 
 let test_audit_catches_stale_accept () =
-  let a = Audit.create ~capacity:4 ~slots:8 () in
+  let _, feed = spec_tap () in
   let f = fence ~name:3 ~session:1 ~epoch:1 in
-  Audit.observe a ~now:0.0 (Audit.Granted { fence = f; expires = 2.0 });
-  Audit.observe a ~now:5.0 (Audit.Reclaimed { fence = f; expired_at = 2.0 });
-  expect_violation ~kind:"stale-accept" (fun () ->
-      Audit.observe a ~now:6.0 (Audit.Validated { fence = f; accepted = true }))
+  feed ~now:0.0 (granted ~name:3 ~session:1 2.0);
+  feed ~now:5.0 (Audit.Reclaimed { fence = f });
+  expect_violation ~kind:"refine:claim-unbacked" (fun () ->
+      feed ~now:6.0 (Audit.Validated { fence = f; accepted = true }))
 
 let test_audit_catches_early_reclaim () =
-  let a = Audit.create ~capacity:4 ~slots:8 () in
-  let f = fence ~name:2 ~session:1 ~epoch:1 in
-  Audit.observe a ~now:0.0 (Audit.Granted { fence = f; expires = 10.0 });
-  expect_violation ~kind:"early-reclaim" (fun () ->
-      Audit.observe a ~now:5.0 (Audit.Reclaimed { fence = f; expired_at = 10.0 }))
+  let _, feed = spec_tap () in
+  feed ~now:0.0 (granted ~name:2 ~session:1 10.0);
+  expect_violation ~kind:"refine:early-reclaim" (fun () ->
+      feed ~now:5.0 (Audit.Reclaimed { fence = fence ~name:2 ~session:1 ~epoch:1 }));
+  (* At its expiry the same reclaim is enabled. *)
+  feed ~now:10.0 (Audit.Reclaimed { fence = fence ~name:2 ~session:1 ~epoch:1 })
 
 let test_audit_catches_time_regression () =
-  let a = Audit.create ~capacity:4 ~slots:8 () in
-  Audit.observe a ~now:5.0
-    (Audit.Granted { fence = fence ~name:0 ~session:1 ~epoch:1; expires = 15.0 });
-  expect_violation ~kind:"time-regression" (fun () ->
-      Audit.observe a ~now:4.0
-        (Audit.Granted { fence = fence ~name:1 ~session:2 ~epoch:1; expires = 14.0 }))
+  let _, feed = spec_tap () in
+  feed ~now:5.0 (granted ~name:0 ~session:1 15.0);
+  expect_violation ~kind:"refine:time-regression" (fun () ->
+      feed ~now:4.0 (granted ~name:1 ~session:2 14.0))
+
+let test_spec_catches_global_double_grant () =
+  let _, feed = spec_tap () in
+  (* The same slice-local name in two slices is two global names... *)
+  feed ~slice:0 ~now:0.0 (granted ~name:5 ~session:1 10.0);
+  feed ~slice:1 ~now:0.0 (granted ~name:5 ~session:2 10.0);
+  (* ...but two bodies of one slice (a slice served twice) granting the
+     same name is a global double grant. *)
+  expect_violation ~kind:"refine:name-held" (fun () ->
+      feed ~slice:1 ~now:1.0 (granted ~name:5 ~session:3 11.0))
+
+let test_spec_catches_early_absorb () =
+  let adapter, feed = spec_tap () in
+  let tap = Lease_adapter.router_tap adapter ~slice_width in
+  feed ~slice:1 ~now:0.0 (granted ~name:2 ~session:1 10.0);
+  feed ~slice:1 ~now:1.0 (granted ~name:6 ~session:2 4.0);
+  expect_violation ~kind:"refine:early-absorb" (fun () ->
+      tap (Router.Tap_absorb { slice = 1; now = 5.0 }));
+  tap (Router.Tap_absorb { slice = 1; now = 10.0 });
+  check Alcotest.int "the absorb freed the slice" 0
+    (Spec.held (Check.spec (Lease_adapter.check adapter)))
+
+let test_spec_catches_capacity_and_expiry_regression () =
+  let _, feed = spec_tap () in
+  for name = 0 to 3 do
+    feed ~now:0.0 (granted ~name ~session:name 10.0)
+  done;
+  expect_violation ~kind:"refine:over-capacity" (fun () ->
+      feed ~now:0.0 (granted ~name:4 ~session:4 10.0));
+  (* The other slice has room of its own. *)
+  feed ~slice:1 ~now:0.0 (granted ~name:4 ~session:4 10.0);
+  expect_violation ~kind:"refine:expiry-regression" (fun () ->
+      feed ~now:1.0
+        (Audit.Renewed { fence = fence ~name:0 ~session:0 ~epoch:1; expires = 9.0; accepted = true }))
 
 (* ------------------------------------------------------------------ *)
 (* Service façade under a hand-driven clock.                          *)
 
-let service ?(capacity = 2) ?(ttl = 10.0) ?(queue_limit = 4)
+let service ?tap ?(capacity = 2) ?(ttl = 10.0) ?(queue_limit = 4)
     ?(request_timeout = 1.5) ?(high_water = 1.5) () =
   let time, clock = manual_clock () in
   let cfg =
@@ -228,10 +274,19 @@ let service ?(capacity = 2) ?(ttl = 10.0) ?(queue_limit = 4)
         (Admission.make_config ~queue_limit ~request_timeout ~high_water ())
       ()
   in
-  (time, Service.create ~clock ~rng:(Xoshiro.create 21L) cfg)
+  (time, Service.create ?tap ~clock ~rng:(Xoshiro.create 21L) cfg)
+
+(* The spec on one service's stream, as the service's one slice; sized
+   for a table of [capacity]. *)
+let service_spec ?obs ~capacity () =
+  let slots = Lease.slots (Lease.create (Lease.make_config ~capacity ())) in
+  let adapter = Lease_adapter.create ?obs ~namespace:slots () in
+  let tap = Lease_adapter.router_tap adapter ~slice_width:slots in
+  (Lease_adapter.check adapter, fun ~now ev -> tap (Router.Tap_audit { slice = 0; now; ev }))
 
 let test_service_queue_then_reclaim_grant () =
-  let time, svc = service ~ttl:5.0 () in
+  let spec, tap = service_spec ~capacity:2 () in
+  let time, svc = service ~tap ~ttl:5.0 () in
   let g session =
     match Service.acquire svc ~session with
     | Service.Granted g -> g.Lease.g_fence
@@ -265,7 +320,7 @@ let test_service_queue_then_reclaim_grant () =
   let s = Service.stats svc in
   check Alcotest.int "reclaims" 2 s.Service.reclaims;
   check Alcotest.int "expired requests" 1 s.Service.expired_requests;
-  check Alcotest.int "audit live agrees" 0 (Service.audit_live svc)
+  check Alcotest.int "the spec agrees" 0 (Spec.held (Check.spec spec))
 
 let test_service_queue_drain_done () =
   let time, svc = service ~ttl:5.0 ~request_timeout:50.0 () in
@@ -349,8 +404,9 @@ let churn_config () =
     ()
 
 let test_churn_safety_and_reclaim () =
-  let s = Net_churn.run (churn_config ()) ~seed:42L in
-  check Alcotest.(option (pair string string)) "no audit violation" None s.Net_churn.violation;
+  let s, refine = Lease_adapter.run (churn_config ()) ~seed:42L in
+  check Alcotest.(option (pair string string)) "no violation" None s.Net_churn.violation;
+  check Alcotest.bool "the spec heard the run" true (Check.events refine > 0);
   check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
   check Alcotest.bool "sessions ran" true (s.Net_churn.sessions >= 400);
   check Alcotest.bool "crashes happened" true (s.Net_churn.client_crashes > 0);
@@ -597,14 +653,15 @@ let test_lease_heap_compaction () =
   check Alcotest.int "reclaimed after expiry" 1 (List.length reclaimed)
 
 (* ------------------------------------------------------------------ *)
-(* Audit counters surface through the metrics registry.               *)
+(* The spec's counters surface through the metrics registry.         *)
 
 let test_audit_metrics_counters () =
   let obs = Obs.create () in
+  let spec, tap = service_spec ~obs ~capacity:4 () in
   let _t, clock = manual_clock () in
   let rng = Xoshiro.create 13L in
   let svc =
-    Service.create ~obs ~clock ~rng
+    Service.create ~obs ~tap ~clock ~rng
       {
         Service.lease = Lease.make_config ~capacity:4 ~ttl:10.0 ();
         admission = Admission.make_config ();
@@ -618,19 +675,18 @@ let test_audit_metrics_counters () =
   (match Service.release svc ~fence with
   | Ok _ -> ()
   | Error `Fenced -> Alcotest.fail "live release fenced");
-  (* The replayed fence is stale: rejected, and a near miss the audit
-     mirror confirms was correctly rejected. *)
+  (* The replayed fence is stale: rejected, and a stutter to the spec. *)
   (match Service.release svc ~fence with
   | Error `Fenced -> ()
   | Ok _ -> Alcotest.fail "stale release accepted");
-  let near = Service.audit_near_misses svc in
-  check Alcotest.bool "near miss recorded" true (near >= 1);
-  check Alcotest.int "audit/near_misses counter mirrors accessor" near
-    (Option.value ~default:(-1)
-       (Metrics.find_counter (Obs.metrics obs) "audit/near_misses"));
-  check Alcotest.(option int) "audit/violations counter present and zero" (Some 0)
-    (Metrics.find_counter (Obs.metrics obs) "audit/violations");
-  check Alcotest.int "no violation" 0 (Service.audit_violations svc)
+  let counter name =
+    Option.value ~default:(-1) (Metrics.find_counter (Obs.metrics obs) ("refine/" ^ name))
+  in
+  check Alcotest.int "grant (invoke + lease), release, stale release" 4 (Check.events spec);
+  check Alcotest.int "refine/events counter mirrors the check" (Check.events spec)
+    (counter "events");
+  check Alcotest.int "the stale release is a stutter" 1 (counter "stutters");
+  check Alcotest.int "refine/violations counter present and zero" 0 (counter "violations")
 
 (* ------------------------------------------------------------------ *)
 (* Router: epoch-fenced slice handoff and degraded-mode routing.      *)
@@ -639,9 +695,22 @@ let router_cfg () =
   Router.make_config ~shards:4 ~slices:8 ~slice_capacity:4 ~ttl:10.0 ~grace:12.0
     ~auto_rebalance:false ()
 
+(* A router whose tap feeds the refinement spec, sized from [cfg]: a
+   spec rejection raises [Audit.Violation] from the operation that
+   produced the event, failing the test. *)
+let spec_router ~clock ~seed (cfg : Router.config) =
+  let slice_width =
+    Renaming_longlived.Longlived.namespace_for ~sessions:cfg.Router.slice_capacity
+      ~epsilon:cfg.Router.epsilon
+  in
+  let adapter = Lease_adapter.create ~namespace:(cfg.Router.slices * slice_width) () in
+  let r = Router.create ~tap:(Lease_adapter.router_tap adapter ~slice_width) ~clock ~seed cfg in
+  assert (Router.slice_width r = slice_width);
+  (adapter, r)
+
 let router_fixture () =
   let t, clock = manual_clock () in
-  (t, Router.create ~clock ~seed:42L (router_cfg ()))
+  (t, snd (spec_router ~clock ~seed:42L (router_cfg ())))
 
 let grant_on r ~session ~key =
   match Router.acquire r ~session ~key with
@@ -762,10 +831,9 @@ let test_router_one_shard_adopts_back () =
   in
   List.iter
     (fun seed ->
-      let s = Net_churn.run cfg ~seed in
-      check Alcotest.(option (pair string string)) "no audit violation" None
-        s.Net_churn.violation;
-      check Alcotest.int "no uniqueness breach" 0 s.Net_churn.gaudit_violations;
+      let s, refine = Lease_adapter.run cfg ~seed in
+      check Alcotest.(option (pair string string)) "no violation" None s.Net_churn.violation;
+      check Alcotest.bool "the spec heard the run" true (Check.events refine > 0);
       check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
       check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
       check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
@@ -805,13 +873,13 @@ let shard_churn_cfg () =
     ~shard_restart:30.0 ()
 
 let test_shard_churn_safety () =
-  let s = Net_churn.run (shard_churn_cfg ()) ~seed:0xD15EA5EL in
+  let s, refine = Lease_adapter.run (shard_churn_cfg ()) ~seed:0xD15EA5EL in
   check Alcotest.int "all sessions ran" 600 s.Net_churn.sessions;
   check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
   (match s.Net_churn.violation with
   | None -> ()
-  | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "audit violation %s: %s" kind msg));
-  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Net_churn.gaudit_violations;
+  | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "violation %s: %s" kind msg));
+  check Alcotest.int "no refinement violation" 0 (Check.violations refine);
   check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
   check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
   check Alcotest.bool "faults actually injected" true
@@ -1059,16 +1127,16 @@ let net_churn_cfg () =
     ()
 
 let test_net_churn_safety () =
-  let s = Net_churn.run (net_churn_cfg ()) ~seed:0xD15EA5EL in
+  let s, refine = Lease_adapter.run (net_churn_cfg ()) ~seed:0xD15EA5EL in
   check Alcotest.int "all sessions ran" 400 s.Net_churn.sessions;
   check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
   (match s.Net_churn.violation with
   | None -> ()
-  | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "audit violation %s: %s" kind msg));
+  | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "violation %s: %s" kind msg));
   check Alcotest.int "at-most-once end to end" 0 s.Net_churn.double_grants;
   check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
   check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
-  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Net_churn.gaudit_violations;
+  check Alcotest.int "no refinement violation" 0 (Check.violations refine);
   (* The faults must actually have fired for the run to prove anything. *)
   check Alcotest.bool "network faults exercised" true
     (s.Net_churn.net.Transport.dropped > 0
@@ -1159,13 +1227,13 @@ let test_net_churn_handoff_src_crash () =
       ~handoff:{ Net_churn.h_every = 8.0; h_crash_src = 1.0; h_crash_dst = 0.0 }
       ()
   in
-  let s = Net_churn.run cfg ~seed:0x0DDL in
+  let s, refine = Lease_adapter.run cfg ~seed:0x0DDL in
   check Alcotest.int "all sessions ran" 400 s.Net_churn.sessions;
   check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
   (match s.Net_churn.violation with
   | None -> ()
-  | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "audit violation %s: %s" kind msg));
-  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Net_churn.gaudit_violations;
+  | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "violation %s: %s" kind msg));
+  check Alcotest.int "no refinement violation" 0 (Check.violations refine);
   check Alcotest.int "at-most-once end to end" 0 s.Net_churn.double_grants;
   check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
   check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
@@ -1238,8 +1306,6 @@ let render_net_churn (s : Net_churn.summary) =
         r.Router.handoffs_started r.Router.handoffs_completed r.Router.handoffs_aborted
         r.Router.handoffs_orphaned r.Router.adoptions r.Router.redirects r.Router.shard_downs
         r.Router.in_handoff_busy r.Router.fenced_ops;
-      Printf.sprintf "audit near_misses=%d gaudit_live=%d" s.Net_churn.audit_near_misses
-        s.Net_churn.gaudit_live;
     ]
 
 let test_pinned_net_churn () =
@@ -1253,7 +1319,9 @@ let test_pinned_net_churn () =
       ~shard_crash_every:45.0 ~shard_restart:2.0
       ~dedup_window:33.0 ()
   in
-  let s = Net_churn.run cfg ~seed:0x5EEDL in
+  let s, refine = Lease_adapter.run cfg ~seed:0x5EEDL in
+  check Alcotest.(option (pair string string)) "no violation" None s.Net_churn.violation;
+  check Alcotest.bool "the spec heard the run" true (Check.events refine > 0);
   check Alcotest.string "lossy net churn summary"
     "sessions=400 abandoned=9 events=12851 sim_time=228.103419 peak=26 final=0\n\
      resends=472 timeouts=1 lost=0 sheds=13 redirects=43 down=482 handoff=0\n\
@@ -1262,8 +1330,7 @@ let test_pinned_net_churn () =
      net sent=7282 delivered=8014 dropped=418 duplicated=732 reordered=1204 blocked=86\n\
      dedup fresh=1606 replays=415 stale=25 evictions=2\n\
      detector suspicions=21 recoveries=18 reowns=28 incarnation_orphans=8\n\
-     router handoffs=19/19/0/0 adoptions=8 redirects=0 downs=0 in_handoff=0 fenced=0\n\
-     audit near_misses=0 gaudit_live=0"
+     router handoffs=19/19/0/0 adoptions=8 redirects=0 downs=0 in_handoff=0 fenced=0"
     (render_net_churn s)
 
 (* A hand-clocked service driven only through its public operations and
@@ -1273,8 +1340,9 @@ let test_pinned_net_churn () =
    operations a tick, so the expiry heap fills with dead entries and
    compacts. *)
 let test_pinned_service_pump () =
+  let spec, tap = service_spec ~capacity:4 () in
   let time, svc =
-    service ~capacity:4 ~ttl:4.0 ~queue_limit:3 ~request_timeout:1.0 ~high_water:1.5 ()
+    service ~tap ~capacity:4 ~ttl:4.0 ~queue_limit:3 ~request_timeout:1.0 ~high_water:1.5 ()
   in
   let rng = Xoshiro.create 99L in
   let draw n = Renaming_rng.Sample.uniform_int rng n in
@@ -1337,7 +1405,7 @@ let test_pinned_service_pump () =
        st.Service.grants st.Service.queued st.Service.renews st.Service.releases
        st.Service.fenced st.Service.sheds_high_water st.Service.sheds_queue_full
        st.Service.expired_requests st.Service.reclaims st.Service.validates
-       (Service.held svc) (Service.queue_depth svc) (Service.audit_live svc));
+       (Service.held svc) (Service.queue_depth svc) (Spec.held (Check.spec spec)));
   check Alcotest.string "completions" "291 ff59fbc0dd47f4470b31a4292570a785"
     (Printf.sprintf "%d %s" !n_completions
        (Digest.to_hex (Digest.string (Buffer.contents completions))));
@@ -1350,7 +1418,7 @@ let test_pinned_service_pump () =
 (* The chaos campaign runner: totals, JSON and checks.                *)
 
 let test_chaos_campaign_runner () =
-  let module C = Renaming_service.Chaos_campaign in
+  let module C = Renaming_harness.Chaos_campaign in
   let module Json = Renaming_obs.Json in
   let r = C.run C.service ~sessions:300 ~seeds:[| 1L |] in
   check Alcotest.int "one run per cell" 4 (List.length r.C.runs);
@@ -1358,7 +1426,7 @@ let test_chaos_campaign_runner () =
   check Alcotest.(list string) "safe and exercised" [] (C.failures C.service r);
   (match Json.of_string (C.to_json C.service r) with
   | Ok j ->
-    check Alcotest.(option string) "schema" (Some "renaming.chaos-service/3")
+    check Alcotest.(option string) "schema" (Some "renaming.chaos-service/4")
       (Option.bind (Json.member "schema" j) Json.to_str)
   | Error e -> Alcotest.fail e);
   (* Ghosts that never wake leave the fencing path unexercised, and the
@@ -1420,6 +1488,37 @@ let test_idle_router_pump_allocation () =
   check Alcotest.int "idle pump allocates no minor words" 0
     (minor_words ~calls:1000 (fun () -> Router.pump r));
   check Alcotest.int "and changes nothing" 16 (Router.total_held r)
+
+(* A renewal and a validation go from the tap straight to the spec: the
+   adapter builds no event for them, so judging one allocates nothing
+   (the tap events themselves are built beforehand). *)
+let test_spec_renew_validate_allocation () =
+  let adapter = Lease_adapter.create ~namespace:(2 * slice_width) () in
+  let tap = Lease_adapter.router_tap adapter ~slice_width in
+  let c = Lease_adapter.check adapter in
+  let f = fence ~name:3 ~session:7 ~epoch:1 in
+  tap (Router.Tap_audit { slice = 1; now = 0.0; ev = granted ~name:3 ~session:7 10.0 });
+  let calls = 1000 in
+  let renews =
+    Array.init (calls + 1) (fun i ->
+        let now = float_of_int (i + 1) in
+        Router.Tap_audit
+          { slice = 1; now; ev = Audit.Renewed { fence = f; expires = now +. 10.0; accepted = true } })
+  in
+  let validate =
+    Router.Tap_audit
+      { slice = 1; now = float_of_int (calls + 1); ev = Audit.Validated { fence = f; accepted = true } }
+  in
+  let i = ref (-1) in
+  let steps = Check.steps c in
+  check Alcotest.int "a renew through the adapter allocates nothing" 0
+    (minor_words ~calls (fun () ->
+         incr i;
+         tap renews.(!i)));
+  check Alcotest.int "every renew moved the expiry" (calls + 1) (Check.steps c - steps);
+  check Alcotest.int "a validate through the adapter allocates nothing" 0
+    (minor_words ~calls (fun () -> tap validate));
+  check Alcotest.int "and nothing was rejected" 0 (Check.violations c)
 
 (* Once its columns have grown, the heap moves entries within them: a
    push and a take allocate nothing.  [time] is a float constant, so
@@ -1486,9 +1585,10 @@ let test_net_churn_allocation_budget () =
 (* [Net_churn] samples [Router.total_held] only after a step that
    granted, which is exact only if the total never rises without a
    grant.  Random scripts of router operations, operations made on a
-   resident body directly, shard crashes (through the router and
-   silent), restarts, stalls, handoffs, heartbeats and pumps check that
-   after every step. *)
+   resident body directly (as a forward reaches it), shard crashes
+   (through the router and silent), restarts, stalls, handoffs,
+   heartbeats and pumps check that after every step, with the
+   refinement spec on the router's tap judging every event. *)
 type router_step =
   | S_acquire of int
   | S_direct of int
@@ -1543,8 +1643,8 @@ let qcheck_held_rises_only_at_grants =
        QCheck.Gen.(pair bool (pair bool (list_size (int_range 1 150) step))))
     (fun (detector, (auto_rebalance, script)) ->
       let time, clock = manual_clock () in
-      let r =
-        Router.create ~clock ~seed:9L
+      let _, r =
+        spec_router ~clock ~seed:9L
           (Router.make_config ~shards ~slices ~slice_capacity:3 ~queue_limit:4 ~ttl:10.0
              ~grace:14.0 ~high_water:0.9 ~auto_rebalance ())
       in
@@ -1552,13 +1652,19 @@ let qcheck_held_rises_only_at_grants =
       let fences = ref [] and session = ref 0 and peak = ref 0 in
       let incarnation = Array.make shards 0 in
       let pick i = match !fences with [] -> None | l -> Some (List.nth l (i mod List.length l)) in
+      (* The body a forward reaches, as [Net_churn.on_shard] serves it:
+         routed on the directory and the detector, served only by a live
+         shard whose resident body is at the forwarded epoch. *)
       let body slice =
-        match Router.owner r ~slice with
-        | None -> None
-        | Some shard -> (
-          match Shard.find_slice (Router.shard r ~id:shard) ~slice with
-          | Some sl -> Some sl.Shard.sl_svc
-          | None -> None)
+        let shard = Router.route r ~slice in
+        if shard < 0 then None
+        else
+          let sh = Router.shard r ~id:shard in
+          match Shard.find_slice sh ~slice with
+          | Some sl
+            when Shard.alive sh ~now:!time && sl.Shard.sl_epoch = Router.slice_epoch r ~slice ->
+            Some sl.Shard.sl_svc
+          | _ -> None
       in
       List.iter
         (fun step ->
@@ -1638,8 +1744,8 @@ let full_pumps r = (Router.stats r).Router.full_pumps
    of the queued request. *)
 let test_wake_direct_body_op () =
   let time, clock = manual_clock () in
-  let r =
-    Router.create ~clock ~seed:3L
+  let _, r =
+    spec_router ~clock ~seed:3L
       (Router.make_config ~shards:1 ~slices:1 ~slice_capacity:2 ~high_water:1.5
          ~auto_rebalance:false ())
   in
@@ -1718,8 +1824,10 @@ let test_wake_stall_end () =
 let two_shard_router () =
   let time, clock = manual_clock () in
   ( time,
-    Router.create ~clock ~seed:5L
-      (Router.make_config ~shards:2 ~slices:2 ~ttl:10.0 ~grace:12.0 ~auto_rebalance:false ()) )
+    snd
+      (spec_router ~clock ~seed:5L
+         (Router.make_config ~shards:2 ~slices:2 ~ttl:10.0 ~grace:12.0 ~auto_rebalance:false ()))
+  )
 
 (* A restart made on the shard itself, as [Net_churn] makes it, lets a
    stranded orphan be adopted on the next pump. *)
@@ -1786,6 +1894,10 @@ let tests =
         Alcotest.test_case "audit: stale accept" `Quick test_audit_catches_stale_accept;
         Alcotest.test_case "audit: early reclaim" `Quick test_audit_catches_early_reclaim;
         Alcotest.test_case "audit: time regression" `Quick test_audit_catches_time_regression;
+        Alcotest.test_case "spec: global double grant" `Quick test_spec_catches_global_double_grant;
+        Alcotest.test_case "spec: early absorb" `Quick test_spec_catches_early_absorb;
+        Alcotest.test_case "spec: capacity and expiry regression" `Quick
+          test_spec_catches_capacity_and_expiry_regression;
         Alcotest.test_case "service: queue + reclaim" `Quick test_service_queue_then_reclaim_grant;
         Alcotest.test_case "service: queue drains" `Quick test_service_queue_drain_done;
         Alcotest.test_case "service: high-water shed" `Quick test_service_high_water_shed;
@@ -1830,6 +1942,8 @@ let tests =
         Alcotest.test_case "idle service pump allocates nothing" `Quick
           test_idle_service_pump_allocates_nothing;
         Alcotest.test_case "idle router pump allocation" `Quick test_idle_router_pump_allocation;
+        Alcotest.test_case "spec: a renew and a validate allocate nothing" `Quick
+          test_spec_renew_validate_allocation;
         Alcotest.test_case "heap: push + take allocate nothing" `Quick
           test_heap_steady_state_allocation;
         Alcotest.test_case "heap: push_after and push_cell" `Quick test_heap_push_variants;
