@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke soak-net mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke refine refine-smoke analyze examples clean loc
+.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke soak-net mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke analyze examples clean loc
 
 all: build test
 
@@ -23,8 +23,10 @@ bench-full:
 	RENAMING_SCALE=full dune exec bench/main.exe
 
 # Deterministic fault-injection campaign: every algorithm under crash,
-# crash-recovery and transient faults with the safety monitor attached.
-# Exits nonzero on any safety violation; JSON lands in results/chaos.json.
+# crash-recovery and transient faults with the safety monitor (and so
+# the refinement spec) on every run.  Exits nonzero on any safety
+# violation; JSON lands in results/chaos.json (pinned seeds, ~1 s; CI
+# diffs it).
 chaos:
 	dune exec bin/main.exe -- chaos
 
@@ -34,10 +36,10 @@ chaos:
 # transport), >= 10^6 client sessions across four degradation regimes.
 # Exits nonzero on any lease-safety violation, livelock, unfenced stale
 # operation, or if the campaign failed to exercise reclamation,
-# shedding or ghost replays; JSON lands in results/chaos.json (schema
-# renaming.chaos-service/4).
+# shedding or ghost replays; JSON lands in results/chaos-service.json
+# (schema renaming.chaos-service/4).
 chaos-service:
-	dune exec bin/main.exe -- chaos --service
+	dune exec bin/main.exe -- chaos --service --out results/chaos-service.json
 
 # Reduced-run CI configuration of the same campaign (~10^5 sessions).
 chaos-service-smoke:
@@ -51,10 +53,10 @@ chaos-service-smoke:
 # nonzero on any safety violation, livelock, wrongly fenced live lease,
 # unfenced stale ghost, or if the campaign failed to exercise handoffs
 # (including mid-transit crashes), adoption, shard crashes or ghost
-# replays; JSON lands in results/chaos.json (schema
+# replays; JSON lands in results/chaos-sharded.json (schema
 # renaming.chaos-sharded/3).
 chaos-sharded:
-	dune exec bin/main.exe -- chaos --sharded
+	dune exec bin/main.exe -- chaos --sharded --out results/chaos-sharded.json
 
 # Reduced-run CI configuration of the same campaign.
 chaos-sharded-smoke:
@@ -67,9 +69,9 @@ chaos-sharded-smoke:
 # failure detection.  Exits nonzero on any safety violation, end-to-end
 # double grant, unexpected fence, successful ghost op — or if any piece
 # of the fault machinery (ghost replays included) failed to fire.  JSON
-# lands in results/chaos.json (schema renaming.chaos-net/2).
+# lands in results/chaos-net.json (schema renaming.chaos-net/2).
 chaos-net:
-	dune exec bin/main.exe -- chaos --net
+	dune exec bin/main.exe -- chaos --net --out results/chaos-net.json
 
 # CI-sized slice of the same campaign (all four cells, fewer sessions).
 chaos-net-smoke:
@@ -116,21 +118,6 @@ fuzz:
 # The fixed-seed, small-budget CI configuration: seeded mutants only.
 fuzz-smoke:
 	dune exec bin/main.exe -- fuzz --mutants-only --seed 1 --iterations 200 --out results/fuzz-smoke.json
-
-# The refinement harness: every backend (one-shot executors under
-# chaos/mcheck/fuzz, the lease service, the sharded router, the
-# unreliable-transport path) checked online against the one centralized
-# renaming spec (docs/refinement.md), internal steps refining to
-# stutters, plus the seeded spec-divergence mutant self-test (must be
-# caught, ddmin-shrunk and round-tripped).  Exits nonzero on any
-# refinement violation or a missed mutant; JSON lands in
-# results/refine.json (schema renaming.refine/1).
-refine:
-	dune exec bin/main.exe -- refine
-
-# Seconds-long CI configuration of the same harness.
-refine-smoke:
-	dune exec bin/main.exe -- refine --smoke --out results/refine-smoke.json
 
 # Static analysis: the commutation-audited independence oracle (the
 # footprint table mcheck's DPOR race detection prunes with,

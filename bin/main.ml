@@ -829,50 +829,6 @@ let metrics_cmd =
           instrumentation vectors, memory access counts) as JSON.")
     Term.(const run $ trace_algorithm_arg $ n $ ell $ seed $ out)
 
-let refine_cmd =
-  let module Refine = Renaming_harness.Refine_campaign in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Trim every stage to a seconds-long subset (the CI configuration).")
-  in
-  let out =
-    Arg.(value & opt string "results/refine.json" & info [ "out" ] ~docv:"FILE"
-           ~doc:"Write the JSON summary to $(docv).")
-  in
-  let run smoke out metrics =
-    let obs = obs_of_metrics metrics in
-    let progress stage = Printf.eprintf "refine: %s...\n%!" stage in
-    let summary = Refine.run ?obs ~progress ~smoke () in
-    Format.printf "%a@." Refine.pp summary;
-    write_file out (Refine.to_json summary ^ "\n");
-    Printf.printf "(json written to %s)\n" out;
-    write_metrics ~label:"refine" obs metrics;
-    write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
-      (Option.to_list summary.Refine.mutant.Refine.m_repro);
-    let violations =
-      List.fold_left (fun acc b -> acc + b.Refine.b_violations) 0 summary.Refine.backends
-    in
-    Printf.printf "refine%s: %d backend stage(s), %d violation(s), mutant %s\n"
-      (if smoke then " --smoke" else "")
-      (List.length summary.Refine.backends)
-      violations
-      (if Refine.mutant_ok summary.Refine.mutant then "caught" else "MISSED");
-    if not (Refine.ok summary) then begin
-      Printf.eprintf
-        "refine: campaign failed (refinement violation on a backend, or the seeded mutant \
-         escaped)\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "refine"
-       ~doc:
-         "Run the refinement harness: every backend (one-shot executors under chaos, mcheck and \
-          fuzz; the lease service; the sharded router; the unreliable-transport path) is checked \
-          against the one centralized renaming spec, internal steps refining to stutters, and the \
-          seeded spec-divergence mutant must be caught, shrunk and round-tripped.")
-    Term.(const run $ smoke $ out $ metrics_arg)
-
 let () =
   let doc = "Randomized renaming in shared memory systems (IPDPS 2015) — reproduction toolkit" in
   let info = Cmd.info "renaming" ~doc in
@@ -891,6 +847,5 @@ let () =
             mcheck_cmd;
             fuzz_cmd;
             shrink_cmd;
-            refine_cmd;
             analyze_cmd;
           ]))

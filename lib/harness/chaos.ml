@@ -127,29 +127,3 @@ let spec ?(n = 48) ?(seed_count = 3) ?(fault_rates = default_fault_rates) ?(max_
     seeds = Seeds.take seed_count;
     max_ticks;
   }
-
-(* The fast deterministic subset wired into `dune runtest`: three
-   algorithms, three adversaries, recovery + transient faults, small n. *)
-let tier1_spec () : Campaign.spec =
-  let n = 20 in
-  let keep names xs ~name_of = List.filter (fun x -> List.mem (name_of x) names) xs in
-  {
-    Campaign.algorithms =
-      keep
-        [ "loose-geometric"; "uniform-probing"; "linear-scan" ]
-        (algorithms ~n)
-        ~name_of:(fun a -> a.Campaign.algo_name);
-    adversaries =
-      keep
-        [ "round-robin"; "adaptive-contention"; "colluding" ]
-        (adversaries ())
-        ~name_of:(fun a -> a.Campaign.adv_name);
-    patterns =
-      keep
-        [ "crash-recovery"; "burst-recovery" ]
-        (patterns ~n)
-        ~name_of:(fun p -> p.Campaign.pat_name);
-    fault_rates = [ 0.05 ];
-    seeds = Seeds.take 2;
-    max_ticks = 200_000;
-  }

@@ -5,8 +5,7 @@
     [lib/core] in the dependency order); this module supplies the
     concrete cross-product — every TAS-claiming algorithm, the adversary
     suite, the crash/recovery patterns and the default fault rates —
-    used by [renaming chaos], [make chaos] and the tier-1 subset in the
-    test suite. *)
+    used by [renaming chaos], [make chaos] and the test suite. *)
 
 val algorithms : n:int -> Renaming_faults.Campaign.algorithm list
 (** loose-geometric, loose-clustered, combined-geometric, tight,
@@ -22,8 +21,3 @@ val spec :
   Renaming_faults.Campaign.spec
 (** The full deterministic campaign (defaults: n=48, 3 seeds, rates
     0/0.02/0.1) behind [make chaos]. *)
-
-val tier1_spec : unit -> Renaming_faults.Campaign.spec
-(** The fast subset run on every [dune runtest]: 3 algorithms × 3
-    adversaries × {crash-recovery, burst-recovery} × rate 0.05 × 2
-    seeds at n=20. *)

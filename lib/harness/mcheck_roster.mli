@@ -33,8 +33,6 @@ val tier1 : unit -> entry list
 (** The fast subset exercised on every [dune runtest] — since the DPOR
     engine it includes the n4 handoff entries and [shard-handoff-n5]. *)
 
-val target : entry -> Renaming_mcheck.Mcheck.target
-
 val run_entry : ?obs:Renaming_obs.Obs.t -> entry -> Renaming_mcheck.Mcheck.stats
 (** Explores the entry with {!Renaming_mcheck.Mcheck.check}; its frozen
     [e_baseline] is threaded into the stats for reduction-ratio

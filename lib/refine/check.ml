@@ -11,10 +11,8 @@ type counters = { c_events : Metrics.counter; c_stutters : Metrics.counter; c_vi
 type t = {
   spec : Spec.t;
   mutable events : int;
-  mutable steps : int;
   mutable stutters : int;
   mutable violations : int;
-  mutable first : violation option;
   counters : counters option;
 }
 
@@ -33,10 +31,8 @@ let create ?obs ~config () =
   {
     spec = Spec.create config;
     events = 0;
-    steps = 0;
     stutters = 0;
     violations = 0;
-    first = None;
     counters;
   }
 
@@ -47,9 +43,7 @@ let tally t (v : Spec.verdict) =
   t.events <- t.events + 1;
   Option.iter (fun c -> Metrics.incr c.c_events) t.counters;
   match v with
-  | `Step ->
-      t.steps <- t.steps + 1;
-      None
+  | `Step -> None
   | `Stutter ->
       t.stutters <- t.stutters + 1;
       Option.iter (fun c -> Metrics.incr c.c_stutters) t.counters;
@@ -59,9 +53,7 @@ let tally t (v : Spec.verdict) =
 let reject t ev reason =
   t.violations <- t.violations + 1;
   Option.iter (fun c -> Metrics.incr c.c_violations) t.counters;
-  let v = { v_index = t.events - 1; v_event = ev; v_reason = reason } in
-  if t.first = None then t.first <- Some v;
-  `Violation v
+  `Violation { v_index = t.events - 1; v_event = ev; v_reason = reason }
 
 let judge t ev v = match tally t v with None -> `Ok | Some reason -> reject t ev reason
 let observe t ev = judge t ev (Spec.apply t.spec ev)
@@ -91,7 +83,5 @@ let stutter t = ignore (tally t `Stutter : string option)
 
 let spec t = t.spec
 let events t = t.events
-let steps t = t.steps
 let stutters t = t.stutters
 let violations t = t.violations
-let first_violation t = t.first

@@ -24,8 +24,7 @@ val create : ?obs:Renaming_obs.Obs.t -> config:Spec.config -> unit -> t
 val observe : t -> Obs_event.t -> [ `Ok | `Violation of violation ]
 (** Applies the event to the spec.  A rejected event leaves the spec
     state unchanged and is reported; checking continues, so one run
-    can count several violations (the first is kept in
-    {!first_violation}). *)
+    can count several violations. *)
 
 (** {2 Timed lease events}
 
@@ -60,7 +59,7 @@ val stutter : t -> unit
 
 val spec : t -> Spec.t
 val events : t -> int
-val steps : t -> int
+
+(* lint: allow unused-export — test hook: counts the stutters *)
 val stutters : t -> int
 val violations : t -> int
-val first_violation : t -> violation option

@@ -165,13 +165,3 @@ let with_crash_recovery ~base ~crashes ~recover_after =
           | Some d -> d
           | None -> base.decide view));
   }
-
-let crash_random ~fraction ~rng ~base =
-  {
-    name = Printf.sprintf "%s+crash(%.2f)" base.name fraction;
-    decide =
-      (fun view ->
-        if view.runnable_count > 1 && Sample.bernoulli rng fraction then
-          Crash (view.runnable_nth (Sample.uniform_int rng view.runnable_count))
-        else base.decide view);
-  }

@@ -77,8 +77,3 @@ val with_crash_recovery : base:t -> crashes:(int * int) list -> recover_after:in
     runnable process are skipped, so pending recoveries are never
     stranded. *)
 
-(* lint: allow unused-export — unit-tested, no caller yet: crash adversary *)
-val crash_random : fraction:float -> rng:Renaming_rng.Xoshiro.t -> base:t -> t
-(** Randomly crashes processes during the run (roughly [fraction] of
-    scheduling decisions become crashes while more than one process
-    remains); stresses tolerance to names burnt by dead processes. *)

@@ -79,7 +79,7 @@ type t
 
 (** External observation of the safety-relevant surface: every
     per-slice {!Audit.event} plus every slice absorb, each with the
-    clock's reading.  The refinement harness taps this to feed its
+    clock's reading.  [Lease_adapter] taps this to feed the
     centralized spec; clean handoffs move slice bodies intact and are
     deliberately invisible here (they refine to stutters).  Without a
     tap no event is built. *)

@@ -509,8 +509,29 @@ let test_property_no_duplicates_under_adversity () =
 
 (* --- campaign --- *)
 
+(* The fast subset of the chaos cross-product: three algorithms, three
+   adversaries, recovery and transient faults, small n. *)
+let tier1_spec () =
+  let keep names name_of xs = List.filter (fun x -> List.mem (name_of x) names) xs in
+  let spec = Chaos.spec ~n:20 ~seed_count:2 ~fault_rates:[ 0.05 ] ~max_ticks:200_000 () in
+  {
+    spec with
+    Campaign.algorithms =
+      keep
+        [ "loose-geometric"; "uniform-probing"; "linear-scan" ]
+        (fun a -> a.Campaign.algo_name)
+        spec.Campaign.algorithms;
+    adversaries =
+      keep
+        [ "round-robin"; "adaptive-contention"; "colluding" ]
+        (fun a -> a.Campaign.adv_name)
+        spec.Campaign.adversaries;
+    patterns =
+      keep [ "crash-recovery"; "burst-recovery" ] (fun p -> p.Campaign.pat_name) spec.Campaign.patterns;
+  }
+
 let test_campaign_tier1_zero_violations () =
-  let summary = Campaign.run (Chaos.tier1_spec ()) in
+  let summary = Campaign.run (tier1_spec ()) in
   check Alcotest.int "zero violations" 0 summary.Campaign.total_violations;
   check Alcotest.int "zero livelocks" 0 summary.Campaign.total_livelocks;
   check Alcotest.bool "faults were injected" true (summary.Campaign.total_injected > 0);
@@ -519,14 +540,14 @@ let test_campaign_tier1_zero_violations () =
 
 let test_campaign_deterministic () =
   let spec =
-    { (Chaos.tier1_spec ()) with Campaign.fault_rates = [ 0.1 ]; seeds = Renaming_harness.Seeds.take 1 }
+    { (tier1_spec ()) with Campaign.fault_rates = [ 0.1 ]; seeds = Renaming_harness.Seeds.take 1 }
   in
   let s1 = Campaign.run spec and s2 = Campaign.run spec in
   check Alcotest.string "identical json" (Campaign.to_json s1) (Campaign.to_json s2)
 
 let test_campaign_json_shape () =
   let spec =
-    { (Chaos.tier1_spec ()) with Campaign.fault_rates = [ 0.05 ]; seeds = Renaming_harness.Seeds.take 1 }
+    { (tier1_spec ()) with Campaign.fault_rates = [ 0.05 ]; seeds = Renaming_harness.Seeds.take 1 }
   in
   let json = Campaign.to_json (Campaign.run spec) in
   let contains sub =

@@ -267,8 +267,10 @@ let test_fuzzer_deterministic () =
 
 let test_fuzzer_coverage_grows () =
   let summary = Fuzz.run ~seed:1L ~iterations:40 (Fuzz_roster.clean ()) in
+  check Alcotest.bool "clean roster ok" true (Fuzz.ok summary);
   List.iter
     (fun r ->
+      check Alcotest.int (r.Fuzz.r_target ^ " violation-free") 0 (List.length r.Fuzz.r_violations);
       check Alcotest.bool (r.Fuzz.r_target ^ " has coverage") true (r.Fuzz.r_edges > 0);
       (* The growth curve is ascending in both coordinates and ends at
          the final edge count. *)

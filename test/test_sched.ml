@@ -227,19 +227,7 @@ let tests =
       ] );
   ]
 
-(* --- appended: crash_random and printer coverage --- *)
-
-let test_crash_random_adversary () =
-  let rng = Stream.fork_named (Stream.create 17L) ~name:"cr" in
-  let adversary =
-    Adversary.crash_random ~fraction:0.2 ~rng ~base:(Adversary.round_robin ())
-  in
-  let report = simple_competition ~n:20 ~namespace:20 ~adversary in
-  check Alcotest.bool "sound" true (Report.is_sound report);
-  (* At least one process survives (the adversary never crashes the last
-     runner), and all survivors are named. *)
-  check Alcotest.bool "not everyone crashed" true (List.length report.Report.crashed < 20);
-  check Alcotest.int "survivors named" 0 (List.length (Report.surviving_unnamed report))
+(* --- appended: printer coverage --- *)
 
 let contains_substring haystack needle =
   let hl = String.length haystack and nl = String.length needle in
@@ -255,7 +243,6 @@ let extra_sched_tests =
   [
     ( "sched-extra",
       [
-        Alcotest.test_case "crash_random adversary" `Quick test_crash_random_adversary;
         Alcotest.test_case "report pp" `Quick test_report_pp_smoke;
       ] );
   ]

@@ -183,48 +183,3 @@ let tests =
         QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
       ] );
   ]
-
-(* --- appended: bootstrap confidence intervals --- *)
-
-let test_bootstrap_interval_brackets_mean () =
-  let rng = Renaming_rng.Xoshiro.create 77L in
-  let samples = Array.init 40 (fun i -> float_of_int (i mod 10)) in
-  let ci = Bootstrap.mean_ci ~rng samples in
-  check Alcotest.bool "lo <= mean" true (ci.Bootstrap.lo <= ci.Bootstrap.mean +. 1e-9);
-  check Alcotest.bool "mean <= hi" true (ci.Bootstrap.mean <= ci.Bootstrap.hi +. 1e-9);
-  check (Alcotest.float 1e-9) "mean is sample mean" 4.5 ci.Bootstrap.mean
-
-let test_bootstrap_degenerate_sample () =
-  let rng = Renaming_rng.Xoshiro.create 78L in
-  let ci = Bootstrap.mean_ci ~rng (Array.make 10 3.) in
-  check (Alcotest.float 1e-9) "lo" 3. ci.Bootstrap.lo;
-  check (Alcotest.float 1e-9) "hi" 3. ci.Bootstrap.hi
-
-let test_bootstrap_validation () =
-  let rng = Renaming_rng.Xoshiro.create 79L in
-  Alcotest.check_raises "empty" (Invalid_argument "Bootstrap.mean_ci: empty sample") (fun () ->
-      ignore (Bootstrap.mean_ci ~rng [||]));
-  Alcotest.check_raises "bad confidence"
-    (Invalid_argument "Bootstrap.mean_ci: confidence outside (0, 1)") (fun () ->
-      ignore (Bootstrap.mean_ci ~confidence:1.5 ~rng [| 1. |]))
-
-let test_bootstrap_narrows_with_samples () =
-  let rng = Renaming_rng.Xoshiro.create 80L in
-  let noisy k = Array.init k (fun i -> if i mod 2 = 0 then 0. else 10.) in
-  let small = Bootstrap.mean_ci ~rng (noisy 8) in
-  let large = Bootstrap.mean_ci ~rng (noisy 512) in
-  check Alcotest.bool "wider with fewer samples" true
-    (small.Bootstrap.hi -. small.Bootstrap.lo > large.Bootstrap.hi -. large.Bootstrap.lo)
-
-let bootstrap_tests =
-  [
-    ( "bootstrap",
-      [
-        Alcotest.test_case "interval brackets mean" `Quick test_bootstrap_interval_brackets_mean;
-        Alcotest.test_case "degenerate sample" `Quick test_bootstrap_degenerate_sample;
-        Alcotest.test_case "validation" `Quick test_bootstrap_validation;
-        Alcotest.test_case "narrows with samples" `Quick test_bootstrap_narrows_with_samples;
-      ] );
-  ]
-
-let tests = tests @ bootstrap_tests
