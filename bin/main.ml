@@ -220,6 +220,7 @@ let write_metrics ~label obs metrics =
 let run_service_campaign campaign ~sessions ~seed_count ~out ~metrics =
   let module C = Renaming_harness.Chaos_campaign in
   let label = "chaos --" ^ campaign.C.name in
+  let out = Option.value out ~default:("results/chaos-" ^ campaign.C.name ^ ".json") in
   let progress ~done_ ~total =
     Printf.eprintf "\r%s: run %d/%d%!" label done_ total;
     if done_ = total then prerr_newline ()
@@ -248,8 +249,10 @@ let chaos_cmd =
     Arg.(value & opt int 2_000_000 & info [ "max-ticks" ] ~doc:"Livelock guard per run.")
   in
   let out =
-    Arg.(value & opt string "results/chaos.json" & info [ "out" ] ~docv:"FILE"
-           ~doc:"Write the JSON summary to $(docv).")
+    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
+           ~doc:"Write the JSON summary to $(docv) (default: results/chaos.json, or \
+                 results/chaos-<campaign>.json with $(b,--service), $(b,--sharded) or \
+                 $(b,--net)).")
   in
   let service =
     Arg.(value & flag & info [ "service" ]
@@ -301,6 +304,7 @@ let chaos_cmd =
         if done_ = total then prerr_newline ()
       in
       let obs = obs_of_metrics metrics in
+      let out = Option.value out ~default:"results/chaos.json" in
       let summary = Campaign.run ~progress ?obs spec in
       Format.printf "%a@." Campaign.pp summary;
       write_file out (Campaign.to_json summary ^ "\n");

@@ -27,9 +27,8 @@ let () =
   Array.iteri
     (fun pid name ->
       if pid < 10 then
-        match name with
-        | Some nm -> Format.printf "  process %2d -> name %2d@." pid nm
-        | None -> Format.printf "  process %2d -> (unnamed)@." pid)
+        if name = -1 then Format.printf "  process %2d -> (unnamed)@." pid
+        else Format.printf "  process %2d -> name %2d@." pid name)
     names;
 
   (* 4. The safety properties, checked explicitly. *)

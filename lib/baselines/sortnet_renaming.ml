@@ -29,6 +29,4 @@ let run ?adversary ~kind ~n ~width ~seed () =
 let strong_renaming_holds report ~n =
   let assignment = report.Renaming_sched.Report.assignment in
   Renaming_shm.Assignment.is_complete assignment
-  && Array.for_all
-       (function Some name -> name < n | None -> false)
-       assignment.Renaming_shm.Assignment.names
+  && Array.for_all (fun name -> name < n) assignment.Renaming_shm.Assignment.names

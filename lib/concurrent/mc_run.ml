@@ -47,71 +47,75 @@ let unnamed_count r =
 
 let recommended_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
-(* A domain's processes, one slot per process in flat arrays, so a run
-   allocates a few large arrays and no block per process.  Slot [j] of
-   domain [d]'s shard is pid [d + j * domains].  [left.(j)] counts the
-   steps left in segment [seg.(j)] of [schedule.(j)] (probes for a Probe;
-   cells for a Sweep, whose cursor is [size - left]).  A process is
-   finished once its [seg] has run off its schedule, which is also where
-   a winner is put.  Its generator state is the 32 bytes at
-   [j * state_bytes] of [rngs]. *)
+(* A domain's block of processes, one slot per process in flat arrays,
+   so a run allocates a few large arrays and no block per process.  Slot
+   [j] is pid [lo + j].  [left.(j)] counts the steps left in segment
+   [seg.(j)] of the plan (probes for a Probe; cells for a Sweep, whose
+   cursor is [size - left]).  A process is finished once its [seg] has
+   run off the plan, which is also where a winner is put.  Its generator
+   state is the 32 bytes at [j * state_bytes] of [rngs].  [names] and
+   [steps] are the run's result, indexed by pid and shared by every
+   shard; a shard writes only its own block of them. *)
 type shard = {
-  schedule : Plan.t array;
+  plan : Plan.t;
+  regs : Atomic_tas.t;
+  names : int array;  (* the register won, or -1 while unnamed *)
+  steps : int array;
+  lo : int;
   seg : int array;
   left : int array;
-  name : int array;  (* the register won, or -1 while unnamed *)
-  steps : int array;
   rngs : Bytes.t;
 }
 
 let state_bytes = Xoshiro.state_bytes
 
-let finished sh j = sh.seg.(j) >= Array.length sh.schedule.(j)
+let finished sh j = sh.seg.(j) >= Array.length sh.plan
 
-let check_range ~namespace base size =
-  if base < 0 || size > namespace - base then
-    invalid_arg
-      (Printf.sprintf "Mc_run.execute: segment [%d, %d) is outside the namespace [0, %d)" base
-         (base + size) namespace)
+(* The plan's non-empty segments must lie in the namespace: checked once,
+   before any domain starts, so no step can address a register outside
+   it, whatever the draws. *)
+let check_plan ~namespace plan =
+  Array.iter
+    (function
+      | Plan.Probe { count; _ } when count <= 0 -> ()
+      | Plan.Probe { base; size; _ } | Plan.Sweep { base; size } ->
+        if size > 0 && (base < 0 || size > namespace - base) then
+          invalid_arg
+            (Printf.sprintf "Mc_run.execute: segment [%d, %d) is outside the namespace [0, %d)"
+               base (base + size) namespace))
+    plan
 
 (* Move slot [j] to the first non-empty segment at or after [seg], or off
-   the end of its schedule.  A segment is range-checked here, once, so no
-   step can address a register outside the namespace. *)
-let rec enter_segment ~namespace sh j seg =
-  let schedule = sh.schedule.(j) in
+   the end of the plan. *)
+let rec enter_segment sh j seg =
   sh.seg.(j) <- seg;
-  if seg < Array.length schedule then
-    match schedule.(seg) with
-    | Plan.Probe { count; size; _ } when count <= 0 || size <= 0 ->
-      enter_segment ~namespace sh j (seg + 1)
-    | Plan.Sweep { size; _ } when size <= 0 -> enter_segment ~namespace sh j (seg + 1)
-    | Plan.Probe { base; size; count } ->
-      check_range ~namespace base size;
-      sh.left.(j) <- count
-    | Plan.Sweep { base; size } ->
-      check_range ~namespace base size;
-      sh.left.(j) <- size
+  if seg < Array.length sh.plan then
+    match sh.plan.(seg) with
+    | Plan.Probe { count; size; _ } when count <= 0 || size <= 0 -> enter_segment sh j (seg + 1)
+    | Plan.Sweep { size; _ } when size <= 0 -> enter_segment sh j (seg + 1)
+    | Plan.Probe { count; _ } -> sh.left.(j) <- count
+    | Plan.Sweep { size; _ } -> sh.left.(j) <- size
 
 (* One shared-memory step of the unfinished process in slot [j].
    Returns [true] if it is still unfinished afterwards. *)
-let step regs ~namespace sh j =
-  let schedule = sh.schedule.(j) in
+let step sh j =
+  let pid = sh.lo + j in
   let seg = sh.seg.(j) and left = sh.left.(j) in
   let target =
-    match schedule.(seg) with
+    match sh.plan.(seg) with
     | Plan.Probe { base; size; count = _ } ->
       base + Sample.uniform_int_at sh.rngs (j * state_bytes) size
     | Plan.Sweep { base; size } -> base + size - left
   in
   sh.left.(j) <- left - 1;
-  sh.steps.(j) <- sh.steps.(j) + 1;
-  if Atomic_tas.test_and_set regs ~idx:target then begin
-    sh.name.(j) <- target;
-    sh.seg.(j) <- Array.length schedule;
+  sh.steps.(pid) <- sh.steps.(pid) + 1;
+  if Atomic_tas.test_and_set sh.regs ~idx:target then begin
+    sh.names.(pid) <- target;
+    sh.seg.(j) <- Array.length sh.plan;
     false
   end
   else begin
-    if left = 1 then enter_segment ~namespace sh j (seg + 1);
+    if left = 1 then enter_segment sh j (seg + 1);
     not (finished sh j)
   end
 
@@ -129,8 +133,7 @@ let record_result obs (r : result) =
     Obs.gauge o "multicore/wall_seconds" (fun () -> r.wall_seconds);
     Obs.gauge o "multicore/domains" (fun () -> float_of_int r.domains)
 
-let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedule_of_pid ~seed
-    () =
+let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~plan ~seed () =
   if n < 0 then invalid_arg "Mc_run.execute: n must be non-negative";
   if namespace < 0 then invalid_arg "Mc_run.execute: namespace must be non-negative";
   let domains = match domains with Some d -> max 1 d | None -> recommended_domains () in
@@ -140,40 +143,45 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
     if Clock.label clock = Clock.label Clock.none then
       invalid_arg "Mc_run.execute: a deadline needs a ticking clock"
   | None -> ());
+  check_plan ~namespace plan;
   let regs = Atomic_tas.create namespace in
   let stream = Stream.create seed in
+  let names = Array.make n (-1) and steps = Array.make n 0 in
   (* Watchdog shared state: the workers publish progress, the watchdog
      publishes cancellation.  Everything crossing domains is Atomic. *)
   let cancel = Atomic.make false in
   let progress = Array.init domains (fun _ -> Atomic.make 0) in
   let done_flags = Array.init domains (fun _ -> Atomic.make false) in
-  (* Domain [d] runs pids [d], [d + domains], [d + 2 * domains], ...  It
-     builds that shard itself, so the schedules and stream forks run in
-     parallel and each array is allocated by the domain that mutates it.
-     The live set holds the slots of the unfinished processes in shard
-     order.  A sweep steps each of them once, so in-domain processes
-     advance concurrently too, and compacts the survivors stably; a sweep
-     costs what it steps, and exactly one step per live process keeps
-     the progress total. *)
-  let sweep_shard d =
-    let m = (n - d + domains - 1) / domains in
+  (* Domain [d] runs the pids of block [d], [\[d * block, (d + 1) * block)]
+     cut at [n].  It builds that shard itself, so the stream forks run in
+     parallel and each shard array is allocated by the domain that
+     mutates it; the blocks are contiguous, so domains share a cache line
+     of [names] or [steps] only at a block's edge.  The live set holds
+     the slots of the unfinished processes in pid order.  A sweep steps
+     each of them once, so in-domain processes advance concurrently too,
+     and compacts the survivors stably; a sweep costs what it steps, and
+     exactly one step per live process keeps the progress total. *)
+  let block = (n + domains - 1) / domains in
+  let run_shard d () =
+    let lo = min n (d * block) in
+    let m = min n (lo + block) - lo in
     let sh =
       {
-        schedule = Array.make m [||];
+        plan;
+        regs;
+        names;
+        steps;
+        lo;
         seg = Array.make m 0;
         left = Array.make m 0;
-        name = Array.make m (-1);
-        steps = Array.make m 0;
         rngs = Bytes.create (m * state_bytes);
       }
     in
     let live = Array.make m 0 in
     let count = ref 0 in
     for j = 0 to m - 1 do
-      let pid = d + (j * domains) in
-      sh.schedule.(j) <- schedule_of_pid pid;
-      Stream.fork_into stream ~index:pid sh.rngs (j * state_bytes);
-      enter_segment ~namespace sh j 0;
+      Stream.fork_into stream ~index:(lo + j) sh.rngs (j * state_bytes);
+      enter_segment sh j 0;
       if not (finished sh j) then begin
         live.(!count) <- j;
         incr count
@@ -184,7 +192,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
       let kept = ref 0 in
       for i = 0 to !count - 1 do
         let j = live.(i) in
-        if step regs ~namespace sh j then begin
+        if step sh j then begin
           live.(!kept) <- j;
           incr kept
         end
@@ -193,79 +201,45 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
       count := !kept;
       Atomic.set progress.(d) !total
     done;
-    sh
-  in
-  (* A shard that raises cancels the others, so none is left spinning,
-     and hands its exception back through [Domain.join]'s result: joins
-     never raise, so every domain is joined before [execute] re-raises
-     the first failure in shard order. *)
-  let run_shard d () =
-    let outcome =
-      match sweep_shard d with
-      | shard -> Ok shard
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Atomic.set cancel true;
-        Error (e, bt)
-    in
-    Atomic.set done_flags.(d) true;
-    outcome
-  in
-  let collect outcomes =
-    Array.map (function Ok shard -> shard | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-      outcomes
+    Atomic.set done_flags.(d) true
   in
   let t0 = Clock.now clock in
-  let shards =
-    match deadline with
-    | None ->
-      let handles = Array.init (domains - 1) (fun i -> Domain.spawn (run_shard (i + 1))) in
-      let shard0 = run_shard 0 () in
-      collect (Array.append [| shard0 |] (Array.map Domain.join handles))
-    | Some deadline ->
-      (* All shards run on spawned domains so this one is free to watch
-         the clock; a livelocked run is cancelled cooperatively (workers
-         poll [cancel] once per sweep) and reported with the per-domain
-         step counts frozen at the timeout. *)
-      let handles = Array.init domains (fun d -> Domain.spawn (run_shard d)) in
-      let all_done () = Array.for_all Atomic.get done_flags in
-      let rec watch () =
-        if all_done () then ()
-        else
-          let elapsed = Clock.elapsed_since clock t0 in
-          if elapsed >= deadline then begin
-            let per_domain_steps = Array.map Atomic.get progress in
-            let finished_domains =
-              Array.fold_left (fun acc f -> if Atomic.get f then acc + 1 else acc) 0 done_flags
-            in
-            Atomic.set cancel true;
-            Array.iter (fun h -> ignore (Domain.join h)) handles;
-            raise
-              (Stalled { deadline; elapsed; per_domain_steps; finished_domains; domains })
-          end
-          else begin
-            (* Wall-clock watchdog on its own domain: every worker runs on
-               a spawned domain, so nothing the scheduler multiplexes is
-               behind this sleep.  lint: allow blocking-sleep *)
-            Unix.sleepf 0.0005;
-            watch ()
-          end
-      in
-      watch ();
-      collect (Array.map Domain.join handles)
-  in
+  (match deadline with
+  | None ->
+    let handles = Array.init (domains - 1) (fun i -> Domain.spawn (run_shard (i + 1))) in
+    run_shard 0 ();
+    Array.iter Domain.join handles
+  | Some deadline ->
+    (* All shards run on spawned domains so this one is free to watch
+       the clock; a livelocked run is cancelled cooperatively (workers
+       poll [cancel] once per sweep) and reported with the per-domain
+       step counts frozen at the timeout. *)
+    let handles = Array.init domains (fun d -> Domain.spawn (run_shard d)) in
+    let all_done () = Array.for_all Atomic.get done_flags in
+    let rec watch () =
+      if all_done () then ()
+      else
+        let elapsed = Clock.elapsed_since clock t0 in
+        if elapsed >= deadline then begin
+          let per_domain_steps = Array.map Atomic.get progress in
+          let finished_domains =
+            Array.fold_left (fun acc f -> if Atomic.get f then acc + 1 else acc) 0 done_flags
+          in
+          Atomic.set cancel true;
+          Array.iter Domain.join handles;
+          raise (Stalled { deadline; elapsed; per_domain_steps; finished_domains; domains })
+        end
+        else begin
+          (* Wall-clock watchdog on its own domain: every worker runs on
+             a spawned domain, so nothing the scheduler multiplexes is
+             behind this sleep.  lint: allow blocking-sleep *)
+          Unix.sleepf 0.0005;
+          watch ()
+        end
+    in
+    watch ();
+    Array.iter Domain.join handles);
   let wall_seconds = Clock.elapsed_since clock t0 in
-  let steps = Array.make n 0 in
-  let names = Array.make n None in
-  Array.iteri
-    (fun d sh ->
-      Array.iteri
-        (fun j name ->
-          let pid = d + (j * domains) in
-          steps.(pid) <- sh.steps.(j);
-          if name >= 0 then names.(pid) <- Some name)
-        sh.name)
-    shards;
   let result =
     {
       assignment = Renaming_shm.Assignment.make ~namespace names;
@@ -277,15 +251,16 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~schedul
   record_result obs result;
   result
 
-let run_plan ?obs ?domains ?clock ?deadline ~n ~namespace plan ~seed =
-  execute ?obs ?domains ?clock ?deadline ~n ~namespace ~schedule_of_pid:(fun _ -> plan) ~seed ()
-
 let loose_geometric ?obs ?domains ?clock ?deadline ~n ~ell ~seed () =
-  run_plan ?obs ?domains ?clock ?deadline ~n ~namespace:n (Plan.loose_geometric ~n ~ell) ~seed
+  execute ?obs ?domains ?clock ?deadline ~n ~namespace:n ~plan:(Plan.loose_geometric ~n ~ell) ~seed
+    ()
 
 let loose_clustered ?obs ?domains ?clock ?deadline ~n ~ell ~seed () =
-  run_plan ?obs ?domains ?clock ?deadline ~n ~namespace:n (Plan.loose_clustered ~n ~ell ()) ~seed
+  execute ?obs ?domains ?clock ?deadline ~n ~namespace:n
+    ~plan:(Plan.loose_clustered ~n ~ell ())
+    ~seed ()
 
 let uniform_probing ?obs ?domains ?clock ?deadline ~n ~m ~seed () =
   if n < 1 || m < n then invalid_arg "Mc_run.uniform_probing: bad parameters";
-  run_plan ?obs ?domains ?clock ?deadline ~n ~namespace:m (Plan.uniform_probing ~m ()) ~seed
+  execute ?obs ?domains ?clock ?deadline ~n ~namespace:m ~plan:(Plan.uniform_probing ~m ()) ~seed
+    ()

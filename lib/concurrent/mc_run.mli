@@ -17,21 +17,26 @@
     nondeterminism is genuine, so only distribution-level quantities
     are comparable across backends, not individual runs.
 
-    Shard layout: with [d] domains, domain [k] runs pids [k], [k + d],
-    [k + 2d], ...  Each domain builds its own shard: it calls
-    [schedule_of_pid] and [Stream.fork_into] for its pids on that
-    domain, in parallel with the others.  A shard holds its processes
-    in flat arrays with one slot per process: [int] arrays for the
-    segment, the steps left in it, the name won and the step count, an
-    array of schedule pointers, and one [Bytes] buffer with every
-    process's 32-byte generator state.  With the registers packed 32 to
-    an [Atomic] word ({!Atomic_tas}), a run allocates no block per
-    process and none per name for the minor collector to copy into the
-    major heap; what it still promotes is its result's [Some] boxes.
-    Each domain sweeps its live processes (those with a step left) in
-    pid order, one step each per sweep, and drops the finished ones
-    without reordering the rest.  On one domain a run is therefore a
-    pure function of its seed and schedules.
+    Shard layout: every process runs the same plan.  With [d] domains
+    and [b = ⌈n/d⌉], domain [k] runs the contiguous block of pids
+    [\[k·b, (k+1)·b)] (cut at [n]; the last block may be shorter, and a
+    domain beyond [n] gets none).  Each domain builds its own shard,
+    forking its pids' streams with [Stream.fork_into] on that domain, in
+    parallel with the others.  A shard holds its processes in flat
+    arrays with one slot per process: [int] arrays for the segment and
+    the steps left in it, the live set, and one [Bytes] buffer with
+    every process's 32-byte generator state.  Each domain writes its
+    processes' names (at a win) and step counts (as they step) straight
+    into the result's arrays, indexed by pid; blocks are contiguous, so
+    domains share a cache line of them only at a block's edge, and
+    nothing is merged after the join.  A run keeps about 9 words per
+    process in all (the two slots, the live set, 4 words of generator
+    state, the name and the step count), and with the registers packed
+    32 to an [Atomic] word ({!Atomic_tas}) it allocates no block per
+    process or per name.  Each domain sweeps its live processes (those
+    with a step left) in pid order, one step each per sweep, and drops
+    the finished ones without reordering the rest.  On one domain a run
+    is therefore a pure function of its seed and plan.
 
     Time is injected as a {!Renaming_clock.Clock.t} capability: with the
     default {!Renaming_clock.Clock.none} the run measures no wall time
@@ -75,25 +80,20 @@ val execute :
   ?deadline:float ->
   n:int ->
   namespace:int ->
-  schedule_of_pid:(int -> Renaming_plan.Plan.t) ->
+  plan:Renaming_plan.Plan.t ->
   seed:int64 ->
   unit ->
   result
-(** Run [n] processes with the given per-pid probe plans
-    ({!Renaming_plan.Plan}) over the domain pool.  Raises
-    [Invalid_argument] if [n] or [namespace] is
-    negative, if [?deadline] is given without a ticking clock (it could
-    never expire), or when a process enters a non-empty segment outside
-    [\[0, namespace)].  That check runs once per segment, on entry, so
-    it does not depend on the seed.  Raises {!Stalled} if the deadline
-    passes before all domains finish.
-
-    [schedule_of_pid] runs on the worker domains, concurrently, so it
-    must be pure and safe to call from any domain.  An exception it
-    raises cancels the other shards and propagates out of [execute],
-    watchdog or not, once every domain has been joined; when several
-    shards fail, the lowest-numbered one's exception wins.  [wall_seconds]
-    covers building the shards as well as running them.
+(** Run [n] processes, each with the probe plan [plan]
+    ({!Renaming_plan.Plan}), over the domain pool.  Raises
+    [Invalid_argument] if [n] or [namespace] is negative, if [?deadline]
+    is given without a ticking clock (it could never expire), or if any
+    non-empty segment of [plan] lies outside [\[0, namespace)], even one
+    no process would reach.  Those checks run before any domain is
+    spawned, so they do not depend on the seed, and no code of the
+    caller's runs on a worker.  Raises {!Stalled} if the deadline passes
+    before all domains finish.  [wall_seconds] covers building the
+    shards as well as running them.
 
     With [obs], a completed run records — strictly after the worker
     domains are joined, since the registry is process-local state —

@@ -86,7 +86,4 @@ let run ?adversary cfg ~seed =
   Executor.run ~adversary inst
 
 let max_name_used report =
-  Array.fold_left
-    (fun acc -> function Some name -> max acc name | None -> acc)
-    (-1)
-    report.Renaming_sched.Report.assignment.Renaming_shm.Assignment.names
+  Array.fold_left max (-1) report.Renaming_sched.Report.assignment.Renaming_shm.Assignment.names

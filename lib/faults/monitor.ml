@@ -223,12 +223,10 @@ let finalize t (report : Report.t) =
     fail t ~kind:"tick-mismatch" "tick mismatch: report says %d, monitor counted %d"
       report.Report.ticks t.total_steps;
   Array.iteri
-    (fun pid value ->
-      match value with
-      | Some name when t.returned.(pid) <> name ->
+    (fun pid name ->
+      if name <> -1 && t.returned.(pid) <> name then
         fail t ~kind:"assignment-mismatch"
-          "final assignment gives %d to process %d but the monitor never saw that return" name pid
-      | _ -> ())
+          "final assignment gives %d to process %d but the monitor never saw that return" name pid)
     report.Report.assignment.Renaming_shm.Assignment.names
 
 type verdict = Passed of Report.t | Livelocked of Report.t | Failed of violation

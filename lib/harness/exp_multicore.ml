@@ -94,9 +94,7 @@ let f4 scale =
     Array.iter
       (fun n ->
         let plan = plan n in
-        let r =
-          Mc_run.execute ~domains:1 ~n ~namespace:n ~schedule_of_pid:(fun _ -> plan) ~seed ()
-        in
+        let r = Mc_run.execute ~domains:1 ~n ~namespace:n ~plan ~seed () in
         Table.add_row table
           [
             label;

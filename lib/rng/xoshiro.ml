@@ -57,8 +57,6 @@ let derive_at base ~key buf off =
   check_offset "Xoshiro.derive_at" buf off;
   seed_words buf off (derived_seed base (Int64.of_int key))
 
-let copy = Bytes.copy
-
 let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* Step the state at [off] (checked by the caller); returns [s1] as it
@@ -83,26 +81,3 @@ let[@inline] next_int63_at buf off =
   Int64.to_int (Int64.shift_right_logical (scramble (advance buf off)) 2)
 
 let next_int63 t = next_int63_at t 0
-
-let jump_table =
-  [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
-
-(* Advance [t] by 2^128 steps in place. *)
-let jump t =
-  let acc = Bytes.make state_bytes '\000' in
-  Array.iter
-    (fun jump_word ->
-      for b = 0 to 63 do
-        if Int64.logand jump_word (Int64.shift_left 1L b) <> 0L then
-          for i = 0 to 3 do
-            set acc (8 * i) (Int64.logxor (get acc (8 * i)) (get t (8 * i)))
-          done;
-        ignore (advance t 0)
-      done)
-    jump_table;
-  Bytes.blit acc 0 t 0 state_bytes
-
-let split t =
-  let fresh = copy t in
-  jump t;
-  fresh

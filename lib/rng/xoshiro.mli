@@ -1,9 +1,9 @@
 (** xoshiro256** generator (Blackman, Vigna 2018).
 
-    The workhorse generator of the repository: fast, 256-bit state, and
-    splittable via {!split} into streams that are independent for all
-    practical purposes.  Seeded from a single [int64] through SplitMix64 as
-    the authors recommend.
+    The workhorse generator of the repository: fast, with a 256-bit
+    state.  Seeded from a single [int64] through SplitMix64 as the
+    authors recommend; independent streams are derived by key
+    ({!derive}, {!derive_at}), which is how {!Stream} forks them.
 
     The state is stored unboxed (32 bytes), so stepping it never
     allocates: {!next_int63}, [Sample.uniform_int] and
@@ -46,10 +46,6 @@ val derive : int64 -> int64 -> t
     [\[off, off + 32)] is not inside [buf]. *)
 val derive_at : int64 -> key:int -> Bytes.t -> int -> unit
 
-(** [copy t] is an independent generator with the same current state. *)
-(* lint: allow unused-export — unit-tested, no caller yet: stream copy *)
-val copy : t -> t
-
 (** [next t] returns the next 64-bit output. *)
 val next : t -> int64
 
@@ -62,9 +58,3 @@ val next_int63 : t -> int
     [next_int63_at (t :> Bytes.t) 0].  Raises [Invalid_argument] when
     [\[off, off + 32)] is not inside [buf]. *)
 val next_int63_at : Bytes.t -> int -> int
-
-(** [split t] returns a copy of [t] at its current position and then
-    jumps [t] 2^128 steps ahead, so repeated calls yield disjoint
-    streams. *)
-(* lint: allow unused-export — unit-tested, no caller yet: stream split *)
-val split : t -> t

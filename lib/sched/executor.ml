@@ -169,13 +169,14 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
       | Program.Step _ | Program.Done _ ->
         invalid_arg "Executor: adversary scheduled a non-runnable process")
   done;
-  let returns =
-    Array.mapi
-      (fun pid p ->
-        match p with
-        | Program.Done v when not crashed.(pid) -> v
-        | Program.Done _ | Program.Step _ -> None)
-      programs
+  let assignment =
+    Memory.assignment_of_returns instance.memory
+      (Array.mapi
+         (fun pid p ->
+           match p with
+           | Program.Done (Some v) when not crashed.(pid) -> v
+           | Program.Done _ | Program.Step _ -> -1)
+         programs)
   in
   let pids_where flags =
     let acc = ref [] in
@@ -192,10 +193,9 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
     for pid = 0 to n - 1 do
       Renaming_obs.Hist.observe steps_hist (Renaming_shm.Step_ledger.steps_of ledger ~pid)
     done;
-    let named =
-      Array.fold_left (fun acc v -> match v with Some _ -> acc + 1 | None -> acc) 0 returns
-    in
-    Renaming_obs.Metrics.add (Renaming_obs.Obs.counter o (instance.label ^ "/named")) named;
+    Renaming_obs.Metrics.add
+      (Renaming_obs.Obs.counter o (instance.label ^ "/named"))
+      (Renaming_shm.Assignment.named_count assignment);
     Renaming_obs.Metrics.add
       (Renaming_obs.Obs.counter o (instance.label ^ "/crashed"))
       (Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 crashed);
@@ -203,7 +203,7 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
       (Renaming_obs.Obs.counter o (instance.label ^ "/recovered"))
       (Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 ever_recovered));
   {
-    Report.assignment = Memory.assignment_of_returns instance.memory returns;
+    Report.assignment = assignment;
     ledger;
     ticks = !time;
     outcome = (if !livelocked then Report.Livelock { max_ticks } else Report.Completed);

@@ -11,7 +11,8 @@
     An *instance* bundles the shared memory with one program per
     process; each program returns the name it acquired ([Some name]) or
     [None] (almost-tight algorithms give up by design; a sound algorithm
-    must never *claim* a name it did not win). *)
+    must never *claim* a name it did not win).  The report's assignment
+    holds [name] for [Some name] and [-1] for [None] or a crash. *)
 
 type instance = {
   memory : Memory.t;

@@ -60,6 +60,6 @@ val tick_taus : t -> unit
 (** Run one device clock cycle on every τ-register that has queued
     requests. *)
 
-val assignment_of_returns : t -> int option array -> Renaming_shm.Assignment.t
-(** Build the final assignment from per-process return values,
+val assignment_of_returns : t -> int array -> Renaming_shm.Assignment.t
+(** Build the final assignment from per-process names ([-1] for none),
     validating against the namespace size. *)

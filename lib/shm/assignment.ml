@@ -1,21 +1,21 @@
-type t = { names : int option array; namespace : int }
+type t = { names : int array; namespace : int }
 
 let make ~namespace names =
   if namespace < 0 then invalid_arg "Assignment.make: negative namespace";
   { names; namespace }
 
 let of_names ~namespace tas ~processes =
-  let names = Array.make processes None in
-  Tas_array.iter_set tas ~f:(fun ~idx ~pid -> if pid < processes then names.(pid) <- Some idx);
+  let names = Array.make processes (-1) in
+  Tas_array.iter_set tas ~f:(fun ~idx ~pid -> if pid < processes then names.(pid) <- idx);
   make ~namespace names
 
 let named_count t =
-  Array.fold_left (fun acc -> function Some _ -> acc + 1 | None -> acc) 0 t.names
+  Array.fold_left (fun acc name -> if name = -1 then acc else acc + 1) 0 t.names
 
 let unnamed t =
   let acc = ref [] in
   for pid = Array.length t.names - 1 downto 0 do
-    if t.names.(pid) = None then acc := pid :: !acc
+    if t.names.(pid) = -1 then acc := pid :: !acc
   done;
   !acc
 
@@ -47,12 +47,12 @@ let violations t =
   in
   let acc = ref [] in
   Array.iteri
-    (fun pid -> function
-      | None -> ()
-      | Some name ->
+    (fun pid name ->
+      if name <> -1 then begin
         if name < 0 || name >= t.namespace then acc := Out_of_range { pid; name } :: !acc;
         let pid_a = first_holder name pid in
-        if pid_a >= 0 then acc := Duplicate { name; pid_a; pid_b = pid } :: !acc)
+        if pid_a >= 0 then acc := Duplicate { name; pid_a; pid_b = pid } :: !acc
+      end)
     t.names;
   List.rev !acc
 

@@ -86,7 +86,7 @@ let test_retry_tas_wins_after_faults () =
     Program.return (if won then Some 0 else None)
   in
   let report, memory = run_single program ~namespace:1 ~inject:(fault_first 3) in
-  check Alcotest.(option int) "eventually wins" (Some 0)
+  check Alcotest.int "eventually wins" 0
     report.Report.assignment.Assignment.names.(0);
   check Alcotest.bool "register really owned" true
     (Renaming_shm.Tas_array.owner (Memory.names memory) 0 = Some 0);
@@ -132,7 +132,7 @@ let test_retry_time_budget_inert_without_clock () =
     Program.return (if won then Some 0 else None)
   in
   let report, _ = run_single program ~namespace:1 ~inject:(fault_first 4) in
-  check Alcotest.(option int) "budget never binds, tas wins" (Some 0)
+  check Alcotest.int "budget never binds, tas wins" 0
     report.Report.assignment.Assignment.names.(0);
   check Alcotest.int "all five attempts used" 5 report.Report.ticks;
   Alcotest.check_raises "budget must be positive"
@@ -163,7 +163,7 @@ let test_retry_scan_skips_faulty_register () =
   let program = Retry.scan_names ~policy ~first:0 ~count:2 () in
   let inject ~time:_ ~pid:_ ~op = match op with Op.Tas_name 0 -> true | _ -> false in
   let report, memory = run_single program ~namespace:2 ~inject in
-  check Alcotest.(option int) "skips faulty register, takes next" (Some 1)
+  check Alcotest.int "skips faulty register, takes next" 1
     report.Report.assignment.Assignment.names.(0);
   check Alcotest.bool "faulty register never set" true
     (Renaming_shm.Tas_array.owner (Memory.names memory) 0 = None)
@@ -175,7 +175,7 @@ let test_retry_fault_free_cost_matches_plain () =
   let r1, _ = run_single plain ~namespace:4 in
   let r2, _ = run_single retried ~namespace:4 in
   check Alcotest.int "identical step cost" r1.Report.ticks r2.Report.ticks;
-  check Alcotest.(option int) "identical result"
+  check Alcotest.int "identical result"
     r1.Report.assignment.Assignment.names.(0)
     r2.Report.assignment.Assignment.names.(0)
 
@@ -240,9 +240,9 @@ let test_recovered_process_keeps_won_name () =
   let report = Executor.run ~adversary instance in
   check Alcotest.(list int) "pid 0 recovered" [ 0 ] report.Report.recovered;
   check Alcotest.(list int) "nobody dead at end" [] report.Report.crashed;
-  check Alcotest.(option int) "kept the won name" (Some 0)
+  check Alcotest.int "kept the won name" 0
     report.Report.assignment.Assignment.names.(0);
-  check Alcotest.(option int) "scanner got the other" (Some 1)
+  check Alcotest.int "scanner got the other" 1
     report.Report.assignment.Assignment.names.(1);
   check Alcotest.bool "sound" true (Report.is_sound report)
 
@@ -262,7 +262,7 @@ let test_permanent_crash_still_reported () =
   check Alcotest.(list int) "pid 0 dead" [ 0 ] report.Report.crashed;
   check Alcotest.(list int) "nobody recovered" [] report.Report.recovered;
   (* The won register stays burnt; the scanner must route around it. *)
-  check Alcotest.(option int) "scanner avoids burnt name" (Some 1)
+  check Alcotest.int "scanner avoids burnt name" 1
     report.Report.assignment.Assignment.names.(1)
 
 let test_recovery_under_monitor () =

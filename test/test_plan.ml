@@ -122,8 +122,9 @@ let pid_order_round_robin () =
 let agree label (sim : Report.t) (mc : Mc_run.result) =
   check Alcotest.bool (label ^ ": simulator run sound") true (Report.is_sound sim);
   check
-    Alcotest.(array (option int))
-    (label ^ ": per-pid names") sim.Report.assignment.Assignment.names mc.Mc_run.assignment.Assignment.names;
+    Alcotest.(array int)
+    (label ^ ": per-pid names")
+    sim.Report.assignment.Assignment.names mc.Mc_run.assignment.Assignment.names;
   check
     Alcotest.(array int)
     (label ^ ": per-pid steps")
@@ -169,7 +170,7 @@ let test_geometric_deterministic () =
   let b = Mc_run.loose_geometric ~domains:1 ~n:2048 ~ell:1 ~seed:9L () in
   check Alcotest.(array int) "same steps" a.Mc_run.steps b.Mc_run.steps;
   check
-    Alcotest.(array (option int))
+    Alcotest.(array int)
     "same names" a.Mc_run.assignment.Assignment.names b.Mc_run.assignment.Assignment.names
 
 let test_geometric_seed_sensitivity () =
@@ -186,8 +187,7 @@ let test_clustered_within_budget () =
 let test_clustered_boost_helps () =
   let run boost =
     let plan = Plan.loose_clustered ~boost ~n:16384 ~ell:1 () in
-    Mc_run.execute ~domains:1 ~n:16384 ~namespace:16384 ~schedule_of_pid:(fun _ -> plan) ~seed:3L
-      ()
+    Mc_run.execute ~domains:1 ~n:16384 ~namespace:16384 ~plan ~seed:3L ()
   in
   check Alcotest.bool "boost helps" true (unnamed (run 2) < unnamed (run 1))
 

@@ -33,33 +33,6 @@ let test_xoshiro_deterministic () =
     check Alcotest.int64 "same stream" (Xoshiro.next a) (Xoshiro.next b)
   done
 
-let test_xoshiro_copy_independent () =
-  let a = Xoshiro.create 7L in
-  let b = Xoshiro.copy a in
-  let xa = Xoshiro.next a in
-  let xb = Xoshiro.next b in
-  check Alcotest.int64 "copy replays" xa xb;
-  let xa2 = Xoshiro.next a in
-  let xb2 = Xoshiro.next b in
-  check Alcotest.int64 "drawing from one leaves the other alone" xa2 xb2;
-  let xa3 = Xoshiro.next a in
-  ignore (Xoshiro.next b);
-  let xb3 = Xoshiro.next b in
-  check Alcotest.bool "a draw ahead, they differ" true (xa3 <> xb3);
-  let xa4 = Xoshiro.next a in
-  check Alcotest.int64 "once b catches up, they agree again" xa4 xb3
-
-let test_xoshiro_split_disjoint () =
-  let master = Xoshiro.create 99L in
-  let s1 = Xoshiro.split master in
-  let s2 = Xoshiro.split master in
-  (* Two splits should not produce identical prefixes. *)
-  let same = ref true in
-  for _ = 1 to 50 do
-    if Xoshiro.next s1 <> Xoshiro.next s2 then same := false
-  done;
-  check Alcotest.bool "split streams differ" false !same
-
 let test_int63_nonnegative () =
   let g = Xoshiro.create 5L in
   for _ = 1 to 1000 do
@@ -222,13 +195,7 @@ let test_xoshiro_golden_outputs () =
   let x3 = Xoshiro.next g in
   check Alcotest.int64 "create 7, output 1" 0xb358faf74ef9765aL x1;
   check Alcotest.int64 "create 7, output 2" 0x475c3d964f482cd2L x2;
-  check Alcotest.int64 "create 7, output 3" 0xd6f1d349952c7996L x3;
-  let g = Xoshiro.create 7L in
-  let fresh = Xoshiro.split g in
-  let jumped = Xoshiro.next g in
-  let copied = Xoshiro.next fresh in
-  check Alcotest.int64 "split: the jumped generator" 0x156617fd83df2a74L jumped;
-  check Alcotest.int64 "split: the returned copy" 0xb358faf74ef9765aL copied
+  check Alcotest.int64 "create 7, output 3" 0xd6f1d349952c7996L x3
 
 let test_sample_golden_outputs () =
   let r = Stream.fork (Stream.create 1L) ~index:0 in
@@ -378,8 +345,6 @@ let tests =
         Alcotest.test_case "splitmix seed sensitivity" `Quick test_splitmix_seed_sensitivity;
         Alcotest.test_case "splitmix known vector" `Quick test_splitmix_known_vector;
         Alcotest.test_case "xoshiro deterministic" `Quick test_xoshiro_deterministic;
-        Alcotest.test_case "xoshiro copy" `Quick test_xoshiro_copy_independent;
-        Alcotest.test_case "xoshiro split disjoint" `Quick test_xoshiro_split_disjoint;
         Alcotest.test_case "int63 nonnegative" `Quick test_int63_nonnegative;
         Alcotest.test_case "uniform_int range" `Quick test_uniform_int_range;
         Alcotest.test_case "uniform_int bound=1" `Quick test_uniform_int_bound_one;

@@ -43,7 +43,7 @@ let test_scan_names_finds_first_free () =
   in
   let report = run_single program ~namespace:3 in
   (* The process took name 0 itself, so the scan must return name 1. *)
-  check Alcotest.(option int) "scan skips taken" (Some 1)
+  check Alcotest.int "scan skips taken" 1
     report.Report.assignment.Renaming_shm.Assignment.names.(0)
 
 let test_scan_names_exhausted () =
@@ -149,7 +149,7 @@ let test_lifo_starves_low_pids () =
   (* Under LIFO with a single free register, the highest pid wins it. *)
   let report = simple_competition ~n:4 ~namespace:1 ~adversary:Adversary.lifo in
   let names = report.Report.assignment.Renaming_shm.Assignment.names in
-  check Alcotest.(option int) "pid 3 wins" (Some 0) names.(3)
+  check Alcotest.int "pid 3 wins" 0 names.(3)
 
 let test_max_ticks_guard () =
   (* A livelocked run ends with a structured Livelock outcome (so chaos

@@ -70,14 +70,14 @@ let test_ledger_summary () =
   check (Alcotest.float 1e-9) "mean" 2.5 (Renaming_stats.Summary.mean s)
 
 let test_assignment_valid () =
-  let a = Assignment.make ~namespace:4 [| Some 0; Some 3; None |] in
+  let a = Assignment.make ~namespace:4 [| 0; 3; -1 |] in
   check Alcotest.bool "valid" true (Assignment.is_valid a);
   check Alcotest.bool "incomplete" false (Assignment.is_complete a);
   check Alcotest.int "named" 2 (Assignment.named_count a);
   check Alcotest.(list int) "unnamed" [ 2 ] (Assignment.unnamed a)
 
 let test_assignment_duplicate () =
-  let a = Assignment.make ~namespace:4 [| Some 1; Some 1 |] in
+  let a = Assignment.make ~namespace:4 [| 1; 1 |] in
   check Alcotest.bool "invalid" false (Assignment.is_valid a);
   match Assignment.violations a with
   | [ Assignment.Duplicate { name; pid_a; pid_b } ] ->
@@ -87,7 +87,7 @@ let test_assignment_duplicate () =
   | _ -> Alcotest.fail "expected one duplicate violation"
 
 let test_assignment_out_of_range () =
-  let a = Assignment.make ~namespace:2 [| Some 2 |] in
+  let a = Assignment.make ~namespace:2 [| 2 |] in
   match Assignment.violations a with
   | [ Assignment.Out_of_range { pid; name } ] ->
     check Alcotest.int "pid" 0 pid;
@@ -100,8 +100,21 @@ let test_assignment_of_names () =
   ignore (Tas_array.test_and_set t ~idx:0 ~pid:1);
   let a = Assignment.of_names ~namespace:4 t ~processes:2 in
   check Alcotest.bool "complete" true (Assignment.is_complete a);
-  check Alcotest.(option int) "pid 0 -> 2" (Some 2) a.Assignment.names.(0);
-  check Alcotest.(option int) "pid 1 -> 0" (Some 0) a.Assignment.names.(1)
+  check Alcotest.int "pid 0 -> 2" 2 a.Assignment.names.(0);
+  check Alcotest.int "pid 1 -> 0" 0 a.Assignment.names.(1)
+
+(* [-1] is "no name"; every other negative value is a name, and out of
+   range. *)
+let test_assignment_minus_one_is_none () =
+  let a = Assignment.make ~namespace:4 [| -1; -2; 0 |] in
+  check Alcotest.int "named" 2 (Assignment.named_count a);
+  check Alcotest.(list int) "unnamed" [ 0 ] (Assignment.unnamed a);
+  check Alcotest.bool "invalid" false (Assignment.is_valid a);
+  match Assignment.violations a with
+  | [ Assignment.Out_of_range { pid; name } ] ->
+    check Alcotest.int "pid" 1 pid;
+    check Alcotest.int "name" (-2) name
+  | _ -> Alcotest.fail "expected one out-of-range violation"
 
 let qcheck_tas_single_winner =
   QCheck.Test.make ~count:200 ~name:"each register has at most one winner"
@@ -127,20 +140,21 @@ let violations_by_table (t : Assignment.t) =
   let seen = Hashtbl.create (Array.length t.names) in
   let acc = ref [] in
   Array.iteri
-    (fun pid -> function
-      | None -> ()
-      | Some name ->
+    (fun pid name ->
+      if name <> -1 then begin
         if name < 0 || name >= t.namespace then
           acc := Assignment.Out_of_range { pid; name } :: !acc;
-        (match Hashtbl.find_opt seen name with
+        match Hashtbl.find_opt seen name with
         | Some pid_a -> acc := Assignment.Duplicate { name; pid_a; pid_b = pid } :: !acc
-        | None -> Hashtbl.add seen name pid))
+        | None -> Hashtbl.add seen name pid
+      end)
     t.names;
   List.rev !acc
 
 (* Small namespaces give many duplicates; names straddle both ends of
    the namespace, and a namespace far above the process count sends
-   in-range names past the flat array too. *)
+   in-range names past the flat array too.  Below 0 there are -1 (no
+   name) and -2, -3 (out of range). *)
 let gen_assignment =
   QCheck.Gen.(
     let* namespace = oneof [ int_range 0 24; int_range 100 5000 ] in
@@ -148,9 +162,9 @@ let gen_assignment =
     let name =
       frequency
         [
-          (1, return None);
-          (4, map Option.some (int_range (-3) (min namespace 24 + 3)));
-          (1, map Option.some (int_range (-3) (namespace + 3)));
+          (1, return (-1));
+          (4, int_range (-3) (min namespace 24 + 3));
+          (1, int_range (-3) (namespace + 3));
         ]
     in
     let+ names = array_repeat len name in
@@ -163,7 +177,7 @@ let qcheck_violations_match_table =
          Printf.sprintf "namespace %d, names [%s]" a.namespace
            (String.concat "; "
               (Array.to_list
-                 (Array.map (function None -> "-" | Some x -> string_of_int x) a.names))))
+                 (Array.map (function -1 -> "-" | x -> string_of_int x) a.names))))
        gen_assignment)
     (fun a -> Assignment.violations a = violations_by_table a)
 
@@ -183,6 +197,7 @@ let tests =
         Alcotest.test_case "assignment duplicate" `Quick test_assignment_duplicate;
         Alcotest.test_case "assignment out of range" `Quick test_assignment_out_of_range;
         Alcotest.test_case "assignment of names" `Quick test_assignment_of_names;
+        Alcotest.test_case "assignment -1 is none" `Quick test_assignment_minus_one_is_none;
         QCheck_alcotest.to_alcotest qcheck_tas_single_winner;
         QCheck_alcotest.to_alcotest qcheck_violations_match_table;
       ] );

@@ -26,7 +26,7 @@ let summary (r : Report.t) =
     String.concat ","
       (Array.to_list
          (Array.map
-            (function Some v -> string_of_int v | None -> "-")
+            (function -1 -> "-" | v -> string_of_int v)
             r.Report.assignment.Renaming_shm.Assignment.names))
   in
   Printf.sprintf "ticks=%d total=%d max=%d named=%d crashed=%d recovered=%d %s" r.Report.ticks
