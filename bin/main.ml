@@ -220,7 +220,10 @@ let write_metrics ~label obs metrics =
 let run_service_campaign campaign ~sessions ~seed_count ~out ~metrics =
   let module C = Renaming_harness.Chaos_campaign in
   let label = "chaos --" ^ campaign.C.name in
-  let out = Option.value out ~default:("results/chaos-" ^ campaign.C.name ^ ".json") in
+  (* The default is not committed: [make chaos-net] pins
+     results/chaos-net.json with an explicit --out, and a hand run with
+     a small --sessions must not overwrite it. *)
+  let out = Option.value out ~default:("results/chaos-" ^ campaign.C.name ^ ".local.json") in
   let progress ~done_ ~total =
     Printf.eprintf "\r%s: run %d/%d%!" label done_ total;
     if done_ = total then prerr_newline ()
@@ -251,8 +254,8 @@ let chaos_cmd =
   let out =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
            ~doc:"Write the JSON summary to $(docv) (default: results/chaos.json, or \
-                 results/chaos-<campaign>.json with $(b,--service), $(b,--sharded) or \
-                 $(b,--net)).")
+                 results/chaos-<campaign>.local.json, which is not committed, with \
+                 $(b,--service), $(b,--sharded) or $(b,--net)).")
   in
   let service =
     Arg.(value & flag & info [ "service" ]

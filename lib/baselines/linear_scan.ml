@@ -11,7 +11,7 @@ let instance { n; m } =
   if m < n then invalid_arg "Linear_scan: m must be >= n";
   let memory = Memory.create ~namespace:m () in
   let plan = Plan.linear_scan ~first:0 ~count:m in
-  let programs = Array.init n (fun _ -> Plan_exec.program plan) in
+  let programs = Executor.init_programs n (fun _ -> Plan_exec.program plan) in
   { Executor.memory; programs; label = "linear-scan" }
 
 let run ?adversary cfg =

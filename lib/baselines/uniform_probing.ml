@@ -15,7 +15,7 @@ let make_config ?max_probes ~n ~m () =
 let instance cfg ~stream =
   let memory = Memory.create ~namespace:cfg.m () in
   let programs =
-    Array.init cfg.n (fun pid -> Plan_exec.program cfg.plan ~rng:(Stream.fork stream ~index:pid))
+    Executor.init_programs cfg.n (fun pid -> Plan_exec.program cfg.plan ~rng:(Stream.fork stream ~index:pid))
   in
   { Executor.memory; programs; label = Printf.sprintf "uniform-probing(m=%d)" cfg.m }
 

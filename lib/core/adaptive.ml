@@ -75,7 +75,7 @@ let program cfg ~rng =
 let instance cfg ~stream =
   let memory = Memory.create ~namespace:(namespace cfg) () in
   let programs =
-    Array.init cfg.k (fun pid -> program cfg ~rng:(Stream.fork stream ~index:pid))
+    Executor.init_programs cfg.k (fun pid -> program cfg ~rng:(Stream.fork stream ~index:pid))
   in
   { Executor.memory; programs; label = Printf.sprintf "adaptive(k=%d)" cfg.k }
 

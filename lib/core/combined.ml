@@ -67,7 +67,7 @@ let program ?obs cfg ~rng =
 let instance ?obs cfg ~stream =
   let memory = Memory.create ~namespace:(namespace cfg) () in
   let programs =
-    Array.init cfg.n (fun pid ->
+    Executor.init_programs cfg.n (fun pid ->
         let obs = Option.map (fun o -> Obs.scoped o ~pid) obs in
         program ?obs cfg ~rng:(Stream.fork stream ~index:pid))
   in

@@ -46,7 +46,7 @@ let instance ?instr ?obs cfg ~stream =
   let plan = plan cfg in
   let memory = Memory.create ~namespace:cfg.n () in
   let programs =
-    Array.init cfg.n (fun pid ->
+    Executor.init_programs cfg.n (fun pid ->
         let obs = Option.map (fun o -> Obs.scoped o ~pid) obs in
         run_plan ?instr ?obs plan ~rng:(Stream.fork stream ~index:pid))
   in

@@ -40,7 +40,10 @@ val instance :
   Renaming_sched.Executor.instance
 (** Builds memory (namespace [n], one τ-register per block) and one
     program per process.  Process [pid]'s coin flips come from
-    [Stream.fork stream ~index:pid], so runs are replayable.
+    [Stream.fork stream ~index:pid], so runs are replayable.  A process
+    is one mutable record: its program is parked at the first round's
+    submit, and rerunning that value (a crash-restart) starts again from
+    the first round while the coin flips go on from the stream.
 
     With [obs], programs record [tight/probes]/[wins]/[losses] counters
     and per-pid round/probe/win/lose/reserve-scan/safety-net trace

@@ -117,7 +117,7 @@ let mutant_tau_over_admit ~seed:_ =
   in
   {
     Executor.memory;
-    programs = Array.init n program;
+    programs = Executor.init_programs n program;
     label = "mutant-tau-over-admit";
   }
 

@@ -76,7 +76,10 @@ val program :
   int option Renaming_sched.Program.t
 (** One session's program (exposed for tests and embedders that need to
     run it against a custom memory, e.g. to force the exhaustion
-    path). *)
+    path).  The session is one mutable record: the program is parked at
+    its first probe, and rerunning that value (a crash-restart) starts
+    every round afresh while the probes go on drawing from [rng].  A
+    program value therefore belongs to one execution. *)
 
 (* lint: allow unused-export — test hook: the pinned tick workload *)
 val instance :

@@ -74,7 +74,7 @@ let make ~n ~mutant label =
   let clients = n - 1 in
   let memory = Memory.create ~namespace:clients ~aux:clients ~words:(1 + clients) () in
   let programs =
-    Array.init n (fun pid -> if pid < clients then client pid else reclaimer ~clients ~mutant)
+    Executor.init_programs n (fun pid -> if pid < clients then client pid else reclaimer ~clients ~mutant)
   in
   { Executor.memory; programs; label }
 

@@ -4,6 +4,17 @@ type instance = {
   label : string;
 }
 
+(* [Array.init] makes its array from [f 0], and for an array too large
+   for the minor heap (over 256 words) whose initial value is young the
+   runtime first runs a minor collection.  [Done None] is a static
+   constant, so starting from it forces nothing. *)
+let init_programs n f =
+  let programs = Array.make n (Program.Done None) in
+  for pid = 0 to n - 1 do
+    programs.(pid) <- f pid
+  done;
+  programs
+
 type event =
   | Stepped of { time : int; pid : int; op : Op.t; response : Op.response }
   | Crashed of { time : int; pid : int }

@@ -20,6 +20,11 @@ type instance = {
   label : string;  (** algorithm name, for reports *)
 }
 
+val init_programs : int -> (int -> int option Program.t) -> int option Program.t array
+(** [init_programs n f] is [Array.init n f], the program array of an
+    instance, built without the minor collection [Array.init] forces
+    once [n] exceeds 256 and [f 0] is young. *)
+
 (** Everything observable about a run, in execution order — the feed of
     the online safety monitor ([Renaming_faults.Monitor]), which checks
     it against the centralized renaming spec. *)

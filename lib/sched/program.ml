@@ -50,8 +50,6 @@ let try_bool_op op =
 
 let try_tas_aux i = try_bool_op (Op.Tas_aux i)
 
-let release_name i = bool_op (Op.Release_name i)
-
 let read_word i =
   let op = Op.Read_word i in
   Step
@@ -83,19 +81,6 @@ let tau_poll reg =
       function
       | Op.Tau a -> Done a
       | resp -> bad_response op resp )
-
-(* Submit, then poll until answered, as one program with no bind
-   between the two: one continuation takes the submit's [Unit] and every
-   poll's answer alike, so the request builds one closure. *)
-let tau_request ~reg ~bit =
-  let poll = Op.Tau_poll reg in
-  let rec k = function
-    | Op.Unit | Op.Tau Renaming_device.Tau_register.Pending -> Step (poll, k)
-    | Op.Tau Renaming_device.Tau_register.Won_bit -> Done true
-    | Op.Tau Renaming_device.Tau_register.Lost_bit -> Done false
-    | resp -> bad_response poll resp
-  in
-  Step (Op.Tau_submit { reg; bit }, k)
 
 let scan_names ~first ~count =
   let open Syntax in

@@ -25,9 +25,6 @@ val tas_name : int -> bool t
 
 val tas_aux : int -> bool t
 val read_name : int -> bool t
-val release_name : int -> bool t
-(** Free a namespace register this process owns; [true] iff it did own
-    it (long-lived renaming only). *)
 
 val yield : unit t
 (** One deliberate no-op step — the backoff unit of the transient-fault
@@ -52,12 +49,6 @@ val write_word : idx:int -> value:int -> unit t
 val tau_submit : reg:int -> bit:int -> unit t
 
 val tau_poll : int -> Renaming_device.Tau_register.answer t
-
-val tau_request : reg:int -> bit:int -> bool t
-(** Submit a request for [bit] to τ-register [reg], then poll it until
-    the answer is no longer [Pending]; [true] iff the bit was won.  The
-    submit and each poll are a step; the executor's device cadence
-    bounds the number of polls by a constant. *)
 
 (** {2 Composite helpers used by several algorithms} *)
 

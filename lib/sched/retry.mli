@@ -59,7 +59,7 @@ val tas_name_after_fault : int -> bool Program.t
 (** The rest of [tas_name i] (default policy, no clock) once its first
     attempt has answered {!Op.Faulted}: the same backoff and the same
     later attempts.  A caller that issues the first attempt itself, as
-    [Plan_exec] does, hands a fault over here. *)
+    [Plan_exec] and Tight's scans do, hands a fault over here. *)
 
 val tas_aux :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t

@@ -58,7 +58,7 @@ let build ~first ~n =
   if n < 2 then invalid_arg "Handoff.instance: n must be >= 2";
   let memory = Memory.create ~namespace:1 ~aux:(2 * max_epoch) ~words:1 () in
   let programs =
-    Array.init n (fun pid ->
+    Executor.init_programs n (fun pid ->
         if pid = 0 then first
         else if pid = 1 then reclaimer
         else claimant ~tries:2)

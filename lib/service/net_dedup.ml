@@ -89,7 +89,7 @@ let build ~evictor:evict ~n =
   if n < 2 then invalid_arg "Net_dedup.instance: n must be >= 2";
   let memory = Memory.create ~namespace:1 ~aux:((2 * max_epoch) + 1) ~words:1 () in
   let programs =
-    Array.init n (fun pid ->
+    Executor.init_programs n (fun pid ->
         if pid = 0 then original
         else if pid = 1 then evict
         else handler ~tries:2)

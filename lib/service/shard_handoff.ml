@@ -100,7 +100,7 @@ let build ~taker:take ~n =
     Memory.create ~namespace:width ~aux:((2 * width * max_epoch) + width) ~words:1 ()
   in
   let programs =
-    Array.init n (fun pid ->
+    Executor.init_programs n (fun pid ->
         if pid = 0 then owner
         else if pid = 1 then take
         else grantor ~name:((pid - 2) mod width) ~tries:2)

@@ -61,7 +61,7 @@ let instance t ~entries =
       Hashtbl.add seen e ())
     entries;
   let memory = Memory.create ~namespace:(width t) ~aux:t.aux_bits () in
-  let programs = Array.map (fun entry -> program t ~entry) entries in
+  let programs = Executor.init_programs (Array.length entries) (fun i -> program t ~entry:entries.(i)) in
   { Executor.memory; programs; label = "sortnet-renaming" }
 
 let run t ~entries ?adversary () =

@@ -59,7 +59,7 @@ let program ?instr cfg ~pid =
 let instance ?instr cfg =
   let cells = namespace cfg in
   let memory = Memory.create ~namespace:cells ~words:(cells * Splitter.words_per_splitter) () in
-  let programs = Array.init cfg.n (fun pid -> program ?instr cfg ~pid) in
+  let programs = Executor.init_programs cfg.n (fun pid -> program ?instr cfg ~pid) in
   { Executor.memory; programs; label = Printf.sprintf "ma-grid(n=%d,side=%d)" cfg.n cfg.side }
 
 let run ?instr ?adversary cfg =

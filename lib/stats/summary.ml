@@ -1,33 +1,58 @@
+(* The moments live in a [Float.Array] and the samples in a growable
+   [Float.Array], so recording one stores unboxed floats and allocates
+   nothing once the buffer has grown.  (A record that mixes an [int]
+   with mutable [float] fields boxes every float it stores, and a
+   polymorphic vector boxes every sample passed to it.) *)
 type t = {
   mutable count : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-  samples : float Vec.t;
+  moments : Float.Array.t;  (* mean, m2, min, max *)
+  mutable samples : Float.Array.t;  (* the first [count] are used *)
 }
 
+let i_mean = 0
+let i_m2 = 1
+let i_min = 2
+let i_max = 3
+
 let create () =
-  { count = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; samples = Vec.create () }
+  let moments = Float.Array.make 4 0. in
+  Float.Array.set moments i_min infinity;
+  Float.Array.set moments i_max neg_infinity;
+  { count = 0; moments; samples = Float.Array.create 0 }
 
-let add t x =
+let grow t =
+  let cap = Float.Array.length t.samples in
+  let samples = Float.Array.create (if cap = 0 then 16 else cap * 2) in
+  Float.Array.blit t.samples 0 samples 0 t.count;
+  t.samples <- samples
+
+(* Welford's update.  Inlined into [add] and [add_int], so [x] is never
+   boxed. *)
+let[@inline] record t x =
+  if t.count = Float.Array.length t.samples then grow t;
+  Float.Array.set t.samples t.count x;
   t.count <- t.count + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x;
-  Vec.add_last t.samples x
+  let m = t.moments in
+  let mean = Float.Array.get m i_mean in
+  let delta = x -. mean in
+  let mean = mean +. (delta /. float_of_int t.count) in
+  Float.Array.set m i_mean mean;
+  Float.Array.set m i_m2 (Float.Array.get m i_m2 +. (delta *. (x -. mean)));
+  if x < Float.Array.get m i_min then Float.Array.set m i_min x;
+  if x > Float.Array.get m i_max then Float.Array.set m i_max x
 
-let add_int t x = add t (float_of_int x)
+let add t x = record t x
+let add_int t x = record t (float_of_int x)
 
 let count t = t.count
-let mean t = t.mean
-let variance t = if t.count < 2 then 0. else t.m2 /. float_of_int (t.count - 1)
-let min t = t.min
-let max t = t.max
+let mean t = Float.Array.get t.moments i_mean
 
-let samples t = Vec.to_array t.samples
+let variance t =
+  if t.count < 2 then 0. else Float.Array.get t.moments i_m2 /. float_of_int (t.count - 1)
+
+let min t = Float.Array.get t.moments i_min
+let max t = Float.Array.get t.moments i_max
+let samples t = Array.init t.count (Float.Array.get t.samples)
 
 let percentile t p =
   if t.count = 0 then invalid_arg "Summary.percentile: empty";
@@ -48,6 +73,11 @@ let median t = percentile t 50.
 
 let merge a b =
   let t = create () in
-  Vec.iter (add t) a.samples;
-  Vec.iter (add t) b.samples;
+  let add_all s =
+    for i = 0 to s.count - 1 do
+      record t (Float.Array.get s.samples i)
+    done
+  in
+  add_all a;
+  add_all b;
   t

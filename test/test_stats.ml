@@ -43,6 +43,20 @@ let test_summary_merge () =
   check Alcotest.int "merged count" 4 (Summary.count m);
   checkf "merged mean" 2.5 (Summary.mean m)
 
+(* Recording a sample stores unboxed floats: once the sample buffer has
+   grown, [add] and [add_int] allocate nothing.  Longlived records one
+   per acquire. *)
+let test_summary_add_allocates_nothing () =
+  let s = Summary.create () in
+  for i = 1 to 4096 do
+    Summary.add_int s i
+  done;
+  check Alcotest.int "add_int allocates no minor words" 0
+    (Test_service.minor_words ~calls:1000 (fun () -> Summary.add_int s 7));
+  check Alcotest.int "add allocates no minor words" 0
+    (Test_service.minor_words ~calls:1000 (fun () -> Summary.add s 2.5));
+  check Alcotest.int "every sample recorded" 6098 (Summary.count s)
+
 let test_fit_recovers_log () =
   (* y = 3 log2 n + 1 exactly. *)
   let points =
@@ -165,6 +179,8 @@ let tests =
         Alcotest.test_case "summary percentiles" `Quick test_summary_percentiles;
         Alcotest.test_case "summary empty percentile" `Quick test_summary_percentile_empty;
         Alcotest.test_case "summary merge" `Quick test_summary_merge;
+        Alcotest.test_case "summary add allocates nothing" `Quick
+          test_summary_add_allocates_nothing;
         Alcotest.test_case "fit recovers log" `Quick test_fit_recovers_log;
         Alcotest.test_case "best fit log^2" `Quick test_best_fit_prefers_true_shape;
         Alcotest.test_case "best fit linear" `Quick test_best_fit_linear;
