@@ -413,8 +413,10 @@ let analyze_cmd =
   in
   let skip_lint = Arg.(value & flag & info [ "skip-lint" ] ~doc:"Run only the footprint audits.") in
   let out =
-    Arg.(value & opt string "results/analyze.json" & info [ "out" ] ~docv:"FILE"
-           ~doc:"Write the JSON report to $(docv).")
+    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
+           ~doc:"Write the JSON report to $(docv) (default: results/analyze.json, or \
+                 results/analyze-inject.local.json, which is not committed, with \
+                 $(b,--inject)).")
   in
   let inject =
     let kind =
@@ -427,6 +429,13 @@ let analyze_cmd =
                  rule run as if bin/ did not exist, so the exports only the CLI uses are unused.")
   in
   let run lint_root skip_lint out inject =
+    (* A self-check's report fails on purpose, so by default it must not
+       overwrite the committed results/analyze.json. *)
+    let out =
+      Option.value out
+        ~default:
+          (if inject = None then "results/analyze.json" else "results/analyze-inject.local.json")
+    in
     let table =
       match inject with
       | Some `Broken_footprint -> Some Commute.broken_table

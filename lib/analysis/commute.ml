@@ -18,15 +18,15 @@ let string_of_response r = Format.asprintf "%a" Op.pp_response r
 (* --- pairwise commutation audit --- *)
 
 (* The audit memory: enough room for a shared index and a disjoint
-   index in every region, plus two τ-registers so device operations are
-   executable (they never are under a sound table, which must declare
-   them Opaque — but a broken table should fail the audit, not crash
-   it). *)
+   index in every region, plus two τ-registers, answering pids 0-2, so
+   device operations are executable (they never are under a sound
+   table, which must declare them Opaque — but a broken table should
+   fail the audit, not crash it). *)
 let fresh_memory () =
   let taus =
     Array.init 2 (fun i -> Tau_register.create ~base:(2 + i) ~tau:1 ~width:2 ())
   in
-  Memory.create ~namespace:4 ~aux:4 ~words:4 ~taus ()
+  Memory.create ~namespace:4 ~aux:4 ~words:4 ~taus ~processes:3 ()
 
 (* Everything observable about the audit memory except the τ-register
    device state — device operations are excluded from pair execution

@@ -256,7 +256,7 @@ let program ?instr ?obs (params : Params.t) ~rng =
 let instance ?rule ?instr ?obs ~params ~stream () =
   let n = params.Params.n in
   let taus = build_taus ?rule params in
-  let memory = Memory.create ~namespace:n ~taus () in
+  let memory = Memory.create ~namespace:n ~taus ~processes:n () in
   let programs =
     Executor.init_programs n (fun pid ->
         let rng = Stream.fork stream ~index:pid in

@@ -14,7 +14,13 @@
     and bits, and answered when the device clock next ticks; the
     executor drives [run_cycle] at a configurable cadence, modelling the
     paper's "requests are only answered in a certain phase … the
-    processing may start with a (constant) delay". *)
+    processing may start with a (constant) delay".
+
+    The register keeps no answers.  A requester has at most one request
+    outstanding and learns the verdict for that request only, so a
+    verdict is one [int] per pid, written by [run_cycle] into an array
+    the caller owns; {!Renaming_sched.Memory} keeps one such array for
+    all its registers. *)
 
 type t
 
@@ -29,29 +35,28 @@ val name_slot : t -> int -> int
 (** [name_slot t k] is the global name index of slot [k], [0 ≤ k < τ]. *)
 
 val submit : t -> pid:int -> bit:int -> unit
-(** Queue a TAS-bit request for the next cycle; [pid]'s answer reads
-    [Pending] again until that cycle runs.  One step.  The register
-    keeps one answer per pid that ever submitted to it.
+(** Queue a TAS-bit request from [pid] for the next cycle.  One step;
+    allocates nothing once the queue has grown.
     @raise Invalid_argument if [pid < 0]. *)
 
+(** The requester's view of its latest request: [Pending] until the
+    cycle containing it has run, then [Won_bit] (bit confirmed in
+    [out_reg]) or [Lost_bit] (lost the race or revoked). *)
 type answer = Pending | Won_bit | Lost_bit
 
-val poll : t -> pid:int -> answer
-(** The requester's view after its request: [Pending] until the cycle
-    containing the request has run, then [Won_bit] (bit confirmed in
-    [out_reg]) or [Lost_bit] (lost the race or revoked).  A pid that
-    never submitted, a negative one included, reads [Pending].  One
-    step; allocates nothing. *)
+val run_cycle :
+  ?resolve_order:((int * int) array -> unit) -> t -> won:int -> lost:int -> int array -> unit
+(** [run_cycle t ~won ~lost answers] runs one device clock cycle
+    ({!Counting_device.cycle}) over the queued requests, in submission
+    order, and writes [answers.(pid) <- won] for each request whose bit
+    was confirmed and [answers.(pid) <- lost] for every other one.
+    Allocates nothing once the queue has grown.  [resolve_order] lets a
+    test permute same-cycle requests: it receives them as [(pid, bit)]
+    pairs and may reorder the array in place before they race; only
+    then is that array built. *)
 
-val run_cycle : ?resolve_order:((int * int) array -> unit) -> t -> unit
-(** Run one device clock cycle ({!Counting_device.cycle}) over the
-    queued requests, in submission order.  Allocates nothing once the
-    queue has grown.  [resolve_order] lets a test permute same-cycle
-    requests: it receives them as [(pid, bit)] pairs and may reorder the
-    array in place before they race; only then is that array built. *)
-
-(* lint: allow unused-export — test hook: observes the answer table *)
+(* lint: allow unused-export — test hook: observes the request queue *)
 val pending_count : t -> int
 
-(* lint: allow unused-export — test hook: observes the answer table *)
+(* lint: allow unused-export — test hook: observes the counting device *)
 val accepted_count : t -> int

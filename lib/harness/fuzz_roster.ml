@@ -99,7 +99,7 @@ let mutant_double_claim ~seed:_ =
 let mutant_tau_over_admit ~seed:_ =
   let n = 2 in
   let tau = Tau_register.create ~base:0 ~tau:1 ~width:2 () in
-  let memory = Memory.create ~namespace:2 ~taus:[| tau |] () in
+  let memory = Memory.create ~namespace:2 ~taus:[| tau |] ~processes:n () in
   let open Program.Syntax in
   let program pid =
     let* () = Program.tau_submit ~reg:0 ~bit:pid in

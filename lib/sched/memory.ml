@@ -21,6 +21,11 @@ type t = {
   names : Tas_array.t;
   aux : Tas_array.t;
   taus : Tau_register.t array;
+  (* The τ-registers' answers, one per pid for all registers: a pid has
+     at most one request outstanding, so its entry is [reg lsl 2 lor
+     code] for its latest request, to register [reg], with [code] 0
+     pending, 1 won and 2 lost; -1 before its first request. *)
+  answers : int array;
   words : int array;  (* atomic read/write registers, init 0 *)
   (* τ-registers with queued requests, a stack of [n_dirty] indices, so
      a device tick only visits registers that actually have work. *)
@@ -34,11 +39,12 @@ type t = {
   mutable logger : (pid:int -> Op.t -> access list -> unit) option;
 }
 
-let create ~namespace ?(aux = 0) ?(words = 0) ?(taus = [||]) () =
+let create ~namespace ?(aux = 0) ?(words = 0) ?(taus = [||]) ?(processes = 0) () =
   {
     names = Tas_array.create namespace;
     aux = Tas_array.create aux;
     taus;
+    answers = Array.make processes (-1);
     words = Array.make words 0;
     dirty = Array.make (Array.length taus) 0;
     n_dirty = 0;
@@ -85,10 +91,19 @@ let accesses_of ~pid:_ (op : Op.t) (response : Op.response) =
    executing an operation allocates no response. *)
 let of_bool b : Op.response = if b then Bool true else Bool false
 
-let of_answer : Tau_register.answer -> Op.response = function
-  | Pending -> Tau Pending
-  | Won_bit -> Tau Won_bit
-  | Lost_bit -> Tau Lost_bit
+let pending reg = reg lsl 2
+let won reg = (reg lsl 2) lor 1
+let lost reg = (reg lsl 2) lor 2
+
+(* A pid that never asked [reg], or has asked another register since,
+   reads [Pending]; so does a pid outside [0, processes). *)
+let poll t ~pid reg : Op.response =
+  if pid < 0 || pid >= Array.length t.answers then Tau Pending
+  else
+    let answer = t.answers.(pid) in
+    if answer = won reg then Tau Won_bit
+    else if answer = lost reg then Tau Lost_bit
+    else Tau Pending
 
 let apply t ~pid (op : Op.t) : Op.response =
   let response : Op.response =
@@ -100,14 +115,17 @@ let apply t ~pid (op : Op.t) : Op.response =
     | Owned_name i -> of_bool (Tas_array.owner t.names i = Some pid)
     | Yield -> Unit
     | Tau_submit { reg; bit } ->
+      if pid >= Array.length t.answers then
+        invalid_arg "Memory.apply: Tau_submit from a pid beyond ~processes";
       Tau_register.submit t.taus.(reg) ~pid ~bit;
+      t.answers.(pid) <- pending reg;
       if not t.dirty_flag.(reg) then begin
         t.dirty_flag.(reg) <- true;
         t.dirty.(t.n_dirty) <- reg;
         t.n_dirty <- t.n_dirty + 1
       end;
       Unit
-    | Tau_poll reg -> of_answer (Tau_register.poll t.taus.(reg) ~pid)
+    | Tau_poll reg -> poll t ~pid reg
     | Release_name i -> of_bool (Tas_array.release t.names ~idx:i ~pid)
     | Read_word i -> Value t.words.(i)
     | Write_word { idx; value } ->
@@ -125,7 +143,7 @@ let tick_taus t =
     t.n_dirty <- n;
     let reg = t.dirty.(n) in
     t.dirty_flag.(reg) <- false;
-    Tau_register.run_cycle t.taus.(reg)
+    Tau_register.run_cycle t.taus.(reg) ~won:(won reg) ~lost:(lost reg) t.answers
   done
 
 let assignment_of_returns t returns =

@@ -1,6 +1,8 @@
 (** The shared memory of one simulation: the namespace registers, an
     auxiliary TAS-bit region, and the τ-registers (if the algorithm uses
-    them). *)
+    them) with their answers: one [int] per pid for all registers, the
+    verdict on the pid's latest request (a requester has at most one
+    outstanding). *)
 
 type t
 
@@ -30,8 +32,12 @@ val create :
   ?aux:int ->
   ?words:int ->
   ?taus:Renaming_device.Tau_register.t array ->
+  ?processes:int ->
   unit ->
   t
+(** [processes] (default 0) sizes the τ answers: pids [0, processes)
+    may submit τ-requests, and the answers cost [processes] words
+    whatever the number of registers. *)
 
 val names : t -> Renaming_shm.Tas_array.t
 (** The namespace, one TAS register per name. *)
@@ -47,7 +53,12 @@ val namespace : t -> int
 
 val apply : t -> pid:int -> Op.t -> Op.response
 (** Executes one operation atomically (the executor serialises
-    operations, so atomicity is by construction). *)
+    operations, so atomicity is by construction).  [Tau_submit] resets
+    the pid's answer to pending; [Tau_poll reg] reads the verdict on
+    the pid's latest request if that request went to [reg], and
+    [Pending] otherwise.
+    @raise Invalid_argument on a [Tau_submit] from a pid outside
+    [0, processes). *)
 
 val set_access_logger : t -> (pid:int -> Op.t -> access list -> unit) option -> unit
 (** Attach (or detach, with [None]) an access logger: [apply] will
@@ -58,7 +69,8 @@ val set_access_logger : t -> (pid:int -> Op.t -> access list -> unit) option -> 
 
 val tick_taus : t -> unit
 (** Run one device clock cycle on every τ-register that has queued
-    requests. *)
+    requests, writing each request's verdict into the answers.
+    Allocates nothing. *)
 
 val assignment_of_returns : t -> int array -> Renaming_shm.Assignment.t
 (** Build the final assignment from per-process names ([-1] for none),

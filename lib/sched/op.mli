@@ -18,7 +18,13 @@ type t =
           to re-discover a name it won before crashing.  Never faulted. *)
   | Tau_submit of { reg : int; bit : int }
       (** queue a request for TAS bit [bit] of τ-register [reg]; responds [Unit] *)
-  | Tau_poll of int  (** poll τ-register [reg]; responds [Tau answer] *)
+  | Tau_poll of int
+      (** poll τ-register [reg] for the verdict on the calling process's
+          latest request; responds [Tau answer].  The answer is
+          [Pending] until that request's cycle has run, and [Pending]
+          whenever the latest request went to another register (or there
+          was none): a register the process has since left does not
+          answer for its old request. *)
   | Read_word of int
       (** read an atomic read/write register (the splitter substrate);
           responds [Value v] *)

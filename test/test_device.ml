@@ -4,6 +4,9 @@
 module Device = Renaming_device.Counting_device
 module Tau = Renaming_device.Tau_register
 module Word = Renaming_bitops.Word
+module Memory = Renaming_sched.Memory
+module Op = Renaming_sched.Op
+module Params = Renaming_core.Params
 
 let check = Alcotest.check
 
@@ -110,76 +113,144 @@ let test_invariants_hold_under_load () =
       check Alcotest.bool "eventually full" true (Device.accepted_count lit <= threshold))
     [ (4, 2); (8, 3); (16, 8); (20, 10); (62, 31) ]
 
+(* The register protocol as the simulator drives it: requests go in
+   through [Memory.apply] and verdicts come back in the memory's answers,
+   one per pid, after [Memory.tick_taus]. *)
+let tau_memory ?(processes = 8) taus = Memory.create ~namespace:8 ~taus ~processes ()
+
+let submit memory ~reg ~pid ~bit = ignore (Memory.apply memory ~pid (Op.Tau_submit { reg; bit }))
+
+let poll memory ~reg ~pid =
+  match Memory.apply memory ~pid (Op.Tau_poll reg) with
+  | Op.Tau answer -> answer
+  | _ -> Alcotest.fail "a tau poll answers Tau"
+
 let test_tau_register_protocol () =
   let tau = Tau.create ~base:100 ~tau:2 ~width:4 () in
+  let memory = tau_memory [| tau |] in
   check Alcotest.int "base" 100 (Tau.base tau);
   check Alcotest.int "slot" 101 (Tau.name_slot tau 1);
-  Tau.submit tau ~pid:0 ~bit:1;
-  Tau.submit tau ~pid:1 ~bit:1;
+  submit memory ~reg:0 ~pid:0 ~bit:1;
+  submit memory ~reg:0 ~pid:1 ~bit:1;
   check Alcotest.int "pending" 2 (Tau.pending_count tau);
-  check Alcotest.bool "pending answer" true (Tau.poll tau ~pid:0 = Tau.Pending);
-  Tau.run_cycle tau;
-  check Alcotest.bool "pid 0 won" true (Tau.poll tau ~pid:0 = Tau.Won_bit);
-  check Alcotest.bool "pid 1 lost" true (Tau.poll tau ~pid:1 = Tau.Lost_bit);
+  check Alcotest.bool "pending answer" true (poll memory ~reg:0 ~pid:0 = Tau.Pending);
+  Memory.tick_taus memory;
+  check Alcotest.bool "pid 0 won" true (poll memory ~reg:0 ~pid:0 = Tau.Won_bit);
+  check Alcotest.bool "pid 1 lost" true (poll memory ~reg:0 ~pid:1 = Tau.Lost_bit);
   check Alcotest.int "accepted" 1 (Tau.accepted_count tau)
 
 let test_tau_register_capacity () =
-  let tau = Tau.create ~base:0 ~tau:2 ~width:6 () in
-  List.iter (fun (pid, bit) -> Tau.submit tau ~pid ~bit) [ (0, 0); (1, 1); (2, 2); (3, 3) ];
-  Tau.run_cycle tau;
+  let memory = tau_memory [| Tau.create ~base:0 ~tau:2 ~width:6 () |] in
+  List.iter (fun (pid, bit) -> submit memory ~reg:0 ~pid ~bit) [ (0, 0); (1, 1); (2, 2); (3, 3) ];
+  Memory.tick_taus memory;
   let winners =
-    List.filter (fun pid -> Tau.poll tau ~pid = Tau.Won_bit) [ 0; 1; 2; 3 ]
+    List.filter (fun pid -> poll memory ~reg:0 ~pid = Tau.Won_bit) [ 0; 1; 2; 3 ]
   in
   check Alcotest.int "exactly tau winners" 2 (List.length winners)
 
 let test_tau_register_sparse_pids_and_resubmit () =
   (* Answers are kept per pid, for pids far beyond the first few; a pid
-     that never submitted, negative ones included, reads [Pending]; a
-     negative pid cannot submit. *)
-  let tau = Tau.create ~base:0 ~tau:2 ~width:8 () in
-  List.iter (fun (pid, bit) -> Tau.submit tau ~pid ~bit) [ (3, 0); (40, 1); (1000, 2) ];
-  Tau.run_cycle tau;
+     that never submitted, one beyond [processes] included, reads
+     [Pending]. *)
+  let memory = tau_memory ~processes:1001 [| Tau.create ~base:0 ~tau:2 ~width:8 () |] in
+  List.iter (fun (pid, bit) -> submit memory ~reg:0 ~pid ~bit) [ (3, 0); (40, 1); (1000, 2) ];
+  Memory.tick_taus memory;
   List.iter
     (fun pid ->
-      check Alcotest.bool (Printf.sprintf "pid %d won" pid) true (Tau.poll tau ~pid = Tau.Won_bit))
+      check Alcotest.bool (Printf.sprintf "pid %d won" pid) true
+        (poll memory ~reg:0 ~pid = Tau.Won_bit))
     [ 3; 40 ];
-  check Alcotest.bool "pid 1000 lost (device full)" true (Tau.poll tau ~pid:1000 = Tau.Lost_bit);
+  check Alcotest.bool "pid 1000 lost (device full)" true
+    (poll memory ~reg:0 ~pid:1000 = Tau.Lost_bit);
   List.iter
     (fun pid ->
       check Alcotest.bool (Printf.sprintf "pid %d never asked" pid) true
-        (Tau.poll tau ~pid = Tau.Pending))
-    [ 0; 41; 999; 5000; -1 ];
-  Alcotest.check_raises "negative pid" (Invalid_argument "Tau_register.submit: negative pid")
-    (fun () -> Tau.submit tau ~pid:(-1) ~bit:0);
+        (poll memory ~reg:0 ~pid = Tau.Pending))
+    [ 0; 41; 999; 5000 ];
+  Alcotest.check_raises "pid beyond processes"
+    (Invalid_argument "Memory.apply: Tau_submit from a pid beyond ~processes") (fun () ->
+      submit memory ~reg:0 ~pid:1001 ~bit:0);
   (* Re-submitting resets the pid's answer until the next cycle. *)
-  Tau.submit tau ~pid:40 ~bit:3;
-  check Alcotest.bool "resubmitted pid pending" true (Tau.poll tau ~pid:40 = Tau.Pending);
-  check Alcotest.bool "others keep their answer" true (Tau.poll tau ~pid:3 = Tau.Won_bit);
-  Tau.run_cycle tau;
-  check Alcotest.bool "resubmitted pid answered" true (Tau.poll tau ~pid:40 = Tau.Lost_bit)
+  submit memory ~reg:0 ~pid:40 ~bit:3;
+  check Alcotest.bool "resubmitted pid pending" true (poll memory ~reg:0 ~pid:40 = Tau.Pending);
+  check Alcotest.bool "others keep their answer" true (poll memory ~reg:0 ~pid:3 = Tau.Won_bit);
+  Memory.tick_taus memory;
+  check Alcotest.bool "resubmitted pid answered" true
+    (poll memory ~reg:0 ~pid:40 = Tau.Lost_bit)
 
-let test_tau_register_storage_per_submitter () =
-  (* A register keeps one answer per submitter, however large its pid:
-     Tight's registers each see a few hundred pids drawn from all of
-     [0, n), so storage indexed by pid would cost n words per register. *)
+let test_tau_poll_of_a_left_register () =
+  (* A pid holds one answer, for its latest request: once it has asked
+     register B, its old register A reads [Pending] for it, before and
+     after B's cycle, while B answers. *)
+  let memory =
+    tau_memory [| Tau.create ~base:0 ~tau:2 ~width:4 (); Tau.create ~base:2 ~tau:2 ~width:4 () |]
+  in
+  submit memory ~reg:0 ~pid:5 ~bit:0;
+  Memory.tick_taus memory;
+  check Alcotest.bool "A answered" true (poll memory ~reg:0 ~pid:5 = Tau.Won_bit);
+  submit memory ~reg:1 ~pid:5 ~bit:1;
+  check Alcotest.bool "A pending after the move" true (poll memory ~reg:0 ~pid:5 = Tau.Pending);
+  check Alcotest.bool "B pending before its cycle" true (poll memory ~reg:1 ~pid:5 = Tau.Pending);
+  Memory.tick_taus memory;
+  check Alcotest.bool "B answered" true (poll memory ~reg:1 ~pid:5 = Tau.Won_bit);
+  check Alcotest.bool "A still pending" true (poll memory ~reg:0 ~pid:5 = Tau.Pending)
+
+let test_tau_negative_pid () =
   let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
-  let before = Gc.allocated_bytes () in
-  Tau.submit tau ~pid:(1 lsl 20) ~bit:0;
-  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
-  check Alcotest.bool (Printf.sprintf "%.0f words for one large pid" words) true (words < 64.)
+  let memory = tau_memory [| tau |] in
+  check Alcotest.bool "negative pid polls pending" true (poll memory ~reg:0 ~pid:(-1) = Tau.Pending);
+  Alcotest.check_raises "negative pid submits" (Invalid_argument "Tau_register.submit: negative pid")
+    (fun () -> submit memory ~reg:0 ~pid:(-1) ~bit:0);
+  Alcotest.check_raises "register: negative pid"
+    (Invalid_argument "Tau_register.submit: negative pid") (fun () ->
+      Tau.submit tau ~pid:(-1) ~bit:0);
+  check Alcotest.int "nothing queued" 0 (Tau.pending_count tau)
+
+let test_tau_answers_n_words () =
+  (* The answers of all of Tight's n / log n registers are n words of
+     the memory, and a register keeps nothing per pid: a pid-indexed
+     array in every register would hold n words each, n^2 / log n in
+     all.  At n = 4096 every pid gets an answer, one request per
+     register per cycle, so no queue grows. *)
+  let n = 4096 in
+  let params = Params.make ~policy:Params.Mass_conserving ~n () in
+  let taus =
+    Array.map
+      (fun (base, tau) -> Tau.create ~base ~tau ~width:params.Params.width ())
+      (Params.tau_geometry params)
+  in
+  let registers = Array.length taus in
+  let words memory = Obj.reachable_words (Obj.repr memory) in
+  let memory = tau_memory ~processes:n taus in
+  let answer_words = words memory - words (tau_memory ~processes:0 taus) in
+  check Alcotest.bool
+    (Printf.sprintf "%d answer words for %d pids and %d registers" answer_words n registers)
+    true
+    (answer_words <= n + 1);
+  let register_words = Obj.reachable_words (Obj.repr taus) in
+  for pid = 0 to n - 1 do
+    submit memory ~reg:(pid mod registers) ~pid ~bit:(pid / registers mod params.Params.width);
+    if pid mod registers = registers - 1 then Memory.tick_taus memory
+  done;
+  Memory.tick_taus memory;
+  check Alcotest.int "register words after every pid's request" register_words
+    (Obj.reachable_words (Obj.repr taus));
+  check Alcotest.bool "every pid answered" true
+    (List.for_all (fun pid -> poll memory ~reg:(pid mod registers) ~pid <> Tau.Pending)
+       (List.init n Fun.id))
 
 let test_tau_register_resolve_order () =
   (* The adversary reverses the request order: the later submitter wins
-     the contended bit. *)
+     the contended bit.  [run_cycle] writes the verdicts it is given. *)
   let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
+  let answers = Array.make 3 (-1) in
   Tau.submit tau ~pid:0 ~bit:2;
   Tau.submit tau ~pid:1 ~bit:2;
-  Tau.run_cycle tau ~resolve_order:(fun requests ->
+  Tau.run_cycle tau ~won:7 ~lost:9 answers ~resolve_order:(fun requests ->
       let tmp = requests.(0) in
       requests.(0) <- requests.(1);
       requests.(1) <- tmp);
-  check Alcotest.bool "pid 1 won after reorder" true (Tau.poll tau ~pid:1 = Tau.Won_bit);
-  check Alcotest.bool "pid 0 lost" true (Tau.poll tau ~pid:0 = Tau.Lost_bit)
+  check Alcotest.(array int) "pid 1 won after reorder, pid 0 lost" [| 9; 7; -1 |] answers
 
 let test_tau_slot_bounds () =
   let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
@@ -266,8 +337,10 @@ let tests =
         Alcotest.test_case "tau capacity" `Quick test_tau_register_capacity;
         Alcotest.test_case "tau sparse pids, resubmit" `Quick
           test_tau_register_sparse_pids_and_resubmit;
-        Alcotest.test_case "tau storage per submitter" `Quick
-          test_tau_register_storage_per_submitter;
+        Alcotest.test_case "tau poll of a left register" `Quick test_tau_poll_of_a_left_register;
+        Alcotest.test_case "tau negative pid" `Quick test_tau_negative_pid;
+        Alcotest.test_case "tau answers are n words" `Quick
+          test_tau_answers_n_words;
         Alcotest.test_case "tau resolve order" `Quick test_tau_register_resolve_order;
         Alcotest.test_case "tau slot bounds" `Quick test_tau_slot_bounds;
         QCheck_alcotest.to_alcotest qcheck_device_never_exceeds_tau;
@@ -288,6 +361,7 @@ let qcheck_tau_register_capacity_across_cycles =
       let reg = Tau.create ~base:0 ~tau ~width () in
       let rng = Renaming_rng.Xoshiro.create (Int64.of_int seed) in
       let next_pid = ref 0 in
+      let answers = Array.make (List.fold_left (fun k batch -> k + List.length batch) 0 cycles) (-1) in
       List.iter
         (fun batch ->
           List.iter
@@ -296,10 +370,11 @@ let qcheck_tau_register_capacity_across_cycles =
               incr next_pid)
             batch;
           (* Adversarially shuffle same-cycle requests. *)
-          Tau.run_cycle reg ~resolve_order:(fun requests ->
+          Tau.run_cycle reg ~won:1 ~lost:2 answers ~resolve_order:(fun requests ->
               Renaming_rng.Sample.shuffle_in_place rng requests))
         cycles;
-      Tau.accepted_count reg <= tau)
+      let won = Array.fold_left (fun k answer -> if answer = 1 then k + 1 else k) 0 answers in
+      Tau.accepted_count reg <= tau && won = Tau.accepted_count reg)
 
 let appended_device_tests =
   [

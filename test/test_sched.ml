@@ -68,7 +68,7 @@ let test_memory_apply_ops () =
 
 let test_memory_tau_roundtrip () =
   let tau = Renaming_device.Tau_register.create ~base:0 ~tau:2 ~width:4 () in
-  let memory = Memory.create ~namespace:4 ~taus:[| tau |] () in
+  let memory = Memory.create ~namespace:4 ~taus:[| tau |] ~processes:1 () in
   check Alcotest.bool "submit" true
     (Memory.apply memory ~pid:0 (Op.Tau_submit { reg = 0; bit = 1 }) = Op.Unit);
   check Alcotest.bool "pending before tick" true
