@@ -19,8 +19,17 @@
     transform "would not result in an improvement" over [8] made
     quantitative (experiment T11).
 
-    A deterministic sweep of the level-[⌈log₂ k⌉+2] block guarantees
-    unconditional termination for every surviving process. *)
+    A deterministic sweep of the level-[⌈log₂ k⌉+2] block, and then of
+    every block before it, guarantees unconditional termination for
+    every surviving process.
+
+    The whole schedule is one probe plan,
+    {!Renaming_plan.Plan.adaptive}: one [Probe] per level and the two
+    closing [Sweep]s.  The simulator runs it through
+    {!Renaming_sched.Plan_exec}, and real domains can run the same plan
+    through [Renaming_concurrent.Mc_run.execute] (on one domain, with
+    the same per-pid names and steps as the simulator under a pid-order
+    round robin). *)
 
 type config = {
   k : int;  (** actual number of participants (hidden from the processes) *)
@@ -29,10 +38,6 @@ type config = {
 }
 
 val make_config : ?ell:int -> ?epsilon:float -> k:int -> unit -> config
-
-(* lint: allow unused-export — test hook: the block layout *)
-val block_bounds : config -> (int * int) array
-(** Per level, the [(base, size)] slice of the namespace. *)
 
 val namespace : config -> int
 (** Total names provisioned across all levels — [O((1+ε)k)]. *)

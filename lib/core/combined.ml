@@ -1,4 +1,3 @@
-module Program = Renaming_sched.Program
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
@@ -7,7 +6,6 @@ module Plan = Renaming_plan.Plan
 module Mathx = Renaming_plan.Mathx
 module Stream = Renaming_rng.Stream
 module Obs = Renaming_obs.Obs
-open Program.Syntax
 
 type variant = Geometric of { ell : int } | Clustered of { ell : int }
 
@@ -37,39 +35,27 @@ let predicted_steps cfg =
     float_of_int (Loose_clustered.step_budget { Loose_clustered.n = cfg.n; ell })
     +. float_of_int (Mathx.loglog2_ceil cfg.n * 4)
 
-let program ?obs cfg ~rng =
-  let ext = extension_size cfg in
-  let first_phase =
-    (* The sub-programs inherit the same scoped view, so their round /
-       phase spans and counters land on the shared registry. *)
-    match cfg.variant with
-    | Geometric { ell } ->
-      Loose_geometric.program ?obs { Loose_geometric.n = cfg.n; ell } ~rng
-    | Clustered { ell } ->
-      Loose_clustered.program ?obs { Loose_clustered.n = cfg.n; ell } ~rng
-  in
-  let* name = first_phase in
-  match name with
-  | Some nm -> Program.return (Some nm)
-  | None ->
-    (match obs with Some s -> Obs.s_begin s ~args:[ ("size", ext) ] "backup" | None -> ());
-    let* name = Plan_exec.program (Plan.backup ~base:cfg.n ~size:ext) ~rng in
-    (match obs with Some s -> Obs.s_end s "backup" | None -> ());
-    (match name with
-    | Some nm -> Program.return (Some nm)
-    | None ->
-      (* Extension exhausted (possible only when the first phase left
-         more than [ext] unnamed — the event the corollary bounds).
-         With m > n a free main-namespace register must exist. *)
-      (match obs with Some s -> Obs.s_instant s "main-sweep" | None -> ());
-      Plan_exec.program (Plan.linear_scan ~first:0 ~count:cfg.n))
-
 let instance ?obs cfg ~stream =
+  let ext = extension_size cfg in
+  let first, rounds =
+    match cfg.variant with
+    | Geometric { ell } -> (Plan.loose_geometric ~n:cfg.n ~ell, Loose_geometric.stage ())
+    | Clustered { ell } -> (Plan.loose_clustered ~n:cfg.n ~ell (), Loose_clustered.stage ())
+  in
+  let plan = Plan.corollary ~first ~n:cfg.n ~ext in
+  let stages =
+    [
+      (0, rounds);
+      (Array.length first, Plan_exec.Span ("backup", [ ("size", ext) ]));
+      (Array.length plan - 1, Plan_exec.Instant "main-sweep");
+    ]
+  in
   let memory = Memory.create ~namespace:(namespace cfg) () in
   let programs =
     Executor.init_programs cfg.n (fun pid ->
         let obs = Option.map (fun o -> Obs.scoped o ~pid) obs in
-        program ?obs cfg ~rng:(Stream.fork stream ~index:pid))
+        let spans = Plan_exec.spans ?obs stages in
+        Plan_exec.program ?spans plan ~rng:(Stream.fork stream ~index:pid))
   in
   let label =
     match cfg.variant with

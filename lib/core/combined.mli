@@ -13,7 +13,14 @@
     backup's final sweep is deterministic.  Should an adversarial run
     exceed the extension's capacity (a low-probability event the
     corollaries bound), stragglers sweep the main namespace as a safety
-    net — with [m > n] a free name always exists. *)
+    net — with [m > n] a free name always exists.
+
+    The three phases are one probe plan,
+    {!Renaming_plan.Plan.corollary}: the simulator runs it through
+    {!Renaming_sched.Plan_exec}, and real domains can run the same plan
+    through [Renaming_concurrent.Mc_run.execute] (on one domain, with
+    the same per-pid names and steps as the simulator under a pid-order
+    round robin). *)
 
 type variant =
   | Geometric of { ell : int }  (** Corollary 7 on top of Lemma 6 *)
@@ -35,10 +42,11 @@ val instance :
   config ->
   stream:Renaming_rng.Stream.t ->
   Renaming_sched.Executor.instance
-(** With [obs], the first-phase sub-programs record their own counters
-    and spans, and the extension phase is wrapped in a per-pid
-    ["backup"] span (with a ["main-sweep"] instant on the rare full
-    fallback). *)
+(** With [obs], the plan's telemetry has three stages: the first phase
+    records Lemma 6's or Lemma 8's counters, spans and give-up instant
+    ({!Loose_geometric.stage}, {!Loose_clustered.stage}), the extension
+    phase is one per-pid ["backup"] span with [size] = [ext], and the
+    rare full fallback a ["main-sweep"] instant. *)
 
 val run :
   ?obs:Renaming_obs.Obs.t ->

@@ -34,23 +34,18 @@ let create_instrumentation ?obs cfg =
   | Some o -> Obs.vector o "loose-clustered/named_in_phase" instr.named_in_phase);
   instr
 
-let run_plan ?instr ?obs plan ~rng =
-  let spans =
-    Plan_exec.spans
-      ?named:(Option.map (fun s -> s.named_in_phase) instr)
-      ?obs ~prefix:"loose-clustered" ~span:"phase" ~first:0 ()
-  in
-  Plan_exec.program ?spans plan ~rng
-
-let program ?instr ?obs cfg ~rng = run_plan ?instr ?obs (plan cfg) ~rng
+let stage ?instr () =
+  let named = Option.map (fun s -> s.named_in_phase) instr in
+  Plan_exec.Rounds { prefix = "loose-clustered"; span = "phase"; first = 0; named }
 
 let instance ?instr ?obs cfg ~stream =
-  let plan = plan cfg in
+  let plan = plan cfg and stages = [ (0, stage ?instr ()) ] in
   let memory = Memory.create ~namespace:cfg.n () in
   let programs =
     Executor.init_programs cfg.n (fun pid ->
         let obs = Option.map (fun o -> Obs.scoped o ~pid) obs in
-        run_plan ?instr ?obs plan ~rng:(Stream.fork stream ~index:pid))
+        let spans = Plan_exec.spans ?obs stages in
+        Plan_exec.program ?spans plan ~rng:(Stream.fork stream ~index:pid))
   in
   { Executor.memory; programs; label = "loose-clustered" }
 

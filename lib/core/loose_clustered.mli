@@ -34,15 +34,11 @@ val create_instrumentation : ?obs:Renaming_obs.Obs.t -> config -> instrumentatio
 (** With [obs], [named_in_phase] is additionally registered as the
     read-through vector [loose-clustered/named_in_phase]. *)
 
-val program :
-  ?instr:instrumentation ->
-  ?obs:Renaming_obs.Obs.scoped ->
-  config ->
-  rng:Renaming_rng.Xoshiro.t ->
-  int option Renaming_sched.Program.t
-(** [obs] is the per-pid scoped view; it records
-    [loose-clustered/probes]/[wins] counters plus phase spans and
-    probe/win/give-up trace events. *)
+val stage : ?instr:instrumentation -> unit -> Renaming_sched.Plan_exec.stage
+(** Lemma 8's telemetry, a {!Renaming_sched.Plan_exec.Rounds} stage:
+    [loose-clustered/probes]/[wins] counters, one [phase] span per segment,
+    probe/win/give-up trace events, and with [instr] its wins per
+    phase.  {!Combined} reuses it for its first phase. *)
 
 val instance :
   ?instr:instrumentation ->

@@ -28,17 +28,11 @@ val create_instrumentation : ?obs:Renaming_obs.Obs.t -> config -> instrumentatio
 (** With [obs], [named_in_round] is additionally registered as the
     read-through vector [loose-geometric/named_in_round]. *)
 
-val program :
-  ?instr:instrumentation ->
-  ?obs:Renaming_obs.Obs.scoped ->
-  config ->
-  rng:Renaming_rng.Xoshiro.t ->
-  int option Renaming_sched.Program.t
-(** One process's program; returns the name won or [None] after
-    exhausting the step budget.  Exposed so {!Combined} can sequence it
-    with the backup phase.  [obs] is the per-pid scoped view (the
-    caller fixes the pid); it records [loose-geometric/probes]/[wins]
-    counters plus round spans and probe/win/give-up trace events. *)
+val stage : ?instr:instrumentation -> unit -> Renaming_sched.Plan_exec.stage
+(** Lemma 6's telemetry, a {!Renaming_sched.Plan_exec.Rounds} stage:
+    [loose-geometric/probes]/[wins] counters, one [round] span per segment,
+    probe/win/give-up trace events, and with [instr] its wins per
+    round.  {!Combined} reuses it for its first phase. *)
 
 val instance :
   ?instr:instrumentation ->

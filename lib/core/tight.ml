@@ -194,7 +194,7 @@ let on_response st resp =
     match resp with
     | Op.Bool won -> scan_answer st won
     | Op.Faulted ->
-      Program.bind (Retry.tas_name_after_fault (st.first + st.cursor)) (scan_answer st)
+      Retry.tas_name_after_fault (st.first + st.cursor) (scan_answer st)
     | resp -> bad_response (Op.Tas_name (st.first + st.cursor)) resp)
 
 let restore st ~from =

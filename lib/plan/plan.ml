@@ -43,12 +43,32 @@ let uniform_probing ?max_probes ~m () =
 let linear_scan ~first ~count = [| Sweep { base = first; size = count } |]
 
 let backup ~base ~size =
-  if size < 1 then invalid_arg "Plan.backup: size must be >= 1";
+  if size < 1 then invalid_arg "Plan.corollary: ext must be >= 1";
   let rec batches acc batch =
     if batch > 4 * size then List.rev (Sweep { base; size } :: acc)
     else batches (Probe { base; size; count = batch } :: acc) (2 * batch)
   in
   Array.of_list (batches [] 1)
+
+let corollary ~first ~n ~ext =
+  Array.concat [ first; backup ~base:n ~size:ext; linear_scan ~first:0 ~count:n ]
+
+let adaptive ~k ~ell ~epsilon =
+  let block j = max 2 (int_of_float (ceil ((1. +. epsilon) *. float_of_int (Mathx.pow_int 2 j)))) in
+  (* Lemma 6's step budget under the estimate 2^j: the sum of 2^i over
+     ell * logloglog(2^j) rounds. *)
+  let budget j = Mathx.pow_int 2 ((ell * Mathx.logloglog2_ceil (max 4 (Mathx.pow_int 2 j))) + 1) - 2 in
+  let base = ref 0 in
+  let levels =
+    Array.init (Mathx.log2_ceil (max 2 k) + 3) (fun j ->
+        let size = block j in
+        let seg = Probe { base = !base; size; count = budget j } in
+        base := !base + size;
+        seg)
+  in
+  let last = block (Array.length levels - 1) in
+  Array.append levels
+    [| Sweep { base = !base - last; size = last }; Sweep { base = 0; size = !base - last } |]
 
 let probe_budget plan =
   Array.fold_left

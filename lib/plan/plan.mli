@@ -38,22 +38,35 @@ val linear_scan : first:int -> count:int -> t
 (** The deterministic baseline, and the corollaries' last resort: one
     sweep of [\[first, first+count)]. *)
 
-val backup : base:int -> size:int -> t
-(** Corollaries 7 and 9's backup phase on the slice [\[base, base+size)]:
-    doubling batches of [1, 2, 4, ...] probes while a batch stays within
-    [4·size], then a sweep of the slice.
+val corollary : first:t -> n:int -> ext:int -> t
+(** Corollaries 7 and 9's full loose renaming: the first-phase plan
+    [first] ({!loose_geometric} or {!loose_clustered}) on [\[0, n)], then
+    the backup phase on the reserved extension [\[n, n+ext)], then a
+    sweep of [\[0, n)], the last resort for the stragglers that outnumber
+    the extension (with [ext >= 1] a free name then exists).
 
-    The paper delegates the [o(n)] stragglers to the O(log log n)
+    The backup phase is doubling batches of [1, 2, 4, ...] probes while
+    a batch stays within [4·ext], then a sweep of the extension.  The
+    paper delegates the [o(n)] stragglers to the O(log log n)
     loose-renaming algorithm of Alistarh, Aspnes, Giakkoupis and Woelfel
     (PODC'13, reference [8]) on a reserved namespace [n+1 … n+2u].  This
     is a shape-preserving stand-in (documented in DESIGN.md §2).  With
-    [u] stragglers and [2u] fresh names, at least half the slice is
+    [u] stragglers and [2u] fresh names, at least half the extension is
     always free, so every probe succeeds with probability ≥ 1/2 and
     batch doubling drives the unnamed count down double-exponentially —
-    the same decay the AAGW analysis provides.  The final sweep
-    guarantees termination unconditionally (the slice always holds
-    enough free names for every survivor), so a process running it
-    returns [None] only if more than [size] processes run it. *)
+    the same decay the AAGW analysis provides.  The extension's sweep
+    names every straggler unconditionally as long as at most [ext] of
+    them reach it.  With [first = \[||\]] and [n = 0] the plan is the
+    backup phase alone on [\[0, ext)].  Raises [Invalid_argument] if
+    [ext < 1]. *)
+
+val adaptive : k:int -> ell:int -> epsilon:float -> t
+(** The §IV adaptive transform for an unknown participation count [k]:
+    level [j] (for [j] below [⌈log₂ k⌉ + 3]) is one [Probe] of Lemma 6's
+    budget under the estimate [2^j] over its own block of
+    [max 2 ⌈(1+ε)·2^j⌉] names, the blocks laid out back to back from 0;
+    then a [Sweep] of the last block and a [Sweep] of every block
+    before it.  A level whose budget is 0 is an empty segment. *)
 
 val probe_budget : t -> int
 (** The probes a plan makes before its sweeps: the sum of its [Probe]

@@ -77,20 +77,9 @@ and on_response policy clock t0 exhausted op attempt = function
 let bool_op ?(clock = Clock.none) ~policy ~exhausted op =
   attempt_op policy clock (Clock.now clock) exhausted op 1
 
-let tas_name ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_name i)
 let tas_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:false (Op.Tas_aux i)
 let read_aux ?(policy = default) ?clock i = bool_op ?clock ~policy ~exhausted:true (Op.Read_aux i)
 
-(* Attempt 1 of [tas_name i] has answered [Faulted]: go on from there. *)
-let tas_name_after_fault i =
-  on_response default Clock.none (Clock.now Clock.none) false (Op.Tas_name i) 1 Op.Faulted
-
-let scan_names ?(policy = default) ?clock ~first ~count () =
-  let open Program.Syntax in
-  let rec loop k =
-    if k >= count then Program.return None
-    else
-      let* won = tas_name ~policy ?clock (first + k) in
-      if won then Program.return (Some (first + k)) else loop (k + 1)
-  in
-  loop 0
+(* Attempt 1 of a [Tas_name i] has answered [Faulted]: go on from there. *)
+let tas_name_after_fault i k =
+  Program.bind (on_response default Clock.none (Clock.now Clock.none) false (Op.Tas_name i) 1 Op.Faulted) k

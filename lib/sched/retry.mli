@@ -9,9 +9,11 @@
     steps.
 
     In a fault-free run every combinator behaves exactly like its
-    {!Program} counterpart at identical step cost, so the
-    core algorithms route all namespace traffic through here
-    unconditionally.
+    {!Program} counterpart at identical step cost.  The lease protocols
+    run their auxiliary locks through {!tas_aux} and {!read_aux}; the
+    probing algorithms issue each namespace TAS themselves
+    ([Plan_exec], Tight's scans) and hand a fault to
+    {!tas_name_after_fault}.
 
     Exhaustion is resolved in the safe direction: a TAS that faults
     every attempt reports *lost* (the process never claims an unproven
@@ -52,27 +54,16 @@ val jittered_delay : policy -> rng:Renaming_rng.Xoshiro.t -> prev:int -> int
     {!backoff_delay} remains for the yield-step program combinators,
     which must stay schedule-reproducible. *)
 
-val tas_name :
-  ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
-
-val tas_name_after_fault : int -> bool Program.t
-(** The rest of [tas_name i] (default policy, no clock) once its first
-    attempt has answered {!Op.Faulted}: the same backoff and the same
-    later attempts.  A caller that issues the first attempt itself, as
-    [Plan_exec] and Tight's scans do, hands a fault over here. *)
+val tas_name_after_fault : int -> (bool -> 'a Program.t) -> 'a Program.t
+(** [tas_name_after_fault i k]: a [Tas_name i] has answered
+    {!Op.Faulted} on its first attempt; retry it with the default
+    policy's backoff and no clock, as {!tas_aux} retries its operation,
+    and go on with [k won] ([false] once every attempt has faulted).
+    A caller that issues the first attempt itself, as [Plan_exec] and
+    Tight's scans do, hands a fault over here. *)
 
 val tas_aux :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
 
 val read_aux :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Program.t
-
-val scan_names :
-  ?policy:policy ->
-  ?clock:Renaming_clock.Clock.t ->
-  first:int ->
-  count:int ->
-  unit ->
-  int option Program.t
-(** Fault-tolerant {!Program.scan_names}: registers whose
-    retries exhaust are skipped as if taken. *)

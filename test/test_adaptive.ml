@@ -1,6 +1,7 @@
 (* Tests for the adaptive (unknown-k) renaming transform. *)
 
 module Adaptive = Renaming_core.Adaptive
+module Plan = Renaming_plan.Plan
 module Report = Renaming_sched.Report
 module Adversary = Renaming_sched.Adversary
 
@@ -13,17 +14,29 @@ let test_config_validation () =
     (Invalid_argument "Adaptive.make_config: epsilon must be positive") (fun () ->
       ignore (Adaptive.make_config ~epsilon:0. ~k:4 ()))
 
+(* The block layout, read from the plan's [Probe] segments (one per
+   level), and the two closing sweeps. *)
 let test_blocks_contiguous_and_growing () =
   let cfg = Adaptive.make_config ~k:100 () in
-  let bounds = Adaptive.block_bounds cfg in
-  let last_end = ref 0 in
+  let plan = Plan.adaptive ~k:cfg.Adaptive.k ~ell:cfg.Adaptive.ell ~epsilon:cfg.Adaptive.epsilon in
+  let last_end = ref 0 and last_block = ref (0, 0) in
   Array.iteri
-    (fun j (base, size) ->
-      check Alcotest.int (Printf.sprintf "block %d contiguous" j) !last_end base;
-      check Alcotest.bool "non-empty" true (size >= 2);
-      last_end := base + size)
-    bounds;
-  check Alcotest.int "namespace = end of last block" !last_end (Adaptive.namespace cfg)
+    (fun j -> function
+      | Plan.Probe { base; size; count = _ } ->
+        check Alcotest.int (Printf.sprintf "block %d contiguous" j) !last_end base;
+        check Alcotest.bool "non-empty" true (size >= 2);
+        last_end := base + size;
+        last_block := (base, size)
+      | Plan.Sweep _ -> ())
+    plan;
+  (* ⌈log₂ 100⌉ + 3 = 10 levels *)
+  check Alcotest.int "one probe per level, then two sweeps" 12 (Array.length plan);
+  check Alcotest.int "namespace = end of last block" !last_end (Adaptive.namespace cfg);
+  match Array.sub plan 10 2 with
+  | [| Plan.Sweep { base; size }; Plan.Sweep { base = 0; size = before } |] ->
+    check Alcotest.(pair int int) "sweep of the last block" !last_block (base, size);
+    check Alcotest.int "then of every block before it" (fst !last_block) before
+  | _ -> Alcotest.fail "expected the two closing sweeps"
 
 let test_namespace_linear_in_k () =
   (* With epsilon = 1 and doubling blocks, the provisioned namespace is

@@ -235,12 +235,15 @@ let test_clustered_instrumentation () =
 
 (* ---------- Backup ---------- *)
 
+(* The corollaries' backup phase alone, on [0, size). *)
+let backup ~size = Plan.corollary ~first:[||] ~n:0 ~ext:size
+
 let run_backup ~stragglers ~size ~seed =
   let memory = Memory.create ~namespace:size () in
   let stream = Stream.create seed in
   let programs =
     Array.init stragglers (fun pid ->
-        Plan_exec.program (Plan.backup ~base:0 ~size) ~rng:(Stream.fork stream ~index:pid))
+        Plan_exec.program (backup ~size) ~rng:(Stream.fork stream ~index:pid))
   in
   Executor.run ~adversary:(Adversary.round_robin ())
     { Executor.memory; programs; label = "backup" }
@@ -256,7 +259,7 @@ let test_backup_exact_fit () =
   check Alcotest.int "all named" 64 (Report.named_count report)
 
 let test_backup_max_random_steps () =
-  let budget = Plan.probe_budget (Plan.backup ~base:0 ~size:100) in
+  let budget = Plan.probe_budget (backup ~size:100) in
   check Alcotest.bool "budget positive" true (budget > 0);
   (* doubling batches 1+2+...+cap: bounded by 8*size *)
   check Alcotest.bool "budget bounded" true (budget <= 8 * 100)

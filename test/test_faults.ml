@@ -12,6 +12,8 @@ module Report = Renaming_sched.Report
 module Stream = Renaming_rng.Stream
 module Xoshiro = Renaming_rng.Xoshiro
 module Retry = Renaming_sched.Retry
+module Plan = Renaming_plan.Plan
+module Plan_exec = Renaming_sched.Plan_exec
 module Clock = Renaming_clock.Clock
 module Injector = Renaming_faults.Injector
 module Monitor = Renaming_faults.Monitor
@@ -80,12 +82,12 @@ let test_jittered_delay_bounds () =
   in
   check Alcotest.(list int) "same seed, same chain" (walk 21L) (walk 21L)
 
+(* A probe plan's TAS gets the retry policy's fault handling
+   ([Retry.tas_name_after_fault]). *)
+let scan ~first ~count = Plan_exec.program (Plan.linear_scan ~first ~count)
+
 let test_retry_tas_wins_after_faults () =
-  let program =
-    let* won = Retry.tas_name 0 in
-    Program.return (if won then Some 0 else None)
-  in
-  let report, memory = run_single program ~namespace:1 ~inject:(fault_first 3) in
+  let report, memory = run_single (scan ~first:0 ~count:1) ~namespace:1 ~inject:(fault_first 3) in
   check Alcotest.int "eventually wins" 0
     report.Report.assignment.Assignment.names.(0);
   check Alcotest.bool "register really owned" true
@@ -93,17 +95,28 @@ let test_retry_tas_wins_after_faults () =
   (* 3 faulted attempts + backoff yields (1+2+4) + winning attempt. *)
   check Alcotest.int "step cost" 11 report.Report.ticks
 
-let test_retry_tas_exhaustion_is_lost () =
-  (* Every attempt faults: the TAS must report lost, not claim name 0. *)
-  let policy = Retry.make_policy ~attempts:3 () in
+(* One process running [tas_aux] on auxiliary register 0, named 0 iff
+   it won. *)
+let run_tas_aux ?clock ~policy ~inject () =
   let program =
-    let* won = Retry.tas_name ~policy 0 in
+    let* won = Retry.tas_aux ~policy ?clock 0 in
     Program.return (if won then Some 0 else None)
   in
-  let report, memory = run_single program ~namespace:1 ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op) in
-  check Alcotest.int "no name claimed" 0 (Report.named_count report);
-  check Alcotest.bool "register untouched" true
-    (Renaming_shm.Tas_array.owner (Memory.names memory) 0 = None)
+  let memory = Memory.create ~namespace:1 ~aux:1 () in
+  let report =
+    Executor.run ~inject ~adversary:(Adversary.round_robin ())
+      { Executor.memory; programs = [| program |]; label = "test" }
+  in
+  (report, Renaming_shm.Tas_array.owner (Memory.aux memory) 0)
+
+let test_retry_tas_exhaustion_is_lost () =
+  (* Every attempt faults: the TAS must report lost, not claim a win. *)
+  let policy = Retry.make_policy ~attempts:3 () in
+  let report, owner = run_tas_aux ~policy ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op) () in
+  check Alcotest.int "no win claimed" 0 (Report.named_count report);
+  check Alcotest.bool "register untouched" true (owner = None);
+  (* 3 faulted attempts + backoff yields (1+2). *)
+  check Alcotest.int "step cost" 6 report.Report.ticks
 
 let test_retry_time_budget_on_virtual_clock () =
   (* Attempts are plentiful, but a 3-second budget on a unit-step
@@ -111,29 +124,23 @@ let test_retry_time_budget_on_virtual_clock () =
      is read once when the combinator starts (0.) and once per fault
      (1., 2., 3. — and 3.0 >= budget). *)
   let policy = Retry.make_policy ~attempts:1000 ~base_delay:0 ~time_budget:3.0 () in
-  let program =
-    let* won = Retry.tas_name ~policy ~clock:(Clock.virtual_ ()) 0 in
-    Program.return (if won then Some 0 else None)
-  in
-  let report, memory =
-    run_single program ~namespace:1 ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op)
+  let report, owner =
+    run_tas_aux ~policy ~clock:(Clock.virtual_ ())
+      ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op)
+      ()
   in
   check Alcotest.int "gave up in the safe direction" 0 (Report.named_count report);
-  check Alcotest.bool "register untouched" true
-    (Renaming_shm.Tas_array.owner (Memory.names memory) 0 = None);
+  check Alcotest.bool "register untouched" true (owner = None);
   check Alcotest.int "budget cut the retries to three attempts" 3 report.Report.ticks
 
 let test_retry_time_budget_inert_without_clock () =
   (* The same budget under the default absent clock never binds: all
      attempts are available and the TAS wins once the faults stop. *)
   let policy = Retry.make_policy ~attempts:5 ~base_delay:0 ~time_budget:3.0 () in
-  let program =
-    let* won = Retry.tas_name ~policy 0 in
-    Program.return (if won then Some 0 else None)
-  in
-  let report, _ = run_single program ~namespace:1 ~inject:(fault_first 4) in
+  let report, owner = run_tas_aux ~policy ~inject:(fault_first 4) () in
   check Alcotest.int "budget never binds, tas wins" 0
     report.Report.assignment.Assignment.names.(0);
+  check Alcotest.bool "register really owned" true (owner = Some 0);
   check Alcotest.int "all five attempts used" 5 report.Report.ticks;
   Alcotest.check_raises "budget must be positive"
     (Invalid_argument "Retry.make_policy: time_budget must be > 0") (fun () ->
@@ -158,26 +165,30 @@ let test_retry_read_exhaustion_is_set () =
 
 let test_retry_scan_skips_faulty_register () =
   (* A register whose TAS retries exhaust is skipped as if taken; the
-     scan takes the next free one. *)
-  let policy = Retry.make_policy ~attempts:2 () in
-  let program = Retry.scan_names ~policy ~first:0 ~count:2 () in
+     sweep takes the next free one. *)
   let inject ~time:_ ~pid:_ ~op = match op with Op.Tas_name 0 -> true | _ -> false in
-  let report, memory = run_single program ~namespace:2 ~inject in
+  let report, memory = run_single (scan ~first:0 ~count:2) ~namespace:2 ~inject in
   check Alcotest.int "skips faulty register, takes next" 1
     report.Report.assignment.Assignment.names.(0);
   check Alcotest.bool "faulty register never set" true
     (Renaming_shm.Tas_array.owner (Memory.names memory) 0 = None)
 
 let test_retry_fault_free_cost_matches_plain () =
-  (* Zero overhead when nothing faults: same ticks as the plain scan. *)
-  let plain = Program.scan_names ~first:0 ~count:4 in
-  let retried = Retry.scan_names ~first:0 ~count:4 () in
-  let r1, _ = run_single plain ~namespace:4 in
-  let r2, _ = run_single retried ~namespace:4 in
+  (* Zero overhead when nothing faults: same ticks as the plain scan,
+     here behind a process that takes register 0 first. *)
+  let run program =
+    Executor.run ~adversary:(Adversary.round_robin ())
+      {
+        Executor.memory = Memory.create ~namespace:4 ();
+        programs = [| Program.scan_names ~first:0 ~count:2; program |];
+        label = "test";
+      }
+  in
+  let r1 = run (Program.scan_names ~first:0 ~count:4) in
+  let r2 = run (scan ~first:0 ~count:4) in
   check Alcotest.int "identical step cost" r1.Report.ticks r2.Report.ticks;
-  check Alcotest.int "identical result"
-    r1.Report.assignment.Assignment.names.(0)
-    r2.Report.assignment.Assignment.names.(0)
+  check Alcotest.(array int) "identical result"
+    r1.Report.assignment.Assignment.names r2.Report.assignment.Assignment.names
 
 (* --- injectors --- *)
 

@@ -217,10 +217,9 @@ let test_mcheck_finds_and_shrinks_double_claim () =
 (* --- the fault branch: a claim based on a faulted TAS --- *)
 
 let fault_claimer =
-  (* One retry attempt, then claim regardless: correct in fault-free
-     runs (solo TAS always wins), unbacked when the TAS is faulted. *)
-  let* _won = Retry.tas_name ~policy:(Retry.make_policy ~attempts:1 ()) 0 in
-  Program.return (Some 0)
+  (* One attempt, then claim regardless: correct in fault-free runs
+     (solo TAS always wins), unbacked when the TAS is faulted. *)
+  Program.Step (Op.Tas_name 0, fun _ -> Program.Done (Some 0))
 
 let fault_target =
   target ~check_ownership:true ~label:"fault-claimer" (fun () ->

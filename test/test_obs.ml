@@ -13,6 +13,11 @@ module Tight = Renaming_core.Tight
 module Geometric = Renaming_core.Loose_geometric
 module Params = Renaming_core.Params
 module Report = Renaming_sched.Report
+module Combined = Renaming_core.Combined
+module Executor = Renaming_sched.Executor
+module Adversary = Renaming_sched.Adversary
+module Telemetry = Renaming_sched.Telemetry
+module Stream = Renaming_rng.Stream
 
 let check = Alcotest.check
 
@@ -168,6 +173,44 @@ let test_chrome_trace_deterministic_and_covering () =
             items;
           check Alcotest.int "every pid has a track with events" 32 (Hashtbl.length covered))
 
+(* Corollaries 7 and 9 as [renaming trace -a cor7|cor9 -n 64] runs them
+   (seed 42, round robin, memory telemetry attached): their Chrome traces
+   are pinned byte for byte, so the stage telemetry (the first phase's
+   rounds or phases and give-up, and the [backup] span) cannot drift
+   unseen.  The digests are those of the earlier implementation, which
+   chained three programs. *)
+let corollary_trace variant =
+  let obs = Obs.create ~ring_capacity:1_048_576 () in
+  let inst =
+    Combined.instance ~obs { Combined.n = 64; variant } ~stream:(Stream.create 42L)
+  in
+  Telemetry.attach ~events:false obs inst.Executor.memory;
+  ignore (Executor.run ~obs ~adversary:(Adversary.round_robin ()) inst);
+  (Export.chrome_trace ~process_name:inst.Executor.label (Obs.events obs), Obs.metrics obs)
+
+let test_corollary_traces_pinned () =
+  List.iter
+    (fun (label, variant, prefix, digest, probes) ->
+      let trace, metrics = corollary_trace variant in
+      check Alcotest.string (label ^ " trace digest") digest (Digest.to_hex (Digest.string trace));
+      check
+        Alcotest.(option int)
+        (label ^ ": first-phase probes only")
+        (Some probes)
+        (Metrics.find_counter metrics (prefix ^ "/probes")))
+    [
+      ( "cor7",
+        Combined.Geometric { ell = 2 },
+        "loose-geometric",
+        "90b55b80537e49de13362f3522a97fa4",
+        239 );
+      ( "cor9",
+        Combined.Clustered { ell = 2 },
+        "loose-clustered",
+        "12e5c43ed99c764723712d2fde2e2a2d",
+        675 );
+    ]
+
 (* --- the capability must not change the run it observes --- *)
 
 let test_obs_does_not_change_the_run () =
@@ -213,6 +256,7 @@ let tests =
         Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
         Alcotest.test_case "chrome trace deterministic, one track per pid" `Quick
           test_chrome_trace_deterministic_and_covering;
+        Alcotest.test_case "corollary traces pinned" `Quick test_corollary_traces_pinned;
       ] );
     ( "obs.capability",
       [ Alcotest.test_case "observing does not change the run" `Quick test_obs_does_not_change_the_run ] );

@@ -11,27 +11,39 @@ module Ledger = Renaming_shm.Step_ledger
 module Assignment = Renaming_shm.Assignment
 module Geometric = Renaming_core.Loose_geometric
 module Clustered = Renaming_core.Loose_clustered
+module Combined = Renaming_core.Combined
+module Adaptive = Renaming_core.Adaptive
 module Uniform_probing = Renaming_baselines.Uniform_probing
 module Mc_run = Renaming_concurrent.Mc_run
+module Obs = Renaming_obs.Obs
+module Ring = Renaming_obs.Ring
+module Stream = Renaming_rng.Stream
 
 let check = Alcotest.check
 
 (* ---------- builders ---------- *)
 
-let test_backup_shape () =
-  let plan = Plan.backup ~base:10 ~size:3 in
+let test_corollary_shape () =
+  let first = Plan.loose_geometric ~n:10 ~ell:1 in
+  let plan = Plan.corollary ~first ~n:10 ~ext:3 in
+  check Alcotest.int "the first phase leads" (Array.length first + 6) (Array.length plan);
+  check Alcotest.bool "unchanged" true (Array.sub plan 0 (Array.length first) = first);
+  let rest = Array.sub plan (Array.length first) 6 in
   let counts =
     Array.to_list
-      (Array.map (function Plan.Probe { count; _ } -> count | Plan.Sweep _ -> -1) plan)
+      (Array.map (function Plan.Probe { count; _ } -> count | Plan.Sweep _ -> -1) rest)
   in
-  (* batches 1, 2, 4, 8 stay within 4 * 3 = 12; then the sweep *)
-  check Alcotest.(list int) "doubling batches, then a sweep" [ 1; 2; 4; 8; -1 ] counts;
-  Array.iter
-    (function
+  (* backup batches 1, 2, 4, 8 stay within 4 * 3 = 12; then its sweep,
+     then the main sweep *)
+  check Alcotest.(list int) "doubling batches, then two sweeps" [ 1; 2; 4; 8; -1; -1 ] counts;
+  Array.iteri
+    (fun i -> function
       | Plan.Probe { base; size; _ } | Plan.Sweep { base; size } ->
-        check Alcotest.(pair int int) "every segment covers the slice" (10, 3) (base, size))
-    plan;
-  check Alcotest.int "probe budget" 15 (Plan.probe_budget plan)
+        check Alcotest.(pair int int) "segment slice"
+          (if i < 5 then (10, 3) else (0, 10))
+          (base, size))
+    rest;
+  check Alcotest.int "probe budget" (Plan.probe_budget first + 15) (Plan.probe_budget plan)
 
 let test_uniform_probing_budget () =
   (match Plan.uniform_probing ~m:50 () with
@@ -96,6 +108,48 @@ let test_fault_is_retried () =
   | Program.Done None -> ()
   | _ -> Alcotest.fail "a spent plan returns None"
 
+(* Corollary 7's stage telemetry on one hand-driven process (n = 16,
+   ℓ = 1: one round of two probes, then the backup phase, then the main
+   sweep), where TAS number [win_at] wins and every other one loses.
+   Its events are tagged B(egin), E(nd) or I(nstant); probes are left
+   out. *)
+let corollary_stages ~win_at =
+  let obs = Obs.create () in
+  let cfg = { Combined.n = 16; variant = Combined.Geometric { ell = 1 } } in
+  let inst = Combined.instance ~obs cfg ~stream:(Stream.create 1L) in
+  let rec go i = function
+    | Program.Done name -> name
+    | Program.Step (Op.Tas_name _, k) -> go (i + 1) (k (Op.Bool (i = win_at)))
+    | Program.Step (op, _) -> Alcotest.failf "expected a TAS, got %a" Op.pp op
+  in
+  let name = go 0 inst.Renaming_sched.Executor.programs.(0) in
+  let tag (e : Ring.event) =
+    match e.Ring.ev_kind with
+    | _ when e.Ring.ev_name = "probe" || e.Ring.ev_pid <> 0 -> None
+    | Ring.Span_begin -> Some ("B " ^ e.Ring.ev_name)
+    | Ring.Span_end -> Some ("E " ^ e.Ring.ev_name)
+    | Ring.Instant -> Some ("I " ^ e.Ring.ev_name)
+  in
+  (name, List.filter_map tag (Obs.events obs))
+
+let test_corollary_stages () =
+  let first_phase = [ "B round"; "E round"; "I give-up" ] in
+  let events = Alcotest.(list string) in
+  (match corollary_stages ~win_at:1 with
+  | Some _, ev -> check events "won in round 1" [ "B round"; "I win"; "E round" ] ev
+  | None, _ -> Alcotest.fail "a win in the first phase names the process");
+  (match corollary_stages ~win_at:2 with
+  | Some name, ev ->
+    check Alcotest.bool "a name in the extension" true (name >= 16);
+    check events "won at the first backup probe" (first_phase @ [ "B backup"; "E backup" ]) ev
+  | None, _ -> Alcotest.fail "a win in the backup names the process");
+  match corollary_stages ~win_at:(-1) with
+  | None, ev ->
+    check events "every TAS lost: all three stages run out"
+      (first_phase @ [ "B backup"; "E backup"; "I main-sweep" ])
+      ev
+  | Some _, _ -> Alcotest.fail "no TAS won, no name"
+
 (* ---------- the two engines agree ---------- *)
 
 (* Steps the runnable processes in pid order, one step each per pass,
@@ -145,7 +199,23 @@ let test_engines_agree () =
         (Uniform_probing.run ~adversary:(pid_order_round_robin ())
            (Uniform_probing.make_config ~n ~m:(2 * n) ())
            ~seed)
-        (Mc_run.uniform_probing ~domains:1 ~n ~m:(2 * n) ~seed ()))
+        (Mc_run.uniform_probing ~domains:1 ~n ~m:(2 * n) ~seed ());
+      List.iter
+        (fun (label, variant, first) ->
+          let cfg = { Combined.n; variant } in
+          let plan = Plan.corollary ~first ~n ~ext:(Combined.extension_size cfg) in
+          agree (label ^ label)
+            (Combined.run ~adversary:(pid_order_round_robin ()) cfg ~seed)
+            (Mc_run.execute ~domains:1 ~n ~namespace:(Combined.namespace cfg) ~plan ~seed ()))
+        [
+          ("Corollary 7 ", Combined.Geometric { ell = 2 }, Plan.loose_geometric ~n ~ell:2);
+          ("Corollary 9 ", Combined.Clustered { ell = 1 }, Plan.loose_clustered ~n ~ell:1 ());
+        ];
+      let cfg = Adaptive.make_config ~k:n () in
+      let plan = Plan.adaptive ~k:n ~ell:cfg.Adaptive.ell ~epsilon:cfg.Adaptive.epsilon in
+      agree ("adaptive " ^ label)
+        (Adaptive.run ~adversary:(pid_order_round_robin ()) cfg ~seed)
+        (Mc_run.execute ~domains:1 ~n ~namespace:(Adaptive.namespace cfg) ~plan ~seed ()))
     [ (256, 1L); (1024, 1L); (2048, 7L) ];
   (* m = n: the probe budget runs out and the sweep names the rest *)
   agree "uniform probing m=n"
@@ -211,7 +281,7 @@ let tests =
   [
     ( "plan",
       [
-        Alcotest.test_case "backup batches then sweep" `Quick test_backup_shape;
+        Alcotest.test_case "backup batches then sweep" `Quick test_corollary_shape;
         Alcotest.test_case "uniform probing budget" `Quick test_uniform_probing_budget;
         Alcotest.test_case "clustered boost" `Quick test_clustered_boost;
         Alcotest.test_case "validation" `Quick test_validation;
@@ -226,5 +296,6 @@ let tests =
         Alcotest.test_case "probing complete" `Quick test_probing_complete;
         Alcotest.test_case "probing tight sweep" `Quick test_probing_tight_sweep;
         QCheck_alcotest.to_alcotest qcheck_geometric_bound;
+        Alcotest.test_case "corollary stage telemetry" `Quick test_corollary_stages;
       ] );
   ]

@@ -15,6 +15,7 @@ module Params = Renaming_core.Params
 module Tight = Renaming_core.Tight
 module Geometric = Renaming_core.Loose_geometric
 module Combined = Renaming_core.Combined
+module Adaptive = Renaming_core.Adaptive
 module Longlived = Renaming_longlived.Longlived
 module Stream = Renaming_rng.Stream
 module Summary = Renaming_stats.Summary
@@ -88,7 +89,7 @@ let test_pinned_round_robin () =
 
 (* Crash-recovery: crashed Tight processes may hold a device bit or a
    pending τ-poll, and restart behind the recovery preamble.  Crashed
-   plan-built processes (Lemma 6, and Corollary 7's chained plans)
+   plan-built processes (Lemma 6, and Corollary 7's concatenated plan)
    restart at their first probe and go on drawing from their stream. *)
 let test_pinned_crash_recovery () =
   let crashes = List.init 12 (fun k -> ((k * 37) + 5, (k * 11) mod 64)) in
@@ -161,7 +162,7 @@ let test_memory_apply_allocates_nothing () =
     [ Op.Tas_name 3; Op.Read_name 3; Op.Read_name 5; Op.Tau_poll 0 ]
 
 (* With no listener attached a tick costs the program's own allocation
-   plus the adversary's decision.  Each process of the three is one
+   plus the adversary's decision.  Each process of the five is one
    mutable record with one continuation, built with the instance, so a
    step builds only its operation and its [Step]: a [Tas_name] (2 words)
    and a [Step] (3 words), and the round robin's [Schedule] (2 words).
@@ -169,7 +170,9 @@ let test_memory_apply_allocates_nothing () =
    per round, and a process's last step its [Some name]; its verdict is
    an [int] in the memory's answers, so the register costs nothing.  Each
    bound is the measured words per tick at seed 1 plus a small margin:
-   Tight 7.6, Loose_geometric 6.7 and Longlived 7.2. *)
+   Tight 7.6, Loose_geometric 6.7, Longlived 7.2, Adaptive (k = 256) 7.1
+   and Corollary 7 (n = 1024) 6.7.  Adaptive and Corollary 7 are probe
+   plans run by [Plan_exec], like Loose_geometric. *)
 let check_tick_allocation label bound inst =
   let before = Gc.minor_words () in
   let report = Executor.run ~adversary:(Adversary.round_robin ()) inst in
@@ -181,6 +184,8 @@ let check_tick_allocation label bound inst =
 let tight_words_per_tick_bound = 10.
 let geometric_words_per_tick_bound = 10.
 let longlived_words_per_tick_bound = 10.
+let adaptive_words_per_tick_bound = 10.
+let cor7_words_per_tick_bound = 10.
 
 let test_tight_tick_allocation () =
   check_tick_allocation "tight" tight_words_per_tick_bound
@@ -189,6 +194,16 @@ let test_tight_tick_allocation () =
 let test_geometric_tick_allocation () =
   check_tick_allocation "loose-geometric" geometric_words_per_tick_bound
     (Geometric.instance geo ~stream:(Stream.create 1L))
+
+let test_adaptive_tick_allocation () =
+  check_tick_allocation "adaptive" adaptive_words_per_tick_bound
+    (Adaptive.instance (Adaptive.make_config ~k:256 ()) ~stream:(Stream.create 1L))
+
+let test_cor7_tick_allocation () =
+  check_tick_allocation "cor7" cor7_words_per_tick_bound
+    (Combined.instance
+       { Combined.n = 1024; variant = Combined.Geometric { ell = 2 } }
+       ~stream:(Stream.create 1L))
 
 let test_longlived_tick_allocation () =
   check_tick_allocation "longlived" longlived_words_per_tick_bound
@@ -237,6 +252,8 @@ let tests =
         Alcotest.test_case "tight tick allocation" `Quick test_tight_tick_allocation;
         Alcotest.test_case "loose-geometric tick allocation" `Quick test_geometric_tick_allocation;
         Alcotest.test_case "longlived tick allocation" `Quick test_longlived_tick_allocation;
+        Alcotest.test_case "adaptive tick allocation" `Quick test_adaptive_tick_allocation;
+        Alcotest.test_case "cor7 tick allocation" `Quick test_cor7_tick_allocation;
         Alcotest.test_case "instance build runs no minor collection" `Quick
           test_instance_build_runs_no_minor_collection;
       ] );
