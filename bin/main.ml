@@ -17,6 +17,8 @@ module Export = Renaming_obs.Export
 module Json = Renaming_obs.Json
 module Telemetry = Renaming_sched.Telemetry
 module Executor = Renaming_sched.Executor
+module Target = Renaming_faults.Target
+module Shrink = Renaming_faults.Shrink
 
 let scale_arg =
   let scale = Arg.enum [ ("quick", Runcfg.Quick); ("full", Runcfg.Full) ] in
@@ -187,13 +189,12 @@ let write_file path contents =
    `renaming shrink`. *)
 let write_repros ~dir repros =
   List.iteri
-    (fun i (r : Renaming_faults.Shrink.repro) ->
+    (fun i (r : Shrink.repro) ->
       let path =
         Filename.concat dir
-          (Printf.sprintf "%s-%s-%d.repro" r.Renaming_faults.Shrink.rp_algorithm
-             r.Renaming_faults.Shrink.rp_kind i)
+          (Printf.sprintf "%s-%s-%d.repro" r.Shrink.rp_algorithm r.Shrink.rp_kind i)
       in
-      write_file path (Renaming_faults.Shrink.repro_to_string r);
+      write_file path (Shrink.repro_to_string r);
       Printf.printf "(repro written to %s)\n" path)
     repros
 
@@ -357,7 +358,7 @@ let mcheck_cmd =
     let entries = if tier1 then Roster.tier1 () else Roster.roster () in
     let entries =
       if only = [] then entries
-      else List.filter (fun e -> List.mem e.Roster.e_name only) entries
+      else List.filter (fun e -> List.mem e.Roster.e_target.Target.name only) entries
     in
     if entries = [] then begin
       Printf.eprintf "mcheck: no roster entries selected\n";
@@ -371,7 +372,9 @@ let mcheck_cmd =
           let stats = Roster.run_entry ?obs e in
           Format.printf "%a@." Mcheck.pp_stats stats;
           write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
-            (List.filter_map (Roster.repro_of_case e) stats.Mcheck.s_cases);
+            (List.filter_map
+               (fun c -> Option.map Shrink.to_repro c.Mcheck.v_shrunk)
+               stats.Mcheck.s_cases);
           stats)
         entries
     in
@@ -450,7 +453,9 @@ let analyze_cmd =
     in
     let roster =
       List.map
-        (fun e -> (e.Roster.e_name, fun () -> e.Roster.e_build ~seed:e.Roster.e_seed))
+        (fun e ->
+          let t = e.Roster.e_target in
+          (t.Target.name, fun () -> t.Target.build ~seed:e.Roster.e_seed))
         (Roster.roster ())
     in
     let result =
@@ -484,10 +489,8 @@ let analyze_cmd =
     Term.(const run $ lint_root $ skip_lint $ out $ inject)
 
 let shrink_cmd =
-  let module Shrink = Renaming_faults.Shrink in
-  let module Roster = Renaming_harness.Mcheck_roster in
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
-                    ~doc:"A .repro artifact written by mcheck or the chaos campaign.") in
+                    ~doc:"A .repro artifact written by the chaos campaign, mcheck or fuzz.") in
   let max_ticks =
     Arg.(value & opt (some int) None & info [ "max-ticks" ]
            ~doc:"Override the artifact's livelock guard.")
@@ -506,16 +509,15 @@ let shrink_cmd =
       exit 2
     | Ok repro -> (
       let name = repro.Shrink.rp_algorithm and n = repro.Shrink.rp_n in
-      match Roster.builder ~name ~n with
+      match Renaming_harness.Replay.find ~name ~n with
       | None ->
         Printf.eprintf "shrink: unknown algorithm %S (n=%d)\n" name n;
         exit 2
-      | Some build -> (
+      | Some target -> (
         let input =
           {
-            Shrink.label = name;
-            build = (fun () -> build ~seed:repro.Shrink.rp_seed);
-            check_ownership = repro.Shrink.rp_check_ownership;
+            Shrink.target;
+            seed = repro.Shrink.rp_seed;
             choices = repro.Shrink.rp_choices;
             max_ticks = Option.value max_ticks ~default:repro.Shrink.rp_max_ticks;
             tau_cadence = repro.Shrink.rp_tau_cadence;
@@ -531,7 +533,7 @@ let shrink_cmd =
         | Some r ->
           Printf.printf "%s: %s\n" name r.Shrink.r_failure.Shrink.f_kind;
           Printf.printf "original: %d choices, minimised: %d choices (%d replays)\n"
-            (List.length r.Shrink.r_original)
+            (List.length input.Shrink.choices)
             (List.length r.Shrink.r_choices)
             r.Shrink.r_replays;
           List.iter
@@ -599,7 +601,7 @@ let fuzz_cmd =
     let targets = if mutants_only then Roster.mutants () else Roster.roster () in
     let targets =
       if only = [] then targets
-      else List.filter (fun t -> List.mem t.Fuzz.fz_name only) targets
+      else List.filter (fun t -> List.mem t.Fuzz.fz_target.Target.name only) targets
     in
     if targets = [] then begin
       Printf.eprintf "fuzz: no roster targets selected\n";
@@ -824,8 +826,7 @@ let metrics_cmd =
     (* The safety monitor rides along, so the snapshot also carries the
        refine/events, refine/stutters and refine/violations counters. *)
     let monitor =
-      Renaming_faults.Monitor.create ~name:inst.Executor.label ~check_ownership:false
-        ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ~obs ()
+      Renaming_faults.Monitor.create ~obs ~mode:Renaming_faults.Monitor.Tas inst
     in
     let report =
       Executor.run ~obs ~on_event:(Renaming_faults.Monitor.hook monitor)

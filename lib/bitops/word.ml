@@ -34,15 +34,6 @@ let keep_lowest w k =
   let rec go acc w k = if k = 0 || w = 0 then acc else go (acc lor (w land -w)) (w land (w - 1)) (k - 1) in
   go 0 w k
 
-let fold_set_bits ~width w ~init ~f =
-  let acc = ref init in
-  for i = 0 to width - 1 do
-    if test_bit w i then acc := f !acc i
-  done;
-  !acc
-
-let to_bit_list ~width w = List.init width (test_bit w)
-
 let pp ~width fmt w =
   for i = width - 1 downto 0 do
     Format.pp_print_char fmt (if test_bit w i then '1' else '0')

@@ -49,13 +49,5 @@ val keep_lowest : t -> int -> t
 (** [keep_lowest w k] clears all but the [k] lowest-indexed set bits of
     [w].  This is the reference semantics of the device's discard step. *)
 
-(* lint: allow unused-export — unit-tested, no caller yet: bit-scan primitive *)
-val fold_set_bits : width:int -> t -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Folds [f] over the indices of set bits, lowest first. *)
-
-(* lint: allow unused-export — unit-tested, no caller yet: bit rendering *)
-val to_bit_list : width:int -> t -> bool list
-(** Low-to-high list of the register's bits, for display and tests. *)
-
 val pp : width:int -> Format.formatter -> t -> unit
 (** Prints the register as a bit string, highest bit first. *)

@@ -7,12 +7,6 @@ module Stream = Renaming_rng.Stream
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
 
-type algorithm = {
-  algo_name : string;
-  build : seed:int64 -> Executor.instance;
-  check_ownership : bool;
-}
-
 type adversary_spec = { adv_name : string; make_adversary : seed:int64 -> Adversary.t }
 
 type pattern = {
@@ -25,7 +19,7 @@ let no_crashes =
   { pat_name = "none"; schedule = (fun ~seed:_ ~n:_ -> []); recover_after = (fun ~n:_ -> None) }
 
 type spec = {
-  algorithms : algorithm list;
+  algorithms : Target.t list;
   adversaries : adversary_spec list;
   patterns : pattern list;
   fault_rates : float list;
@@ -78,7 +72,7 @@ let baseline ~max_ticks ~seeds algo =
   Array.iter
     (fun seed ->
       let report =
-        Executor.run ~max_ticks ~adversary:(Adversary.round_robin ()) (algo.build ~seed)
+        Executor.run ~max_ticks ~adversary:(Adversary.round_robin ()) (algo.Target.build ~seed)
       in
       total := !total +. float_of_int (Report.max_steps report))
     seeds;
@@ -97,7 +91,7 @@ let run_cell ?obs ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
   let completed_runs = ref 0 in
   Array.iter
     (fun seed ->
-      let inst = algo.build ~seed in
+      let inst = algo.Target.build ~seed in
       let n = Array.length inst.Executor.programs in
       let base = adv.make_adversary ~seed in
       let trace = Trace.create () in
@@ -115,10 +109,7 @@ let run_cell ?obs ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
         if hit then faulted := (Trace.length trace - 1) :: !faulted;
         hit
       in
-      let monitor =
-        Monitor.create ~name:algo.algo_name ~check_ownership:algo.check_ownership
-          ~memory:inst.Executor.memory ~processes:n ?obs ()
-      in
+      let monitor = Monitor.create ?obs ~mode:algo.Target.mode inst in
       let outcome =
         match Executor.run ~max_ticks ~inject ~on_event:(Monitor.hook monitor) ~adversary inst with
         | report -> Directed.Finished report
@@ -147,34 +138,20 @@ let run_cell ?obs ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
          (* Auto-shrink every violation to a 1-minimal replayable repro. *)
          let shrink_input =
            {
-             Shrink.label = algo.algo_name;
-             build = (fun () -> algo.build ~seed);
-             check_ownership = algo.check_ownership;
+             Shrink.target = algo;
+             seed;
              choices = Directed.choices_of_trace trace ~faulted:!faulted;
              max_ticks;
              tau_cadence = 1;
            }
          in
-         (match Shrink.shrink shrink_input with
-         | Some r ->
-           repros :=
-             {
-               Shrink.rp_algorithm = algo.algo_name;
-               rp_n = n;
-               rp_seed = seed;
-               rp_check_ownership = algo.check_ownership;
-               rp_max_ticks = max_ticks;
-               rp_tau_cadence = 1;
-               rp_kind = r.Shrink.r_failure.Shrink.f_kind;
-               rp_trace_format = Shrink.Condensed;
-               rp_choices = r.Shrink.r_choices;
-             }
-             :: !repros
-         | None -> ()));
+         Option.iter
+           (fun r -> repros := Shrink.to_repro r :: !repros)
+           (Shrink.shrink shrink_input));
       injected := !injected + injected_count ())
     seeds;
   {
-    c_algorithm = algo.algo_name;
+    c_algorithm = algo.Target.name;
     c_adversary = adv.adv_name;
     c_pattern = pattern.pat_name;
     c_rate = rate;

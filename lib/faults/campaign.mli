@@ -9,14 +9,6 @@
     {!Renaming_harness.Chaos} and driven by [renaming chaos] / [make
     chaos]. *)
 
-type algorithm = {
-  algo_name : string;
-  build : seed:int64 -> Renaming_sched.Executor.instance;
-      (** must return a fresh instance; all algorithm randomness derives
-          from [seed] so campaigns are deterministic *)
-  check_ownership : bool;  (** see {!Monitor.create} *)
-}
-
 type adversary_spec = {
   adv_name : string;
   make_adversary : seed:int64 -> Renaming_sched.Adversary.t;
@@ -33,7 +25,7 @@ type pattern = {
 val no_crashes : pattern
 
 type spec = {
-  algorithms : algorithm list;
+  algorithms : Target.t list;
   adversaries : adversary_spec list;
   patterns : pattern list;
   fault_rates : float list;  (** transient-fault probability per faultable op *)

@@ -19,25 +19,11 @@ let () =
 
 type mode = Tas | Returns | Announce
 
-let has_prefix s ~prefix =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let returns_prefixes =
-  [ "lease-handoff"; "mutant-lease"; "shard-handoff"; "mutant-shard"; "net-dedup"; "mutant-net" ]
-
-let announce_prefixes = [ "refine-grant"; "mutant-refine" ]
-
-let mode_of_name name =
-  if List.exists (fun prefix -> has_prefix name ~prefix) returns_prefixes then Returns
-  else if List.exists (fun prefix -> has_prefix name ~prefix) announce_prefixes then Announce
-  else Tas
-
 (* Trace excerpt length. *)
 let window = 24
 
 type t = {
   mode : mode;
-  check_ownership : bool;
   check : Check.t;
   processes : int;
   steps : int array;
@@ -54,12 +40,14 @@ type t = {
   mutable violations : int;
 }
 
-let create ~name ~check_ownership ~memory ~processes ?obs () =
-  if processes < 0 then invalid_arg "Monitor.create: negative processes";
+let create ?obs ~mode (inst : Executor.instance) =
+  let processes = Array.length inst.programs in
   {
-    mode = mode_of_name name;
-    check_ownership;
-    check = Check.create ?obs ~config:{ Spec.namespace = Memory.namespace memory; one_shot = true } ();
+    mode;
+    check =
+      Check.create ?obs
+        ~config:{ Spec.namespace = Memory.namespace inst.memory; one_shot = true }
+        ();
     processes;
     steps = Array.make processes 0;
     total_steps = 0;
@@ -114,17 +102,6 @@ let ensure_invoked t pid =
     t.invoked.(pid) <- true;
     feed t (Obs_event.Invoked { session = pid }))
 
-(* A returned name re-asserts a grant the pid holds.  A name it does not
-   hold is an unbacked claim under [check_ownership]; otherwise the
-   return is the grant itself (a τ-slot the namespace registers never
-   saw, or a service model's only observable grant).  Either way,
-   returning a name someone else holds is inexplicable. *)
-let on_return t pid name =
-  ensure_invoked t pid;
-  if t.check_ownership || Spec.holder (Check.spec t.check) ~name = Some pid then
-    feed t (Obs_event.Claimed { session = pid; name })
-  else feed t (Obs_event.Granted { session = pid; name })
-
 let on_tas t (ev : Executor.event) =
   match ev with
   | Stepped { pid; response = Op.Faulted; _ } ->
@@ -140,7 +117,11 @@ let on_tas t (ev : Executor.event) =
     | _ -> Check.stutter t.check)
   | Crashed { pid; _ } -> feed t (Obs_event.Crashed { session = pid })
   | Recovered { pid; _ } -> feed t (Obs_event.Recovered { session = pid })
-  | Returned { pid; value = Some name; _ } -> on_return t pid name
+  | Returned { pid; value = Some name; _ } ->
+    (* A returned name re-asserts a grant the pid won by TAS; a name it
+       does not hold is an unbacked claim. *)
+    ensure_invoked t pid;
+    feed t (Obs_event.Claimed { session = pid; name })
   | Returned { value = None; _ } -> Check.stutter t.check
 
 let on_returns t (ev : Executor.event) =
@@ -150,7 +131,12 @@ let on_returns t (ev : Executor.event) =
     Check.stutter t.check
   | Crashed { pid; _ } -> feed t (Obs_event.Crashed { session = pid })
   | Recovered { pid; _ } -> feed t (Obs_event.Recovered { session = pid })
-  | Returned { pid; value = Some name; _ } -> on_return t pid name
+  | Returned { pid; value = Some name; _ } ->
+    (* The return is the model's only observable grant (a pid returns
+       once, so it never holds the name already); returning a name
+       someone else holds is a double grant. *)
+    ensure_invoked t pid;
+    feed t (Obs_event.Granted { session = pid; name })
   | Returned { value = None; _ } -> Check.stutter t.check
 
 let on_announce t (ev : Executor.event) =

@@ -8,18 +8,15 @@
 
     The spec is the one oracle for the paper's safety property — no two
     processes hold the same name, every name lies in the namespace, and
-    (with [check_ownership]) every returned name is backed by a grant.
-    Each event is adapted to {!Renaming_refine.Obs_event}s under the
-    mode {!mode_of_name} picks from the run's name:
+    a process claims only a name it won.  Each event is adapted to
+    {!Renaming_refine.Obs_event}s under the {!mode} the run's target
+    declares ({!Target.t}):
 
     - {!Tas}: the paper algorithms.  A name is granted by winning its
       namespace TAS register, released by [Release_name], asserted by a
-      successful [Owned_name] probe or a [Some] return value.  Without
-      [check_ownership], a return of a name the process does not hold
-      is itself the grant (the τ-device admission algorithms claim
-      names their namespace registers never see); with it, such a
-      return is an unbacked claim.  Faulted operations never touch
-      memory, so they are stutters.
+      successful [Owned_name] probe or a [Some] return value; a return
+      of a name the process does not hold is an unbacked claim.
+      Faulted operations never touch memory, so they are stutters.
     - {!Returns}: the service protocol models ([Handoff],
       [Shard_handoff], [Net_dedup] and their mutants).  Names live in
       model-internal words/aux registers, so the only observable grant
@@ -54,31 +51,13 @@ exception Violation of violation
 
 type mode = Tas | Returns | Announce
 
-(* lint: allow unused-export — test hook: pins the mode table *)
-val mode_of_name : string -> mode
-(** By run-name prefix: the service-model families ([lease-handoff],
-    [shard-handoff], [net-dedup] and their mutants) map to {!Returns},
-    the [refine-grant] / [mutant-refine] family to {!Announce},
-    everything else to {!Tas}. *)
-
 type t
 
-val create :
-  name:string ->
-  check_ownership:bool ->
-  memory:Renaming_sched.Memory.t ->
-  processes:int ->
-  ?obs:Renaming_obs.Obs.t ->
-  unit ->
-  t
-(** One monitor per run; it owns the run's {!Renaming_refine.Check.t},
-    sized by [Memory.namespace memory].  [name] picks the {!mode}.
-    [check_ownership]: every returned name must be one the process was
-    granted — valid for algorithms that claim names exclusively by
-    winning namespace TAS registers (all of [lib/core] and
-    [lib/baselines]' probing/scanning ones; not the splitter grid,
-    which derives names from read/write registers).  With [obs], the
-    checker bumps the shared [refine/events], [refine/stutters] and
+val create : ?obs:Renaming_obs.Obs.t -> mode:mode -> Renaming_sched.Executor.instance -> t
+(** One monitor per run of the instance; it owns the run's
+    {!Renaming_refine.Check.t}, sized by the instance's namespace, and
+    checks pids against its process count.  With [obs], the checker
+    bumps the shared [refine/events], [refine/stutters] and
     [refine/violations] counters. *)
 
 val hook : t -> Renaming_sched.Executor.event -> unit

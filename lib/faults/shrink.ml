@@ -4,28 +4,23 @@ module Directed = Renaming_sched.Directed
 type failure = { f_kind : string; f_message : string }
 
 type input = {
-  label : string;
-  build : unit -> Executor.instance;
-  check_ownership : bool;
+  target : Target.t;
+  seed : int64;
   choices : Directed.choice list;
   max_ticks : int;
   tau_cadence : int;
 }
 
 type result = {
-  r_label : string;
+  r_input : input;
   r_failure : failure;
-  r_original : Directed.choice list;
   r_choices : Directed.choice list;
   r_replays : int;
 }
 
 let execute input prefix =
-  let inst = input.build () in
-  let monitor =
-    Monitor.create ~name:input.label ~check_ownership:input.check_ownership
-      ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ()
-  in
+  let inst = input.target.build ~seed:input.seed in
+  let monitor = Monitor.create ~mode:input.target.mode inst in
   let run =
     Directed.run ~max_ticks:input.max_ticks ~tau_cadence:input.tau_cadence
       ~on_event:(Monitor.hook monitor) ~prefix inst
@@ -105,9 +100,8 @@ let shrink ?(max_replays = 4000) input =
     cur := ddmin test !cur 2;
     Some
       {
-        r_label = input.label;
+        r_input = input;
         r_failure = !last_failure;
-        r_original = input.choices;
         r_choices = !cur;
         r_replays = !replays;
       }
@@ -120,13 +114,25 @@ type repro = {
   rp_algorithm : string;
   rp_n : int;
   rp_seed : int64;
-  rp_check_ownership : bool;
   rp_max_ticks : int;
   rp_tau_cadence : int;
   rp_kind : string;
   rp_trace_format : trace_format;
   rp_choices : Directed.choice list;
 }
+
+let to_repro r =
+  let input = r.r_input in
+  {
+    rp_algorithm = input.target.name;
+    rp_n = input.target.n;
+    rp_seed = input.seed;
+    rp_max_ticks = input.max_ticks;
+    rp_tau_cadence = input.tau_cadence;
+    rp_kind = r.r_failure.f_kind;
+    rp_trace_format = Condensed;
+    rp_choices = r.r_choices;
+  }
 
 let trace_format_name = function Choices -> "choices" | Condensed -> "condensed"
 
@@ -135,7 +141,6 @@ let repro_to_string r =
   Buffer.add_string buf (Printf.sprintf "algorithm: %s\n" r.rp_algorithm);
   Buffer.add_string buf (Printf.sprintf "n: %d\n" r.rp_n);
   Buffer.add_string buf (Printf.sprintf "seed: %Ld\n" r.rp_seed);
-  Buffer.add_string buf (Printf.sprintf "check-ownership: %b\n" r.rp_check_ownership);
   Buffer.add_string buf (Printf.sprintf "max-ticks: %d\n" r.rp_max_ticks);
   Buffer.add_string buf (Printf.sprintf "tau-cadence: %d\n" r.rp_tau_cadence);
   Buffer.add_string buf (Printf.sprintf "kind: %s\n" r.rp_kind);
@@ -182,7 +187,6 @@ let repro_of_string s =
   let* rp_algorithm = field "algorithm" Option.some in
   let* rp_n = field "n" int_of_string_opt in
   let* rp_seed = field "seed" Int64.of_string_opt in
-  let* rp_check_ownership = field "check-ownership" bool_of_string_opt in
   let* rp_max_ticks = field "max-ticks" int_of_string_opt in
   (* Optional header (pre-τ artifacts lack it): cadence 1 is the
      executor default those artifacts were recorded under. *)
@@ -232,7 +236,6 @@ let repro_of_string s =
       rp_algorithm;
       rp_n;
       rp_seed;
-      rp_check_ownership;
       rp_max_ticks;
       rp_tau_cadence;
       rp_kind;

@@ -1,7 +1,8 @@
 (** Counterexample shrinking: delta-debugging minimisation of directed
     schedules that trigger a {!Monitor} violation.
 
-    Given a deterministic instance builder and a failing
+    Given a {!Target.t} (a deterministic instance builder and the
+    monitor mode that judges it), a seed and a failing
     {!Renaming_sched.Directed.choice} prefix, {!shrink} searches for a
     1-minimal prefix that still triggers the *same* failure — same
     {!Monitor.violation} [kind] (or livelock), as {!Monitor.judge}
@@ -17,8 +18,11 @@
 
     Minimised counterexamples are persisted as replayable [repro]
     artifacts (plain text, [repro_to_string]/[repro_of_string]) under
-    [results/repros/] by the chaos campaign and [renaming mcheck], and
-    replayed by [renaming shrink]. *)
+    [results/repros/] by the chaos campaign, [renaming mcheck] and
+    [renaming fuzz], and replayed by [renaming shrink], which resolves
+    the artifact's [algorithm] and [n] headers to the one target of
+    that name and size.  An artifact records no monitor mode: the
+    target declares it. *)
 
 type failure = {
   f_kind : string;  (** {!Monitor.violation} kind, or ["livelock"], or ["exception:<name>"] *)
@@ -26,13 +30,8 @@ type failure = {
 }
 
 type input = {
-  label : string;
-      (** algorithm name, for reporting; also picks the monitor's
-          {!Monitor.mode} *)
-  build : unit -> Renaming_sched.Executor.instance;
-      (** must return a fresh, deterministic instance — same memory and
-          programs every call — or replays diverge *)
-  check_ownership : bool;  (** see {!Monitor.create} *)
+  target : Target.t;  (** what is replayed, and the monitor mode that judges it *)
+  seed : int64;  (** the instance seed the failure was observed at *)
   choices : Renaming_sched.Directed.choice list;  (** the failing prefix *)
   max_ticks : int;  (** livelock guard per replay *)
   tau_cadence : int;
@@ -43,9 +42,8 @@ type input = {
 }
 
 type result = {
-  r_label : string;
+  r_input : input;  (** [r_input.choices] is the original prefix *)
   r_failure : failure;  (** failure of the minimised prefix *)
-  r_original : Renaming_sched.Directed.choice list;  (** the input prefix *)
   r_choices : Renaming_sched.Directed.choice list;  (** minimised, 1-minimal *)
   r_replays : int;  (** executions spent, including the initial check *)
 }
@@ -73,7 +71,6 @@ type repro = {
   rp_algorithm : string;
   rp_n : int;
   rp_seed : int64;
-  rp_check_ownership : bool;
   rp_max_ticks : int;
   rp_tau_cadence : int;
   rp_kind : string;
@@ -81,9 +78,14 @@ type repro = {
   rp_choices : Renaming_sched.Directed.choice list;
 }
 
+val to_repro : result -> repro
+(** The artifact of a shrunk failure: the input's target name, [n],
+    seed, livelock guard and cadence, the minimised choices in the
+    {!Condensed} format. *)
+
 val repro_to_string : repro -> string
 (** Plain-text artifact: [key: value] headers ([algorithm], [n], [seed],
-    [check-ownership], [max-ticks], [tau-cadence], [kind],
+    [max-ticks], [tau-cadence], [kind],
     [trace-format]) followed by a [trace:] section rendered per
     [rp_trace_format].  [rp_choices] is the single source of truth —
     the condensed body is derived from it on the way out. *)
@@ -91,4 +93,6 @@ val repro_to_string : repro -> string
 val repro_of_string : string -> (repro, string) Stdlib.result
 (** Inverse of {!repro_to_string}.  The [tau-cadence] and [trace-format]
     headers are optional ([1] and [Choices] respectively) so artifacts
-    written before they existed still parse. *)
+    written before they existed still parse; a header this parser does
+    not read (such as the [check-ownership] line older artifacts carry)
+    is ignored. *)

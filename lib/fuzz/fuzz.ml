@@ -5,6 +5,7 @@ module Report = Renaming_sched.Report
 module Trace = Renaming_sched.Trace
 module Monitor = Renaming_faults.Monitor
 module Shrink = Renaming_faults.Shrink
+module Target = Renaming_faults.Target
 module Stream = Renaming_rng.Stream
 module Sample = Renaming_rng.Sample
 module Clock = Renaming_clock.Clock
@@ -12,10 +13,7 @@ module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
 
 type target = {
-  fz_name : string;
-  fz_n : int;
-  fz_build : seed:int64 -> Executor.instance;
-  fz_check_ownership : bool;
+  fz_target : Target.t;
   fz_allow_faults : bool;
       (* Fault mutations are only sound for programs routing namespace
          traffic through the fault-aware retry primitives; plain
@@ -72,51 +70,32 @@ let repros s =
    [drive].  Detaches the logger before returning so instances never
    leak a collector. *)
 let observe_run ?obs target ~tseed ~drive =
-  let inst = target.fz_build ~seed:tseed in
+  let inst = target.fz_target.build ~seed:tseed in
   let cov = Coverage.create () in
   Coverage.attach cov inst.Executor.memory;
-  let monitor =
-    Monitor.create ~name:target.fz_name ~check_ownership:target.fz_check_ownership
-      ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ?obs ()
-  in
+  let monitor = Monitor.create ?obs ~mode:target.fz_target.mode inst in
   let verdict = Monitor.judge monitor (drive ~inst ~on_event:(Monitor.hook monitor)) in
   Coverage.detach inst.Executor.memory;
   (verdict, Coverage.edges cov)
 
 let shrink_violation target ~tseed ~prefix =
-  match
-    Shrink.shrink
-      {
-        Shrink.label = target.fz_name;
-        build = (fun () -> target.fz_build ~seed:tseed);
-        check_ownership = target.fz_check_ownership;
-        choices = prefix;
-        max_ticks = target.fz_max_ticks;
-        tau_cadence = target.fz_tau_cadence;
-      }
-  with
-  | None -> None
-  | Some r ->
-    Some
-      {
-        Shrink.rp_algorithm = target.fz_name;
-        rp_n = target.fz_n;
-        rp_seed = tseed;
-        rp_check_ownership = target.fz_check_ownership;
-        rp_max_ticks = target.fz_max_ticks;
-        rp_tau_cadence = target.fz_tau_cadence;
-        rp_kind = r.Shrink.r_failure.Shrink.f_kind;
-        rp_trace_format = Shrink.Condensed;
-        rp_choices = r.Shrink.r_choices;
-      }
+  Option.map Shrink.to_repro
+    (Shrink.shrink
+       {
+         Shrink.target = target.fz_target;
+         seed = tseed;
+         choices = prefix;
+         max_ticks = target.fz_max_ticks;
+         tau_cadence = target.fz_tau_cadence;
+       })
 
 let fuzz_target ?obs ~master ~depth ~iterations ~should_stop target =
   (* The instance seed is fixed per target (derived from the campaign
      seed and the target name): corpus prefixes then stay meaningful
      across iterations — only the schedule varies, exactly the
      nondeterminism the fuzzer owns. *)
-  let tseed = Int64.logxor (Stream.seed master) (Stream.hash_name target.fz_name) in
-  let rng = Stream.fork_named master ~name:("fuzz-" ^ target.fz_name) in
+  let tseed = Int64.logxor (Stream.seed master) (Stream.hash_name target.fz_target.name) in
+  let rng = Stream.fork_named master ~name:("fuzz-" ^ target.fz_target.name) in
   let corpus = Corpus.create () in
   let growth = ref [] in
   let livelocks = ref 0 in
@@ -166,7 +145,7 @@ let fuzz_target ?obs ~master ~depth ~iterations ~should_stop target =
     if mutation_round then begin
       let parent = Corpus.pick corpus rng in
       let child =
-        Corpus.mutate ~rng ~n:target.fz_n ~allow_faults:target.fz_allow_faults
+        Corpus.mutate ~rng ~n:target.fz_target.n ~allow_faults:target.fz_allow_faults
           ~allow_crashes:target.fz_allow_crashes parent
       in
       let taken = ref [||] in
@@ -196,9 +175,9 @@ let fuzz_target ?obs ~master ~depth ~iterations ~should_stop target =
       let crashing = iteration mod 2 = 1 && target.fz_allow_crashes in
       let adversary =
         if crashing then
-          Pct.with_crashes ~depth:d ~n:target.fz_n ~k:!k ~failures:1
+          Pct.with_crashes ~depth:d ~n:target.fz_target.n ~k:!k ~failures:1
             ~recover_after:(max 4 (!k / 4)) ~rng ()
-        else Pct.adversary ~depth:d ~n:target.fz_n ~k:!k ~rng ()
+        else Pct.adversary ~depth:d ~n:target.fz_target.n ~k:!k ~rng ()
       in
       let mode = adversary.Adversary.name in
       let trace = Trace.create () in
@@ -215,8 +194,8 @@ let fuzz_target ?obs ~master ~depth ~iterations ~should_stop target =
     end
   done;
   {
-    r_target = target.fz_name;
-    r_n = target.fz_n;
+    r_target = target.fz_target.name;
+    r_n = target.fz_target.n;
     r_expect_violation = target.fz_expect_violation;
     r_iterations = !executed;
     r_livelocks = !livelocks;
@@ -246,7 +225,7 @@ let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ~seed ~it
     List.mapi
       (fun idx target ->
         let r = fuzz_target ?obs ~master ~depth ~iterations ~should_stop target in
-        report_progress ~target:target.fz_name ~done_:(idx + 1) ~total;
+        report_progress ~target:target.fz_target.name ~done_:(idx + 1) ~total;
         r)
       targets
   in

@@ -28,10 +28,7 @@
     inputs. *)
 
 type target = {
-  fz_name : string;
-  fz_n : int;
-  fz_build : seed:int64 -> Renaming_sched.Executor.instance;
-  fz_check_ownership : bool;  (** see {!Renaming_faults.Monitor.create} *)
+  fz_target : Renaming_faults.Target.t;
   fz_allow_faults : bool;
       (** permit [Fault] mutations — only sound when the target's
           programs route namespace traffic through the fault-aware

@@ -1,73 +1,41 @@
 module Campaign = Renaming_faults.Campaign
+module Monitor = Renaming_faults.Monitor
+module Target = Renaming_faults.Target
 module Crash_pattern = Renaming_workload.Crash_pattern
 module Adversary = Renaming_sched.Adversary
 module Stream = Renaming_rng.Stream
 module Params = Renaming_core.Params
 
 (* Every roster algorithm claims names exclusively by winning namespace
-   TAS registers, so the monitor's ownership check is valid for all of
-   them. *)
-let algorithms ~n : Campaign.algorithm list =
+   TAS registers, so the monitor judges them all in [Tas] mode. *)
+let algorithms ~n : Target.t list =
+  let tas name build = { Target.name; n; mode = Monitor.Tas; build } in
   [
-    {
-      Campaign.algo_name = "loose-geometric";
-      build =
-        (fun ~seed ->
-          Renaming_core.Loose_geometric.instance
-            { Renaming_core.Loose_geometric.n; ell = 2 }
-            ~stream:(Stream.create seed));
-      check_ownership = true;
-    };
-    {
-      Campaign.algo_name = "loose-clustered";
-      build =
-        (fun ~seed ->
-          Renaming_core.Loose_clustered.instance
-            { Renaming_core.Loose_clustered.n; ell = 2 }
-            ~stream:(Stream.create seed));
-      check_ownership = true;
-    };
-    {
-      Campaign.algo_name = "combined-geometric";
-      build =
-        (fun ~seed ->
-          Renaming_core.Combined.instance
-            { Renaming_core.Combined.n; variant = Renaming_core.Combined.Geometric { ell = 2 } }
-            ~stream:(Stream.create seed));
-      check_ownership = true;
-    };
-    {
-      Campaign.algo_name = "tight";
-      build =
-        (fun ~seed ->
-          let params = Params.make ~policy:Params.Mass_conserving ~n () in
-          Renaming_core.Tight.instance ~params ~stream:(Stream.create seed) ());
-      check_ownership = true;
-    };
-    {
-      Campaign.algo_name = "adaptive";
-      build =
-        (fun ~seed ->
-          Renaming_core.Adaptive.instance
-            (Renaming_core.Adaptive.make_config ~k:n ())
-            ~stream:(Stream.create seed));
-      check_ownership = true;
-    };
-    {
-      Campaign.algo_name = "uniform-probing";
-      build =
-        (fun ~seed ->
-          Renaming_baselines.Uniform_probing.instance
-            (Renaming_baselines.Uniform_probing.make_config ~n ~m:n ())
-            ~stream:(Stream.create seed));
-      check_ownership = true;
-    };
-    {
-      Campaign.algo_name = "linear-scan";
-      build =
-        (fun ~seed:_ -> Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n });
-      check_ownership = true;
-    };
+    tas "loose-geometric" (fun ~seed ->
+        Renaming_core.Loose_geometric.instance
+          { Renaming_core.Loose_geometric.n; ell = 2 }
+          ~stream:(Stream.create seed));
+    tas "loose-clustered" (fun ~seed ->
+        Renaming_core.Loose_clustered.instance
+          { Renaming_core.Loose_clustered.n; ell = 2 }
+          ~stream:(Stream.create seed));
+    tas "combined-geometric" (fun ~seed ->
+        Renaming_core.Combined.instance
+          { Renaming_core.Combined.n; variant = Renaming_core.Combined.Geometric { ell = 2 } }
+          ~stream:(Stream.create seed));
+    tas "tight" (fun ~seed ->
+        let params = Params.make ~policy:Params.Mass_conserving ~n () in
+        Renaming_core.Tight.instance ~params ~stream:(Stream.create seed) ());
+    tas "adaptive" (fun ~seed ->
+        Renaming_core.Adaptive.instance
+          (Renaming_core.Adaptive.make_config ~k:n ())
+          ~stream:(Stream.create seed));
+    tas "uniform-probing" (fun ~seed ->
+        Renaming_baselines.Uniform_probing.instance
+          (Renaming_baselines.Uniform_probing.make_config ~n ~m:n ())
+          ~stream:(Stream.create seed));
+    tas "linear-scan" (fun ~seed:_ ->
+        Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n });
   ]
 
 let adversaries () : Campaign.adversary_spec list =

@@ -7,10 +7,11 @@
     suite, the crash/recovery patterns and the default fault rates —
     used by [renaming chaos], [make chaos] and the test suite. *)
 
-val algorithms : n:int -> Renaming_faults.Campaign.algorithm list
+val algorithms : n:int -> Renaming_faults.Target.t list
 (** loose-geometric, loose-clustered, combined-geometric, tight,
-    adaptive, uniform-probing, linear-scan — all with the ownership
-    check enabled.  [n] must be ≥ 8 (the tight schedule's minimum). *)
+    adaptive, uniform-probing, linear-scan at [n] processes — all judged
+    in {!Renaming_faults.Monitor.Tas} mode.  Building one needs [n ≥ 8]
+    (the tight schedule's minimum). *)
 
 val spec :
   ?n:int ->

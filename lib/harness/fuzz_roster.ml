@@ -1,50 +1,25 @@
 module Fuzz = Renaming_fuzz.Fuzz
+module Monitor = Renaming_faults.Monitor
+module Target = Renaming_faults.Target
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Program = Renaming_sched.Program
 module Tau_register = Renaming_device.Tau_register
 module Stream = Renaming_rng.Stream
 
-let target ~name ~n ?(check_ownership = true) ?(allow_faults = false) ?(allow_crashes = false)
-    ?(tau_cadence = 1) ?(max_ticks = 50_000) ?(expect_violation = false) build =
+let target ?(allow_faults = false) ?(allow_crashes = false) ?(tau_cadence = 1)
+    ?(expect_violation = false) target =
   {
-    Fuzz.fz_name = name;
-    fz_n = n;
-    fz_build = build;
-    fz_check_ownership = check_ownership;
+    Fuzz.fz_target = target;
     fz_allow_faults = allow_faults;
     fz_allow_crashes = allow_crashes;
     fz_tau_cadence = tau_cadence;
-    fz_max_ticks = max_ticks;
+    fz_max_ticks = 50_000;
     fz_expect_violation = expect_violation;
   }
 
-(* --- clean targets: small instances of the real algorithms.  All route
-   namespace traffic through the fault-aware retry primitives, so fault
-   mutations are sound; crash-recovery soundness is covered by the chaos
-   campaign, so crash injection is enabled too. --- *)
-
-let loose_geometric ~n ~seed =
-  Renaming_core.Loose_geometric.instance
-    { Renaming_core.Loose_geometric.n; ell = 2 }
-    ~stream:(Stream.create seed)
-
-let combined_geometric ~n ~seed =
-  Renaming_core.Combined.instance
-    { Renaming_core.Combined.n; variant = Renaming_core.Combined.Geometric { ell = 2 } }
-    ~stream:(Stream.create seed)
-
-let uniform_probing ~n ~seed =
-  Renaming_baselines.Uniform_probing.instance
-    (Renaming_baselines.Uniform_probing.make_config ~max_probes:4 ~n ~m:n ())
-    ~stream:(Stream.create seed)
-
-let linear_scan ~n ~seed:_ =
-  Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n }
-
-let grant_model ~n ~seed = Renaming_refine.Grant_model.instance ~n ~seed
-
-let grant_model_regrant ~n ~seed = Renaming_refine.Grant_model.instance_regrant ~n ~seed
+let mutant ?allow_crashes ?tau_cadence ~name ~n ~mode build =
+  target ?allow_crashes ?tau_cadence ~expect_violation:true { Target.name; n; mode; build }
 
 (* --- seeded mutants: deliberately broken programs whose bugs need an
    adversarial schedule.  Each is clean under the fair round-robin
@@ -152,77 +127,73 @@ let mutant_dropped_straggler ~seed:_ =
     label = "mutant-dropped-straggler";
   }
 
+(* Every clean target routes namespace traffic through the fault-aware
+   retry primitives, so fault mutations are sound; crash-recovery
+   soundness is covered by the chaos campaign, so crash injection is
+   enabled too. *)
 let clean () =
   [
-    target ~name:"loose-geometric-n4" ~n:4 ~allow_faults:true ~allow_crashes:true
-      (fun ~seed -> loose_geometric ~n:4 ~seed);
+    target ~allow_faults:true ~allow_crashes:true Targets.loose_geometric_n4;
     (* Lease-handoff fencing (Renaming_service.Handoff): the returned
-       name is guarded by aux-register locks, not a namespace TAS, so
-       ownership checking is off; uniqueness of the returned name is the
-       property under test.  All traffic goes through Retry, so fault
-       mutation is sound. *)
-    target ~name:"lease-handoff-n4" ~n:4 ~check_ownership:false ~allow_faults:true
-      ~allow_crashes:true
-      (fun ~seed -> Renaming_service.Handoff.instance ~n:4 ~seed);
+       name is guarded by aux-register locks, not a namespace TAS;
+       uniqueness of the returned name is the property under test. *)
+    target ~allow_faults:true ~allow_crashes:true Targets.lease_handoff_n4;
     (* Slice-handoff fencing (Renaming_service.Shard_handoff): the
        router's slice-transfer core — every name of the old epoch is
        fenced by a settle-lock TAS before the epoch bumps and the new
        epoch regrants.  Property: global uniqueness across epochs. *)
-    target ~name:"shard-handoff-n4" ~n:4 ~check_ownership:false ~allow_faults:true
-      ~allow_crashes:true
-      (fun ~seed -> Renaming_service.Shard_handoff.instance ~n:4 ~seed);
+    target ~allow_faults:true ~allow_crashes:true Targets.shard_handoff_n4;
     (* At-most-once dedup eviction fencing (Renaming_service.Net_dedup):
        duplicate deliveries of one rid race a fenced evictor; the
        property is that the rid's name is granted by exactly one
        delivery across both dedup epochs. *)
-    target ~name:"net-dedup-n4" ~n:4 ~check_ownership:false ~allow_faults:true
-      ~allow_crashes:true
-      (fun ~seed -> Renaming_service.Net_dedup.instance ~n:4 ~seed);
-    target ~name:"combined-geometric-n8" ~n:8 ~allow_faults:true ~allow_crashes:true
-      (fun ~seed -> combined_geometric ~n:8 ~seed);
-    target ~name:"uniform-probing-n3" ~n:3 ~allow_faults:true ~allow_crashes:true
-      (fun ~seed -> uniform_probing ~n:3 ~seed);
-    target ~name:"linear-scan-n4" ~n:4 ~allow_faults:true ~allow_crashes:true
-      (fun ~seed -> linear_scan ~n:4 ~seed);
+    target ~allow_faults:true ~allow_crashes:true Targets.net_dedup_n4;
+    target ~allow_faults:true ~allow_crashes:true
+      {
+        Target.name = "combined-geometric-n8";
+        n = 8;
+        mode = Monitor.Tas;
+        build =
+          (fun ~seed ->
+            Renaming_core.Combined.instance
+              { Renaming_core.Combined.n = 8; variant = Renaming_core.Combined.Geometric { ell = 2 } }
+              ~stream:(Stream.create seed));
+      };
+    target ~allow_faults:true ~allow_crashes:true Targets.uniform_probing_n3;
+    target ~allow_faults:true ~allow_crashes:true Targets.linear_scan_n4;
     (* Grant/reclaim announce model (Renaming_refine.Grant_model): every
        protocol action is self-reported on the announce word, so this is
        the one target whose whole observable behaviour the refinement
-       checker sees verbatim.  Grants live in announces, not namespace
-       TASes, so ownership checking is off; settle locks make it legal
-       under every schedule and crash.  Transient faults stay off: a
-       faulted announce write silently drops an event, and refining an
+       checker sees verbatim.  Settle locks make it legal under every
+       schedule and crash.  Transient faults stay off: a faulted
+       announce write silently drops an event, and refining an
        incomplete observable trace is meaningless (the spec would blame
        the next legitimate event). *)
-    target ~name:"refine-grant-n2" ~n:2 ~check_ownership:false ~allow_crashes:true
-      (fun ~seed -> grant_model ~n:2 ~seed);
+    target ~allow_crashes:true Targets.refine_grant_n2;
   ]
 
 let mutants () =
   [
-    target ~name:"mutant-double-claim" ~n:3 ~expect_violation:true
-      (fun ~seed -> mutant_double_claim ~seed);
-    target ~name:"mutant-tau-over-admit" ~n:2 ~tau_cadence:3 ~expect_violation:true
-      (fun ~seed -> mutant_tau_over_admit ~seed);
-    target ~name:"mutant-dropped-straggler" ~n:3 ~expect_violation:true
-      (fun ~seed -> mutant_dropped_straggler ~seed);
+    mutant ~name:"mutant-double-claim" ~n:3 ~mode:Monitor.Tas mutant_double_claim;
+    mutant ~name:"mutant-tau-over-admit" ~n:2 ~mode:Monitor.Tas ~tau_cadence:3
+      mutant_tau_over_admit;
+    mutant ~name:"mutant-dropped-straggler" ~n:3 ~mode:Monitor.Tas mutant_dropped_straggler;
     (* Stale-write handoff: the holder validates its lease by re-reading
        the epoch register instead of taking the settle lock — the
        time-of-check/time-of-use bug epoch fencing exists to prevent.
        Round-robin resolves the race benignly; a priority schedule that
        parks the reclaimer until the holder's validation read, then lets
        the claimant commit at the next epoch, yields a double grant. *)
-    target ~name:"mutant-lease-stale-write" ~n:3 ~check_ownership:false
-      ~expect_violation:true
-      (fun ~seed -> Renaming_service.Handoff.instance_stale_write ~n:3 ~seed);
+    mutant ~name:"mutant-lease-stale-write" ~n:3 ~mode:Monitor.Returns (fun ~seed ->
+        Renaming_service.Handoff.instance_stale_write ~n:3 ~seed);
     (* Unfenced slice handoff: the taker hands the slice to the next
        epoch after merely *reading* the old epoch's settle locks — the
        slice moves without the coupled fence.  An owner parked in its
        hold window still commits at the old epoch while the published
        transfer-freedom flag lets the new epoch regrant the same name:
        a cross-epoch double grant reachable at preemption depth 2. *)
-    target ~name:"mutant-shard-unfenced-handoff" ~n:3 ~check_ownership:false
-      ~expect_violation:true
-      (fun ~seed -> Renaming_service.Shard_handoff.instance_unfenced ~n:3 ~seed);
+    mutant ~name:"mutant-shard-unfenced-handoff" ~n:3 ~mode:Monitor.Returns (fun ~seed ->
+        Renaming_service.Shard_handoff.instance_unfenced ~n:3 ~seed);
     (* Unfenced dedup eviction: the evictor *reads* the settle lock
        instead of TASing it, then evicts the rid's dedup entry while a
        duplicate delivery is still parked in its hold window — the
@@ -230,26 +201,15 @@ let mutants () =
        same name.  Clean under fair round-robin (the evictor parks past
        the original's commit); the double grant needs a preemption
        inside the hold window. *)
-    target ~name:"mutant-net-dedup-evict" ~n:3 ~check_ownership:false
-      ~expect_violation:true
-      (fun ~seed -> Renaming_service.Net_dedup.instance_evict ~n:3 ~seed);
+    mutant ~name:"mutant-net-dedup-evict" ~n:3 ~mode:Monitor.Returns (fun ~seed ->
+        Renaming_service.Net_dedup.instance_evict ~n:3 ~seed);
     (* Post-reclaim double grant: the reclaimer announces the reclaim
        and then re-announces the grant for a session that never
        re-invoked.  No name is ever double-held in memory, and the fair
        baseline is clean (clients settle before the reclaimer's sweep);
        only the spec, fed the announce stream, can flag it. *)
-    target ~name:"mutant-refine-regrant" ~n:2 ~check_ownership:false ~allow_crashes:true
-      ~expect_violation:true
-      (fun ~seed -> grant_model_regrant ~n:2 ~seed);
+    mutant ~name:"mutant-refine-regrant" ~n:2 ~mode:Monitor.Announce ~allow_crashes:true
+      (fun ~seed -> Renaming_refine.Grant_model.instance_regrant ~n:2 ~seed);
   ]
 
 let roster () = clean () @ mutants ()
-
-let builder ~name ~n =
-  match
-    List.find_opt
-      (fun t -> String.equal t.Fuzz.fz_name name && t.Fuzz.fz_n = n)
-      (roster ())
-  with
-  | Some t -> Some t.Fuzz.fz_build
-  | None -> None

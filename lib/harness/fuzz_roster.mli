@@ -3,7 +3,9 @@
     Two halves:
 
     - {!clean}: small instances of real algorithms (loose-geometric,
-      combined-geometric, uniform-probing, linear-scan).  The fuzzer
+      combined-geometric, uniform-probing, linear-scan) and of the
+      service protocol models; all but combined-geometric are the
+      {!Targets} the model-checking roster runs too.  The fuzzer
       must report zero violations here — any hit is a real bug (or a
       monitor blind spot) and fails the campaign.
     - {!mutants}: deliberately seeded schedule-depth bugs — a
@@ -24,10 +26,3 @@ val mutants : unit -> Renaming_fuzz.Fuzz.target list
 
 val roster : unit -> Renaming_fuzz.Fuzz.target list
 (** [clean () @ mutants ()]. *)
-
-val builder :
-  name:string ->
-  n:int ->
-  (seed:int64 -> Renaming_sched.Executor.instance) option
-(** Resolve a roster target by repro header, for [renaming shrink]
-    replay of fuzz-written artifacts. *)

@@ -1,15 +1,12 @@
 module Mcheck = Renaming_mcheck.Mcheck
-module Shrink = Renaming_faults.Shrink
-module Campaign = Renaming_faults.Campaign
+module Monitor = Renaming_faults.Monitor
+module Target = Renaming_faults.Target
 module Stream = Renaming_rng.Stream
 module Params = Renaming_core.Params
 
 type entry = {
-  e_name : string;
-  e_n : int;
+  e_target : Target.t;
   e_seed : int64;
-  e_check_ownership : bool;
-  e_build : seed:int64 -> Renaming_sched.Executor.instance;
   e_bounds : Mcheck.bounds;
   e_baseline : int option;
 }
@@ -27,37 +24,28 @@ let bounds ?(preemptions = 2) ?(crashes = 0) ?(recoveries = 0) ?(faults = 0)
 
 let seed = 0x5EED_2015L
 
-let loose_geometric ~n ~seed =
-  Renaming_core.Loose_geometric.instance
-    { Renaming_core.Loose_geometric.n; ell = 2 }
-    ~stream:(Stream.create seed)
+let entry ?baseline target ~bounds =
+  { e_target = target; e_seed = seed; e_bounds = bounds; e_baseline = baseline }
 
-(* max_probes = 2 keeps traces short; the deterministic sweep after the
-   probe phase still guarantees termination. *)
-let uniform_probing ~n ~seed =
-  Renaming_baselines.Uniform_probing.instance
-    (Renaming_baselines.Uniform_probing.make_config ~max_probes:2 ~n ~m:n ())
-    ~stream:(Stream.create seed)
+(* The same instance under another roster name (its crash or fault
+   variant). *)
+let variant (t : Target.t) suffix = { t with name = t.name ^ suffix }
 
-let linear_scan ~n ~seed:_ =
-  Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n }
+let target ~name ~n ~mode build = { Target.name; n; mode; build }
 
-let tight ~n ~seed =
-  let params = Params.make ~policy:Params.Mass_conserving ~n () in
-  Renaming_core.Tight.instance ~params ~stream:(Stream.create seed) ()
+let linear_scan_n3 =
+  target ~name:"linear-scan-n3" ~n:3 ~mode:Monitor.Tas (fun ~seed:_ ->
+      Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n = 3; m = 3 })
 
-let grant_model ~n ~seed = Renaming_refine.Grant_model.instance ~n ~seed
+(* The handoff protocols at the sizes only this roster runs; their n4
+   instances are {!Targets}', which the fuzz roster runs too. *)
+let lease_handoff ~n =
+  target ~name:(Printf.sprintf "lease-handoff-n%d" n) ~n ~mode:Monitor.Returns (fun ~seed ->
+      Renaming_service.Handoff.instance ~n ~seed)
 
-let entry ?(check_ownership = true) ?baseline ~name ~n ~build ~bounds () =
-  {
-    e_name = name;
-    e_n = n;
-    e_seed = seed;
-    e_check_ownership = check_ownership;
-    e_build = build;
-    e_bounds = bounds;
-    e_baseline = baseline;
-  }
+let shard_handoff ~n =
+  target ~name:(Printf.sprintf "shard-handoff-n%d" n) ~n ~mode:Monitor.Returns (fun ~seed ->
+      Renaming_service.Shard_handoff.instance ~n ~seed)
 
 (* [baseline] is a frozen count: the schedules the pre-DPOR sleep-set
    DFS explored for the entry, measured once with that engine's pruning,
@@ -68,15 +56,9 @@ let entry ?(check_ownership = true) ?baseline ~name ~n ~build ~bounds () =
 let roster () =
   [
     (* Schedule-only exploration, preemption bound 2. *)
-    entry ~name:"loose-geometric-n4" ~n:4 ~baseline:8
-      ~build:(fun ~seed -> loose_geometric ~n:4 ~seed)
-      ~bounds:(bounds ~preemptions:2 ()) ();
-    entry ~name:"uniform-probing-n3" ~n:3 ~baseline:5
-      ~build:(fun ~seed -> uniform_probing ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:2 ()) ();
-    entry ~name:"linear-scan-n3" ~n:3 ~baseline:18
-      ~build:(fun ~seed -> linear_scan ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:2 ()) ();
+    entry ~baseline:8 Targets.loose_geometric_n4 ~bounds:(bounds ~preemptions:2 ());
+    entry ~baseline:5 Targets.uniform_probing_n3 ~bounds:(bounds ~preemptions:2 ());
+    entry ~baseline:18 linear_scan_n3 ~bounds:(bounds ~preemptions:2 ());
     (* Four entries run at a preemption bound one notch above the
        pre-DPOR roster (raised when DPOR landed): at very low bounds
        sleep-set pruning under a preemption budget is lossy in both
@@ -85,54 +67,41 @@ let roster () =
        an exhaustive-per-class engine must do.  The deeper bounds are
        affordable under DPOR, and the baselines are re-frozen legacy
        counts at the same (new) bounds. *)
-    entry ~name:"linear-scan-n4" ~n:4 ~baseline:376
-      ~build:(fun ~seed -> linear_scan ~n:4 ~seed)
-      ~bounds:(bounds ~preemptions:3 ()) ();
+    entry ~baseline:376 Targets.linear_scan_n4 ~bounds:(bounds ~preemptions:3 ());
     (* Tight needs n >= 8 (Params.make), so its traces are an order of
        magnitude longer; one preemption keeps it in budget. *)
-    entry ~name:"tight-n8" ~n:8 ~baseline:40320
-      ~build:(fun ~seed -> tight ~n:8 ~seed)
-      ~bounds:(bounds ~preemptions:0 ()) ();
+    entry ~baseline:40320
+      (target ~name:"tight-n8" ~n:8 ~mode:Monitor.Tas (fun ~seed ->
+           let params = Params.make ~policy:Params.Mass_conserving ~n:8 () in
+           Renaming_core.Tight.instance ~params ~stream:(Stream.create seed) ()))
+      ~bounds:(bounds ~preemptions:0 ());
     (* The lease-handoff fencing protocol (Renaming_service.Handoff):
        no process TASes a namespace register for the name it returns, so
-       ownership checking is off — the property is uniqueness of the
-       returned name, which the monitor checks regardless. *)
-    entry ~name:"lease-handoff-n3" ~n:3 ~check_ownership:false ~baseline:44
-      ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:3 ()) ();
-    entry ~name:"lease-handoff-n4" ~n:4 ~check_ownership:false ~baseline:76
-      ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:4 ~seed)
-      ~bounds:(bounds ~preemptions:2 ()) ();
-    entry ~name:"lease-handoff-n5" ~n:5 ~check_ownership:false
-      ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:5 ~seed)
-      ~bounds:(bounds ~preemptions:2 ()) ();
+       the return is the grant ([Returns] mode) — the property is
+       uniqueness of the returned name. *)
+    entry ~baseline:44 (lease_handoff ~n:3) ~bounds:(bounds ~preemptions:3 ());
+    entry ~baseline:76 Targets.lease_handoff_n4 ~bounds:(bounds ~preemptions:2 ());
+    entry (lease_handoff ~n:5) ~bounds:(bounds ~preemptions:2 ());
     (* The slice-handoff fencing protocol (Renaming_service.Shard_handoff):
        the router's ownership-transfer core — a whole slice of names is
        fenced name-by-name and re-granted under a bumped epoch.  Same
-       aux-register guard structure as lease-handoff, so ownership
-       checking is off; the property is global uniqueness of every
-       returned name across both epochs. *)
-    entry ~name:"shard-handoff-n3" ~n:3 ~check_ownership:false ~baseline:130
-      ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:5 ()) ();
-    entry ~name:"shard-handoff-n4" ~n:4 ~check_ownership:false ~baseline:212
-      ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:4 ~seed)
-      ~bounds:(bounds ~preemptions:3 ()) ();
-    entry ~name:"shard-handoff-n5" ~n:5 ~check_ownership:false
-      ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:5 ~seed)
-      ~bounds:(bounds ~preemptions:2 ()) ();
+       aux-register guard structure as lease-handoff, so the same mode;
+       the property is global uniqueness of every returned name across
+       both epochs. *)
+    entry ~baseline:130 (shard_handoff ~n:3) ~bounds:(bounds ~preemptions:5 ());
+    entry ~baseline:212 Targets.shard_handoff_n4 ~bounds:(bounds ~preemptions:3 ());
+    entry (shard_handoff ~n:5) ~bounds:(bounds ~preemptions:2 ());
     (* The at-most-once retry/dedup/fence protocol (Renaming_service.Net_dedup):
        one request delivered several times, eviction fenced by the same
        settle lock the fresh execution commits through.  Grants live in
-       aux locks, so ownership checking is off; the property is that the
+       aux locks, so the return is the grant; the property is that the
        rid's name is returned by exactly one delivery across both dedup
        epochs.  Post-DPOR addition, so no legacy baseline. *)
-    entry ~name:"net-dedup-n3" ~n:3 ~check_ownership:false
-      ~build:(fun ~seed -> Renaming_service.Net_dedup.instance ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:4 ()) ();
-    entry ~name:"net-dedup-n4" ~n:4 ~check_ownership:false
-      ~build:(fun ~seed -> Renaming_service.Net_dedup.instance ~n:4 ~seed)
-      ~bounds:(bounds ~preemptions:3 ()) ();
+    entry
+      (target ~name:"net-dedup-n3" ~n:3 ~mode:Monitor.Returns (fun ~seed ->
+           Renaming_service.Net_dedup.instance ~n:3 ~seed))
+      ~bounds:(bounds ~preemptions:4 ());
+    entry Targets.net_dedup_n4 ~bounds:(bounds ~preemptions:3 ());
     (* The grant/reclaim announce model (Renaming_refine.Grant_model):
        every protocol action is self-reported on the announce word, so
        under the monitor's spec check this entry proves the model
@@ -140,28 +109,23 @@ let roster () =
        and recoveries included, which is exactly where the spec's
        crash-abandons-claims rule earns its keep.  Post-DPOR addition,
        so no legacy baseline. *)
-    entry ~name:"refine-grant-n2" ~n:2 ~check_ownership:false
-      ~build:(fun ~seed -> grant_model ~n:2 ~seed)
-      ~bounds:(bounds ~preemptions:3 ~crashes:1 ~recoveries:1 ()) ();
+    entry Targets.refine_grant_n2
+      ~bounds:(bounds ~preemptions:3 ~crashes:1 ~recoveries:1 ());
     (* Crash/recovery and transient-fault injection variants. *)
-    entry ~name:"uniform-probing-n3-crash" ~n:3 ~baseline:173
-      ~build:(fun ~seed -> uniform_probing ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:1 ~crashes:1 ~recoveries:1 ()) ();
-    entry ~name:"linear-scan-n3-crash" ~n:3 ~baseline:468
-      ~build:(fun ~seed -> linear_scan ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:2 ~crashes:1 ~recoveries:1 ()) ();
-    entry ~name:"uniform-probing-n3-fault" ~n:3 ~baseline:59
-      ~build:(fun ~seed -> uniform_probing ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:1 ~faults:1 ()) ();
-    entry ~name:"loose-geometric-n4-fault" ~n:4 ~baseline:207
-      ~build:(fun ~seed -> loose_geometric ~n:4 ~seed)
-      ~bounds:(bounds ~preemptions:1 ~faults:1 ()) ();
-    entry ~name:"lease-handoff-n3-fault" ~n:3 ~check_ownership:false ~baseline:106
-      ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:1 ~faults:1 ()) ();
-    entry ~name:"shard-handoff-n3-fault" ~n:3 ~check_ownership:false ~baseline:269
-      ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:3 ~seed)
-      ~bounds:(bounds ~preemptions:1 ~faults:1 ()) ();
+    entry ~baseline:173
+      (variant Targets.uniform_probing_n3 "-crash")
+      ~bounds:(bounds ~preemptions:1 ~crashes:1 ~recoveries:1 ());
+    entry ~baseline:468
+      (variant linear_scan_n3 "-crash")
+      ~bounds:(bounds ~preemptions:2 ~crashes:1 ~recoveries:1 ());
+    entry ~baseline:59
+      (variant Targets.uniform_probing_n3 "-fault")
+      ~bounds:(bounds ~preemptions:1 ~faults:1 ());
+    entry ~baseline:207
+      (variant Targets.loose_geometric_n4 "-fault")
+      ~bounds:(bounds ~preemptions:1 ~faults:1 ());
+    entry ~baseline:106 (variant (lease_handoff ~n:3) "-fault") ~bounds:(bounds ~preemptions:1 ~faults:1 ());
+    entry ~baseline:269 (variant (shard_handoff ~n:3) "-fault") ~bounds:(bounds ~preemptions:1 ~faults:1 ());
   ]
 
 let tier1 () =
@@ -172,42 +136,7 @@ let tier1 () =
       "shard-handoff-n5"; "net-dedup-n3"; "refine-grant-n2";
     ]
   in
-  List.filter (fun e -> List.mem e.e_name keep) (roster ())
+  List.filter (fun e -> List.mem e.e_target.Target.name keep) (roster ())
 
-let target e =
-  {
-    Mcheck.t_name = e.e_name;
-    t_build = (fun () -> e.e_build ~seed:e.e_seed);
-    t_check_ownership = e.e_check_ownership;
-  }
-
-let run_entry ?obs e = Mcheck.check ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs (target e)
-
-let repro_of_case e (c : Mcheck.case) =
-  match c.Mcheck.v_shrunk with
-  | None -> None
-  | Some r ->
-    Some
-      {
-        Shrink.rp_algorithm = e.e_name;
-        rp_n = e.e_n;
-        rp_seed = e.e_seed;
-        rp_check_ownership = e.e_check_ownership;
-        rp_max_ticks = e.e_bounds.Mcheck.b_max_ticks;
-        rp_tau_cadence = 1;
-        rp_kind = c.Mcheck.v_kind;
-        rp_trace_format = Shrink.Condensed;
-        rp_choices = r.Shrink.r_choices;
-      }
-
-let builder ~name ~n =
-  match List.find_opt (fun e -> String.equal e.e_name name && e.e_n = n) (roster ()) with
-  | Some e -> Some e.e_build
-  | None -> (
-    match
-      List.find_opt
-        (fun (a : Campaign.algorithm) -> String.equal a.Campaign.algo_name name)
-        (Chaos.algorithms ~n)
-    with
-    | Some a -> Some a.Campaign.build
-    | None -> Fuzz_roster.builder ~name ~n)
+let run_entry ?obs e =
+  Mcheck.check ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs ~seed:e.e_seed e.e_target

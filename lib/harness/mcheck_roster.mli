@@ -5,15 +5,14 @@
     pins a small [n], a fixed seed and per-entry bounds tuned so the
     whole roster finishes in seconds.  Entry names encode the
     configuration (e.g. ["uniform-probing-n3"] probes at most twice) and
-    are what repro artifacts record, so {!builder} can rebuild the exact
-    instance for replay. *)
+    are what repro artifacts record, so {!Replay.find} can rebuild the
+    exact instance for replay. *)
 
 type entry = {
-  e_name : string;  (** unique roster key; goes into repro artifacts *)
-  e_n : int;
+  e_target : Renaming_faults.Target.t;
+      (** its [name] is the unique roster key that goes into repro
+          artifacts *)
   e_seed : int64;
-  e_check_ownership : bool;
-  e_build : seed:int64 -> Renaming_sched.Executor.instance;
   e_bounds : Renaming_mcheck.Mcheck.bounds;
   e_baseline : int option;
       (** the schedule count of the pre-DPOR sleep-set DFS, frozen: that
@@ -37,13 +36,3 @@ val run_entry : ?obs:Renaming_obs.Obs.t -> entry -> Renaming_mcheck.Mcheck.stats
 (** Explores the entry with {!Renaming_mcheck.Mcheck.check}; its frozen
     [e_baseline] is threaded into the stats for reduction-ratio
     reporting. *)
-
-val repro_of_case :
-  entry -> Renaming_mcheck.Mcheck.case -> Renaming_faults.Shrink.repro option
-(** Persistable artifact for a violation's shrunk counterexample. *)
-
-val builder :
-  name:string -> n:int -> (seed:(int64) -> Renaming_sched.Executor.instance) option
-(** Resolve a repro artifact's algorithm name back to an instance
-    builder: roster entries first (exact name and [n] match), then the
-    chaos roster ({!Chaos.algorithms}) by algorithm name. *)

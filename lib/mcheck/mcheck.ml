@@ -4,14 +4,9 @@ module Report = Renaming_sched.Report
 module Op = Renaming_sched.Op
 module Monitor = Renaming_faults.Monitor
 module Shrink = Renaming_faults.Shrink
+module Target = Renaming_faults.Target
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
-
-type target = {
-  t_name : string;
-  t_build : unit -> Executor.instance;
-  t_check_ownership : bool;
-}
 
 type bounds = {
   b_preemptions : int;
@@ -78,10 +73,11 @@ type acc = {
 let notify acc (run : Directed.result) =
   match acc.a_on_schedule with None -> () | Some f -> f run.Directed.taken
 
-(* A fresh monitor for one execution of [target]. *)
-let monitor_for ?obs target (inst : Executor.instance) =
-  Monitor.create ~name:target.t_name ~check_ownership:target.t_check_ownership
-    ~memory:inst.Executor.memory ~processes:(Array.length inst.Executor.programs) ?obs ()
+(* A fresh instance of [target] at [seed] and a fresh monitor for one
+   execution of it. *)
+let instantiate ?obs ~seed (target : Target.t) =
+  let inst = target.build ~seed in
+  (inst, Monitor.create ?obs ~mode:target.mode inst)
 
 (* Classify a counted execution: a failure registers, a livelock
    counts. *)
@@ -105,7 +101,7 @@ let switch_cost (pt : Directed.point) pid =
    alternative at every decision point, under the same preemption cost
    model as DPOR and no reduction at all — the oracle DPOR's verdicts
    and schedule counts are checked against. *)
-let check_unpruned ?obs ~bounds ~acc target =
+let check_unpruned ?obs ~bounds ~acc ~seed target =
   let schedules = acc.a_schedules in
   let points = acc.a_points in
   let capped = ref false in
@@ -117,8 +113,7 @@ let check_unpruned ?obs ~bounds ~acc target =
   let rec explore prefix ~preemptions ~crashes ~recoveries ~faults =
     if !schedules >= bounds.b_max_schedules then raise Capped;
     incr schedules;
-    let inst = target.t_build () in
-    let monitor = monitor_for ?obs target inst in
+    let inst, monitor = instantiate ?obs ~seed target in
     let run =
       Directed.run ~max_ticks:bounds.b_max_ticks ~record_from:(List.length prefix)
         ~on_event:(Monitor.hook monitor) ~prefix inst
@@ -228,7 +223,7 @@ let event_of_choice (pt : Directed.point) = function
 
 exception Budget_exceeded
 
-let check_dpor ?obs ~bounds ~acc target =
+let check_dpor ?obs ~bounds ~acc ~seed target =
   let path_rev = ref [] in
   (* path head = deepest node *)
   let depth = ref 0 in
@@ -341,8 +336,7 @@ let check_dpor ?obs ~bounds ~acc target =
         List.rev_map (fun nd -> nd.nd_chosen) !path_rev
         @ (match !path_rev with [] -> [] | nd :: _ -> leftmost nd.nd_next)
       in
-      let inst = target.t_build () in
-      let monitor = monitor_for ?obs target inst in
+      let inst, monitor = instantiate ?obs ~seed target in
       let run =
         Directed.run ~max_ticks:bounds.b_max_ticks ~record_from:0
           ?yield_rotate:bounds.b_yield_rotate ~on_event:(Monitor.hook monitor) ~prefix inst
@@ -470,7 +464,7 @@ let check_dpor ?obs ~bounds ~acc target =
 (* ------------------------------------------------------------------ *)
 
 let explore ~engine ~explorer ?(bounds = default_bounds) ?(shrink = true) ?(max_cases = 8)
-    ?baseline ?on_schedule ?obs target =
+    ?baseline ?on_schedule ?obs ~seed (target : Target.t) =
   let schedules = ref 0 in
   let points = ref 0 in
   let races = ref 0 in
@@ -489,9 +483,8 @@ let explore ~engine ~explorer ?(bounds = default_bounds) ?(shrink = true) ?(max_
         else
           Shrink.shrink
             {
-              Shrink.label = target.t_name;
-              build = target.t_build;
-              check_ownership = target.t_check_ownership;
+              Shrink.target;
+              seed;
               choices = prefix;
               max_ticks = bounds.b_max_ticks;
               tau_cadence = 1;
@@ -523,10 +516,10 @@ let explore ~engine ~explorer ?(bounds = default_bounds) ?(shrink = true) ?(max_
       a_on_schedule = on_schedule;
     }
   in
-  let capped = explorer ?obs ~bounds ~acc target in
+  let capped = explorer ?obs ~bounds ~acc ~seed target in
   let stats =
     {
-      s_target = target.t_name;
+      s_target = target.name;
       s_engine = engine;
       s_schedules = !schedules;
       s_points = !points;

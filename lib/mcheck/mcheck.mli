@@ -48,14 +48,6 @@
     ({!Renaming_sched.Directed.condensed}) and (by default) handed to
     {!Renaming_faults.Shrink} for 1-minimal counterexample reduction. *)
 
-type target = {
-  t_name : string;
-  t_build : unit -> Renaming_sched.Executor.instance;
-      (** fresh deterministic instance per call (exploration re-executes
-          constantly) *)
-  t_check_ownership : bool;  (** see {!Renaming_faults.Monitor.create} *)
-}
-
 type bounds = {
   b_preemptions : int;  (** preemption budget per schedule *)
   b_crashes : int;  (** crash injections per schedule *)
@@ -115,9 +107,12 @@ val check :
   ?baseline:int ->
   ?on_schedule:(Renaming_sched.Directed.choice array -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  target ->
+  seed:int64 ->
+  Renaming_faults.Target.t ->
   stats
-(** Exhaustively explores [target] within [bounds] with source-DPOR.
+(** Exhaustively explores the target's instance at [seed] within
+    [bounds] with source-DPOR (every execution rebuilds it, so the
+    build must be deterministic), judged in the target's monitor mode.
     [shrink] (default [true]): minimise each
     recorded violation.  [max_cases] (default [8]) caps the number of
     *recorded* cases ([s_violations] still counts all of them).
@@ -140,7 +135,8 @@ val enumerate :
   ?baseline:int ->
   ?on_schedule:(Renaming_sched.Directed.choice array -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  target ->
+  seed:int64 ->
+  Renaming_faults.Target.t ->
   stats
 (** {!check}'s contract, explored by the unpruned enumerator:
     [s_races], [s_wakeups], [s_pruned] and [s_budget_skipped] stay 0. *)

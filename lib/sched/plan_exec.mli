@@ -4,7 +4,7 @@
     [Tas_name] per step, drawing a probe's register from [rng], and
     returns the first name it wins, or [None] once the plan is spent.
     Every probe gets {!Retry.tas_name_after_fault}'s fault handling: a
-    [Faulted] answer is retried with the default policy's backoff, and a
+    [Faulted] answer is retried with {!Retry}'s backoff, and a
     TAS whose retries all fault counts as lost.
 
     A process is its position in the plan (segment, steps left, current

@@ -274,7 +274,6 @@ type state = {
   router : Router.t;
   net : msg Transport.t;
   minter : Minter.t;
-  retry_policy : Retry.policy;
   n_slices : int;
   n_shards : int;
   ttl : float;
@@ -427,7 +426,7 @@ let finish_session st idx ~next_in =
   end
 
 let backoff st idx =
-  let d = Retry.jittered_delay st.retry_policy ~rng:st.rng ~prev:st.prev_delay.(idx) in
+  let d = Retry.jittered_delay ~rng:st.rng ~prev:st.prev_delay.(idx) in
   st.prev_delay.(idx) <- d;
   float_of_int d *. backoff_unit
 
@@ -1067,7 +1066,6 @@ let run ?obs ?tap (cfg : config) ~seed =
       router;
       net;
       minter = Minter.create ~rng:minter_rng ();
-      retry_policy = Retry.make_policy ~attempts:(cfg.max_attempts + 1) ();
       n_slices;
       n_shards;
       ttl = cfg.router.Router.ttl;

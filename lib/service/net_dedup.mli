@@ -20,8 +20,8 @@
 
     The checked property is global uniqueness of the returned name
     across both epochs; processes return names guarded by the aux locks
-    rather than namespace TAS, so ownership checking must be off (the
-    rosters' [check_ownership_of] handles this by prefix).
+    rather than namespace TAS, so its targets are judged in the
+    monitor's [Returns] mode: the return is the grant.
 
     {!instance_evict} is the seeded mutant: the evictor merely {e reads}
     the settle lock — evicting the dedup entry while a duplicate still

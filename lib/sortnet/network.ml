@@ -67,7 +67,3 @@ let sorts t =
     end
   done;
   !ok
-
-let compose a b =
-  if a.width <> b.width then invalid_arg "Network.compose: width mismatch";
-  { width = a.width; layers = Array.append a.layers b.layers }

@@ -31,7 +31,3 @@ val apply : t -> 'a array -> cmp:('a -> 'a -> int) -> 'a array
 val sorts : t -> bool
 (** Exhaustive 0-1-principle check; exponential in width, use for
     widths ≤ ~20 in tests.  See {!Zero_one} for the sampled variant. *)
-
-(* lint: allow unused-export — unit-tested, no caller yet: network composition *)
-val compose : t -> t -> t
-(** [compose a b] runs [a] then [b]; widths must agree. *)

@@ -70,14 +70,3 @@ let percentile t p =
   end
 
 let median t = percentile t 50.
-
-let merge a b =
-  let t = create () in
-  let add_all s =
-    for i = 0 to s.count - 1 do
-      record t (Float.Array.get s.samples i)
-    done
-  in
-  add_all a;
-  add_all b;
-  t

@@ -29,7 +29,3 @@ val median : t -> float
 (** All retained samples in insertion order. *)
 (* lint: allow unused-export — test hook: the pinned probe counts *)
 val samples : t -> float array
-
-(** [merge a b] is a summary over both sample sets. *)
-(* lint: allow unused-export — unit-tested, no caller yet: summary merge *)
-val merge : t -> t -> t

@@ -16,7 +16,9 @@ let check = Alcotest.check
 
 let roster_instances () =
   List.map
-    (fun e -> (e.Roster.e_name, fun () -> e.Roster.e_build ~seed:e.Roster.e_seed))
+    (fun e ->
+      let t = e.Roster.e_target in
+      (t.Renaming_faults.Target.name, fun () -> t.Renaming_faults.Target.build ~seed:e.Roster.e_seed))
     (Roster.roster ())
 
 (* --- the footprint table itself --- *)

@@ -59,14 +59,6 @@ let test_keep_lowest () =
   check Alcotest.int "keep all" 0b10110 (Word.keep_lowest 0b10110 5);
   check Alcotest.int "keep more than set" 0b10110 (Word.keep_lowest 0b10110 10)
 
-let test_fold_set_bits () =
-  let bits = Word.fold_set_bits ~width:8 0b10110 ~init:[] ~f:(fun acc i -> i :: acc) in
-  check Alcotest.(list int) "set bit indices low-first" [ 4; 2; 1 ] bits
-
-let test_to_bit_list () =
-  check Alcotest.(list bool) "bits of 0b101 (low first)" [ true; false; true; false ]
-    (Word.to_bit_list ~width:4 0b101)
-
 let test_pp () =
   let s = Format.asprintf "%a" (Word.pp ~width:6) 0b101 in
   check Alcotest.string "pp high-first" "000101" s
@@ -104,8 +96,6 @@ let tests =
         Alcotest.test_case "shift roundtrip" `Quick test_shift_roundtrip_keeps_low_bits;
         Alcotest.test_case "lowest set bit" `Quick test_lowest_set_bit;
         Alcotest.test_case "keep lowest" `Quick test_keep_lowest;
-        Alcotest.test_case "fold set bits" `Quick test_fold_set_bits;
-        Alcotest.test_case "to_bit_list" `Quick test_to_bit_list;
         Alcotest.test_case "pp" `Quick test_pp;
         QCheck_alcotest.to_alcotest qcheck_keep_lowest_popcount;
         QCheck_alcotest.to_alcotest qcheck_keep_lowest_subset;

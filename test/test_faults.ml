@@ -14,7 +14,6 @@ module Xoshiro = Renaming_rng.Xoshiro
 module Retry = Renaming_sched.Retry
 module Plan = Renaming_plan.Plan
 module Plan_exec = Renaming_sched.Plan_exec
-module Clock = Renaming_clock.Clock
 module Injector = Renaming_faults.Injector
 module Monitor = Renaming_faults.Monitor
 module Campaign = Renaming_faults.Campaign
@@ -43,20 +42,18 @@ let fault_first k =
 (* --- retry --- *)
 
 let test_backoff_delays () =
-  let policy = Retry.make_policy ~attempts:8 ~base_delay:1 ~max_delay:64 () in
   check Alcotest.(list int) "doubling, capped"
     [ 1; 2; 4; 8; 16; 32; 64; 64 ]
-    (List.map (fun a -> Retry.backoff_delay policy ~attempt:a) [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+    (List.map (fun a -> Retry.backoff_delay ~attempt:a) [ 1; 2; 3; 4; 5; 6; 7; 8 ])
 
 let test_jittered_delay_bounds () =
-  let policy = Retry.make_policy ~attempts:8 ~base_delay:1 ~max_delay:64 () in
   let rng = Xoshiro.create 99L in
   (* Walk a long decorrelated chain: every step stays inside the policy
-     envelope [base, max] and inside the decorrelation cap 3*prev (with
+     envelope [1, 64] and inside the decorrelation cap 3*prev (with
      prev clamped up to base, so a zero seed cannot pin the chain). *)
   let prev = ref 0 in
   for _ = 1 to 2_000 do
-    let d = Retry.jittered_delay policy ~rng ~prev:!prev in
+    let d = Retry.jittered_delay ~rng ~prev:!prev in
     check Alcotest.bool "at least base delay" true (d >= 1);
     check Alcotest.bool "at most max delay" true (d <= 64);
     check Alcotest.bool "within 3x the previous delay" true (d <= 3 * max 1 !prev);
@@ -68,7 +65,7 @@ let test_jittered_delay_bounds () =
   let seen = Hashtbl.create 16 in
   let p = ref 1 in
   for _ = 1 to 200 do
-    p := Retry.jittered_delay policy ~rng ~prev:!p;
+    p := Retry.jittered_delay ~rng ~prev:!p;
     Hashtbl.replace seen !p ()
   done;
   check Alcotest.bool "delays spread over the range" true (Hashtbl.length seen >= 8);
@@ -77,7 +74,7 @@ let test_jittered_delay_bounds () =
     let rng = Xoshiro.create seed in
     let p = ref 1 in
     List.init 50 (fun _ ->
-        p := Retry.jittered_delay policy ~rng ~prev:!p;
+        p := Retry.jittered_delay ~rng ~prev:!p;
         !p)
   in
   check Alcotest.(list int) "same seed, same chain" (walk 21L) (walk 21L)
@@ -97,9 +94,9 @@ let test_retry_tas_wins_after_faults () =
 
 (* One process running [tas_aux] on auxiliary register 0, named 0 iff
    it won. *)
-let run_tas_aux ?clock ~policy ~inject () =
+let run_tas_aux ~inject =
   let program =
-    let* won = Retry.tas_aux ~policy ?clock 0 in
+    let* won = Retry.tas_aux 0 in
     Program.return (if won then Some 0 else None)
   in
   let memory = Memory.create ~namespace:1 ~aux:1 () in
@@ -111,47 +108,17 @@ let run_tas_aux ?clock ~policy ~inject () =
 
 let test_retry_tas_exhaustion_is_lost () =
   (* Every attempt faults: the TAS must report lost, not claim a win. *)
-  let policy = Retry.make_policy ~attempts:3 () in
-  let report, owner = run_tas_aux ~policy ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op) () in
+  let report, owner = run_tas_aux ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op) in
   check Alcotest.int "no win claimed" 0 (Report.named_count report);
   check Alcotest.bool "register untouched" true (owner = None);
-  (* 3 faulted attempts + backoff yields (1+2). *)
-  check Alcotest.int "step cost" 6 report.Report.ticks
-
-let test_retry_time_budget_on_virtual_clock () =
-  (* Attempts are plentiful, but a 3-second budget on a unit-step
-     virtual clock exhausts after the third faulted attempt: the clock
-     is read once when the combinator starts (0.) and once per fault
-     (1., 2., 3. — and 3.0 >= budget). *)
-  let policy = Retry.make_policy ~attempts:1000 ~base_delay:0 ~time_budget:3.0 () in
-  let report, owner =
-    run_tas_aux ~policy ~clock:(Clock.virtual_ ())
-      ~inject:(fun ~time:_ ~pid:_ ~op -> Op.faultable op)
-      ()
-  in
-  check Alcotest.int "gave up in the safe direction" 0 (Report.named_count report);
-  check Alcotest.bool "register untouched" true (owner = None);
-  check Alcotest.int "budget cut the retries to three attempts" 3 report.Report.ticks
-
-let test_retry_time_budget_inert_without_clock () =
-  (* The same budget under the default absent clock never binds: all
-     attempts are available and the TAS wins once the faults stop. *)
-  let policy = Retry.make_policy ~attempts:5 ~base_delay:0 ~time_budget:3.0 () in
-  let report, owner = run_tas_aux ~policy ~inject:(fault_first 4) () in
-  check Alcotest.int "budget never binds, tas wins" 0
-    report.Report.assignment.Assignment.names.(0);
-  check Alcotest.bool "register really owned" true (owner = Some 0);
-  check Alcotest.int "all five attempts used" 5 report.Report.ticks;
-  Alcotest.check_raises "budget must be positive"
-    (Invalid_argument "Retry.make_policy: time_budget must be > 0") (fun () ->
-      ignore (Retry.make_policy ~time_budget:0. ()))
+  (* 8 faulted attempts + backoff yields (1+2+4+8+16+32+64). *)
+  check Alcotest.int "step cost" 135 report.Report.ticks
 
 let test_retry_read_exhaustion_is_set () =
   (* A read whose retries exhaust reports "set" — the safe direction: a
      caller skips the register instead of acting on no information. *)
-  let policy = Retry.make_policy ~attempts:2 () in
   let program =
-    let* set = Retry.read_aux ~policy 0 in
+    let* set = Retry.read_aux 0 in
     Program.return (if set then None else Some 0)
   in
   let memory = Memory.create ~namespace:1 ~aux:1 () in
@@ -161,7 +128,9 @@ let test_retry_read_exhaustion_is_set () =
       ~adversary:(Adversary.round_robin ())
       { Executor.memory; programs = [| program |]; label = "test" }
   in
-  check Alcotest.int "treated as set, nothing claimed" 0 (Report.named_count report)
+  check Alcotest.int "treated as set, nothing claimed" 0 (Report.named_count report);
+  (* 8 faulted attempts + backoff yields (1+2+4+8+16+32+64). *)
+  check Alcotest.int "step cost" 135 report.Report.ticks
 
 let test_retry_scan_skips_faulty_register () =
   (* A register whose TAS retries exhaust is skipped as if taken; the
@@ -286,9 +255,7 @@ let test_recovery_under_monitor () =
       label = "recovery-monitored";
     }
   in
-  let monitor =
-    Monitor.create ~name:"recovery-monitored" ~check_ownership:true ~memory ~processes:2 ()
-  in
+  let monitor = Monitor.create ~mode:Monitor.Tas instance in
   let adversary =
     Adversary.with_crash_recovery ~base:(Adversary.round_robin ())
       ~crashes:[ (4, 0) ] ~recover_after:3
@@ -302,8 +269,15 @@ let test_recovery_under_monitor () =
 
 (* --- monitor negative tests: seeded violations must be caught --- *)
 
-let monitor ?(name = "test") ?(check_ownership = false) ~memory ~processes () =
-  Monitor.create ~name ~check_ownership ~memory ~processes ()
+(* A monitor over [processes] idle processes on a [namespace]-name
+   memory, for tests that feed it events by hand. *)
+let monitor ?(mode = Monitor.Tas) ~namespace ~processes () =
+  Monitor.create ~mode
+    {
+      Executor.memory = Memory.create ~namespace ();
+      programs = Array.make processes (Program.return None);
+      label = "synthetic";
+    }
 
 let expect_violation name ~kind f =
   match f () with
@@ -314,8 +288,9 @@ let run_monitored m instance =
   Executor.run ~on_event:(Monitor.hook m) ~adversary:(Adversary.round_robin ()) instance
 
 let test_monitor_catches_duplicate_name () =
-  (* Mutation: both processes return name 0 (the second one lies); the
-     spec sees a grant of a name another process holds. *)
+  (* Mutation: both processes return name 0 (the second one lies).  In
+     [Returns] mode a return is the grant, so the spec sees a grant of a
+     name another process holds. *)
   let memory = Memory.create ~namespace:4 () in
   let liar =
     let* won = Program.tas_name 0 in
@@ -323,7 +298,7 @@ let test_monitor_catches_duplicate_name () =
     Program.return (Some 0)
   in
   let instance = { Executor.memory; programs = [| liar; liar |]; label = "dup-mutation" } in
-  let m = monitor ~memory ~processes:2 () in
+  let m = Monitor.create ~mode:Monitor.Returns instance in
   expect_violation "duplicate name" ~kind:"refine:name-held" (fun () -> run_monitored m instance);
   check Alcotest.bool "violation recorded" true (Monitor.violation_count m > 0)
 
@@ -333,7 +308,7 @@ let test_monitor_catches_out_of_range () =
     { Executor.memory; programs = [| Program.return (Some 99) |]; label = "range-mutation" }
   in
   expect_violation "out of range" ~kind:"refine:name-out-of-range" (fun () ->
-      run_monitored (monitor ~memory ~processes:1 ()) instance)
+      run_monitored (Monitor.create ~mode:Monitor.Tas instance) instance)
 
 let test_monitor_catches_unbacked_claim () =
   (* The ownership check: returning a name the process was never
@@ -343,18 +318,18 @@ let test_monitor_catches_unbacked_claim () =
     { Executor.memory; programs = [| Program.return (Some 2) |]; label = "ownership-mutation" }
   in
   expect_violation "unbacked claim" ~kind:"refine:claim-unbacked" (fun () ->
-      run_monitored (monitor ~check_ownership:true ~memory ~processes:1 ()) instance)
+      run_monitored (Monitor.create ~mode:Monitor.Tas instance) instance)
 
 let test_monitor_catches_step_after_crash () =
   (* Synthetic event feed: activity by a crashed process. *)
-  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  let m = monitor ~namespace:2 ~processes:2 () in
   Monitor.hook m (Executor.Crashed { time = 0; pid = 1 });
   expect_violation "step after crash" ~kind:"step-after-crash" (fun () ->
       Monitor.hook m
         (Executor.Stepped { time = 1; pid = 1; op = Op.Tas_name 0; response = Op.Bool true }))
 
 let test_monitor_catches_recover_of_live () =
-  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  let m = monitor ~namespace:2 ~processes:2 () in
   expect_violation "recover of live pid" ~kind:"recover-of-live" (fun () ->
       Monitor.hook m (Executor.Recovered { time = 0; pid = 0 }))
 
@@ -364,7 +339,7 @@ let contains s sub =
   go 0
 
 let test_monitor_violation_carries_trace () =
-  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  let m = monitor ~namespace:2 ~processes:2 () in
   Monitor.hook m
     (Executor.Stepped { time = 0; pid = 0; op = Op.Tas_name 0; response = Op.Bool true });
   Monitor.hook m (Executor.Crashed { time = 1; pid = 0 });
@@ -373,11 +348,13 @@ let test_monitor_violation_carries_trace () =
     check Alcotest.string "structured kind" "return-while-crashed" kind;
     check Alcotest.bool "message embeds trace excerpt" true (contains message "crash")
   | _ -> Alcotest.fail "expected Monitor.Violation");
-  (* A spec rejection carries the same excerpt. *)
-  let m = monitor ~memory:(Memory.create ~namespace:2 ()) ~processes:2 () in
+  (* A spec rejection carries the same excerpt: in [Returns] mode the
+     second return of name 0 is a grant of a held name. *)
+  let m = monitor ~mode:Monitor.Returns ~namespace:2 ~processes:2 () in
   Monitor.hook m
     (Executor.Stepped { time = 0; pid = 0; op = Op.Tas_name 0; response = Op.Bool true });
-  match Monitor.hook m (Executor.Returned { time = 1; pid = 1; value = Some 0 }) with
+  Monitor.hook m (Executor.Returned { time = 1; pid = 0; value = Some 0 });
+  match Monitor.hook m (Executor.Returned { time = 2; pid = 1; value = Some 0 }) with
   | exception Monitor.Violation { kind; message } ->
     check Alcotest.string "spec kind" "refine:name-held" kind;
     check Alcotest.bool "spec message embeds trace excerpt" true
@@ -392,19 +369,16 @@ let test_monitor_violation_kinds () =
     | exception Monitor.Violation { kind; _ } -> kind
     | _ -> "no-violation"
   in
-  let fresh ?(check_ownership = true) () =
-    monitor ~check_ownership ~memory:(Memory.create ~namespace:2 ()) ~processes:2 ()
-  in
+  let fresh ?mode () = monitor ?mode ~namespace:2 ~processes:2 () in
   let won m pid name =
     Monitor.hook m
       (Executor.Stepped { time = 0; pid; op = Op.Tas_name name; response = Op.Bool true })
   in
   check Alcotest.string "duplicate name" "refine:name-held"
     (kind_of (fun () ->
-         (* Without ownership checking a return of an unheld name is a
-            grant, and the spec refuses it while another process holds
-            the name. *)
-         let m = fresh ~check_ownership:false () in
+         (* In [Returns] mode a return of an unheld name is a grant, and
+            the spec refuses it while another process holds the name. *)
+         let m = fresh ~mode:Monitor.Returns () in
          won m 0 0;
          Monitor.hook m (Executor.Returned { time = 1; pid = 0; value = Some 0 });
          Monitor.hook m (Executor.Returned { time = 2; pid = 1; value = Some 0 })));
@@ -436,10 +410,35 @@ let test_monitor_violation_kinds () =
          won m 0 1;
          Monitor.hook m (Executor.Returned { time = 1; pid = 0; value = Some 1 })))
 
-(* --- the spec side of the monitor: mode table, clean runs refine, and
-   observing changes nothing --- *)
+(* --- the spec side of the monitor: one target and mode per (name, n),
+   clean runs refine, and observing changes nothing --- *)
 
-let test_monitor_mode_of_name () =
+let test_monitor_mode_resolution () =
+  (* A repro names its target by (name, n), and the target declares the
+     mode that judges it.  The targets [Replay.find] searches — the
+     chaos algorithms and every model-checking and fuzzing roster
+     target — name one target per (name, n): an instance both rosters
+     run is one shared value, so a repro replays on the same instance,
+     under the same mode, whichever checker wrote it. *)
+  let module Target = Renaming_faults.Target in
+  let rosters =
+    List.map (fun e -> e.Renaming_harness.Mcheck_roster.e_target)
+      (Renaming_harness.Mcheck_roster.roster ())
+    @ List.map (fun t -> t.Renaming_fuzz.Fuzz.fz_target) (Renaming_harness.Fuzz_roster.roster ())
+  in
+  let sizes = List.sort_uniq compare (List.map (fun (t : Target.t) -> t.n) rosters) in
+  let all = List.concat_map (fun n -> Chaos.algorithms ~n) sizes @ rosters in
+  let distinct = List.fold_left (fun acc t -> if List.memq t acc then acc else t :: acc) [] all in
+  List.iter
+    (fun (t : Target.t) ->
+      let same = List.filter (fun (u : Target.t) -> u.name = t.name && u.n = t.n) distinct in
+      if List.length same <> 1 then
+        Alcotest.failf "%s (n=%d) names %d targets" t.name t.n (List.length same))
+    distinct;
+  let named name = List.filter (fun (t : Target.t) -> t.name = name) in
+  check Alcotest.int "both rosters run uniform-probing-n3" 2
+    (List.length (named "uniform-probing-n3" rosters));
+  check Alcotest.int "as one target" 1 (List.length (named "uniform-probing-n3" distinct));
   let mode =
     Alcotest.testable
       (fun fmt (m : Monitor.mode) ->
@@ -447,12 +446,16 @@ let test_monitor_mode_of_name () =
           (match m with Tas -> "Tas" | Returns -> "Returns" | Announce -> "Announce"))
       ( = )
   in
-  check mode "paper algorithm" Monitor.Tas (Monitor.mode_of_name "tight");
-  check mode "handoff model" Monitor.Returns (Monitor.mode_of_name "lease-handoff-n3");
-  check mode "shard mutant" Monitor.Returns
-    (Monitor.mode_of_name "mutant-shard-unfenced-handoff");
-  check mode "announce model" Monitor.Announce (Monitor.mode_of_name "refine-grant-n2");
-  check mode "announce mutant" Monitor.Announce (Monitor.mode_of_name "mutant-refine-regrant")
+  let mode_of name n =
+    match Renaming_harness.Replay.find ~name ~n with
+    | Some t -> t.Target.mode
+    | None -> Alcotest.failf "%s (n=%d) does not resolve" name n
+  in
+  check mode "paper algorithm" Monitor.Tas (mode_of "tight" 48);
+  check mode "handoff model" Monitor.Returns (mode_of "lease-handoff-n3" 3);
+  check mode "shard mutant" Monitor.Returns (mode_of "mutant-shard-unfenced-handoff" 3);
+  check mode "announce model" Monitor.Announce (mode_of "refine-grant-n2" 2);
+  check mode "announce mutant" Monitor.Announce (mode_of "mutant-refine-regrant" 2)
 
 let linear_scan ~n =
   Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n }
@@ -464,10 +467,7 @@ let refine_count obs name =
 let test_monitor_clean_tas_run_refines () =
   let obs = Renaming_obs.Obs.create () in
   let inst = linear_scan ~n:3 in
-  let m =
-    Monitor.create ~name:"linear-scan-n3" ~check_ownership:true ~memory:inst.Executor.memory
-      ~processes:3 ~obs ()
-  in
+  let m = Monitor.create ~obs ~mode:Monitor.Tas inst in
   let report = run_monitored m inst in
   check Alcotest.int "all named" 3 (Report.named_count report);
   check Alcotest.int "no violations" 0 (refine_count obs "violations");
@@ -477,17 +477,16 @@ let test_monitor_clean_tas_run_refines () =
 let test_monitor_observation_changes_nothing () =
   let bare = Executor.run ~adversary:(Adversary.round_robin ()) (linear_scan ~n:4) in
   let inst = linear_scan ~n:4 in
-  let m =
-    Monitor.create ~name:"linear-scan-n4" ~check_ownership:true ~memory:inst.Executor.memory
-      ~processes:4 ()
-  in
+  let m = Monitor.create ~mode:Monitor.Tas inst in
   check Alcotest.bool "identical report" true (bare = run_monitored m inst)
 
 (* --- satellite 4: soundness property across algorithms, adversaries,
    crash-recovery, seeds --- *)
 
 let algorithm_builders ~n =
-  List.map (fun a -> (a.Campaign.algo_name, a.Campaign.build)) (Chaos.algorithms ~n)
+  List.map
+    (fun (a : Renaming_faults.Target.t) -> (a.name, a.build))
+    (Chaos.algorithms ~n)
 
 let test_property_no_duplicates_under_adversity () =
   let adversaries =
@@ -530,7 +529,7 @@ let tier1_spec () =
     Campaign.algorithms =
       keep
         [ "loose-geometric"; "uniform-probing"; "linear-scan" ]
-        (fun a -> a.Campaign.algo_name)
+        (fun (a : Renaming_faults.Target.t) -> a.name)
         spec.Campaign.algorithms;
     adversaries =
       keep
@@ -587,7 +586,10 @@ let racy_claim =
 
 let broken_algorithm =
   {
-    Campaign.algo_name = "broken-double-claim";
+    Renaming_faults.Target.name = "broken-double-claim";
+    n = 2;
+    (* the second return is a grant of the name the first process holds *)
+    mode = Monitor.Returns;
     build =
       (fun ~seed:_ ->
         {
@@ -595,7 +597,6 @@ let broken_algorithm =
           programs = [| racy_claim; racy_claim |];
           label = "broken-double-claim";
         });
-    check_ownership = false;
   }
 
 let broken_spec =
@@ -623,9 +624,8 @@ let test_campaign_autoshrinks_violations () =
     (* The artifact replays deterministically to the same violation. *)
     let input =
       {
-        Shrink.label = "broken-double-claim";
-        build = (fun () -> broken_algorithm.Campaign.build ~seed:repro.Shrink.rp_seed);
-        check_ownership = false;
+        Shrink.target = broken_algorithm;
+        seed = repro.Shrink.rp_seed;
         choices = repro.Shrink.rp_choices;
         max_ticks = 1_000;
         tau_cadence = 1;
@@ -643,15 +643,21 @@ let test_campaign_autoshrinks_violations () =
 let test_shrink_none_when_input_passes () =
   let input =
     {
-      Shrink.label = "clean";
-      build =
-        (fun () ->
-          {
-            Executor.memory = Memory.create ~namespace:2 ();
-            programs = [| Program.scan_names ~first:0 ~count:2; Program.scan_names ~first:0 ~count:2 |];
-            label = "clean";
-          });
-      check_ownership = true;
+      Shrink.target =
+        {
+          Renaming_faults.Target.name = "clean";
+          n = 2;
+          mode = Monitor.Tas;
+          build =
+            (fun ~seed:_ ->
+              {
+                Executor.memory = Memory.create ~namespace:2 ();
+                programs =
+                  [| Program.scan_names ~first:0 ~count:2; Program.scan_names ~first:0 ~count:2 |];
+                label = "clean";
+              });
+        };
+      seed = 0L;
       choices = [ Directed.Step 0; Directed.Step 1 ];
       max_ticks = 1_000;
       tau_cadence = 1;
@@ -666,7 +672,6 @@ let test_repro_roundtrip () =
       rp_algorithm = "uniform-probing-n3";
       rp_n = 3;
       rp_seed = 0x5EED_2015L;
-      rp_check_ownership = true;
       rp_max_ticks = 50_000;
       rp_tau_cadence = 2;
       rp_kind = "refine:name-held";
@@ -678,7 +683,6 @@ let test_repro_roundtrip () =
     check Alcotest.string "algorithm" repro.Shrink.rp_algorithm r.Shrink.rp_algorithm;
     check Alcotest.int "n" repro.Shrink.rp_n r.Shrink.rp_n;
     check Alcotest.bool "seed" true (Int64.equal repro.Shrink.rp_seed r.Shrink.rp_seed);
-    check Alcotest.bool "ownership" repro.Shrink.rp_check_ownership r.Shrink.rp_check_ownership;
     check Alcotest.int "max-ticks" repro.Shrink.rp_max_ticks r.Shrink.rp_max_ticks;
     check Alcotest.int "tau-cadence" repro.Shrink.rp_tau_cadence r.Shrink.rp_tau_cadence;
     check Alcotest.string "kind" repro.Shrink.rp_kind r.Shrink.rp_kind;
@@ -714,7 +718,6 @@ let test_repro_condensed_roundtrip () =
       rp_algorithm = "uniform-probing-n3";
       rp_n = 3;
       rp_seed = 7L;
-      rp_check_ownership = false;
       rp_max_ticks = 50_000;
       rp_tau_cadence = 1;
       rp_kind = "refine:name-held";
@@ -740,8 +743,10 @@ let test_repro_condensed_roundtrip () =
 
 (* A pre-existing artifact from results/repros/, embedded verbatim: the
    shard-handoff mutant's shrunk counterexample as the fuzzer wrote it
-   before the trace-format header existed.  It must parse (defaulting to
-   the legacy choices body), replay to the same violation against the
+   before the trace-format header existed, with the check-ownership
+   header artifacts then carried.  It must parse (defaulting to the
+   legacy choices body, ignoring that header: the target declares its
+   monitor mode), replay to the same violation against the
    roster-rebuilt instance, and survive re-serialisation in the
    condensed format. *)
 let preexisting_artifact =
@@ -756,16 +761,14 @@ let preexisting_artifact =
    step 1\nstep 1\nstep 1\nstep 1\nstep 1\nstep 2\n"
 
 let test_repro_preexisting_artifact_replays () =
-  let module Fuzz_roster = Renaming_harness.Fuzz_roster in
   let replay (r : Shrink.repro) =
-    match Fuzz_roster.builder ~name:r.Shrink.rp_algorithm ~n:r.Shrink.rp_n with
+    match Renaming_harness.Replay.find ~name:r.Shrink.rp_algorithm ~n:r.Shrink.rp_n with
     | None -> Alcotest.failf "roster cannot rebuild %s" r.Shrink.rp_algorithm
-    | Some build ->
+    | Some target ->
       let input =
         {
-          Shrink.label = r.Shrink.rp_algorithm;
-          build = (fun () -> build ~seed:r.Shrink.rp_seed);
-          check_ownership = r.Shrink.rp_check_ownership;
+          Shrink.target;
+          seed = r.Shrink.rp_seed;
           choices = r.Shrink.rp_choices;
           max_ticks = r.Shrink.rp_max_ticks;
           tau_cadence = r.Shrink.rp_tau_cadence;
@@ -799,10 +802,6 @@ let tests =
         Alcotest.test_case "jittered delay bounds" `Quick test_jittered_delay_bounds;
         Alcotest.test_case "tas wins after faults" `Quick test_retry_tas_wins_after_faults;
         Alcotest.test_case "tas exhaustion is lost" `Quick test_retry_tas_exhaustion_is_lost;
-        Alcotest.test_case "time budget on a virtual clock" `Quick
-          test_retry_time_budget_on_virtual_clock;
-        Alcotest.test_case "time budget inert without a clock" `Quick
-          test_retry_time_budget_inert_without_clock;
         Alcotest.test_case "read exhaustion is set" `Quick test_retry_read_exhaustion_is_set;
         Alcotest.test_case "scan skips faulty register" `Quick
           test_retry_scan_skips_faulty_register;
@@ -832,7 +831,7 @@ let tests =
           test_monitor_catches_recover_of_live;
         Alcotest.test_case "violation carries trace" `Quick test_monitor_violation_carries_trace;
         Alcotest.test_case "violation kinds are stable" `Quick test_monitor_violation_kinds;
-        Alcotest.test_case "mode resolution" `Quick test_monitor_mode_of_name;
+        Alcotest.test_case "mode resolution" `Quick test_monitor_mode_resolution;
         Alcotest.test_case "clean tas run refines" `Quick test_monitor_clean_tas_run_refines;
         Alcotest.test_case "observation changes nothing" `Quick
           test_monitor_observation_changes_nothing;

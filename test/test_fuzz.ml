@@ -230,14 +230,13 @@ let test_fuzzer_repros_replay () =
     (List.length repros);
   List.iter
     (fun (r : Shrink.repro) ->
-      match Fuzz_roster.builder ~name:r.Shrink.rp_algorithm ~n:r.Shrink.rp_n with
+      match Renaming_harness.Replay.find ~name:r.Shrink.rp_algorithm ~n:r.Shrink.rp_n with
       | None -> Alcotest.failf "roster cannot rebuild %s" r.Shrink.rp_algorithm
-      | Some build ->
+      | Some target ->
         let input =
           {
-            Shrink.label = r.Shrink.rp_algorithm;
-            build = (fun () -> build ~seed:r.Shrink.rp_seed);
-            check_ownership = r.Shrink.rp_check_ownership;
+            Shrink.target;
+            seed = r.Shrink.rp_seed;
             choices = r.Shrink.rp_choices;
             max_ticks = r.Shrink.rp_max_ticks;
             tau_cadence = r.Shrink.rp_tau_cadence;
@@ -252,7 +251,7 @@ let test_fuzzer_repros_replay () =
 
 let test_fuzzer_clean_targets_stay_clean () =
   let clean =
-    List.filter (fun t -> t.Fuzz.fz_name = "linear-scan-n4") (Fuzz_roster.clean ())
+    List.filter (fun t -> t.Fuzz.fz_target.Renaming_faults.Target.name = "linear-scan-n4") (Fuzz_roster.clean ())
   in
   let summary = Fuzz.run ~seed:7L ~iterations:120 clean in
   check Alcotest.bool "clean campaign ok" true (Fuzz.ok summary);

@@ -23,8 +23,8 @@ open Program.Syntax
 
 let instance ~namespace ~label programs = { Executor.memory = Memory.create ~namespace (); programs; label }
 
-let target ?(check_ownership = false) ~label build =
-  { Mcheck.t_name = label; t_build = build; t_check_ownership = check_ownership }
+let target ?(mode = Monitor.Tas) ~label ~n build =
+  { Renaming_faults.Target.name = label; n; mode; build = (fun ~seed:_ -> build ()) }
 
 let bounds ?(preemptions = 2) ?(crashes = 0) ?(recoveries = 0) ?(faults = 0) () =
   {
@@ -108,7 +108,7 @@ let two_tas =
   Program.return None
 
 let conflict_target =
-  target ~label:"two-tas" (fun () -> instance ~namespace:1 ~label:"two-tas" [| two_tas; two_tas |])
+  target ~label:"two-tas" ~n:2 (fun () -> instance ~namespace:1 ~label:"two-tas" [| two_tas; two_tas |])
 
 let disjoint_target =
   (* p0 touches name 0 and aux bit 0, p1 name 1 and aux bit 1: every
@@ -121,7 +121,7 @@ let disjoint_target =
     let* _ = Program.tas_aux i in
     Program.return None
   in
-  target ~label:"disjoint" (fun () ->
+  target ~label:"disjoint" ~n:2 (fun () ->
       {
         Executor.memory = Memory.create ~namespace:2 ~aux:2 ();
         programs = [| proc 0; proc 1 |];
@@ -132,7 +132,7 @@ let test_schedule_counts_match_enumeration () =
   List.iter
     (fun (preemptions, expected) ->
       (* The unpruned enumerator... *)
-      let stats = Mcheck.enumerate ~bounds:(bounds ~preemptions ()) conflict_target in
+      let stats = Mcheck.enumerate ~seed:0L ~bounds:(bounds ~preemptions ()) conflict_target in
       check Alcotest.int
         (Printf.sprintf "unpruned bound %d" preemptions)
         expected stats.Mcheck.s_schedules;
@@ -140,7 +140,7 @@ let test_schedule_counts_match_enumeration () =
       (* ...and source-DPOR must land on exactly the same analytic
          vector: with every operation pair dependent there is nothing to
          reduce, only races to reverse within the preemption budget. *)
-      let stats = Mcheck.check ~bounds:(bounds ~preemptions ()) conflict_target in
+      let stats = Mcheck.check ~seed:0L ~bounds:(bounds ~preemptions ()) conflict_target in
       check Alcotest.int
         (Printf.sprintf "dpor bound %d" preemptions)
         expected stats.Mcheck.s_schedules;
@@ -148,10 +148,10 @@ let test_schedule_counts_match_enumeration () =
     [ (0, 2); (1, 4); (2, 6) ];
   (* With every operation pair commuting, the enumerator still walks
      all 6 interleavings, while DPOR finds no race and explores one. *)
-  let unpruned = Mcheck.enumerate ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
+  let unpruned = Mcheck.enumerate ~seed:0L ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
   check Alcotest.int "unpruned count is the full interleaving count" 6
     unpruned.Mcheck.s_schedules;
-  let dpor = Mcheck.check ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
+  let dpor = Mcheck.check ~seed:0L ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
   check Alcotest.int "dpor explores a single representative" 1 dpor.Mcheck.s_schedules;
   check Alcotest.int "dpor detects no races" 0 dpor.Mcheck.s_races;
   check Alcotest.int "no violations (dpor)" 0 dpor.Mcheck.s_violations
@@ -167,8 +167,10 @@ let racy_claim =
     let* _won = Program.tas_name 0 in
     Program.return (Some 0)
 
+(* In [Returns] mode the second return is a grant of a name the first
+   process holds. *)
 let broken_target =
-  target ~label:"broken-double-claim" (fun () ->
+  target ~mode:Monitor.Returns ~label:"broken-double-claim" ~n:2 (fun () ->
       instance ~namespace:2 ~label:"broken-double-claim" [| racy_claim; racy_claim |])
 
 let test_mcheck_finds_and_shrinks_double_claim () =
@@ -194,9 +196,8 @@ let test_mcheck_finds_and_shrinks_double_claim () =
           (* The minimal trace replays deterministically. *)
           let input =
             {
-              Shrink.label = "broken-double-claim";
-              build = broken_target.Mcheck.t_build;
-              check_ownership = false;
+              Shrink.target = broken_target;
+              seed = 0L;
               choices = r.Shrink.r_choices;
               max_ticks = 1_000;
               tau_cadence = 1;
@@ -210,8 +211,8 @@ let test_mcheck_finds_and_shrinks_double_claim () =
           check Alcotest.string "replays" "refine:name-held" (kind ());
           check Alcotest.string "deterministically" (kind ()) (kind ())))
     [
-      Mcheck.check ~bounds:(bounds ~preemptions:2 ());
-      Mcheck.enumerate ~bounds:(bounds ~preemptions:2 ());
+      Mcheck.check ~seed:0L ~bounds:(bounds ~preemptions:2 ());
+      Mcheck.enumerate ~seed:0L ~bounds:(bounds ~preemptions:2 ());
     ]
 
 (* --- the fault branch: a claim based on a faulted TAS --- *)
@@ -222,16 +223,16 @@ let fault_claimer =
   Program.Step (Op.Tas_name 0, fun _ -> Program.Done (Some 0))
 
 let fault_target =
-  target ~check_ownership:true ~label:"fault-claimer" (fun () ->
+  target ~label:"fault-claimer" ~n:1 (fun () ->
       instance ~namespace:1 ~label:"fault-claimer" [| fault_claimer |])
 
 let test_mcheck_fault_injection_finds_unbacked_claim () =
   (* Without a fault budget the instance is clean... *)
-  let clean = Mcheck.check ~bounds:(bounds ~preemptions:1 ()) fault_target in
+  let clean = Mcheck.check ~seed:0L ~bounds:(bounds ~preemptions:1 ()) fault_target in
   check Alcotest.int "fault-free: no violations" 0 clean.Mcheck.s_violations;
   (* ...with one injectable fault the checker must find the unbacked
      claim and shrink it to the single Fault decision. *)
-  let stats = Mcheck.check ~bounds:(bounds ~preemptions:1 ~faults:1 ()) fault_target in
+  let stats = Mcheck.check ~seed:0L ~bounds:(bounds ~preemptions:1 ~faults:1 ()) fault_target in
   check Alcotest.bool "violation found" true (stats.Mcheck.s_violations > 0);
   match stats.Mcheck.s_cases with
   | { Mcheck.v_kind = "refine:claim-unbacked"; v_shrunk = Some r; _ } :: _ ->
@@ -244,12 +245,12 @@ let test_mcheck_fault_injection_finds_unbacked_claim () =
 
 let test_mcheck_crash_recovery_clean () =
   let scans =
-    target ~check_ownership:true ~label:"scan-crash" (fun () ->
+    target ~label:"scan-crash" ~n:2 (fun () ->
         instance ~namespace:2 ~label:"scan-crash"
           [| Program.scan_names ~first:0 ~count:2; Program.scan_names ~first:0 ~count:2 |])
   in
-  let pure = Mcheck.check ~bounds:(bounds ~preemptions:1 ()) scans in
-  let crashy = Mcheck.check ~bounds:(bounds ~preemptions:1 ~crashes:1 ~recoveries:1 ()) scans in
+  let pure = Mcheck.check ~seed:0L ~bounds:(bounds ~preemptions:1 ()) scans in
+  let crashy = Mcheck.check ~seed:0L ~bounds:(bounds ~preemptions:1 ~crashes:1 ~recoveries:1 ()) scans in
   check Alcotest.int "pure schedules clean" 0 pure.Mcheck.s_violations;
   check Alcotest.int "crash/recovery schedules clean" 0 crashy.Mcheck.s_violations;
   check Alcotest.bool "crash decisions widen the tree" true
@@ -411,7 +412,7 @@ let test_dpor_schedules_unique () =
         in
         if Hashtbl.mem seen key then incr dups else Hashtbl.add seen key ();
       in
-      let stats = Mcheck.check ~bounds:b ~shrink:false ~on_schedule tgt in
+      let stats = Mcheck.check ~seed:0L ~bounds:b ~shrink:false ~on_schedule tgt in
       check Alcotest.int (label ^ ": no schedule revisited") 0 !dups;
       check Alcotest.int
         (label ^ ": every counted schedule distinct")
@@ -470,13 +471,13 @@ let qcheck_engine_differential =
     QCheck.(pair proc_gen proc_gen)
     (fun (spec0, spec1) ->
       let tgt =
-        target ~label:"differential" (fun () ->
+        target ~label:"differential" ~n:2 (fun () ->
             instance ~namespace:2 ~label:"differential"
               [| build_proc spec0; build_proc spec1 |])
       in
       let b = bounds ~preemptions:10 () in
-      let dpor = Mcheck.check ~bounds:b ~shrink:false tgt in
-      let unpruned = Mcheck.enumerate ~bounds:b ~shrink:false tgt in
+      let dpor = Mcheck.check ~seed:0L ~bounds:b ~shrink:false tgt in
+      let unpruned = Mcheck.enumerate ~seed:0L ~bounds:b ~shrink:false tgt in
       if (dpor.Mcheck.s_violations > 0) <> (unpruned.Mcheck.s_violations > 0) then
         QCheck.Test.fail_reportf "verdicts differ: dpor %d vs unpruned %d violations"
           dpor.Mcheck.s_violations unpruned.Mcheck.s_violations;
@@ -491,10 +492,10 @@ let test_roster_tier1_clean () =
   List.iter
     (fun e ->
       let stats = Roster.run_entry e in
-      check Alcotest.int (e.Roster.e_name ^ ": zero violations") 0 stats.Mcheck.s_violations;
-      check Alcotest.int (e.Roster.e_name ^ ": zero livelocks") 0 stats.Mcheck.s_livelocks;
-      check Alcotest.bool (e.Roster.e_name ^ ": explored") true (stats.Mcheck.s_schedules > 0);
-      check Alcotest.bool (e.Roster.e_name ^ ": exhaustive (not capped)") true
+      check Alcotest.int (e.Roster.e_target.Renaming_faults.Target.name ^ ": zero violations") 0 stats.Mcheck.s_violations;
+      check Alcotest.int (e.Roster.e_target.Renaming_faults.Target.name ^ ": zero livelocks") 0 stats.Mcheck.s_livelocks;
+      check Alcotest.bool (e.Roster.e_target.Renaming_faults.Target.name ^ ": explored") true (stats.Mcheck.s_schedules > 0);
+      check Alcotest.bool (e.Roster.e_target.Renaming_faults.Target.name ^ ": exhaustive (not capped)") true
         (not stats.Mcheck.s_capped))
     (Roster.tier1 ())
 
@@ -505,12 +506,15 @@ let test_roster_deterministic_json () =
     let go () = Mcheck.to_json [ Roster.run_entry e ] in
     check Alcotest.string "identical stats json" (go ()) (go ())
 
+(* [Replay.find] is the one lookup [renaming shrink] resolves an
+   artifact's target through. *)
 let test_roster_builder_resolves () =
-  check Alcotest.bool "roster entry resolves" true
-    (Roster.builder ~name:"uniform-probing-n3" ~n:3 <> None);
-  check Alcotest.bool "chaos algorithm resolves" true
-    (Roster.builder ~name:"loose-geometric" ~n:16 <> None);
-  check Alcotest.bool "unknown name rejected" true (Roster.builder ~name:"no-such" ~n:4 = None)
+  let find = Renaming_harness.Replay.find in
+  check Alcotest.bool "roster entry resolves" true (find ~name:"uniform-probing-n3" ~n:3 <> None);
+  check Alcotest.bool "chaos algorithm resolves" true (find ~name:"loose-geometric" ~n:16 <> None);
+  check Alcotest.bool "fuzz mutant resolves" true (find ~name:"mutant-double-claim" ~n:3 <> None);
+  check Alcotest.bool "wrong n rejected" true (find ~name:"uniform-probing-n3" ~n:4 = None);
+  check Alcotest.bool "unknown name rejected" true (find ~name:"no-such" ~n:4 = None)
 
 let tests =
   [

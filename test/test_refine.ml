@@ -15,6 +15,7 @@ module Adversary = Renaming_sched.Adversary
 module Report = Renaming_sched.Report
 module Shrink = Renaming_faults.Shrink
 module Monitor = Renaming_faults.Monitor
+module Target = Renaming_faults.Target
 module Campaign = Renaming_faults.Campaign
 module Mcheck = Renaming_mcheck.Mcheck
 module Fuzz = Renaming_fuzz.Fuzz
@@ -353,11 +354,8 @@ let linear_scan ~n = Renaming_baselines.Linear_scan.instance { Renaming_baseline
 let refine_count obs name =
   Option.value ~default:0 (Metrics.find_counter (Obs.metrics obs) ("refine/" ^ name))
 
-let monitored_run ?obs ~name inst =
-  let m =
-    Monitor.create ~name ~check_ownership:false ~memory:inst.Executor.memory
-      ~processes:(Array.length inst.Executor.programs) ?obs ()
-  in
+let monitored_run ?obs ~mode inst =
+  let m = Monitor.create ?obs ~mode inst in
   Executor.run ~adversary:(Adversary.round_robin ()) ~on_event:(Monitor.hook m) inst
 
 let test_announce_model_clean_round_robin () =
@@ -367,7 +365,7 @@ let test_announce_model_clean_round_robin () =
   List.iter
     (fun (name, inst) ->
       let obs = Obs.create () in
-      ignore (monitored_run ~obs ~name inst);
+      ignore (monitored_run ~obs ~mode:Monitor.Announce inst);
       check Alcotest.int (name ^ ": no violations") 0 (refine_count obs "violations");
       check Alcotest.bool (name ^ ": announces heard") true
         (refine_count obs "events" > refine_count obs "stutters"))
@@ -383,7 +381,7 @@ let test_obs_counters () =
      and accumulate across traces. *)
   let obs = Obs.create () in
   let run_once () =
-    ignore (monitored_run ~obs ~name:"linear-scan-n3" (linear_scan ~n:3));
+    ignore (monitored_run ~obs ~mode:Monitor.Tas (linear_scan ~n:3));
     (refine_count obs "events", refine_count obs "stutters")
   in
   let events1, stutters1 = run_once () in
@@ -435,17 +433,25 @@ let test_observation_changes_nothing_service () =
 
 let regrant = "mutant-refine-regrant"
 
-let regrant_targets = List.filter (fun t -> t.Fuzz.fz_name = regrant) (Fuzz_roster.mutants ())
+let regrant_targets =
+  List.filter (fun t -> t.Fuzz.fz_target.Target.name = regrant) (Fuzz_roster.mutants ())
 
 let test_spec_always_on () =
   (* Every executor runner checks against the spec by construction: with
      no extra argument, each one names the re-grant's divergence. *)
   let kind = "refine:grant-without-invoke" in
-  let build ~seed = Grant_model.instance_regrant ~n:2 ~seed in
+  let target =
+    {
+      Target.name = regrant;
+      n = 2;
+      mode = Monitor.Announce;
+      build = (fun ~seed -> Grant_model.instance_regrant ~n:2 ~seed);
+    }
+  in
   let campaign =
     Campaign.run
       {
-        Campaign.algorithms = [ { Campaign.algo_name = regrant; build; check_ownership = false } ];
+        Campaign.algorithms = [ target ];
         adversaries =
           [ { Campaign.adv_name = "round-robin"; make_adversary = (fun ~seed:_ -> Adversary.round_robin ()) } ];
         (* The client crashes after publishing its grant, before its
@@ -472,10 +478,7 @@ let test_spec_always_on () =
     (List.concat_map
        (fun r -> List.map (fun v -> v.Fuzz.v_kind) r.Fuzz.r_violations)
        fuzz.Fuzz.s_results);
-  let mcheck =
-    Mcheck.check ~max_cases:1
-      { Mcheck.t_name = regrant; t_build = (fun () -> build ~seed:0L); t_check_ownership = false }
-  in
+  let mcheck = Mcheck.check ~max_cases:1 ~seed:0L target in
   check Alcotest.(list string) "Mcheck.check" [ kind ]
     (List.map (fun c -> c.Mcheck.v_kind) mcheck.Mcheck.s_cases)
 

@@ -34,14 +34,6 @@ let test_apply_single_comparator () =
   check Alcotest.(array int) "keeps sorted pair" [| 1; 2 |]
     (Network.apply net [| 1; 2 |] ~cmp:compare)
 
-let test_compose () =
-  let a = Network.create ~width:2 [ [| { Network.top = 0; bottom = 1 } |] ] in
-  let b = Network.create ~width:2 [ [| { Network.top = 0; bottom = 1 } |] ] in
-  check Alcotest.int "composed depth" 2 (Network.depth (Network.compose a b));
-  let c = Network.create ~width:3 [] in
-  Alcotest.check_raises "width mismatch" (Invalid_argument "Network.compose: width mismatch")
-    (fun () -> ignore (Network.compose a c))
-
 let test_bitonic_sorts_small_widths () =
   List.iter
     (fun width ->
@@ -188,7 +180,6 @@ let tests =
         Alcotest.test_case "network validation" `Quick test_network_validation;
         Alcotest.test_case "network metrics" `Quick test_network_metrics;
         Alcotest.test_case "apply comparator" `Quick test_apply_single_comparator;
-        Alcotest.test_case "compose" `Quick test_compose;
         Alcotest.test_case "bitonic sorts" `Quick test_bitonic_sorts_small_widths;
         Alcotest.test_case "bitonic depth" `Quick test_bitonic_depth_formula;
         Alcotest.test_case "bitonic pow2 only" `Quick test_bitonic_rejects_non_pow2;

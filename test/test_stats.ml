@@ -1,5 +1,5 @@
-(* Tests for summaries, histograms, fits, whp checks and Chernoff
-   calculators. *)
+(* Tests for summaries, histograms, fits, whp checks and the Lemma 3
+   bound calculator. *)
 
 open Renaming_stats
 
@@ -34,14 +34,6 @@ let test_summary_percentile_empty () =
   let s = Summary.create () in
   Alcotest.check_raises "empty percentile" (Invalid_argument "Summary.percentile: empty")
     (fun () -> ignore (Summary.percentile s 50.))
-
-let test_summary_merge () =
-  let a = Summary.create () and b = Summary.create () in
-  List.iter (Summary.add a) [ 1.; 2. ];
-  List.iter (Summary.add b) [ 3.; 4. ];
-  let m = Summary.merge a b in
-  check Alcotest.int "merged count" 4 (Summary.count m);
-  checkf "merged mean" 2.5 (Summary.mean m)
 
 (* Recording a sample stores unboxed floats: once the sample buffer has
    grown, [add] and [add_int] allocate nothing.  Longlived records one
@@ -111,26 +103,6 @@ let test_whp_rejects_gross_violation () =
   check Alcotest.bool "violated" false v.Whp.holds;
   check Alcotest.int "failures" 500 v.Whp.failures
 
-let test_chernoff_monotone () =
-  let b1 = Chernoff.upper ~mu:10. ~delta:0.5 in
-  let b2 = Chernoff.upper ~mu:10. ~delta:0.9 in
-  check Alcotest.bool "larger delta, smaller bound" true (b2 < b1);
-  let b3 = Chernoff.upper ~mu:20. ~delta:0.5 in
-  check Alcotest.bool "larger mu, smaller bound" true (b3 < b1)
-
-let test_chernoff_branches () =
-  (* delta > 1 uses the linear exponent branch. *)
-  check (Alcotest.float 1e-12) "delta=2" (exp (-20. /. 3.)) (Chernoff.upper ~mu:10. ~delta:2.);
-  check (Alcotest.float 1e-12) "delta=1 both branches agree"
-    (Chernoff.upper ~mu:10. ~delta:1.)
-    (exp (-10. /. 3.))
-
-let test_empty_bins_expected () =
-  (* 1 ball, 2 bins: exactly one bin stays empty. *)
-  checkf "1 ball 2 bins" 1. (Chernoff.empty_bins_expected ~balls:1 ~bins:2);
-  let e = Chernoff.empty_bins_expected ~balls:64 ~bins:16 in
-  check Alcotest.bool "64 into 16 leaves <1 empty" true (e < 1.)
-
 let test_lemma3_bound_below_inverse_poly () =
   List.iter
     (fun n ->
@@ -178,7 +150,6 @@ let tests =
         Alcotest.test_case "summary single" `Quick test_summary_single;
         Alcotest.test_case "summary percentiles" `Quick test_summary_percentiles;
         Alcotest.test_case "summary empty percentile" `Quick test_summary_percentile_empty;
-        Alcotest.test_case "summary merge" `Quick test_summary_merge;
         Alcotest.test_case "summary add allocates nothing" `Quick
           test_summary_add_allocates_nothing;
         Alcotest.test_case "fit recovers log" `Quick test_fit_recovers_log;
@@ -189,9 +160,6 @@ let tests =
         Alcotest.test_case "whp zero failures" `Quick test_whp_accepts_zero_failures;
         Alcotest.test_case "whp one stray" `Quick test_whp_allows_one_stray;
         Alcotest.test_case "whp gross violation" `Quick test_whp_rejects_gross_violation;
-        Alcotest.test_case "chernoff monotone" `Quick test_chernoff_monotone;
-        Alcotest.test_case "chernoff branches" `Quick test_chernoff_branches;
-        Alcotest.test_case "empty bins expectation" `Quick test_empty_bins_expected;
         Alcotest.test_case "lemma3 bound" `Quick test_lemma3_bound_below_inverse_poly;
         Alcotest.test_case "lemma3 min c" `Quick test_lemma3_min_c;
         Alcotest.test_case "vec" `Quick test_vec;
