@@ -493,7 +493,8 @@ let shrink_cmd =
                     ~doc:"A .repro artifact written by the chaos campaign, mcheck or fuzz.") in
   let max_ticks =
     Arg.(value & opt (some int) None & info [ "max-ticks" ]
-           ~doc:"Override the artifact's livelock guard.")
+           ~doc:"Override the artifact's livelock guard (a kind other than the artifact's header \
+                 is then reported, not an error: this is how a livelock repro is crafted).")
   in
   let run file max_ticks =
     let contents =
@@ -554,13 +555,22 @@ let shrink_cmd =
                     --max-ticks overrode the artifact's header. *)
                  rp_max_ticks = input.Shrink.max_ticks;
                });
-          Printf.printf "(minimised repro written to %s)\n" min_path))
+          Printf.printf "(minimised repro written to %s)\n" min_path;
+          let got = r.Shrink.r_failure.Shrink.f_kind and want = repro.Shrink.rp_kind in
+          if not (String.equal got want) then begin
+            Printf.eprintf "shrink: %s replays to kind %S, but its header records %S\n" file got
+              want;
+            (* --max-ticks is how a livelock repro is crafted from any
+               artifact, so an overridden guard may change the kind. *)
+            if Option.is_none max_ticks then exit 1
+          end))
   in
   Cmd.v
     (Cmd.info "shrink"
        ~doc:
          "Replay a .repro counterexample artifact and minimise it with delta debugging; exits \
-          with status 2 if the artifact no longer fails.")
+          with status 2 if the artifact no longer fails, and with status 1 if it replays to a \
+          failure kind other than its $(b,kind:) header (unless $(b,--max-ticks) is given).")
     Term.(const run $ file $ max_ticks)
 
 let fuzz_cmd =

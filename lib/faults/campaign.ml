@@ -1,7 +1,6 @@
 module Executor = Renaming_sched.Executor
 module Adversary = Renaming_sched.Adversary
 module Report = Renaming_sched.Report
-module Trace = Renaming_sched.Trace
 module Directed = Renaming_sched.Directed
 module Stream = Renaming_rng.Stream
 module Obs = Renaming_obs.Obs
@@ -94,24 +93,19 @@ let run_cell ?obs ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
       let inst = algo.Target.build ~seed in
       let n = Array.length inst.Executor.programs in
       let base = adv.make_adversary ~seed in
-      let trace = Trace.create () in
-      let adversary = Trace.recording trace ~base:(wrap_adversary ~pattern ~seed ~n base) in
+      let adversary = wrap_adversary ~pattern ~seed ~n base in
       let fault_rng = Stream.fork_named (Stream.create seed) ~name:"campaign-faults" in
-      let base_inject, injected_count =
-        Injector.counting (Injector.bernoulli ~rate ~rng:fault_rng)
-      in
-      (* The executor consults [inject] while executing the decision the
-         adversary just recorded, so a hit belongs to the last trace
-         event. *)
-      let faulted = ref [] in
-      let inject ~time ~pid ~op =
-        let hit = base_inject ~time ~pid ~op in
-        if hit then faulted := (Trace.length trace - 1) :: !faulted;
-        hit
-      in
+      let inject, injected_count = Injector.counting (Injector.bernoulli ~rate ~rng:fault_rng) in
       let monitor = Monitor.create ?obs ~mode:algo.Target.mode inst in
+      (* The run's schedule, newest first; a choice is kept before the
+         monitor judges its event, so a failing step stays in it. *)
+      let choices = ref [] in
+      let on_event e =
+        Option.iter (fun c -> choices := c :: !choices) (Directed.choice_of_event e);
+        Monitor.hook monitor e
+      in
       let outcome =
-        match Executor.run ~max_ticks ~inject ~on_event:(Monitor.hook monitor) ~adversary inst with
+        match Executor.run ~max_ticks ~inject ~on_event ~adversary inst with
         | report -> Directed.Finished report
         | exception e -> Directed.Raised e
       in
@@ -140,7 +134,7 @@ let run_cell ?obs ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
            {
              Shrink.target = algo;
              seed;
-             choices = Directed.choices_of_trace trace ~faulted:!faulted;
+             choices = List.rev !choices;
              max_ticks;
              tau_cadence = 1;
            }

@@ -2,7 +2,6 @@ module Executor = Renaming_sched.Executor
 module Adversary = Renaming_sched.Adversary
 module Directed = Renaming_sched.Directed
 module Report = Renaming_sched.Report
-module Trace = Renaming_sched.Trace
 module Monitor = Renaming_faults.Monitor
 module Shrink = Renaming_faults.Shrink
 module Target = Renaming_faults.Target
@@ -109,33 +108,39 @@ let fuzz_target ?obs ~master ~depth ~iterations ~should_stop target =
     let repro = shrink_violation target ~tseed ~prefix in
     violations := { v_kind = kind; v_message = message; v_iteration = iteration; v_mode = mode; v_repro = repro } :: !violations
   in
-  (* Baseline: one fair round-robin run.  It estimates k (the expected
-     decision count PCT spreads its change points over) and seeds the
-     corpus with the fair schedule's coverage. *)
-  let traced_executor_run adversary trace ~inst ~on_event =
+  (* Runs [adversary], collecting its schedule (newest first) into
+     [choices]; a choice is kept before the monitor judges its event,
+     so a failing step stays in it. *)
+  let recorded_executor_run adversary choices ~inst ~on_event =
+    let on_event e =
+      Option.iter (fun c -> choices := c :: !choices) (Directed.choice_of_event e);
+      on_event e
+    in
     match
       Executor.run ~tau_cadence:target.fz_tau_cadence ~max_ticks:target.fz_max_ticks ~on_event
-        ~adversary:(Trace.recording trace ~base:adversary)
-        inst
+        ~adversary inst
     with
     | report -> Directed.Finished report
     | exception e -> Directed.Raised e
   in
+  (* Baseline: one fair round-robin run.  It estimates k (the expected
+     decision count PCT spreads its change points over) and seeds the
+     corpus with the fair schedule's coverage. *)
   let k = ref 32 in
-  let baseline_trace = Trace.create () in
+  let baseline = ref [] in
   (match
      observe_run ?obs target ~tseed
-       ~drive:(traced_executor_run (Adversary.round_robin ()) baseline_trace)
+       ~drive:(recorded_executor_run (Adversary.round_robin ()) baseline)
    with
   | Monitor.Passed report, edges ->
     k := max 8 report.Report.ticks;
-    record_coverage ~iteration:(-1) ~prefix:(Directed.choices_of_trace baseline_trace) edges
+    record_coverage ~iteration:(-1) ~prefix:(List.rev !baseline) edges
   | Monitor.Livelocked report, _ ->
     k := max 8 report.Report.ticks;
     incr livelocks
   | Monitor.Failed v, _ ->
-    record_violation ~iteration:(-1) ~mode:"baseline"
-      ~prefix:(Directed.choices_of_trace baseline_trace) v.Monitor.kind v.Monitor.message);
+    record_violation ~iteration:(-1) ~mode:"baseline" ~prefix:(List.rev !baseline)
+      v.Monitor.kind v.Monitor.message);
   let i = ref 0 in
   while !violations = [] && !i < iterations && not (should_stop ()) do
     let iteration = !i in
@@ -180,11 +185,11 @@ let fuzz_target ?obs ~master ~depth ~iterations ~should_stop target =
         else Pct.adversary ~depth:d ~n:target.fz_target.n ~k:!k ~rng ()
       in
       let mode = adversary.Adversary.name in
-      let trace = Trace.create () in
+      let choices = ref [] in
       let verdict, edges =
-        observe_run ?obs target ~tseed ~drive:(traced_executor_run adversary trace)
+        observe_run ?obs target ~tseed ~drive:(recorded_executor_run adversary choices)
       in
-      let prefix = Directed.choices_of_trace trace in
+      let prefix = List.rev !choices in
       match verdict with
       | Monitor.Passed _ -> record_coverage ~iteration ~prefix edges
       | Monitor.Livelocked _ ->

@@ -32,9 +32,11 @@ let t14 scale =
           let inst = Tight.instance ~params ~stream () in
           let report =
             Executor.run ~tau_cadence:cadence
-              ~on_tick:(fun ~time:_ ~pid:_ ~op ->
-                incr total_ops;
-                match op with Renaming_sched.Op.Tau_poll _ -> incr polls | _ -> ())
+              ~on_event:(function
+                | Executor.Stepped { op; _ } -> (
+                  incr total_ops;
+                  match op with Renaming_sched.Op.Tau_poll _ -> incr polls | _ -> ())
+                | Executor.Crashed _ | Recovered _ | Returned _ -> ())
               ~adversary:(Adversary.round_robin ()) inst
           in
           Summary.add_int steps (Report.max_steps report);

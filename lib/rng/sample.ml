@@ -45,7 +45,3 @@ let permutation rng n =
   let arr = Array.init n (fun i -> i) in
   shuffle_in_place rng arr;
   arr
-
-let choose rng arr =
-  if Array.length arr = 0 then invalid_arg "Sample.choose: empty array";
-  arr.(uniform_int rng (Array.length arr))

@@ -30,8 +30,3 @@ val shuffle_in_place : Xoshiro.t -> 'a array -> unit
 
 (** [permutation rng n] is a uniform random permutation of [0 .. n-1]. *)
 val permutation : Xoshiro.t -> int -> int array
-
-(** [choose rng arr] picks a uniform element of [arr].  Raises
-    [Invalid_argument] on an empty array. *)
-(* lint: allow unused-export — unit-tested, no caller yet: sampler *)
-val choose : Xoshiro.t -> 'a array -> 'a

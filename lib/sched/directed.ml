@@ -26,15 +26,38 @@ let choice_of_string s =
     | _ -> Error (Printf.sprintf "unknown choice verb in %S" s))
   | _ -> Error (Printf.sprintf "malformed choice %S (want \"<verb> <pid>\")" s)
 
-let choices_of_trace ?(faulted = []) trace =
-  List.mapi
-    (fun i event ->
-      match event with
-      | Trace.Scheduled { pid; _ } ->
-        if List.mem i faulted then Fault pid else Step pid
-      | Trace.Crashed { pid; _ } -> Crash pid
-      | Trace.Recovered { pid; _ } -> Recover pid)
-    (Trace.events trace)
+let choice_of_event : Executor.event -> choice option = function
+  | Stepped { pid; response = Op.Faulted; _ } -> Some (Fault pid)
+  | Stepped { pid; _ } -> Some (Step pid)
+  | Crashed { pid; _ } -> Some (Crash pid)
+  | Recovered { pid; _ } -> Some (Recover pid)
+  | Returned _ -> None
+
+type divergence = {
+  at : int;
+  expected : choice option;
+  time : int;
+  runnable : int list;
+  crashed : int list;
+}
+
+exception Divergence of divergence
+
+let pp_divergence fmt d =
+  let pp_pids fmt pids =
+    Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int pids))
+  in
+  Format.fprintf fmt "replay diverged at decision %d (t=%d): %s but runnable=%a crashed=%a" d.at
+    d.time
+    (match d.expected with
+    | Some c -> "wanted " ^ choice_to_string c
+    | None -> "schedule exhausted")
+    pp_pids d.runnable pp_pids d.crashed
+
+let () =
+  Printexc.register_printer (function
+    | Divergence d -> Some (Format.asprintf "Directed.Divergence: %a" pp_divergence d)
+    | _ -> None)
 
 type point = {
   index : int;
@@ -54,12 +77,6 @@ type result = {
   dropped : int;
   outcome : outcome;
 }
-
-let expected_of_choice : choice -> Trace.expected = function
-  | Step pid -> `Schedule pid
-  | Fault pid -> `Fault pid
-  | Crash pid -> `Crash pid
-  | Recover pid -> `Recover pid
 
 let run ?obs ?(max_ticks = 100_000) ?(tau_cadence = 1) ?(strict = false) ?(record_from = 0)
     ?yield_rotate ?on_event ~prefix instance =
@@ -96,12 +113,12 @@ let run ?obs ?(max_ticks = 100_000) ?(tau_cadence = 1) ?(strict = false) ?(recor
     done;
     Array.of_list !acc
   in
-  let diverge (view : Adversary.view) c =
+  let diverge (view : Adversary.view) expected =
     raise
-      (Trace.Divergence
+      (Divergence
          {
            at = !index;
-           expected = expected_of_choice c;
+           expected;
            time = view.time;
            runnable = Array.to_list (sorted_runnable view);
            crashed = Array.to_list (crashed_pids view);
@@ -113,8 +130,7 @@ let run ?obs ?(max_ticks = 100_000) ?(tau_cadence = 1) ?(strict = false) ?(recor
      processor to the cyclically next runnable pid at its next yield
      point instead of spinning the waiter against the livelock guard.
      Rotation only happens at yield points, so it never breaks into the
-     middle of a protocol's critical section.  Off ([None]) by default —
-     the legacy explorer's tail must stay byte-identical. *)
+     middle of a protocol's critical section.  Off ([None]) by default. *)
   let rotate_due (view : Adversary.view) =
     match yield_rotate with
     | None -> false
@@ -142,13 +158,13 @@ let run ?obs ?(max_ticks = 100_000) ?(tau_cadence = 1) ?(strict = false) ?(recor
   let decide (view : Adversary.view) =
     let rec pick () =
       match !remaining with
-      | [] -> default view
+      | [] -> if strict then diverge view None else default view
       | c :: rest ->
         if feasible view c then begin
           remaining := rest;
           c
         end
-        else if strict then diverge view c
+        else if strict then diverge view (Some c)
         else begin
           remaining := rest;
           incr dropped;

@@ -10,7 +10,12 @@
     policy (keep running the previous process; when it finishes or
     blocks, run the lowest-numbered runnable pid), which never crashes,
     recovers or injects faults.  Given a deterministic instance builder,
-    the same prefix always reproduces the same execution. *)
+    the same prefix always reproduces the same execution.
+
+    A [choice list] is the one schedule format: any run records its own
+    through {!choice_of_event} on {!Executor.run}'s [on_event], and
+    [run ~strict:true ~prefix] replays it, since the seed already fixes
+    every coin flip. *)
 
 type choice =
   | Step of int  (** schedule this pid's pending operation *)
@@ -27,11 +32,31 @@ val choice_to_string : choice -> string
 
 val choice_of_string : string -> (choice, string) result
 
-val choices_of_trace : ?faulted:int list -> Trace.t -> choice list
-(** The decision sequence of a recorded run, replayable through {!run}.
-    A scheduled step whose event index is in [faulted] (default none)
-    drew an injected fault and becomes a [Fault] choice, so the replay
-    reproduces the injection without the RNG. *)
+val choice_of_event : Executor.event -> choice option
+(** The decision behind one {!Executor.event}: a step that responded
+    {!Op.Faulted} is a [Fault], any other step a [Step], a crash a
+    [Crash], a recovery a [Recover]; a return is no decision ([None]).
+    Collected from an [on_event] listener, these are the run's schedule,
+    which {!run} replays — injected faults included, without the
+    injector's RNG. *)
+
+(** Why a strict {!run} could not apply its prefix. *)
+type divergence = {
+  at : int;  (** decision index at which replay failed (= choices consumed so far) *)
+  expected : choice option;
+      (** the choice that was infeasible, or [None] when the prefix ran
+          out while processes were still runnable *)
+  time : int;  (** executor time at the failing decision *)
+  runnable : int list;  (** pids runnable at that point, ascending *)
+  crashed : int list;  (** pids crashed at that point, ascending *)
+}
+
+exception Divergence of divergence
+(** Raised by a strict {!run}.  Structured so shrinkers and users can
+    act on it instead of parsing a [Failure] string. *)
+
+(* lint: allow unused-export — test hook: renders a divergence *)
+val pp_divergence : Format.formatter -> divergence -> unit
 
 (** One decision point of the recorded execution. *)
 type point = {
@@ -48,8 +73,8 @@ type outcome =
   | Finished of Report.t
   | Raised of exn
       (** an exception escaped the run — typically a monitor violation
-          raised from the [on_event] hook, or {!Trace.Divergence} in
-          strict mode *)
+          raised from the [on_event] hook, or {!Divergence} in strict
+          mode *)
 
 type result = {
   points : point array;  (** decision points with [index >= record_from] *)
@@ -74,11 +99,15 @@ val run :
     state ([Step]/[Crash]: runnable; [Fault]: runnable with a faultable
     pending op; [Recover]: crashed).
 
-    [strict] (default [false]): an infeasible choice raises
-    {!Trace.Divergence} (carrying the decision index, the expected
-    action and the runnable/crashed sets).  In permissive mode it is
-    skipped and counted in [dropped] — the mode shrinkers use, because
-    deleting events from a prefix legitimately invalidates later ones.
+    [strict] (default [false]) makes [run] a replayer: an infeasible
+    choice, or a prefix that runs out while processes are still
+    runnable, raises {!Divergence} (carrying the decision index, the
+    expected choice and the runnable/crashed sets), so a recorded
+    schedule ({!choice_of_event}) replays exactly or not at all.  In
+    permissive mode an infeasible choice is skipped and counted in
+    [dropped] and the default policy extends the prefix — the mode
+    shrinkers use, because deleting events from a prefix legitimately
+    invalidates later ones.
 
     [record_from] (default 0): skip materialising [points] below this
     index — exploration only expands alternatives past its own prefix,

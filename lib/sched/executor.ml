@@ -60,8 +60,8 @@ type obs_hooks = {
   h_steps : Renaming_obs.Metrics.counter;
 }
 
-let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event ?inject ?recover
-    ~adversary instance =
+let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_event ?inject ~adversary
+    instance =
   if tau_cadence < 1 then invalid_arg "Executor.run: tau_cadence must be >= 1";
   let n = Array.length instance.programs in
   (* [programs.(pid)] is the process's current program: a [Step] while it
@@ -102,16 +102,12 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
     match on_event with Some f -> f e | None -> ()
   in
   (* Restarting a crashed process: rediscover a name already won (so it
-     is kept, not leaked), then rerun its program from the top.  An
-     explicit [recover] hook supplies an algorithm-specific restart. *)
+     is kept, not leaked), then rerun its program from the top. *)
   let restart_program pid =
-    match recover with
-    | Some f -> f pid
-    | None ->
-      Program.bind (Program.recover_owned ~namespace:(Memory.namespace instance.memory))
-        (function
-          | Some nm -> Program.return (Some nm)
-          | None -> instance.programs.(pid))
+    Program.bind (Program.recover_owned ~namespace:(Memory.namespace instance.memory))
+      (function
+        | Some nm -> Program.return (Some nm)
+        | None -> instance.programs.(pid))
   in
   let pending_op pid =
     match programs.(pid) with
@@ -170,7 +166,6 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_tick ?on_event 
         in
         let response = if faulted then Op.Faulted else Memory.apply instance.memory ~pid op in
         Renaming_shm.Step_ledger.record ledger ~pid;
-        (match on_tick with Some f -> f ~time:!time ~pid ~op | None -> ());
         if listening then emit (Stepped { time = !time; pid; op; response });
         programs.(pid) <- k response;
         settle pid;

@@ -40,10 +40,8 @@ val run :
   ?obs:Renaming_obs.Obs.t ->
   ?tau_cadence:int ->
   ?max_ticks:int ->
-  ?on_tick:(time:int -> pid:int -> op:Op.t -> unit) ->
   ?on_event:(event -> unit) ->
   ?inject:(time:int -> pid:int -> op:Op.t -> bool) ->
-  ?recover:(int -> int option Program.t) ->
   adversary:Adversary.t ->
   instance ->
   Report.t
@@ -63,9 +61,9 @@ val run :
     processes count as unnamed) instead of raising, so sweeps can record
     it.
 
-    [on_tick] is the lightweight instrumentation hook (scheduled
-    operations only); [on_event] additionally sees responses, crashes,
-    recoveries and returns.
+    [on_event] sees every step with its response, every crash,
+    recovery and return; {!Directed.choice_of_event} turns that stream
+    into the run's replayable schedule.
 
     [inject ~time ~pid ~op] returning [true] makes that operation fail
     transiently: it does not touch memory and responds {!Op.Faulted}
@@ -73,9 +71,7 @@ val run :
     {!Op.faultable} operations — programs built from the plain
     primitives treat [Faulted] on other ops as a protocol error.
 
-    [recover pid] builds the program a crashed process restarts with
-    when the adversary issues {!Adversary.Recover}.  The default
-    restarts [programs.(pid)] from the top behind a
-    {!Program.recover_owned} preamble, so a process that crashed after
-    winning a register re-discovers and keeps that name rather than
-    leaking it. *)
+    A process the adversary recovers ({!Adversary.Recover}) restarts
+    [programs.(pid)] from the top behind a {!Program.recover_owned}
+    preamble, so a process that crashed after winning a register
+    re-discovers and keeps that name rather than leaking it. *)

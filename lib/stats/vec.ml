@@ -2,8 +2,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let length t = t.len
-
 let grow t x =
   let cap = Array.length t.data in
   let ncap = if cap = 0 then 16 else cap * 2 in
@@ -15,14 +13,5 @@ let add_last t x =
   if t.len = Array.length t.data then grow t x;
   t.data.(t.len) <- x;
   t.len <- t.len + 1
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
-  t.data.(i)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
 
 let to_array t = Array.sub t.data 0 t.len

@@ -8,7 +8,6 @@ module Op = Renaming_sched.Op
 module Memory = Renaming_sched.Memory
 module Executor = Renaming_sched.Executor
 module Report = Renaming_sched.Report
-module Trace = Renaming_sched.Trace
 module Directed = Renaming_sched.Directed
 module Monitor = Renaming_faults.Monitor
 module Shrink = Renaming_faults.Shrink
@@ -45,11 +44,11 @@ let test_directed_strict_divergence () =
   let inst () = instance ~namespace:1 ~label:"solo" [| solo_tas 0 |] in
   let run = Directed.run ~strict:true ~prefix:[ Directed.Step 5 ] (inst ()) in
   (match run.Directed.outcome with
-  | Directed.Raised (Trace.Divergence d) ->
-    check Alcotest.int "diverged at decision 0" 0 d.Trace.at;
-    check Alcotest.bool "expected schedule of pid 5" true (d.Trace.expected = `Schedule 5);
-    check Alcotest.(list int) "runnable" [ 0 ] d.Trace.runnable
-  | _ -> Alcotest.fail "expected Trace.Divergence");
+  | Directed.Raised (Directed.Divergence d) ->
+    check Alcotest.int "diverged at decision 0" 0 d.Directed.at;
+    check Alcotest.bool "expected step of pid 5" true (d.Directed.expected = Some (Directed.Step 5));
+    check Alcotest.(list int) "runnable" [ 0 ] d.Directed.runnable
+  | _ -> Alcotest.fail "expected Directed.Divergence");
   (* An infeasible Fault (pending op not faultable) also diverges. *)
   let yield_first =
     let* () = Program.yield in
@@ -60,9 +59,9 @@ let test_directed_strict_divergence () =
       (instance ~namespace:1 ~label:"yield-first" [| yield_first |])
   in
   match run.Directed.outcome with
-  | Directed.Raised (Trace.Divergence d) ->
-    check Alcotest.bool "expected fault of pid 0" true (d.Trace.expected = `Fault 0)
-  | _ -> Alcotest.fail "expected Trace.Divergence for unfaultable op"
+  | Directed.Raised (Directed.Divergence d) ->
+    check Alcotest.bool "expected fault of pid 0" true (d.Directed.expected = Some (Directed.Fault 0))
+  | _ -> Alcotest.fail "expected Directed.Divergence for unfaultable op"
 
 let test_directed_permissive_drops () =
   let inst () = instance ~namespace:2 ~label:"pair" [| solo_tas 0; solo_tas 1 |] in

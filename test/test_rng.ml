@@ -118,10 +118,6 @@ let test_shuffle_preserves_elements () =
   Array.sort compare copy;
   check Alcotest.(array int) "same multiset" arr copy
 
-let test_choose_from_singleton () =
-  let g = Xoshiro.create 43L in
-  check Alcotest.int "singleton choice" 9 (Sample.choose g [| 9 |])
-
 let test_stream_fork_reproducible () =
   let s1 = Stream.create 5L and s2 = Stream.create 5L in
   let a = Stream.fork s1 ~index:3 and b = Stream.fork s2 ~index:3 in
@@ -356,7 +352,6 @@ let tests =
         Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
         Alcotest.test_case "permutation valid" `Quick test_permutation_is_permutation;
         Alcotest.test_case "shuffle multiset" `Quick test_shuffle_preserves_elements;
-        Alcotest.test_case "choose singleton" `Quick test_choose_from_singleton;
         Alcotest.test_case "stream fork reproducible" `Quick test_stream_fork_reproducible;
         Alcotest.test_case "stream fork order-free" `Quick test_stream_fork_order_independent;
         Alcotest.test_case "stream forks distinct" `Quick test_stream_forks_distinct;

@@ -166,7 +166,7 @@ let test_max_ticks_guard () =
   check Alcotest.bool "ticks bounded" true (report.Report.ticks <= 101);
   check Alcotest.int "nobody named" 0 (Report.named_count report)
 
-let test_on_tick_hook () =
+let test_stepped_event_hook () =
   let ops = ref [] in
   let program =
     let* _ = Program.tas_name 0 in
@@ -176,11 +176,13 @@ let test_on_tick_hook () =
   let instance = { Executor.memory; programs = [| program |]; label = "hook" } in
   ignore
     (Executor.run
-       ~on_tick:(fun ~time ~pid ~op -> ops := (time, pid, op) :: !ops)
+       ~on_event:(function
+         | Executor.Stepped { time; pid; op; _ } -> ops := (time, pid, op) :: !ops
+         | Executor.Crashed _ | Recovered _ | Returned _ -> ())
        ~adversary:(Adversary.round_robin ()) instance);
   match !ops with
   | [ (0, 0, Op.Tas_name 0) ] -> ()
-  | _ -> Alcotest.fail "expected exactly one hook call for Tas_name 0"
+  | _ -> Alcotest.fail "expected exactly one Stepped event for Tas_name 0"
 
 let test_adversary_arrival_pattern_wrap () =
   (* Arrival-delayed round robin still names everyone. *)
@@ -221,7 +223,7 @@ let tests =
         Alcotest.test_case "crash skips finished" `Quick test_crash_adversary_skips_finished;
         Alcotest.test_case "lifo starves" `Quick test_lifo_starves_low_pids;
         Alcotest.test_case "max ticks guard" `Quick test_max_ticks_guard;
-        Alcotest.test_case "on_tick hook" `Quick test_on_tick_hook;
+        Alcotest.test_case "stepped event hook" `Quick test_stepped_event_hook;
         Alcotest.test_case "arrival adversary" `Quick test_adversary_arrival_pattern_wrap;
         QCheck_alcotest.to_alcotest qcheck_competition_sound_any_seed;
       ] );

@@ -75,14 +75,6 @@ let test_odd_even_transposition_sorts () =
       check Alcotest.int "depth = width" width (Network.depth net))
     [ 2; 3; 5; 8 ]
 
-let test_insertion_sorts () =
-  List.iter
-    (fun width ->
-      let net = Insertion.network ~width in
-      check Alcotest.bool (Printf.sprintf "insertion %d sorts" width) true (Network.sorts net);
-      check Alcotest.int "size = w(w-1)/2" (width * (width - 1) / 2) (Network.size net))
-    [ 2; 3; 4; 6 ]
-
 let test_zero_one_checker () =
   let rng = Renaming_rng.Xoshiro.create 5L in
   (match Zero_one.check ~rng (Bitonic.network ~width:8) with
@@ -186,7 +178,6 @@ let tests =
         Alcotest.test_case "next_pow2" `Quick test_next_pow2;
         Alcotest.test_case "odd-even merge sorts" `Quick test_odd_even_merge_sorts;
         Alcotest.test_case "odd-even transposition" `Quick test_odd_even_transposition_sorts;
-        Alcotest.test_case "insertion sorts" `Quick test_insertion_sorts;
         Alcotest.test_case "zero-one checker" `Quick test_zero_one_checker;
         Alcotest.test_case "aks model" `Quick test_aks_model;
         Alcotest.test_case "adapter full entry" `Quick test_adapter_strong_renaming_full_entry;

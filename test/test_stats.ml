@@ -122,8 +122,6 @@ let test_vec () =
   for i = 0 to 99 do
     Vec.add_last v i
   done;
-  check Alcotest.int "length" 100 (Vec.length v);
-  check Alcotest.int "get" 37 (Vec.get v 37);
   check Alcotest.(array int) "to_array" (Array.init 100 Fun.id) (Vec.to_array v)
 
 let qcheck_summary_mean_bounds =
