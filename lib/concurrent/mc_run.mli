@@ -3,9 +3,21 @@
     Processes are partitioned over OCaml 5 domains; within a domain the
     per-process step loops are interleaved step-by-step (so in-domain
     processes progress concurrently too), while cross-domain contention
-    on the {!Atomic_tas} registers is the real thing.  Step counts use
-    the same accounting as the simulator, so the step-complexity tables
-    can be cross-checked between backends.
+    on the registers is the real thing.  Step counts use the same
+    accounting as the simulator, so the step-complexity tables can be
+    cross-checked between backends.
+
+    The registers are the hardware TAS of the paper's standard model
+    (§IV): one bit each, set once, packed 32 to an [int Atomic.t] word
+    (register [i] is bit [i land 31] of word [i lsr 5]), so no block is
+    allocated per register.  A TAS reads the word and, if its bit is
+    clear, [compare_and_set]s it with the bit added, retrying only when
+    another bit of the word changed meanwhile: linearizable (exactly
+    one process wins each register), lock-free, not wait-free (OCaml 5.1
+    has no atomic fetch-or).  One TAS is one step, retries included.
+    Every step also compares its register with the namespace, so a
+    target outside the register file (a spare bit of the last word
+    included) raises [Invalid_argument] rather than set a bit.
 
     A process runs a probe plan ({!Renaming_plan.Plan}), the same one
     the simulator runs through [Renaming_sched.Plan_exec], and its
@@ -32,9 +44,9 @@
     nothing is merged after the join.  A run keeps about 9 words per
     process in all (the two slots, the live set, 4 words of generator
     state, the name and the step count), and with the registers packed
-    32 to an [Atomic] word ({!Atomic_tas}) it allocates no block per
-    process or per name.  Each domain sweeps its live processes (those
-    with a step left) in pid order, one step each per sweep, and drops
+    32 to an [Atomic] word it allocates no block per process or per
+    name.  Each domain sweeps its live processes (those with a step
+    left) in pid order, one step each per sweep, and drops
     the finished ones without reordering the rest.  On one domain a run
     is therefore a pure function of its seed and plan.
 
@@ -70,6 +82,33 @@ val stalled_to_string : exn -> string
 (** Render a {!Stalled} diagnostic; raises [Invalid_argument] on any
     other exception.  Also installed as a [Printexc] printer. *)
 
+type registers
+(** The register file of a run: one-bit TAS registers [\[0, m)], packed
+    32 to an [Atomic] word. *)
+
+(* lint: allow unused-export — test hook: the step loop's registers *)
+val registers : int -> registers
+(** [registers m] is a file of [m] clear registers.  Raises
+    [Invalid_argument] when [m < 0]. *)
+
+(* lint: allow unused-export — test hook: the step loop's TAS *)
+val test_and_set : registers -> int -> bool
+(** [test_and_set regs i] sets register [i] and returns [true] if it was
+    clear, or returns [false] and writes nothing: the TAS the step loop
+    makes, inlined there.  Linearizable: exactly one caller ever wins
+    each register.  Raises [Invalid_argument] when [i] is not below the
+    file's size (the spare bits of the last word are not registers), or
+    is negative. *)
+
+(* lint: allow unused-export — test hook: the step loop's draw *)
+val draw : Bytes.t -> int -> int -> int
+(** [draw buf off bound] is the draw the step loop makes for a probe,
+    on the generator state at byte offset [off] of [buf]: the value
+    [Renaming_rng.Sample.uniform_int] returns on the same state, written
+    out in this module so that a step calls nothing.  Raises
+    [Invalid_argument] when [bound <= 0] or the 32 bytes at [off] are
+    not inside [buf]. *)
+
 val max_steps : result -> int
 val unnamed_count : result -> int
 
@@ -85,7 +124,10 @@ val execute :
   unit ->
   result
 (** Run [n] processes, each with the probe plan [plan]
-    ({!Renaming_plan.Plan}), over the domain pool.  Raises
+    ({!Renaming_plan.Plan}), on [domains] domains (default
+    {!recommended_domains}) spawned for this run and joined before it
+    returns; without a [?deadline] the calling domain runs one of the
+    shards.  Raises
     [Invalid_argument] if [n] or [namespace] is negative, if [?deadline]
     is given without a ticking clock (it could never expire), or if any
     non-empty segment of [plan] lies outside [\[0, namespace)], even one

@@ -1,3 +1,4 @@
+(* [uniform_int] on the state at byte offset [off] of [buf]. *)
 let[@inline] uniform_int_at buf off bound =
   if bound <= 0 then invalid_arg "Sample.uniform_int: bound must be positive";
   if bound land (bound - 1) = 0 then

@@ -7,14 +7,6 @@
     integer divisions.  Raises [Invalid_argument] when [bound <= 0]. *)
 val uniform_int : Xoshiro.t -> int -> int
 
-(** [uniform_int_at buf off bound] is {!uniform_int} on the generator
-    state at byte offset [off] of [buf] (see {!Xoshiro.next_int63_at}),
-    with one bounds check per draw; [uniform_int rng bound] is
-    [uniform_int_at (rng :> Bytes.t) 0 bound].  Raises
-    [Invalid_argument] when [bound <= 0] or the state at [off] is not
-    inside [buf]. *)
-val uniform_int_at : Bytes.t -> int -> int -> int
-
 (** [uniform_in_range rng ~lo ~hi] is uniform on [lo, hi] inclusive. *)
 val uniform_in_range : Xoshiro.t -> lo:int -> hi:int -> int
 

@@ -18,9 +18,13 @@
     apiece: {!derive_at} seeds a state at a byte offset and
     {!next_int63_at} steps it there, so a table of [k] generators is
     one [Bytes.t] of [32 * k] bytes rather than [k] heap blocks.  The
-    seeding and the step are written once, over a buffer and an offset;
-    the single-generator functions run them at offset 0.  Each call at an offset checks once that the 32 bytes lie inside the
-    buffer and raises [Invalid_argument] otherwise. *)
+    seeding and the step are written once here, over a buffer and an
+    offset; the single-generator functions run them at offset 0.  Each
+    call at an offset checks once that the 32 bytes lie inside the
+    buffer and raises [Invalid_argument] otherwise.  The one other copy
+    of the step is [Renaming_concurrent.Mc_run]'s draw, which a step
+    loop that calls no other module needs, and whose tests hold it to
+    [Sample.uniform_int] on the same state. *)
 
 type t = private Bytes.t
 (** The state, at offset 0 of a buffer of exactly {!state_bytes}

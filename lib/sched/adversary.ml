@@ -20,7 +20,10 @@ let round_robin () =
     name = "round-robin";
     decide =
       (fun view ->
-        let i = !cursor mod view.runnable_count in
+        (* [c mod count], dividing only once the cursor has run off
+           the live set (a wrap, or a live set that shrank). *)
+        let c = !cursor and count = view.runnable_count in
+        let i = if c < count then c else c mod count in
         cursor := i + 1;
         Schedule (view.runnable_nth i));
   }

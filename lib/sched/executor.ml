@@ -170,7 +170,7 @@ let run ?obs ?(tau_cadence = 1) ?(max_ticks = 1_000_000_000) ?on_event ?inject ~
         programs.(pid) <- k response;
         settle pid;
         incr time;
-        if !time mod tau_cadence = 0 then Memory.tick_taus instance.memory;
+        if tau_cadence = 1 || !time mod tau_cadence = 0 then Memory.tick_taus instance.memory;
         if !time > max_ticks then livelocked := true
       | Program.Step _ | Program.Done _ ->
         invalid_arg "Executor: adversary scheduled a non-runnable process")

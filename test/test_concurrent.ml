@@ -1,92 +1,84 @@
 (* Tests for the OCaml 5 multicore backend: linearizable TAS and the
    domain-parallel algorithm runners. *)
 
-module Atomic_tas = Renaming_concurrent.Atomic_tas
 module Mc_run = Renaming_concurrent.Mc_run
 module Plan = Renaming_plan.Plan
 module Assignment = Renaming_shm.Assignment
 module Clock = Renaming_clock.Clock
+module Stream = Renaming_rng.Stream
+module Xoshiro = Renaming_rng.Xoshiro
+module Sample = Renaming_rng.Sample
 
 let check = Alcotest.check
 
-let test_atomic_tas_basics () =
-  let t = Atomic_tas.create 4 in
-  check Alcotest.int "size" 4 (Atomic_tas.size t);
-  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:1);
-  check Alcotest.bool "lose" false (Atomic_tas.test_and_set t ~idx:1);
-  check Alcotest.bool "neighbours free" false
-    (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 2 || Atomic_tas.is_set t 3);
-  check Alcotest.bool "is_set" true (Atomic_tas.is_set t 1);
-  check Alcotest.int "set count" 1 (Atomic_tas.set_count t)
+(* The registers are the step loop's own: [Mc_run.test_and_set] is the
+   TAS the loop inlines, range check included. *)
+let test_tas_basics () =
+  let t = Mc_run.registers 4 in
+  check Alcotest.bool "win" true (Mc_run.test_and_set t 1);
+  check Alcotest.bool "lose" false (Mc_run.test_and_set t 1);
+  check Alcotest.(list bool) "neighbours free" [ true; true; true ]
+    (List.map (Mc_run.test_and_set t) [ 0; 2; 3 ])
 
-let test_atomic_tas_losing_leaves_owner () =
-  (* A lost TAS changes nothing: the won register, the set count and the
-     free neighbours stay as they were. *)
-  let t = Atomic_tas.create 3 in
-  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:1);
+(* A lost TAS changes nothing: the won register stays won and the free
+   neighbours stay free. *)
+let test_tas_losing_leaves_owner () =
+  let t = Mc_run.registers 3 in
+  check Alcotest.bool "win" true (Mc_run.test_and_set t 1);
   for _ = 0 to 9 do
-    check Alcotest.bool "lose" false (Atomic_tas.test_and_set t ~idx:1)
+    check Alcotest.bool "lose" false (Mc_run.test_and_set t 1)
   done;
-  check Alcotest.bool "still set" true (Atomic_tas.is_set t 1);
-  check Alcotest.int "set count kept" 1 (Atomic_tas.set_count t);
-  check Alcotest.bool "neighbours free" false (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 2)
+  check Alcotest.(list bool) "neighbours free" [ true; true ]
+    (List.map (Mc_run.test_and_set t) [ 0; 2 ])
 
-(* Registers share a word, so the file checks indices itself: the spare
+(* Registers share a word, so the TAS checks indices itself: the spare
    bits of the last word (70 to 95 here) are not registers. *)
-let test_atomic_tas_range_check () =
-  let t = Atomic_tas.create 70 in
-  check Alcotest.bool "last register" true (Atomic_tas.test_and_set t ~idx:69);
+let test_tas_range_check () =
+  let t = Mc_run.registers 70 in
+  check Alcotest.bool "last register" true (Mc_run.test_and_set t 69);
   List.iter
     (fun idx ->
-      let msg = Printf.sprintf "register %d outside [0, 70)" idx in
-      Alcotest.check_raises ("test_and_set " ^ string_of_int idx)
-        (Invalid_argument ("Atomic_tas.test_and_set: " ^ msg))
-        (fun () -> ignore (Atomic_tas.test_and_set t ~idx));
-      Alcotest.check_raises ("is_set " ^ string_of_int idx)
-        (Invalid_argument ("Atomic_tas.is_set: " ^ msg))
-        (fun () -> ignore (Atomic_tas.is_set t idx)))
-    [ 70; 95; -1 ];
-  check Alcotest.int "only the last register set" 1 (Atomic_tas.set_count t);
-  let empty = Atomic_tas.create 0 in
-  check Alcotest.int "empty size" 0 (Atomic_tas.size empty);
-  check Alcotest.int "empty set count" 0 (Atomic_tas.set_count empty);
+      Alcotest.check_raises (string_of_int idx)
+        (Invalid_argument (Printf.sprintf "Mc_run: register %d outside the namespace [0, 70)" idx))
+        (fun () -> ignore (Mc_run.test_and_set t idx)))
+    [ 70; 95 ];
+  Alcotest.check_raises "-1" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Mc_run.test_and_set t (-1)));
+  check Alcotest.(list bool) "only the last register set" [ false; true; true ]
+    (List.map (Mc_run.test_and_set t) [ 69; 0; 68 ]);
   Alcotest.check_raises "empty file has no register 0"
-    (Invalid_argument "Atomic_tas.test_and_set: register 0 outside [0, 0)")
-    (fun () -> ignore (Atomic_tas.test_and_set empty ~idx:0));
-  Alcotest.check_raises "negative size" (Invalid_argument "Atomic_tas.create: negative size")
-    (fun () -> ignore (Atomic_tas.create (-1)))
+    (Invalid_argument "Mc_run: register 0 outside the namespace [0, 0)") (fun () ->
+      ignore (Mc_run.test_and_set (Mc_run.registers 0) 0));
+  Alcotest.check_raises "negative size" (Invalid_argument "Mc_run.registers: negative size")
+    (fun () -> ignore (Mc_run.registers (-1)))
 
 (* Domains race on [rounds] fresh files in turn, walking a file's
    registers in [order d]; a spin barrier starts each round together.
    Every register must be won exactly once, with the claims disjoint. *)
 let race_files ?(rounds = 1) ~size ~domains order =
-  let files = Array.init rounds (fun _ -> Atomic_tas.create size) in
+  let files = Array.init rounds (fun _ -> Mc_run.registers size) in
   let arrived = Atomic.make 0 in
   let worker d () =
     Array.mapi
       (fun r t ->
         Atomic.incr arrived;
         while Atomic.get arrived < domains * (r + 1) do Domain.cpu_relax () done;
-        List.filter (fun idx -> Atomic_tas.test_and_set t ~idx) (order d))
+        List.filter (Mc_run.test_and_set t) (order d))
       files
   in
   let handles = Array.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
   let w0 = worker 0 () in
   let all_wins = w0 :: Array.to_list (Array.map Domain.join handles) in
   Array.iteri
-    (fun r t ->
+    (fun r _ ->
       let claims = Array.make size 0 in
       List.iter (fun wins -> List.iter (fun idx -> claims.(idx) <- claims.(idx) + 1) wins.(r))
         all_wins;
-      let label = Printf.sprintf "round %d: " r in
-      check Alcotest.(list int) (label ^ "registers not won exactly once") []
-        (List.filter (fun idx -> claims.(idx) <> 1) (List.init size Fun.id));
-      check Alcotest.int (label ^ "set count") size (Atomic_tas.set_count t);
-      check Alcotest.bool (label ^ "every register set") true
-        (List.for_all (Atomic_tas.is_set t) (List.init size Fun.id)))
+      check Alcotest.(list int) (Printf.sprintf "round %d: registers not won exactly once" r) []
+        (List.filter (fun idx -> claims.(idx) <> 1) (List.init size Fun.id)))
     files
 
-let test_atomic_tas_parallel_single_winner () =
+let test_tas_parallel_single_winner () =
   let size = 64 in
   race_files ~size ~domains:4 (fun _ -> List.init size Fun.id)
 
@@ -94,7 +86,7 @@ let test_atomic_tas_parallel_single_winner () =
    hit different bits of one word at once and a CAS can fail on a
    neighbour's bit: the retry path.  A TAS that gave up there instead
    would leave a register that no domain won. *)
-let test_atomic_tas_contended_words () =
+let test_tas_contended_words () =
   let size = 70 in
   let up = List.init size Fun.id in
   let down = List.rev up in
@@ -108,14 +100,54 @@ let test_atomic_tas_contended_words () =
   check Alcotest.bool "n = 4099, m = 4100: complete" true
     (Assignment.is_complete r.Mc_run.assignment)
 
-let test_atomic_to_assignment () =
+let test_tas_to_assignment () =
   (* Winning register 2 sets register 2 and nothing else. *)
-  let t = Atomic_tas.create 4 in
-  check Alcotest.bool "win" true (Atomic_tas.test_and_set t ~idx:2);
-  check Alcotest.bool "register 2 set" true (Atomic_tas.is_set t 2);
-  check Alcotest.bool "others free" false
-    (Atomic_tas.is_set t 0 || Atomic_tas.is_set t 1 || Atomic_tas.is_set t 3);
-  check Alcotest.int "one register set" 1 (Atomic_tas.set_count t)
+  let t = Mc_run.registers 4 in
+  check Alcotest.bool "win" true (Mc_run.test_and_set t 2);
+  check Alcotest.bool "register 2 set" false (Mc_run.test_and_set t 2);
+  check Alcotest.(list bool) "others free" [ true; true; true ]
+    (List.map (Mc_run.test_and_set t) [ 0; 1; 3 ])
+
+(* The step loop's draw is a copy of [Sample.uniform_int]: on the same
+   forked state it returns the same values and leaves the same state,
+   at a power-of-two bound (the mask), at another (one draw mod the
+   bound) and at 2^61 + 1, where about half the draws are rejected, so
+   the rejection loop runs.  It allocates nothing, and checks its
+   arguments as [Sample] does. *)
+let test_mc_draw_is_sample () =
+  let stream = Stream.create 31L in
+  List.iteri
+    (fun index bound ->
+      let buf = Bytes.make (3 * Xoshiro.state_bytes) '\x00' in
+      Stream.fork_into stream ~index buf 32;
+      let reference = Stream.fork stream ~index in
+      let draws = 100_000 in
+      for draw = 1 to draws do
+        let want = Sample.uniform_int reference bound in
+        let got = Mc_run.draw buf 32 bound in
+        if got <> want then
+          Alcotest.failf "bound %d, draw %d: %d, Sample gives %d" bound draw got want
+      done;
+      check Alcotest.int
+        (Printf.sprintf "bound %d: the states agree after %d draws" bound draws)
+        (Xoshiro.next_int63 reference) (Xoshiro.next_int63_at buf 32);
+      let before = Gc.minor_words () in
+      for _ = 1 to draws do
+        ignore (Sys.opaque_identity (Mc_run.draw buf 32 bound))
+      done;
+      check (Alcotest.float 0.) (Printf.sprintf "bound %d: words allocated" bound) 0.
+        (Gc.minor_words () -. before))
+    [ 65536; 4100; (1 lsl 61) + 1 ];
+  let buf = Bytes.create 40 in
+  Alcotest.check_raises "bound 0" (Invalid_argument "Mc_run.draw: bound must be positive")
+    (fun () -> ignore (Mc_run.draw buf 0 0));
+  List.iter
+    (fun off ->
+      Alcotest.check_raises
+        (Printf.sprintf "offset %d" off)
+        (Invalid_argument "Mc_run.draw: offset outside the buffer")
+        (fun () -> ignore (Mc_run.draw buf off 16)))
+    [ -1; 9; 40; max_int; min_int ]
 
 let test_mc_loose_geometric () =
   let result = Mc_run.loose_geometric ~domains:4 ~n:4096 ~ell:2 ~seed:1L () in
@@ -164,18 +196,22 @@ let test_mc_single_domain_deterministic () =
    show that neither the result's representation nor the block layout
    moved a name or a step on one domain. *)
 let test_mc_single_domain_digest () =
-  let digest ~n ~seed =
-    let r = Mc_run.loose_geometric ~domains:1 ~n ~ell:2 ~seed () in
-    let b = Buffer.create (n * 8) in
+  let digest (r : Mc_run.result) =
+    let b = Buffer.create (Array.length r.Mc_run.steps * 8) in
     Array.iteri
       (fun pid name -> Printf.bprintf b "%d:%d," name r.Mc_run.steps.(pid))
       r.Mc_run.assignment.Assignment.names;
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
+  let geometric ~n ~seed = digest (Mc_run.loose_geometric ~domains:1 ~n ~ell:2 ~seed ()) in
   check Alcotest.string "loose geometric n=65536 seed 7" "b0e618589e0fb4b07ef544a342b482c2"
-    (digest ~n:65536 ~seed:7L);
+    (geometric ~n:65536 ~seed:7L);
   check Alcotest.string "loose geometric n=1024 seed 1" "466294b0d91dddc8f8215c980221f257"
-    (digest ~n:1024 ~seed:1L)
+    (geometric ~n:1024 ~seed:1L);
+  (* A namespace that is not a power of two: every draw is one output
+     mod 4100 (pinned before the draw moved into the step loop). *)
+  check Alcotest.string "uniform probing n=4099 m=4100 seed 9" "457adc0127b82baa7aa616467a05463e"
+    (digest (Mc_run.uniform_probing ~domains:1 ~n:4099 ~m:4100 ~seed:9L ()))
 
 (* Sweep-heavy schedules on one domain: one random probe, then a walk of
    the whole namespace, with empty segments in between.  Most steps are
@@ -432,12 +468,13 @@ let tests =
   [
     ( "concurrent",
       [
-        Alcotest.test_case "atomic tas basics" `Quick test_atomic_tas_basics;
-        Alcotest.test_case "losing tas leaves owner" `Quick test_atomic_tas_losing_leaves_owner;
-        Alcotest.test_case "tas range check" `Quick test_atomic_tas_range_check;
-        Alcotest.test_case "parallel single winner" `Quick test_atomic_tas_parallel_single_winner;
-        Alcotest.test_case "contended tas words" `Quick test_atomic_tas_contended_words;
-        Alcotest.test_case "to assignment" `Quick test_atomic_to_assignment;
+        Alcotest.test_case "atomic tas basics" `Quick test_tas_basics;
+        Alcotest.test_case "losing tas leaves owner" `Quick test_tas_losing_leaves_owner;
+        Alcotest.test_case "tas range check" `Quick test_tas_range_check;
+        Alcotest.test_case "parallel single winner" `Quick test_tas_parallel_single_winner;
+        Alcotest.test_case "contended tas words" `Quick test_tas_contended_words;
+        Alcotest.test_case "to assignment" `Quick test_tas_to_assignment;
+        Alcotest.test_case "mc draw is Sample.uniform_int" `Quick test_mc_draw_is_sample;
         Alcotest.test_case "mc loose geometric" `Quick test_mc_loose_geometric;
         Alcotest.test_case "mc loose clustered" `Quick test_mc_loose_clustered;
         Alcotest.test_case "mc probing complete" `Quick test_mc_uniform_probing_complete;

@@ -226,8 +226,8 @@ let test_probe_path_allocates_nothing () =
     (words (fun () -> if Sample.bernoulli rng 0.5 then incr sink));
   let buf = Bytes.create (4 * Xoshiro.state_bytes) in
   Xoshiro.derive_at 5L ~key:1 buf 64;
-  check (Alcotest.float 0.) "Sample.uniform_int_at" 0.
-    (words (fun () -> sink := !sink lxor Sample.uniform_int_at buf 64 65536));
+  check (Alcotest.float 0.) "Xoshiro.next_int63_at" 0.
+    (words (fun () -> sink := !sink lxor Xoshiro.next_int63_at buf 64));
   let stream = Stream.create 5L in
   check (Alcotest.float 0.) "Stream.fork_into" 0.
     (words (fun () -> Stream.fork_into stream ~index:!sink buf 32));
@@ -250,14 +250,8 @@ let test_fork_into_matches_fork () =
       let reference = Stream.fork stream ~index in
       for draw = 1 to 200 do
         let label = Printf.sprintf "index %d at offset %d, draw %d" index off draw in
-        if draw mod 2 = 0 then begin
-          let got = Xoshiro.next_int63_at work off in
-          check Alcotest.int label (Xoshiro.next_int63 reference) got
-        end
-        else begin
-          let got = Sample.uniform_int_at work off 1000 in
-          check Alcotest.int label (Sample.uniform_int reference 1000) got
-        end
+        let got = Xoshiro.next_int63_at work off in
+        check Alcotest.int label (Xoshiro.next_int63 reference) got
       done;
       let outside = Bytes.copy work in
       Bytes.blit buf off outside off Xoshiro.state_bytes;
@@ -304,8 +298,6 @@ let test_offset_outside_buffer_raises () =
           (fun () -> ignore (f ()))
       in
       raises "Xoshiro.next_int63_at" (fun () -> Xoshiro.next_int63_at buf off);
-      raises "Xoshiro.next_int63_at" (fun () -> Sample.uniform_int_at buf off 16);
-      raises "Xoshiro.next_int63_at" (fun () -> Sample.uniform_int_at buf off 10);
       raises "Xoshiro.derive_at" (fun () -> Xoshiro.derive_at 1L ~key:1 buf off);
       raises "Xoshiro.derive_at" (fun () -> Stream.fork_into stream ~index:0 buf off))
     [ -1; -32; 9; 39; 40; max_int; min_int ];
