@@ -57,8 +57,9 @@ val next : t -> int64
     and returned as an immediate [int]. *)
 val next_int63 : t -> int
 
+(* lint: allow unused-export — test hook: steps a state that Stream.fork_into seeded *)
+val next_int63_at : Bytes.t -> int -> int
 (** [next_int63_at buf off] steps the state at byte offset [off] of
     [buf] and returns its {!next_int63} output; [next_int63 t] is
     [next_int63_at (t :> Bytes.t) 0].  Raises [Invalid_argument] when
     [\[off, off + 32)] is not inside [buf]. *)
-val next_int63_at : Bytes.t -> int -> int

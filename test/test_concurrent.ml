@@ -54,7 +54,10 @@ let test_tas_range_check () =
 
 (* Domains race on [rounds] fresh files in turn, walking a file's
    registers in [order d]; a spin barrier starts each round together.
-   Every register must be won exactly once, with the claims disjoint. *)
+   Every register must be won exactly once, with the claims disjoint,
+   and still be set after the join: a TAS of each then loses.  The
+   last check catches a stale write that clears a neighbour's bit
+   after that register's last TAS of the round. *)
 let race_files ?(rounds = 1) ~size ~domains order =
   let files = Array.init rounds (fun _ -> Mc_run.registers size) in
   let arrived = Atomic.make 0 in
@@ -70,12 +73,15 @@ let race_files ?(rounds = 1) ~size ~domains order =
   let w0 = worker 0 () in
   let all_wins = w0 :: Array.to_list (Array.map Domain.join handles) in
   Array.iteri
-    (fun r _ ->
+    (fun r t ->
       let claims = Array.make size 0 in
       List.iter (fun wins -> List.iter (fun idx -> claims.(idx) <- claims.(idx) + 1) wins.(r))
         all_wins;
-      check Alcotest.(list int) (Printf.sprintf "round %d: registers not won exactly once" r) []
-        (List.filter (fun idx -> claims.(idx) <> 1) (List.init size Fun.id)))
+      let label = Printf.sprintf "round %d: " r in
+      check Alcotest.(list int) (label ^ "registers not won exactly once") []
+        (List.filter (fun idx -> claims.(idx) <> 1) (List.init size Fun.id));
+      check Alcotest.(list int) (label ^ "registers left clear") []
+        (List.filter (Mc_run.test_and_set t) (List.init size Fun.id)))
     files
 
 let test_tas_parallel_single_winner () =
