@@ -23,9 +23,7 @@ let string_of_response r = Format.asprintf "%a" Op.pp_response r
    table, which must declare them Opaque — but a broken table should
    fail the audit, not crash it). *)
 let fresh_memory () =
-  let taus =
-    Array.init 2 (fun i -> Tau_register.create ~base:(2 + i) ~tau:1 ~width:2 ())
-  in
+  let taus = Array.init 2 (fun _ -> Tau_register.create ~tau:1 ~width:2 ()) in
   Memory.create ~namespace:4 ~aux:4 ~words:4 ~taus ~processes:3 ()
 
 (* Everything observable about the audit memory except the τ-register

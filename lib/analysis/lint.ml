@@ -19,35 +19,31 @@ type finding = {
 
    `lint: allow all` waives every rule on that line. *)
 
+let waiver_rules line =
+  let needle = "lint: allow " in
+  let nlen = String.length needle in
+  let len = String.length line in
+  let rec find i =
+    if i + nlen > len then None
+    else if String.sub line i nlen = needle then Some (i + nlen)
+    else find (i + 1)
+  in
+  match if String.contains line 'l' then find 0 else None with
+  | None -> []
+  | Some start ->
+    let rest = String.sub line start (len - start) in
+    let is_word_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' || c = ',' in
+    let stop = ref 0 in
+    while !stop < String.length rest && (is_word_char rest.[!stop] || rest.[!stop] = ' ') do
+      incr stop
+    done;
+    let listed = String.sub rest 0 !stop in
+    List.concat_map (String.split_on_char ',') (String.split_on_char ' ' listed)
+    |> List.filter (fun s -> s <> "")
+
 let waiver_mentions ~rule line =
-  match String.index_opt line 'l' with
-  | None -> false
-  | Some _ -> (
-    let needle = "lint: allow " in
-    let nlen = String.length needle in
-    let len = String.length line in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub line i nlen = needle then Some (i + nlen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> false
-    | Some start ->
-      let rest = String.sub line start (len - start) in
-      let is_word_char c =
-        (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' || c = ','
-      in
-      let stop = ref 0 in
-      while !stop < String.length rest && (is_word_char rest.[!stop] || rest.[!stop] = ' ') do
-        incr stop
-      done;
-      let listed = String.sub rest 0 !stop in
-      let items =
-        List.concat_map (String.split_on_char ',') (String.split_on_char ' ' listed)
-        |> List.filter (fun s -> s <> "")
-      in
-      List.mem rule items || List.mem "all" items)
+  let items = waiver_rules line in
+  List.mem rule items || List.mem "all" items
 
 let is_waived ~lines ~rule ~line =
   let mentions n = n >= 1 && n <= Array.length lines && waiver_mentions ~rule lines.(n - 1) in

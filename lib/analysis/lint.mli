@@ -33,10 +33,6 @@ type finding = {
   l_waived : bool;
 }
 
-(* lint: allow unused-export — test hook: lints one seeded file *)
-val lint_file :
-  ?whitelist:string list -> ?print_whitelist:string list -> string -> finding list
-
 val files : ?hidden:bool -> string -> string list
 (** Every file under a directory, recursively, in sorted order, skipping
     [_build] and (unless [hidden]) dotted directories.  A directory
@@ -47,6 +43,10 @@ val lint_dir :
 (** Walk [root] recursively (skipping [_build] and dotted directories)
     and lint every [.ml] file; returns (files linted, findings).  Raises
     [Sys_error] if [root] does not exist. *)
+
+val waiver_rules : string -> string list
+(** The rules a line's waiver comment lists ([[]] without one); [all]
+    is listed as itself. *)
 
 val is_waived : lines:string array -> rule:string -> line:int -> bool
 (** Does line [line] (1-based) of a file split into [lines], or the

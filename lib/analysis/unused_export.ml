@@ -202,4 +202,27 @@ let run cfg =
           Option.map (finding ~file:e.e_file ~line:e.e_line ~waived) message)
         exports
     in
-    { exported = List.length exports; findings }
+    (* A waiver outlives its reason once its export is gone or has
+       gained a caller: a waiver for this rule that no finding on its
+       own line or the next one matches is a finding no waiver excuses. *)
+    let stale =
+      List.concat_map
+        (fun file ->
+          if not (under cfg.exports file) then []
+          else
+            let matched line =
+              List.exists
+                (fun (f : Lint.finding) ->
+                  f.Lint.l_file = file && (f.Lint.l_line = line || f.Lint.l_line = line + 1))
+                findings
+            in
+            read_lines (join cfg.src_root file)
+            |> Array.to_list
+            |> List.mapi (fun i text -> (i + 1, text))
+            |> List.filter_map (fun (line, text) ->
+                   if List.mem rule (Lint.waiver_rules text) && not (matched line) then
+                     Some (finding ~file ~line ~waived:false "waiver matches no finding")
+                   else None))
+        sources
+    in
+    { exported = List.length exports; findings = findings @ stale }

@@ -8,8 +8,11 @@
     aliases and shadowing cannot fool it.  A module passed on whole (a
     functor argument, a first-class module, an [include]) uses every
     value in its signature.  An export used only from the test
-    directories is flagged too, unless it carries
-    [(* lint: allow unused-export — test hook *)].
+    directories is flagged too, unless a waiver comment for this rule
+    (docs/static_analysis.md) sits on its line or the line above.  A
+    waiver for this rule that matches no finding is itself a finding,
+    which no waiver excuses: it outlived the export it excused, or the
+    export has gained a caller.
 
     No silent pass: a scanned source with no compiled unit, or whose
     unit was compiled from different text, is an unwaivable finding,

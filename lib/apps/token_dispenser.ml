@@ -32,10 +32,6 @@ let device_count t = Array.length t.devices
 let granted t =
   Array.fold_left (fun acc d -> acc + Device.accepted_count d) 0 t.devices
 
-let remaining t = t.capacity - granted t
-
-let is_exhausted t = remaining t = 0
-
 type grant = { token : int; probes : int }
 
 (* One probe: submit a single-request cycle for the first free-looking

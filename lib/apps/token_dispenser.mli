@@ -27,10 +27,6 @@ val create :
 val capacity : t -> int
 val device_count : t -> int
 val granted : t -> int
-(* lint: allow unused-export — test hook: observes the stock *)
-val remaining : t -> int
-(* lint: allow unused-export — test hook: observes the stock *)
-val is_exhausted : t -> bool
 
 type grant = { token : int; probes : int }
 

@@ -5,11 +5,6 @@ module Sample = Renaming_rng.Sample
 
 type network_kind = Bitonic | Odd_even_merge | Odd_even_transposition
 
-let network_name = function
-  | Bitonic -> "bitonic"
-  | Odd_even_merge -> "odd-even-merge"
-  | Odd_even_transposition -> "odd-even-transposition"
-
 let build kind ~width =
   match kind with
   | Bitonic -> Sortnet.Bitonic.network ~width:(Sortnet.Bitonic.next_pow2 width)
@@ -25,8 +20,3 @@ let run ?adversary ~kind ~n ~width ~seed () =
   let entries = Array.sub (Sample.permutation rng (Sortnet.Network.width network)) 0 n in
   let adversary = match adversary with Some a -> a | None -> Adversary.round_robin () in
   Sortnet.Renaming_adapter.run adapter ~entries ~adversary ()
-
-let strong_renaming_holds report ~n =
-  let assignment = report.Renaming_sched.Report.assignment in
-  Renaming_shm.Assignment.is_complete assignment
-  && Array.for_all (fun name -> name < n) assignment.Renaming_shm.Assignment.names

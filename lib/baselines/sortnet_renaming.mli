@@ -8,13 +8,6 @@
 
 type network_kind = Bitonic | Odd_even_merge | Odd_even_transposition
 
-(* lint: allow unused-export — test hook: labels the network under test *)
-val network_name : network_kind -> string
-
-(* lint: allow unused-export — test hook: the network the adapter runs *)
-val build : network_kind -> width:int -> Renaming_sortnet.Network.t
-(** For [Bitonic] the width is rounded up to a power of two. *)
-
 val run :
   ?adversary:Renaming_sched.Adversary.t ->
   kind:network_kind ->
@@ -24,9 +17,5 @@ val run :
   unit ->
   Renaming_sched.Report.t
 (** [n] processes entering on distinct uniformly random wires of a
-    fresh width-[width] network. *)
-
-(* lint: allow unused-export — test hook: the strong-renaming check *)
-val strong_renaming_holds : Renaming_sched.Report.t -> n:int -> bool
-(** Checks the 0-1-principle guarantee: the assigned names are exactly
-    [{0, …, n−1}] (no crashes assumed). *)
+    fresh width-[width] network; the namespace is the network's width,
+    which for [Bitonic] is [width] rounded up to a power of two. *)

@@ -25,11 +25,6 @@ let logxor = ( lxor )
 let logor = ( lor )
 let logand = ( land )
 
-let lowest_set_bit w =
-  if w = 0 then raise Not_found;
-  let rec go i = if test_bit w i then i else go (i + 1) in
-  go 0
-
 let keep_lowest w k =
   let rec go acc w k = if k = 0 || w = 0 then acc else go (acc lor (w land -w)) (w land (w - 1)) (k - 1) in
   go 0 w k

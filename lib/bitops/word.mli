@@ -16,7 +16,7 @@ type t = int
 val max_width : int
 (** Largest supported width (62). *)
 
-(* lint: allow unused-export — test hook: builds test words *)
+(* lint: allow unused-export — test hook: the words the shift properties are stated over *)
 val mask : width:int -> t
 (** [mask ~width] has the low [width] bits set. *)
 
@@ -40,10 +40,6 @@ val shift_right : width:int -> t -> int -> t
 val logxor : t -> t -> t
 val logor : t -> t -> t
 val logand : t -> t -> t
-
-(* lint: allow unused-export — unit-tested, no caller yet: bit-scan primitive *)
-val lowest_set_bit : t -> int
-(** Index of the least significant set bit; raises [Not_found] on zero. *)
 
 val keep_lowest : t -> int -> t
 (** [keep_lowest w k] clears all but the [k] lowest-indexed set bits of

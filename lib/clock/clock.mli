@@ -28,7 +28,7 @@ val none : t
     clock is optional, so simulator behaviour is bit-for-bit identical
     whether or not a caller threads one through. *)
 
-(* lint: allow unused-export — test hook: deterministic deadlines *)
+(* lint: allow unused-export — test fake: a clock whose deadlines trip after known polls *)
 val virtual_ : ?step:float -> unit -> t
 (** A deterministic virtual clock: every read advances it by [step]
     (default [1.0]) and returns the pre-advance value, so the k-th read

@@ -21,21 +21,18 @@ exception
     domains : int;
   }
 
-let stalled_to_string = function
-  | Stalled { deadline; elapsed; per_domain_steps; finished_domains; domains } ->
-    let steps =
-      String.concat ", "
-        (Array.to_list (Array.mapi (fun d s -> Printf.sprintf "d%d=%d" d s) per_domain_steps))
-    in
-    Printf.sprintf
-      "multicore run stalled: deadline %.3fs exceeded (elapsed %.3fs), %d/%d domains finished, \
-       per-domain steps at timeout: [%s]"
-      deadline elapsed finished_domains domains steps
-  | _ -> invalid_arg "Mc_run.stalled_to_string: not a Stalled exception"
-
 let () =
   Printexc.register_printer (function
-    | Stalled _ as e -> Some (stalled_to_string e)
+    | Stalled { deadline; elapsed; per_domain_steps; finished_domains; domains } ->
+      let steps =
+        String.concat ", "
+          (Array.to_list (Array.mapi (fun d s -> Printf.sprintf "d%d=%d" d s) per_domain_steps))
+      in
+      Some
+        (Printf.sprintf
+           "multicore run stalled: deadline %.3fs exceeded (elapsed %.3fs), %d/%d domains \
+            finished, per-domain steps at timeout: [%s]"
+           deadline elapsed finished_domains domains steps)
     | _ -> None)
 
 let max_steps r = Array.fold_left max 0 r.steps

@@ -75,23 +75,20 @@ exception
   }
 (** Raised by {!execute} (and the wrappers) when a [?deadline] expires
     before every domain finishes.  The workers are joined before the
-    exception is raised, so no domain is leaked. *)
-
-(* lint: allow unused-export — test hook: renders a stall *)
-val stalled_to_string : exn -> string
-(** Render a {!Stalled} diagnostic; raises [Invalid_argument] on any
-    other exception.  Also installed as a [Printexc] printer. *)
+    exception is raised, so no domain is leaked.  [Printexc.to_string]
+    renders it as a diagnostic line (deadline, elapsed time, finished
+    domains and per-domain steps). *)
 
 type registers
 (** The register file of a run: one-bit TAS registers [\[0, m)], packed
     32 to an [Atomic] word. *)
 
-(* lint: allow unused-export — test hook: the step loop's registers *)
+(* lint: allow unused-export — test hook: a TAS after the join finds each raced register set *)
 val registers : int -> registers
 (** [registers m] is a file of [m] clear registers.  Raises
     [Invalid_argument] when [m < 0]. *)
 
-(* lint: allow unused-export — test hook: the step loop's TAS *)
+(* lint: allow unused-export — test hook: the step loop's TAS, won by exactly one racer *)
 val test_and_set : registers -> int -> bool
 (** [test_and_set regs i] sets register [i] and returns [true] if it was
     clear, or returns [false] and writes nothing: the TAS the step loop
@@ -100,7 +97,7 @@ val test_and_set : registers -> int -> bool
     file's size (the spare bits of the last word are not registers), or
     is negative. *)
 
-(* lint: allow unused-export — test hook: the step loop's draw *)
+(* lint: allow unused-export — test hook: the step loop's draw equals Sample.uniform_int *)
 val draw : Bytes.t -> int -> int -> int
 (** [draw buf off bound] is the draw the step loop makes for a probe,
     on the generator state at byte offset [off] of [buf]: the value

@@ -43,8 +43,7 @@ let create_instrumentation ?obs (params : Params.t) =
 
 let build_taus ?rule (params : Params.t) =
   Array.map
-    (fun (name_base, tau) ->
-      Tau_register.create ?rule ~base:name_base ~tau ~width:params.Params.width ())
+    (fun (_, tau) -> Tau_register.create ?rule ~tau ~width:params.Params.width ())
     (Params.tau_geometry params)
 
 (* One process.  [phase] says what the operation in flight answers: the

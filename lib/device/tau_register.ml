@@ -1,8 +1,6 @@
 type answer = Pending | Won_bit | Lost_bit
 
 type t = {
-  base : int;
-  tau : int;
   device : Counting_device.t;
   (* The queued requests in submission order: [pids.(i)] asked for bit
      [bits.(i)], for [i < queued].  Both arrays grow by doubling and are
@@ -14,23 +12,14 @@ type t = {
 
 let initial_queue = 4
 
-let create ?rule ~base ~tau ~width () =
-  if base < 0 then invalid_arg "Tau_register.create: negative base";
+let create ?rule ~tau ~width () =
   if tau < 1 || tau > width then invalid_arg "Tau_register.create: tau out of range";
   {
-    base;
-    tau;
     device = Counting_device.create ?rule ~width ~threshold:tau ();
     pids = Array.make initial_queue 0;
     bits = Array.make initial_queue 0;
     queued = 0;
   }
-
-let base t = t.base
-
-let name_slot t k =
-  if k < 0 || k >= t.tau then invalid_arg "Tau_register.name_slot: slot out of range";
-  t.base + k
 
 let submit t ~pid ~bit =
   if pid < 0 then invalid_arg "Tau_register.submit: negative pid";
@@ -63,7 +52,3 @@ let run_cycle ?resolve_order t ~won ~lost answers =
       answers.(t.pids.(i)) <- (if t.bits.(i) = Counting_device.confirmed then won else lost)
     done
   end
-
-let pending_count t = t.queued
-
-let accepted_count t = Counting_device.accepted_count t.device

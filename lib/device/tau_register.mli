@@ -1,7 +1,7 @@
 (** The τ-register of §II-B: τ name slots guarded by a counting device.
 
-    A τ-register owns a contiguous slice [base .. base+τ-1] of the
-    global namespace and a counting device over [width] TAS bits
+    A τ-register stands for a contiguous slice of τ names of the
+    global namespace and owns a counting device over [width] TAS bits
     (the paper uses [width = 2 log n] and [τ = log n]).  The protocol:
 
     + a process wins one of the device's TAS bits (at most τ processes
@@ -24,15 +24,11 @@
 
 type t
 
-val create :
-  ?rule:Counting_device.discard_rule -> base:int -> tau:int -> width:int -> unit -> t
-
-(* lint: allow unused-export — test hook: observes the register *)
-val base : t -> int
-
-(* lint: allow unused-export — test hook: the slot range check *)
-val name_slot : t -> int -> int
-(** [name_slot t k] is the global name index of slot [k], [0 ≤ k < τ]. *)
+val create : ?rule:Counting_device.discard_rule -> tau:int -> width:int -> unit -> t
+(** A register of [tau] name slots over a [width]-bit device.  Where
+    the slots lie in the namespace is the caller's to know (Tight takes
+    it from [Params.tau_geometry]).  Raises [Invalid_argument] unless
+    [1 ≤ tau ≤ width]. *)
 
 val submit : t -> pid:int -> bit:int -> unit
 (** Queue a TAS-bit request from [pid] for the next cycle.  One step;
@@ -54,9 +50,3 @@ val run_cycle :
     test permute same-cycle requests: it receives them as [(pid, bit)]
     pairs and may reorder the array in place before they race; only
     then is that array built. *)
-
-(* lint: allow unused-export — test hook: observes the request queue *)
-val pending_count : t -> int
-
-(* lint: allow unused-export — test hook: observes the counting device *)
-val accepted_count : t -> int

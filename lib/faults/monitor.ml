@@ -37,7 +37,6 @@ type t = {
   ring : Executor.event array;
   mutable ring_filled : int;
   mutable ring_next : int;
-  mutable violations : int;
 }
 
 let create ?obs ~mode (inst : Executor.instance) =
@@ -59,7 +58,6 @@ let create ?obs ~mode (inst : Executor.instance) =
     ring = Array.make window (Executor.Crashed { time = 0; pid = 0 });
     ring_filled = 0;
     ring_next = 0;
-    violations = 0;
   }
 
 let remember t event =
@@ -77,10 +75,7 @@ let excerpt t =
   done;
   Buffer.contents buf
 
-let violation_count t = t.violations
-
 let raise_violation t ~kind message =
-  t.violations <- t.violations + 1;
   raise (Violation { kind; message = message ^ "\n" ^ excerpt t })
 
 let fail t ~kind fmt =

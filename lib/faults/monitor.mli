@@ -73,7 +73,3 @@ val judge : t -> Renaming_sched.Directed.outcome -> verdict
     {!Violation} fails with its kind, any other exception with
     ["exception:<slot>"]; a livelocked report is {!Livelocked};
     otherwise the post-run consistency checks decide. *)
-
-(* lint: allow unused-export — test hook: observes the monitor *)
-val violation_count : t -> int
-(** Number of violations raised through this monitor so far. *)

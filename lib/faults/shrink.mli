@@ -48,7 +48,7 @@ type result = {
   r_replays : int;  (** executions spent, including the initial check *)
 }
 
-(* lint: allow unused-export — test hook: replays a shrunk prefix *)
+(* lint: allow unused-export — test hook: a repro replays to its recorded kind *)
 val execute :
   input -> Renaming_sched.Directed.choice list -> Renaming_sched.Directed.result * failure option
 (** One monitored replay of a candidate prefix (permissive mode):

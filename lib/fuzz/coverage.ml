@@ -35,13 +35,6 @@ type t = {
 
 let create () = { cells = Hashtbl.create 64; edges = Hashtbl.create 64; order = [] }
 
-let reset t =
-  Hashtbl.reset t.cells;
-  Hashtbl.reset t.edges;
-  t.order <- []
-
-let edge_count t = Hashtbl.length t.edges
-
 let edges t = List.rev t.order
 
 (* An interleaving-coverage edge: two accesses to the same cell by

@@ -26,18 +26,5 @@ val attach : t -> Renaming_sched.Memory.t -> unit
 val detach : Renaming_sched.Memory.t -> unit
 (** Remove whatever access logger is installed. *)
 
-(* lint: allow unused-export — test hook: drives the coverage map *)
-val reset : t -> unit
-(** Forget all cells and edges; keep the collector attachable. *)
-
-(* lint: allow unused-export — test hook: observes the coverage map *)
-val edge_count : t -> int
-(** Number of distinct edges recorded since creation/reset. *)
-
 val edges : t -> int64 list
 (** The distinct edge hashes in first-seen order. *)
-
-(* lint: allow unused-export — test hook: drives the coverage map *)
-val record : t -> pid:int -> Renaming_sched.Op.t -> Renaming_sched.Memory.access list -> unit
-(** Feed one executed operation's access set directly (what {!attach}
-    wires up; exposed for tests). *)

@@ -73,7 +73,7 @@ let mutant_double_claim ~seed:_ =
    interleaving always resolves the polls). *)
 let mutant_tau_over_admit ~seed:_ =
   let n = 2 in
-  let tau = Tau_register.create ~base:0 ~tau:1 ~width:2 () in
+  let tau = Tau_register.create ~tau:1 ~width:2 () in
   let memory = Memory.create ~namespace:2 ~taus:[| tau |] ~processes:n () in
   let open Program.Syntax in
   let program pid =

@@ -19,8 +19,6 @@
       This is the fuzzing analogue of
       [renaming analyze --inject broken-footprint]. *)
 
-(* lint: allow unused-export — test hook: the clean half of the roster *)
-val clean : unit -> Renaming_fuzz.Fuzz.target list
 
 val mutants : unit -> Renaming_fuzz.Fuzz.target list
 

@@ -47,9 +47,6 @@ let create_stats () =
 
 let predicted_probes cfg = (1. +. cfg.epsilon) /. cfg.epsilon
 
-let probe_cap cfg =
-  match cfg.probe_cap with Some c -> c | None -> 64 * namespace cfg
-
 (* One session process: [rounds] acquire/hold/release cycles.  The hold
    phase is a read of the held register (one step) — enough to give the
    adversary a window to interleave.
@@ -165,7 +162,7 @@ let program ?stats cfg ~held_counter ~rng =
       held_counter;
       rng;
       m = namespace cfg;
-      cap = probe_cap cfg;
+      cap = (match cfg.probe_cap with Some c -> c | None -> 64 * namespace cfg);
       phase = Probe;
       rounds_left = 0;
       probes = 0;

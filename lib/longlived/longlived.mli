@@ -45,11 +45,6 @@ val namespace_for : sessions:int -> epsilon:float -> int
     with the lease-based service layer ({!Renaming_service.Lease}),
     which sizes its slot table with the same slack. *)
 
-(* lint: allow unused-export — test hook: the probe cap *)
-val probe_cap : config -> int
-(** The effective probe cap ([config.probe_cap] or the [64 · m]
-    default). *)
-
 type stats = {
   mutable acquires : int;
   mutable releases : int;
@@ -67,21 +62,7 @@ type stats = {
 
 val create_stats : unit -> stats ref
 
-(* lint: allow unused-export — test hook: one process under a custom executor *)
-val program :
-  ?stats:stats ref ->
-  config ->
-  held_counter:int ref ->
-  rng:Renaming_rng.Xoshiro.t ->
-  int option Renaming_sched.Program.t
-(** One session's program (exposed for tests and embedders that need to
-    run it against a custom memory, e.g. to force the exhaustion
-    path).  The session is one mutable record: the program is parked at
-    its first probe, and rerunning that value (a crash-restart) starts
-    every round afresh while the probes go on drawing from [rng].  A
-    program value therefore belongs to one execution. *)
-
-(* lint: allow unused-export — test hook: the pinned tick workload *)
+(* lint: allow unused-export — test hook: a memory a test fills to reach the probe-cap path *)
 val instance :
   ?stats:stats ref -> config -> stream:Renaming_rng.Stream.t -> Renaming_sched.Executor.instance
 (** Every program returns [None]; the outcome of a long-lived run is

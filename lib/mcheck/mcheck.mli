@@ -127,7 +127,7 @@ val check :
     itself never reads [obs], so the visited schedule space is
     identical either way. *)
 
-(* lint: allow unused-export — test hook: the unpruned oracle of DPOR's differential tests *)
+(* lint: allow unused-export — reference: the unpruned search DPOR must match *)
 val enumerate :
   ?bounds:bounds ->
   ?shrink:bool ->

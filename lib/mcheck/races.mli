@@ -25,13 +25,13 @@ val barrier : pid:int -> event
 type race = { r_first : int; r_second : int }
 (** Indices into the event array, [r_first < r_second]. *)
 
-(* lint: allow unused-export — test hook: the vector clocks behind races *)
+(* lint: allow unused-export — test hook: clocks follow program and dependence order *)
 val clocks : ?dependent:(Op.t -> Op.t -> bool) -> pids:int -> event array -> int array array
 (** [clocks.(j).(p)] is the largest index of a pid-[p] event that
     happens-before event [j] (inclusive of [j] itself), or [-1].
     [pids] bounds the pid space. *)
 
-(* lint: allow unused-export — test hook: the relation behind races *)
+(* lint: allow unused-export — test hook: happens-before is reflexive and ordered *)
 val happens_before : clocks:int array array -> event array -> int -> int -> bool
 (** [happens_before ~clocks events i j] — reflexive; requires [i <= j]
     to be meaningful (events later in the execution never happen-before

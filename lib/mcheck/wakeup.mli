@@ -25,7 +25,7 @@ val branches : t -> branch list
 val pop : t -> branch option
 (** Remove and return the leftmost branch. *)
 
-(* lint: allow unused-export — test hook: the wakeup-tree primitive *)
+(* lint: allow unused-export — test hook: the events that may equivalently run first *)
 val weak_initials : ?dependent:(Op.t -> Op.t -> bool) -> (int * Op.t) list -> (int * Op.t) list
 (** The events of the sequence that could equivalently execute first:
     the first event of a pid, independent with everything before it.
@@ -42,6 +42,6 @@ val insert : ?dependent:(Op.t -> Op.t -> bool) -> t -> (int * Op.t) list -> stat
     first); otherwise append the remainder as a new rightmost branch
     and report [Inserted].  The empty sequence is [Covered]. *)
 
-(* lint: allow unused-export — test hook: observes the wakeup tree *)
+(* lint: allow unused-export — test hook: a covered insertion adds no branch *)
 val size : t -> int
 (** Total number of branches, recursively. *)

@@ -88,8 +88,3 @@ let merge a b =
     sum = a.sum + b.sum;
     max_seen = Stdlib.max a.max_seen b.max_seen;
   }
-
-let equal a b =
-  same_bounds a b
-  && Array.for_all2 ( = ) a.counts b.counts
-  && a.total = b.total && a.sum = b.sum && a.max_seen = b.max_seen

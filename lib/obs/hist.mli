@@ -36,6 +36,3 @@ val buckets : t -> (string * int) list
 val merge : t -> t -> t
 (** Fresh histogram with element-wise summed counts; raises
     [Invalid_argument] when the bucket bounds differ. *)
-
-(* lint: allow unused-export — test hook: merge laws *)
-val equal : t -> t -> bool

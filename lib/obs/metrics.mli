@@ -40,6 +40,6 @@ type value =
 val snapshot : t -> (string * value) list
 (** Current values, sorted by name. *)
 
-(* lint: allow unused-export — test hook: reads one counter *)
+(* lint: allow unused-export — test hook: reads back an exported counter *)
 val find_counter : t -> string -> int option
 val find_histogram : t -> string -> Hist.t option

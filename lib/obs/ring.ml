@@ -27,7 +27,6 @@ let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { buf = Array.make capacity dummy; capacity; start = 0; len = 0; dropped = 0 }
 
-let length t = t.len
 let dropped t = t.dropped
 
 let add t ev =

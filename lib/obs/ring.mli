@@ -18,9 +18,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 65536 events. *)
 
-(* lint: allow unused-export — test hook: observes the ring *)
-val length : t -> int
-
 val dropped : t -> int
 (** Events evicted because the ring was full. *)
 

@@ -60,6 +60,6 @@ val stutter : t -> unit
 val spec : t -> Spec.t
 val events : t -> int
 
-(* lint: allow unused-export — test hook: counts the stutters *)
+(* lint: allow unused-export — test hook: the stutter count of a run with no obs registry *)
 val stutters : t -> int
 val violations : t -> int

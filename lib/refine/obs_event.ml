@@ -18,7 +18,6 @@ let pp ppf = function
   | Reclaimed { session; name } -> Format.fprintf ppf "reclaimed s%d name %d" session name
   | Shed { session } -> Format.fprintf ppf "shed s%d" session
 
-let to_string ev = Format.asprintf "%a" pp ev
 
 (* Tag 0 is reserved: a zero-initialised announce register must never
    decode to an event. *)

@@ -29,8 +29,6 @@ type t =
   | Shed of { session : int }  (** the request was refused before any grant *)
 
 val pp : Format.formatter -> t -> unit
-(* lint: allow unused-export — test hook: renders an event in messages *)
-val to_string : t -> string
 
 (** {2 Announce encoding}
 

@@ -94,7 +94,7 @@ val use : t -> now:float -> session:int -> name:int -> verdict
 val absorb : t -> now:float -> session:int -> name:int -> verdict
 (** The holder loses [name] to a slice absorb. *)
 
-(* lint: allow unused-export — test hook: compares spec states *)
+(* lint: allow unused-export — test hook: a rejected step leaves the spec state unchanged *)
 val snapshot : t -> string
 (** Canonical rendering of the full state (sorted), for determinism
     tests and counterexample reports. *)

@@ -31,15 +31,13 @@ let[@inline] float_unit rng = float_of_int (Xoshiro.next_int63 rng lsr 9) *. 0x1
 
 let bernoulli rng p = float_unit rng < p
 
-let shuffle_in_place rng arr =
-  for i = Array.length arr - 1 downto 1 do
+(* A Fisher–Yates shuffle of the identity. *)
+let permutation rng n =
+  let arr = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
     let j = uniform_int rng (i + 1) in
     let tmp = arr.(i) in
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
-  done
-
-let permutation rng n =
-  let arr = Array.init n (fun i -> i) in
-  shuffle_in_place rng arr;
+  done;
   arr

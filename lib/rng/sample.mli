@@ -16,9 +16,5 @@ val bernoulli : Xoshiro.t -> float -> bool
 (** [float_unit rng] is uniform on [0, 1). *)
 val float_unit : Xoshiro.t -> float
 
-(** [shuffle_in_place rng arr] applies a Fisher–Yates shuffle. *)
-(* lint: allow unused-export — unit-tested, no caller yet: sampler *)
-val shuffle_in_place : Xoshiro.t -> 'a array -> unit
-
 (** [permutation rng n] is a uniform random permutation of [0 .. n-1]. *)
 val permutation : Xoshiro.t -> int -> int array

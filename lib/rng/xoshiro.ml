@@ -21,9 +21,8 @@ let[@inline] check_offset fn buf off =
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-(* The SplitMix64 output function (Steele, Lea, Flood 2014); the same
-   rounds as [Splitmix64.next], kept here so seeding never passes an
-   int64 across a module boundary. *)
+(* The SplitMix64 output function (Steele, Lea, Flood 2014), applied to
+   the generator's [k]-th state [seed + k * gamma]. *)
 let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in

@@ -57,7 +57,7 @@ val next : t -> int64
     and returned as an immediate [int]. *)
 val next_int63 : t -> int
 
-(* lint: allow unused-export — test hook: steps a state that Stream.fork_into seeded *)
+(* lint: allow unused-export — test hook: a state fork_into seeded steps as fork's does *)
 val next_int63_at : Bytes.t -> int -> int
 (** [next_int63_at buf off] steps the state at byte offset [off] of
     [buf] and returns its {!next_int63} output; [next_int63 t] is

@@ -55,9 +55,6 @@ exception Divergence of divergence
 (** Raised by a strict {!run}.  Structured so shrinkers and users can
     act on it instead of parsing a [Failure] string. *)
 
-(* lint: allow unused-export — test hook: renders a divergence *)
-val pp_divergence : Format.formatter -> divergence -> unit
-
 (** One decision point of the recorded execution. *)
 type point = {
   index : int;  (** 0-based decision index *)

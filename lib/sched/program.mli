@@ -63,7 +63,7 @@ val recover_owned : namespace:int -> int option t
     after a crash-restart so a process that won a name before crashing
     keeps it instead of leaking it.  Costs up to [namespace] steps. *)
 
-(* lint: allow unused-export — test hook: evaluates a program without memory *)
+(* lint: allow unused-export — test hook: a step-free program's value, for the monad laws *)
 val run_local : 'a t -> 'a option
 (** Runs a program only if it performs no shared-memory operation;
     [None] if it parks.  Used in unit tests. *)

@@ -19,7 +19,7 @@
     every attempt reports *lost* (the process never claims an unproven
     name), a read reports *set* (the scanner moves on). *)
 
-(* lint: allow unused-export — test hook: the backoff schedule *)
+(* lint: allow unused-export — test hook: the delay doubles up to its cap *)
 val backoff_delay : attempt:int -> int
 (** Yield steps inserted after failed attempt [attempt] (1-based). *)
 

@@ -16,10 +16,9 @@ type t = {
   cfg : config;
   queue : waiting Queue.t;
   mutable next_ticket : int;
-  mutable expired_total : int;
 }
 
-let create cfg = { cfg; queue = Queue.create (); next_ticket = 0; expired_total = 0 }
+let create cfg = { cfg; queue = Queue.create (); next_ticket = 0 }
 
 let depth t = Queue.length t.queue
 
@@ -40,13 +39,10 @@ let expire t ~now =
     match Queue.peek_opt t.queue with
     | Some w when now -. w.w_enqueued > t.cfg.request_timeout ->
       ignore (Queue.pop t.queue);
-      t.expired_total <- t.expired_total + 1;
       drain ({ x_ticket = w.w_ticket; x_session = w.w_session; x_waited = now -. w.w_enqueued } :: acc)
     | _ -> List.rev acc
   in
   drain []
-
-let expired_total t = t.expired_total
 
 let take t ~now =
   match Queue.take_opt t.queue with

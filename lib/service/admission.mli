@@ -45,13 +45,6 @@ val expire : t -> now:float -> expired list
 (** Drop every queued request whose wait exceeds [request_timeout]
     (FIFO order makes the overdue requests a prefix). *)
 
-val expired_total : t -> int
-(** Requests that hit their deadline while still queued, over the
-    queue's lifetime — the admission queue's own count, independent of
-    how callers fold the {!expired} records into their outcomes.
-    {!Service} exposes it in the obs registry as
-    [admission/deadline_expired]. *)
-
 val take : t -> now:float -> (int * int * float) option
 (** Dequeue the oldest still-valid request as
     [(ticket, session, waited)]; [None] when empty.  Call {!expire}

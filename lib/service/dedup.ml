@@ -87,5 +87,4 @@ let add_stats ~into (s : stats) =
   into.stale <- into.stale + s.stale;
   into.evictions <- into.evictions + s.evictions
 
-let entries t = Clients.length t.table
 let stats t = t.st

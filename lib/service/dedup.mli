@@ -55,6 +55,4 @@ val sweep : 'r t -> now:float -> int
 val add_stats : into:stats -> stats -> unit
 (** Add [s]'s counts to [into]'s. *)
 
-(* lint: allow unused-export — test hook: observes the table *)
-val entries : 'r t -> int
 val stats : 'r t -> stats

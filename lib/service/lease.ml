@@ -23,7 +23,6 @@ type t = {
   grant_times : float array;
   expiry_queue : int Heap.t;  (* name, with its epoch as aux — lazy deletion *)
   mutable n_held : int;
-  mutable compactions : int;
 }
 
 let create cfg =
@@ -37,7 +36,6 @@ let create cfg =
     grant_times = Array.make n_slots 0.;
     expiry_queue = Heap.create ();
     n_held = 0;
-    compactions = 0;
   }
 
 let slots t = t.n_slots
@@ -97,10 +95,8 @@ let compaction_due t =
   sz > 32 && sz > 2 * t.n_held
 
 let maybe_compact t =
-  if compaction_due t then begin
-    Heap.compact t.expiry_queue ~live:(fun ~time ~aux name -> entry_live t ~time ~aux name);
-    t.compactions <- t.compactions + 1
-  end
+  if compaction_due t then
+    Heap.compact t.expiry_queue ~live:(fun ~time ~aux name -> entry_live t ~time ~aux name)
 
 let renew t ~fence ~now =
   if not (fence_matches t fence) then Error `Fenced
@@ -155,14 +151,8 @@ let reclaim_expired t ~now =
   maybe_compact t;
   reclaimed
 
-let holder t ~name =
-  if name < 0 || name >= t.n_slots then None
-  else if t.holders.(name) < 0 then None
-  else Some t.holders.(name)
-
 let due t ~now = compaction_due t || Heap.due t.expiry_queue ~now
 
 let next_due t = if compaction_due t then neg_infinity else Heap.top_time t.expiry_queue
 
 let pending_expiries t = Heap.size t.expiry_queue
-let compactions t = t.compactions

@@ -82,16 +82,7 @@ val next_due : t -> float
     entry, [infinity] when it is empty.  Boxes its result (two words),
     so the idle checks ask {!due} instead. *)
 
-(* lint: allow unused-export — test hook: observes a lease *)
-val holder : t -> name:int -> int option
-(** Session currently holding [name], if any (for auditing). *)
-
-(* lint: allow unused-export — test hook: observes the expiry heap *)
+(* lint: allow unused-export — test hook: compaction bounds the expiry heap *)
 val pending_expiries : t -> int
 (** Current expiry-heap size, dead entries included — the quantity the
     compaction policy bounds at [max 32 (2 · held)]. *)
-
-(* lint: allow unused-export — test hook: observes the expiry heap *)
-val compactions : t -> int
-(** How many times the expiry heap has been compacted (dead lazy-deletion
-    entries exceeded half the heap), for tests and telemetry. *)

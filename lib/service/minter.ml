@@ -6,9 +6,6 @@ type t = {
   rng : Renaming_rng.Xoshiro.t;
   mutable dispenser : Token_dispenser.t;
   mutable offset : int;
-  mutable n_minted : int;
-  mutable n_blocks : int;
-  mutable n_probes : int;
 }
 
 let create ?(block_capacity = 4096) ?(tau = 16) ~rng () =
@@ -19,17 +16,11 @@ let create ?(block_capacity = 4096) ?(tau = 16) ~rng () =
     rng;
     dispenser = Token_dispenser.create ~tau ~capacity:block_capacity ();
     offset = 0;
-    n_minted = 0;
-    n_blocks = 1;
-    n_probes = 0;
   }
 
 let rec mint t =
   match Token_dispenser.try_acquire t.dispenser ~pid:0 ~rng:t.rng with
-  | Some { Token_dispenser.token; probes } ->
-    t.n_probes <- t.n_probes + probes;
-    t.n_minted <- t.n_minted + 1;
-    t.offset + token
+  | Some { Token_dispenser.token; _ } -> t.offset + token
   | None ->
     (* Block exhausted: chain a fresh dispenser at the next offset.  The
        stride is the id-range width [device_count · 2 · tau] (token ids
@@ -38,9 +29,4 @@ let rec mint t =
        uniqueness — the dispenser's own guarantee. *)
     t.offset <- t.offset + (Token_dispenser.device_count t.dispenser * 2 * t.tau);
     t.dispenser <- Token_dispenser.create ~tau:t.tau ~capacity:t.block_capacity ();
-    t.n_blocks <- t.n_blocks + 1;
     mint t
-
-let minted t = t.n_minted
-let blocks t = t.n_blocks
-let probes t = t.n_probes

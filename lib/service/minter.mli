@@ -15,15 +15,3 @@ val create : ?block_capacity:int -> ?tau:int -> rng:Renaming_rng.Xoshiro.t -> un
 
 val mint : t -> int
 (** A fresh, never-before-returned session id. *)
-
-(* lint: allow unused-export — test hook: observes the minter *)
-val minted : t -> int
-(** Total ids handed out. *)
-
-(* lint: allow unused-export — test hook: observes the minter *)
-val blocks : t -> int
-(** Dispenser blocks chained so far. *)
-
-(* lint: allow unused-export — test hook: observes the minter *)
-val probes : t -> int
-(** Cumulative dispenser probes across all mints (cost telemetry). *)

@@ -26,10 +26,10 @@
       suspects silence, orphans suspected shards' slices, re-owns them on
       recovery and adopts them after grace ({!Router.enable_detector}).
       Every shard crash — periodic, in a burst, or mid-handoff — is
-      {e silent} ([Shard.crash] directly, not [Router.crash_shard]): the
-      router only ever learns from missing heartbeats or a higher
-      incarnation number.  A stalled shard stops heartbeating and
-      serving, and comes back by re-own or finds its slices adopted.
+      {e silent} ([Shard.crash]): the router only ever learns from
+      missing heartbeats or a higher incarnation number.  A stalled
+      shard stops heartbeating and serving, and comes back by re-own or
+      finds its slices adopted.
 
     The driver asserts graceful degradation, not availability: nothing
     may hang, and nothing may be fenced {e unexpectedly}.  A fence is

@@ -238,16 +238,6 @@ let slice_epoch t ~slice =
   match t.dir.(slice) with
   | Owned { epoch; _ } | In_transit { epoch; _ } | Orphaned { epoch; _ } -> epoch
 
-let in_transit t =
-  let acc = ref [] in
-  Array.iteri
-    (fun slice entry ->
-      match entry with
-      | In_transit { from_; to_; _ } -> acc := (slice, from_, to_) :: !acc
-      | _ -> ())
-    t.dir;
-  List.rev !acc
-
 let total_held t =
   let n = ref 0 in
   for id = 0 to Array.length t.shards - 1 do
@@ -290,7 +280,6 @@ let enable_detector t ~suspicion =
   force t
 
 let detector_stats t = Option.map (fun d -> d.d_st) t.fd
-let suspected t ~shard = match t.fd with Some d -> d.d_flag.(shard) | None -> false
 
 (* Orphan every slice the directory maps to [shard], from [since]; a
    slice in transit *from* it is orphaned from the earlier of the two
@@ -458,17 +447,6 @@ let use t ~fence = fenced_op t ~fence Service.use
 let release t ~fence = fenced_op t ~fence Service.release
 
 (* {2 Fault injection} *)
-
-let crash_shard t ~id =
-  let now = Clock.now t.clock in
-  Shard.crash t.shards.(id) ~now;
-  Array.iteri
-    (fun slice entry ->
-      match entry with
-      | Owned { shard; epoch } when shard = id ->
-        orphan_entry t ~slice ~last:id ~epoch ~since:now
-      | _ -> ())
-    t.dir
 
 let stall_shard t ~id ~until =
   let now = Clock.now t.clock in

@@ -179,10 +179,6 @@ val pump : t -> completion list
 
 (** {2 Fault injection} *)
 
-(* lint: allow unused-export — test hook: a loud crash that orphans slices at once *)
-val crash_shard : t -> id:int -> unit
-(** Lose every resident slice body; its slices become orphaned now. *)
-
 val stall_shard : t -> id:int -> until:float -> unit
 (** The shard stops serving until [until] on the injected clock.  If the
     stall outlives [grace], its slices are reassigned and the woken
@@ -220,11 +216,6 @@ val enable_detector : t -> suspicion:float -> unit
 val heartbeat : t -> shard:int -> incarnation:int -> unit
 (** Record a heartbeat arrival.  No-op without a detector. *)
 
-(* lint: allow unused-export — test hook: observes the failure detector *)
-val suspected : t -> shard:int -> bool
-(** Current suspicion flag (set by the pump's sweep, cleared by
-    {!heartbeat}); [false] without a detector. *)
-
 val detector_stats : t -> detector_stats option
 
 (** {2 Handoff} *)
@@ -257,9 +248,6 @@ val slice_width : t -> int
 val slice_of_key : t -> key:int -> int
 val owner : t -> slice:int -> int option
 val slice_epoch : t -> slice:int -> int
-(* lint: allow unused-export — test hook: observes handoffs *)
-val in_transit : t -> (int * int * int) list
-(** [(slice, from_, to_)] currently in transit. *)
 
 val shard : t -> id:int -> Shard.t
 val total_held : t -> int

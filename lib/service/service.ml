@@ -289,8 +289,6 @@ let pump t =
   let now = Clock.now t.clock in
   if Admission.depth t.admission > 0 || Lease.due t.lease ~now then pump_due t ~now else []
 
-let stats t = t.st
-
 let sum_stats ts =
   let acc =
     {
@@ -324,8 +322,6 @@ let sum_stats ts =
 
 let held t = Lease.held t.lease
 let slots t = Lease.slots t.lease
-let queue_depth t = Admission.depth t.admission
-let deadline_expired t = Admission.expired_total t.admission
 let probes_hist t = t.h_probes
 let reclaim_lateness_hist t = t.h_reclaim
 let queue_wait_hist t = t.h_wait

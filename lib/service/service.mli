@@ -111,24 +111,11 @@ type stats = {
   mutable validates : int;
 }
 
-(* lint: allow unused-export — test hook: observes one body's counts *)
-val stats : t -> stats
-
 val sum_stats : t list -> stats
 (** A fresh record of the services' summed counts. *)
 
 val held : t -> int
 val slots : t -> int
-(* lint: allow unused-export — test hook: observes admission *)
-val queue_depth : t -> int
-
-(* lint: allow unused-export — test hook: observes admission *)
-val deadline_expired : t -> int
-(** Requests that hit their deadline while queued
-    ({!Admission.expired_total}); also published as the
-    [admission/deadline_expired] obs counter when the service was
-    created with [?obs]. *)
-
 val probes_hist : t -> Renaming_obs.Hist.t
 (** Probes per grant. *)
 

@@ -80,9 +80,6 @@ let partition t ~src ~dst ~until =
   t.partitions <-
     (src, dst, until) :: List.filter (fun (s, d, _) -> (s, d) <> (src, dst)) t.partitions
 
-let heal t ~src ~dst =
-  t.partitions <- List.filter (fun (s, d, _) -> (s, d) <> (src, dst)) t.partitions
-
 let rec blocked_by ~now ~src ~dst = function
   | [] -> false
   | (s, d, until) :: rest -> (s = src && d = dst && now < until) || blocked_by ~now ~src ~dst rest

@@ -82,10 +82,6 @@ val partition : 'a t -> src:addr -> dst:addr -> until:float -> unit
     send time).  Re-partitioning a pair extends/replaces its deadline;
     in-flight messages already past the send check are unaffected. *)
 
-(* lint: allow unused-export — test hook: ends a partition *)
-val heal : 'a t -> src:addr -> dst:addr -> unit
-(** Remove the [src -> dst] rule now, before its deadline. *)
-
 val partitioned : 'a t -> now:float -> src:addr -> dst:addr -> bool
 
 val next_delivery : 'a t -> float

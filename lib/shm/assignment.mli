@@ -16,27 +16,16 @@ type t = {
 
 val make : namespace:int -> int array -> t
 
-(* lint: allow unused-export — test hook: builds an assignment *)
-val of_names : namespace:int -> Tas_array.t -> processes:int -> t
-(** Reads the winners out of the namespace registers. *)
-
 val named_count : t -> int
 (** Pids whose name is not [-1]. *)
 
 val unnamed : t -> int list
 (** Pids without a name ([-1]), ascending. *)
 
-type violation =
-  | Out_of_range of { pid : int; name : int }
-  | Duplicate of { name : int; pid_a : int; pid_b : int }
-
-(* lint: allow unused-export — test hook: lists violations *)
-val violations : t -> violation list
-
 val is_valid : t -> bool
-(** No violations (unnamed processes are allowed; completeness is
-    checked separately because almost-tight algorithms leave processes
-    unnamed by design). *)
+(** Every name is in range and no name is assigned twice (unnamed
+    processes are allowed; completeness is checked separately because
+    almost-tight algorithms leave processes unnamed by design). *)
 
 val is_complete : t -> bool
 (** Valid and every process has a name. *)

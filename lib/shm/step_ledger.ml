@@ -4,12 +4,9 @@ let create ~processes =
   if processes < 0 then invalid_arg "Step_ledger.create: negative count";
   { steps = Array.make processes 0; total = 0 }
 
-let record_many t ~pid ~steps =
-  if steps < 0 then invalid_arg "Step_ledger.record_many: negative steps";
-  t.steps.(pid) <- t.steps.(pid) + steps;
-  t.total <- t.total + steps
-
-let record t ~pid = record_many t ~pid ~steps:1
+let record t ~pid =
+  t.steps.(pid) <- t.steps.(pid) + 1;
+  t.total <- t.total + 1
 
 let steps_of t ~pid = t.steps.(pid)
 
@@ -21,7 +18,3 @@ let summary t =
   let s = Renaming_stats.Summary.create () in
   Array.iter (Renaming_stats.Summary.add_int s) t.steps;
   s
-
-let reset t =
-  Array.fill t.steps 0 (Array.length t.steps) 0;
-  t.total <- 0

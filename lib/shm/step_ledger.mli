@@ -11,9 +11,6 @@ val create : processes:int -> t
 
 val record : t -> pid:int -> unit
 
-(* lint: allow unused-export — test hook: fills a ledger *)
-val record_many : t -> pid:int -> steps:int -> unit
-
 val steps_of : t -> pid:int -> int
 
 val total : t -> int
@@ -25,6 +22,3 @@ val max_steps : t -> int
 
 val summary : t -> Renaming_stats.Summary.t
 (** Distribution of per-process step counts. *)
-
-(* lint: allow unused-export — test hook: clears a ledger *)
-val reset : t -> unit

@@ -1,63 +1,39 @@
-type cell = Free | Won of int
-
-type t = {
-  (* -1 encodes Free; otherwise the winner's pid.  A flat int array keeps
-     million-register simulations cache-friendly. *)
-  cells : int array;
-  mutable set_count : int;
-}
+(* -1 encodes a free register; otherwise the winner's pid.  A flat int
+   array keeps million-register simulations cache-friendly. *)
+type t = int array
 
 let create size =
   if size < 0 then invalid_arg "Tas_array.create: negative size";
-  { cells = Array.make size (-1); set_count = 0 }
+  Array.make size (-1)
 
-let size t = Array.length t.cells
+let size = Array.length
 
 let check t idx =
-  if idx < 0 || idx >= Array.length t.cells then invalid_arg "Tas_array: index out of range"
+  if idx < 0 || idx >= Array.length t then invalid_arg "Tas_array: index out of range"
 
 let test_and_set t ~idx ~pid =
   check t idx;
   if pid < 0 then invalid_arg "Tas_array.test_and_set: negative pid";
-  if t.cells.(idx) = -1 then begin
-    t.cells.(idx) <- pid;
-    t.set_count <- t.set_count + 1;
+  if t.(idx) = -1 then begin
+    t.(idx) <- pid;
     true
   end
   else false
-
-let get t idx =
-  check t idx;
-  match t.cells.(idx) with
-  | -1 -> Free
-  | pid -> Won pid
 
 let is_set t idx =
   check t idx;
-  t.cells.(idx) <> -1
+  t.(idx) <> -1
 
 let owner t idx =
   check t idx;
-  match t.cells.(idx) with
+  match t.(idx) with
   | -1 -> None
   | pid -> Some pid
 
-let set_count t = t.set_count
-
-let free_count t = Array.length t.cells - t.set_count
-
 let release t ~idx ~pid =
   check t idx;
-  if t.cells.(idx) = pid then begin
-    t.cells.(idx) <- -1;
-    t.set_count <- t.set_count - 1;
+  if t.(idx) = pid then begin
+    t.(idx) <- -1;
     true
   end
   else false
-
-let reset t =
-  Array.fill t.cells 0 (Array.length t.cells) (-1);
-  t.set_count <- 0
-
-let iter_set t ~f =
-  Array.iteri (fun idx pid -> if pid <> -1 then f ~idx ~pid) t.cells

@@ -10,8 +10,6 @@
 
 type t
 
-type cell = Free | Won of int  (** winner's process id *)
-
 val create : int -> t
 (** [create size] makes [size] free registers. *)
 
@@ -22,29 +20,12 @@ val test_and_set : t -> idx:int -> pid:int -> bool
     [idx] (it was free).  Out-of-range indices raise
     [Invalid_argument]. *)
 
-(* lint: allow unused-export — test hook: observes one register *)
-val get : t -> int -> cell
-
 val is_set : t -> int -> bool
 
 val owner : t -> int -> int option
-
-(* lint: allow unused-export — test hook: observes the array *)
-val set_count : t -> int
-(** Number of registers currently won; O(1). *)
-
-(* lint: allow unused-export — test hook: observes the array *)
-val free_count : t -> int
 
 val release : t -> idx:int -> pid:int -> bool
 (** [release t ~idx ~pid] frees register [idx] if and only if [pid]
     currently owns it; returns whether it did.  The one-shot renaming
     algorithms never call this — it exists for the *long-lived*
     extension (related work [13]), where names are recycled. *)
-
-(* lint: allow unused-export — test hook: clears the array *)
-val reset : t -> unit
-(** Frees every register (between experiment repetitions). *)
-
-val iter_set : t -> f:(idx:int -> pid:int -> unit) -> unit
-(** Iterates over won registers in index order. *)

@@ -9,7 +9,7 @@
 val network : width:int -> Network.t
 (** Raises [Invalid_argument] unless [width] is a power of two ≥ 2. *)
 
-(* lint: allow unused-export — test hook: the closed-form depth *)
+(* lint: allow unused-export — reference: the closed-form depth of a bitonic network *)
 val depth_formula : width:int -> int
 (** [log₂ w · (log₂ w + 1) / 2], for cross-checking. *)
 

@@ -19,7 +19,7 @@ val create : width:int -> layer list -> t
 
 val width : t -> int
 val depth : t -> int
-(* lint: allow unused-export — test hook: counts comparators *)
+(* lint: allow unused-export — test hook: the comparator count the aux budget equals *)
 val size : t -> int
 (** Total number of comparators. *)
 

@@ -20,17 +20,9 @@ val prepare : Network.t -> t
 (** Precomputes the per-layer wire→comparator maps and assigns one
     auxiliary TAS bit per comparator. *)
 
-(* lint: allow unused-export — test hook: the aux-register budget *)
+(* lint: allow unused-export — test hook: one auxiliary TAS bit per comparator *)
 val aux_bits : t -> int
 (** Number of auxiliary TAS bits required (= network size). *)
-
-(* lint: allow unused-export — test hook: the entry-wire check *)
-val instance :
-  t ->
-  entries:int array ->
-  Renaming_sched.Executor.instance
-(** One process per entry wire (entries must be distinct — they are the
-    processes' distinct original names).  Namespace = network width. *)
 
 val run :
   t ->
@@ -38,3 +30,6 @@ val run :
   ?adversary:Renaming_sched.Adversary.t ->
   unit ->
   Renaming_sched.Report.t
+(** One process per entry wire (entries must be distinct — they are the
+    processes' distinct original names; a repeated entry raises
+    [Invalid_argument]).  Namespace = network width. *)

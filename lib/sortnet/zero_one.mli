@@ -8,7 +8,7 @@
 
 type result = Verified_exhaustive | Passed_samples of int | Failed of int array
 
-(* lint: allow unused-export — test hook: the 0-1 principle check *)
+(* lint: allow unused-export — reference: the 0-1 principle each network obeys *)
 val check :
   ?samples:int -> ?exhaustive_limit:int -> rng:Renaming_rng.Xoshiro.t -> Network.t -> result
 (** Exhaustive when [width ≤ exhaustive_limit] (default 18), otherwise

@@ -30,7 +30,7 @@ val make_config : ?side:int -> n:int -> unit -> config
 val namespace : config -> int
 (** [side·(side+1)/2]. *)
 
-(* lint: allow unused-export — test hook: the grid layout *)
+(* lint: allow unused-export — test hook: the cell layout is injective into the namespace *)
 val cell_index : side:int -> r:int -> d:int -> int
 (** Row-major index of cell [(r, d)] on diagonal [r + d]. *)
 

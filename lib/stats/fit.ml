@@ -33,7 +33,7 @@ type fit = { shape : shape; slope : float; intercept : float; r_squared : float 
 
 let fit_shape shape points =
   let n = Array.length points in
-  if n < 2 then invalid_arg "Fit.fit_shape: need at least two points";
+  if n < 2 then invalid_arg "Fit.best_fit: need at least two points";
   let xs = Array.map (fun (x, _) -> eval_shape shape x) points in
   let ys = Array.map snd points in
   let nf = float_of_int n in

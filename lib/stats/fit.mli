@@ -16,9 +16,6 @@ type shape =
   | Log_log_pow of int  (** (log₂ log₂ n)^k *)
   | Linear  (** n *)
 
-(* lint: allow unused-export — test hook: names the fitted shape *)
-val shape_name : shape -> string
-
 val eval_shape : shape -> float -> float
 (** [eval_shape s n] evaluates the shape function at [n] (n ≥ 4 expected;
     smaller inputs are clamped so the double-log is defined). *)
@@ -30,14 +27,10 @@ type fit = {
   r_squared : float;  (** coefficient of determination *)
 }
 
-(* lint: allow unused-export — test hook: fits one shape *)
-val fit_shape : shape -> (float * float) array -> fit
-(** [fit_shape s points] least-squares fit of [y = a·f(n) + b] over
-    [(n, y)] points.  Raises [Invalid_argument] with fewer than two
-    points. *)
-
 val best_fit : ?candidates:shape list -> (float * float) array -> fit
-(** Fits every candidate (default: all shapes above except
-    [Log_log_pow]) and returns the one with the highest R². *)
+(** Least-squares fits [y = a·f(n) + b] over [(n, y)] points for every
+    candidate [f] (default: all shapes above except [Log_log_pow]) and
+    returns the one with the highest R².  Raises [Invalid_argument]
+    with fewer than two points. *)
 
 val pp_fit : Format.formatter -> fit -> unit

@@ -5,17 +5,16 @@
    polymorphic vector boxes every sample passed to it.) *)
 type t = {
   mutable count : int;
-  moments : Float.Array.t;  (* mean, m2, min, max *)
+  moments : Float.Array.t;  (* mean, min, max *)
   mutable samples : Float.Array.t;  (* the first [count] are used *)
 }
 
 let i_mean = 0
-let i_m2 = 1
-let i_min = 2
-let i_max = 3
+let i_min = 1
+let i_max = 2
 
 let create () =
-  let moments = Float.Array.make 4 0. in
+  let moments = Float.Array.make 3 0. in
   Float.Array.set moments i_min infinity;
   Float.Array.set moments i_max neg_infinity;
   { count = 0; moments; samples = Float.Array.create 0 }
@@ -26,18 +25,15 @@ let grow t =
   Float.Array.blit t.samples 0 samples 0 t.count;
   t.samples <- samples
 
-(* Welford's update.  Inlined into [add] and [add_int], so [x] is never
-   boxed. *)
+(* The running mean's update.  Inlined into [add] and [add_int], so
+   [x] is never boxed. *)
 let[@inline] record t x =
   if t.count = Float.Array.length t.samples then grow t;
   Float.Array.set t.samples t.count x;
   t.count <- t.count + 1;
   let m = t.moments in
   let mean = Float.Array.get m i_mean in
-  let delta = x -. mean in
-  let mean = mean +. (delta /. float_of_int t.count) in
-  Float.Array.set m i_mean mean;
-  Float.Array.set m i_m2 (Float.Array.get m i_m2 +. (delta *. (x -. mean)));
+  Float.Array.set m i_mean (mean +. ((x -. mean) /. float_of_int t.count));
   if x < Float.Array.get m i_min then Float.Array.set m i_min x;
   if x > Float.Array.get m i_max then Float.Array.set m i_max x
 
@@ -46,9 +42,6 @@ let add_int t x = record t (float_of_int x)
 
 let count t = t.count
 let mean t = Float.Array.get t.moments i_mean
-
-let variance t =
-  if t.count < 2 then 0. else Float.Array.get t.moments i_m2 /. float_of_int (t.count - 1)
 
 let min t = Float.Array.get t.moments i_min
 let max t = Float.Array.get t.moments i_max

@@ -1,4 +1,4 @@
-(** Streaming summary statistics (Welford's algorithm) plus exact
+(** Streaming summary statistics (a running mean, min and max) plus exact
     percentiles over retained samples. *)
 
 type t
@@ -12,9 +12,6 @@ val add_int : t -> int -> unit
 
 val count : t -> int
 val mean : t -> float
-(* lint: allow unused-export — unit-tested, no caller yet: summary statistic *)
-val variance : t -> float
-(** Sample variance (n-1 denominator); 0 for fewer than two samples. *)
 
 val min : t -> float
 val max : t -> float
@@ -27,5 +24,5 @@ val percentile : t -> float -> float
 val median : t -> float
 
 (** All retained samples in insertion order. *)
-(* lint: allow unused-export — test hook: the pinned probe counts *)
+(* lint: allow unused-export — test hook: the in-order probe counts the Longlived pins digest *)
 val samples : t -> float array

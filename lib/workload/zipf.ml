@@ -1,4 +1,5 @@
-type t = { count : int; weights : float array }
+(* The normalized weight of each rank. *)
+type t = float array
 
 let create ?(s = 1.0) ~n () =
   if n < 1 then invalid_arg "Zipf.create: n must be >= 1";
@@ -6,12 +7,8 @@ let create ?(s = 1.0) ~n () =
   let weights = Array.init n (fun k -> 1. /. (float_of_int (k + 1) ** s)) in
   let total = Array.fold_left ( +. ) 0. weights in
   Array.iteri (fun k w -> weights.(k) <- w /. total) weights;
-  { count = n; weights }
+  weights
 
-let n t = t.count
-
-let weight t k =
-  if k < 0 || k >= t.count then invalid_arg "Zipf.weight: rank out of range";
-  t.weights.(k)
-
-let relative_pressure t k = weight t k /. t.weights.(t.count - 1)
+let relative_pressure t k =
+  if k < 0 || k >= Array.length t then invalid_arg "Zipf.relative_pressure: rank out of range";
+  t.(k) /. t.(Array.length t - 1)

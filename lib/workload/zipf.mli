@@ -12,14 +12,8 @@ val create : ?s:float -> n:int -> unit -> t
 (** [s] is the skew exponent, default 1.0; [s = 0.] degenerates to
     uniform.  [n] must be >= 1. *)
 
-(* lint: allow unused-export — test hook: observes the distribution *)
-val n : t -> int
-
-(* lint: allow unused-export — test hook: observes the distribution *)
-val weight : t -> int -> float
-(** Normalized probability of rank [k]; decreasing in [k]. *)
-
 val relative_pressure : t -> int -> float
 (** [weight k / weight (n-1)] — how much hotter rank [k] is than the
-    coldest rank; >= 1, used to scale think times down for hot
-    clients. *)
+    coldest rank; >= 1 and non-increasing in [k], used to scale think
+    times down for hot clients.  Raises [Invalid_argument] unless
+    [0 <= k < n]. *)

@@ -161,6 +161,11 @@ let with_temp_source contents f =
       Sys.rmdir dir)
     (fun () -> f path)
 
+(* Lints the directory a probe file sits in, as [analyze --lint-root]
+   does. *)
+let lint ?whitelist ?print_whitelist path =
+  snd (Lint.lint_dir ?whitelist ?print_whitelist (Filename.dirname path))
+
 let rules_of findings = List.sort_uniq compare (List.map (fun f -> f.Lint.l_rule) findings)
 
 let test_lint_flags_each_rule () =
@@ -178,7 +183,7 @@ let test_lint_flags_each_rule () =
       ]
   in
   with_temp_source source (fun path ->
-      let findings = Lint.lint_file path in
+      let findings = lint path in
       check (Alcotest.list Alcotest.string) "every rule fires"
         [ "atomic-outside-shm"; "blocking-sleep"; "global-mutable"; "nondeterministic-rng";
           "obj-magic"; "unstable-hash"; "wall-clock" ]
@@ -189,14 +194,14 @@ let test_lint_local_mutability_not_flagged () =
     "let bump xs =\n  let total = ref 0 in\n  List.iter (fun x -> total := !total + x) xs;\n  !total\n"
   in
   with_temp_source source (fun path ->
-      check Alcotest.int "function-local ref is fine" 0 (List.length (Lint.lint_file path)))
+      check Alcotest.int "function-local ref is fine" 0 (List.length (lint path)))
 
 let test_lint_waiver_suppresses_but_reports () =
   let source =
     "(* lint: allow wall-clock — timing demo *)\nlet now () = Unix.gettimeofday ()\n"
   in
   with_temp_source source (fun path ->
-      let findings = Lint.lint_file path in
+      let findings = lint path in
       check Alcotest.int "finding still reported" 1 (List.length findings);
       check Alcotest.int "but waived" 0 (List.length (Lint.active findings));
       check Alcotest.bool "marked waived" true (List.for_all (fun f -> f.Lint.l_waived) findings))
@@ -205,30 +210,30 @@ let test_lint_waiver_is_rule_specific () =
   let source = "(* lint: allow obj-magic *)\nlet now () = Unix.gettimeofday ()\n" in
   with_temp_source source (fun path ->
       check Alcotest.int "wrong rule does not waive" 1
-        (List.length (Lint.active (Lint.lint_file path))))
+        (List.length (Lint.active (lint path))))
 
 let test_lint_whitelist_exempts_atomics () =
   let source = "let make () = Atomic.make 0\n" in
   with_temp_source source (fun path ->
       let dir = Filename.basename (Filename.dirname path) in
       check Alcotest.int "whitelisted dir may use Atomic" 0
-        (List.length (Lint.lint_file ~whitelist:[ dir ] path));
-      check Alcotest.int "otherwise flagged" 1 (List.length (Lint.lint_file path)))
+        (List.length (lint ~whitelist:[ dir ] path));
+      check Alcotest.int "otherwise flagged" 1 (List.length (lint path)))
 
 let test_lint_stdout_print_rule () =
   let source = "let report x = Printf.printf \"%d\\n\" x\nlet shout s = print_endline s\n" in
   with_temp_source source (fun path ->
       check (Alcotest.list Alcotest.string) "printing flagged" [ "stdout-print" ]
-        (rules_of (Lint.lint_file path));
-      check Alcotest.int "both sites reported" 2 (List.length (Lint.lint_file path));
+        (rules_of (lint path));
+      check Alcotest.int "both sites reported" 2 (List.length (lint path));
       let dir = Filename.basename (Filename.dirname path) in
       check Alcotest.int "exporter directories may print" 0
-        (List.length (Lint.lint_file ~print_whitelist:[ dir ] path)))
+        (List.length (lint ~print_whitelist:[ dir ] path)))
 
 let test_lint_stdout_print_waiver () =
   let source = "(* lint: allow stdout-print — progress line *)\nlet go () = print_endline \"hi\"\n" in
   with_temp_source source (fun path ->
-      let findings = Lint.lint_file path in
+      let findings = lint path in
       check Alcotest.int "reported" 1 (List.length findings);
       check Alcotest.int "waived" 0 (List.length (Lint.active findings)))
 
@@ -238,18 +243,18 @@ let test_lint_blocking_sleep_rule () =
   let source = "let nap () = Unix.sleep 1\nlet doze () = Unix.sleepf 0.5\n" in
   with_temp_source source (fun path ->
       check (Alcotest.list Alcotest.string) "sleeps flagged" [ "blocking-sleep" ]
-        (rules_of (Lint.lint_file path));
-      check Alcotest.int "both sites reported" 2 (List.length (Lint.lint_file path)));
+        (rules_of (lint path));
+      check Alcotest.int "both sites reported" 2 (List.length (lint path)));
   let waived = "(* lint: allow blocking-sleep — watchdog domain *)\nlet nap () = Unix.sleepf 0.1\n" in
   with_temp_source waived (fun path ->
-      let findings = Lint.lint_file path in
+      let findings = lint path in
       check Alcotest.int "reported" 1 (List.length findings);
       check Alcotest.int "waived" 0 (List.length (Lint.active findings)))
 
 let test_lint_parse_error_is_a_finding () =
   with_temp_source "let let let" (fun path ->
       check (Alcotest.list Alcotest.string) "parse error surfaces" [ "parse-error" ]
-        (rules_of (Lint.lint_file path)))
+        (rules_of (lint path)))
 
 (* --- the unused-export rule, over test/unused_fixture --- *)
 
@@ -277,10 +282,11 @@ let test_unused_export_fixture () =
     Alcotest.(list (triple int string bool))
     "exactly the expected findings"
     [
-      (4, "Fixture.by_test is used only by tests", false);
-      (8, "Fixture.hook is used only by tests", true);
-      (14, "Fixture.own is used nowhere outside its own module", false);
-      (17, "Fixture.never is used nowhere outside its own module", false);
+      (5, "Fixture.by_test is used only by tests", false);
+      (9, "Fixture.hook is used only by tests", true);
+      (15, "Fixture.own is used nowhere outside its own module", false);
+      (18, "Fixture.never is used nowhere outside its own module", false);
+      (1, "waiver matches no finding", false);
     ]
     (List.map summary r.Unused_export.findings);
   check Alcotest.bool "all in the interface" true

@@ -21,8 +21,8 @@ let test_dispenser_exact_capacity () =
         | None -> ()
       done;
       check Alcotest.int (Printf.sprintf "capacity %d granted exactly" capacity) capacity !granted;
-      check Alcotest.bool "exhausted" true (Dispenser.is_exhausted d);
-      check Alcotest.int "remaining 0" 0 (Dispenser.remaining d);
+      check Alcotest.bool "exhausted" true (Dispenser.try_acquire d ~pid:(3 * capacity) ~rng = None);
+      check Alcotest.int "every token granted" capacity (Dispenser.granted d);
       match Dispenser.check_invariants d with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)

@@ -58,24 +58,30 @@ let test_linear_scan_under_lifo () =
   check Alcotest.bool "sound" true (Report.is_sound report);
   check Alcotest.int "complete" 32 (Report.named_count report)
 
+(* The 0-1 principle's guarantee: with no crashes, the names are
+   exactly [{0, ..., n-1}]. *)
+let strong_renaming report ~n =
+  let assignment = report.Report.assignment in
+  Renaming_shm.Assignment.is_complete assignment
+  && Array.for_all (fun name -> name < n) assignment.Renaming_shm.Assignment.names
+
 let test_sortnet_kinds () =
   List.iter
-    (fun kind ->
+    (fun (label, kind) ->
       let report = Sortnet_renaming.run ~kind ~n:12 ~width:16 ~seed:4L () in
-      check Alcotest.bool
-        ("strong renaming: " ^ Sortnet_renaming.network_name kind)
-        true
-        (Sortnet_renaming.strong_renaming_holds report ~n:12))
+      check Alcotest.bool ("strong renaming: " ^ label) true (strong_renaming report ~n:12))
     [
-      Sortnet_renaming.Bitonic;
-      Sortnet_renaming.Odd_even_merge;
-      Sortnet_renaming.Odd_even_transposition;
+      ("bitonic", Sortnet_renaming.Bitonic);
+      ("odd-even-merge", Sortnet_renaming.Odd_even_merge);
+      ("odd-even-transposition", Sortnet_renaming.Odd_even_transposition);
     ]
 
 let test_sortnet_width_rounding () =
-  (* Bitonic rounds non-power-of-two widths up. *)
-  let net = Sortnet_renaming.build Sortnet_renaming.Bitonic ~width:20 in
-  check Alcotest.int "padded width" 32 (Renaming_sortnet.Network.width net)
+  (* Bitonic rounds non-power-of-two widths up, and the namespace is the
+     padded width. *)
+  let report = Sortnet_renaming.run ~kind:Sortnet_renaming.Bitonic ~n:20 ~width:20 ~seed:1L () in
+  check Alcotest.int "padded width" 32 report.Report.assignment.Renaming_shm.Assignment.namespace;
+  check Alcotest.bool "strong renaming" true (strong_renaming report ~n:20)
 
 let test_sortnet_rejects_overflow () =
   Alcotest.check_raises "n > width"

@@ -48,11 +48,6 @@ let test_shift_roundtrip_keeps_low_bits () =
     check Alcotest.int (Printf.sprintf "roundtrip k=%d" k) expected kept
   done
 
-let test_lowest_set_bit () =
-  check Alcotest.int "lsb of 0b1000" 3 (Word.lowest_set_bit 0b1000);
-  check Alcotest.int "lsb of 0b0110" 1 (Word.lowest_set_bit 0b0110);
-  Alcotest.check_raises "lsb of zero" Not_found (fun () -> ignore (Word.lowest_set_bit 0))
-
 let test_keep_lowest () =
   check Alcotest.int "keep 2 of 0b10110" 0b00110 (Word.keep_lowest 0b10110 2);
   check Alcotest.int "keep 0" 0 (Word.keep_lowest 0b10110 0);
@@ -94,7 +89,6 @@ let tests =
         Alcotest.test_case "lossy left shift" `Quick test_shift_left_drops_high_bits;
         Alcotest.test_case "right shift" `Quick test_shift_right;
         Alcotest.test_case "shift roundtrip" `Quick test_shift_roundtrip_keeps_low_bits;
-        Alcotest.test_case "lowest set bit" `Quick test_lowest_set_bit;
         Alcotest.test_case "keep lowest" `Quick test_keep_lowest;
         Alcotest.test_case "pp" `Quick test_pp;
         QCheck_alcotest.to_alcotest qcheck_keep_lowest_popcount;

@@ -437,7 +437,7 @@ let test_watchdog_diagnostic_renders () =
   with
   | _ -> Alcotest.fail "livelocked run terminated"
   | exception (Mc_run.Stalled _ as e) ->
-    let s = Mc_run.stalled_to_string e in
+    let s = Printexc.to_string e in
     List.iter
       (fun fragment ->
         let nh = String.length s and nn = String.length fragment in

@@ -126,21 +126,24 @@ let poll memory ~reg ~pid =
   | _ -> Alcotest.fail "a tau poll answers Tau"
 
 let test_tau_register_protocol () =
-  let tau = Tau.create ~base:100 ~tau:2 ~width:4 () in
-  let memory = tau_memory [| tau |] in
-  check Alcotest.int "base" 100 (Tau.base tau);
-  check Alcotest.int "slot" 101 (Tau.name_slot tau 1);
+  let memory = tau_memory [| Tau.create ~tau:2 ~width:4 () |] in
   submit memory ~reg:0 ~pid:0 ~bit:1;
   submit memory ~reg:0 ~pid:1 ~bit:1;
-  check Alcotest.int "pending" 2 (Tau.pending_count tau);
-  check Alcotest.bool "pending answer" true (poll memory ~reg:0 ~pid:0 = Tau.Pending);
+  check Alcotest.bool "pending answers" true
+    (poll memory ~reg:0 ~pid:0 = Tau.Pending && poll memory ~reg:0 ~pid:1 = Tau.Pending);
   Memory.tick_taus memory;
   check Alcotest.bool "pid 0 won" true (poll memory ~reg:0 ~pid:0 = Tau.Won_bit);
   check Alcotest.bool "pid 1 lost" true (poll memory ~reg:0 ~pid:1 = Tau.Lost_bit);
-  check Alcotest.int "accepted" 1 (Tau.accepted_count tau)
+  (* One bit accepted: of tau = 2, one more is left to win. *)
+  submit memory ~reg:0 ~pid:2 ~bit:2;
+  Memory.tick_taus memory;
+  submit memory ~reg:0 ~pid:3 ~bit:3;
+  Memory.tick_taus memory;
+  check Alcotest.bool "one accepted, one left" true
+    (poll memory ~reg:0 ~pid:2 = Tau.Won_bit && poll memory ~reg:0 ~pid:3 = Tau.Lost_bit)
 
 let test_tau_register_capacity () =
-  let memory = tau_memory [| Tau.create ~base:0 ~tau:2 ~width:6 () |] in
+  let memory = tau_memory [| Tau.create ~tau:2 ~width:6 () |] in
   List.iter (fun (pid, bit) -> submit memory ~reg:0 ~pid ~bit) [ (0, 0); (1, 1); (2, 2); (3, 3) ];
   Memory.tick_taus memory;
   let winners =
@@ -152,7 +155,7 @@ let test_tau_register_sparse_pids_and_resubmit () =
   (* Answers are kept per pid, for pids far beyond the first few; a pid
      that never submitted, one beyond [processes] included, reads
      [Pending]. *)
-  let memory = tau_memory ~processes:1001 [| Tau.create ~base:0 ~tau:2 ~width:8 () |] in
+  let memory = tau_memory ~processes:1001 [| Tau.create ~tau:2 ~width:8 () |] in
   List.iter (fun (pid, bit) -> submit memory ~reg:0 ~pid ~bit) [ (3, 0); (40, 1); (1000, 2) ];
   Memory.tick_taus memory;
   List.iter
@@ -183,7 +186,7 @@ let test_tau_poll_of_a_left_register () =
      register B, its old register A reads [Pending] for it, before and
      after B's cycle, while B answers. *)
   let memory =
-    tau_memory [| Tau.create ~base:0 ~tau:2 ~width:4 (); Tau.create ~base:2 ~tau:2 ~width:4 () |]
+    tau_memory [| Tau.create ~tau:2 ~width:4 (); Tau.create ~tau:2 ~width:4 () |]
   in
   submit memory ~reg:0 ~pid:5 ~bit:0;
   Memory.tick_taus memory;
@@ -196,7 +199,7 @@ let test_tau_poll_of_a_left_register () =
   check Alcotest.bool "A still pending" true (poll memory ~reg:0 ~pid:5 = Tau.Pending)
 
 let test_tau_negative_pid () =
-  let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
+  let tau = Tau.create ~tau:2 ~width:4 () in
   let memory = tau_memory [| tau |] in
   check Alcotest.bool "negative pid polls pending" true (poll memory ~reg:0 ~pid:(-1) = Tau.Pending);
   Alcotest.check_raises "negative pid submits" (Invalid_argument "Tau_register.submit: negative pid")
@@ -204,7 +207,9 @@ let test_tau_negative_pid () =
   Alcotest.check_raises "register: negative pid"
     (Invalid_argument "Tau_register.submit: negative pid") (fun () ->
       Tau.submit tau ~pid:(-1) ~bit:0);
-  check Alcotest.int "nothing queued" 0 (Tau.pending_count tau)
+  let answers = Array.make 1 (-1) in
+  Tau.run_cycle tau ~won:1 ~lost:2 answers;
+  check Alcotest.(array int) "nothing queued" [| -1 |] answers
 
 let test_tau_answers_n_words () =
   (* The answers of all of Tight's n / log n registers are n words of
@@ -216,7 +221,7 @@ let test_tau_answers_n_words () =
   let params = Params.make ~policy:Params.Mass_conserving ~n () in
   let taus =
     Array.map
-      (fun (base, tau) -> Tau.create ~base ~tau ~width:params.Params.width ())
+      (fun (_, tau) -> Tau.create ~tau ~width:params.Params.width ())
       (Params.tau_geometry params)
   in
   let registers = Array.length taus in
@@ -242,7 +247,7 @@ let test_tau_answers_n_words () =
 let test_tau_register_resolve_order () =
   (* The adversary reverses the request order: the later submitter wins
      the contended bit.  [run_cycle] writes the verdicts it is given. *)
-  let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
+  let tau = Tau.create ~tau:2 ~width:4 () in
   let answers = Array.make 3 (-1) in
   Tau.submit tau ~pid:0 ~bit:2;
   Tau.submit tau ~pid:1 ~bit:2;
@@ -253,10 +258,13 @@ let test_tau_register_resolve_order () =
   check Alcotest.(array int) "pid 1 won after reorder, pid 0 lost" [| 9; 7; -1 |] answers
 
 let test_tau_slot_bounds () =
-  let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
-  Alcotest.check_raises "slot out of range"
-    (Invalid_argument "Tau_register.name_slot: slot out of range") (fun () ->
-      ignore (Tau.name_slot tau 2))
+  (* A register has between 1 and [width] name slots. *)
+  List.iter
+    (fun tau ->
+      Alcotest.check_raises (Printf.sprintf "tau %d of width 4" tau)
+        (Invalid_argument "Tau_register.create: tau out of range") (fun () ->
+          ignore (Tau.create ~tau ~width:4 ())))
+    [ 0; 5 ]
 
 let qcheck_device_never_exceeds_tau =
   QCheck.Test.make ~count:200 ~name:"device never accepts more than tau bits"
@@ -358,10 +366,11 @@ let qcheck_tau_register_capacity_across_cycles =
     (fun (seed, tau0, cycles) ->
       let width = 2 * (((tau0 - 1) mod 10) + 1 + 5) in
       let tau = min (((tau0 - 1) mod 10) + 1) width in
-      let reg = Tau.create ~base:0 ~tau ~width () in
+      let reg = Tau.create ~tau ~width () in
       let rng = Renaming_rng.Xoshiro.create (Int64.of_int seed) in
       let next_pid = ref 0 in
-      let answers = Array.make (List.fold_left (fun k batch -> k + List.length batch) 0 cycles) (-1) in
+      let requests = List.fold_left (fun k batch -> k + List.length batch) 0 cycles in
+      let answers = Array.make (requests + width) (-1) in
       List.iter
         (fun batch ->
           List.iter
@@ -371,10 +380,20 @@ let qcheck_tau_register_capacity_across_cycles =
             batch;
           (* Adversarially shuffle same-cycle requests. *)
           Tau.run_cycle reg ~won:1 ~lost:2 answers ~resolve_order:(fun requests ->
-              Renaming_rng.Sample.shuffle_in_place rng requests))
+              let order = Renaming_rng.Sample.permutation rng (Array.length requests) in
+              let arrived = Array.copy requests in
+              Array.iteri (fun i j -> requests.(i) <- arrived.(j)) order))
         cycles;
       let won = Array.fold_left (fun k answer -> if answer = 1 then k + 1 else k) 0 answers in
-      Tau.accepted_count reg <= tau && won = Tau.accepted_count reg)
+      (* One last cycle asks for every bit: the device confirms exactly
+         the tau - accepted it has left, so the verdicts so far account
+         for every accepted bit. *)
+      for bit = 0 to width - 1 do
+        Tau.submit reg ~pid:(requests + bit) ~bit
+      done;
+      Tau.run_cycle reg ~won:3 ~lost:2 answers;
+      let topped_up = Array.fold_left (fun k answer -> if answer = 3 then k + 1 else k) 0 answers in
+      won <= tau && won + topped_up = tau)
 
 let appended_device_tests =
   [

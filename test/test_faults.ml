@@ -245,6 +245,10 @@ let test_permanent_crash_still_reported () =
   check Alcotest.int "scanner avoids burnt name" 1
     report.Report.assignment.Assignment.names.(1)
 
+let refine_count obs name =
+  Option.value ~default:0
+    (Renaming_obs.Metrics.find_counter (Renaming_obs.Obs.metrics obs) ("refine/" ^ name))
+
 let test_recovery_under_monitor () =
   (* Same recovery scenario with the monitor attached: no violation. *)
   let memory = Memory.create ~namespace:2 () in
@@ -255,7 +259,8 @@ let test_recovery_under_monitor () =
       label = "recovery-monitored";
     }
   in
-  let monitor = Monitor.create ~mode:Monitor.Tas instance in
+  let obs = Renaming_obs.Obs.create () in
+  let monitor = Monitor.create ~obs ~mode:Monitor.Tas instance in
   let adversary =
     Adversary.with_crash_recovery ~base:(Adversary.round_robin ())
       ~crashes:[ (4, 0) ] ~recover_after:3
@@ -265,7 +270,7 @@ let test_recovery_under_monitor () =
   | Monitor.Passed _ -> ()
   | Monitor.Livelocked _ -> Alcotest.fail "livelocked"
   | Monitor.Failed v -> Alcotest.failf "unexpected violation %s" v.Monitor.kind);
-  check Alcotest.int "no violations" 0 (Monitor.violation_count monitor)
+  check Alcotest.int "no violations" 0 (refine_count obs "violations")
 
 (* --- monitor negative tests: seeded violations must be caught --- *)
 
@@ -298,9 +303,10 @@ let test_monitor_catches_duplicate_name () =
     Program.return (Some 0)
   in
   let instance = { Executor.memory; programs = [| liar; liar |]; label = "dup-mutation" } in
-  let m = Monitor.create ~mode:Monitor.Returns instance in
+  let obs = Renaming_obs.Obs.create () in
+  let m = Monitor.create ~obs ~mode:Monitor.Returns instance in
   expect_violation "duplicate name" ~kind:"refine:name-held" (fun () -> run_monitored m instance);
-  check Alcotest.bool "violation recorded" true (Monitor.violation_count m > 0)
+  check Alcotest.int "violation recorded" 1 (refine_count obs "violations")
 
 let test_monitor_catches_out_of_range () =
   let memory = Memory.create ~namespace:4 () in
@@ -459,10 +465,6 @@ let test_monitor_mode_resolution () =
 
 let linear_scan ~n =
   Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n }
-
-let refine_count obs name =
-  Option.value ~default:0
-    (Renaming_obs.Metrics.find_counter (Renaming_obs.Obs.metrics obs) ("refine/" ^ name))
 
 let test_monitor_clean_tas_run_refines () =
   let obs = Renaming_obs.Obs.create () in

@@ -117,42 +117,49 @@ let test_pct_with_crashes_respects_budget () =
 
 (* --- coverage signatures --- *)
 
-let acc ?(write = true) idx =
-  { Memory.acc_region = Memory.Names; acc_idx = idx; acc_write = write; acc_pid_sensitive = false }
+(* A collector attached to a fresh memory of four words, as the fuzzer
+   attaches one: every operation applied to the memory feeds it the
+   accesses the operation made. *)
+let covered () =
+  let memory = Memory.create ~namespace:1 ~words:4 () in
+  let c = Coverage.create () in
+  Coverage.attach c memory;
+  (c, fun ~pid op -> ignore (Memory.apply memory ~pid op))
+
+let edge_count c = List.length (Coverage.edges c)
+let write idx = Op.Write_word { idx; value = 1 }
 
 let test_coverage_conflict_edges () =
-  let c = Coverage.create () in
+  let c, apply = covered () in
   (* Same pid touching the same cell twice: no conflict. *)
-  Coverage.record c ~pid:0 (Op.Tas_name 0) [ acc 0 ];
-  Coverage.record c ~pid:0 (Op.Tas_name 0) [ acc 0 ];
-  check Alcotest.int "no self-edge" 0 (Coverage.edge_count c);
+  apply ~pid:0 (write 0);
+  apply ~pid:0 (write 0);
+  check Alcotest.int "no self-edge" 0 (edge_count c);
   (* A different pid writing the same cell: one edge. *)
-  Coverage.record c ~pid:1 (Op.Tas_name 0) [ acc 0 ];
-  check Alcotest.int "write-write conflict" 1 (Coverage.edge_count c);
+  apply ~pid:1 (write 0);
+  check Alcotest.int "write-write conflict" 1 (edge_count c);
   (* Different cell: no interaction. *)
-  Coverage.record c ~pid:1 (Op.Tas_name 3) [ acc 3 ];
-  check Alcotest.int "distinct cells don't conflict" 1 (Coverage.edge_count c);
-  Coverage.reset c;
-  check Alcotest.int "reset clears edges" 0 (Coverage.edge_count c)
+  apply ~pid:1 (write 3);
+  check Alcotest.int "distinct cells don't conflict" 1 (edge_count c)
 
 let test_coverage_read_read_no_edge () =
-  let c = Coverage.create () in
-  Coverage.record c ~pid:0 (Op.Read_name 0) [ acc ~write:false 0 ];
-  Coverage.record c ~pid:1 (Op.Read_name 0) [ acc ~write:false 0 ];
-  check Alcotest.int "read-read is not a conflict" 0 (Coverage.edge_count c);
+  let c, apply = covered () in
+  apply ~pid:0 (Op.Read_word 0);
+  apply ~pid:1 (Op.Read_word 0);
+  check Alcotest.int "read-read is not a conflict" 0 (edge_count c);
   (* A write after the reads does conflict. *)
-  Coverage.record c ~pid:0 (Op.Tas_name 0) [ acc 0 ];
-  check Alcotest.int "read-write is" 1 (Coverage.edge_count c)
+  apply ~pid:0 (write 0);
+  check Alcotest.int "read-write is" 1 (edge_count c)
 
 let test_coverage_pid_permutation_invariant () =
   (* Edges hash operation shapes, not process identities: relabeling the
      pids must produce the same signature. *)
   let play pids =
-    let c = Coverage.create () in
-    Coverage.record c ~pid:pids.(0) (Op.Tas_name 0) [ acc 0 ];
-    Coverage.record c ~pid:pids.(1) (Op.Tas_name 0) [ acc 0 ];
-    Coverage.record c ~pid:pids.(1) (Op.Read_name 1) [ acc ~write:false 1 ];
-    Coverage.record c ~pid:pids.(0) (Op.Tas_name 1) [ acc 1 ];
+    let c, apply = covered () in
+    apply ~pid:pids.(0) (write 0);
+    apply ~pid:pids.(1) (write 0);
+    apply ~pid:pids.(1) (Op.Read_word 1);
+    apply ~pid:pids.(0) (write 1);
     Coverage.edges c
   in
   check (Alcotest.list Alcotest.int64) "pid relabeling preserves edges"
@@ -249,9 +256,12 @@ let test_fuzzer_repros_replay () =
         | _, None -> Alcotest.failf "%s repro does not replay" r.Shrink.rp_algorithm))
     repros
 
+let clean_roster () =
+  List.filter (fun t -> not t.Fuzz.fz_expect_violation) (Fuzz_roster.roster ())
+
 let test_fuzzer_clean_targets_stay_clean () =
   let clean =
-    List.filter (fun t -> t.Fuzz.fz_target.Renaming_faults.Target.name = "linear-scan-n4") (Fuzz_roster.clean ())
+    List.filter (fun t -> t.Fuzz.fz_target.Renaming_faults.Target.name = "linear-scan-n4") (clean_roster ())
   in
   let summary = Fuzz.run ~seed:7L ~iterations:120 clean in
   check Alcotest.bool "clean campaign ok" true (Fuzz.ok summary);
@@ -265,7 +275,7 @@ let test_fuzzer_deterministic () =
   check Alcotest.string "same seed, same campaign" (run ()) (run ())
 
 let test_fuzzer_coverage_grows () =
-  let summary = Fuzz.run ~seed:1L ~iterations:40 (Fuzz_roster.clean ()) in
+  let summary = Fuzz.run ~seed:1L ~iterations:40 (clean_roster ()) in
   check Alcotest.bool "clean roster ok" true (Fuzz.ok summary);
   List.iter
     (fun r ->

@@ -16,7 +16,7 @@ let test_release_owner_checked () =
   check Alcotest.bool "still held" true (Tas_array.is_set t 1);
   check Alcotest.bool "owner releases" true (Tas_array.release t ~idx:1 ~pid:5);
   check Alcotest.bool "free again" false (Tas_array.is_set t 1);
-  check Alcotest.int "set count restored" 0 (Tas_array.set_count t);
+  check Alcotest.bool "no register set" false (List.exists (Tas_array.is_set t) [ 0; 1; 2; 3 ]);
   check Alcotest.bool "double release refused" false (Tas_array.release t ~idx:1 ~pid:5)
 
 let test_release_then_reacquire () =
@@ -80,35 +80,27 @@ let test_under_adversaries () =
       Adversary.uniform (Stream.fork_named (Stream.create 5L) ~name:"a");
     ]
 
-(* Probe-cap exhaustion (the structured slow path): run one session's
-   program against a pre-filled namespace so random probes keep losing.
-   With one free slot the deterministic sweep must recover; with none
-   the session must abort gracefully instead of spinning. *)
+(* Probe-cap exhaustion (the structured slow path): run one session
+   against a pre-filled namespace of six names so random probes keep
+   losing.  With one free slot the deterministic sweep must recover; with
+   none the session must abort gracefully instead of spinning. *)
 
 module Memory = Renaming_sched.Memory
 module Op = Renaming_sched.Op
 module Executor = Renaming_sched.Executor
-module Xoshiro = Renaming_rng.Xoshiro
 
-let run_prefilled ~prefill ~rounds ~seed =
-  let cfg = Longlived.make_config ~epsilon:0.5 ~rounds ~probe_cap:1 ~sessions:4 () in
+let run_prefilled ?probe_cap ~prefill ~rounds ~seed () =
+  let cfg = Longlived.make_config ~epsilon:5.0 ~rounds ?probe_cap ~sessions:1 () in
   let m = Longlived.namespace cfg in
-  let memory = Memory.create ~namespace:m () in
-  for i = 0 to prefill m - 1 do
-    ignore (Memory.apply memory ~pid:9 (Op.Tas_name i))
-  done;
   let stats = Longlived.create_stats () in
-  let program =
-    Longlived.program ~stats cfg ~held_counter:(ref 0) ~rng:(Xoshiro.create seed)
-  in
-  let report =
-    Executor.run ~adversary:(Adversary.round_robin ())
-      { Executor.memory; programs = [| program |]; label = "longlived-capped" }
-  in
-  (!stats, report)
+  let inst = Longlived.instance ~stats cfg ~stream:(Stream.create seed) in
+  for i = 0 to prefill m - 1 do
+    ignore (Memory.apply inst.Executor.memory ~pid:9 (Op.Tas_name i))
+  done;
+  (!stats, Executor.run ~adversary:(Adversary.round_robin ()) inst)
 
 let test_probe_cap_exhaustion_recovers () =
-  let stats, _ = run_prefilled ~prefill:(fun m -> m - 1) ~rounds:3 ~seed:21L in
+  let stats, _ = run_prefilled ~probe_cap:1 ~prefill:(fun m -> m - 1) ~rounds:3 ~seed:21L () in
   check Alcotest.int "all acquires still complete" 3 stats.Longlived.acquires;
   check Alcotest.int "all releases follow" 3 stats.Longlived.releases;
   check Alcotest.bool "cap tripped at least once" true
@@ -117,18 +109,21 @@ let test_probe_cap_exhaustion_recovers () =
     stats.Longlived.aborted_sessions
 
 let test_probe_cap_abort_graceful () =
-  let stats, report = run_prefilled ~prefill:(fun m -> m) ~rounds:3 ~seed:22L in
+  let stats, report = run_prefilled ~probe_cap:1 ~prefill:(fun m -> m) ~rounds:3 ~seed:22L () in
   check Alcotest.int "no acquires in a full namespace" 0 stats.Longlived.acquires;
   check Alcotest.bool "cap tripped" true (stats.Longlived.cap_exhaustions >= 1);
   check Alcotest.int "aborted exactly once" 1 stats.Longlived.aborted_sessions;
   check Alcotest.int "returns no name" 0 (Report.named_count report)
 
+(* In a full namespace a session probes [cap] times, sweeps all six
+   names and aborts, so its steps read the effective cap. *)
 let test_probe_cap_config () =
-  let cfg = Longlived.make_config ~probe_cap:7 ~sessions:4 () in
-  check Alcotest.int "explicit cap" 7 (Longlived.probe_cap cfg);
-  let cfg' = Longlived.make_config ~sessions:4 () in
-  check Alcotest.int "default cap is 64m" (64 * Longlived.namespace cfg')
-    (Longlived.probe_cap cfg');
+  let steps ?probe_cap () =
+    let _, report = run_prefilled ?probe_cap ~prefill:Fun.id ~rounds:1 ~seed:23L () in
+    Report.max_steps report
+  in
+  check Alcotest.int "explicit cap" (7 + 6) (steps ~probe_cap:7 ());
+  check Alcotest.int "default cap is 64m" ((64 * 6) + 6) (steps ());
   Alcotest.check_raises "bad cap"
     (Invalid_argument "Longlived.make_config: probe_cap must be >= 0") (fun () ->
       ignore (Longlived.make_config ~probe_cap:(-1) ~sessions:4 ()))

@@ -60,16 +60,24 @@ let hist_of values =
   List.iter (fun v -> Hist.observe h v) values;
   h
 
+(* Two histograms with the same buckets, counts, sum and maximum. *)
+let same a b =
+  Hist.bounds a = Hist.bounds b
+  && Hist.counts a = Hist.counts b
+  && Hist.count a = Hist.count b
+  && Hist.sum a = Hist.sum b
+  && Hist.max_value a = Hist.max_value b
+
 let value_gen = QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 3_000_000))
 
 let qcheck_merge_commutative =
   QCheck.Test.make ~count:200 ~name:"hist merge commutes" (QCheck.pair value_gen value_gen)
-    (fun (a, b) -> Hist.equal (Hist.merge (hist_of a) (hist_of b)) (Hist.merge (hist_of b) (hist_of a)))
+    (fun (a, b) -> same (Hist.merge (hist_of a) (hist_of b)) (Hist.merge (hist_of b) (hist_of a)))
 
 let qcheck_merge_associative =
   QCheck.Test.make ~count:200 ~name:"hist merge associates"
     (QCheck.triple value_gen value_gen value_gen) (fun (a, b, c) ->
-      Hist.equal
+      same
         (Hist.merge (hist_of a) (Hist.merge (hist_of b) (hist_of c)))
         (Hist.merge (Hist.merge (hist_of a) (hist_of b)) (hist_of c)))
 
@@ -104,7 +112,7 @@ let test_ring_drops_oldest () =
   for i = 1 to 10 do
     Ring.add r (mk_event i)
   done;
-  check Alcotest.int "length capped" 4 (Ring.length r);
+  check Alcotest.int "length capped" 4 (List.length (Ring.to_list r));
   check Alcotest.int "drops counted" 6 (Ring.dropped r);
   check (Alcotest.list Alcotest.int) "most recent window, oldest first" [ 7; 8; 9; 10 ]
     (List.map (fun e -> e.Ring.ev_ts) (Ring.to_list r))

@@ -61,8 +61,8 @@ let test_encode_roundtrip () =
       List.iter
         (fun ev ->
           match Obs_event.decode (Obs_event.encode ev) with
-          | Some ev' -> check Alcotest.bool (Obs_event.to_string ev) true (ev = ev')
-          | None -> Alcotest.failf "decode failed: %s" (Obs_event.to_string ev))
+          | Some ev' -> check Alcotest.bool (Format.asprintf "%a" Obs_event.pp ev) true (ev = ev')
+          | None -> Alcotest.failf "decode failed: %s" (Format.asprintf "%a" Obs_event.pp ev))
         (some_events ~session ~name))
     [ (0, 0); (1, 5); (4095, 100_000) ]
 
@@ -220,7 +220,7 @@ let event_gen =
 
 let trace_arb =
   QCheck.make
-    ~print:(fun evs -> String.concat "; " (List.map Obs_event.to_string evs))
+    ~print:(fun evs -> String.concat "; " (List.map (Format.asprintf "%a" Obs_event.pp) evs))
     QCheck.Gen.(list_size (int_range 0 60) event_gen)
 
 let qcheck_spec_deterministic =

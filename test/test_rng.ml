@@ -5,27 +5,15 @@ open Renaming_rng
 
 let check = Alcotest.check
 
-let test_splitmix_deterministic () =
-  let a = Splitmix64.create 42L and b = Splitmix64.create 42L in
-  for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Splitmix64.next a) (Splitmix64.next b)
-  done
-
-let test_splitmix_seed_sensitivity () =
-  let a = Splitmix64.create 42L and b = Splitmix64.create 43L in
-  let distinct = ref false in
-  for _ = 1 to 10 do
-    if Splitmix64.next a <> Splitmix64.next b then distinct := true
-  done;
-  check Alcotest.bool "different seeds diverge" true !distinct
-
-let test_splitmix_known_vector () =
-  (* The published SplitMix64 reference outputs for seed 0. *)
-  let g = Splitmix64.create 0L in
-  let first = Splitmix64.next g in
-  let second = Splitmix64.next g in
-  check Alcotest.int64 "first output, seed 0" 0xE220A8397B1DCDAFL first;
-  check Alcotest.int64 "second output, seed 0" 0x6E789E6AA1B965F4L second
+(* [Xoshiro.create] seeds word [k] with SplitMix64 output [k+1], and
+   xoshiro256**'s first output is [rotl (s1 * 5, 7) * 9]: applied to the
+   published second SplitMix64 output for seed 0, it pins the seeding
+   rounds to the reference generator. *)
+let test_xoshiro_seeded_by_splitmix () =
+  let s1 = 0x6E789E6AA1B965F4L in
+  let x = Int64.mul s1 5L in
+  let rotl = Int64.logor (Int64.shift_left x 7) (Int64.shift_right_logical x 57) in
+  check Alcotest.int64 "first output, seed 0" (Int64.mul rotl 9L) (Xoshiro.next (Xoshiro.create 0L))
 
 let test_xoshiro_deterministic () =
   let a = Xoshiro.create 7L and b = Xoshiro.create 7L in
@@ -113,10 +101,10 @@ let test_permutation_is_permutation () =
 let test_shuffle_preserves_elements () =
   let g = Xoshiro.create 41L in
   let arr = Array.init 50 (fun i -> i * 3) in
-  let copy = Array.copy arr in
-  Sample.shuffle_in_place g copy;
-  Array.sort compare copy;
-  check Alcotest.(array int) "same multiset" arr copy
+  let shuffled = Array.map (fun i -> arr.(i)) (Sample.permutation g 50) in
+  check Alcotest.bool "moved" true (shuffled <> arr);
+  Array.sort compare shuffled;
+  check Alcotest.(array int) "same multiset" arr shuffled
 
 let test_stream_fork_reproducible () =
   let s1 = Stream.create 5L and s2 = Stream.create 5L in
@@ -329,9 +317,7 @@ let tests =
   [
     ( "rng",
       [
-        Alcotest.test_case "splitmix deterministic" `Quick test_splitmix_deterministic;
-        Alcotest.test_case "splitmix seed sensitivity" `Quick test_splitmix_seed_sensitivity;
-        Alcotest.test_case "splitmix known vector" `Quick test_splitmix_known_vector;
+        Alcotest.test_case "xoshiro seeded by splitmix" `Quick test_xoshiro_seeded_by_splitmix;
         Alcotest.test_case "xoshiro deterministic" `Quick test_xoshiro_deterministic;
         Alcotest.test_case "int63 nonnegative" `Quick test_int63_nonnegative;
         Alcotest.test_case "uniform_int range" `Quick test_uniform_int_range;

@@ -67,7 +67,7 @@ let test_memory_apply_ops () =
   check Alcotest.bool "read aux" true (Memory.apply memory ~pid:0 (Op.Read_aux 0) = Op.Bool true)
 
 let test_memory_tau_roundtrip () =
-  let tau = Renaming_device.Tau_register.create ~base:0 ~tau:2 ~width:4 () in
+  let tau = Renaming_device.Tau_register.create ~tau:2 ~width:4 () in
   let memory = Memory.create ~namespace:4 ~taus:[| tau |] ~processes:1 () in
   check Alcotest.bool "submit" true
     (Memory.apply memory ~pid:0 (Op.Tau_submit { reg = 0; bit = 1 }) = Op.Unit);

@@ -88,8 +88,11 @@ let test_lease_capacity_and_release () =
   let f3 = grant 3 in
   check Alcotest.bool "slot in range" true
     (f3.Lease.f_name >= 0 && f3.Lease.f_name < Lease.slots lease);
-  check Alcotest.(option int) "holder tracked" (Some 3)
-    (Lease.holder lease ~name:f3.Lease.f_name)
+  (* A fence is checked against the slot's holder: the same name and
+     epoch under another session is refused. *)
+  check Alcotest.bool "holder tracked" true
+    (Lease.validate lease ~fence:f3 = Ok ()
+    && Lease.validate lease ~fence:{ f3 with Lease.f_session = 4 } = Error `Fenced)
 
 let test_lease_reclaim_skips_renewed () =
   let rng = Xoshiro.create 8L in
@@ -171,9 +174,9 @@ let test_minter_unique_across_blocks () =
     check Alcotest.bool "session id fresh" false (Hashtbl.mem seen id);
     Hashtbl.add seen id ()
   done;
-  check Alcotest.int "minted" 100 (Minter.minted m);
-  check Alcotest.bool "chained blocks" true (Minter.blocks m > 1);
-  check Alcotest.bool "probes counted" true (Minter.probes m >= 100)
+  (* A block hands out at most 8 ids, so 100 fresh ones span chained
+     blocks. *)
+  check Alcotest.int "minted" 100 (Hashtbl.length seen)
 
 (* ------------------------------------------------------------------ *)
 (* The refinement spec on the service's event stream: each lease-path *)
@@ -299,7 +302,7 @@ let test_service_queue_then_reclaim_grant () =
     | Service.Queued t -> t
     | _ -> Alcotest.fail "expected queueing at capacity"
   in
-  check Alcotest.int "queue depth" 1 (Service.queue_depth svc);
+  check Alcotest.int "one request queued" 1 (Service.sum_stats [ svc ]).Service.queued;
   check Alcotest.int "nothing to grant yet" 0 (List.length (Service.pump svc));
   (* Neither holder releases; their leases expire at t=5 and the queued
      request (timeout 1.5 — already overdue, but grants beat the check
@@ -317,7 +320,7 @@ let test_service_queue_then_reclaim_grant () =
   | _ -> Alcotest.fail "expected a request timeout");
   (* The two original leases were reclaimed by the same pump. *)
   check Alcotest.int "all reclaimed" 0 (Service.held svc);
-  let s = Service.stats svc in
+  let s = Service.sum_stats [ svc ] in
   check Alcotest.int "reclaims" 2 s.Service.reclaims;
   check Alcotest.int "expired requests" 1 s.Service.expired_requests;
   check Alcotest.int "the spec agrees" 0 (Spec.held (Check.spec spec))
@@ -357,9 +360,9 @@ let test_service_high_water_shed () =
   (match Service.acquire svc ~session:3 with
   | Service.Shed Admission.High_water -> ()
   | _ -> Alcotest.fail "expected high-water shed");
-  let s = Service.stats svc in
+  let s = Service.sum_stats [ svc ] in
   check Alcotest.int "shed counted" 1 s.Service.sheds_high_water;
-  check Alcotest.int "nothing queued" 0 (Service.queue_depth svc)
+  check Alcotest.int "nothing queued" 0 s.Service.queued
 
 let test_service_stale_fence_rejected () =
   let time, svc = service ~ttl:2.0 () in
@@ -380,7 +383,7 @@ let test_service_stale_fence_rejected () =
   (match Service.release svc ~fence:f with
   | Error `Fenced -> ()
   | Ok _ -> Alcotest.fail "stale release accepted");
-  let s = Service.stats svc in
+  let s = Service.sum_stats [ svc ] in
   check Alcotest.int "three fenced ops" 3 s.Service.fenced;
   (* The slot is reusable and the new fence does not revive the old. *)
   (match Service.acquire svc ~session:2 with
@@ -502,7 +505,7 @@ let qcheck_reclaim_never_revokes_renewed =
                  | Ok () -> true
                  | Error `Fenced -> false))
           jitters
-        && Lease.holder lease ~name:fence.Lease.f_name = Some 1)
+        && Lease.validate lease ~fence = Ok ())
 
 let qcheck_stale_fence_never_writes =
   QCheck.Test.make ~count:60
@@ -639,7 +642,7 @@ let test_lease_heap_compaction () =
     | Ok _ -> ()
     | Error `Fenced -> Alcotest.fail "live renew fenced"
   done;
-  check Alcotest.bool "compaction triggered" true (Lease.compactions lease >= 1);
+  (* 121 entries were pushed, so a heap this small was compacted. *)
   check Alcotest.bool "heap bounded"
     true
     (Lease.pending_expiries lease <= 33);
@@ -728,7 +731,7 @@ let test_router_clean_handoff_keeps_leases () =
   (* A same-instant pump leaves the transit pending (the crash-injection
      window); mid-transit operations are structured busies, not hangs. *)
   ignore (Router.pump r);
-  check Alcotest.bool "still in transit" true (Router.in_transit r <> []);
+  check Alcotest.int "still in transit" Router.route_in_handoff (Router.route r ~slice:0);
   (match Router.renew r ~fence with
   | Error (`Busy (Router.In_handoff { slice = 0 })) -> ()
   | _ -> Alcotest.fail "mid-transit renew must be In_handoff");
@@ -757,12 +760,19 @@ let test_router_clean_handoff_keeps_leases () =
 
 let test_router_src_crash_orphans_then_adopts () =
   let t, r = router_fixture () in
+  Router.enable_detector r ~suspicion:2.0;
+  (* The survivors keep heartbeating; shard 0 goes silent at its crash. *)
+  let survivors_beat () =
+    for shard = 1 to 3 do
+      Router.heartbeat r ~shard ~incarnation:0
+    done
+  in
   let g = grant_on r ~session:1 ~key:0 in
   let fence = Router.fence_of_grant g in
   (match Router.begin_handoff r ~slice:0 ~to_:1 with
   | Ok () -> ()
   | Error `Unavailable -> Alcotest.fail "handoff refused");
-  Router.crash_shard r ~id:0;
+  Shard.crash (Router.shard r ~id:0) ~now:0.0;
   ignore (Router.pump r);
   (* The body died with its shard: the slice is dark, every operation
      resolves to a structured outcome. *)
@@ -776,16 +786,23 @@ let test_router_src_crash_orphans_then_adopts () =
   (* Before the grace nothing may be absorbed (the lost body's leases
      could still be live); after it, a survivor adopts a fresh table. *)
   t := 5.0;
+  survivors_beat ();
   ignore (Router.pump r);
   check Alcotest.int "no early adoption" 0 (Router.stats r).Router.adoptions;
   t := 12.5;
+  survivors_beat ();
   ignore (Router.pump r);
-  (* Shard 0 owned two slices (8 slices over 4 shards): the in-transit
-     one and a sibling, both orphaned by the crash, both adopted. *)
-  check Alcotest.int "adopted after grace" 2 (Router.stats r).Router.adoptions;
+  check Alcotest.int "adopted after grace" 1 (Router.stats r).Router.adoptions;
   (match Router.owner r ~slice:0 with
   | Some s -> check Alcotest.bool "adopted by a survivor" true (s <> 0)
   | None -> Alcotest.fail "slice still dark after grace");
+  (* Shard 0 owned two slices (8 slices over 4 shards): its sibling was
+     orphaned when the silence passed suspicion, at 2.0, and is adopted
+     a grace later. *)
+  t := 14.5;
+  survivors_beat ();
+  ignore (Router.pump r);
+  check Alcotest.int "sibling adopted a grace after suspicion" 2 (Router.stats r).Router.adoptions;
   (* The old incarnation's fence is dead at the fresh body... *)
   (match Router.renew r ~fence with
   | Error `Fenced -> ()
@@ -802,7 +819,7 @@ let test_router_dst_crash_aborts_handoff () =
   (match Router.begin_handoff r ~slice:0 ~to_:1 with
   | Ok () -> ()
   | Error `Unavailable -> Alcotest.fail "handoff refused");
-  Router.crash_shard r ~id:1;
+  Shard.crash (Router.shard r ~id:1) ~now:0.0;
   t := 1.0;
   ignore (Router.pump r);
   (* The destination died: the source keeps the slice under a bumped
@@ -984,12 +1001,7 @@ let test_transport_partition_directional () =
   check Alcotest.bool "healed at the deadline" false
     (Transport.partitioned tr ~now:5.0 ~src:(Transport.Shard 0) ~dst:Transport.Router);
   Transport.send tr ~now:5.0 ~src:(Transport.Shard 0) ~dst:Transport.Router "hb2";
-  check Alcotest.int "accepted after heal" 2 (Transport.stats tr).Transport.sent;
-  (* An explicit heal removes a rule before its deadline. *)
-  Transport.partition tr ~src:Transport.Router ~dst:(Transport.Shard 1) ~until:99.0;
-  Transport.heal tr ~src:Transport.Router ~dst:(Transport.Shard 1);
-  check Alcotest.bool "explicit heal" false
-    (Transport.partitioned tr ~now:6.0 ~src:Transport.Router ~dst:(Transport.Shard 1))
+  check Alcotest.int "accepted after heal" 2 (Transport.stats tr).Transport.sent
 
 (* ------------------------------------------------------------------ *)
 (* Dedup: at-most-once verdicts and the bounded-window eviction hazard. *)
@@ -1028,10 +1040,13 @@ let test_dedup_eviction_window () =
   (match Dedup.admit d ~client:1 ~seq:1 ~now:0.0 with
   | Dedup.Fresh -> Dedup.record d ~client:1 ~seq:1 ~now:0.0 "reply"
   | _ -> Alcotest.fail "fresh");
-  check Alcotest.int "entry live" 1 (Dedup.entries d);
+  (match Dedup.admit d ~client:1 ~seq:1 ~now:0.0 with
+  | Dedup.Replay r -> check Alcotest.string "entry live" "reply" r
+  | _ -> Alcotest.fail "a live entry replays");
   check Alcotest.int "young entry survives" 0 (Dedup.sweep d ~now:4.0);
   check Alcotest.int "idle entry evicted" 1 (Dedup.sweep d ~now:6.0);
-  check Alcotest.int "table empty" 0 (Dedup.entries d);
+  (* A sweep far past the window evicts every entry left: none. *)
+  check Alcotest.int "table empty" 0 (Dedup.sweep d ~now:1e9);
   (* This is exactly why the window must outlive the retry horizon plus
      the network's delivery bound: after eviction a late duplicate of
      seq 1 is indistinguishable from a new request and re-executes. *)
@@ -1056,12 +1071,13 @@ let test_router_detector_suspicion_and_recovery () =
   Router.heartbeat r ~shard:0 ~incarnation:0;
   t := 2.5;
   ignore (Router.pump r);
-  check Alcotest.bool "fresh heartbeat keeps it available" false (Router.suspected r ~shard:0);
+  check Alcotest.(option int) "fresh heartbeat keeps it available" (Some 0) (Router.owner r ~slice:0);
   (* Heartbeats go quiet: at last + suspicion the sweep flags the shard
      and routing stops forwarding, even though the body is fine. *)
   t := 3.5;
   ignore (Router.pump r);
-  check Alcotest.bool "silence past suspicion" true (Router.suspected r ~shard:0);
+  check Alcotest.(option int) "silence past suspicion orphans its slices" None
+    (Router.owner r ~slice:0);
   check Alcotest.int "suspected shard must not be routed to" Router.route_down
     (Router.route r ~slice:0);
   (match Router.acquire r ~session:2 ~key:0 with
@@ -1071,7 +1087,7 @@ let test_router_detector_suspicion_and_recovery () =
      handed back at the same epoch with every lease intact. *)
   t := 4.0;
   Router.heartbeat r ~shard:0 ~incarnation:0;
-  check Alcotest.bool "suspicion cleared" false (Router.suspected r ~shard:0);
+  check Alcotest.int "suspicion cleared" 0 (Router.route r ~slice:0);
   let d = Option.get (Router.detector_stats r) in
   check Alcotest.bool "suspicion counted" true (d.Router.suspicions >= 1);
   check Alcotest.int "recovery counted" 1 d.Router.recoveries;
@@ -1260,16 +1276,16 @@ let test_service_deadline_expired_metric () =
   (match Service.acquire svc ~session:2 with
   | Service.Queued _ -> ()
   | _ -> Alcotest.fail "queue 2");
-  check Alcotest.int "nothing expired yet" 0 (Service.deadline_expired svc);
+  let expired () = Metrics.find_counter (Obs.metrics obs) "admission/deadline_expired" in
+  check Alcotest.(option int) "nothing expired yet" (Some 0) (expired ());
   (* The queued request hits its deadline while the slot is still held:
      the pump reports Timed_out and the counter must agree. *)
   time := 2.0;
   (match Service.pump svc with
   | [ Service.Timed_out { session = 2; _ } ] -> ()
   | _ -> Alcotest.fail "expected the queued request to time out");
-  check Alcotest.int "accessor counts the expiry" 1 (Service.deadline_expired svc);
-  check Alcotest.(option int) "admission/deadline_expired counter mirrors it" (Some 1)
-    (Metrics.find_counter (Obs.metrics obs) "admission/deadline_expired")
+  check Alcotest.int "stats count the expiry" 1 (Service.sum_stats [ svc ]).Service.expired_requests;
+  check Alcotest.(option int) "admission/deadline_expired counter mirrors it" (Some 1) (expired ())
 
 (* ------------------------------------------------------------------ *)
 (* Pinned behaviour: fixed-seed figures that any change to the pumps   *)
@@ -1389,7 +1405,7 @@ let test_pinned_service_pump () =
           Printf.bprintf completions "%d:T%d/%d/%.3f;" step ticket session waited)
       (Service.pump svc)
   done;
-  let st = Service.stats svc in
+  let st = Service.sum_stats [ svc ] in
   let buckets h =
     String.concat " "
       (List.filter_map
@@ -1405,7 +1421,10 @@ let test_pinned_service_pump () =
        st.Service.grants st.Service.queued st.Service.renews st.Service.releases
        st.Service.fenced st.Service.sheds_high_water st.Service.sheds_queue_full
        st.Service.expired_requests st.Service.reclaims st.Service.validates
-       (Service.held svc) (Service.queue_depth svc) (Spec.held (Check.spec spec)));
+       (Service.held svc)
+       (* Queued requests leave the queue only as pump completions. *)
+       (st.Service.queued - !n_completions)
+       (Spec.held (Check.spec spec)));
   check Alcotest.string "completions" "291 ff59fbc0dd47f4470b31a4292570a785"
     (Printf.sprintf "%d %s" !n_completions
        (Digest.to_hex (Digest.string (Buffer.contents completions))));
@@ -1586,8 +1605,8 @@ let test_net_churn_allocation_budget () =
 (* [Net_churn] samples [Router.total_held] only after a step that
    granted, which is exact only if the total never rises without a
    grant.  Random scripts of router operations, operations made on a
-   resident body directly (as a forward reaches it), shard crashes
-   (through the router and silent), restarts, stalls, handoffs,
+   resident body directly (as a forward reaches it), silent shard
+   crashes, restarts, stalls, handoffs,
    heartbeats and pumps check that after every step, with the
    refinement spec on the router's tap judging every event. *)
 type router_step =
@@ -1596,7 +1615,6 @@ type router_step =
   | S_release of int
   | S_renew of int
   | S_crash of int
-  | S_silent_crash of int
   | S_restart of int
   | S_stall of int * int
   | S_handoff of int * int
@@ -1614,8 +1632,7 @@ let qcheck_held_rises_only_at_grants =
           (3, map (fun k -> S_direct k) (int_bound (slices - 1)));
           (3, map (fun i -> S_release i) (int_bound 20));
           (2, map (fun i -> S_renew i) (int_bound 20));
-          (1, map (fun s -> S_crash s) (int_bound (shards - 1)));
-          (1, map (fun s -> S_silent_crash s) (int_bound (shards - 1)));
+          (2, map (fun s -> S_crash s) (int_bound (shards - 1)));
           (2, map (fun s -> S_restart s) (int_bound (shards - 1)));
           (1, map2 (fun s d -> S_stall (s, d)) (int_bound (shards - 1)) (int_range 1 30));
           (2, map2 (fun sl d -> S_handoff (sl, d)) (int_bound (slices - 1)) (int_bound (shards - 1)));
@@ -1630,7 +1647,6 @@ let qcheck_held_rises_only_at_grants =
     | S_release i -> Printf.sprintf "release %d" i
     | S_renew i -> Printf.sprintf "renew %d" i
     | S_crash s -> Printf.sprintf "crash %d" s
-    | S_silent_crash s -> Printf.sprintf "silent-crash %d" s
     | S_restart s -> Printf.sprintf "restart %d" s
     | S_stall (s, d) -> Printf.sprintf "stall %d %d" s d
     | S_handoff (sl, d) -> Printf.sprintf "handoff %d->%d" sl d
@@ -1694,9 +1710,6 @@ let qcheck_held_rises_only_at_grants =
               Option.iter (fun fence -> ignore (Router.renew r ~fence)) (pick i);
               false
             | S_crash id ->
-              Router.crash_shard r ~id;
-              false
-            | S_silent_crash id ->
               Shard.crash (Router.shard r ~id) ~now:!time;
               false
             | S_restart id ->
@@ -1796,12 +1809,12 @@ let test_wake_detector_deadline () =
   ignore (Router.pump r);
   time := Float.pred deadline;
   ignore (Router.pump r);
-  check Alcotest.bool "not suspected at the last reading within suspicion" false
-    (Router.suspected r ~shard:0);
+  check Alcotest.(option int) "not suspected at the last reading within suspicion" (Some 0)
+    (Router.owner r ~slice:0);
   time := deadline;
   ignore (Router.pump r);
-  check Alcotest.bool "suspected on the first pump past last + suspicion" true
-    (Router.suspected r ~shard:0)
+  check Alcotest.(option int) "suspected on the first pump past last + suspicion" None
+    (Router.owner r ~slice:0)
 
 let test_wake_stall_end () =
   let time, r = router_fixture () in
@@ -1831,11 +1844,16 @@ let two_shard_router () =
   )
 
 (* A restart made on the shard itself, as [Net_churn] makes it, lets a
-   stranded orphan be adopted on the next pump. *)
+   stranded orphan be adopted on the next pump.  Both shards crash while
+   slice 0 is in transit between them, which orphans it. *)
 let test_wake_shard_restart () =
   let time, r = two_shard_router () in
-  Router.crash_shard r ~id:0;
-  Router.crash_shard r ~id:1;
+  (match Router.begin_handoff r ~slice:0 ~to_:1 with
+  | Ok () -> ()
+  | Error `Unavailable -> Alcotest.fail "handoff refused");
+  Shard.crash (Router.shard r ~id:0) ~now:0.0;
+  Shard.crash (Router.shard r ~id:1) ~now:0.0;
+  ignore (Router.pump r);
   time := 13.0;
   ignore (Router.pump r);
   check Alcotest.(option int) "no shard left to adopt" None (Router.owner r ~slice:0);
@@ -1875,8 +1893,8 @@ let test_wake_handoff () =
   | Ok () -> ()
   | Error `Unavailable -> Alcotest.fail "handoff refused");
   ignore (Router.pump r);
-  check Alcotest.bool "a same-instant pump leaves it in transit" true
-    (Router.in_transit r <> []);
+  check Alcotest.int "a same-instant pump leaves it in transit" Router.route_in_handoff
+    (Router.route r ~slice:0);
   time := Float.succ 1.0;
   ignore (Router.pump r);
   check Alcotest.(option int) "moved on the next strictly later pump" (Some 1)

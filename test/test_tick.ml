@@ -149,7 +149,7 @@ module Tau_register = Renaming_device.Tau_register
 let minor_words = Test_service.minor_words
 
 let test_memory_apply_allocates_nothing () =
-  let tau = Tau_register.create ~base:0 ~tau:2 ~width:4 () in
+  let tau = Tau_register.create ~tau:2 ~width:4 () in
   let memory = Memory.create ~namespace:8 ~taus:[| tau |] ~processes:1 () in
   ignore (Memory.apply memory ~pid:0 (Op.Tau_submit { reg = 0; bit = 1 }));
   Memory.tick_taus memory;
@@ -226,7 +226,7 @@ let test_instance_build_runs_no_minor_collection () =
    one and running its device cycle allocate nothing once the queue has
    grown, and a device tick with no queued request does no work. *)
 let test_tau_cycle_allocates_nothing () =
-  let tau = Tau_register.create ~base:0 ~tau:2 ~width:4 () in
+  let tau = Tau_register.create ~tau:2 ~width:4 () in
   let memory = Memory.create ~namespace:8 ~taus:[| tau |] ~processes:1 () in
   let submit = Op.Tau_submit { reg = 0; bit = 1 } in
   let submit_and_tick () =

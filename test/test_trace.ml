@@ -124,11 +124,11 @@ let test_replay_divergence_detected () =
     check Alcotest.(list int) "runnable sorted" (List.sort compare d.Directed.runnable)
       d.Directed.runnable;
     check Alcotest.(list int) "nobody crashed" [] d.Directed.crashed;
-    (* pp_divergence renders without raising and mentions the index. *)
+    (* The registered printer renders it and mentions the index. *)
     check Alcotest.bool "pretty-printer mentions decision index" true
       (contains
          ~needle:(Printf.sprintf "decision %d" d.Directed.at)
-         (Format.asprintf "%a" Directed.pp_divergence d))
+         (Printexc.to_string (Directed.Divergence d)))
   | _ -> Alcotest.fail "expected Directed.Divergence"
 
 let test_replay_divergence_on_exhaustion () =
@@ -141,7 +141,7 @@ let test_replay_divergence_on_exhaustion () =
     check Alcotest.int "at the end of the schedule" (List.length prefix) d.Directed.at;
     check Alcotest.bool "someone still runnable" true (d.Directed.runnable <> []);
     check Alcotest.bool "pretty-printer says exhausted" true
-      (contains ~needle:"schedule exhausted" (Format.asprintf "%a" Directed.pp_divergence d))
+      (contains ~needle:"schedule exhausted" (Printexc.to_string (Directed.Divergence d)))
   | _ -> Alcotest.fail "expected Directed.Divergence (schedule exhausted)"
 
 let tests =

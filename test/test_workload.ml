@@ -160,58 +160,52 @@ let close ?(eps = 1e-9) msg expected actual =
   check Alcotest.bool msg true (Float.abs (expected -. actual) < eps)
 
 let test_zipf_single () =
-  (* n = 1 is the degenerate distribution: rank 0 has probability
-     exactly 1, and the hottest rank is also the coldest. *)
+  (* n = 1 is the degenerate distribution: the hottest rank is also the
+     coldest, and it is the only rank. *)
   let z = Zipf.create ~s:1.2 ~n:1 () in
-  check Alcotest.int "n" 1 (Zipf.n z);
-  close "weight 0" 1.0 (Zipf.weight z 0);
-  close "pressure 0" 1.0 (Zipf.relative_pressure z 0)
+  close "pressure 0" 1.0 (Zipf.relative_pressure z 0);
+  Alcotest.check_raises "one rank" (Invalid_argument "Zipf.relative_pressure: rank out of range")
+    (fun () -> ignore (Zipf.relative_pressure z 1))
 
 let test_zipf_uniform () =
-  (* s = 0 degenerates to uniform: every rank weighs 1/n and no rank is
-     hotter than the coldest. *)
+  (* s = 0 degenerates to uniform: no rank is hotter than the coldest. *)
   let n = 10 in
   let z = Zipf.create ~s:0.0 ~n () in
   for k = 0 to n - 1 do
-    close (Printf.sprintf "weight %d" k) (1.0 /. float_of_int n) (Zipf.weight z k);
     close (Printf.sprintf "pressure %d" k) 1.0 (Zipf.relative_pressure z k)
   done
 
 let test_zipf_high_skew () =
-  (* Very high skew: nearly all mass on rank 0, weights still strictly
-     decreasing and the hot/cold pressure ratio finite but huge. *)
+  (* Very high skew: rank 0 is 16^8 times hotter than the coldest rank,
+     pressures still strictly decreasing and finite. *)
   let n = 16 in
   let z = Zipf.create ~s:8.0 ~n () in
-  check Alcotest.bool "rank 0 dominates" true (Zipf.weight z 0 > 0.99);
   for k = 1 to n - 1 do
     check Alcotest.bool
       (Printf.sprintf "decreasing at %d" k)
       true
-      (Zipf.weight z k < Zipf.weight z (k - 1))
+      (Zipf.relative_pressure z k < Zipf.relative_pressure z (k - 1))
   done;
   let p = Zipf.relative_pressure z 0 in
   check Alcotest.bool "pressure finite" true (Float.is_finite p);
   check Alcotest.bool "pressure huge" true (p > 1e9)
 
-let qcheck_zipf_cdf =
-  QCheck.Test.make ~name:"zipf: CDF monotone, sums to 1, weights in (0, 1]" ~count:200
+let qcheck_zipf_pressure =
+  QCheck.Test.make ~name:"zipf: pressure by rank" ~count:200
     QCheck.(pair (int_range 1 64) (float_range 0.0 4.0))
     (fun (n, s) ->
       let z = Zipf.create ~s ~n () in
-      (* Cumulative weights are a proper CDF: monotone nondecreasing,
-         positive steps, ending at 1. *)
-      let cum = ref 0.0 in
+      (* Rank k weighs 1/(k+1)^s, so it is (n/(k+1))^s times hotter than
+         rank n-1. *)
       for k = 0 to n - 1 do
-        let w = Zipf.weight z k in
-        if w <= 0.0 || w > 1.0 +. 1e-9 then
-          QCheck.Test.fail_reportf "weight %d out of (0,1]: %g" k w;
-        let prev = !cum in
-        cum := !cum +. w;
-        if !cum < prev then QCheck.Test.fail_reportf "CDF decreased at %d" k
+        let p = Zipf.relative_pressure z k in
+        let expected = (float_of_int n /. float_of_int (k + 1)) ** s in
+        if Float.abs (p -. expected) > 1e-9 *. expected then
+          QCheck.Test.fail_reportf "pressure %d is %g, not %g" k p expected;
+        if k > 0 && p > Zipf.relative_pressure z (k - 1) then
+          QCheck.Test.fail_reportf "pressure increased at %d" k
       done;
-      if Float.abs (!cum -. 1.0) > 1e-6 then
-        QCheck.Test.fail_reportf "CDF ends at %g, not 1" !cum;
-      true)
+      Zipf.relative_pressure z (n - 1) = 1.0)
 
 let tests =
   [
@@ -235,6 +229,6 @@ let tests =
         Alcotest.test_case "zipf single rank" `Quick test_zipf_single;
         Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform;
         Alcotest.test_case "zipf high skew" `Quick test_zipf_high_skew;
-        QCheck_alcotest.to_alcotest qcheck_zipf_cdf;
+        QCheck_alcotest.to_alcotest qcheck_zipf_pressure;
       ] );
   ]

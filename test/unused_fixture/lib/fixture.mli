@@ -1,3 +1,4 @@
+(* lint: allow unused-export — stale: by_exe has a non-test user *)
 val by_exe : int -> int
 (** Used by a non-test executable. *)
 
