@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke soak-net mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke analyze examples clean loc
+.PHONY: all build test tables tables-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke soak-net mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke analyze examples clean loc
 
 all: build test
 
@@ -10,17 +10,17 @@ build:
 test:
 	dune runtest
 
-# Regenerate every table and figure (quick scale, ~1 minute).  Also
-# writes the machine-readable baseline results/bench.json (tables as
-# data + Bechamel micro-benchmarks + telemetry overhead bound; schema
-# renaming.bench/1, see docs/observability.md).
-bench:
-	dune exec bench/main.exe
+# Regenerate every table and figure at quick scale (~10 s) and write
+# them as data to results/tables.json (schema renaming.tables/1, see
+# docs/observability.md).  CI diffs every table but T13, whose multicore
+# rows come from real interleavings.
+tables:
+	dune exec bin/main.exe -- run --json results/tables.json
 
 # The EXPERIMENTS.md configuration (~15 minutes); JSON lands in
 # results/full_scale.json.
-bench-full:
-	RENAMING_SCALE=full dune exec bench/main.exe
+tables-full:
+	dune exec bin/main.exe -- run --scale full --json results/full_scale.json
 
 # Deterministic fault-injection campaign: every algorithm under crash,
 # crash-recovery and transient faults with the safety monitor (and so
@@ -143,7 +143,7 @@ clean:
 	dune clean
 
 # Lines of OCaml (.ml + .mli) per top-level directory, then the sum.
-LOC_DIRS = lib bin bench test examples e2e_bench
+LOC_DIRS = lib bin test examples e2e_bench
 loc:
 	@total=0; for d in $(LOC_DIRS); do \
 	  n=$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \

@@ -34,51 +34,77 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List every reproducible experiment (tables and figures).")
     Term.(const run $ const ())
 
-let csv_arg =
-  Arg.(value & opt (some dir) None & info [ "csv" ] ~docv:"DIR"
-         ~doc:"Also write each experiment's rows as $(docv)/<id>.csv.")
+let rec mkdir_p dir =
+  if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
-let write_csv dir id table =
-  let path = Filename.concat dir (String.lowercase_ascii id ^ ".csv") in
+let write_file path contents =
+  mkdir_p (Filename.dirname path);
   let oc = open_out path in
-  output_string oc (Table.to_csv table);
-  close_out oc;
-  Printf.printf "(csv written to %s)\n" path
+  output_string oc contents;
+  close_out oc
+
+let json_arg =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
+         ~doc:"Also write every table run to $(docv) as JSON (schema renaming.tables/1).")
+
+let tables_json scale runs =
+  Json.Obj
+    [
+      ("schema", Json.String "renaming.tables/1");
+      ("scale", Json.String (Runcfg.scale_name scale));
+      ( "experiments",
+        Json.List
+          (List.map
+             (fun (e, table) ->
+               Json.Obj
+                 [
+                   ("id", Json.String e.Registry.id);
+                   ("claim", Json.String e.Registry.claim);
+                   ("table", Table.to_json table);
+                 ])
+             runs) );
+    ]
 
 let run_cmd =
-  let ids = Arg.(non_empty & pos_all string [] & info [] ~docv:"ID") in
-  let run scale csv ids =
-    List.iter
-      (fun id ->
-        match Registry.find id with
-        | Some e ->
-          let table = e.Registry.run scale in
-          Printf.printf "[%s] %s\nclaim: %s\n\n%s\n" e.Registry.id e.Registry.title
-            e.Registry.claim (Table.render table);
-          Option.iter (fun dir -> write_csv dir e.Registry.id table) csv
-        | None ->
-          Printf.eprintf "unknown experiment id %S (try `renaming list`)\n" id;
-          exit 1)
-      ids
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run selected experiments by id (e.g. T1 F2).")
-    Term.(const run $ scale_arg $ csv_arg $ ids)
-
-let all_cmd =
-  let run scale csv =
-    Printf.printf "scale: %s\n" (Runcfg.scale_name scale);
-    match csv with
-    | None -> Registry.run_all ~scale ~out:Format.std_formatter
-    | Some dir ->
-      List.iter
+  let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
+  let run scale json ids =
+    (* Resolve every id before running anything: a typo should not cost
+       the experiments ahead of it. *)
+    let entries =
+      if ids = [] then Registry.all
+      else
+        List.map
+          (fun id ->
+            match Registry.find id with
+            | Some e -> e
+            | None ->
+              Printf.eprintf "unknown experiment id %S (try `renaming list`)\n" id;
+              exit 1)
+          ids
+    in
+    let runs =
+      List.map
         (fun e ->
           let table = e.Registry.run scale in
-          Printf.printf "[%s] %s\n\n%s\n" e.Registry.id e.Registry.title (Table.render table);
-          write_csv dir e.Registry.id table)
-        Registry.all
+          Printf.printf "[%s] %s\nclaim: %s\n\n%s\n%!" e.Registry.id e.Registry.title
+            e.Registry.claim (Table.render table);
+          (e, table))
+        entries
+    in
+    Option.iter
+      (fun out ->
+        write_file out (Json.to_string (tables_json scale runs) ^ "\n");
+        Printf.printf "(json written to %s)\n" out)
+      json
   in
-  Cmd.v (Cmd.info "all" ~doc:"Run every experiment in registry order.")
-    Term.(const run $ scale_arg $ csv_arg)
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Run the experiments with the given ids (e.g. T1 F2), or every experiment in \
+             registry order when no id is given.")
+    Term.(const run $ scale_arg $ json_arg $ ids)
 
 let adversary_of_name seed = function
   | "round-robin" -> Adversary.round_robin ()
@@ -172,18 +198,6 @@ let multicore_cmd =
        ~doc:"Run the Lemma 6 algorithm on real OCaml 5 domains; exit 1 on an invalid assignment \
              or a stall.")
     Term.(const run $ n $ ell $ domains $ seed $ deadline)
-
-let rec mkdir_p dir =
-  if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-let write_file path contents =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
 
 (* Persist shrunk counterexamples as replayable artifacts for
    `renaming shrink`. *)
@@ -865,7 +879,6 @@ let () =
           [
             list_cmd;
             run_cmd;
-            all_cmd;
             demo_cmd;
             multicore_cmd;
             trace_cmd;

@@ -15,7 +15,7 @@ let default =
     src_root = ".";
     build_root = "_build/default";
     exports = [ "lib" ];
-    users = [ "lib"; "bin"; "bench"; "e2e_bench"; "examples" ];
+    users = [ "lib"; "bin"; "e2e_bench"; "examples" ];
     tests = [ "test"; "e2e_bench/test" ];
   }
 

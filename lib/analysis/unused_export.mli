@@ -29,7 +29,7 @@ type config = {
 
 val default : config
 (** The repository layout: exports of [lib], used from [lib], [bin],
-    [bench], [e2e_bench] and [examples]; tests in [test] and
+    [e2e_bench] and [examples]; tests in [test] and
     [e2e_bench/test]; typed trees under [_build/default]. *)
 
 type report = { exported : int; findings : Lint.finding list }

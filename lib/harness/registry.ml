@@ -145,10 +145,3 @@ let all =
 let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> String.lowercase_ascii e.id = id) all
-
-let run_all ~scale ~out =
-  List.iter
-    (fun e ->
-      Format.fprintf out "@.[%s] %s@.claim: %s@.@.%s@." e.id e.title e.claim
-        (Table.render (e.run scale)))
-    all

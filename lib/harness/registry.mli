@@ -1,5 +1,5 @@
 (** The experiment registry: every table and figure of EXPERIMENTS.md,
-    addressable by id from the CLI and the bench harness. *)
+    addressable by id from the CLI (`renaming run`). *)
 
 type entry = {
   id : string;  (** "T1", "F2", ... *)
@@ -12,6 +12,3 @@ val all : entry list
 
 val find : string -> entry option
 (** Case-insensitive lookup by id. *)
-
-val run_all : scale:Runcfg.scale -> out:Format.formatter -> unit
-(** Renders every experiment to [out], in registry order. *)

@@ -1,10 +1,5 @@
 type scale = Quick | Full
 
-let of_env () =
-  match Sys.getenv_opt "RENAMING_SCALE" with
-  | Some v when String.lowercase_ascii v = "full" -> Full
-  | Some _ | None -> Quick
-
 let scale_name = function Quick -> "quick" | Full -> "full"
 
 let sweep_ns = function

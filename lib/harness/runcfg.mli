@@ -1,15 +1,11 @@
 (** Experiment scales.
 
-    [Quick] keeps the whole suite under a couple of minutes (CI and
-    `dune exec bench/main.exe`); [Full] is the EXPERIMENTS.md
-    configuration.  Scale only changes instance sizes and replication
+    [Quick] keeps the whole suite under a couple of minutes (`make
+    tables`); [Full] is the EXPERIMENTS.md configuration (`make
+    tables-full`).  Scale only changes instance sizes and replication
     counts, never algorithm parameters. *)
 
 type scale = Quick | Full
-
-val of_env : unit -> scale
-(** [Full] when the environment variable [RENAMING_SCALE] is ["full"]
-    (case-insensitive); [Quick] otherwise. *)
 
 val scale_name : scale -> string
 

@@ -38,18 +38,6 @@ let render t =
   List.iter (fun note -> Buffer.add_string buf ("  * " ^ note ^ "\n")) (List.rev t.notes);
   Buffer.contents buf
 
-let escape_csv cell =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-  else cell
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  let emit row = Buffer.add_string buf (String.concat "," (List.map escape_csv row) ^ "\n") in
-  emit t.columns;
-  List.iter emit (List.rev t.rows);
-  Buffer.contents buf
-
 let to_json t =
   let module Json = Renaming_obs.Json in
   let strings l = Json.List (List.map (fun s -> Json.String s) l) in

@@ -1,5 +1,5 @@
 (** Column-aligned text tables — how every experiment reports its
-    rows, and the CSV serialisation used for offline plotting. *)
+    rows — and their JSON form. *)
 
 type t
 
@@ -15,11 +15,10 @@ val add_note : t -> string -> unit
 
 val render : t -> string
 
-val to_csv : t -> string
-
 val to_json : t -> Renaming_obs.Json.t
 (** [{"title", "columns", "rows", "notes"}] — rows in display order;
-    the payload `make bench` embeds in results/bench.json. *)
+    the payload `renaming run --json` writes for each experiment
+    (results/tables.json). *)
 
 val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string

@@ -5,8 +5,8 @@
    The disabled mode IS the [None] case: every instrumentation site is
    a single [match obs with None -> () | Some o -> ...] branch, so a
    run without a capability pays one predictable branch per recording
-   site and allocates nothing.  bench/main.ml measures that bound and
-   records it in results/bench.json. *)
+   site and allocates nothing.  test/test_tick.ml holds that bound as
+   words per simulator tick. *)
 
 type t = {
   metrics : Metrics.t;

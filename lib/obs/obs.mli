@@ -7,8 +7,8 @@
     runners (chaos, mcheck, fuzz).  Disabled mode is the [None] case:
     every recording site is a single branch on the option, so runs
     without a capability pay one branch per site and allocate nothing
-    (bench/main.ml measures the bound; docs/observability.md has the
-    design rationale). *)
+    (test/test_tick.ml bounds the words a tick allocates with and without
+    one; docs/observability.md has the design rationale). *)
 
 type t
 

@@ -606,25 +606,29 @@ let step_transits t ~now =
     | _ -> ()
   done
 
-let orphan_stalled t ~now =
-  (* With a detector enabled the router cannot see stalls directly: a
-     stalled shard simply stops heartbeating and {!detector_sweep}
-     orphans it from the (later, still-safe) suspicion instant. *)
+let orphan_owned t ~id ~since =
+  for slice = 0 to Array.length t.dir - 1 do
+    match t.dir.(slice) with
+    | Owned { shard; epoch } when shard = id -> orphan_entry t ~slice ~last:shard ~epoch ~since
+    | _ -> ()
+  done
+
+(* Without a detector the router sees shard status directly: a crashed
+   shard's slices are orphaned at once, a stalled one's once the stall
+   outlasts the grace (it may yet heal).  Either way the orphan clock
+   starts at [since], the last instant a lease could have been renewed
+   there.  With a detector the router cannot see status: a crashed or
+   stalled shard stops heartbeating and {!detector_sweep} orphans it
+   from the (later, still-safe) suspicion instant. *)
+let orphan_down t ~now =
   match t.fd with
   | Some _ -> ()
   | None ->
     for id = 0 to Array.length t.shards - 1 do
       match Shard.status t.shards.(id) ~now with
-      | Shard.Stalled { since; _ } when now -. since >= t.cfg.grace ->
-        for slice = 0 to Array.length t.dir - 1 do
-          match t.dir.(slice) with
-          | Owned { shard; epoch } when shard = id ->
-            (* Orphan from the stall start: leases could last have
-               been renewed then, so the grace clock must too. *)
-            orphan_entry t ~slice ~last:shard ~epoch ~since
-          | _ -> ()
-        done
-      | _ -> ()
+      | Shard.Crashed { since } -> orphan_owned t ~id ~since
+      | Shard.Stalled { since; _ } when now -. since >= t.cfg.grace -> orphan_owned t ~id ~since
+      | Shard.Stalled _ | Shard.Alive -> ()
     done
 
 let adopt_orphans t ~now =
@@ -699,13 +703,13 @@ let rearm t ~now =
         | _ -> ())
       | Shard.Stalled { since; _ } -> (
         match t.fd with
-        | None -> if since < d.since_oldest then d.since_oldest <- since  (* [orphan_stalled] *)
+        | None -> if since < d.since_oldest then d.since_oldest <- since  (* [orphan_down] *)
         | Some _ -> ())
       | Shard.Crashed _ -> ())
   done
 
 (* Nothing is due: no phase of [pump] would act.  The detector and grace
-   deadlines are compared exactly as [detector_sweep], [orphan_stalled]
+   deadlines are compared exactly as [detector_sweep], [orphan_down]
    and [adopt_orphans] compare them, so rounding cannot delay them. *)
 let idle t ~now =
   let d = t.due in
@@ -721,7 +725,7 @@ let pump t =
     t.st.full_pumps <- t.st.full_pumps + 1;
     t.wake.Service.at <- infinity;
     detector_sweep t ~now;
-    orphan_stalled t ~now;
+    orphan_down t ~now;
     step_transits t ~now;
     validate_bodies t ~now;
     adopt_orphans t ~now;

@@ -32,10 +32,6 @@ type counters = {
   c_fenced : Metrics.counter;
   c_sheds : Metrics.counter;
   c_expired : Metrics.counter;
-  c_deadline : Metrics.counter;
-      (* the admission queue's own deadline-miss count, distinct from
-         the service-outcome counter so queue-health dashboards need not
-         reverse-engineer it from Timed_out completions *)
   c_reclaims : Metrics.counter;
 }
 
@@ -70,7 +66,6 @@ let create ?obs ?tap ?wake ~clock ~rng (cfg : config) =
           c_fenced = Obs.counter o "service/fenced";
           c_sheds = Obs.counter o "service/sheds";
           c_expired = Obs.counter o "service/expired_requests";
-          c_deadline = Obs.counter o "admission/deadline_expired";
           c_reclaims = Obs.counter o "service/reclaims";
         })
       obs
@@ -257,7 +252,6 @@ let pump_due t ~now =
       (fun (x : Admission.expired) ->
         t.st.expired_requests <- t.st.expired_requests + 1;
         bump t (fun c -> c.c_expired);
-        bump t (fun c -> c.c_deadline);
         Hist.observe t.h_wait (centiticks x.Admission.x_waited);
         Timed_out
           {

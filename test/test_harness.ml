@@ -24,11 +24,6 @@ let test_table_row_width_checked () =
   Alcotest.check_raises "short row" (Invalid_argument "Table.add_row: row width mismatch")
     (fun () -> Table.add_row t [ "1" ])
 
-let test_table_csv () =
-  let t = Table.create ~title:"demo" ~columns:[ "a"; "b" ] in
-  Table.add_row t [ "1"; "x,y" ];
-  check Alcotest.string "csv with quoting" "a,b\n1,\"x,y\"\n" (Table.to_csv t)
-
 let test_table_cells () =
   check Alcotest.string "int" "42" (Table.cell_int 42);
   check Alcotest.string "float" "3.14" (Table.cell_float 3.14159);
@@ -88,7 +83,6 @@ let tests =
       [
         Alcotest.test_case "table render" `Quick test_table_render_alignment;
         Alcotest.test_case "table row width" `Quick test_table_row_width_checked;
-        Alcotest.test_case "table csv" `Quick test_table_csv;
         Alcotest.test_case "table cells" `Quick test_table_cells;
         Alcotest.test_case "seeds" `Quick test_seeds;
         Alcotest.test_case "runcfg" `Quick test_runcfg;

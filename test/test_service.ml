@@ -1276,7 +1276,7 @@ let test_service_deadline_expired_metric () =
   (match Service.acquire svc ~session:2 with
   | Service.Queued _ -> ()
   | _ -> Alcotest.fail "queue 2");
-  let expired () = Metrics.find_counter (Obs.metrics obs) "admission/deadline_expired" in
+  let expired () = Metrics.find_counter (Obs.metrics obs) "service/expired_requests" in
   check Alcotest.(option int) "nothing expired yet" (Some 0) (expired ());
   (* The queued request hits its deadline while the slot is still held:
      the pump reports Timed_out and the counter must agree. *)
@@ -1285,7 +1285,7 @@ let test_service_deadline_expired_metric () =
   | [ Service.Timed_out { session = 2; _ } ] -> ()
   | _ -> Alcotest.fail "expected the queued request to time out");
   check Alcotest.int "stats count the expiry" 1 (Service.sum_stats [ svc ]).Service.expired_requests;
-  check Alcotest.(option int) "admission/deadline_expired counter mirrors it" (Some 1) (expired ())
+  check Alcotest.(option int) "service/expired_requests counter mirrors it" (Some 1) (expired ())
 
 (* ------------------------------------------------------------------ *)
 (* Pinned behaviour: fixed-seed figures that any change to the pumps   *)
@@ -1843,6 +1843,36 @@ let two_shard_router () =
          (Router.make_config ~shards:2 ~slices:2 ~ttl:10.0 ~grace:12.0 ~auto_rebalance:false ()))
   )
 
+(* Without a failure detector the router sees a crash directly: the dead
+   shard's slices are orphaned from the crash, a survivor adopts them a
+   grace later (never earlier: the lost body's leases could still be
+   live until then), and the pre-crash fence is dead at the fresh body. *)
+let test_router_crash_without_detector () =
+  let time, r = two_shard_router () in
+  let g = grant_on r ~session:1 ~key:1 in
+  check Alcotest.int "slice 1 starts on shard 1" 1 g.Router.sg_shard;
+  let fence = Router.fence_of_grant g in
+  time := 1.0;
+  Shard.crash (Router.shard r ~id:1) ~now:1.0;
+  ignore (Router.pump r);
+  (match Router.acquire r ~session:2 ~key:1 with
+  | Router.Busy (Router.Shard_down _) -> ()
+  | _ -> Alcotest.fail "a crashed owner's slice must be Shard_down");
+  time := Float.pred 13.0;
+  ignore (Router.pump r);
+  check Alcotest.(option int) "not adopted before crash + grace" None (Router.owner r ~slice:1);
+  time := 13.0;
+  ignore (Router.pump r);
+  check Alcotest.(option int) "the survivor adopts at crash + grace" (Some 0)
+    (Router.owner r ~slice:1);
+  check Alcotest.int "one adoption" 1 (Router.stats r).Router.adoptions;
+  (match Router.renew r ~fence with
+  | Error `Fenced -> ()
+  | _ -> Alcotest.fail "pre-crash fence must be fenced after adoption");
+  match Router.acquire r ~session:3 ~key:1 with
+  | Router.Granted g' -> check Alcotest.int "slice 1 grants again, on shard 0" 0 g'.Router.sg_shard
+  | _ -> Alcotest.fail "adopted slice must serve"
+
 (* A restart made on the shard itself, as [Net_churn] makes it, lets a
    stranded orphan be adopted on the next pump.  Both shards crash while
    slice 0 is in transit between them, which orphans it. *)
@@ -1930,6 +1960,8 @@ let tests =
         Alcotest.test_case "router: src crash -> adopt" `Quick test_router_src_crash_orphans_then_adopts;
         Alcotest.test_case "router: dst crash -> abort" `Quick test_router_dst_crash_aborts_handoff;
         Alcotest.test_case "router: stall heals" `Quick test_router_stall_heals;
+        Alcotest.test_case "router: crash without a detector -> adopt" `Quick
+          test_router_crash_without_detector;
         Alcotest.test_case "router: one shard adopts its slice back" `Quick
           test_router_one_shard_adopts_back;
         Alcotest.test_case "shard churn: safety" `Quick test_shard_churn_safety;
