@@ -96,6 +96,8 @@ let run_cmd =
     in
     Option.iter
       (fun out ->
+        (* One line, not [Json.to_document]'s one experiment per line:
+           results/tables.json is pinned in this layout. *)
         write_file out (Json.to_string (tables_json scale runs) ^ "\n");
         Printf.printf "(json written to %s)\n" out)
       json
@@ -223,7 +225,7 @@ let obs_of_metrics metrics = Option.map (fun _ -> Obs.create ()) metrics
 let write_metrics ~label obs metrics =
   match (obs, metrics) with
   | Some obs, Some path ->
-    write_file path (Export.metrics_to_string ~label (Obs.metrics obs) ^ "\n");
+    write_file path (Json.to_document (Export.metrics_json ~label (Obs.metrics obs)));
     Printf.printf "(metrics written to %s)\n" path
   | _ -> ()
 
@@ -249,7 +251,7 @@ let run_service_campaign campaign ~sessions ~seed_count ~out ~metrics =
     C.run ~progress ?obs campaign ~sessions ~seeds:(Renaming_harness.Seeds.take seed_count)
   in
   Format.printf "%a@." (C.pp campaign) result;
-  write_file out (C.to_json campaign result ^ "\n");
+  write_file out (Json.to_document (C.to_json campaign result));
   Printf.printf "(json written to %s)\n" out;
   write_metrics ~label:("chaos-" ^ campaign.C.name) obs metrics;
   match C.failures campaign result with
@@ -325,7 +327,7 @@ let chaos_cmd =
       let out = Option.value out ~default:"results/chaos.json" in
       let summary = Campaign.run ~progress ?obs spec in
       Format.printf "%a@." Campaign.pp summary;
-      write_file out (Campaign.to_json summary ^ "\n");
+      write_file out (Json.to_document (Campaign.to_json summary));
       Printf.printf "(json written to %s)\n" out;
       write_metrics ~label:"chaos" obs metrics;
       write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
@@ -392,7 +394,7 @@ let mcheck_cmd =
           stats)
         entries
     in
-    write_file out (Mcheck.to_json all ^ "\n");
+    write_file out (Json.to_document (Mcheck.to_json all));
     Printf.printf "(json written to %s)\n" out;
     write_metrics ~label:"mcheck" obs metrics;
     let violations =
@@ -485,7 +487,7 @@ let analyze_cmd =
         exit 1
     in
     Format.printf "%a@." Analyze.pp result;
-    write_file out (Analyze.to_json result ^ "\n");
+    write_file out (Json.to_document (Analyze.to_json result));
     Printf.printf "(json written to %s)\n" out;
     if not (Analyze.ok result) then begin
       Printf.eprintf "analyze: static analysis failed\n";
@@ -640,7 +642,7 @@ let fuzz_cmd =
       Fuzz.run ?clock ?max_seconds ~depth ~progress ?obs ~seed ~iterations targets
     in
     Format.printf "%a@." Fuzz.pp summary;
-    write_file out (Fuzz.to_json summary ^ "\n");
+    write_file out (Json.to_document (Fuzz.to_json summary));
     Printf.printf "(json written to %s)\n" out;
     write_metrics ~label:"fuzz" obs metrics;
     write_repros ~dir:(Filename.concat (Filename.dirname out) "repros") (Fuzz.repros summary);
@@ -856,7 +858,7 @@ let metrics_cmd =
       Executor.run ~obs ~on_event:(Renaming_faults.Monitor.hook monitor)
         ~adversary:(Adversary.round_robin ()) inst
     in
-    write_file out (Export.metrics_to_string ~label:inst.Executor.label (Obs.metrics obs) ^ "\n");
+    write_file out (Json.to_document (Export.metrics_json ~label:inst.Executor.label (Obs.metrics obs)));
     Printf.printf "%s: n=%d ticks=%d max-steps=%d unnamed=%d\n(metrics written to %s)\n"
       inst.Executor.label n report.Report.ticks (Report.max_steps report)
       (List.length (Report.surviving_unnamed report))

@@ -1,3 +1,5 @@
+module Json = Renaming_obs.Json
+
 type t = {
   pairs : Commute.audit;
   coverage : Commute.audit;
@@ -46,40 +48,50 @@ let pp fmt t =
   List.iter (fun f -> Format.fprintf fmt "  %a@ " Lint.pp_finding f) t.lint;
   Format.fprintf fmt "verdict: %s@]" (if ok t then "ok" else "FAILED")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let audit_json (a : Commute.audit) =
-  Printf.sprintf "{\"checked\":%d,\"failures\":[%s]}" a.Commute.a_checked
-    (String.concat ","
-       (List.map
-          (fun (f : Commute.failure) ->
-            Printf.sprintf "{\"check\":\"%s\",\"detail\":\"%s\"}" (json_escape f.Commute.f_check)
-              (json_escape f.Commute.f_detail))
-          a.Commute.a_failures))
+  Json.Obj
+    [
+      ("checked", Json.Int a.Commute.a_checked);
+      ( "failures",
+        Json.List
+          (List.map
+             (fun (f : Commute.failure) ->
+               Json.Obj
+                 [
+                   ("check", Json.String f.Commute.f_check);
+                   ("detail", Json.String f.Commute.f_detail);
+                 ])
+             a.Commute.a_failures) );
+    ]
 
 let finding_json (f : Lint.finding) =
-  Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\",\"message\":\"%s\",\"waived\":%b}"
-    (json_escape f.Lint.l_file) f.Lint.l_line (json_escape f.Lint.l_rule)
-    (json_escape f.Lint.l_message) f.Lint.l_waived
+  Json.Obj
+    [
+      ("file", Json.String f.Lint.l_file);
+      ("line", Json.Int f.Lint.l_line);
+      ("rule", Json.String f.Lint.l_rule);
+      ("message", Json.String f.Lint.l_message);
+      ("waived", Json.Bool f.Lint.l_waived);
+    ]
 
 let to_json t =
-  Printf.sprintf
-    "{\"ok\":%b,\"footprint\":{\"pairs\":%s,\"coverage\":%s,\"dependence\":%s},\"lint\":{\"files\":%d,\"active\":%d,\"waived\":%d,\"findings\":[%s]}}"
-    (ok t) (audit_json t.pairs) (audit_json t.coverage)
-    (match t.dependence with None -> "null" | Some a -> audit_json a)
-    t.lint_files
-    (List.length (Lint.active t.lint))
-    (List.length t.lint - List.length (Lint.active t.lint))
-    (String.concat "," (List.map finding_json t.lint))
+  let active = List.length (Lint.active t.lint) in
+  Json.Obj
+    [
+      ("ok", Json.Bool (ok t));
+      ( "footprint",
+        Json.Obj
+          [
+            ("pairs", audit_json t.pairs);
+            ("coverage", audit_json t.coverage);
+            ("dependence", Option.fold ~none:Json.Null ~some:audit_json t.dependence);
+          ] );
+      ( "lint",
+        Json.Obj
+          [
+            ("files", Json.Int t.lint_files);
+            ("active", Json.Int active);
+            ("waived", Json.Int (List.length t.lint - active));
+            ("findings", Json.List (List.map finding_json t.lint));
+          ] );
+    ]

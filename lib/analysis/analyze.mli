@@ -36,4 +36,4 @@ val ok : t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
+val to_json : t -> Renaming_obs.Json.t

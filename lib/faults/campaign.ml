@@ -3,6 +3,7 @@ module Adversary = Renaming_sched.Adversary
 module Report = Renaming_sched.Report
 module Directed = Renaming_sched.Directed
 module Stream = Renaming_rng.Stream
+module Json = Renaming_obs.Json
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
 
@@ -213,46 +214,36 @@ let run ?progress ?obs spec =
     Metrics.add (Obs.counter o "chaos/injected_faults") summary.total_injected);
   summary
 
-(* --- JSON emission (hand-rolled: the toolchain has no JSON library and
-   the driver forbids adding one) --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let repro_to_json (r : Shrink.repro) =
-  Printf.sprintf "{\"algorithm\":\"%s\",\"n\":%d,\"seed\":\"%Ld\",\"kind\":\"%s\",\"choices\":[%s]}"
-    (json_escape r.Shrink.rp_algorithm) r.Shrink.rp_n r.Shrink.rp_seed
-    (json_escape r.Shrink.rp_kind)
-    (String.concat ","
-       (List.map
-          (fun c -> "\"" ^ json_escape (Renaming_sched.Directed.choice_to_string c) ^ "\"")
-          r.Shrink.rp_choices))
-
 let cell_to_json c =
-  Printf.sprintf
-    "{\"algorithm\":\"%s\",\"adversary\":\"%s\",\"pattern\":\"%s\",\"fault_rate\":%g,\"runs\":%d,\"violations\":%d,\"livelocks\":%d,\"injected_faults\":%d,\"crashed\":%d,\"recovered\":%d,\"unnamed_survivors\":%d,\"mean_max_steps\":%.2f,\"baseline_max_steps\":%.2f,\"degradation\":%.3f,\"messages\":[%s],\"repros\":[%s]}"
-    (json_escape c.c_algorithm) (json_escape c.c_adversary) (json_escape c.c_pattern) c.c_rate
-    c.c_runs c.c_violations c.c_livelocks c.c_injected c.c_crashed c.c_recovered c.c_unnamed
-    c.c_mean_max_steps c.c_baseline_max_steps (degradation c)
-    (String.concat "," (List.map (fun m -> "\"" ^ json_escape m ^ "\"") c.c_messages))
-    (String.concat "," (List.map repro_to_json c.c_repros))
+  Json.Obj
+    [
+      ("algorithm", Json.String c.c_algorithm);
+      ("adversary", Json.String c.c_adversary);
+      ("pattern", Json.String c.c_pattern);
+      ("fault_rate", Json.Float c.c_rate);
+      ("runs", Json.Int c.c_runs);
+      ("violations", Json.Int c.c_violations);
+      ("livelocks", Json.Int c.c_livelocks);
+      ("injected_faults", Json.Int c.c_injected);
+      ("crashed", Json.Int c.c_crashed);
+      ("recovered", Json.Int c.c_recovered);
+      ("unnamed_survivors", Json.Int c.c_unnamed);
+      ("mean_max_steps", Json.fixed 2 c.c_mean_max_steps);
+      ("baseline_max_steps", Json.fixed 2 c.c_baseline_max_steps);
+      ("degradation", Json.fixed 3 (degradation c));
+      ("messages", Json.List (List.map (fun m -> Json.String m) c.c_messages));
+      ("repros", Json.List (List.map Shrink.repro_to_json c.c_repros));
+    ]
 
 let to_json summary =
-  Printf.sprintf
-    "{\"total_runs\":%d,\"total_violations\":%d,\"total_livelocks\":%d,\"total_injected_faults\":%d,\"cells\":[\n%s\n]}"
-    summary.total_runs summary.total_violations summary.total_livelocks summary.total_injected
-    (String.concat ",\n" (List.map cell_to_json summary.cells))
+  Json.Obj
+    [
+      ("total_runs", Json.Int summary.total_runs);
+      ("total_violations", Json.Int summary.total_violations);
+      ("total_livelocks", Json.Int summary.total_livelocks);
+      ("total_injected_faults", Json.Int summary.total_injected);
+      ("cells", Json.List (List.map cell_to_json summary.cells));
+    ]
 
 let pp fmt summary =
   Format.fprintf fmt "@[<v>chaos campaign: %d runs, %d violations, %d livelocks, %d injected faults@ "

@@ -74,6 +74,8 @@ val run :
     and [chaos/injected_faults] counters, and every run's monitor bumps
     the [refine/*] counters. *)
 
-val to_json : summary -> string
+val to_json : summary -> Renaming_obs.Json.t
+(** The [results/chaos.json] document: the totals, then one object per
+    cell. *)
 
 val pp : Format.formatter -> summary -> unit

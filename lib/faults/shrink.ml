@@ -1,5 +1,6 @@
 module Executor = Renaming_sched.Executor
 module Directed = Renaming_sched.Directed
+module Json = Renaming_obs.Json
 
 type failure = { f_kind : string; f_message : string }
 
@@ -157,6 +158,18 @@ let repro_to_string r =
        identically ([choices_of_condensed] treats [S] and [P] alike). *)
     Buffer.add_string buf (Directed.condensed (Array.of_list r.rp_choices) ^ "\n"));
   Buffer.contents buf
+
+let repro_to_json r =
+  Json.Obj
+    [
+      ("algorithm", Json.String r.rp_algorithm);
+      ("n", Json.Int r.rp_n);
+      ("seed", Json.String (Int64.to_string r.rp_seed));
+      ("kind", Json.String r.rp_kind);
+      ("tau_cadence", Json.Int r.rp_tau_cadence);
+      ( "choices",
+        Json.List (List.map (fun c -> Json.String (Directed.choice_to_string c)) r.rp_choices) );
+    ]
 
 let repro_of_string s =
   let ( let* ) = Stdlib.Result.bind in

@@ -90,6 +90,11 @@ val repro_to_string : repro -> string
     [rp_trace_format].  [rp_choices] is the single source of truth —
     the condensed body is derived from it on the way out. *)
 
+val repro_to_json : repro -> Renaming_obs.Json.t
+(** The artifact as a results-file object: [algorithm], [n], [seed] (a
+    decimal string), [kind], [tau_cadence] and [choices] (one
+    {!Renaming_sched.Directed.choice_to_string} each). *)
+
 val repro_of_string : string -> (repro, string) Stdlib.result
 (** Inverse of {!repro_to_string}.  The [tau-cadence] and [trace-format]
     headers are optional ([1] and [Choices] respectively) so artifacts

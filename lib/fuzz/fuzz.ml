@@ -10,6 +10,7 @@ module Sample = Renaming_rng.Sample
 module Clock = Renaming_clock.Clock
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
+module Json = Renaming_obs.Json
 
 type target = {
   fz_target : Target.t;
@@ -257,56 +258,45 @@ let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ~seed ~it
       (sum (fun r -> List.length r.r_violations)));
   summary
 
-(* --- JSON emission (hand-rolled, same dialect as the chaos campaign:
-   the toolchain has no JSON library and the driver forbids adding
-   one) --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let repro_to_json (r : Shrink.repro) =
-  Printf.sprintf
-    "{\"algorithm\":\"%s\",\"n\":%d,\"seed\":\"%Ld\",\"kind\":\"%s\",\"tau_cadence\":%d,\"choices\":[%s]}"
-    (json_escape r.Shrink.rp_algorithm) r.Shrink.rp_n r.Shrink.rp_seed
-    (json_escape r.Shrink.rp_kind) r.Shrink.rp_tau_cadence
-    (String.concat ","
-       (List.map
-          (fun c -> "\"" ^ json_escape (Directed.choice_to_string c) ^ "\"")
-          r.Shrink.rp_choices))
-
 let violation_to_json v =
-  Printf.sprintf "{\"kind\":\"%s\",\"iteration\":%d,\"mode\":\"%s\",\"shrunk\":%s,\"repro\":%s}"
-    (json_escape v.v_kind) v.v_iteration (json_escape v.v_mode)
-    (if v.v_repro <> None then "true" else "false")
-    (match v.v_repro with None -> "null" | Some r -> repro_to_json r)
-
-let growth_to_json g = Printf.sprintf "[%d,%d]" g.g_iteration g.g_edges
+  Json.Obj
+    [
+      ("kind", Json.String v.v_kind);
+      ("iteration", Json.Int v.v_iteration);
+      ("mode", Json.String v.v_mode);
+      ("shrunk", Json.Bool (v.v_repro <> None));
+      ("repro", Option.fold ~none:Json.Null ~some:Shrink.repro_to_json v.v_repro);
+    ]
 
 let result_to_json r =
-  Printf.sprintf
-    "{\"target\":\"%s\",\"n\":%d,\"expect_violation\":%b,\"found\":%b,\"ok\":%b,\"iterations\":%d,\"livelocks\":%d,\"corpus_size\":%d,\"coverage_edges\":%d,\"coverage_growth\":[%s],\"violations\":[%s]}"
-    (json_escape r.r_target) r.r_n r.r_expect_violation
-    (r.r_violations <> [])
-    (target_ok r) r.r_iterations r.r_livelocks r.r_corpus_size r.r_edges
-    (String.concat "," (List.map growth_to_json r.r_growth))
-    (String.concat "," (List.map violation_to_json r.r_violations))
+  Json.Obj
+    [
+      ("target", Json.String r.r_target);
+      ("n", Json.Int r.r_n);
+      ("expect_violation", Json.Bool r.r_expect_violation);
+      ("found", Json.Bool (r.r_violations <> []));
+      ("ok", Json.Bool (target_ok r));
+      ("iterations", Json.Int r.r_iterations);
+      ("livelocks", Json.Int r.r_livelocks);
+      ("corpus_size", Json.Int r.r_corpus_size);
+      ("coverage_edges", Json.Int r.r_edges);
+      ( "coverage_growth",
+        Json.List
+          (List.map (fun g -> Json.List [ Json.Int g.g_iteration; Json.Int g.g_edges ]) r.r_growth)
+      );
+      ("violations", Json.List (List.map violation_to_json r.r_violations));
+    ]
 
 let to_json s =
-  Printf.sprintf
-    "{\"seed\":\"%Ld\",\"pct_depth\":%d,\"iteration_budget\":%d,\"stopped_early\":%b,\"ok\":%b,\"targets\":[\n%s\n]}"
-    s.s_seed s.s_depth s.s_iteration_budget s.s_stopped_early (ok s)
-    (String.concat ",\n" (List.map result_to_json s.s_results))
+  Json.Obj
+    [
+      ("seed", Json.String (Int64.to_string s.s_seed));
+      ("pct_depth", Json.Int s.s_depth);
+      ("iteration_budget", Json.Int s.s_iteration_budget);
+      ("stopped_early", Json.Bool s.s_stopped_early);
+      ("ok", Json.Bool (ok s));
+      ("targets", Json.List (List.map result_to_json s.s_results));
+    ]
 
 let pp fmt s =
   Format.fprintf fmt "@[<v>fuzz campaign: seed %Ld, depth %d, budget %d iterations/target%s@ "

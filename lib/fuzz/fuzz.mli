@@ -106,7 +106,7 @@ val ok : summary -> bool
 val repros : summary -> Renaming_faults.Shrink.repro list
 (** All shrunk artifacts, in target order. *)
 
-val to_json : summary -> string
+val to_json : summary -> Renaming_obs.Json.t
 (** The [results/fuzz.json] document; schema in [docs/fuzzing.md]. *)
 
 val pp : Format.formatter -> summary -> unit

@@ -18,8 +18,7 @@ type t = {
   schema : string;
   default_sessions : int;
   cells : sessions:int -> (string * Net_churn.config) list;
-  fields : Net_churn.summary -> (string * Json.t) list;
-  totals : (string * (Net_churn.summary -> int)) list;
+  totals : string list;
   checks : check list;
   brief : string list;
 }
@@ -33,7 +32,94 @@ let violation_json = function
   | Some (kind, message) ->
     Json.Obj [ ("kind", Json.String kind); ("message", Json.String message) ]
 
-let violations (s : N.summary) = flag (s.N.violation <> None)
+(* Every field of a run's summary and of its sub-records, in record
+   order.  A sub-record's field that repeats a summary field's name
+   carries its record's name as a prefix. *)
+let summary_fields (s : N.summary) =
+  let int k v = (k, Json.Int v) in
+  let t = s.N.net and d = s.N.dedup and f = s.N.detector and r = s.N.router in
+  let v = s.N.service in
+  [
+    int "sessions" s.N.sessions;
+    int "client_crashes" s.N.client_crashes;
+    int "client_restarts" s.N.client_restarts;
+    int "shard_crashes" s.N.shard_crashes;
+    int "shard_restarts" s.N.shard_restarts;
+    int "partitions" s.N.partitions;
+    int "shard_stalls" s.N.shard_stalls;
+    int "abandoned" s.N.abandoned;
+    int "retries" s.N.retries;
+    int "resends" s.N.resends;
+    int "timeouts" s.N.timeouts;
+    int "lost_tickets" s.N.lost_tickets;
+    int "redirects" s.N.redirects;
+    int "shard_down_busy" s.N.shard_down_busy;
+    int "in_handoff_busy" s.N.in_handoff_busy;
+    int "sheds" s.N.sheds;
+    int "expected_fenced" s.N.expected_fenced;
+    int "unexpected_fenced" s.N.unexpected_fenced;
+    int "releases_dropped" s.N.releases_dropped;
+    int "late_grants_released" s.N.late_grants_released;
+    int "double_grants" s.N.double_grants;
+    int "stale_ops" s.N.stale_ops;
+    int "stale_rejected" s.N.stale_rejected;
+    int "stale_ok" s.N.stale_ok;
+    int "events" s.N.events;
+    ("sim_time", Json.Float s.N.sim_time);
+    int "peak_held" s.N.peak_held;
+    int "final_held" s.N.final_held;
+    ("livelocked", Json.Bool s.N.livelocked);
+    ("violation", violation_json s.N.violation);
+    int "sent" t.Transport.sent;
+    int "delivered" t.Transport.delivered;
+    int "dropped" t.Transport.dropped;
+    int "duplicated" t.Transport.duplicated;
+    int "reordered" t.Transport.reordered;
+    int "blocked" t.Transport.blocked;
+    int "fresh" d.Dedup.fresh;
+    int "replays" d.Dedup.replays;
+    int "stale" d.Dedup.stale;
+    int "evictions" d.Dedup.evictions;
+    int "suspicions" f.Router.suspicions;
+    int "recoveries" f.Router.recoveries;
+    int "reowns" f.Router.reowns;
+    int "incarnation_orphans" f.Router.incarnation_orphans;
+    int "handoffs_started" r.Router.handoffs_started;
+    int "handoffs_completed" r.Router.handoffs_completed;
+    int "handoffs_aborted" r.Router.handoffs_aborted;
+    int "handoffs_orphaned" r.Router.handoffs_orphaned;
+    int "adoptions" r.Router.adoptions;
+    int "router_redirects" r.Router.redirects;
+    int "shard_downs" r.Router.shard_downs;
+    int "router_in_handoff_busy" r.Router.in_handoff_busy;
+    int "fenced_ops" r.Router.fenced_ops;
+    int "pumps" r.Router.pumps;
+    int "full_pumps" r.Router.full_pumps;
+    int "grants" v.Service.grants;
+    int "queued" v.Service.queued;
+    int "renews" v.Service.renews;
+    int "releases" v.Service.releases;
+    int "fenced" v.Service.fenced;
+    int "sheds_high_water" v.Service.sheds_high_water;
+    int "sheds_queue_full" v.Service.sheds_queue_full;
+    int "expired_requests" v.Service.expired_requests;
+    int "reclaims" v.Service.reclaims;
+    int "validates" v.Service.validates;
+    ("hist_probes", Export.hist_json s.N.h_probes);
+    ("hist_reclaim_lateness", Export.hist_json s.N.h_reclaim);
+    ("hist_queue_wait", Export.hist_json s.N.h_wait);
+    ("hist_lease_lifetime", Export.hist_json s.N.h_lifetime);
+  ]
+
+(* One run's share of a total: an int field of its JSON, or one of the
+   two counts every campaign derives from [violation] and [livelocked]. *)
+let count fields = function
+  | "violations" -> flag (List.assoc "violation" fields <> Json.Null)
+  | "livelocks" -> flag (List.assoc "livelocked" fields = Json.Bool true)
+  | key -> (
+    match List.assoc key fields with
+    | Json.Int n -> n
+    | _ -> invalid_arg ("Chaos_campaign: not a count: " ^ key))
 
 (* The checks every campaign shares: the safety totals must be 0, and
    ghost replays and the refinement spec must have fired. *)
@@ -46,6 +132,12 @@ let safety_checks =
     Fired ([ "stale_ops" ], "ghost replays");
     Fired ([ "refine_events" ], "refinement events");
   ]
+
+let safe summary =
+  let fields = summary_fields summary in
+  List.for_all
+    (function Zero (key, _) -> count fields key = 0 | Fired _ -> true)
+    safety_checks
 
 (* {2 In-process campaigns}
 
@@ -92,70 +184,20 @@ let service_cells ~sessions =
   ]
 
 let service =
-  let sv (s : N.summary) = s.N.service in
   {
     name = "service";
-    schema = "renaming.chaos-service/4";
+    schema = "renaming.chaos-service/5";
     default_sessions = 150_000;
     cells = service_cells;
-    fields =
-      (fun s ->
-        let v = sv s in
-        [
-          ("sessions", Json.Int s.N.sessions);
-          ("events", Json.Int s.N.events);
-          ("sim_time", Json.Float s.N.sim_time);
-          ("sent", Json.Int s.N.net.Transport.sent);
-          ("grants", Json.Int v.Service.grants);
-          ("queued", Json.Int v.Service.queued);
-          ("renews", Json.Int v.Service.renews);
-          ("releases", Json.Int v.Service.releases);
-          ("reclaims", Json.Int v.Service.reclaims);
-          ("sheds_high_water", Json.Int v.Service.sheds_high_water);
-          ("sheds_queue_full", Json.Int v.Service.sheds_queue_full);
-          ("expired_requests", Json.Int v.Service.expired_requests);
-          ("fenced", Json.Int v.Service.fenced);
-          ("crashes", Json.Int s.N.client_crashes);
-          ("restarts", Json.Int s.N.client_restarts);
-          ("abandoned", Json.Int s.N.abandoned);
-          ("retries", Json.Int s.N.retries);
-          ("resends", Json.Int s.N.resends);
-          ("expected_fenced", Json.Int s.N.expected_fenced);
-          ("stale_ops", Json.Int s.N.stale_ops);
-          ("stale_rejected", Json.Int s.N.stale_rejected);
-          ("stale_ok", Json.Int s.N.stale_ok);
-          ("unexpected_fenced", Json.Int s.N.unexpected_fenced);
-          ("peak_held", Json.Int s.N.peak_held);
-          ("final_held", Json.Int s.N.final_held);
-          ("livelocked", Json.Bool s.N.livelocked);
-          ("violation", violation_json s.N.violation);
-          ("hist_probes", Export.hist_json s.N.h_probes);
-          ("hist_reclaim_lateness", Export.hist_json s.N.h_reclaim);
-          ("hist_queue_wait", Export.hist_json s.N.h_wait);
-          ("hist_lease_lifetime", Export.hist_json s.N.h_lifetime);
-        ]);
     totals =
-      [
-        ("sessions", fun s -> s.N.sessions);
-        ("grants", fun s -> (sv s).Service.grants);
-        ("reclaims", fun s -> (sv s).Service.reclaims);
-        ( "sheds",
-          fun s -> (sv s).Service.sheds_high_water + (sv s).Service.sheds_queue_full );
-        ("expired_requests", fun s -> (sv s).Service.expired_requests);
-        ("stale_ops", fun s -> s.N.stale_ops);
-        ("stale_rejected", fun s -> s.N.stale_rejected);
-        ("stale_ok", fun s -> s.N.stale_ok);
-        ("crashes", fun s -> s.N.client_crashes);
-        ("abandoned", fun s -> s.N.abandoned);
-        ("violations", violations);
-        ("livelocks", fun s -> flag s.N.livelocked);
-        ("unexpected_fenced", fun s -> s.N.unexpected_fenced);
-      ];
+      [ "sessions"; "grants"; "reclaims"; "sheds_high_water"; "sheds_queue_full";
+        "expired_requests"; "stale_ops"; "stale_rejected"; "stale_ok"; "client_crashes";
+        "abandoned"; "unexpected_fenced" ];
     checks =
       safety_checks
       @ [
           Fired ([ "reclaims" ], "lease reclaims");
-          Fired ([ "sheds" ], "shed requests");
+          Fired ([ "sheds_high_water"; "sheds_queue_full" ], "shed requests");
         ];
     brief =
       [ "sessions"; "grants"; "reclaims"; "sheds_high_water"; "sheds_queue_full";
@@ -201,73 +243,16 @@ let sharded_cells ~sessions =
   ]
 
 let sharded =
-  let rt (s : N.summary) = s.N.router in
   {
     name = "sharded";
-    schema = "renaming.chaos-sharded/3";
+    schema = "renaming.chaos-sharded/4";
     default_sessions = 60_000;
     cells = sharded_cells;
-    fields =
-      (fun s ->
-        let r = rt s and f = s.N.detector in
-        [
-          ("sessions", Json.Int s.N.sessions);
-          ("events", Json.Int s.N.events);
-          ("sim_time", Json.Float s.N.sim_time);
-          ("sent", Json.Int s.N.net.Transport.sent);
-          ("handoffs_started", Json.Int r.Router.handoffs_started);
-          ("handoffs_completed", Json.Int r.Router.handoffs_completed);
-          ("handoffs_aborted", Json.Int r.Router.handoffs_aborted);
-          ("handoffs_orphaned", Json.Int r.Router.handoffs_orphaned);
-          ("adoptions", Json.Int r.Router.adoptions);
-          ("suspicions", Json.Int f.Router.suspicions);
-          ("reowns", Json.Int f.Router.reowns);
-          ("incarnation_orphans", Json.Int f.Router.incarnation_orphans);
-          ("fenced_ops", Json.Int r.Router.fenced_ops);
-          ("shard_crashes", Json.Int s.N.shard_crashes);
-          ("shard_restarts", Json.Int s.N.shard_restarts);
-          ("shard_stalls", Json.Int s.N.shard_stalls);
-          ("client_crashes", Json.Int s.N.client_crashes);
-          ("redirects", Json.Int s.N.redirects);
-          ("shard_down_busy", Json.Int s.N.shard_down_busy);
-          ("in_handoff_busy", Json.Int s.N.in_handoff_busy);
-          ("retries", Json.Int s.N.retries);
-          ("resends", Json.Int s.N.resends);
-          ("timeouts", Json.Int s.N.timeouts);
-          ("abandoned", Json.Int s.N.abandoned);
-          ("expected_fenced", Json.Int s.N.expected_fenced);
-          ("unexpected_fenced", Json.Int s.N.unexpected_fenced);
-          ("releases_dropped", Json.Int s.N.releases_dropped);
-          ("lost_tickets", Json.Int s.N.lost_tickets);
-          ("stale_ops", Json.Int s.N.stale_ops);
-          ("stale_rejected", Json.Int s.N.stale_rejected);
-          ("stale_ok", Json.Int s.N.stale_ok);
-          ("peak_held", Json.Int s.N.peak_held);
-          ("final_held", Json.Int s.N.final_held);
-          ("livelocked", Json.Bool s.N.livelocked);
-          ("violation", violation_json s.N.violation);
-        ]);
     totals =
-      [
-        ("sessions", fun s -> s.N.sessions);
-        ("handoffs_started", fun s -> (rt s).Router.handoffs_started);
-        ("handoffs_completed", fun s -> (rt s).Router.handoffs_completed);
-        ("handoffs_aborted", fun s -> (rt s).Router.handoffs_aborted);
-        ("handoffs_orphaned", fun s -> (rt s).Router.handoffs_orphaned);
-        ("adoptions", fun s -> (rt s).Router.adoptions);
-        ("redirects", fun s -> s.N.redirects);
-        ("shard_down_busy", fun s -> s.N.shard_down_busy);
-        ("in_handoff_busy", fun s -> s.N.in_handoff_busy);
-        ("shard_crashes", fun s -> s.N.shard_crashes);
-        ("shard_stalls", fun s -> s.N.shard_stalls);
-        ("expected_fenced", fun s -> s.N.expected_fenced);
-        ("unexpected_fenced", fun s -> s.N.unexpected_fenced);
-        ("lost_tickets", fun s -> s.N.lost_tickets);
-        ("stale_ops", fun s -> s.N.stale_ops);
-        ("stale_ok", fun s -> s.N.stale_ok);
-        ("violations", violations);
-        ("livelocks", fun s -> flag s.N.livelocked);
-      ];
+      [ "sessions"; "handoffs_started"; "handoffs_completed"; "handoffs_aborted";
+        "handoffs_orphaned"; "adoptions"; "redirects"; "shard_down_busy"; "in_handoff_busy";
+        "shard_crashes"; "shard_stalls"; "expected_fenced"; "unexpected_fenced";
+        "lost_tickets"; "stale_ops"; "stale_ok" ];
     checks =
       safety_checks
       @ [
@@ -331,91 +316,17 @@ let net_cells ~sessions =
   ]
 
 let net =
-  let tp (s : N.summary) = s.N.net and dd (s : N.summary) = s.N.dedup in
-  let fd (s : N.summary) = s.N.detector in
   {
     name = "net";
-    schema = "renaming.chaos-net/2";
+    schema = "renaming.chaos-net/3";
     default_sessions = 65_000;
     cells = net_cells;
-    fields =
-      (fun s ->
-        let net = tp s and d = dd s and f = fd s in
-        [
-          ("sessions", Json.Int s.N.sessions);
-          ("events", Json.Int s.N.events);
-          ("sim_time", Json.Float s.N.sim_time);
-          ("sent", Json.Int net.Transport.sent);
-          ("delivered", Json.Int net.Transport.delivered);
-          ("dropped", Json.Int net.Transport.dropped);
-          ("duplicated", Json.Int net.Transport.duplicated);
-          ("reordered", Json.Int net.Transport.reordered);
-          ("blocked", Json.Int net.Transport.blocked);
-          ("dedup_fresh", Json.Int d.Dedup.fresh);
-          ("dedup_replays", Json.Int d.Dedup.replays);
-          ("dedup_stale", Json.Int d.Dedup.stale);
-          ("dedup_evictions", Json.Int d.Dedup.evictions);
-          ("suspicions", Json.Int f.Router.suspicions);
-          ("recoveries", Json.Int f.Router.recoveries);
-          ("reowns", Json.Int f.Router.reowns);
-          ("incarnation_orphans", Json.Int f.Router.incarnation_orphans);
-          ("adoptions", Json.Int s.N.router.Router.adoptions);
-          ("partitions", Json.Int s.N.partitions);
-          ("shard_crashes", Json.Int s.N.shard_crashes);
-          ("shard_restarts", Json.Int s.N.shard_restarts);
-          ("client_crashes", Json.Int s.N.client_crashes);
-          ("resends", Json.Int s.N.resends);
-          ("timeouts", Json.Int s.N.timeouts);
-          ("redirects", Json.Int s.N.redirects);
-          ("shard_down_busy", Json.Int s.N.shard_down_busy);
-          ("in_handoff_busy", Json.Int s.N.in_handoff_busy);
-          ("sheds", Json.Int s.N.sheds);
-          ("abandoned", Json.Int s.N.abandoned);
-          ("lost_tickets", Json.Int s.N.lost_tickets);
-          ("late_grants_released", Json.Int s.N.late_grants_released);
-          ("releases_dropped", Json.Int s.N.releases_dropped);
-          ("expected_fenced", Json.Int s.N.expected_fenced);
-          ("unexpected_fenced", Json.Int s.N.unexpected_fenced);
-          ("double_grants", Json.Int s.N.double_grants);
-          ("stale_ops", Json.Int s.N.stale_ops);
-          ("stale_rejected", Json.Int s.N.stale_rejected);
-          ("stale_ok", Json.Int s.N.stale_ok);
-          ("peak_held", Json.Int s.N.peak_held);
-          ("final_held", Json.Int s.N.final_held);
-          ("livelocked", Json.Bool s.N.livelocked);
-          ("violation", violation_json s.N.violation);
-        ]);
     totals =
-      [
-        ("sessions", fun s -> s.N.sessions);
-        ("dropped", fun s -> (tp s).Transport.dropped);
-        ("duplicated", fun s -> (tp s).Transport.duplicated);
-        ("reordered", fun s -> (tp s).Transport.reordered);
-        ("blocked", fun s -> (tp s).Transport.blocked);
-        ("resends", fun s -> s.N.resends);
-        ("timeouts", fun s -> s.N.timeouts);
-        ("replays", fun s -> (dd s).Dedup.replays);
-        ("stale_dups", fun s -> (dd s).Dedup.stale);
-        ("evictions", fun s -> (dd s).Dedup.evictions);
-        ("suspicions", fun s -> (fd s).Router.suspicions);
-        ("recoveries", fun s -> (fd s).Router.recoveries);
-        ("reowns", fun s -> (fd s).Router.reowns);
-        ("incarnation_orphans", fun s -> (fd s).Router.incarnation_orphans);
-        ("adoptions", fun s -> s.N.router.Router.adoptions);
-        ("partitions", fun s -> s.N.partitions);
-        ("shard_crashes", fun s -> s.N.shard_crashes);
-        ("redirects", fun s -> s.N.redirects);
-        ("abandoned", fun s -> s.N.abandoned);
-        ("lost_tickets", fun s -> s.N.lost_tickets);
-        ("late_grants_released", fun s -> s.N.late_grants_released);
-        ("expected_fenced", fun s -> s.N.expected_fenced);
-        ("unexpected_fenced", fun s -> s.N.unexpected_fenced);
-        ("double_grants", fun s -> s.N.double_grants);
-        ("stale_ops", fun s -> s.N.stale_ops);
-        ("stale_ok", fun s -> s.N.stale_ok);
-        ("violations", violations);
-        ("livelocks", fun s -> flag s.N.livelocked);
-      ];
+      [ "sessions"; "dropped"; "duplicated"; "reordered"; "blocked"; "resends"; "timeouts";
+        "replays"; "stale"; "evictions"; "suspicions"; "recoveries"; "reowns";
+        "incarnation_orphans"; "adoptions"; "partitions"; "shard_crashes"; "redirects";
+        "abandoned"; "lost_tickets"; "late_grants_released"; "expected_fenced";
+        "unexpected_fenced"; "double_grants"; "stale_ops"; "stale_ok" ];
     checks =
       Zero ("double_grants", "at-most-once violation(s) (rid executed twice)")
       :: safety_checks
@@ -439,8 +350,8 @@ let net =
             ("redirects", "redirects");
           ];
     brief =
-      [ "sessions"; "sent"; "dropped"; "duplicated"; "blocked"; "dedup_replays";
-        "dedup_evictions"; "suspicions"; "recoveries"; "reowns"; "adoptions";
+      [ "sessions"; "sent"; "dropped"; "duplicated"; "blocked"; "replays"; "evictions";
+        "suspicions"; "recoveries"; "reowns"; "adoptions";
         "expected_fenced"; "unexpected_fenced"; "double_grants"; "peak_held" ];
   }
 
@@ -449,13 +360,11 @@ let net =
 type run = { cell : string; seed : int64; summary : N.summary; refine_events : int; refine_held : int }
 type result = { runs : run list; totals : (string * int) list }
 
-(* What every run reports of the spec that judged it, after the
-   campaign's own fields and totals. *)
-let refine_fields r =
-  [
-    ("refine_events", Json.Int r.refine_events);
-    ("refine_held", Json.Int r.refine_held);
-  ]
+(* A run's JSON fields after its cell and seed: its summary, then what
+   the spec that judged it reports. *)
+let run_fields r =
+  summary_fields r.summary
+  @ [ ("refine_events", Json.Int r.refine_events); ("refine_held", Json.Int r.refine_held) ]
 
 let run ?progress ?obs c ~sessions ~seeds =
   let cells = c.cells ~sessions in
@@ -480,10 +389,11 @@ let run ?progress ?obs c ~sessions ~seeds =
              seeds))
       cells
   in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+  let fields = List.map run_fields runs in
   let totals =
-    List.map (fun (key, f) -> (key, sum (fun r -> f r.summary))) c.totals
-    @ [ ("refine_events", sum (fun r -> r.refine_events)) ]
+    List.map
+      (fun key -> (key, List.fold_left (fun acc f -> acc + count f key) 0 fields))
+      (c.totals @ [ "violations"; "livelocks"; "refine_events" ])
   in
   Option.iter
     (fun o ->
@@ -514,13 +424,12 @@ let to_json c r =
     Json.Obj
       (("cell", Json.String run.cell)
       :: ("seed", Json.String (seed_string run.seed))
-      :: (c.fields run.summary @ refine_fields run))
+      :: run_fields run)
   in
-  Json.to_string
-    (Json.Obj
-       ((("schema", Json.String c.schema)
-        :: List.map (fun (k, v) -> ("total_" ^ k, Json.Int v)) r.totals)
-       @ [ ("runs", Json.List (List.map run_json r.runs)) ]))
+  Json.Obj
+    ((("schema", Json.String c.schema)
+     :: List.map (fun (k, v) -> ("total_" ^ k, Json.Int v)) r.totals)
+    @ [ ("runs", Json.List (List.map run_json r.runs)) ])
 
 let pp c fmt r =
   Format.fprintf fmt "@[<hov 2>%s chaos: %d runs" c.name (List.length r.runs);
@@ -528,18 +437,14 @@ let pp c fmt r =
   Format.fprintf fmt "@]@.";
   List.iter
     (fun run ->
-      let fields = c.fields run.summary in
+      let fields = run_fields run in
       Format.fprintf fmt "  %-14s seed=%s" run.cell (seed_string run.seed);
       List.iter
         (fun k -> Format.fprintf fmt " %s=%s" k (Json.to_string (List.assoc k fields)))
         c.brief;
-      (match List.assoc_opt "livelocked" fields with
-      | Some (Json.Bool true) -> Format.fprintf fmt " LIVELOCK"
-      | _ -> ());
-      (match List.assoc_opt "violation" fields with
-      | Some (Json.Obj kv) ->
-        Format.fprintf fmt " VIOLATION:%s"
-          (Option.value ~default:"?" (Option.bind (List.assoc_opt "kind" kv) Json.to_str))
-      | _ -> ());
+      if run.summary.N.livelocked then Format.fprintf fmt " LIVELOCK";
+      Option.iter
+        (fun (kind, _) -> Format.fprintf fmt " VIOLATION:%s" kind)
+        run.summary.N.violation;
       Format.fprintf fmt "@.")
     r.runs

@@ -2,12 +2,25 @@
     [--sharded], [--net]) as values of one type, swept by one runner.
 
     A campaign is data: its JSON schema, its default sessions per cell,
-    its cells (a name and a simulator config each), the JSON fields of
-    one run, the totals summed over runs, and the checks a clean report
-    must pass — totals that must be 0 (safety: violations, livelocks,
-    wrong fences, fencing holes) and totals that must be positive, so a
-    clean report cannot come from a fault path silently not running.
-    Every campaign demands that ghost replays fired ([stale_ops > 0]).
+    its cells (a name and a simulator config each), the totals summed
+    over runs, and the checks a clean report must pass — totals that
+    must be 0 (safety: violations, livelocks, wrong fences, fencing
+    holes) and totals that must be positive, so a clean report cannot
+    come from a fault path silently not running.  Every campaign
+    demands that ghost replays fired ([stale_ops > 0]).
+
+    Every run is written the same way, whatever its campaign: its cell
+    and seed, then every field of its
+    {!Renaming_service.Net_churn.summary} and of the summary's
+    sub-records ([net], [dedup], [detector], [router], [service]) under
+    the field's own name, in record order.  The router's [redirects]
+    and [in_handoff_busy] repeat summary fields and are written as
+    [router_redirects] and [router_in_handoff_busy]; the four
+    histograms are [hist_probes], [hist_reclaim_lateness],
+    [hist_queue_wait] and [hist_lease_lifetime].  A total is the sum of
+    one of those int fields over the runs; every campaign also totals
+    [violations] (runs whose [violation] is not null), [livelocks]
+    (runs with [livelocked]) and [refine_events].
 
     Every run is judged by the refinement spec
     ([Renaming_refine.Lease_adapter.run]): its first rejection ends the
@@ -22,14 +35,14 @@
       one-shard, one-slice router over a perfect transport:
       utilization shedding, queue-only admission, a correlated client
       crash burst and Zipf-hot churn at crash rates of 25–35%, 150,000
-      sessions per cell by default (schema ["renaming.chaos-service/4"]).
+      sessions per cell by default (schema ["renaming.chaos-service/5"]).
     - {!sharded}: four shards over a perfect transport — Zipf-skewed
       rebalancing, correlated shard crashes, crash-during-handoff and
-      stall routing (schema ["renaming.chaos-sharded/3"]).
+      stall routing (schema ["renaming.chaos-sharded/4"]).
     - {!net}: four shards over the unreliable transport — loss,
       duplication and reordering, directional partitions and silent
       shard crashes found by heartbeat loss (schema
-      ["renaming.chaos-net/2"]).
+      ["renaming.chaos-net/3"]).
 
     Runs are deterministic in their seeds, so the JSON is too. *)
 
@@ -45,13 +58,18 @@ type t = {
   schema : string;
   default_sessions : int;  (** sessions per cell *)
   cells : sessions:int -> (string * Renaming_service.Net_churn.config) list;
-  fields : Renaming_service.Net_churn.summary -> (string * Renaming_obs.Json.t) list;
-      (** one run's JSON fields, written after its cell and seed *)
-  totals : (string * (Renaming_service.Net_churn.summary -> int)) list;
-      (** summed over runs; written in this order as [total_<name>] *)
+  totals : string list;
+      (** run fields summed over runs; written in this order as
+          [total_<name>], followed by [total_violations],
+          [total_livelocks] and [total_refine_events] *)
   checks : check list;
   brief : string list;  (** the fields {!pp} prints for each run *)
 }
+
+val safe : Renaming_service.Net_churn.summary -> bool
+(** The run passes the safety checks every campaign makes: no
+    violation, no livelock, no live operation wrongly fenced and no
+    stale operation accepted. *)
 
 val service : t
 val sharded : t
@@ -83,7 +101,7 @@ val run :
 val failures : t -> result -> string list
 (** One message per failed check, in the campaign's check order. *)
 
-val to_json : t -> result -> string
+val to_json : t -> result -> Renaming_obs.Json.t
 (** The schema, the totals, then one object per run. *)
 
 val pp : t -> Format.formatter -> result -> unit

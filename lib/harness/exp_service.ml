@@ -39,10 +39,7 @@ let t17 scale =
           Table.cell_float (Hist.mean s.Net_churn.h_probes);
           Table.cell_float (Hist.mean s.Net_churn.h_reclaim);
           Table.cell_int s.Net_churn.peak_held;
-          Table.cell_bool
-            (s.Net_churn.violation = None && (not s.Net_churn.livelocked)
-            && s.Net_churn.stale_ok = 0
-            && s.Net_churn.unexpected_fenced = 0);
+          Table.cell_bool (Chaos_campaign.safe s);
         ])
     (Chaos_campaign.service.Chaos_campaign.cells ~sessions);
   Table.add_note table

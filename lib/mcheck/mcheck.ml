@@ -7,6 +7,7 @@ module Shrink = Renaming_faults.Shrink
 module Target = Renaming_faults.Target
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
+module Json = Renaming_obs.Json
 
 type bounds = {
   b_preemptions : int;
@@ -578,52 +579,55 @@ let pp_stats fmt s =
     s.s_cases;
   Format.fprintf fmt "@]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let choices_json cs =
-  String.concat ","
-    (List.map (fun c -> "\"" ^ json_escape (Directed.choice_to_string c) ^ "\"") cs)
-
 let case_to_json c =
-  Printf.sprintf "{\"kind\":\"%s\",\"prefix_length\":%d,\"condensed\":\"%s\",\"shrunk\":%s}"
-    (json_escape c.v_kind)
-    (List.length c.v_prefix)
-    (json_escape c.v_condensed)
-    (match c.v_shrunk with
-    | None -> "null"
-    | Some r ->
-      Printf.sprintf "{\"length\":%d,\"replays\":%d,\"choices\":[%s]}"
-        (List.length r.Shrink.r_choices)
-        r.Shrink.r_replays
-        (choices_json r.Shrink.r_choices))
+  Json.Obj
+    [
+      ("kind", Json.String c.v_kind);
+      ("prefix_length", Json.Int (List.length c.v_prefix));
+      ("condensed", Json.String c.v_condensed);
+      ( "shrunk",
+        match c.v_shrunk with
+        | None -> Json.Null
+        | Some r ->
+          Json.Obj
+            [
+              ("length", Json.Int (List.length r.Shrink.r_choices));
+              ("replays", Json.Int r.Shrink.r_replays);
+              ( "choices",
+                Json.List
+                  (List.map
+                     (fun c -> Json.String (Directed.choice_to_string c))
+                     r.Shrink.r_choices) );
+            ] );
+    ]
 
 let stats_to_json s =
-  Printf.sprintf
-    "{\"target\":\"%s\",\"engine\":\"%s\",\"schedules\":%d,\"points\":%d,\"races\":%d,\"wakeups\":%d,\"pruned\":%d,\"budget_skipped\":%d,\"livelocks\":%d,\"violations\":%d,\"capped\":%b,\"baseline\":%s,\"reduction\":%s,\"cases\":[%s]}"
-    (json_escape s.s_target) (json_escape s.s_engine) s.s_schedules s.s_points s.s_races
-    s.s_wakeups s.s_pruned s.s_budget_skipped s.s_livelocks s.s_violations s.s_capped
-    (match s.s_baseline with None -> "null" | Some b -> string_of_int b)
-    (match reduction s with None -> "null" | Some r -> Printf.sprintf "%.4f" r)
-    (String.concat "," (List.map case_to_json s.s_cases))
+  Json.Obj
+    [
+      ("target", Json.String s.s_target);
+      ("engine", Json.String s.s_engine);
+      ("schedules", Json.Int s.s_schedules);
+      ("points", Json.Int s.s_points);
+      ("races", Json.Int s.s_races);
+      ("wakeups", Json.Int s.s_wakeups);
+      ("pruned", Json.Int s.s_pruned);
+      ("budget_skipped", Json.Int s.s_budget_skipped);
+      ("livelocks", Json.Int s.s_livelocks);
+      ("violations", Json.Int s.s_violations);
+      ("capped", Json.Bool s.s_capped);
+      ("baseline", Option.fold ~none:Json.Null ~some:(fun b -> Json.Int b) s.s_baseline);
+      ("reduction", Option.fold ~none:Json.Null ~some:(Json.fixed 4) (reduction s));
+      ("cases", Json.List (List.map case_to_json s.s_cases));
+    ]
 
 let to_json all =
-  let total field = List.fold_left (fun acc s -> acc + field s) 0 all in
-  Printf.sprintf
-    "{\"schema\":\"renaming.mcheck/2\",\"instances\":%d,\"schedules\":%d,\"violations\":%d,\"livelocks\":%d,\"targets\":[\n%s\n]}"
-    (List.length all)
-    (total (fun s -> s.s_schedules))
-    (total (fun s -> s.s_violations))
-    (total (fun s -> s.s_livelocks))
-    (String.concat ",\n" (List.map stats_to_json all))
+  let total field = Json.Int (List.fold_left (fun acc s -> acc + field s) 0 all) in
+  Json.Obj
+    [
+      ("schema", Json.String "renaming.mcheck/2");
+      ("instances", Json.Int (List.length all));
+      ("schedules", total (fun s -> s.s_schedules));
+      ("violations", total (fun s -> s.s_violations));
+      ("livelocks", total (fun s -> s.s_livelocks));
+      ("targets", Json.List (List.map stats_to_json all));
+    ]

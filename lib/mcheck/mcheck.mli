@@ -143,7 +143,7 @@ val enumerate :
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val to_json : stats list -> string
+val to_json : stats list -> Renaming_obs.Json.t
 (** The [results/mcheck.json] payload (schema [renaming.mcheck/2]):
     per-target engine, schedule/race/wakeup/pruned counts, baseline and
     reduction ratio, violations with condensed traces, plus aggregate

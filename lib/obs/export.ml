@@ -172,4 +172,3 @@ let metrics_json ?(label = "") metrics =
       ("metrics", Json.Obj (List.map (fun (name, v) -> (name, value_json v)) snap));
     ]
 
-let metrics_to_string ?label metrics = Json.to_string (metrics_json ?label metrics)

@@ -21,4 +21,4 @@ val chrome_trace : ?process_name:string -> Ring.event list -> string
 (** {2 Metrics snapshot} *)
 
 val hist_json : Hist.t -> Json.t
-val metrics_to_string : ?label:string -> Metrics.t -> string
+val metrics_json : ?label:string -> Metrics.t -> Json.t

@@ -30,15 +30,37 @@ let escape s =
     s;
   Buffer.contents buf
 
-(* JSON has no NaN/infinity; map them to null.  "%.17g" round-trips
-   every float but "1." is not valid JSON, so integral floats are
-   printed with an explicit fraction digit. *)
+(* JSON has no NaN/infinity; map them to null.  A float prints in the
+   fewest of 15, 16 or 17 significant digits that read back to it, so a
+   value rounded to a few decimals prints as those decimals.  "1." is
+   not valid JSON and "1" would read back as an int, so integral floats
+   are printed with an explicit fraction digit. *)
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let rec emit buf = function
+let fixed digits x = Float (float_of_string (Printf.sprintf "%.*f" digits x))
+
+(* [xs] rendered by [f] between [opening] and [closing], [sep] apart. *)
+let seq buf opening sep closing f xs =
+  Buffer.add_string buf opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf sep;
+      f x)
+    xs;
+  Buffer.add_string buf closing
+
+(* A non-empty list [rows] levels down puts each item on a line of its
+   own: [rows = 1] is a list value itself, [2] the lists a top-level
+   object's fields hold; [0] breaks no line. *)
+let rec emit ~rows buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
@@ -47,29 +69,25 @@ let rec emit buf = function
     Buffer.add_char buf '"';
     Buffer.add_string buf (escape s);
     Buffer.add_char buf '"'
-  | List items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf v)
-      items;
-    Buffer.add_char buf ']'
+  | List (_ :: _ as items) when rows = 1 -> seq buf "[\n" ",\n" "\n]" (emit ~rows:0 buf) items
+  | List items -> seq buf "[" "," "]" (emit ~rows:0 buf) items
   | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
-        emit buf v)
-      fields;
-    Buffer.add_char buf '}'
+    seq buf "{" "," "}"
+      (fun (k, v) ->
+        emit ~rows:0 buf (String k);
+        Buffer.add_char buf ':';
+        emit ~rows:(rows - 1) buf v)
+      fields
 
 let to_string v =
   let buf = Buffer.create 1024 in
-  emit buf v;
+  emit ~rows:0 buf v;
+  Buffer.contents buf
+
+let to_document v =
+  let buf = Buffer.create 4096 in
+  emit ~rows:2 buf v;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 (* --- accessors --- *)

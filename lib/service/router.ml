@@ -617,7 +617,10 @@ let orphan_owned t ~id ~since =
    shard's slices are orphaned at once, a stalled one's once the stall
    outlasts the grace (it may yet heal).  Either way the orphan clock
    starts at [since], the last instant a lease could have been renewed
-   there.  With a detector the router cannot see status: a crashed or
+   there.  A shard crashed and restarted between two pumps is [Alive]
+   again, but the slices it owned hold no body at their epoch; those
+   are orphaned from [now], which is safe because the crash came
+   earlier.  With a detector the router cannot see status: a crashed or
    stalled shard stops heartbeating and {!detector_sweep} orphans it
    from the (later, still-safe) suspicion instant. *)
 let orphan_down t ~now =
@@ -625,10 +628,20 @@ let orphan_down t ~now =
   | Some _ -> ()
   | None ->
     for id = 0 to Array.length t.shards - 1 do
-      match Shard.status t.shards.(id) ~now with
+      let sh = t.shards.(id) in
+      match Shard.status sh ~now with
       | Shard.Crashed { since } -> orphan_owned t ~id ~since
       | Shard.Stalled { since; _ } when now -. since >= t.cfg.grace -> orphan_owned t ~id ~since
-      | Shard.Stalled _ | Shard.Alive -> ()
+      | Shard.Stalled _ -> ()
+      | Shard.Alive ->
+        for slice = 0 to Array.length t.dir - 1 do
+          match t.dir.(slice) with
+          | Owned { shard; epoch } when shard = id -> (
+            match Shard.find_slice sh ~slice with
+            | Some sl when sl.Shard.sl_epoch = epoch -> ()
+            | _ -> orphan_entry t ~slice ~last:shard ~epoch ~since:now)
+          | _ -> ()
+        done
     done
 
 let adopt_orphans t ~now =

@@ -10,6 +10,7 @@ module Commute = Renaming_analysis.Commute
 module Lint = Renaming_analysis.Lint
 module Analyze = Renaming_analysis.Analyze
 module Unused_export = Renaming_analysis.Unused_export
+module Json = Renaming_obs.Json
 module Roster = Renaming_harness.Mcheck_roster
 
 let check = Alcotest.check
@@ -343,10 +344,11 @@ let test_unused_export_missing_root_fails () =
 
 (* --- the aggregate driver --- *)
 
-let json_contains json needle =
-  let nlen = String.length needle in
-  let rec go i = i + nlen <= String.length json && (String.sub json i nlen = needle || go (i + 1)) in
-  go 0
+(* A field of [Analyze.to_json], looked up on the parsed document. *)
+let json_path t path =
+  match Json.of_string (Json.to_document (Analyze.to_json t)) with
+  | Error e -> Alcotest.fail e
+  | Ok doc -> List.fold_left (fun v key -> Option.bind v (Json.member key)) (Some doc) path
 
 let test_analyze_shipped_tree_ok () =
   let result =
@@ -354,46 +356,43 @@ let test_analyze_shipped_tree_ok () =
       ~roster:(roster_instances ()) ()
   in
   check Alcotest.bool "audits pass without lint leg" true (Analyze.ok result);
-  let json = Analyze.to_json result in
-  check Alcotest.bool "json says ok" true
-    (String.length json > 2 && String.sub json 0 10 = "{\"ok\":true");
+  check Alcotest.bool "json says ok" true (json_path result [ "ok" ] = Some (Json.Bool true));
   check Alcotest.bool "dependence audit serialised" true
-    (json_contains json "\"dependence\":{\"checked\":")
+    (Option.bind (json_path result [ "footprint"; "dependence"; "checked" ]) Json.to_int <> None)
 
 let test_analyze_dependence_leg_optional_and_gating () =
   (* Without a predicate the leg is skipped and reported as null... *)
   let skipped = Analyze.run ~lint_root:None ~roster:(roster_instances ()) () in
   check Alcotest.bool "skipped leg does not gate" true (Analyze.ok skipped);
   check Alcotest.bool "null when skipped" true
-    (json_contains (Analyze.to_json skipped) "\"dependence\":null");
+    (json_path skipped [ "footprint"; "dependence" ] = Some Json.Null);
   (* ...with a broken predicate the whole layer fails. *)
   let broken =
     Analyze.run ~dependent:(fun _ _ -> false) ~lint_root:None ~roster:(roster_instances ()) ()
   in
   check Alcotest.bool "broken predicate fails the layer" false (Analyze.ok broken)
 
+(* The string field [key] of each item of the list at [path]. *)
+let json_strings t path key =
+  match Option.bind (json_path t path) Json.to_items with
+  | None -> []
+  | Some items -> List.filter_map (fun item -> Option.bind (Json.member key item) Json.to_str) items
+
 let test_unused_export_gates_analyze () =
   let r = Analyze.run ~lint_root:None ~exports:fixture ~roster:[] () in
   check Alcotest.(option int) "exports counted" (Some 8) r.Analyze.exported;
   check Alcotest.bool "active findings fail the layer" false (Analyze.ok r);
   check Alcotest.bool "findings serialised" true
-    (json_contains (Analyze.to_json r) "\"rule\":\"unused-export\"")
+    (List.mem "unused-export" (json_strings r [ "lint"; "findings" ] "rule"))
 
 let test_analyze_broken_table_fails_and_reports () =
   let result =
     Analyze.run ~table:Commute.broken_table ~lint_root:None ~roster:(roster_instances ()) ()
   in
   check Alcotest.bool "broken table rejected" false (Analyze.ok result);
-  let json = Analyze.to_json result in
-  check Alcotest.bool "json says not ok" true (String.sub json 0 11 = "{\"ok\":false");
+  check Alcotest.bool "json says not ok" true (json_path result [ "ok" ] = Some (Json.Bool false));
   check Alcotest.bool "failures serialised" true
-    (String.length json > 100
-    &&
-    let rec contains i =
-      i + 13 <= String.length json
-      && (String.sub json i 13 = "\"commutation\"" || contains (i + 1))
-    in
-    contains 0)
+    (List.mem "commutation" (json_strings result [ "footprint"; "pairs"; "failures" ] "check"))
 
 let tests =
   [

@@ -20,6 +20,7 @@ module Campaign = Renaming_faults.Campaign
 module Chaos = Renaming_harness.Chaos
 module Assignment = Renaming_shm.Assignment
 module Directed = Renaming_sched.Directed
+module Json = Renaming_obs.Json
 
 let check = Alcotest.check
 open Program.Syntax
@@ -555,22 +556,52 @@ let test_campaign_deterministic () =
     { (tier1_spec ()) with Campaign.fault_rates = [ 0.1 ]; seeds = Renaming_harness.Seeds.take 1 }
   in
   let s1 = Campaign.run spec and s2 = Campaign.run spec in
-  check Alcotest.string "identical json" (Campaign.to_json s1) (Campaign.to_json s2)
+  let doc s = Json.to_document (Campaign.to_json s) in
+  check Alcotest.string "identical json" (doc s1) (doc s2)
+
+let small_campaign () =
+  Campaign.run
+    { (tier1_spec ()) with Campaign.fault_rates = [ 0.05 ]; seeds = Renaming_harness.Seeds.take 1 }
+
+let parse_document json =
+  match Json.of_string (Json.to_document json) with Ok doc -> doc | Error e -> Alcotest.fail e
 
 let test_campaign_json_shape () =
-  let spec =
-    { (tier1_spec ()) with Campaign.fault_rates = [ 0.05 ]; seeds = Renaming_harness.Seeds.take 1 }
+  let summary = small_campaign () in
+  let doc = parse_document (Campaign.to_json summary) in
+  check Alcotest.(option int) "has totals" (Some 0)
+    (Option.bind (Json.member "total_violations" doc) Json.to_int);
+  let cells = Option.value ~default:[] (Option.bind (Json.member "cells" doc) Json.to_items) in
+  check Alcotest.int "one object per cell" (List.length summary.Campaign.cells) (List.length cells);
+  List.iter
+    (fun cell ->
+      check Alcotest.bool "has degradation" true
+        (match Json.member "degradation" cell with Some (Json.Float _) -> true | _ -> false);
+      check Alcotest.bool "has repros array" true
+        (Option.bind (Json.member "repros" cell) Json.to_items <> None))
+    cells
+
+(* A violation message is free text: a newline and a quote in it must
+   come back from the file as they went in. *)
+let test_campaign_json_round_trip () =
+  let message = "line one\nthen \"quoted\" \\ two" in
+  let summary = small_campaign () in
+  let summary =
+    {
+      summary with
+      Campaign.cells =
+        List.map (fun c -> { c with Campaign.c_messages = [ message ] }) summary.Campaign.cells;
+    }
   in
-  let json = Campaign.to_json (Campaign.run spec) in
-  let contains sub =
-    let n = String.length json and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "has totals" true (contains "\"total_violations\":0");
-  check Alcotest.bool "has cells" true (contains "\"cells\":[");
-  check Alcotest.bool "has degradation" true (contains "\"degradation\":");
-  check Alcotest.bool "has repros array" true (contains "\"repros\":[")
+  let json = Campaign.to_json summary in
+  let doc = parse_document json in
+  check Alcotest.bool "parses back to the same tree" true (doc = json);
+  List.iter
+    (fun cell ->
+      check Alcotest.(option (list string)) "message" (Some [ message ])
+        (Option.map (List.filter_map Json.to_str)
+           (Option.bind (Json.member "messages" cell) Json.to_items)))
+    (Option.value ~default:[] (Option.bind (Json.member "cells" doc) Json.to_items))
 
 (* --- auto-shrinking of campaign violations --- *)
 
@@ -849,6 +880,7 @@ let tests =
           test_campaign_tier1_zero_violations;
         Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
         Alcotest.test_case "json shape" `Quick test_campaign_json_shape;
+        Alcotest.test_case "json round-trip" `Quick test_campaign_json_round_trip;
       ] );
     ( "faults.shrink",
       [

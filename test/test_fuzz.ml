@@ -13,6 +13,7 @@ module Memory = Renaming_sched.Memory
 module Op = Renaming_sched.Op
 module Shrink = Renaming_faults.Shrink
 module Xoshiro = Renaming_rng.Xoshiro
+module Json = Renaming_obs.Json
 
 let check = Alcotest.check
 
@@ -271,7 +272,9 @@ let test_fuzzer_clean_targets_stay_clean () =
     summary.Fuzz.s_results
 
 let test_fuzzer_deterministic () =
-  let run () = Fuzz.to_json (Fuzz.run ~seed:42L ~iterations:60 (Fuzz_roster.mutants ())) in
+  let run () =
+    Json.to_document (Fuzz.to_json (Fuzz.run ~seed:42L ~iterations:60 (Fuzz_roster.mutants ())))
+  in
   check Alcotest.string "same seed, same campaign" (run ()) (run ())
 
 let test_fuzzer_coverage_grows () =
@@ -295,17 +298,25 @@ let test_fuzzer_coverage_grows () =
       | [] -> Alcotest.fail "empty growth curve despite coverage")
     summary.Fuzz.s_results
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
-  at 0
-
 let test_fuzz_json_shape () =
   let summary = Fuzz.run ~seed:1L ~iterations:40 (Fuzz_roster.mutants ()) in
-  let json = Fuzz.to_json summary in
-  List.iter
-    (fun needle -> check Alcotest.bool ("json mentions " ^ needle) true (contains json needle))
-    [ "\"seed\""; "\"pct_depth\""; "\"targets\""; "\"coverage_growth\""; "\"violations\"" ]
+  match Json.of_string (Json.to_document (Fuzz.to_json summary)) with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+    check Alcotest.(option string) "seed" (Some "1") (Option.bind (Json.member "seed" doc) Json.to_str);
+    check Alcotest.bool "pct_depth" true
+      (Option.bind (Json.member "pct_depth" doc) Json.to_int <> None);
+    let targets = Option.value ~default:[] (Option.bind (Json.member "targets" doc) Json.to_items) in
+    check Alcotest.int "one object per target" (List.length summary.Fuzz.s_results)
+      (List.length targets);
+    List.iter
+      (fun t ->
+        List.iter
+          (fun key ->
+            check Alcotest.bool ("target has " ^ key) true
+              (Option.bind (Json.member key t) Json.to_items <> None))
+          [ "coverage_growth"; "violations" ])
+      targets
 
 let tests =
   [

@@ -45,6 +45,30 @@ let test_json_nonfinite_is_null () =
   check Alcotest.string "nan renders null" "null" (Json.to_string (Json.Float nan));
   check Alcotest.string "inf renders null" "null" (Json.to_string (Json.Float infinity))
 
+(* A float prints in its shortest round-tripping spelling: a rounded
+   field as its decimals, a full-precision one in 17 digits. *)
+let test_json_float_shortest () =
+  List.iter
+    (fun (f, text) ->
+      check Alcotest.string (text ^ " prints shortest") text (Json.to_string (Json.Float f));
+      check Alcotest.bool (text ^ " parses back equal") true
+        (Json.of_string text = Ok (Json.Float f)))
+    [ (0.1, "0.1"); (79.67, "79.67"); (1282.0983137181913, "1282.0983137181913"); (30.0, "30.0") ];
+  (* [fixed] rounds as printf's "%.3f" does: 3.0625 is exact, and a tie
+     goes to the even digit. *)
+  check Alcotest.string "fixed rounds as printf" "3.062" (Json.to_string (Json.fixed 3 3.0625))
+
+let test_json_document_layout () =
+  check Alcotest.string "one line per item of a top-level list"
+    "{\"a\":1,\"xs\":[\n1,\n{\"b\":[2,3]}\n],\"none\":[]}\n"
+    (Json.to_document
+       (Json.Obj
+          [
+            ("a", Json.Int 1);
+            ("xs", Json.List [ Json.Int 1; Json.Obj [ ("b", Json.List [ Json.Int 2; Json.Int 3 ]) ] ]);
+            ("none", Json.List []);
+          ]))
+
 let test_json_rejects_garbage () =
   List.iter
     (fun s ->
@@ -242,6 +266,8 @@ let tests =
         Alcotest.test_case "emit/parse round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "non-finite floats render null" `Quick test_json_nonfinite_is_null;
         Alcotest.test_case "parser rejects garbage" `Quick test_json_rejects_garbage;
+        Alcotest.test_case "floats print shortest" `Quick test_json_float_shortest;
+        Alcotest.test_case "results document layout" `Quick test_json_document_layout;
       ] );
     ( "obs.hist",
       [
