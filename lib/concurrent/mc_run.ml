@@ -43,22 +43,22 @@ let unnamed_count r =
 
 let recommended_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
-(* The per-step path, [sweep_live], calls no other module.  Dune's dev
-   profile compiles every module with [-opaque], so a call across
-   modules is never inlined and goes through [caml_applyN]: drawing
-   through [Sample] and [Xoshiro] and setting the bit through a
-   register-file module made four such calls a probe, and the step took
-   about 5.5 ms of a ~7 ms two-domain Lemma 6 run (n = 65536).  So the
-   plan is compiled to int columns before any domain starts, and the
-   xoshiro256** step, the uniform draw and the test-and-test-and-set
-   are [@inline] functions of this module.  On a two-vCPU host, in
-   alternating pairs of e2e_bench's multicore workload, inlining the
-   draw alone gained about 11% in runs per second, one-call versions of
-   the draw and the TAS nothing, and the call-free loop 24% (132.4 to
-   164.2 runs/s, medians of 10 pairs).  As [Xoshiro.mix] copies
-   SplitMix64's step, [next_int63] and [draw_at] copy [Xoshiro]'s and
-   [Sample]'s; test/test_concurrent.ml holds them to the originals, and
-   the one-domain digests pin the loop. *)
+(* The per-step paths, [probe_sweep] and [cell_sweep], call no other
+   module.  Dune's dev profile compiles every module with [-opaque], so
+   a call across modules is never inlined and goes through
+   [caml_applyN]: drawing through [Sample] and [Xoshiro] and setting the
+   bit through a register-file module made four such calls a probe, and
+   the step took about 5.5 ms of a ~7 ms two-domain Lemma 6 run
+   (n = 65536).  So the xoshiro256** step, the uniform draw and the
+   test-and-test-and-set are [@inline] functions of this module, and a
+   sweep reads its segment's fields once, not once a step.  On a
+   two-vCPU host, in alternating pairs of e2e_bench's multicore
+   workload, inlining the draw alone gained about 11% in runs per
+   second, one-call versions of the draw and the TAS nothing, and the
+   call-free loop 24% (132.4 to 164.2 runs/s, medians of 10 pairs).  As
+   [Xoshiro.mix] copies SplitMix64's step, [next_int63] and [draw_at]
+   copy [Xoshiro]'s and [Sample]'s; test/test_concurrent.ml holds them
+   to the originals, and the one-domain digests pin the loop. *)
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -135,107 +135,77 @@ let[@inline] test_and_set regs idx =
   done;
   !won
 
-(* The plan as int columns, one entry per segment, compiled once before
-   any domain starts, so a step indexes ints and matches on nothing.
-   [len.(s)] is the steps segment [s] takes (a Probe's count, a Sweep's
-   size), 0 for an empty segment, which a process skips. *)
-type columns = {
-  sweep : bool array;  (* a Sweep; a Probe otherwise *)
-  base : int array;
-  size : int array;
-  len : int array;
-}
-
-let compile plan =
-  let k = Array.length plan in
-  let ints () = Array.make k 0 in
-  let c = { sweep = Array.make k false; base = ints (); size = ints (); len = ints () } in
-  Array.iteri
-    (fun s segment ->
-      let base, size, len =
-        match segment with
-        | Plan.Probe { base; size; count } -> (base, size, if size > 0 then max 0 count else 0)
-        | Plan.Sweep { base; size } ->
-          c.sweep.(s) <- true;
-          (base, size, max 0 size)
-      in
-      c.base.(s) <- base;
-      c.size.(s) <- size;
-      c.len.(s) <- len)
-    plan;
-  c
-
 (* The plan's non-empty segments must lie in the namespace: checked once,
    before any domain starts, so no step can address a register outside
    it, whatever the draws. *)
-let check_plan ~namespace c =
-  Array.iteri
-    (fun s len ->
-      let base = c.base.(s) and size = c.size.(s) in
-      if len > 0 && (base < 0 || size > namespace - base) then
+let check_plan ~namespace plan =
+  Array.iter
+    (fun segment ->
+      let base, size, empty =
+        match segment with
+        | Plan.Probe { base; size; count } -> (base, size, count <= 0)
+        | Plan.Sweep { base; size } -> (base, size, false)
+      in
+      if size > 0 && (not empty) && (base < 0 || size > namespace - base) then
         invalid_arg
           (Printf.sprintf "Mc_run.execute: segment [%d, %d) is outside the namespace [0, %d)" base
              (base + size) namespace))
-    c.len
-
-(* The first non-empty segment at or after [s], or [Array.length len]
-   once the plan is spent. *)
-let[@inline] next_segment len s =
-  let s = ref s in
-  while !s < Array.length len && len.(!s) = 0 do
-    incr s
-  done;
-  !s
+    plan
 
 (* A domain's block of processes, one slot per process in flat arrays,
    so a run allocates a few large arrays and no block per process.  Slot
-   [j] is pid [lo + j].  [left.(j)] counts the steps left in segment
-   [seg.(j)] of the plan (probes for a Probe; cells for a Sweep, whose
-   cursor is [size - left]).  Its generator state is the 32 bytes at
+   [j] is pid [lo + j]; its generator state is the 32 bytes at
    [j * state_bytes] of [rngs].  [names] and [steps] are the run's
    result, indexed by pid and shared by every shard; a shard writes only
    its own block of them. *)
 type shard = {
-  cols : columns;
   regs : registers;
   names : int array;  (* the register won, or -1 while unnamed *)
   steps : int array;
   lo : int;
-  seg : int array;
-  left : int array;
   rngs : Bytes.t;
 }
 
-(* One sweep of the live set: one shared-memory step for each of the
-   [count] live slots of [live], in order, keeping the survivors at the
-   front of [live] in the same order.  Returns how many survive.  This
-   is the per-step path: everything it uses is inlined, so the loop
-   calls nothing but the CAS's runtime primitive.  A live slot [j] is
-   below the shard's size, so its 32 bytes lie inside [rngs]. *)
-let sweep_live sh live count =
-  let { sweep; base; size; len } = sh.cols in
+(* Slot [j] wins register [name] at its [taken]th step. *)
+let[@inline] win sh j name taken =
+  sh.names.(sh.lo + j) <- name;
+  sh.steps.(sh.lo + j) <- taken
+
+(* The two sweeps, one per segment kind, are the per-step path.  Each
+   steps the [count] live slots of [live] once, in order, keeps the
+   losers at the front of [live] in the same order and returns how many
+   lose; a winner wins at its [taken]th step.  Everything they use is
+   inlined, so they call nothing but the CAS's runtime primitive.
+
+   A Probe's sweep: each live slot draws a register of
+   [\[base, base + size)] and TASes it.  A live slot [j] is below the
+   shard's size, so its 32 bytes lie inside [rngs]. *)
+let probe_sweep sh live count ~base ~size ~taken =
   let kept = ref 0 in
   for i = 0 to count - 1 do
     let j = live.(i) in
-    let pid = sh.lo + j in
-    let s = sh.seg.(j) and left = sh.left.(j) in
-    let target =
-      if sweep.(s) then base.(s) + size.(s) - left
-      else base.(s) + draw_at sh.rngs (j * state_bytes) size.(s)
-    in
-    sh.steps.(pid) <- sh.steps.(pid) + 1;
-    if test_and_set sh.regs target then sh.names.(pid) <- target
+    let target = base + draw_at sh.rngs (j * state_bytes) size in
+    if test_and_set sh.regs target then win sh j target taken
     else begin
-      let s = if left > 1 then s else next_segment len (s + 1) in
-      if s < Array.length len then begin
-        sh.seg.(j) <- s;
-        sh.left.(j) <- (if left > 1 then left - 1 else len.(s));
-        live.(!kept) <- j;
-        incr kept
-      end
+      live.(!kept) <- j;
+      incr kept
     end
   done;
   !kept
+
+(* A Sweep's sweep: every live slot TASes [cell].  A register once set
+   stays set, so only the first slot's TAS can win, and the others'
+   would read the bit it leaves set: they lose without touching the
+   register. *)
+let cell_sweep sh live count ~cell ~taken =
+  if test_and_set sh.regs cell then begin
+    win sh live.(0) cell taken;
+    for i = 1 to count - 1 do
+      live.(i - 1) <- live.(i)
+    done;
+    count - 1
+  end
+  else count
 
 (* Obs recording happens strictly after the domains are joined: the
    registry is process-local mutable state and must not be touched from
@@ -261,8 +231,7 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~plan ~s
     if Clock.label clock = Clock.label Clock.none then
       invalid_arg "Mc_run.execute: a deadline needs a ticking clock"
   | None -> ());
-  let cols = compile plan in
-  check_plan ~namespace cols;
+  check_plan ~namespace plan;
   let regs = registers namespace in
   let stream = Stream.create seed in
   let names = Array.make n (-1) and steps = Array.make n 0 in
@@ -278,42 +247,45 @@ let execute ?obs ?domains ?(clock = Clock.none) ?deadline ~n ~namespace ~plan ~s
      of [names] or [steps] only at a block's edge.  The live set holds
      the slots of the unfinished processes in pid order.  A sweep steps
      each of them once, so in-domain processes advance concurrently too,
-     and compacts the survivors stably; a sweep costs what it steps, and
-     exactly one step per live process keeps the progress total. *)
+     and compacts the survivors stably; exactly one step per live process
+     keeps the progress total.  Every process starts at the plan's first
+     step, so all the live ones of a shard always sit at the same plan
+     position with the same steps taken: the shard walks the plan once,
+     segment by segment, and [taken] counts those steps. *)
   let block = (n + domains - 1) / domains in
   let run_shard d () =
     let lo = min n (d * block) in
     let m = min n (lo + block) - lo in
-    let sh =
-      {
-        cols;
-        regs;
-        names;
-        steps;
-        lo;
-        seg = Array.make m 0;
-        left = Array.make m 0;
-        rngs = Bytes.create (m * state_bytes);
-      }
-    in
+    let sh = { regs; names; steps; lo; rngs = Bytes.create (m * state_bytes) } in
     let live = Array.make m 0 in
-    let count = ref 0 in
     for j = 0 to m - 1 do
       Stream.fork_into stream ~index:(lo + j) sh.rngs (j * state_bytes);
-      let s = next_segment cols.len 0 in
-      if s < Array.length cols.len then begin
-        sh.seg.(j) <- s;
-        sh.left.(j) <- cols.len.(s);
-        live.(!count) <- j;
-        incr count
-      end
+      live.(j) <- j
     done;
-    let total = ref 0 in
-    while !count > 0 && not (Atomic.get cancel) do
-      let kept = sweep_live sh live !count in
-      total := !total + !count;
-      count := kept;
-      Atomic.set progress.(d) !total
+    let count = ref m and taken = ref 0 and total = ref 0 in
+    (* Up to [len] sweeps, the [k]th made by [sweep k]; a segment stops
+       early once no process is live or the run is cancelled. *)
+    let segment len sweep =
+      let k = ref 0 in
+      while !k < len && !count > 0 && not (Atomic.get cancel) do
+        incr taken;
+        total := !total + !count;
+        count := sweep !k;
+        incr k;
+        Atomic.set progress.(d) !total
+      done
+    in
+    Array.iter
+      (function
+        | Plan.Probe { base; size; count = len } ->
+          if size > 0 then
+            segment len (fun _ -> probe_sweep sh live !count ~base ~size ~taken:!taken)
+        | Plan.Sweep { base; size } ->
+          segment size (fun k -> cell_sweep sh live !count ~cell:(base + k) ~taken:!taken))
+      plan;
+    (* The plan is spent: whoever is still live took every step of it. *)
+    for i = 0 to !count - 1 do
+      steps.(lo + live.(i)) <- !taken
     done;
     Atomic.set done_flags.(d) true
   in

@@ -35,20 +35,29 @@
     domain beyond [n] gets none).  Each domain builds its own shard,
     forking its pids' streams with [Stream.fork_into] on that domain, in
     parallel with the others.  A shard holds its processes in flat
-    arrays with one slot per process: [int] arrays for the segment and
-    the steps left in it, the live set, and one [Bytes] buffer with
-    every process's 32-byte generator state.  Each domain writes its
-    processes' names (at a win) and step counts (as they step) straight
-    into the result's arrays, indexed by pid; blocks are contiguous, so
-    domains share a cache line of them only at a block's edge, and
-    nothing is merged after the join.  A run keeps about 9 words per
-    process in all (the two slots, the live set, 4 words of generator
-    state, the name and the step count), and with the registers packed
-    32 to an [Atomic] word it allocates no block per process or per
-    name.  Each domain sweeps its live processes (those with a step
-    left) in pid order, one step each per sweep, and drops
-    the finished ones without reordering the rest.  On one domain a run
-    is therefore a pure function of its seed and plan.
+    arrays with one slot per process: the live set (the processes not
+    yet named with a step left) and one [Bytes] buffer with every
+    process's 32-byte generator state.  Each domain writes its
+    processes' names and step counts (at a win, or for all still live
+    when the plan runs out) straight into the result's arrays, indexed
+    by pid; blocks are contiguous, so domains share a cache line of them
+    only at a block's edge, and nothing is merged after the join.  A run
+    keeps about 7 words per process in all (the live set, 4 words of
+    generator state, the name and the step count), and with the
+    registers packed 32 to an [Atomic] word it allocates no block per
+    process or per name.
+
+    Each domain sweeps its live processes in pid order, one step each
+    per sweep, and drops the finished ones without reordering the rest.
+    On one domain a run is therefore a pure function of its seed and
+    plan.  All processes start at the plan's first step, so every live
+    process of a shard sits at the same plan position with the same
+    steps taken: the shard keeps that position once and walks the plan
+    segment by segment.  A Probe's sweep draws and TASes a register for
+    each live process.  A Sweep's sweep makes one TAS of its cell for
+    the whole live set: a register once set stays set, so only the
+    first live process can win it, and each of the others counts the
+    step it would have lost.
 
     Time is injected as a {!Renaming_clock.Clock.t} capability: with the
     default {!Renaming_clock.Clock.none} the run measures no wall time

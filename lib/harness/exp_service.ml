@@ -43,5 +43,5 @@ let t17 scale =
         ])
     (Chaos_campaign.service.Chaos_campaign.cells ~sessions);
   Table.add_note table
-    "safe = no refinement-spec violation, no livelock, no stale (crashed-then-woken) operation accepted; reclaim p-mean is mean centiticks between lease expiry and reclamation";
+    "safe = no refinement-spec violation, no livelock, no live operation wrongly fenced, no stale (crashed-then-woken) operation accepted; reclaim p-mean is mean centiticks between lease expiry and reclamation";
   table

@@ -341,14 +341,13 @@ let test_mc_segment_outside_namespace () =
         (Mc_run.execute ~domains:1 ~n:(-1) ~namespace:4 ~plan:[||] ~seed:1L ()))
 
 (* A run allocates a few arrays per domain and nothing per process
-   beyond their slots, the registers and the result: [seg], [left] and
-   the live set, 32 bytes of generator state, and the result's [names]
-   and [steps], about 9.2 words per process.  The measure is minor words
-   plus major-heap words, so a block that the minor collector promotes
-   counts twice: one record per process (about 43 words per process by
-   this measure) cannot hide under the floor, nor can a boxed name per
-   process (the [int option] result read about 16), nor one more slot
-   per process. *)
+   beyond their slots, the registers and the result: the live set, 32
+   bytes of generator state, and the result's [names] and [steps], about
+   7.2 words per process.  The measure is minor words plus major-heap
+   words, so a block that the minor collector promotes counts twice: one
+   record per process (about 43 words per process by this measure)
+   cannot hide under the floor, nor can a boxed name per process (the
+   [int option] result read about 16), nor one more slot per process. *)
 let test_mc_allocation_floor () =
   let n = 65_536 in
   let words () =
@@ -363,8 +362,8 @@ let test_mc_allocation_floor () =
   let per_process = (words () -. before) /. float_of_int n in
   check Alcotest.int "the run completed" n (Array.length r.Mc_run.steps);
   check Alcotest.bool
-    (Printf.sprintf "%.1f words per process <= 10" per_process)
-    true (per_process <= 10.)
+    (Printf.sprintf "%.1f words per process <= 8" per_process)
+    true (per_process <= 8.)
 
 let test_mc_steps_recorded () =
   let result = Mc_run.uniform_probing ~domains:2 ~n:256 ~m:512 ~seed:5L () in

@@ -3,6 +3,8 @@
 
 module Plan = Renaming_plan.Plan
 module Plan_exec = Renaming_sched.Plan_exec
+module Executor = Renaming_sched.Executor
+module Memory = Renaming_sched.Memory
 module Program = Renaming_sched.Program
 module Op = Renaming_sched.Op
 module Adversary = Renaming_sched.Adversary
@@ -222,7 +224,36 @@ let test_engines_agree () =
     (Uniform_probing.run ~adversary:(pid_order_round_robin ())
        (Uniform_probing.make_config ~n:48 ~m:48 ())
        ~seed:3L)
-    (Mc_run.uniform_probing ~domains:1 ~n:48 ~m:48 ~seed:3L ())
+    (Mc_run.uniform_probing ~domains:1 ~n:48 ~m:48 ~seed:3L ());
+  (* Empty segments of each kind between non-empty ones, then a final
+     sweep: both engines skip the same segments, so they take the same
+     steps. *)
+  let plan =
+    [|
+      Plan.Probe { base = 0; size = 64; count = 0 };
+      Probe { base = 0; size = 64; count = 2 };
+      Probe { base = 16; size = 0; count = 5 };
+      Sweep { base = 8; size = 0 };
+      Probe { base = 32; size = 32; count = 3 };
+      Probe { base = 0; size = 64; count = 0 };
+      Sweep { base = 0; size = 0 };
+      Sweep { base = 8; size = 40 };
+    |]
+  in
+  let n = 56 and namespace = 64 and seed = 5L in
+  let stream = Stream.create seed in
+  let inst =
+    {
+      Executor.memory = Memory.create ~namespace ();
+      programs =
+        Executor.init_programs n (fun pid ->
+            Plan_exec.program plan ~rng:(Stream.fork stream ~index:pid));
+      label = "hand-written plan";
+    }
+  in
+  agree "empty segments, then a sweep"
+    (Executor.run ~adversary:(pid_order_round_robin ()) inst)
+    (Mc_run.execute ~domains:1 ~n ~namespace ~plan ~seed ())
 
 (* ---------- the lemmas on one-domain Mc_run (F4's engine) ---------- *)
 
