@@ -109,8 +109,6 @@ let shrink ?(max_replays = 4000) input =
 
 (* --- repro artifacts --- *)
 
-type trace_format = Choices | Condensed
-
 type repro = {
   rp_algorithm : string;
   rp_n : int;
@@ -118,7 +116,6 @@ type repro = {
   rp_max_ticks : int;
   rp_tau_cadence : int;
   rp_kind : string;
-  rp_trace_format : trace_format;
   rp_choices : Directed.choice list;
 }
 
@@ -131,11 +128,8 @@ let to_repro r =
     rp_max_ticks = input.max_ticks;
     rp_tau_cadence = input.tau_cadence;
     rp_kind = r.r_failure.f_kind;
-    rp_trace_format = Condensed;
     rp_choices = r.r_choices;
   }
-
-let trace_format_name = function Choices -> "choices" | Condensed -> "condensed"
 
 let repro_to_string r =
   let buf = Buffer.create 256 in
@@ -145,18 +139,12 @@ let repro_to_string r =
   Buffer.add_string buf (Printf.sprintf "max-ticks: %d\n" r.rp_max_ticks);
   Buffer.add_string buf (Printf.sprintf "tau-cadence: %d\n" r.rp_tau_cadence);
   Buffer.add_string buf (Printf.sprintf "kind: %s\n" r.rp_kind);
-  Buffer.add_string buf (Printf.sprintf "trace-format: %s\n" (trace_format_name r.rp_trace_format));
+  Buffer.add_string buf "trace-format: condensed\n";
   Buffer.add_string buf "trace:\n";
-  (match r.rp_trace_format with
-  | Choices ->
-    List.iter
-      (fun c -> Buffer.add_string buf (Directed.choice_to_string c ^ "\n"))
-      r.rp_choices
-  | Condensed ->
-    (* [rp_choices] stays the single source of truth; without decision
-       points every switch renders as a [P] segment, which replays
-       identically ([choices_of_condensed] treats [S] and [P] alike). *)
-    Buffer.add_string buf (Directed.condensed (Array.of_list r.rp_choices) ^ "\n"));
+  (* [rp_choices] stays the single source of truth; without decision
+     points every switch renders as a [P] segment, which replays
+     identically ([choices_of_condensed] treats [S] and [P] alike). *)
+  Buffer.add_string buf (Directed.condensed (Array.of_list r.rp_choices) ^ "\n");
   Buffer.contents buf
 
 let repro_to_json r =
@@ -201,48 +189,19 @@ let repro_of_string s =
   let* rp_n = field "n" int_of_string_opt in
   let* rp_seed = field "seed" Int64.of_string_opt in
   let* rp_max_ticks = field "max-ticks" int_of_string_opt in
-  (* Optional header (pre-τ artifacts lack it): cadence 1 is the
-     executor default those artifacts were recorded under. *)
-  let* rp_tau_cadence =
-    match List.assoc_opt "tau-cadence" hdrs with
-    | None -> Ok 1
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad value %S for header %S" v "tau-cadence"))
-  in
+  let* rp_tau_cadence = field "tau-cadence" int_of_string_opt in
   let* rp_kind = field "kind" Option.some in
-  (* Optional header: artifacts predating the condensed format carry no
-     [trace-format] and default to the legacy one-choice-per-line body. *)
-  let* rp_trace_format =
-    match List.assoc_opt "trace-format" hdrs with
-    | None | Some "choices" -> Ok Choices
-    | Some "condensed" -> Ok Condensed
-    | Some v -> Error (Printf.sprintf "bad value %S for header %S" v "trace-format")
-  in
+  let* () = field "trace-format" (function "condensed" -> Some () | _ -> None) in
   let* rp_choices =
-    match rp_trace_format with
-    | Choices ->
-      let rec choices acc = function
-        | [] -> Ok (List.rev acc)
-        | line :: rest ->
-          let line = String.trim line in
-          if String.equal line "" then choices acc rest
-          else
-            let* c = Directed.choice_of_string line in
-            choices (c :: acc) rest
-      in
-      choices [] body
-    | Condensed ->
-      List.fold_left
-        (fun acc line ->
-          let* acc in
-          let line = String.trim line in
-          if String.equal line "" then Ok acc
-          else
-            let* cs = Directed.choices_of_condensed line in
-            Ok (acc @ cs))
-        (Ok []) body
+    List.fold_left
+      (fun acc line ->
+        let* acc in
+        let line = String.trim line in
+        if String.equal line "" then Ok acc
+        else
+          let* cs = Directed.choices_of_condensed line in
+          Ok (acc @ cs))
+      (Ok []) body
   in
   Ok
     {
@@ -252,6 +211,5 @@ let repro_of_string s =
       rp_max_ticks;
       rp_tau_cadence;
       rp_kind;
-      rp_trace_format;
       rp_choices;
     }

@@ -61,12 +61,6 @@ val shrink : ?max_replays:int -> input -> result option
     runs out the result is still a valid counterexample, just not
     necessarily 1-minimal. *)
 
-type trace_format =
-  | Choices  (** one {!Renaming_sched.Directed.choice_to_string} line per choice *)
-  | Condensed
-      (** a single dejafu-style {!Renaming_sched.Directed.condensed}
-          line, e.g. [S0x2--P1--S2] *)
-
 type repro = {
   rp_algorithm : string;
   rp_n : int;
@@ -74,21 +68,20 @@ type repro = {
   rp_max_ticks : int;
   rp_tau_cadence : int;
   rp_kind : string;
-  rp_trace_format : trace_format;  (** how the [trace:] body is rendered *)
   rp_choices : Renaming_sched.Directed.choice list;
 }
 
 val to_repro : result -> repro
 (** The artifact of a shrunk failure: the input's target name, [n],
-    seed, livelock guard and cadence, the minimised choices in the
-    {!Condensed} format. *)
+    seed, livelock guard and cadence, and the minimised choices. *)
 
 val repro_to_string : repro -> string
 (** Plain-text artifact: [key: value] headers ([algorithm], [n], [seed],
-    [max-ticks], [tau-cadence], [kind],
-    [trace-format]) followed by a [trace:] section rendered per
-    [rp_trace_format].  [rp_choices] is the single source of truth —
-    the condensed body is derived from it on the way out. *)
+    [max-ticks], [tau-cadence], [kind], and [trace-format: condensed])
+    followed by a [trace:] section holding one dejafu-style
+    {!Renaming_sched.Directed.condensed} line, e.g. [S0x2--P1--S2].
+    [rp_choices] is the single source of truth — the condensed body is
+    derived from it on the way out. *)
 
 val repro_to_json : repro -> Renaming_obs.Json.t
 (** The artifact as a results-file object: [algorithm], [n], [seed] (a
@@ -96,8 +89,6 @@ val repro_to_json : repro -> Renaming_obs.Json.t
     {!Renaming_sched.Directed.choice_to_string} each). *)
 
 val repro_of_string : string -> (repro, string) Stdlib.result
-(** Inverse of {!repro_to_string}.  The [tau-cadence] and [trace-format]
-    headers are optional ([1] and [Choices] respectively) so artifacts
-    written before they existed still parse; a header this parser does
-    not read (such as the [check-ownership] line older artifacts carry)
-    is ignored. *)
+(** Inverse of {!repro_to_string}.  Every header it writes is required,
+    and [trace-format] must read [condensed]; a header this parser does
+    not read is ignored. *)

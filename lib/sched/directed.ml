@@ -14,18 +14,6 @@ let pp_choice fmt = function
 
 let choice_to_string c = Format.asprintf "%a" pp_choice c
 
-let choice_of_string s =
-  match String.split_on_char ' ' (String.trim s) with
-  | [ verb; pid ] -> (
-    match (verb, int_of_string_opt pid) with
-    | _, None -> Error (Printf.sprintf "bad pid in choice %S" s)
-    | "step", Some p -> Ok (Step p)
-    | "fault", Some p -> Ok (Fault p)
-    | "crash", Some p -> Ok (Crash p)
-    | "recover", Some p -> Ok (Recover p)
-    | _ -> Error (Printf.sprintf "unknown choice verb in %S" s))
-  | _ -> Error (Printf.sprintf "malformed choice %S (want \"<verb> <pid>\")" s)
-
 let choice_of_event : Executor.event -> choice option = function
   | Stepped { pid; response = Op.Faulted; _ } -> Some (Fault pid)
   | Stepped { pid; _ } -> Some (Step pid)

@@ -27,10 +27,8 @@ type choice =
   | Recover of int
 
 val choice_to_string : choice -> string
-(** ["step 3"], ["fault 1"], ["crash 0"], ["recover 2"] — the repro
-    artifact line format, inverse of {!choice_of_string}. *)
-
-val choice_of_string : string -> (choice, string) result
+(** ["step 3"], ["fault 1"], ["crash 0"], ["recover 2"] — how results
+    files and reports print one decision. *)
 
 val choice_of_event : Executor.event -> choice option
 (** The decision behind one {!Executor.event}: a step that responded

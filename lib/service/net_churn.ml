@@ -605,12 +605,12 @@ let on_shard st s = function
       | Dedup.Replay b -> reply_from st src req b
       | Dedup.Stale -> ()
       | Dedup.Fresh -> (
-        match Shard.find_slice sh ~slice with
-        | Some sl when sl.Shard.sl_epoch = epoch ->
+        match Shard.serving sh ~slice ~epoch ~now:!(st.now) with
+        | Some sl ->
           let b = execute st sl ~slice ~shard:s req in
           Dedup.record d ~client:req.client ~seq:req.seq ~now:!(st.now) b;
           reply_from st src req b
-        | _ ->
+        | None ->
           (* The directory moved on while the forward was in flight:
              refuse without recording — the retransmit will be routed
              afresh and must be allowed to execute. *)
@@ -958,7 +958,8 @@ let handle_event st ev ~aux =
              shard.  A shorter one only loses the renews sent into it,
              and a lease that expires meanwhile is fenced by expiry. *)
           if sp.st_duration > st.cfg.router.Router.grace then disrupt_owned st ~shard;
-          Router.stall_shard st.router ~id:shard ~until:(!(st.now) +. sp.st_duration);
+          Shard.stall (Router.shard st.router ~id:shard) ~now:!(st.now)
+            ~until:(!(st.now) +. sp.st_duration);
           st.sum.shard_stalls <- st.sum.shard_stalls + 1
         end;
         rearm st ~every:sp.st_every E_stall ~arg:0)
@@ -1005,9 +1006,9 @@ let run ?obs ?tap (cfg : config) ~seed =
   let now = ref 0. in
   let clock = Clock.of_fn ~label:"net-churn-sim" (fun () -> !now) in
   let router =
-    Router.create ?obs ?tap ~clock ~seed:(Int64.logxor seed 0x7E7_D0_5EL) cfg.router
+    Router.create ?obs ?tap ~suspicion:cfg.suspicion ~clock
+      ~seed:(Int64.logxor seed 0x7E7_D0_5EL) cfg.router
   in
-  Router.enable_detector router ~suspicion:cfg.suspicion;
   let zipf = Zipf.create ~s:cfg.zipf_s ~n:cfg.clients () in
   let n_slices = Router.slices router and n_shards = cfg.router.Router.shards in
   let n = cfg.clients in
@@ -1049,7 +1050,7 @@ let run ?obs ?tap (cfg : config) ~seed =
       violation = None;
       net = Transport.stats net;
       dedup = dedup_retired;
-      detector = Option.get (Router.detector_stats router);
+      detector = Router.detector_stats router;
       router = Router.stats router;
       service = Service.sum_stats [];
       h_probes = Hist.create ();

@@ -24,7 +24,8 @@
       abandon after [max_attempts];
     - {b failure detection}: shards heartbeat the router; the router
       suspects silence, orphans suspected shards' slices, re-owns them on
-      recovery and adopts them after grace ({!Router.enable_detector}).
+      recovery and adopts them after grace ({!Router.create}'s
+      [suspicion], the router's one view of shard availability).
       Every shard crash — periodic, in a burst, or mid-handoff — is
       {e silent} ([Shard.crash]): the router only ever learns from
       missing heartbeats or a higher incarnation number.  A stalled

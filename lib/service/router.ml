@@ -71,9 +71,10 @@ type stats = {
 
 (* {2 Failure detection}
 
-   With a detector enabled the router stops consulting shard status
-   directly for routing: a shard is available iff its last heartbeat is
-   within [suspicion].  Suspicion is conservative in the safe direction
+   The detector is the router's only view of shard availability: a
+   shard is available iff its last heartbeat is within [suspicion]
+   ([infinity] when {!create} got none, so nobody is ever suspected).
+   Suspicion is conservative in the safe direction
    — a falsely suspected shard merely goes dark (availability loss)
    until its heartbeats resume, at which point any slices orphaned in
    the meantime are handed back intact (same epoch, leases alive)
@@ -92,7 +93,7 @@ type detector_stats = {
 }
 
 type detector = {
-  d_suspicion : float;
+  d_suspicion : float;  (* [infinity]: never suspects *)
   d_last : float array;  (* shard -> last heartbeat arrival *)
   d_incarnation : int array;
   d_flag : bool array;  (* suspicion edge state, for counting + re-own *)
@@ -118,13 +119,8 @@ type tap_event =
    the arithmetic of the phases they stand for.  Float-only, so updating
    them allocates nothing. *)
 type deadlines = {
-  mutable hb_oldest : float;
-      (* oldest last heartbeat of an unsuspected shard; [infinity]
-         without a detector *)
-  mutable suspicion : float;  (* [infinity] without a detector *)
-  mutable since_oldest : float;
-      (* oldest grace clock that can still run out: an orphan inside its
-         grace, or (without a detector) a stalled shard that owns slices *)
+  mutable hb_oldest : float;  (* oldest last heartbeat of an unsuspected shard *)
+  mutable since_oldest : float;  (* oldest orphan grace clock that can still run out *)
 }
 
 type t = {
@@ -140,7 +136,7 @@ type t = {
   obs : Obs.t option;
   counters : counters option;
   tap : (tap_event -> unit) option;
-  mutable fd : detector option;
+  fd : detector;
 }
 
 let bump t f = match t.counters with Some c -> Metrics.incr (f c) | None -> ()
@@ -161,7 +157,12 @@ let slice_service t ~slice ~epoch =
   Service.create ?obs:t.obs ?tap ~wake:t.wake ~clock:t.clock ~rng
     { Service.lease; admission }
 
-let create ?obs ?tap ~clock ~seed cfg =
+let create ?obs ?tap ?suspicion ~clock ~seed cfg =
+  (match suspicion with
+  | Some s when s <= 0. -> invalid_arg "Router.create: suspicion must be > 0"
+  | _ -> ());
+  let suspicion = Option.value suspicion ~default:infinity in
+  let now = Clock.now clock in
   let slice_width = Longlived.namespace_for ~sessions:cfg.slice_capacity ~epsilon:cfg.epsilon in
   let counters =
     Option.map
@@ -187,8 +188,7 @@ let create ?obs ?tap ~clock ~seed cfg =
       clock;
       stream = Stream.create seed;
       wake;
-      due =
-        { hb_oldest = infinity; suspicion = infinity; since_oldest = infinity };
+      due = { hb_oldest = now; since_oldest = infinity };
       shards = Array.init cfg.shards (fun id -> Shard.create ~id ~wake);
       dir = Array.make cfg.slices (Owned { shard = 0; epoch = 0 });
       slice_width;
@@ -209,7 +209,15 @@ let create ?obs ?tap ~clock ~seed cfg =
       obs;
       counters;
       tap;
-      fd = None;
+      (* Every shard starts unsuspected, with a heartbeat as of now. *)
+      fd =
+        {
+          d_suspicion = suspicion;
+          d_last = Array.make cfg.shards now;
+          d_incarnation = Array.make cfg.shards 0;
+          d_flag = Array.make cfg.shards false;
+          d_st = { suspicions = 0; recoveries = 0; reowns = 0; incarnation_orphans = 0 };
+        };
     }
   in
   (* Initial placement: contiguous slice ranges per shard, so a Zipf-hot
@@ -245,13 +253,9 @@ let total_held t =
   done;
   !n
 
-(* Routing availability: the detector's view when one is enabled (the
-   router then has no direct knowledge of shard status), the shard's
-   actual status otherwise. *)
-let shard_available t ~shard ~now =
-  match t.fd with
-  | None -> Shard.alive t.shards.(shard) ~now
-  | Some d -> now -. d.d_last.(shard) <= d.d_suspicion
+(* Routing availability: the detector's view, which never reads a
+   shard's status. *)
+let shard_available t ~shard ~now = now -. t.fd.d_last.(shard) <= t.fd.d_suspicion
 
 (* The next pump after a directory write runs in full. *)
 let force t = t.wake.Service.at <- neg_infinity
@@ -263,23 +267,7 @@ let set_entry t ~slice entry =
 let orphan_entry t ~slice ~last ~epoch ~since =
   set_entry t ~slice (Orphaned { last; epoch; since })
 
-let enable_detector t ~suspicion =
-  if suspicion <= 0. then invalid_arg "Router.enable_detector: suspicion must be > 0";
-  let now = Clock.now t.clock in
-  t.fd <-
-    Some
-      {
-        d_suspicion = suspicion;
-        d_last = Array.make t.cfg.shards now;
-        d_incarnation = Array.make t.cfg.shards 0;
-        d_flag = Array.make t.cfg.shards false;
-        d_st = { suspicions = 0; recoveries = 0; reowns = 0; incarnation_orphans = 0 };
-      };
-  t.due.hb_oldest <- now;
-  t.due.suspicion <- suspicion;
-  force t
-
-let detector_stats t = Option.map (fun d -> d.d_st) t.fd
+let detector_stats t = t.fd.d_st
 
 (* Orphan every slice the directory maps to [shard], from [since]; a
    slice in transit *from* it is orphaned from the earlier of the two
@@ -301,44 +289,43 @@ let orphan_mapped t ~shard ~since =
   !n
 
 let heartbeat t ~shard ~incarnation =
-  match t.fd with
-  | None -> ()
-  | Some d ->
-    let now = Clock.now t.clock in
-    (* A shard the router could not route to becomes a candidate to
-       adopt or to receive a rebalanced slice. *)
-    if not (now -. d.d_last.(shard) <= d.d_suspicion) then force t;
-    (* Unsuspected from now on, if it was not already. *)
-    if now < t.due.hb_oldest then t.due.hb_oldest <- now;
-    if incarnation > d.d_incarnation.(shard) then begin
-      (* Restarted amnesiac: everything it owned died with the previous
-         incarnation.  Orphan from that incarnation's last heartbeat —
-         the latest instant the router can prove it still served. *)
-      d.d_st.incarnation_orphans <-
-        d.d_st.incarnation_orphans + orphan_mapped t ~shard ~since:d.d_last.(shard);
-      d.d_incarnation.(shard) <- incarnation
-    end;
-    d.d_last.(shard) <- now;
-    if d.d_flag.(shard) then begin
-      d.d_flag.(shard) <- false;
-      d.d_st.recoveries <- d.d_st.recoveries + 1;
-      (* False suspicion healed: hand back any slice orphaned under it
-         whose body survived at the directory epoch.  Nothing served the
-         slice while orphaned (resolution refuses), so same-epoch
-         re-ownership resumes service with every lease intact. *)
-      Array.iteri
-        (fun slice entry ->
-          match entry with
-          | Orphaned { last; epoch; _ }
-            when last = shard && Shard.alive t.shards.(shard) ~now -> (
-            match Shard.find_slice t.shards.(shard) ~slice with
-            | Some sl when sl.Shard.sl_epoch = epoch ->
-              set_entry t ~slice (Owned { shard; epoch });
-              d.d_st.reowns <- d.d_st.reowns + 1
-            | _ -> ())
-          | _ -> ())
-        t.dir
-    end
+  let d = t.fd in
+  let now = Clock.now t.clock in
+  (* A shard the router could not route to becomes a candidate to
+     adopt or to receive a rebalanced slice. *)
+  if not (shard_available t ~shard ~now) then force t;
+  (* Unsuspected from now on, if it was not already. *)
+  if now < t.due.hb_oldest then t.due.hb_oldest <- now;
+  if incarnation > d.d_incarnation.(shard) then begin
+    (* Restarted amnesiac: everything it owned died with the previous
+       incarnation.  Orphan from the latest instant that incarnation
+       may have served: its last heartbeat, when the suspicion timeout
+       stops routing to a silent shard (and [grace] covers the
+       heartbeat period), or else this announcement, since a shard
+       nobody suspects is routed to until its restart is known. *)
+    let since = if d.d_suspicion = infinity then now else d.d_last.(shard) in
+    d.d_st.incarnation_orphans <- d.d_st.incarnation_orphans + orphan_mapped t ~shard ~since;
+    d.d_incarnation.(shard) <- incarnation
+  end;
+  d.d_last.(shard) <- now;
+  if d.d_flag.(shard) then begin
+    d.d_flag.(shard) <- false;
+    d.d_st.recoveries <- d.d_st.recoveries + 1;
+    (* False suspicion healed: hand back any slice orphaned under it
+       whose body survived at the directory epoch.  Nothing served the
+       slice while orphaned (resolution refuses), so same-epoch
+       re-ownership resumes service with every lease intact. *)
+    Array.iteri
+      (fun slice entry ->
+        match entry with
+        | Orphaned { last; epoch; _ }
+          when last = shard
+               && Option.is_some (Shard.serving t.shards.(shard) ~slice ~epoch ~now) ->
+          set_entry t ~slice (Owned { shard; epoch });
+          d.d_st.reowns <- d.d_st.reowns + 1
+        | _ -> ())
+      t.dir
+  end
 
 (* Suspicion sweep (from {!pump}): flag shards whose heartbeats went
    quiet and orphan their slices.  The orphan clock starts at
@@ -347,17 +334,15 @@ let heartbeat t ~shard ~incarnation =
    [grace >= ttl + max in-flight delay] (callers enforce the stronger
    network-aware bound; docs/fault_model.md §8). *)
 let detector_sweep t ~now =
-  match t.fd with
-  | None -> ()
-  | Some d ->
-    for shard = 0 to Array.length d.d_last - 1 do
-      let last = d.d_last.(shard) in
-      if (not d.d_flag.(shard)) && now -. last > d.d_suspicion then begin
-        d.d_flag.(shard) <- true;
-        d.d_st.suspicions <- d.d_st.suspicions + 1;
-        ignore (orphan_mapped t ~shard ~since:(last +. d.d_suspicion))
-      end
-    done
+  let d = t.fd in
+  for shard = 0 to Array.length d.d_last - 1 do
+    let last = d.d_last.(shard) in
+    if (not d.d_flag.(shard)) && now -. last > d.d_suspicion then begin
+      d.d_flag.(shard) <- true;
+      d.d_st.suspicions <- d.d_st.suspicions + 1;
+      ignore (orphan_mapped t ~shard ~since:(last +. d.d_suspicion))
+    end
+  done
 
 (* {2 Routing} *)
 
@@ -392,17 +377,19 @@ let route t ~slice =
   | Orphaned _ -> route_down
   | Owned { shard; _ } -> if shard_available t ~shard ~now then shard else route_down
 
+(* An in-process operation is served the way a forward is: routed on
+   the directory and the detector, then answered by the body
+   {!Shard.serving} finds at the directory's epoch. *)
 let resolve t ~slice ~now =
   match t.dir.(slice) with
   | In_transit _ -> Error (In_handoff { slice })
   | Orphaned { last; _ } -> Error (Shard_down { shard = last })
   | Owned { shard; epoch } -> (
-    let sh = t.shards.(shard) in
     if not (shard_available t ~shard ~now) then Error (Shard_down { shard })
     else
-      match Shard.find_slice sh ~slice with
-      | Some sl when sl.Shard.sl_epoch = epoch -> Ok (shard, epoch, sl)
-      | _ -> Error (Shard_down { shard }))
+      match Shard.serving t.shards.(shard) ~slice ~epoch ~now with
+      | Some sl -> Ok (shard, epoch, sl)
+      | None -> Error (Shard_down { shard }))
 
 let count_busy t busy =
   (match busy with
@@ -446,12 +433,6 @@ let renew t ~fence = fenced_op t ~fence Service.renew
 let use t ~fence = fenced_op t ~fence Service.use
 let release t ~fence = fenced_op t ~fence Service.release
 
-(* {2 Fault injection} *)
-
-let stall_shard t ~id ~until =
-  let now = Clock.now t.clock in
-  Shard.stall t.shards.(id) ~now ~until
-
 (* {2 Ownership handoff} *)
 
 let begin_handoff t ~slice ~to_ =
@@ -476,10 +457,10 @@ let[@inline] shard_util t sh =
   if cap = 0 then 1.0 else float_of_int (Shard.held sh) /. float_of_int cap
 
 (* Least-loaded available shard, lowest id on ties; [except] excludes a
-   shard (the handoff source).  Availability is the detector's view when
-   one is enabled, and the shard must also actually be alive — the
-   adopting shard acks the adoption in a real deployment, so a crashed
-   shard that still looks available never receives slices. *)
+   shard (the handoff source).  Availability is the detector's view, and
+   the shard must also actually be alive — the adopting shard acks the
+   adoption in a real deployment, so a crashed shard that still looks
+   available never receives slices. *)
 let coldest_alive t ~now ?except () =
   let best = ref None in
   Array.iter
@@ -547,14 +528,12 @@ let rec drop_stale t sh = function
       match t.dir.(sl.Shard.sl_id) with
       | Owned { shard; epoch } -> shard <> id || epoch <> sl.Shard.sl_epoch
       | In_transit { from_; epoch; _ } -> from_ <> id || epoch <> sl.Shard.sl_epoch
-      | Orphaned { last; epoch; _ } -> (
-        (* Under a failure detector an orphan may be a false
-           suspicion: the surviving body is kept so recovery can
-           re-own it.  Adoption bumps the epoch, which turns the
-           body stale here the moment the slice is re-served. *)
-        match t.fd with
-        | None -> true
-        | Some _ -> last <> id || epoch <> sl.Shard.sl_epoch)
+      | Orphaned { last; epoch; _ } ->
+        (* An orphan may be a false suspicion: the surviving body is
+           kept so recovery can re-own it.  Adoption bumps the epoch,
+           which turns the body stale here the moment the slice is
+           re-served. *)
+        last <> id || epoch <> sl.Shard.sl_epoch
     in
     if stale then ignore (Shard.detach sh ~slice:sl.Shard.sl_id);
     drop_stale t sh rest
@@ -606,44 +585,6 @@ let step_transits t ~now =
     | _ -> ()
   done
 
-let orphan_owned t ~id ~since =
-  for slice = 0 to Array.length t.dir - 1 do
-    match t.dir.(slice) with
-    | Owned { shard; epoch } when shard = id -> orphan_entry t ~slice ~last:shard ~epoch ~since
-    | _ -> ()
-  done
-
-(* Without a detector the router sees shard status directly: a crashed
-   shard's slices are orphaned at once, a stalled one's once the stall
-   outlasts the grace (it may yet heal).  Either way the orphan clock
-   starts at [since], the last instant a lease could have been renewed
-   there.  A shard crashed and restarted between two pumps is [Alive]
-   again, but the slices it owned hold no body at their epoch; those
-   are orphaned from [now], which is safe because the crash came
-   earlier.  With a detector the router cannot see status: a crashed or
-   stalled shard stops heartbeating and {!detector_sweep} orphans it
-   from the (later, still-safe) suspicion instant. *)
-let orphan_down t ~now =
-  match t.fd with
-  | Some _ -> ()
-  | None ->
-    for id = 0 to Array.length t.shards - 1 do
-      let sh = t.shards.(id) in
-      match Shard.status sh ~now with
-      | Shard.Crashed { since } -> orphan_owned t ~id ~since
-      | Shard.Stalled { since; _ } when now -. since >= t.cfg.grace -> orphan_owned t ~id ~since
-      | Shard.Stalled _ -> ()
-      | Shard.Alive ->
-        for slice = 0 to Array.length t.dir - 1 do
-          match t.dir.(slice) with
-          | Owned { shard; epoch } when shard = id -> (
-            match Shard.find_slice sh ~slice with
-            | Some sl when sl.Shard.sl_epoch = epoch -> ()
-            | _ -> orphan_entry t ~slice ~last:shard ~epoch ~since:now)
-          | _ -> ()
-        done
-    done
-
 let adopt_orphans t ~now =
   for slice = 0 to Array.length t.dir - 1 do
     match t.dir.(slice) with
@@ -680,16 +621,13 @@ let lower (w : Service.wake) x = if x < w.Service.at then w.Service.at <- x
    directory write, a shard status change, a heartbeat from an
    unavailable shard, a service operation) lowers the cell itself. *)
 let rearm t ~now =
-  let d = t.due in
-  (match t.fd with
-  | None -> ()
-  | Some fd ->
-    (* [detector_sweep] *)
-    d.hb_oldest <- infinity;
-    for shard = 0 to Array.length fd.d_last - 1 do
-      if (not fd.d_flag.(shard)) && fd.d_last.(shard) < d.hb_oldest then
-        d.hb_oldest <- fd.d_last.(shard)
-    done);
+  let d = t.due and fd = t.fd in
+  (* [detector_sweep] *)
+  d.hb_oldest <- infinity;
+  for shard = 0 to Array.length fd.d_last - 1 do
+    if (not fd.d_flag.(shard)) && fd.d_last.(shard) < d.hb_oldest then
+      d.hb_oldest <- fd.d_last.(shard)
+  done;
   d.since_oldest <- infinity;
   (* A stall heals at [until]; its bodies are pumped and validated again. *)
   for id = 0 to Array.length t.shards - 1 do
@@ -707,27 +645,18 @@ let rearm t ~now =
       if (not (now -. since >= t.cfg.grace)) && since < d.since_oldest then
         d.since_oldest <- since
     | Owned { shard; epoch } -> (
-      let sh = t.shards.(shard) in
-      match Shard.status sh ~now with
-      | Shard.Alive -> (
-        match Shard.find_slice sh ~slice with
-        | Some sl when sl.Shard.sl_epoch = epoch ->
-          lower t.wake (Service.next_due sl.Shard.sl_svc)  (* the slice pumps *)
-        | _ -> ())
-      | Shard.Stalled { since; _ } -> (
-        match t.fd with
-        | None -> if since < d.since_oldest then d.since_oldest <- since  (* [orphan_down] *)
-        | Some _ -> ())
-      | Shard.Crashed _ -> ())
+      match Shard.serving t.shards.(shard) ~slice ~epoch ~now with
+      | Some sl -> lower t.wake (Service.next_due sl.Shard.sl_svc)  (* the slice pumps *)
+      | None -> ())
   done
 
 (* Nothing is due: no phase of [pump] would act.  The detector and grace
-   deadlines are compared exactly as [detector_sweep], [orphan_down]
-   and [adopt_orphans] compare them, so rounding cannot delay them. *)
+   deadlines are compared exactly as [detector_sweep] and
+   [adopt_orphans] compare them, so rounding cannot delay them. *)
 let idle t ~now =
   let d = t.due in
   now < t.wake.Service.at
-  && (not (now -. d.hb_oldest > d.suspicion))
+  && (not (now -. d.hb_oldest > t.fd.d_suspicion))
   && not (now -. d.since_oldest >= t.cfg.grace)
 
 let pump t =
@@ -738,7 +667,6 @@ let pump t =
     t.st.full_pumps <- t.st.full_pumps + 1;
     t.wake.Service.at <- infinity;
     detector_sweep t ~now;
-    orphan_down t ~now;
     step_transits t ~now;
     validate_bodies t ~now;
     adopt_orphans t ~now;
@@ -746,12 +674,12 @@ let pump t =
     let completions = ref [] in
     for slice = 0 to Array.length t.dir - 1 do
       match t.dir.(slice) with
-      | Owned { shard; epoch } when Shard.alive t.shards.(shard) ~now -> (
-        match Shard.find_slice t.shards.(shard) ~slice with
-        | Some sl when sl.Shard.sl_epoch = epoch ->
+      | Owned { shard; epoch } -> (
+        match Shard.serving t.shards.(shard) ~slice ~epoch ~now with
+        | Some sl ->
           completions :=
             wrap_completions ~slice ~shard !completions (Service.pump sl.Shard.sl_svc)
-        | _ -> ())
+        | None -> ())
       | _ -> ()
     done;
     rearm t ~now;

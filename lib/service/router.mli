@@ -70,8 +70,8 @@ val make_config :
   config
 (** Defaults: 4 shards × 8 slices × 16 capacity, [grace = 1.5·ttl].
     One shard over one slice is a single {!Service} behind the router:
-    a crash or a stall past [grace] leaves the slice dark until the
-    shard is back, and then it adopts the slice afresh.  Raises if
+    a crash or a suspected stall leaves the slice dark until the shard
+    is back, and then it re-owns the slice or adopts it afresh.  Raises if
     [shards < 1], [slices < shards] or [grace < ttl] — absorbing
     before expiry would regrant live names. *)
 
@@ -90,13 +90,17 @@ type tap_event =
 val create :
   ?obs:Renaming_obs.Obs.t ->
   ?tap:(tap_event -> unit) ->
+  ?suspicion:float ->
   clock:Renaming_clock.Clock.t ->
   seed:int64 ->
   config ->
   t
 (** Slices are placed in contiguous ranges ([slice · shards / slices]),
     so a Zipf-hot key range concentrates on one shard.  All randomness
-    derives from [seed] via named streams — runs are replayable. *)
+    derives from [seed] via named streams — runs are replayable.
+    [suspicion] is the failure detector's timeout (see Failure
+    detection below); every shard starts unsuspected, with a heartbeat
+    as of the clock's reading now.  Raises if [suspicion <= 0]. *)
 
 (** {2 Routing} *)
 
@@ -139,7 +143,16 @@ val acquire : ?hint:int -> t -> session:int -> key:int -> outcome
 (** [key] is the placement key ([slice = key mod slices]).  When [hint]
     (the client's cached owner for the slice) no longer matches the
     directory, the outcome is [Busy (Redirected ...)] with the current
-    owner and no side effect. *)
+    owner and no side effect.
+
+    Every in-process operation ([acquire], {!renew}, {!use},
+    {!release}) is served the way a forward is: the slice is routed on
+    the directory and the detector's view, as {!route} routes it, and
+    the owner answers only through {!Shard.serving} — alive, with its
+    body at the directory's epoch.  An in-transit slice answers
+    [In_handoff]; an orphaned slice, an unavailable owner, and an
+    available owner that is crashed, stalled or holds no body at that
+    epoch all answer [Shard_down]. *)
 
 val renew : t -> fence:gfence -> (float, [ `Fenced | `Busy of busy ]) result
 val use : t -> fence:gfence -> (unit, [ `Fenced | `Busy of busy ]) result
@@ -148,11 +161,12 @@ val release : t -> fence:gfence -> (float, [ `Fenced | `Busy of busy ]) result
 type completion = { c_slice : int; c_shard : int; c_done : Service.completion }
 
 val pump : t -> completion list
-(** Router maintenance, then the per-slice service pumps: heal elapsed
-    stalls and drop fenced bodies, progress/abort in-transit handoffs,
-    orphan the slices of shards stalled past [grace], absorb orphans
-    past [grace] into the least-loaded survivor, trigger auto
-    rebalancing, then reclaim/expire/grant on every reachable slice.
+(** Router maintenance, then the per-slice service pumps: orphan the
+    slices of newly suspected shards, progress/abort in-transit handoffs
+    (orphaning one whose source is crashed or stalled past [grace]), heal
+    elapsed stalls and drop fenced bodies, absorb orphans past [grace]
+    into the least-loaded survivor, trigger auto rebalancing, then
+    reclaim/expire/grant on every body {!Shard.serving} answers for.
     Completions come back in slice order.
 
     Wake invariant: the router keeps the earliest instant at which any
@@ -177,21 +191,18 @@ val pump : t -> completion list
     exactly one that would have changed nothing.  {!stats} counts the
     calls ([pumps]) and the ones that ran the phases ([full_pumps]). *)
 
-(** {2 Fault injection} *)
-
-val stall_shard : t -> id:int -> until:float -> unit
-(** The shard stops serving until [until] on the injected clock.  If the
-    stall outlives [grace], its slices are reassigned and the woken
-    shard drops its stale bodies. *)
-
 (** {2 Failure detection}
 
-    By default the router consults shard status directly (an omniscient
-    single-process shortcut).  {!enable_detector} replaces that with a
-    timeout-based failure detector: shards are {e available} only while
-    their latest heartbeat is younger than [suspicion], and routing
-    ({!route}, {!resolve}-based operations, adopter choice) runs on that
-    view alone.  On suspicion the shard's slices are orphaned from the
+    The router never reads a shard's status to decide availability: its
+    one view is a timeout-based failure detector, as a real router node
+    has.  A shard is {e available} only while its latest heartbeat is
+    younger than {!create}'s [suspicion], and routing ({!route}, every
+    in-process operation, adopter choice) runs on that view.  Without
+    [suspicion] no shard is ever suspected: every shard is available,
+    and only a restart heartbeat (below) or the handoff protocol's own
+    check of a transit's endpoints can orphan a slice, so a crashed
+    owner's slice stays dark ([Shard_down]) until its restart is
+    announced.  On suspicion the shard's slices are orphaned from the
     instant routing stopped forwarding ([last heartbeat + suspicion]);
     if heartbeats resume before adoption, the orphans are handed back at
     the same epoch with every lease intact (a false suspicion costs
@@ -209,14 +220,10 @@ type detector_stats = {
   mutable incarnation_orphans : int;  (** slices orphaned by a restart heartbeat *)
 }
 
-val enable_detector : t -> suspicion:float -> unit
-(** Switch routing to the detector view; every shard starts unsuspected
-    with a heartbeat as of now.  Raises if [suspicion <= 0]. *)
-
 val heartbeat : t -> shard:int -> incarnation:int -> unit
-(** Record a heartbeat arrival.  No-op without a detector. *)
+(** Record a heartbeat arrival. *)
 
-val detector_stats : t -> detector_stats option
+val detector_stats : t -> detector_stats
 
 (** {2 Handoff} *)
 

@@ -31,6 +31,13 @@ let rec find_in ~slice = function
 
 let find_slice t ~slice = find_in ~slice t.slices
 
+let serving t ~slice ~epoch ~now =
+  if alive t ~now then
+    match find_slice t ~slice with
+    | Some sl as body when sl.sl_epoch = epoch -> body
+    | _ -> None
+  else None
+
 let attach t sl =
   t.slices <- List.sort (fun a b -> compare a.sl_id b.sl_id) (sl :: t.slices)
 

@@ -44,6 +44,13 @@ val alive : t -> now:float -> bool
 
 val find_slice : t -> slice:int -> slice option
 
+val serving : t -> slice:int -> epoch:int -> now:float -> slice option
+(** The body that answers a request for [slice] at the directory's
+    [epoch], if any: the shard is alive at [now] and its resident body
+    of [slice] is at [epoch].  This is the one rule for every request a
+    shard serves, through the router or forwarded to it; a body at
+    another epoch is one the directory has moved on from. *)
+
 val attach : t -> slice -> unit
 val detach : t -> slice:int -> slice option
 

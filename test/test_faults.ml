@@ -701,8 +701,7 @@ let test_shrink_none_when_input_passes () =
 let test_repro_roundtrip () =
   let repro =
     {
-      Shrink.rp_trace_format = Shrink.Choices;
-      rp_algorithm = "uniform-probing-n3";
+      Shrink.rp_algorithm = "uniform-probing-n3";
       rp_n = 3;
       rp_seed = 0x5EED_2015L;
       rp_max_ticks = 50_000;
@@ -722,33 +721,29 @@ let test_repro_roundtrip () =
     check Alcotest.bool "choices" true (repro.Shrink.rp_choices = r.Shrink.rp_choices)
   | Error e -> Alcotest.failf "round-trip failed: %s" e
 
-let test_repro_tau_cadence_header_optional () =
-  (* Artifacts written before the tau-cadence header existed must still
-     parse, with the executor-default cadence. *)
-  match
-    Shrink.repro_of_string
-      "algorithm: x\nn: 2\nseed: 1\ncheck-ownership: true\nmax-ticks: 10\nkind: k\ntrace:\nstep 0\n"
-  with
-  | Ok r -> check Alcotest.int "default cadence" 1 r.Shrink.rp_tau_cadence
-  | Error e -> Alcotest.failf "legacy artifact rejected: %s" e
-
 let test_repro_rejects_garbage () =
-  check Alcotest.bool "no trace section" true
-    (Result.is_error (Shrink.repro_of_string "algorithm: x\nn: 2\n"));
-  check Alcotest.bool "bad verb" true
-    (Result.is_error (Shrink.repro_of_string "algorithm: x\nn: 2\nseed: 1\ncheck-ownership: true\nmax-ticks: 10\nkind: k\ntrace:\nteleport 3\n"));
-  check Alcotest.bool "unknown trace format" true
-    (Result.is_error
-       (Shrink.repro_of_string
-          "algorithm: x\nn: 2\nseed: 1\ncheck-ownership: true\nmax-ticks: 10\nkind: k\ntrace-format: interpretive-dance\ntrace:\nstep 0\n"))
+  let parses text = Result.is_ok (Shrink.repro_of_string text) in
+  let artifact ?(cadence = "tau-cadence: 1\n") ?(format = "trace-format: condensed\n")
+      ?(trace = "S0--P1\n") () =
+    "algorithm: x\nn: 2\nseed: 1\nmax-ticks: 10\n" ^ cadence ^ "kind: k\n" ^ format ^ "trace:\n"
+    ^ trace
+  in
+  check Alcotest.bool "the well-formed artifact parses" true (parses (artifact ()));
+  check Alcotest.bool "no trace section" false (parses "algorithm: x\nn: 2\n");
+  check Alcotest.bool "no tau-cadence header" false (parses (artifact ~cadence:"" ()));
+  check Alcotest.bool "no trace-format header" false (parses (artifact ~format:"" ()));
+  check Alcotest.bool "the one-choice-per-line format" false
+    (parses (artifact ~format:"trace-format: choices\n" ~trace:"step 0\n" ()));
+  check Alcotest.bool "unknown trace format" false
+    (parses (artifact ~format:"trace-format: interpretive-dance\n" ()));
+  check Alcotest.bool "bad condensed segment" false (parses (artifact ~trace:"T3\n" ()))
 
 let test_repro_condensed_roundtrip () =
   (* The condensed body renders runs, faults, crashes and recoveries,
      and must parse back to the identical decision list. *)
   let repro =
     {
-      Shrink.rp_trace_format = Shrink.Condensed;
-      rp_algorithm = "uniform-probing-n3";
+      Shrink.rp_algorithm = "uniform-probing-n3";
       rp_n = 3;
       rp_seed = 7L;
       rp_max_ticks = 50_000;
@@ -770,34 +765,33 @@ let test_repro_condensed_roundtrip () =
      mem (String.split_on_char '\n' text));
   match Shrink.repro_of_string text with
   | Ok r ->
-    check Alcotest.bool "format preserved" true (r.Shrink.rp_trace_format = Shrink.Condensed);
     check Alcotest.bool "choices identical" true (r.Shrink.rp_choices = repro.Shrink.rp_choices)
   | Error e -> Alcotest.failf "condensed round-trip failed: %s" e
 
 (* A pre-existing artifact from results/repros/, embedded verbatim: the
-   shard-handoff mutant's shrunk counterexample as the fuzzer wrote it
-   before the trace-format header existed, with the check-ownership
-   header artifacts then carried.  It must parse (defaulting to the
-   legacy choices body, ignoring that header: the target declares its
-   monitor mode), replay to the same violation against the
-   roster-rebuilt instance, and survive re-serialisation in the
-   condensed format. *)
+   shard-handoff mutant's shrunk counterexample as the fuzzer writes it.
+   It must parse, replay to the same violation against the
+   roster-rebuilt instance, and serialise back to the same bytes. *)
 let preexisting_artifact =
   "algorithm: mutant-shard-unfenced-handoff\n\
    n: 3\n\
    seed: 1342224629192912732\n\
-   check-ownership: false\n\
    max-ticks: 50000\n\
    tau-cadence: 1\n\
    kind: refine:name-held\n\
+   trace-format: condensed\n\
    trace:\n\
-   step 1\nstep 1\nstep 1\nstep 1\nstep 1\nstep 2\n"
+   S1x5--P2\n"
 
 let test_repro_preexisting_artifact_replays () =
-  let replay (r : Shrink.repro) =
+  match Shrink.repro_of_string preexisting_artifact with
+  | Error e -> Alcotest.failf "pre-existing artifact rejected: %s" e
+  | Ok r -> (
+    check Alcotest.string "serialises back to the same bytes" preexisting_artifact
+      (Shrink.repro_to_string r);
     match Renaming_harness.Replay.find ~name:r.Shrink.rp_algorithm ~n:r.Shrink.rp_n with
     | None -> Alcotest.failf "roster cannot rebuild %s" r.Shrink.rp_algorithm
-    | Some target ->
+    | Some target -> (
       let input =
         {
           Shrink.target;
@@ -807,25 +801,10 @@ let test_repro_preexisting_artifact_replays () =
           tau_cadence = r.Shrink.rp_tau_cadence;
         }
       in
-      (match Shrink.execute input r.Shrink.rp_choices with
-      | _, Some f -> check Alcotest.string "replays to the same kind" r.Shrink.rp_kind f.Shrink.f_kind
-      | _, None -> Alcotest.fail "pre-existing artifact no longer reproduces")
-  in
-  match Shrink.repro_of_string preexisting_artifact with
-  | Error e -> Alcotest.failf "pre-existing artifact rejected: %s" e
-  | Ok r ->
-    check Alcotest.bool "headerless artifact defaults to choices" true
-      (r.Shrink.rp_trace_format = Shrink.Choices);
-    replay r;
-    (* Re-serialise condensed: same decisions, same replay. *)
-    (match Shrink.repro_of_string
-             (Shrink.repro_to_string { r with Shrink.rp_trace_format = Shrink.Condensed })
-     with
-    | Error e -> Alcotest.failf "condensed re-serialisation rejected: %s" e
-    | Ok r' ->
-      check Alcotest.bool "condensed body carries identical decisions" true
-        (r'.Shrink.rp_choices = r.Shrink.rp_choices);
-      replay r')
+      match Shrink.execute input r.Shrink.rp_choices with
+      | _, Some f ->
+        check Alcotest.string "replays to the same kind" "refine:name-held" f.Shrink.f_kind
+      | _, None -> Alcotest.fail "pre-existing artifact no longer reproduces"))
 
 let tests =
   [
@@ -888,8 +867,6 @@ let tests =
           test_campaign_autoshrinks_violations;
         Alcotest.test_case "clean input yields no result" `Quick test_shrink_none_when_input_passes;
         Alcotest.test_case "repro round-trips" `Quick test_repro_roundtrip;
-        Alcotest.test_case "tau-cadence header optional" `Quick
-          test_repro_tau_cadence_header_optional;
         Alcotest.test_case "repro rejects garbage" `Quick test_repro_rejects_garbage;
         Alcotest.test_case "condensed trace round-trips" `Quick test_repro_condensed_roundtrip;
         Alcotest.test_case "pre-existing artifact replays" `Quick

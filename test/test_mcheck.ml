@@ -82,17 +82,6 @@ let test_directed_same_prefix_same_execution () =
   in
   check Alcotest.bool "deterministic" true (go () = go ())
 
-let test_choice_strings_roundtrip () =
-  List.iter
-    (fun c ->
-      match Directed.choice_of_string (Directed.choice_to_string c) with
-      | Ok c' -> check Alcotest.bool "round-trips" true (c = c')
-      | Error e -> Alcotest.failf "parse failed: %s" e)
-    [ Directed.Step 0; Directed.Fault 3; Directed.Crash 12; Directed.Recover 1 ];
-  check Alcotest.bool "garbage rejected" true
-    (Result.is_error (Directed.choice_of_string "teleport 3"));
-  check Alcotest.bool "bad pid rejected" true (Result.is_error (Directed.choice_of_string "step x"))
-
 (* --- the analytic schedule-count vector ---
 
    Two processes, two TAS steps each, all on the same register: every
@@ -523,7 +512,6 @@ let tests =
         Alcotest.test_case "permissive drops" `Quick test_directed_permissive_drops;
         Alcotest.test_case "same prefix, same execution" `Quick
           test_directed_same_prefix_same_execution;
-        Alcotest.test_case "choice strings round-trip" `Quick test_choice_strings_roundtrip;
       ] );
     ( "mcheck.explore",
       [

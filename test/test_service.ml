@@ -701,19 +701,21 @@ let router_cfg () =
 (* A router whose tap feeds the refinement spec, sized from [cfg]: a
    spec rejection raises [Audit.Violation] from the operation that
    produced the event, failing the test. *)
-let spec_router ~clock ~seed (cfg : Router.config) =
+let spec_router ?suspicion ~clock ~seed (cfg : Router.config) =
   let slice_width =
     Renaming_longlived.Longlived.namespace_for ~sessions:cfg.Router.slice_capacity
       ~epsilon:cfg.Router.epsilon
   in
   let adapter = Lease_adapter.create ~namespace:(cfg.Router.slices * slice_width) () in
-  let r = Router.create ~tap:(Lease_adapter.router_tap adapter ~slice_width) ~clock ~seed cfg in
+  let r =
+    Router.create ~tap:(Lease_adapter.router_tap adapter ~slice_width) ?suspicion ~clock ~seed cfg
+  in
   assert (Router.slice_width r = slice_width);
   (adapter, r)
 
-let router_fixture () =
+let router_fixture ?suspicion () =
   let t, clock = manual_clock () in
-  (t, snd (spec_router ~clock ~seed:42L (router_cfg ())))
+  (t, snd (spec_router ?suspicion ~clock ~seed:42L (router_cfg ())))
 
 let grant_on r ~session ~key =
   match Router.acquire r ~session ~key with
@@ -759,8 +761,7 @@ let test_router_clean_handoff_keeps_leases () =
   | _ -> Alcotest.fail "fresh hint must grant"
 
 let test_router_src_crash_orphans_then_adopts () =
-  let t, r = router_fixture () in
-  Router.enable_detector r ~suspicion:2.0;
+  let t, r = router_fixture ~suspicion:2.0 () in
   (* The survivors keep heartbeating; shard 0 goes silent at its crash. *)
   let survivors_beat () =
     for shard = 1 to 3 do
@@ -862,7 +863,7 @@ let test_router_one_shard_adopts_back () =
 let test_router_stall_heals () =
   let t, r = router_fixture () in
   let _g = grant_on r ~session:1 ~key:0 in
-  Router.stall_shard r ~id:0 ~until:2.0;
+  Shard.stall (Router.shard r ~id:0) ~now:0.0 ~until:2.0;
   (match Router.acquire r ~session:2 ~key:0 with
   | Router.Busy (Router.Shard_down { shard = 0 }) -> ()
   | _ -> Alcotest.fail "stalled acquire must be Shard_down");
@@ -873,6 +874,40 @@ let test_router_stall_heals () =
   match Router.acquire r ~session:2 ~key:0 with
   | Router.Granted g -> check Alcotest.int "same owner after wake" 0 g.Router.sg_shard
   | _ -> Alcotest.fail "healed shard must serve"
+
+(* A stalled owner answers nothing, whatever the detector thinks of it:
+   routing reads the detector's view, but only [Shard.serving] decides
+   which body answers, so an in-process operation meets a stall the way
+   a forward does.  The stall ends before any suspicion, and the shard
+   then serves again with its lease intact. *)
+let test_router_stalled_shard_answers_nothing () =
+  List.iter
+    (fun suspicion ->
+      let label what =
+        Printf.sprintf "%s (%s)" what
+          (match suspicion with None -> "no suspicion" | Some s -> Printf.sprintf "suspicion %g" s)
+      in
+      let t, r = router_fixture ?suspicion () in
+      let fence = Router.fence_of_grant (grant_on r ~session:1 ~key:0) in
+      Shard.stall (Router.shard r ~id:0) ~now:0.0 ~until:1.5;
+      t := 1.0;
+      ignore (Router.pump r);
+      check Alcotest.int (label "the stalled owner is still routed to") 0 (Router.route r ~slice:0);
+      (match Router.acquire r ~session:2 ~key:0 with
+      | Router.Busy (Router.Shard_down { shard = 0 }) -> ()
+      | _ -> Alcotest.fail (label "a stalled owner must not grant"));
+      (match Router.renew r ~fence with
+      | Error (`Busy (Router.Shard_down { shard = 0 })) -> ()
+      | _ -> Alcotest.fail (label "a stalled owner must not renew"));
+      t := 1.5;
+      (match Router.renew r ~fence with
+      | Ok _ -> ()
+      | _ -> Alcotest.fail (label "the woken owner must renew the live lease"));
+      match Router.acquire r ~session:2 ~key:0 with
+      | Router.Granted g ->
+        check Alcotest.int (label "granted by the woken owner") 0 g.Router.sg_shard
+      | _ -> Alcotest.fail (label "the woken owner must grant"))
+    [ None; Some 2.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded churn: safety under shard faults, and determinism.         *)
@@ -1058,10 +1093,7 @@ let test_dedup_eviction_window () =
 (* ------------------------------------------------------------------ *)
 (* Failure detector: suspicion, recovery with re-own, incarnation.    *)
 
-let detector_fixture () =
-  let t, r = router_fixture () in
-  Router.enable_detector r ~suspicion:2.0;
-  (t, r)
+let detector_fixture () = router_fixture ~suspicion:2.0 ()
 
 let test_router_detector_suspicion_and_recovery () =
   let t, r = detector_fixture () in
@@ -1088,7 +1120,7 @@ let test_router_detector_suspicion_and_recovery () =
   t := 4.0;
   Router.heartbeat r ~shard:0 ~incarnation:0;
   check Alcotest.int "suspicion cleared" 0 (Router.route r ~slice:0);
-  let d = Option.get (Router.detector_stats r) in
+  let d = Router.detector_stats r in
   check Alcotest.bool "suspicion counted" true (d.Router.suspicions >= 1);
   check Alcotest.int "recovery counted" 1 d.Router.recoveries;
   check Alcotest.bool "slices re-owned" true (d.Router.reowns >= 1);
@@ -1110,7 +1142,7 @@ let test_router_detector_incarnation_orphans () =
      owned is orphaned immediately — the detector cannot wait for the
      sweep, because the new incarnation heartbeats happily. *)
   Router.heartbeat r ~shard:0 ~incarnation:1;
-  let d = Option.get (Router.detector_stats r) in
+  let d = Router.detector_stats r in
   check Alcotest.int "previous incarnation's slices orphaned" 2
     d.Router.incarnation_orphans;
   check Alcotest.int "not a suspicion" 0 d.Router.suspicions;
@@ -1661,27 +1693,26 @@ let qcheck_held_rises_only_at_grants =
     (fun (detector, (auto_rebalance, script)) ->
       let time, clock = manual_clock () in
       let _, r =
-        spec_router ~clock ~seed:9L
+        spec_router
+          ?suspicion:(if detector then Some 3.0 else None)
+          ~clock ~seed:9L
           (Router.make_config ~shards ~slices ~slice_capacity:3 ~queue_limit:4 ~ttl:10.0
              ~grace:14.0 ~high_water:0.9 ~auto_rebalance ())
       in
-      if detector then Router.enable_detector r ~suspicion:3.0;
       let fences = ref [] and session = ref 0 and peak = ref 0 in
       let incarnation = Array.make shards 0 in
       let pick i = match !fences with [] -> None | l -> Some (List.nth l (i mod List.length l)) in
       (* The body a forward reaches, as [Net_churn.on_shard] serves it:
-         routed on the directory and the detector, served only by a live
-         shard whose resident body is at the forwarded epoch. *)
+         routed on the directory and the detector, served by the body
+         [Shard.serving] finds at the forwarded epoch. *)
       let body slice =
         let shard = Router.route r ~slice in
         if shard < 0 then None
         else
-          let sh = Router.shard r ~id:shard in
-          match Shard.find_slice sh ~slice with
-          | Some sl
-            when Shard.alive sh ~now:!time && sl.Shard.sl_epoch = Router.slice_epoch r ~slice ->
-            Some sl.Shard.sl_svc
-          | _ -> None
+          Option.map
+            (fun sl -> sl.Shard.sl_svc)
+            (Shard.serving (Router.shard r ~id:shard) ~slice
+               ~epoch:(Router.slice_epoch r ~slice) ~now:!time)
       in
       List.iter
         (fun step ->
@@ -1720,7 +1751,7 @@ let qcheck_held_rises_only_at_grants =
               end;
               false
             | S_stall (id, d) ->
-              Router.stall_shard r ~id ~until:(!time +. float_of_int d);
+              Shard.stall (Router.shard r ~id) ~now:!time ~until:(!time +. float_of_int d);
               false
             | S_handoff (slice, to_) ->
               ignore (Router.begin_handoff r ~slice ~to_);
@@ -1797,8 +1828,7 @@ let first_past ~last ~suspicion =
   up (last +. suspicion)
 
 let test_wake_detector_deadline () =
-  let time, r = router_fixture () in
-  Router.enable_detector r ~suspicion:0.2;
+  let time, r = router_fixture ~suspicion:0.2 () in
   time := 0.1;
   for shard = 0 to 3 do
     Router.heartbeat r ~shard ~incarnation:0
@@ -1822,7 +1852,7 @@ let test_wake_stall_end () =
   time := 1.0;
   ignore (Router.pump r);
   (* Shorter than the grace: the slice stays with the stalled shard. *)
-  Router.stall_shard r ~id:0 ~until:11.0;
+  Shard.stall (Router.shard r ~id:0) ~now:1.0 ~until:11.0;
   List.iter
     (fun at ->
       time := at;
@@ -1835,71 +1865,13 @@ let test_wake_stall_end () =
   check Alcotest.int "the overdue lease is reclaimed on the first pump at [until]" 0
     (Router.total_held r)
 
-let two_shard_router () =
+let two_shard_router ?suspicion () =
   let time, clock = manual_clock () in
   ( time,
     snd
-      (spec_router ~clock ~seed:5L
+      (spec_router ?suspicion ~clock ~seed:5L
          (Router.make_config ~shards:2 ~slices:2 ~ttl:10.0 ~grace:12.0 ~auto_rebalance:false ()))
   )
-
-(* Without a failure detector the router sees a crash directly: the dead
-   shard's slices are orphaned from the crash, a survivor adopts them a
-   grace later (never earlier: the lost body's leases could still be
-   live until then), and the pre-crash fence is dead at the fresh body. *)
-let test_router_crash_without_detector () =
-  let time, r = two_shard_router () in
-  let g = grant_on r ~session:1 ~key:1 in
-  check Alcotest.int "slice 1 starts on shard 1" 1 g.Router.sg_shard;
-  let fence = Router.fence_of_grant g in
-  time := 1.0;
-  Shard.crash (Router.shard r ~id:1) ~now:1.0;
-  ignore (Router.pump r);
-  (match Router.acquire r ~session:2 ~key:1 with
-  | Router.Busy (Router.Shard_down _) -> ()
-  | _ -> Alcotest.fail "a crashed owner's slice must be Shard_down");
-  time := Float.pred 13.0;
-  ignore (Router.pump r);
-  check Alcotest.(option int) "not adopted before crash + grace" None (Router.owner r ~slice:1);
-  time := 13.0;
-  ignore (Router.pump r);
-  check Alcotest.(option int) "the survivor adopts at crash + grace" (Some 0)
-    (Router.owner r ~slice:1);
-  check Alcotest.int "one adoption" 1 (Router.stats r).Router.adoptions;
-  (match Router.renew r ~fence with
-  | Error `Fenced -> ()
-  | _ -> Alcotest.fail "pre-crash fence must be fenced after adoption");
-  match Router.acquire r ~session:3 ~key:1 with
-  | Router.Granted g' -> check Alcotest.int "slice 1 grants again, on shard 0" 0 g'.Router.sg_shard
-  | _ -> Alcotest.fail "adopted slice must serve"
-
-(* A crash and a restart with no pump between them leave no [Crashed]
-   status for a detector-less router to see; the slice the shard owned
-   has no body there, so the next pump orphans it from its own instant,
-   and a grace later it is adopted and grants again. *)
-let test_router_restart_between_pumps () =
-  let time, r = two_shard_router () in
-  let g = grant_on r ~session:1 ~key:1 in
-  check Alcotest.int "slice 1 starts on shard 1" 1 g.Router.sg_shard;
-  time := 1.0;
-  Shard.crash (Router.shard r ~id:1) ~now:1.0;
-  Shard.restart (Router.shard r ~id:1);
-  time := 2.0;
-  ignore (Router.pump r);
-  (match Router.acquire r ~session:2 ~key:1 with
-  | Router.Busy (Router.Shard_down _) -> ()
-  | _ -> Alcotest.fail "an orphaned slice must be Shard_down");
-  time := 13.0;
-  ignore (Router.pump r);
-  check Alcotest.(option int) "not adopted before orphaning + grace" None
-    (Router.owner r ~slice:1);
-  time := 50.0;
-  ignore (Router.pump r);
-  check Alcotest.bool "adopted" true (Router.owner r ~slice:1 <> None);
-  check Alcotest.int "one adoption" 1 (Router.stats r).Router.adoptions;
-  match Router.acquire r ~session:3 ~key:1 with
-  | Router.Granted _ -> ()
-  | _ -> Alcotest.fail "the adopted slice must grant again"
 
 (* A restart made on the shard itself, as [Net_churn] makes it, lets a
    stranded orphan be adopted on the next pump.  Both shards crash while
@@ -1927,8 +1899,7 @@ let test_wake_shard_restart () =
    heartbeat reaches the detector; that heartbeat re-owns nothing, yet
    it makes shard 1 an adopter. *)
 let test_wake_heartbeat () =
-  let time, r = two_shard_router () in
-  Router.enable_detector r ~suspicion:1.0;
+  let time, r = two_shard_router ~suspicion:1.0 () in
   Shard.crash (Router.shard r ~id:0) ~now:0.0;
   Shard.crash (Router.shard r ~id:1) ~now:0.0;
   time := 2.0;
@@ -1988,10 +1959,8 @@ let tests =
         Alcotest.test_case "router: src crash -> adopt" `Quick test_router_src_crash_orphans_then_adopts;
         Alcotest.test_case "router: dst crash -> abort" `Quick test_router_dst_crash_aborts_handoff;
         Alcotest.test_case "router: stall heals" `Quick test_router_stall_heals;
-        Alcotest.test_case "router: crash without a detector -> adopt" `Quick
-          test_router_crash_without_detector;
-        Alcotest.test_case "router: restart between pumps -> adopt" `Quick
-          test_router_restart_between_pumps;
+        Alcotest.test_case "router: a stalled shard answers nothing" `Quick
+          test_router_stalled_shard_answers_nothing;
         Alcotest.test_case "router: one shard adopts its slice back" `Quick
           test_router_one_shard_adopts_back;
         Alcotest.test_case "shard churn: safety" `Quick test_shard_churn_safety;
