@@ -37,7 +37,7 @@ chaos:
 # Exits nonzero on any lease-safety violation, livelock, unfenced stale
 # operation, or if the campaign failed to exercise reclamation,
 # shedding or ghost replays; JSON lands in results/chaos-service.json
-# (schema renaming.chaos-service/5).
+# (schema renaming.chaos-service/6).
 chaos-service:
 	dune exec bin/main.exe -- chaos --service --out results/chaos-service.json
 
@@ -54,7 +54,7 @@ chaos-service-smoke:
 # unfenced stale ghost, or if the campaign failed to exercise handoffs
 # (including mid-transit crashes), adoption, shard crashes or ghost
 # replays; JSON lands in results/chaos-sharded.json (schema
-# renaming.chaos-sharded/4).
+# renaming.chaos-sharded/5).
 chaos-sharded:
 	dune exec bin/main.exe -- chaos --sharded --out results/chaos-sharded.json
 
@@ -69,7 +69,7 @@ chaos-sharded-smoke:
 # failure detection.  Exits nonzero on any safety violation, end-to-end
 # double grant, unexpected fence, successful ghost op — or if any piece
 # of the fault machinery (ghost replays included) failed to fire.  JSON
-# lands in results/chaos-net.json (schema renaming.chaos-net/3).
+# lands in results/chaos-net.json (schema renaming.chaos-net/4).
 chaos-net:
 	dune exec bin/main.exe -- chaos --net --out results/chaos-net.json
 

@@ -186,7 +186,7 @@ let service_cells ~sessions =
 let service =
   {
     name = "service";
-    schema = "renaming.chaos-service/5";
+    schema = "renaming.chaos-service/6";
     default_sessions = 150_000;
     cells = service_cells;
     totals =
@@ -245,7 +245,7 @@ let sharded_cells ~sessions =
 let sharded =
   {
     name = "sharded";
-    schema = "renaming.chaos-sharded/4";
+    schema = "renaming.chaos-sharded/5";
     default_sessions = 60_000;
     cells = sharded_cells;
     totals =
@@ -318,7 +318,7 @@ let net_cells ~sessions =
 let net =
   {
     name = "net";
-    schema = "renaming.chaos-net/3";
+    schema = "renaming.chaos-net/4";
     default_sessions = 65_000;
     cells = net_cells;
     totals =

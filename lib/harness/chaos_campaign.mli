@@ -35,14 +35,14 @@
       one-shard, one-slice router over a perfect transport:
       utilization shedding, queue-only admission, a correlated client
       crash burst and Zipf-hot churn at crash rates of 25–35%, 150,000
-      sessions per cell by default (schema ["renaming.chaos-service/5"]).
+      sessions per cell by default (schema ["renaming.chaos-service/6"]).
     - {!sharded}: four shards over a perfect transport — Zipf-skewed
       rebalancing, correlated shard crashes, crash-during-handoff and
-      stall routing (schema ["renaming.chaos-sharded/4"]).
+      stall routing (schema ["renaming.chaos-sharded/5"]).
     - {!net}: four shards over the unreliable transport — loss,
       duplication and reordering, directional partitions and silent
       shard crashes found by heartbeat loss (schema
-      ["renaming.chaos-net/3"]).
+      ["renaming.chaos-net/4"]).
 
     Runs are deterministic in their seeds, so the JSON is too. *)
 

@@ -1,9 +1,7 @@
 (* Fixed-bucket histograms for step-complexity and contention
    distributions.  Unlike Renaming_stats.Histogram (an exact hashtable
-   keyed by value), buckets here are fixed at creation, so histograms
-   from different runs, pids or domains merge by plain element-wise
-   addition — the property the metrics snapshot and bench baseline
-   diffs rely on. *)
+   keyed by value), buckets here are fixed at creation, so observing
+   a value allocates nothing and a snapshot is the bucket counts. *)
 
 type t = {
   bounds : int array;  (* strictly increasing inclusive upper bounds *)
@@ -71,20 +69,3 @@ let bucket_label t i =
   else Printf.sprintf "%d..%d" (t.bounds.(i - 1) + 1) t.bounds.(i)
 
 let buckets t = Array.to_list (Array.mapi (fun i c -> (bucket_label t i, c)) t.counts)
-
-let same_bounds a b =
-  Array.length a.bounds = Array.length b.bounds
-  && Array.for_all2 ( = ) a.bounds b.bounds
-
-(* Element-wise addition: associative, commutative, and conserving —
-   every bucket count (and total/sum) of the result is the sum of the
-   operands'; max is the max.  test/test_obs.ml checks these laws. *)
-let merge a b =
-  if not (same_bounds a b) then invalid_arg "Hist.merge: bucket bounds differ";
-  {
-    bounds = Array.copy a.bounds;
-    counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) + b.counts.(i));
-    total = a.total + b.total;
-    sum = a.sum + b.sum;
-    max_seen = Stdlib.max a.max_seen b.max_seen;
-  }

@@ -1,11 +1,9 @@
-(** Fixed-bucket mergeable histograms.
+(** Fixed-bucket histograms.
 
     Bucket bounds are fixed at creation (default: powers of two up to
-    2^20), so two histograms with the same bounds merge by element-wise
-    addition — [merge] is associative and commutative, and conserves
-    counts, which is what lets per-pid, per-domain and per-run
-    distributions combine into the snapshots the exporters write.  For
-    exact value-keyed histograms use {!Renaming_stats.Histogram}. *)
+    2^20); the exporters write a histogram's bucket counts, count, sum
+    and maximum.  For exact value-keyed histograms use
+    {!Renaming_stats.Histogram}. *)
 
 type t
 
@@ -32,7 +30,3 @@ val counts : t -> int array
 
 val buckets : t -> (string * int) list
 (** Labelled per-bucket counts, e.g. [("<=8", 3); ("9..16", 1); ...]. *)
-
-val merge : t -> t -> t
-(** Fresh histogram with element-wise summed counts; raises
-    [Invalid_argument] when the bucket bounds differ. *)

@@ -20,13 +20,9 @@ end)
 
 type 'r t = { window : float; table : 'r entry Clients.t; st : stats }
 
-let create ?(window = infinity) () =
+let create ?(window = infinity) st =
   if window <= 0. then invalid_arg "Dedup.create: window must be > 0";
-  {
-    window;
-    table = Clients.create 64;
-    st = { fresh = 0; replays = 0; stale = 0; evictions = 0 };
-  }
+  { window; table = Clients.create 64; st }
 
 type 'r verdict = Fresh | Replay of 'r | Stale
 
@@ -80,11 +76,3 @@ let sweep t ~now =
     t.st.evictions <- t.st.evictions + n;
     n
   end
-
-let add_stats ~into (s : stats) =
-  into.fresh <- into.fresh + s.fresh;
-  into.replays <- into.replays + s.replays;
-  into.stale <- into.stale + s.stale;
-  into.evictions <- into.evictions + s.evictions
-
-let stats t = t.st

@@ -33,9 +33,12 @@ type stats = {
 
 type 'r t
 
-val create : ?window:float -> unit -> 'r t
-(** Default [window] is [infinity]: nothing is ever evicted unless the
-    caller opts into a bounded window.  Raises if [window <= 0]. *)
+val create : ?window:float -> stats -> 'r t
+(** [create stats] counts its verdicts and evictions into [stats], which
+    several tables may share: a table dropped with its slice body keeps
+    its counts there.  Default [window] is [infinity]: nothing is ever
+    evicted unless the caller opts into a bounded window.  Raises if
+    [window <= 0]. *)
 
 type 'r verdict = Fresh | Replay of 'r | Stale
 
@@ -51,8 +54,3 @@ val record : 'r t -> client:int -> seq:int -> now:float -> 'r -> unit
 
 val sweep : 'r t -> now:float -> int
 (** Evict entries idle longer than the window; returns how many. *)
-
-val add_stats : into:stats -> stats -> unit
-(** Add [s]'s counts to [into]'s. *)
-
-val stats : 'r t -> stats

@@ -198,16 +198,6 @@ type summary = {
   h_lifetime : Hist.t;
 }
 
-(* Bodies created with an [obs] share the registry's histograms, so each
-   distinct histogram is merged once. *)
-let merge_hists hists =
-  let rec go seen acc = function
-    | [] -> acc
-    | h :: rest ->
-      if List.memq h seen then go seen acc rest else go (h :: seen) (Hist.merge acc h) rest
-  in
-  go [] (Hist.create ()) hists
-
 (* {2 Wire types} *)
 
 type op =
@@ -285,8 +275,7 @@ type state = {
   dedup : body Dedup.t array;
       (* one table per slice: part of the slice state, so a clean handoff
          carries it along (same index) and a crash loses it with the body
-         (see [retire_dedup]) *)
-  dedup_retired : Dedup.stats;
+         (see [silent_crash]); every table counts into [sum.dedup] *)
   rids : (int * float) Ints.t;  (* rid key -> disruption gen and time at its grant *)
   rid_order : int Queue.t;  (* the keys of [rids], oldest grant first *)
   incarnation : int array;
@@ -502,10 +491,6 @@ let crash_holding st idx =
 
 (* {2 Fault injection} *)
 
-let retire_dedup st slice =
-  Dedup.add_stats ~into:st.dedup_retired (Dedup.stats st.dedup.(slice));
-  st.dedup.(slice) <- Dedup.create ~window:st.cfg.dedup_window ()
-
 let disrupt_owned st ~shard =
   for slice = 0 to st.n_slices - 1 do
     if Router.owner st.router ~slice = Some shard then
@@ -533,7 +518,7 @@ let silent_crash st shard =
     List.iter
       (fun slice ->
         st.disruption.(slice) <- st.disruption.(slice) + 1;
-        retire_dedup st slice)
+        st.dedup.(slice) <- Dedup.create ~window:st.cfg.dedup_window st.sum.dedup)
       lost;
     st.waiting <- List.filter (fun ((s, _), _) -> not (List.mem s lost)) st.waiting;
     Shard.crash sh ~now:!(st.now);
@@ -554,17 +539,21 @@ let req_slice st (req : req) =
   | Op_acquire { key; _ } -> Router.slice_of_key st.router ~key
   | Op_renew gf | Op_use gf | Op_release gf -> gf.Router.gf_slice
 
+(* The router answers instead of forwarding, counting the busy reply as
+   the in-process operations count theirs. *)
+let refuse st req ~route body =
+  Router.note_busy st.router route;
+  reply_from st Transport.Router req body
+
 let on_router st = function
   | M_hb { shard; incarnation } -> Router.heartbeat st.router ~shard ~incarnation
   | M_req req ->
     let slice = req_slice st req in
     let shard = Router.route st.router ~slice in
     let hint = match req.op with Op_acquire { hint; _ } -> hint | _ -> -1 in
-    if shard = Router.route_in_handoff then
-      reply_from st Transport.Router req (B_busy `Handoff)
-    else if shard = Router.route_down then reply_from st Transport.Router req (B_busy `Down)
-    else if hint >= 0 && hint <> shard then
-      reply_from st Transport.Router req (B_redirect { shard })
+    if shard = Router.route_in_handoff then refuse st req ~route:shard (B_busy `Handoff)
+    else if shard = Router.route_down then refuse st req ~route:shard (B_busy `Down)
+    else if hint >= 0 && hint <> shard then refuse st req ~route:shard (B_redirect { shard })
     else
       send st ~src:Transport.Router ~dst:st.shard_addr.(shard)
         (M_fwd { epoch = Router.slice_epoch st.router ~slice; req })
@@ -714,7 +703,10 @@ let handle_msg st _src dst m =
 
 (* Queue completions surface at the owning shard: record the final
    outcome over the provisional B_queued (so later retransmits replay
-   it) and push a reply to the rid's client. *)
+   it) and push a reply to the rid's client.  Only the body at the
+   directory's epoch is pumped, and [waiting] holds an entry for every
+   ticket it issued: [silent_crash] drops a slice's entries only with
+   the body that issued them. *)
 let handle_completion st { Router.c_slice; c_shard; c_done } =
   let ticket, body =
     match c_done with
@@ -737,16 +729,9 @@ let handle_completion st { Router.c_slice; c_shard; c_done } =
     | Service.Timed_out _ -> ());
     Dedup.record st.dedup.(c_slice) ~client ~seq ~now:!(st.now) body;
     send st ~src:st.shard_addr.(c_shard) ~dst:st.addr.(client) (M_rep { seq; body })
-  | None -> (
-    (* The rid bookkeeping died with a crashed body: nobody will
-       ever claim this grant, so hand it back at once. *)
-    match c_done with
-    | Service.Done { grant; _ } ->
-      st.sum.late_grants_released <- st.sum.late_grants_released + 1;
-      ignore
-        (Router.release st.router
-           ~fence:{ Router.gf_slice = c_slice; gf_fence = grant.Lease.g_fence })
-    | Service.Timed_out _ -> ())
+  | None ->
+    Printf.ksprintf failwith "Net_churn: slice %d completed ticket %d, which no request waits on"
+      c_slice ticket
 
 (* Almost every pump returns [] at the router's wake guard; that case
    costs nothing here either. *)
@@ -1013,7 +998,7 @@ let run ?obs ?tap (cfg : config) ~seed =
   let n_slices = Router.slices router and n_shards = cfg.router.Router.shards in
   let n = cfg.clients in
   let net = Transport.create ~faults:cfg.faults ~rng:net_rng () in
-  let dedup_retired = { Dedup.fresh = 0; replays = 0; stale = 0; evictions = 0 } in
+  let meters = Router.meters router in
   (* The counts start at zero; the fields only the end of the run can
      fill in hold placeholders until then. *)
   let sum =
@@ -1049,14 +1034,14 @@ let run ?obs ?tap (cfg : config) ~seed =
       livelocked = false;
       violation = None;
       net = Transport.stats net;
-      dedup = dedup_retired;
+      dedup = { Dedup.fresh = 0; replays = 0; stale = 0; evictions = 0 };
       detector = Router.detector_stats router;
       router = Router.stats router;
-      service = Service.sum_stats [];
-      h_probes = Hist.create ();
-      h_reclaim = Hist.create ();
-      h_wait = Hist.create ();
-      h_lifetime = Hist.create ();
+      service = Service.stats meters;
+      h_probes = Service.probes_hist meters;
+      h_reclaim = Service.reclaim_lateness_hist meters;
+      h_wait = Service.queue_wait_hist meters;
+      h_lifetime = Service.lifetime_hist meters;
     }
   in
   let st =
@@ -1073,8 +1058,7 @@ let run ?obs ?tap (cfg : config) ~seed =
       max_polls = max_polls cfg.router;
       rid_lifetime = rid_lifetime cfg.router cfg.faults;
       disruption = Array.make n_slices 0;
-      dedup = Array.init n_slices (fun _ -> Dedup.create ~window:cfg.dedup_window ());
-      dedup_retired;
+      dedup = Array.init n_slices (fun _ -> Dedup.create ~window:cfg.dedup_window sum.dedup);
       rids = Ints.create 1024;
       rid_order = Queue.create ();
       incarnation = Array.make n_shards 0;
@@ -1191,26 +1175,10 @@ let run ?obs ?tap (cfg : config) ~seed =
        end
      done
    with Audit.Violation { kind; message } -> violation := Some (kind, message));
-  (* Fold every live table into the retired totals, which [sum.dedup] is. *)
-  Array.iter (fun d -> Dedup.add_stats ~into:st.dedup_retired (Dedup.stats d)) st.dedup;
-  let bodies =
-    List.concat_map
-      (fun id ->
-        List.map
-          (fun (sl : Shard.slice) -> sl.Shard.sl_svc)
-          (Shard.slices (Router.shard router ~id)))
-      (List.init n_shards Fun.id)
-  in
-  let hist f = merge_hists (List.map f bodies) in
   {
     sum with
     sim_time = !now;
     final_held = Router.total_held router;
     livelocked = !livelocked;
     violation = !violation;
-    service = Service.sum_stats bodies;
-    h_probes = hist Service.probes_hist;
-    h_reclaim = hist Service.reclaim_lateness_hist;
-    h_wait = hist Service.queue_wait_hist;
-    h_lifetime = hist Service.lifetime_hist;
   }

@@ -192,10 +192,13 @@ type summary = {
       (** the kind and message of the {!Audit.Violation} that ended the
           run: a tap's, such as the refinement spec's ["refine:*"] kinds *)
   net : Transport.stats;
-  dedup : Dedup.stats;  (** aggregated over every slice table, including
-                            tables retired by crashes *)
+  dedup : Dedup.stats;
+      (** the one record every slice table of the run counts into, the
+          tables a shard crash dropped included *)
   detector : Router.detector_stats;
   router : Router.stats;
+      (** the busy counts include the router's refusals to forward
+          ({!Router.note_busy}) *)
   service : Service.stats;
   h_probes : Renaming_obs.Hist.t;  (** probes per grant *)
   h_reclaim : Renaming_obs.Hist.t;  (** reclaim lateness, centiticks *)
@@ -205,10 +208,10 @@ type summary = {
 (** The counts are mutable only so that {!run} can keep them in place
     while it runs.
 
-    [service] and the four histograms are summed over the slice bodies
-    resident at the end of the run.  Bodies lost to a shard crash, or
-    dropped as stale after losing their slice, are not counted; with
-    one shard and no shard faults that is the whole run. *)
+    [service] and the four histograms are the router's meter set
+    ({!Router.meters}), which every slice body of the run counts into:
+    bodies lost to a shard crash or dropped as stale count too, so
+    [service.grants] is every grant the run made. *)
 
 val run :
   ?obs:Renaming_obs.Obs.t ->

@@ -133,7 +133,7 @@ type t = {
   dir : entry array;
   slice_width : int;
   st : stats;
-  obs : Obs.t option;
+  meters : Service.meters;
   counters : counters option;
   tap : (tap_event -> unit) option;
   fd : detector;
@@ -154,7 +154,7 @@ let slice_service t ~slice ~epoch =
       ~request_timeout:t.cfg.request_timeout ~high_water:t.cfg.high_water ()
   in
   let tap = Option.map (fun f ~now ev -> f (Tap_audit { slice; now; ev })) t.tap in
-  Service.create ?obs:t.obs ?tap ~wake:t.wake ~clock:t.clock ~rng
+  Service.create ~meters:t.meters ?tap ~wake:t.wake ~clock:t.clock ~rng
     { Service.lease; admission }
 
 let create ?obs ?tap ?suspicion ~clock ~seed cfg =
@@ -206,7 +206,7 @@ let create ?obs ?tap ?suspicion ~clock ~seed cfg =
           pumps = 0;
           full_pumps = 0;
         };
-      obs;
+      meters = Service.meters ?obs ();
       counters;
       tap;
       (* Every shard starts unsuspected, with a heartbeat as of now. *)
@@ -233,6 +233,7 @@ let create ?obs ?tap ?suspicion ~clock ~seed cfg =
 let slices t = t.cfg.slices
 let slice_width t = t.slice_width
 let stats t = t.st
+let meters t = t.meters
 let shard t ~id = t.shards.(id)
 
 let slice_of_key t ~key =
@@ -391,15 +392,23 @@ let resolve t ~slice ~now =
       | Some sl -> Ok (shard, epoch, sl)
       | None -> Error (Shard_down { shard }))
 
-let count_busy t busy =
-  (match busy with
-  | Shard_down _ ->
+let note_busy t route =
+  if route = route_in_handoff then t.st.in_handoff_busy <- t.st.in_handoff_busy + 1
+  else if route = route_down then begin
     t.st.shard_downs <- t.st.shard_downs + 1;
     bump t (fun c -> c.c_shard_down)
-  | In_handoff _ -> t.st.in_handoff_busy <- t.st.in_handoff_busy + 1
-  | Redirected _ ->
+  end
+  else begin
     t.st.redirects <- t.st.redirects + 1;
-    bump t (fun c -> c.c_redirects));
+    bump t (fun c -> c.c_redirects)
+  end
+
+let count_busy t busy =
+  note_busy t
+    (match busy with
+    | Shard_down _ -> route_down
+    | In_handoff _ -> route_in_handoff
+    | Redirected { shard } -> shard);
   busy
 
 let acquire ?hint t ~session ~key =

@@ -100,7 +100,9 @@ val create :
     derives from [seed] via named streams — runs are replayable.
     [suspicion] is the failure detector's timeout (see Failure
     detection below); every shard starts unsuspected, with a heartbeat
-    as of the clock's reading now.  Raises if [suspicion <= 0]. *)
+    as of the clock's reading now.  Every slice body the router makes
+    counts into one meter set ({!meters}), built here from [obs] as the
+    router's own counters are.  Raises if [suspicion <= 0]. *)
 
 (** {2 Routing} *)
 
@@ -153,6 +155,14 @@ val acquire : ?hint:int -> t -> session:int -> key:int -> outcome
     [In_handoff]; an orphaned slice, an unavailable owner, and an
     available owner that is crashed, stalled or holds no body at that
     epoch all answer [Shard_down]. *)
+
+val note_busy : t -> int -> unit
+(** [note_busy t r] counts a busy reply that a message-path router sends
+    instead of forwarding, for {!route}'s answer [r]: {!route_down} in
+    [shard_downs], {!route_in_handoff} in [in_handoff_busy], and a shard
+    (the owner a request with a stale hint is redirected to) in
+    [redirects] — the counters the in-process operations bump for their
+    [Busy] outcomes.  Allocates nothing. *)
 
 val renew : t -> fence:gfence -> (float, [ `Fenced | `Busy of busy ]) result
 val use : t -> fence:gfence -> (unit, [ `Fenced | `Busy of busy ]) result
@@ -244,12 +254,23 @@ type stats = {
   mutable redirects : int;
   mutable shard_downs : int;
   mutable in_handoff_busy : int;
+      (** These three count every busy reply: in-process [Busy] outcomes
+          and the message path's refusals ({!note_busy}). *)
   mutable fenced_ops : int;
+      (** fenced in-process {!renew}/{!use}/{!release} calls; a forward
+          that the shard fences is counted by the slice's service *)
   mutable pumps : int;  (** {!pump} calls *)
   mutable full_pumps : int;  (** {!pump} calls that got past the wake guard *)
 }
 
 val stats : t -> stats
+
+val meters : t -> Service.meters
+(** The meter set {!create} made and handed to every slice body it
+    builds, the initial ones and every adopted one: the service counts
+    and histograms of the whole run, dropped bodies included.  With
+    [?obs] its histograms and counters are the registry's. *)
+
 val slices : t -> int
 val slice_width : t -> int
 val slice_of_key : t -> key:int -> int

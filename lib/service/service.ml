@@ -35,14 +35,9 @@ type counters = {
   c_reclaims : Metrics.counter;
 }
 
-type t = {
-  cfg : config;
-  clock : Clock.t;
-  rng : Renaming_rng.Xoshiro.t;
-  lease : Lease.t;
-  admission : Admission.t;
-  tap : (now:float -> Audit.event -> unit) option;
-  wake : wake option;
+(* One meter set for every body that shares it: the counts live as long
+   as the set, not as long as a body. *)
+type meters = {
   st : stats;
   counters : counters option;
   h_probes : Hist.t;
@@ -51,10 +46,7 @@ type t = {
   h_lifetime : Hist.t;
 }
 
-let centiticks x = if x <= 0. then 0 else int_of_float ((x *. 100.) +. 0.5)
-
-let create ?obs ?tap ?wake ~clock ~rng (cfg : config) =
-  let lease = Lease.create cfg.lease in
+let meters ?obs () =
   let hist name = match obs with Some o -> Obs.histogram o name | None -> Hist.create () in
   let counters =
     Option.map
@@ -71,13 +63,6 @@ let create ?obs ?tap ?wake ~clock ~rng (cfg : config) =
       obs
   in
   {
-    cfg;
-    clock;
-    rng;
-    lease;
-    admission = Admission.create cfg.admission;
-    tap;
-    wake;
     st =
       {
         grants = 0;
@@ -98,7 +83,32 @@ let create ?obs ?tap ?wake ~clock ~rng (cfg : config) =
     h_lifetime = hist "service/lease_lifetime";
   }
 
-let bump t f = match t.counters with Some c -> Metrics.incr (f c) | None -> ()
+type t = {
+  cfg : config;
+  clock : Clock.t;
+  rng : Renaming_rng.Xoshiro.t;
+  lease : Lease.t;
+  admission : Admission.t;
+  tap : (now:float -> Audit.event -> unit) option;
+  wake : wake option;
+  m : meters;
+}
+
+let centiticks x = if x <= 0. then 0 else int_of_float ((x *. 100.) +. 0.5)
+
+let create ?meters:m ?tap ?wake ~clock ~rng (cfg : config) =
+  {
+    cfg;
+    clock;
+    rng;
+    lease = Lease.create cfg.lease;
+    admission = Admission.create cfg.admission;
+    tap;
+    wake;
+    m = (match m with Some m -> m | None -> meters ());
+  }
+
+let bump t f = match t.m.counters with Some c -> Metrics.incr (f c) | None -> ()
 
 let capacity t = t.cfg.lease.Lease.capacity
 let ttl t = t.cfg.lease.Lease.ttl
@@ -133,10 +143,10 @@ let reclaim t ~now =
         (match t.tap with
         | Some f -> f ~now (Audit.Reclaimed { fence = r.Lease.r_fence })
         | None -> ());
-        t.st.reclaims <- t.st.reclaims + 1;
+        t.m.st.reclaims <- t.m.st.reclaims + 1;
         bump t (fun c -> c.c_reclaims);
         note_held t;
-        Hist.observe t.h_reclaim (centiticks r.Lease.r_lateness))
+        Hist.observe t.m.h_reclaim (centiticks r.Lease.r_lateness))
       (Lease.reclaim_expired t.lease ~now)
 
 (* Callers must ensure [held < capacity]; the lease table then cannot
@@ -150,10 +160,10 @@ let do_grant t ~session ~now =
       f ~now
         (Audit.Granted { fence = grant.Lease.g_fence; expires = now +. ttl t; capacity = capacity t })
     | None -> ());
-    t.st.grants <- t.st.grants + 1;
+    t.m.st.grants <- t.m.st.grants + 1;
     bump t (fun c -> c.c_grants);
     note_held t;
-    Hist.observe t.h_probes grant.Lease.g_probes;
+    Hist.observe t.m.h_probes grant.Lease.g_probes;
     grant
 
 type outcome =
@@ -175,12 +185,12 @@ let acquire t ~session =
       match Admission.offer t.admission ~session ~now ~utilization:util with
       | Error reason ->
         (match reason with
-        | Admission.High_water -> t.st.sheds_high_water <- t.st.sheds_high_water + 1
-        | Admission.Queue_full -> t.st.sheds_queue_full <- t.st.sheds_queue_full + 1);
+        | Admission.High_water -> t.m.st.sheds_high_water <- t.m.st.sheds_high_water + 1
+        | Admission.Queue_full -> t.m.st.sheds_queue_full <- t.m.st.sheds_queue_full + 1);
         bump t (fun c -> c.c_sheds);
         Shed reason
       | Ok ticket ->
-        t.st.queued <- t.st.queued + 1;
+        t.m.st.queued <- t.m.st.queued + 1;
         Queued ticket
   in
   note_due t;
@@ -197,11 +207,11 @@ let renew t ~fence =
     f ~now (Audit.Renewed { fence; expires; accepted })
   | None -> ());
   if accepted then begin
-    t.st.renews <- t.st.renews + 1;
+    t.m.st.renews <- t.m.st.renews + 1;
     bump t (fun c -> c.c_renews)
   end
   else begin
-    t.st.fenced <- t.st.fenced + 1;
+    t.m.st.fenced <- t.m.st.fenced + 1;
     bump t (fun c -> c.c_fenced)
   end;
   (* No [note_due]: the expiry a renew pushes, [now + ttl], is no
@@ -216,9 +226,9 @@ let use t ~fence =
   let result = Lease.validate t.lease ~fence in
   let accepted = Result.is_ok result in
   (match t.tap with Some f -> f ~now (Audit.Validated { fence; accepted }) | None -> ());
-  t.st.validates <- t.st.validates + 1;
+  t.m.st.validates <- t.m.st.validates + 1;
   if not accepted then begin
-    t.st.fenced <- t.st.fenced + 1;
+    t.m.st.fenced <- t.m.st.fenced + 1;
     bump t (fun c -> c.c_fenced)
   end;
   result
@@ -231,12 +241,12 @@ let release t ~fence =
   (match t.tap with Some f -> f ~now (Audit.Released { fence; accepted }) | None -> ());
   (match result with
   | Ok held_for ->
-    t.st.releases <- t.st.releases + 1;
+    t.m.st.releases <- t.m.st.releases + 1;
     bump t (fun c -> c.c_releases);
-    Hist.observe t.h_lifetime (centiticks held_for);
+    Hist.observe t.m.h_lifetime (centiticks held_for);
     note_held t
   | Error `Fenced ->
-    t.st.fenced <- t.st.fenced + 1;
+    t.m.st.fenced <- t.m.st.fenced + 1;
     bump t (fun c -> c.c_fenced));
   note_due t;
   result
@@ -250,9 +260,9 @@ let pump_due t ~now =
   let timed_out =
     List.map
       (fun (x : Admission.expired) ->
-        t.st.expired_requests <- t.st.expired_requests + 1;
+        t.m.st.expired_requests <- t.m.st.expired_requests + 1;
         bump t (fun c -> c.c_expired);
-        Hist.observe t.h_wait (centiticks x.Admission.x_waited);
+        Hist.observe t.m.h_wait (centiticks x.Admission.x_waited);
         Timed_out
           {
             ticket = x.Admission.x_ticket;
@@ -268,7 +278,7 @@ let pump_due t ~now =
       | None -> List.rev acc
       | Some (ticket, session, waited) ->
         let grant = do_grant t ~session ~now in
-        Hist.observe t.h_wait (centiticks waited);
+        Hist.observe t.m.h_wait (centiticks waited);
         drain (Done { ticket; session; grant; waited } :: acc)
   in
   let completions = timed_out @ drain [] in
@@ -283,40 +293,10 @@ let pump t =
   let now = Clock.now t.clock in
   if Admission.depth t.admission > 0 || Lease.due t.lease ~now then pump_due t ~now else []
 
-let sum_stats ts =
-  let acc =
-    {
-      grants = 0;
-      queued = 0;
-      renews = 0;
-      releases = 0;
-      fenced = 0;
-      sheds_high_water = 0;
-      sheds_queue_full = 0;
-      expired_requests = 0;
-      reclaims = 0;
-      validates = 0;
-    }
-  in
-  List.iter
-    (fun t ->
-      let s = t.st in
-      acc.grants <- acc.grants + s.grants;
-      acc.queued <- acc.queued + s.queued;
-      acc.renews <- acc.renews + s.renews;
-      acc.releases <- acc.releases + s.releases;
-      acc.fenced <- acc.fenced + s.fenced;
-      acc.sheds_high_water <- acc.sheds_high_water + s.sheds_high_water;
-      acc.sheds_queue_full <- acc.sheds_queue_full + s.sheds_queue_full;
-      acc.expired_requests <- acc.expired_requests + s.expired_requests;
-      acc.reclaims <- acc.reclaims + s.reclaims;
-      acc.validates <- acc.validates + s.validates)
-    ts;
-  acc
-
 let held t = Lease.held t.lease
 let slots t = Lease.slots t.lease
-let probes_hist t = t.h_probes
-let reclaim_lateness_hist t = t.h_reclaim
-let queue_wait_hist t = t.h_wait
-let lifetime_hist t = t.h_lifetime
+let stats m = m.st
+let probes_hist m = m.h_probes
+let reclaim_lateness_hist m = m.h_reclaim
+let queue_wait_hist m = m.h_wait
+let lifetime_hist m = m.h_lifetime

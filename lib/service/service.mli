@@ -3,8 +3,9 @@
     One object ties the pieces together: the {!Lease} table (names,
     TTLs, fencing epochs), the {!Admission} queue (bounded waiting,
     shedding, request deadlines), an optional tap that hears every
-    {!Audit.event}, and telemetry (plain counters always,
-    {!Renaming_obs.Obs} registration when a capability is supplied).
+    {!Audit.event}, and its {!meters}: plain counts and histograms
+    always, {!Renaming_obs.Obs} registration when a capability is
+    supplied.
     The service checks no safety property itself: a caller that wants
     one judged attaches the refinement spec to the tap
     ([Renaming_refine.Lease_adapter]).
@@ -36,19 +37,34 @@ type wake = {
           router's rebalancing), [infinity] otherwise. *)
 }
 
+(** The counts and histograms that several bodies share with their
+    owner, as they share a {!wake} cell.  Every body created with a meter
+    set counts every event it sees into it, so the set outlives any one
+    body: a router hands one set to every slice body it ever makes, and a
+    body dropped by a shard crash or a stale-body drop keeps its counts
+    in the set. *)
+type meters
+
+val meters : ?obs:Renaming_obs.Obs.t -> unit -> meters
+(** A fresh meter set, every count at zero.  With [obs] its histograms
+    are the registry's ([service/probes], [service/reclaim_lateness],
+    [service/queue_wait], [service/lease_lifetime]) and every count that
+    has a [service/...] counter also bumps it. *)
+
 val create :
-  ?obs:Renaming_obs.Obs.t ->
+  ?meters:meters ->
   ?tap:(now:float -> Audit.event -> unit) ->
   ?wake:wake ->
   clock:Renaming_clock.Clock.t ->
   rng:Renaming_rng.Xoshiro.t ->
   config ->
   t
-(** [?tap] hears every {!Audit.event}, stamped with the clock's
-    reading; without one no event is built.  The router uses it to
-    forward each slice's events, tagged with the slice, without the
-    service knowing about shards.  [?wake] is the cell this body lowers
-    (see {!wake}); without one it lowers nothing. *)
+(** [?meters] is the set this body counts into (see {!meters}); without
+    one the body makes its own.  [?tap] hears every {!Audit.event},
+    stamped with the clock's reading; without one no event is built.
+    The router uses it to forward each slice's events, tagged with the
+    slice, without the service knowing about shards.  [?wake] is the
+    cell this body lowers (see {!wake}); without one it lowers nothing. *)
 
 (** {2 Client operations} *)
 
@@ -111,21 +127,21 @@ type stats = {
   mutable validates : int;
 }
 
-val sum_stats : t list -> stats
-(** A fresh record of the services' summed counts. *)
+val stats : meters -> stats
+(** The set's counts, live: the record is the set's own. *)
 
 val held : t -> int
 val slots : t -> int
-val probes_hist : t -> Renaming_obs.Hist.t
+val probes_hist : meters -> Renaming_obs.Hist.t
 (** Probes per grant. *)
 
-val reclaim_lateness_hist : t -> Renaming_obs.Hist.t
+val reclaim_lateness_hist : meters -> Renaming_obs.Hist.t
 (** Centiticks between lease expiry and its reclamation (1 clock unit
     = 100 centiticks, as in the histograms below). *)
 
-val queue_wait_hist : t -> Renaming_obs.Hist.t
+val queue_wait_hist : meters -> Renaming_obs.Hist.t
 (** Centiticks queued requests waited before grant or timeout. *)
 
-val lifetime_hist : t -> Renaming_obs.Hist.t
+val lifetime_hist : meters -> Renaming_obs.Hist.t
 (** Centiticks between grant and voluntary release. *)
 

@@ -1,4 +1,4 @@
-(* Tests for the telemetry capability: histogram merge laws, the
+(* Tests for the telemetry capability: histogram buckets, the
    bounded event ring, the JSON emitter/parser pair, exporter
    round-trips and determinism, and the guarantee that threading the
    capability through a run does not change the run itself. *)
@@ -77,40 +77,7 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ "{"; "[1,"; "truex"; "\"unterminated"; "{\"a\" 1}"; "[1] trailing"; "" ]
 
-(* --- Hist: fixed buckets and merge laws --- *)
-
-let hist_of values =
-  let h = Hist.create () in
-  List.iter (fun v -> Hist.observe h v) values;
-  h
-
-(* Two histograms with the same buckets, counts, sum and maximum. *)
-let same a b =
-  Hist.bounds a = Hist.bounds b
-  && Hist.counts a = Hist.counts b
-  && Hist.count a = Hist.count b
-  && Hist.sum a = Hist.sum b
-  && Hist.max_value a = Hist.max_value b
-
-let value_gen = QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 3_000_000))
-
-let qcheck_merge_commutative =
-  QCheck.Test.make ~count:200 ~name:"hist merge commutes" (QCheck.pair value_gen value_gen)
-    (fun (a, b) -> same (Hist.merge (hist_of a) (hist_of b)) (Hist.merge (hist_of b) (hist_of a)))
-
-let qcheck_merge_associative =
-  QCheck.Test.make ~count:200 ~name:"hist merge associates"
-    (QCheck.triple value_gen value_gen value_gen) (fun (a, b, c) ->
-      same
-        (Hist.merge (hist_of a) (Hist.merge (hist_of b) (hist_of c)))
-        (Hist.merge (Hist.merge (hist_of a) (hist_of b)) (hist_of c)))
-
-let qcheck_merge_conserves =
-  QCheck.Test.make ~count:200 ~name:"hist merge conserves count and sum"
-    (QCheck.pair value_gen value_gen) (fun (a, b) ->
-      let m = Hist.merge (hist_of a) (hist_of b) in
-      Hist.count m = List.length a + List.length b
-      && Hist.sum m = List.fold_left ( + ) 0 a + List.fold_left ( + ) 0 b)
+(* --- Hist: fixed buckets --- *)
 
 let test_hist_bucket_placement () =
   let h = Hist.create ~bounds:[| 1; 2; 4 |] () in
@@ -119,12 +86,6 @@ let test_hist_bucket_placement () =
   check (Alcotest.array Alcotest.int) "bucket counts" [| 2; 1; 2; 2 |] (Hist.counts h);
   check Alcotest.int "max" 100 (Hist.max_value h);
   check Alcotest.int "count" 7 (Hist.count h)
-
-let test_hist_merge_rejects_mismatched_bounds () =
-  let a = Hist.create ~bounds:[| 1; 2 |] () in
-  let b = Hist.create ~bounds:[| 1; 3 |] () in
-  Alcotest.check_raises "bounds must match" (Invalid_argument "Hist.merge: bucket bounds differ")
-    (fun () -> ignore (Hist.merge a b))
 
 (* --- Ring: bounded, drop-oldest --- *)
 
@@ -271,12 +232,7 @@ let tests =
       ] );
     ( "obs.hist",
       [
-        QCheck_alcotest.to_alcotest qcheck_merge_commutative;
-        QCheck_alcotest.to_alcotest qcheck_merge_associative;
-        QCheck_alcotest.to_alcotest qcheck_merge_conserves;
         Alcotest.test_case "bucket placement" `Quick test_hist_bucket_placement;
-        Alcotest.test_case "merge rejects mismatched bounds" `Quick
-          test_hist_merge_rejects_mismatched_bounds;
       ] );
     ( "obs.ring",
       [ Alcotest.test_case "bounded, drop-oldest" `Quick test_ring_drops_oldest ] );

@@ -267,7 +267,7 @@ let test_spec_catches_capacity_and_expiry_regression () =
 (* ------------------------------------------------------------------ *)
 (* Service façade under a hand-driven clock.                          *)
 
-let service ?tap ?(capacity = 2) ?(ttl = 10.0) ?(queue_limit = 4)
+let service ?meters ?tap ?(capacity = 2) ?(ttl = 10.0) ?(queue_limit = 4)
     ?(request_timeout = 1.5) ?(high_water = 1.5) () =
   let time, clock = manual_clock () in
   let cfg =
@@ -277,7 +277,7 @@ let service ?tap ?(capacity = 2) ?(ttl = 10.0) ?(queue_limit = 4)
         (Admission.make_config ~queue_limit ~request_timeout ~high_water ())
       ()
   in
-  (time, Service.create ?tap ~clock ~rng:(Xoshiro.create 21L) cfg)
+  (time, Service.create ?meters ?tap ~clock ~rng:(Xoshiro.create 21L) cfg)
 
 (* The spec on one service's stream, as the service's one slice; sized
    for a table of [capacity]. *)
@@ -289,7 +289,9 @@ let service_spec ?obs ~capacity () =
 
 let test_service_queue_then_reclaim_grant () =
   let spec, tap = service_spec ~capacity:2 () in
-  let time, svc = service ~tap ~ttl:5.0 () in
+  let meters = Service.meters () in
+  let time, svc = service ~meters ~tap ~ttl:5.0 () in
+  let s = Service.stats meters in
   let g session =
     match Service.acquire svc ~session with
     | Service.Granted g -> g.Lease.g_fence
@@ -302,7 +304,7 @@ let test_service_queue_then_reclaim_grant () =
     | Service.Queued t -> t
     | _ -> Alcotest.fail "expected queueing at capacity"
   in
-  check Alcotest.int "one request queued" 1 (Service.sum_stats [ svc ]).Service.queued;
+  check Alcotest.int "one request queued" 1 s.Service.queued;
   check Alcotest.int "nothing to grant yet" 0 (List.length (Service.pump svc));
   (* Neither holder releases; their leases expire at t=5 and the queued
      request (timeout 1.5 — already overdue, but grants beat the check
@@ -320,7 +322,6 @@ let test_service_queue_then_reclaim_grant () =
   | _ -> Alcotest.fail "expected a request timeout");
   (* The two original leases were reclaimed by the same pump. *)
   check Alcotest.int "all reclaimed" 0 (Service.held svc);
-  let s = Service.sum_stats [ svc ] in
   check Alcotest.int "reclaims" 2 s.Service.reclaims;
   check Alcotest.int "expired requests" 1 s.Service.expired_requests;
   check Alcotest.int "the spec agrees" 0 (Spec.held (Check.spec spec))
@@ -349,7 +350,8 @@ let test_service_queue_drain_done () =
   check Alcotest.int "one live lease" 1 (Service.held svc)
 
 let test_service_high_water_shed () =
-  let _, svc = service ~capacity:4 ~high_water:0.5 () in
+  let meters = Service.meters () in
+  let _, svc = service ~meters ~capacity:4 ~high_water:0.5 () in
   (match Service.acquire svc ~session:1 with
   | Service.Granted _ -> ()
   | _ -> Alcotest.fail "grant 1");
@@ -360,12 +362,13 @@ let test_service_high_water_shed () =
   (match Service.acquire svc ~session:3 with
   | Service.Shed Admission.High_water -> ()
   | _ -> Alcotest.fail "expected high-water shed");
-  let s = Service.sum_stats [ svc ] in
+  let s = Service.stats meters in
   check Alcotest.int "shed counted" 1 s.Service.sheds_high_water;
   check Alcotest.int "nothing queued" 0 s.Service.queued
 
 let test_service_stale_fence_rejected () =
-  let time, svc = service ~ttl:2.0 () in
+  let meters = Service.meters () in
+  let time, svc = service ~meters ~ttl:2.0 () in
   let f =
     match Service.acquire svc ~session:1 with
     | Service.Granted g -> g.Lease.g_fence
@@ -383,8 +386,7 @@ let test_service_stale_fence_rejected () =
   (match Service.release svc ~fence:f with
   | Error `Fenced -> ()
   | Ok _ -> Alcotest.fail "stale release accepted");
-  let s = Service.sum_stats [ svc ] in
-  check Alcotest.int "three fenced ops" 3 s.Service.fenced;
+  check Alcotest.int "three fenced ops" 3 (Service.stats meters).Service.fenced;
   (* The slot is reusable and the new fence does not revive the old. *)
   (match Service.acquire svc ~session:2 with
   | Service.Granted _ -> ()
@@ -664,7 +666,7 @@ let test_audit_metrics_counters () =
   let _t, clock = manual_clock () in
   let rng = Xoshiro.create 13L in
   let svc =
-    Service.create ~obs ~tap ~clock ~rng
+    Service.create ~meters:(Service.meters ~obs ()) ~tap ~clock ~rng
       {
         Service.lease = Lease.make_config ~capacity:4 ~ttl:10.0 ();
         admission = Admission.make_config ();
@@ -1041,8 +1043,11 @@ let test_transport_partition_directional () =
 (* ------------------------------------------------------------------ *)
 (* Dedup: at-most-once verdicts and the bounded-window eviction hazard. *)
 
+let dedup_stats () = { Dedup.fresh = 0; replays = 0; stale = 0; evictions = 0 }
+
 let test_dedup_verdicts () =
-  let d = Dedup.create () in
+  let st = dedup_stats () in
+  let d = Dedup.create st in
   (match Dedup.admit d ~client:7 ~seq:1 ~now:0.0 with
   | Dedup.Fresh -> ()
   | _ -> Alcotest.fail "first delivery must be fresh");
@@ -1065,13 +1070,13 @@ let test_dedup_verdicts () =
   (match Dedup.admit d ~client:7 ~seq:2 ~now:2.5 with
   | Dedup.Replay r -> check Alcotest.string "upgraded reply" "granted:5" r
   | _ -> Alcotest.fail "final outcome must replay");
-  let st = Dedup.stats d in
   check Alcotest.int "fresh" 2 st.Dedup.fresh;
   check Alcotest.int "replays" 2 st.Dedup.replays;
   check Alcotest.int "stale" 1 st.Dedup.stale
 
 let test_dedup_eviction_window () =
-  let d = Dedup.create ~window:5.0 () in
+  let st = dedup_stats () in
+  let d = Dedup.create ~window:5.0 st in
   (match Dedup.admit d ~client:1 ~seq:1 ~now:0.0 with
   | Dedup.Fresh -> Dedup.record d ~client:1 ~seq:1 ~now:0.0 "reply"
   | _ -> Alcotest.fail "fresh");
@@ -1088,7 +1093,7 @@ let test_dedup_eviction_window () =
   (match Dedup.admit d ~client:1 ~seq:1 ~now:7.0 with
   | Dedup.Fresh -> ()
   | _ -> Alcotest.fail "post-eviction duplicate admits as fresh");
-  check Alcotest.int "eviction counted" 1 (Dedup.stats d).Dedup.evictions
+  check Alcotest.int "eviction counted" 1 st.Dedup.evictions
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector: suspicion, recovery with re-own, incarnation.    *)
@@ -1301,7 +1306,8 @@ let test_service_deadline_expired_metric () =
         (Admission.make_config ~queue_limit:4 ~request_timeout:1.0 ~high_water:1.5 ())
       ()
   in
-  let svc = Service.create ~obs ~clock ~rng:(Xoshiro.create 3L) cfg in
+  let meters = Service.meters ~obs () in
+  let svc = Service.create ~meters ~clock ~rng:(Xoshiro.create 3L) cfg in
   (match Service.acquire svc ~session:1 with
   | Service.Granted _ -> ()
   | _ -> Alcotest.fail "grant 1");
@@ -1316,7 +1322,7 @@ let test_service_deadline_expired_metric () =
   (match Service.pump svc with
   | [ Service.Timed_out { session = 2; _ } ] -> ()
   | _ -> Alcotest.fail "expected the queued request to time out");
-  check Alcotest.int "stats count the expiry" 1 (Service.sum_stats [ svc ]).Service.expired_requests;
+  check Alcotest.int "stats count the expiry" 1 (Service.stats meters).Service.expired_requests;
   check Alcotest.(option int) "service/expired_requests counter mirrors it" (Some 1) (expired ())
 
 (* ------------------------------------------------------------------ *)
@@ -1356,18 +1362,18 @@ let render_net_churn (s : Net_churn.summary) =
         r.Router.in_handoff_busy r.Router.fenced_ops;
     ]
 
+let pinned_net_churn_config () =
+  Net_churn.make_config ~clients:24 ~sessions_target:400
+    ~router:(Router.make_config ~slice_capacity:4 ~ttl:15.0 ~grace:24.0 ())
+    ~faults:
+      (Transport.make_faults ~drop:0.05 ~duplicate:0.1 ~delay_min:0.01 ~delay_max:0.08
+         ~reorder:0.15 ~reorder_extra:0.2 ())
+    ~partition:{ Net_churn.p_every = 20.0; p_duration = 8.0; p_both = 0.5 }
+    ~shard_crash_every:45.0 ~shard_restart:2.0
+    ~dedup_window:33.0 ()
+
 let test_pinned_net_churn () =
-  let cfg =
-    Net_churn.make_config ~clients:24 ~sessions_target:400
-      ~router:(Router.make_config ~slice_capacity:4 ~ttl:15.0 ~grace:24.0 ())
-      ~faults:
-        (Transport.make_faults ~drop:0.05 ~duplicate:0.1 ~delay_min:0.01 ~delay_max:0.08
-           ~reorder:0.15 ~reorder_extra:0.2 ())
-      ~partition:{ Net_churn.p_every = 20.0; p_duration = 8.0; p_both = 0.5 }
-      ~shard_crash_every:45.0 ~shard_restart:2.0
-      ~dedup_window:33.0 ()
-  in
-  let s, refine = Lease_adapter.run cfg ~seed:0x5EEDL in
+  let s, refine = Lease_adapter.run (pinned_net_churn_config ()) ~seed:0x5EEDL in
   check Alcotest.(option (pair string string)) "no violation" None s.Net_churn.violation;
   check Alcotest.bool "the spec heard the run" true (Check.events refine > 0);
   check Alcotest.string "lossy net churn summary"
@@ -1378,8 +1384,36 @@ let test_pinned_net_churn () =
      net sent=7282 delivered=8014 dropped=418 duplicated=732 reordered=1204 blocked=86\n\
      dedup fresh=1606 replays=415 stale=25 evictions=2\n\
      detector suspicions=21 recoveries=18 reowns=28 incarnation_orphans=8\n\
-     router handoffs=19/19/0/0 adoptions=8 redirects=0 downs=0 in_handoff=0 fenced=0"
+     router handoffs=19/19/0/0 adoptions=8 redirects=44 downs=524 in_handoff=0 fenced=0"
     (render_net_churn s)
+
+(* A run's service counts cover every slice body it ever made, not only
+   the bodies still resident at its end: shard crashes, adoptions and
+   crashed handoffs drop bodies, and their grants must still be counted,
+   once each.  The router's tap hears every grant. *)
+let test_net_churn_counts_dropped_bodies () =
+  let handoff_crash =
+    Net_churn.make_config ~clients:48 ~sessions_target:1500 ~faults:Transport.perfect
+      ~router:(Router.make_config ~slice_capacity:4 ~ttl:15.0 ~grace:24.0 ~auto_rebalance:false ())
+      ~handoff:{ Net_churn.h_every = 6.0; h_crash_src = 0.3; h_crash_dst = 0.3 }
+      ~shard_restart:4.0 ()
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let heard = ref 0 in
+      let tap = function
+        | Router.Tap_audit { ev = Audit.Granted _; _ } -> incr heard
+        | Router.Tap_audit _ | Router.Tap_absorb _ -> ()
+      in
+      let s = Net_churn.run ~tap cfg ~seed:0x5EEDL in
+      let r = s.Net_churn.router in
+      check Alcotest.bool (name ^ ": bodies were dropped") true
+        (s.Net_churn.shard_crashes > 0 && r.Router.adoptions > 0);
+      check Alcotest.int (name ^ ": grants = grants the tap heard") !heard
+        s.Net_churn.service.Service.grants;
+      check Alcotest.int (name ^ ": one probe count per grant") !heard
+        (Renaming_obs.Hist.count s.Net_churn.h_probes))
+    [ ("pinned lossy", pinned_net_churn_config ()); ("handoff crash", handoff_crash) ]
 
 (* A hand-clocked service driven only through its public operations and
    a pump every tick.  For the first 20 time units nobody renews or
@@ -1389,8 +1423,9 @@ let test_pinned_net_churn () =
    compacts. *)
 let test_pinned_service_pump () =
   let spec, tap = service_spec ~capacity:4 () in
+  let meters = Service.meters () in
   let time, svc =
-    service ~tap ~capacity:4 ~ttl:4.0 ~queue_limit:3 ~request_timeout:1.0 ~high_water:1.5 ()
+    service ~meters ~tap ~capacity:4 ~ttl:4.0 ~queue_limit:3 ~request_timeout:1.0 ~high_water:1.5 ()
   in
   let rng = Xoshiro.create 99L in
   let draw n = Renaming_rng.Sample.uniform_int rng n in
@@ -1437,7 +1472,7 @@ let test_pinned_service_pump () =
           Printf.bprintf completions "%d:T%d/%d/%.3f;" step ticket session waited)
       (Service.pump svc)
   done;
-  let st = Service.sum_stats [ svc ] in
+  let st = Service.stats meters in
   let buckets h =
     String.concat " "
       (List.filter_map
@@ -1461,9 +1496,9 @@ let test_pinned_service_pump () =
     (Printf.sprintf "%d %s" !n_completions
        (Digest.to_hex (Digest.string (Buffer.contents completions))));
   check Alcotest.string "reclaim lateness" "<=1:9 5..8:6 9..16:3"
-    (buckets (Service.reclaim_lateness_hist svc));
+    (buckets (Service.reclaim_lateness_hist meters));
   check Alcotest.string "queue wait" "<=1:26 5..8:27 9..16:42 17..32:89 33..64:58 65..128:49"
-    (buckets (Service.queue_wait_hist svc))
+    (buckets (Service.queue_wait_hist meters))
 
 (* ------------------------------------------------------------------ *)
 (* The chaos campaign runner: totals, JSON and checks.                *)
@@ -1477,7 +1512,7 @@ let test_chaos_campaign_runner () =
   check Alcotest.(list string) "safe and exercised" [] (C.failures C.service r);
   (match Json.of_string (Json.to_document (C.to_json C.service r)) with
   | Ok j ->
-    check Alcotest.(option string) "schema" (Some "renaming.chaos-service/5")
+    check Alcotest.(option string) "schema" (Some "renaming.chaos-service/6")
       (Option.bind (Json.member "schema" j) Json.to_str)
   | Error e -> Alcotest.fail e);
   (* Ghosts that never wake leave the fencing path unexercised, and the
@@ -1988,6 +2023,8 @@ let tests =
         Alcotest.test_case "chaos campaign: totals, json, checks" `Quick
           test_chaos_campaign_runner;
         Alcotest.test_case "pinned: lossy net churn" `Quick test_pinned_net_churn;
+        Alcotest.test_case "net churn: counts dropped bodies" `Quick
+          test_net_churn_counts_dropped_bodies;
         Alcotest.test_case "pinned: pump-driven service" `Quick test_pinned_service_pump;
         Alcotest.test_case "idle service pump allocates nothing" `Quick
           test_idle_service_pump_allocates_nothing;
