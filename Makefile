@@ -65,7 +65,7 @@ chaos-sharded-smoke:
 # Unreliable-transport chaos campaign over the sharded service: every
 # operation is a typed envelope through the simulated network (drops,
 # duplicates, reordering, bounded delay, directional partitions), with
-# per-slice at-most-once dedup, client timeout/retry and heartbeat
+# per-slice-body at-most-once dedup, client timeout/retry and heartbeat
 # failure detection.  Exits nonzero on any safety violation, end-to-end
 # double grant, unexpected fence, successful ghost op — or if any piece
 # of the fault machinery (ghost replays included) failed to fire.  JSON

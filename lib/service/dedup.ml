@@ -18,11 +18,9 @@ module Clients = Hashtbl.Make (struct
   let hash x = x land max_int
 end)
 
-type 'r t = { window : float; table : 'r entry Clients.t; st : stats }
+type 'r t = { table : 'r entry Clients.t; st : stats }
 
-let create ?(window = infinity) st =
-  if window <= 0. then invalid_arg "Dedup.create: window must be > 0";
-  { window; table = Clients.create 64; st }
+let create st = { table = Clients.create 64; st }
 
 type 'r verdict = Fresh | Replay of 'r | Stale
 
@@ -59,20 +57,15 @@ let record t ~client ~seq ~now reply =
       e.e_touched <- now
     end
 
-let sweep t ~now =
-  if t.window = infinity then 0
-  else begin
-    let doomed =
-      Clients.fold
-        (fun client e acc -> if now -. e.e_touched > t.window then client :: acc else acc)
-        t.table []
-    in
-    (* Sort for deterministic eviction order (Hashtbl.fold order is
-       unspecified); the count is what callers observe but determinism
-       is a repo-wide invariant. *)
-    let doomed = List.sort compare doomed in
-    List.iter (Clients.remove t.table) doomed;
-    let n = List.length doomed in
-    t.st.evictions <- t.st.evictions + n;
-    n
-  end
+let sweep t ~window ~now =
+  let n = ref 0 in
+  Clients.filter_map_inplace
+    (fun _ e ->
+      if now -. e.e_touched > window then begin
+        incr n;
+        None
+      end
+      else Some e)
+    t.table;
+  t.st.evictions <- t.st.evictions + !n;
+  !n

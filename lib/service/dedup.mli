@@ -1,4 +1,6 @@
-(** Per-shard at-most-once request deduplication.
+(** At-most-once request deduplication, one table per slice body
+    ({!Shard.slice}): it moves with the body on a clean handoff and is
+    dropped with it.
 
     Clients tag every request with a strictly increasing sequence
     number; retransmits reuse the original number.  The table keeps, per
@@ -14,7 +16,7 @@
       on, and re-executing it would double-grant.
 
     {b Bounded window, safe eviction.}  Entries idle longer than
-    [window] are evicted by {!sweep}, bounding memory under client
+    {!sweep}'s [window] are evicted, bounding memory under client
     churn.  Eviction is {e safe} only once no duplicate of the entry's
     sequence can still arrive: the client has stopped retransmitting
     (its retry horizon passed) and the network holds nothing older than
@@ -33,12 +35,10 @@ type stats = {
 
 type 'r t
 
-val create : ?window:float -> stats -> 'r t
+val create : stats -> 'r t
 (** [create stats] counts its verdicts and evictions into [stats], which
     several tables may share: a table dropped with its slice body keeps
-    its counts there.  Default [window] is [infinity]: nothing is ever
-    evicted unless the caller opts into a bounded window.  Raises if
-    [window <= 0]. *)
+    its counts there. *)
 
 type 'r verdict = Fresh | Replay of 'r | Stale
 
@@ -52,5 +52,5 @@ val record : 'r t -> client:int -> seq:int -> now:float -> 'r -> unit
     request completing after its provisional reply) overwrites the
     cached reply, so later retransmits replay the final outcome. *)
 
-val sweep : 'r t -> now:float -> int
-(** Evict entries idle longer than the window; returns how many. *)
+val sweep : 'r t -> window:float -> now:float -> int
+(** Evict entries idle longer than [window]; returns how many. *)

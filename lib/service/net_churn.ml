@@ -208,16 +208,8 @@ type op =
 
 type req = { client : int; seq : int; op : op }
 
-type body =
-  | B_granted of { shard : int; fence : Router.gfence }
-  | B_queued
-  | B_shed
-  | B_busy of [ `Down | `Handoff ]
-  | B_redirect of { shard : int }
-  | B_timeout
-  | B_fenced
-  | B_ok
-  | B_renewed of float  (* the expiry the service set *)
+(* A reply's body is a [Reply.t], what a slice body's dedup table caches. *)
+open Reply
 
 (* A request travels client -> router as [M_req] and router -> shard as
    [M_fwd], sharing one [req]; a reply goes shard (or router) -> client,
@@ -225,7 +217,7 @@ type body =
 type msg =
   | M_req of req
   | M_fwd of { epoch : int; req : req }
-  | M_rep of { seq : int; body : body }
+  | M_rep of { seq : int; body : Reply.t }
   | M_hb of { shard : int; incarnation : int }
 
 (* {2 Events} *)
@@ -272,19 +264,12 @@ type state = {
   disruption : int array;
       (* bumped whenever a slice provably loses (or will lose) its body;
          grants accepted before the bump are expected to be fenced *)
-  dedup : body Dedup.t array;
-      (* one table per slice: part of the slice state, so a clean handoff
-         carries it along (same index) and a crash loses it with the body
-         (see [silent_crash]); every table counts into [sum.dedup] *)
   rids : (int * float) Ints.t;  (* rid key -> disruption gen and time at its grant *)
   rid_order : int Queue.t;  (* the keys of [rids], oldest grant first *)
-  incarnation : int array;
   shard_addr : Transport.addr array;
   events : int Heap.t;
   stale_fences : Router.gfence Ints.t;  (* the payload of each pending [E_stale] *)
   mutable stale_next : int;
-  mutable waiting : ((int * int) * (int * int)) list;
-      (* (slice, ticket) -> (client, rid seq): the rid a queue completion answers *)
   (* Client columns, indexed by client. *)
   addr : Transport.addr array;
   key : int array;
@@ -419,6 +404,13 @@ let backoff st idx =
   st.prev_delay.(idx) <- d;
   float_of_int d *. backoff_unit
 
+(* Wait in [phase] for the reply to [rid], retransmitting it every rto. *)
+let await st idx phase =
+  st.gen.(idx) <- st.gen.(idx) + 1;
+  st.rto_count.(idx) <- 0;
+  st.phase.(idx) <- phase;
+  client_event st E_rto idx ~delay:rto
+
 let retry_or_abandon st idx =
   st.attempts.(idx) <- st.attempts.(idx) + 1;
   if st.attempts.(idx) > st.cfg.max_attempts then begin
@@ -499,28 +491,25 @@ let disrupt_owned st ~shard =
 
 let alive st shard = Shard.alive (Router.shard st.router ~id:shard) ~now:!(st.now)
 
+let heartbeat st shard =
+  let incarnation = Shard.incarnation (Router.shard st.router ~id:shard) in
+  send st ~src:st.shard_addr.(shard) ~dst:Transport.Router (M_hb { shard; incarnation })
+
 (* Every shard crash is silent: the router learns of it only from
    missing heartbeats or the restart's incarnation bump.  The slices
-   lost are the shard's resident bodies at the directory's epoch —
-   owned, in transit from it, or orphaned under a false suspicion —
-   and with each body go its dedup table and its pending tickets (an
-   adopted body restarts tickets at 0). *)
+   disrupted are those of the shard's resident bodies at the directory's
+   epoch: owned, in transit from it, or orphaned under a false
+   suspicion.  Each body takes its own dedup table and ticket waits with
+   it ([Shard.crash]). *)
 let silent_crash st shard =
   let sh = Router.shard st.router ~id:shard in
   if Shard.alive sh ~now:!(st.now) then begin
-    let lost =
-      List.filter_map
-        (fun (sl : Shard.slice) ->
-          let slice = sl.Shard.sl_id in
-          if sl.Shard.sl_epoch = Router.slice_epoch st.router ~slice then Some slice else None)
-        (Shard.slices sh)
-    in
     List.iter
-      (fun slice ->
-        st.disruption.(slice) <- st.disruption.(slice) + 1;
-        st.dedup.(slice) <- Dedup.create ~window:st.cfg.dedup_window st.sum.dedup)
-      lost;
-    st.waiting <- List.filter (fun ((s, _), _) -> not (List.mem s lost)) st.waiting;
+      (fun (sl : Shard.slice) ->
+        let slice = sl.Shard.sl_id in
+        if sl.Shard.sl_epoch = Router.slice_epoch st.router ~slice then
+          st.disruption.(slice) <- st.disruption.(slice) + 1)
+      (Shard.slices sh);
     Shard.crash sh ~now:!(st.now);
     st.sum.shard_crashes <- st.sum.shard_crashes + 1;
     schedule_in st ~delay:(jitter st ~around:st.cfg.shard_restart) E_shard_restart ~arg:shard
@@ -559,8 +548,8 @@ let on_router st = function
         (M_fwd { epoch = Router.slice_epoch st.router ~slice; req })
   | M_fwd _ | M_rep _ -> ()
 
-let execute st (sl : Shard.slice) ~slice ~shard (req : req) =
-  let svc = sl.Shard.sl_svc in
+let execute st (sl : Shard.slice) ~shard (req : req) =
+  let svc = sl.Shard.sl_svc and slice = sl.Shard.sl_id in
   match req.op with
   | Op_acquire { session; _ } -> (
     match Service.acquire svc ~session with
@@ -568,7 +557,7 @@ let execute st (sl : Shard.slice) ~slice ~shard (req : req) =
       note_grant st ~client:req.client ~seq:req.seq ~slice;
       B_granted { shard; fence = { Router.gf_slice = slice; gf_fence = grant.Lease.g_fence } }
     | Service.Queued ticket ->
-      st.waiting <- ((slice, ticket), (req.client, req.seq)) :: st.waiting;
+      Hashtbl.replace sl.Shard.sl_waits ticket (req.client, req.seq);
       B_queued
     | Service.Shed _ -> B_shed)
   | Op_renew gf -> (
@@ -584,22 +573,27 @@ let execute st (sl : Shard.slice) ~slice ~shard (req : req) =
     | Ok _ -> B_ok
     | Error `Fenced -> B_fenced)
 
+(* A forward is answered from the request state of the slice's resident
+   body, at whatever epoch; a shard holding no body of the slice has no
+   verdict to give.  A fresh request executes only at the forward's
+   epoch ([Shard.serving]'s rule). *)
 let on_shard st s = function
   | M_fwd { epoch; req } ->
     let sh = Router.shard st.router ~id:s in
     if Shard.alive sh ~now:!(st.now) then begin
-      let slice = req_slice st req in
-      let d = st.dedup.(slice) and src = st.shard_addr.(s) in
-      match Dedup.admit d ~client:req.client ~seq:req.seq ~now:!(st.now) with
-      | Dedup.Replay b -> reply_from st src req b
-      | Dedup.Stale -> ()
-      | Dedup.Fresh -> (
-        match Shard.serving sh ~slice ~epoch ~now:!(st.now) with
-        | Some sl ->
-          let b = execute st sl ~slice ~shard:s req in
+      let src = st.shard_addr.(s) in
+      match Shard.find_slice sh ~slice:(req_slice st req) with
+      | exception Not_found -> reply_from st src req (B_busy `Down)
+      | sl -> (
+        let d = sl.Shard.sl_dedup in
+        match Dedup.admit d ~client:req.client ~seq:req.seq ~now:!(st.now) with
+        | Dedup.Replay b -> reply_from st src req b
+        | Dedup.Stale -> ()
+        | Dedup.Fresh when sl.Shard.sl_epoch = epoch ->
+          let b = execute st sl ~shard:s req in
           Dedup.record d ~client:req.client ~seq:req.seq ~now:!(st.now) b;
           reply_from st src req b
-        | None ->
+        | Dedup.Fresh ->
           (* The directory moved on while the forward was in flight:
              refuse without recording — the retransmit will be routed
              afresh and must be allowed to execute. *)
@@ -616,11 +610,7 @@ let count_busy st = function
 let acquire_reply st idx body =
   match body with
   | B_granted { shard; fence } -> enter_holding st idx ~shard fence
-  | B_queued ->
-    st.gen.(idx) <- st.gen.(idx) + 1;
-    st.rto_count.(idx) <- 0;
-    st.phase.(idx) <- Queued_wait;
-    client_event st E_rto idx ~delay:rto
+  | B_queued -> await st idx Queued_wait
   | B_redirect { shard } ->
     st.sum.redirects <- st.sum.redirects + 1;
     st.hint.(idx) <- shard;
@@ -702,11 +692,10 @@ let handle_msg st _src dst m =
     | M_req _ | M_fwd _ | M_hb _ -> ())
 
 (* Queue completions surface at the owning shard: record the final
-   outcome over the provisional B_queued (so later retransmits replay
-   it) and push a reply to the rid's client.  Only the body at the
-   directory's epoch is pumped, and [waiting] holds an entry for every
-   ticket it issued: [silent_crash] drops a slice's entries only with
-   the body that issued them. *)
+   outcome over the provisional B_queued in the body's own table (so
+   later retransmits replay it) and push a reply to the rid's client.
+   The pumped body is resident on [c_shard], and its waits hold an entry
+   for every ticket it issued, since they live and die with it. *)
 let handle_completion st { Router.c_slice; c_shard; c_done } =
   let ticket, body =
     match c_done with
@@ -720,14 +709,14 @@ let handle_completion st { Router.c_slice; c_shard; c_done } =
           } )
     | Service.Timed_out { ticket; _ } -> (ticket, B_timeout)
   in
-  let key = (c_slice, ticket) in
-  match List.assoc_opt key st.waiting with
+  let sl = Shard.find_slice (Router.shard st.router ~id:c_shard) ~slice:c_slice in
+  match Hashtbl.find_opt sl.Shard.sl_waits ticket with
   | Some (client, seq) ->
-    st.waiting <- List.remove_assoc key st.waiting;
+    Hashtbl.remove sl.Shard.sl_waits ticket;
     (match c_done with
     | Service.Done _ -> note_grant st ~client ~seq ~slice:c_slice
     | Service.Timed_out _ -> ());
-    Dedup.record st.dedup.(c_slice) ~client ~seq ~now:!(st.now) body;
+    Dedup.record sl.Shard.sl_dedup ~client ~seq ~now:!(st.now) body;
     send st ~src:st.shard_addr.(c_shard) ~dst:st.addr.(client) (M_rep { seq; body })
   | None ->
     Printf.ksprintf failwith "Net_churn: slice %d completed ticket %d, which no request waits on"
@@ -755,12 +744,9 @@ let on_client_timer st kind idx =
     end;
     if st.session.(idx) < 0 then set_finished st idx
     else begin
-      st.gen.(idx) <- st.gen.(idx) + 1;
-      st.rto_count.(idx) <- 0;
       st.acq_d_gen.(idx) <- st.disruption.(st.slice.(idx));
       st.rid.(idx) <- send_req st idx (acquire_op st idx);
-      st.phase.(idx) <- Acquiring;
-      client_event st E_rto idx ~delay:rto
+      await st idx Acquiring
     end
   | E_rto -> (
     let phase = st.phase.(idx) in
@@ -796,24 +782,15 @@ let on_client_timer st kind idx =
     end
   | E_finish ->
     if st.phase.(idx) = Holding then begin
-      st.gen.(idx) <- st.gen.(idx) + 1;
-      st.rto_count.(idx) <- 0;
       st.renew_seq.(idx) <- -1;
       st.rid.(idx) <- send_req st idx (Op_release st.fence.(idx));
-      st.phase.(idx) <- Releasing;
-      client_event st E_rto idx ~delay:rto
+      await st idx Releasing
     end
   | E_client_crash -> crash_holding st idx
   | E_client_restart ->
+    (* A crashed client has no renew in flight ([crash_holding]). *)
     st.sum.client_restarts <- st.sum.client_restarts + 1;
-    st.session.(idx) <- -1;
-    st.attempts.(idx) <- 0;
-    st.prev_delay.(idx) <- 0;
-    if st.sum.sessions >= st.cfg.sessions_target then set_finished st idx
-    else begin
-      enter_idle st idx;
-      client_event st E_start idx ~delay:0.
-    end
+    finish_session st idx ~next_in:0.
   | E_renew_rto | E_stale | E_hb | E_partition | E_shard_crash | E_burst_crash
   | E_client_burst | E_shard_restart | E_stall | E_handoff | E_tick ->
     ()
@@ -828,10 +805,11 @@ let rearm st ~every kind ~arg =
    requests can still arrive (two legs, each within the delivery bound)
    and a dedup sweep has evicted every entry they made, which happens
    within the dedup window plus one sweep period ([ttl / 2], rounded up
-   here to [ttl]) of the last arrival.  Sweeps run only while a client
-   is active.  A reused
-   identity is then indistinguishable from a fresh one: its dedup
-   entries, and its messages in flight, are gone. *)
+   here to [ttl]) of the last arrival, or sooner, when the body holding
+   an entry is dropped and the entry leaves with it.  Sweeps run only
+   while a client is active.  A reused identity is then
+   indistinguishable from a fresh one: its dedup entries, and its
+   messages in flight, are gone. *)
 let ghost_identity st =
   let now = !(st.now) in
   let g =
@@ -878,11 +856,8 @@ let handle_event st ev ~aux =
         send st ~src ~dst:Transport.Router (M_req { client = g; seq = i + 1; op }))
       [ Op_renew fence; Op_use fence; Op_release fence ]
   | E_hb ->
-    let shard = arg in
-    if alive st shard then
-      send st ~src:st.shard_addr.(shard) ~dst:Transport.Router
-        (M_hb { shard; incarnation = st.incarnation.(shard) });
-    rearm st ~every:st.cfg.hb_every E_hb ~arg:shard
+    if alive st arg then heartbeat st arg;
+    rearm st ~every:st.cfg.hb_every E_hb ~arg
   | E_partition ->
     Option.iter
       (fun p ->
@@ -922,17 +897,14 @@ let handle_event st ev ~aux =
   | E_burst_crash -> silent_crash st arg
   | E_client_burst -> crash_holding st arg
   | E_shard_restart ->
-    let shard = arg in
-    Shard.restart (Router.shard st.router ~id:shard);
-    st.incarnation.(shard) <- st.incarnation.(shard) + 1;
+    Shard.restart (Router.shard st.router ~id:arg);
     st.sum.shard_restarts <- st.sum.shard_restarts + 1;
     (* A rebooted shard announces itself immediately rather than
        waiting for its next heartbeat slot — this is the race the
        incarnation number exists for: if the announcement lands before
        the suspicion sweep, the router learns of the amnesiac restart
        only through the bump. *)
-    send st ~src:st.shard_addr.(shard) ~dst:Transport.Router
-      (M_hb { shard; incarnation = st.incarnation.(shard) })
+    heartbeat st arg
   | E_stall ->
     Option.iter
       (fun sp ->
@@ -979,7 +951,13 @@ let handle_event st ev ~aux =
         rearm st ~every:h.h_every E_handoff ~arg:0)
       st.cfg.handoff
   | E_tick ->
-    Array.iter (fun d -> ignore (Dedup.sweep d ~now:!(st.now))) st.dedup;
+    (* Every resident body's table, a stalled body's too: its entries age as well. *)
+    for shard = 0 to st.n_shards - 1 do
+      List.iter
+        (fun (sl : Shard.slice) ->
+          ignore (Dedup.sweep sl.Shard.sl_dedup ~window:st.cfg.dedup_window ~now:!(st.now)))
+        (Shard.slices (Router.shard st.router ~id:shard))
+    done;
     expire_rids st;
     rearm st ~every:(st.ttl /. 2.) E_tick ~arg:0
 
@@ -1034,7 +1012,7 @@ let run ?obs ?tap (cfg : config) ~seed =
       livelocked = false;
       violation = None;
       net = Transport.stats net;
-      dedup = { Dedup.fresh = 0; replays = 0; stale = 0; evictions = 0 };
+      dedup = Router.dedup_stats router;
       detector = Router.detector_stats router;
       router = Router.stats router;
       service = Service.stats meters;
@@ -1058,15 +1036,12 @@ let run ?obs ?tap (cfg : config) ~seed =
       max_polls = max_polls cfg.router;
       rid_lifetime = rid_lifetime cfg.router cfg.faults;
       disruption = Array.make n_slices 0;
-      dedup = Array.init n_slices (fun _ -> Dedup.create ~window:cfg.dedup_window sum.dedup);
       rids = Ints.create 1024;
       rid_order = Queue.create ();
-      incarnation = Array.make n_shards 0;
       shard_addr = Array.init n_shards (fun s -> Transport.Shard s);
       events = Heap.create ();
       stale_fences = Ints.create 16;
       stale_next = 0;
-      waiting = [];
       addr = Array.init n (fun i -> Transport.Client i);
       key = Array.init n (fun rank -> rank * n_slices / n);
       slice = Array.init n (fun rank -> Router.slice_of_key router ~key:(rank * n_slices / n));

@@ -12,11 +12,11 @@
     per the configured {!Transport.faults}, so the protocol layers under
     test are:
 
-    - {b at-most-once dedup} ({!Dedup}, one table per slice, moving with
-      the body on clean handoff and dying with it on a crash): duplicate
-      deliveries replay the cached reply, reordered stragglers are
-      discarded, and a fresh execution is recorded before its reply is
-      sent;
+    - {b at-most-once dedup} ({!Dedup}, one table per slice body,
+      moving with the body on a clean handoff and dropped with it):
+      duplicate deliveries replay the cached reply, reordered stragglers
+      are discarded, a fresh execution is recorded before its reply is
+      sent, and a shard holding no body of the slice refuses busy;
     - {b timeout/retry}: clients retransmit the same request id (same
       sequence number — the dedup key) after a timeout [rto] of 0.75, up
       to 3 times, back off between whole attempts with
@@ -193,8 +193,8 @@ type summary = {
           run: a tap's, such as the refinement spec's ["refine:*"] kinds *)
   net : Transport.stats;
   dedup : Dedup.stats;
-      (** the one record every slice table of the run counts into, the
-          tables a shard crash dropped included *)
+      (** {!Router.dedup_stats}: every slice body's table counts into it,
+          the tables dropped with their bodies included *)
   detector : Router.detector_stats;
   router : Router.stats;
       (** the busy counts include the router's refusals to forward

@@ -69,21 +69,7 @@ type stats = {
   mutable full_pumps : int;
 }
 
-(* {2 Failure detection}
-
-   The detector is the router's only view of shard availability: a
-   shard is available iff its last heartbeat is within [suspicion]
-   ([infinity] when {!create} got none, so nobody is ever suspected).
-   Suspicion is conservative in the safe direction
-   — a falsely suspected shard merely goes dark (availability loss)
-   until its heartbeats resume, at which point any slices orphaned in
-   the meantime are handed back intact (same epoch, leases alive)
-   provided they have not been adopted yet.  A heartbeat carrying a
-   {e higher incarnation} proves the shard restarted amnesiac: every
-   slice the directory still maps to it is orphaned from the last
-   heartbeat of the dead incarnation (the latest instant its leases
-   could still have been renewed, up to the delivery bound the caller
-   accounts for in [grace]). *)
+(* {2 Failure detection}, as router.mli describes it. *)
 
 type detector_stats = {
   mutable suspicions : int;
@@ -107,10 +93,6 @@ type counters = {
   c_adoptions : Metrics.counter;
 }
 
-(* External observation of the safety-relevant surface: every per-slice
-   service event plus every slice absorb.  The refinement spec rides
-   this; clean handoffs move slice bodies intact and are deliberately
-   invisible here. *)
 type tap_event =
   | Tap_audit of { slice : int; now : float; ev : Audit.event }
   | Tap_absorb of { slice : int; now : float }
@@ -134,6 +116,7 @@ type t = {
   slice_width : int;
   st : stats;
   meters : Service.meters;
+  dedup : Dedup.stats;
   counters : counters option;
   tap : (tap_event -> unit) option;
   fd : detector;
@@ -141,7 +124,9 @@ type t = {
 
 let bump t f = match t.counters with Some c -> Metrics.incr (f c) | None -> ()
 
-let slice_service t ~slice ~epoch =
+(* A fresh body, its request state empty; it counts into the run-wide
+   meters and dedup stats. *)
+let slice_body t ~slice ~epoch =
   let rng =
     Stream.fork_named t.stream ~name:(Printf.sprintf "slice-%d-epoch-%d" slice epoch)
   in
@@ -154,8 +139,15 @@ let slice_service t ~slice ~epoch =
       ~request_timeout:t.cfg.request_timeout ~high_water:t.cfg.high_water ()
   in
   let tap = Option.map (fun f ~now ev -> f (Tap_audit { slice; now; ev })) t.tap in
-  Service.create ~meters:t.meters ?tap ~wake:t.wake ~clock:t.clock ~rng
-    { Service.lease; admission }
+  {
+    Shard.sl_id = slice;
+    sl_epoch = epoch;
+    sl_svc =
+      Service.create ~meters:t.meters ?tap ~wake:t.wake ~clock:t.clock ~rng
+        { Service.lease; admission };
+    sl_dedup = Dedup.create t.dedup;
+    sl_waits = Hashtbl.create 8;
+  }
 
 let create ?obs ?tap ?suspicion ~clock ~seed cfg =
   (match suspicion with
@@ -207,6 +199,7 @@ let create ?obs ?tap ?suspicion ~clock ~seed cfg =
           full_pumps = 0;
         };
       meters = Service.meters ?obs ();
+      dedup = { Dedup.fresh = 0; replays = 0; stale = 0; evictions = 0 };
       counters;
       tap;
       (* Every shard starts unsuspected, with a heartbeat as of now. *)
@@ -225,8 +218,7 @@ let create ?obs ?tap ?suspicion ~clock ~seed cfg =
   for slice = 0 to cfg.slices - 1 do
     let shard = slice * cfg.shards / cfg.slices in
     t.dir.(slice) <- Owned { shard; epoch = 0 };
-    Shard.attach t.shards.(shard)
-      { Shard.sl_id = slice; sl_epoch = 0; sl_svc = slice_service t ~slice ~epoch:0 }
+    Shard.attach t.shards.(shard) (slice_body t ~slice ~epoch:0)
   done;
   t
 
@@ -234,6 +226,7 @@ let slices t = t.cfg.slices
 let slice_width t = t.slice_width
 let stats t = t.st
 let meters t = t.meters
+let dedup_stats t = t.dedup
 let shard t ~id = t.shards.(id)
 
 let slice_of_key t ~key =
@@ -354,7 +347,7 @@ type busy =
 
 type sgrant = { sg_slice : int; sg_shard : int; sg_epoch : int; sg_grant : Lease.grant }
 
-type gfence = { gf_slice : int; gf_fence : Lease.fence }
+type gfence = Reply.gfence = { gf_slice : int; gf_fence : Lease.fence }
 
 let fence_of_grant g = { gf_slice = g.sg_slice; gf_fence = g.sg_grant.Lease.g_fence }
 
@@ -449,9 +442,8 @@ let begin_handoff t ~slice ~to_ =
   match t.dir.(slice) with
   | Owned { shard = from_; epoch }
     when from_ <> to_
-         && Shard.alive t.shards.(from_) ~now
          && Shard.alive t.shards.(to_) ~now
-         && Shard.find_slice t.shards.(from_) ~slice <> None ->
+         && Shard.serving t.shards.(from_) ~slice ~epoch ~now <> None ->
     set_entry t ~slice (In_transit { from_; to_; epoch; since = now });
     t.st.handoffs_started <- t.st.handoffs_started + 1;
     bump t (fun c -> c.c_handoffs);
@@ -570,11 +562,11 @@ let step_transits t ~now =
            the body under a bumped epoch, fencing anything the dead
            destination might have observed about the transfer. *)
         match Shard.find_slice src ~slice with
-        | Some sl ->
+        | sl ->
           sl.Shard.sl_epoch <- epoch + 1;
           set_entry t ~slice (Owned { shard = from_; epoch = epoch + 1 });
           t.st.handoffs_aborted <- t.st.handoffs_aborted + 1
-        | None ->
+        | exception Not_found ->
           orphan_entry t ~slice ~last:from_ ~epoch ~since;
           t.st.handoffs_orphaned <- t.st.handoffs_orphaned + 1)
       | Shard.Stalled { since = s; _ }, _ when now -. s >= t.cfg.grace ->
@@ -602,14 +594,7 @@ let adopt_orphans t ~now =
       | None -> ()  (* nobody left: the slice stays dark, never unsafe *)
       | Some (_, adopter) ->
         (match t.tap with Some f -> f (Tap_absorb { slice; now }) | None -> ());
-        let sl =
-          {
-            Shard.sl_id = slice;
-            sl_epoch = epoch + 1;
-            sl_svc = slice_service t ~slice ~epoch:(epoch + 1);
-          }
-        in
-        Shard.attach t.shards.(adopter) sl;
+        Shard.attach t.shards.(adopter) (slice_body t ~slice ~epoch:(epoch + 1));
         set_entry t ~slice (Owned { shard = adopter; epoch = epoch + 1 });
         t.st.adoptions <- t.st.adoptions + 1;
         bump t (fun c -> c.c_adoptions))

@@ -100,9 +100,12 @@ val create :
     derives from [seed] via named streams — runs are replayable.
     [suspicion] is the failure detector's timeout (see Failure
     detection below); every shard starts unsuspected, with a heartbeat
-    as of the clock's reading now.  Every slice body the router makes
-    counts into one meter set ({!meters}), built here from [obs] as the
-    router's own counters are.  Raises if [suspicion <= 0]. *)
+    as of the clock's reading now.  Every slice body the router makes,
+    the initial ones and every adopted one, starts with an empty dedup
+    table and no ticket waits ({!Shard.slice}); its service counts into
+    one meter set ({!meters}), built here from [obs] as the router's own
+    counters are, and its table into one {!dedup_stats}.  Raises if
+    [suspicion <= 0]. *)
 
 (** {2 Routing} *)
 
@@ -113,7 +116,7 @@ type busy =
 
 type sgrant = { sg_slice : int; sg_shard : int; sg_epoch : int; sg_grant : Lease.grant }
 
-type gfence = { gf_slice : int; gf_fence : Lease.fence }
+type gfence = Reply.gfence = { gf_slice : int; gf_fence : Lease.fence }
 (** The client's capability: the slice plus the in-slice lease fence.
     Validity is decided by the lease fence at whichever shard currently
     owns the slice — a clean handoff keeps it alive, an absorb kills it. *)
@@ -217,7 +220,8 @@ val pump : t -> completion list
     if heartbeats resume before adoption, the orphans are handed back at
     the same epoch with every lease intact (a false suspicion costs
     availability, never safety).  A heartbeat with a higher incarnation
-    number announces an amnesiac restart and orphans the previous
+    number (the shard's {!Shard.incarnation}, which every restart bumps)
+    announces an amnesiac restart and orphans the previous
     incarnation's slices immediately.  Callers must size
     [grace >= ttl + heartbeat period + 2 * max network delay] so every
     lease the suspected body could still have renewed has expired by
@@ -270,6 +274,9 @@ val meters : t -> Service.meters
     builds, the initial ones and every adopted one: the service counts
     and histograms of the whole run, dropped bodies included.  With
     [?obs] its histograms and counters are the registry's. *)
+
+val dedup_stats : t -> Dedup.stats
+(** The record every body's dedup table counts into, dropped bodies included. *)
 
 val slices : t -> int
 val slice_width : t -> int

@@ -1,17 +1,25 @@
 type status = Alive | Stalled of { since : float; until : float } | Crashed of { since : float }
 
-type slice = { sl_id : int; mutable sl_epoch : int; mutable sl_svc : Service.t }
+type slice = {
+  sl_id : int;
+  mutable sl_epoch : int;
+  sl_svc : Service.t;
+  sl_dedup : Reply.t Dedup.t;
+  sl_waits : (int, int * int) Hashtbl.t;
+}
 
 type t = {
   id : int;
   wake : Service.wake;
   mutable status : status;
+  mutable incarnation : int;
   mutable slices : slice list;  (* bodies resident here, sorted by sl_id *)
 }
 
-let create ~id ~wake = { id; wake; status = Alive; slices = [] }
+let create ~id ~wake = { id; wake; status = Alive; incarnation = 0; slices = [] }
 
 let id t = t.id
+let incarnation t = t.incarnation
 let slices t = t.slices
 
 (* A stall heals by itself once the clock passes [until]; crashes only
@@ -26,16 +34,16 @@ let status t ~now =
 let alive t ~now = match status t ~now with Alive -> true | Stalled _ | Crashed _ -> false
 
 let rec find_in ~slice = function
-  | [] -> None
-  | sl :: rest -> if sl.sl_id = slice then Some sl else find_in ~slice rest
+  | [] -> raise Not_found
+  | sl :: rest -> if sl.sl_id = slice then sl else find_in ~slice rest
 
 let find_slice t ~slice = find_in ~slice t.slices
 
 let serving t ~slice ~epoch ~now =
   if alive t ~now then
     match find_slice t ~slice with
-    | Some sl as body when sl.sl_epoch = epoch -> body
-    | _ -> None
+    | sl when sl.sl_epoch = epoch -> Some sl
+    | _ | exception Not_found -> None
   else None
 
 let attach t sl =
@@ -43,8 +51,8 @@ let attach t sl =
 
 let detach t ~slice =
   match find_slice t ~slice with
-  | None -> None
-  | Some sl ->
+  | exception Not_found -> None
+  | sl ->
     t.slices <- List.filter (fun s -> s.sl_id <> slice) t.slices;
     Some sl
 
@@ -61,7 +69,9 @@ let crash t ~now =
   set_status t (Crashed { since = now });
   t.slices <- []
 
-let restart t = set_status t Alive
+let restart t =
+  t.incarnation <- t.incarnation + 1;
+  set_status t Alive
 let stall t ~now ~until = if until > now then set_status t (Stalled { since = now; until })
 
 let rec held_in acc = function

@@ -13,6 +13,7 @@ module Router = Renaming_service.Router
 module Shard = Renaming_service.Shard
 module Transport = Renaming_service.Transport
 module Dedup = Renaming_service.Dedup
+module Reply = Renaming_service.Reply
 module Net_churn = Renaming_service.Net_churn
 module Lease_adapter = Renaming_refine.Lease_adapter
 module Check = Renaming_refine.Check
@@ -815,6 +816,65 @@ let test_router_src_crash_orphans_then_adopts () =
   | Router.Granted _ -> ()
   | _ -> Alcotest.fail "adopted slice must serve"
 
+(* A slice body carries its request state.  Its dedup table and ticket
+   waits move with it on a clean handoff and die with it on a crash, and
+   an adopted body starts without them, even while the body it replaces
+   survives on a stalled shard. *)
+let test_router_request_state_moves_with_body () =
+  let t, r = router_fixture ~suspicion:2.0 () in
+  let beat = List.iter (fun shard -> Router.heartbeat r ~shard ~incarnation:0) in
+  let body ~shard ~slice = Shard.find_slice (Router.shard r ~id:shard) ~slice in
+  let holds ~shard ~slice =
+    match body ~shard ~slice with _ -> true | exception Not_found -> false
+  in
+  let owned slice =
+    match Router.owner r ~slice with
+    | Some shard -> body ~shard ~slice
+    | None -> Alcotest.fail "the slice is not owned"
+  in
+  let remember (sl : Shard.slice) =
+    Dedup.record sl.Shard.sl_dedup ~client:7 ~seq:1 ~now:!t Reply.B_ok;
+    Hashtbl.replace sl.Shard.sl_waits 0 (7, 2)
+  in
+  let starts_empty what (sl : Shard.slice) =
+    (match Dedup.admit sl.Shard.sl_dedup ~client:7 ~seq:1 ~now:!t with
+    | Dedup.Fresh -> ()
+    | _ -> Alcotest.fail (what ^ ": the adopted body replays a predecessor's entry"));
+    check Alcotest.int (what ^ ": the adopted body waits on no ticket") 0
+      (Hashtbl.length sl.Shard.sl_waits)
+  in
+  remember (owned 0);
+  (match Router.begin_handoff r ~slice:0 ~to_:1 with
+  | Ok () -> ()
+  | Error `Unavailable -> Alcotest.fail "handoff refused");
+  t := 1.0;
+  beat [ 0; 1; 2; 3 ];
+  ignore (Router.pump r);
+  check Alcotest.(option int) "handed off" (Some 1) (Router.owner r ~slice:0);
+  check Alcotest.bool "the source holds no body" true (not (holds ~shard:0 ~slice:0));
+  (match Dedup.admit (owned 0).Shard.sl_dedup ~client:7 ~seq:1 ~now:!t with
+  | Dedup.Replay Reply.B_ok -> ()
+  | _ -> Alcotest.fail "the destination must replay the entry recorded at the source");
+  check Alcotest.bool "the wait moved too" true (Hashtbl.mem (owned 0).Shard.sl_waits 0);
+  (* The crash takes the body, and so its table and waits. *)
+  Shard.crash (Router.shard r ~id:1) ~now:!t;
+  check Alcotest.bool "no shard holds a body of the crashed slice" true
+    (not (List.exists (fun shard -> holds ~shard ~slice:0) [ 0; 1; 2; 3 ]));
+  (* Shard 2 stalls past the grace with an entry in its slice 4 body. *)
+  remember (owned 4);
+  Shard.stall (Router.shard r ~id:2) ~now:!t ~until:40.0;
+  t := 3.5;
+  beat [ 0; 3 ];
+  ignore (Router.pump r);
+  t := 15.0;
+  beat [ 0; 3 ];
+  ignore (Router.pump r);
+  check Alcotest.int "the silent shards' five slices adopted" 5 (Router.stats r).Router.adoptions;
+  starts_empty "after a crash" (owned 0);
+  check Alcotest.bool "the stalled body still holds its wait" true
+    (Hashtbl.mem (body ~shard:2 ~slice:4).Shard.sl_waits 0);
+  starts_empty "after a stall" (owned 4)
+
 let test_router_dst_crash_aborts_handoff () =
   let t, r = router_fixture () in
   let g = grant_on r ~session:1 ~key:0 in
@@ -1076,17 +1136,17 @@ let test_dedup_verdicts () =
 
 let test_dedup_eviction_window () =
   let st = dedup_stats () in
-  let d = Dedup.create ~window:5.0 st in
+  let d = Dedup.create st in
   (match Dedup.admit d ~client:1 ~seq:1 ~now:0.0 with
   | Dedup.Fresh -> Dedup.record d ~client:1 ~seq:1 ~now:0.0 "reply"
   | _ -> Alcotest.fail "fresh");
   (match Dedup.admit d ~client:1 ~seq:1 ~now:0.0 with
   | Dedup.Replay r -> check Alcotest.string "entry live" "reply" r
   | _ -> Alcotest.fail "a live entry replays");
-  check Alcotest.int "young entry survives" 0 (Dedup.sweep d ~now:4.0);
-  check Alcotest.int "idle entry evicted" 1 (Dedup.sweep d ~now:6.0);
+  check Alcotest.int "young entry survives" 0 (Dedup.sweep d ~window:5.0 ~now:4.0);
+  check Alcotest.int "idle entry evicted" 1 (Dedup.sweep d ~window:5.0 ~now:6.0);
   (* A sweep far past the window evicts every entry left: none. *)
-  check Alcotest.int "table empty" 0 (Dedup.sweep d ~now:1e9);
+  check Alcotest.int "table empty" 0 (Dedup.sweep d ~window:5.0 ~now:1e9);
   (* This is exactly why the window must outlive the retry horizon plus
      the network's delivery bound: after eviction a late duplicate of
      seq 1 is indistinguishable from a new request and re-executes. *)
@@ -1382,7 +1442,7 @@ let test_pinned_net_churn () =
      fenced=0/0 dropped_releases=21 late=1 stale=27/27/0\n\
      faults crashes=46/5 restarts=46/5 partitions=10\n\
      net sent=7282 delivered=8014 dropped=418 duplicated=732 reordered=1204 blocked=86\n\
-     dedup fresh=1606 replays=415 stale=25 evictions=2\n\
+     dedup fresh=1599 replays=414 stale=25 evictions=2\n\
      detector suspicions=21 recoveries=18 reowns=28 incarnation_orphans=8\n\
      router handoffs=19/19/0/0 adoptions=8 redirects=44 downs=524 in_handoff=0 fenced=0"
     (render_net_churn s)
@@ -1735,7 +1795,6 @@ let qcheck_held_rises_only_at_grants =
              ~grace:14.0 ~high_water:0.9 ~auto_rebalance ())
       in
       let fences = ref [] and session = ref 0 and peak = ref 0 in
-      let incarnation = Array.make shards 0 in
       let pick i = match !fences with [] -> None | l -> Some (List.nth l (i mod List.length l)) in
       (* The body a forward reaches, as [Net_churn.on_shard] serves it:
          routed on the directory and the detector, served by the body
@@ -1780,10 +1839,7 @@ let qcheck_held_rises_only_at_grants =
               false
             | S_restart id ->
               let sh = Router.shard r ~id in
-              if not (Shard.alive sh ~now:!time) then begin
-                Shard.restart sh;
-                incarnation.(id) <- incarnation.(id) + 1
-              end;
+              if not (Shard.alive sh ~now:!time) then Shard.restart sh;
               false
             | S_stall (id, d) ->
               Shard.stall (Router.shard r ~id) ~now:!time ~until:(!time +. float_of_int d);
@@ -1792,8 +1848,9 @@ let qcheck_held_rises_only_at_grants =
               ignore (Router.begin_handoff r ~slice ~to_);
               false
             | S_heartbeat shard ->
-              if Shard.alive (Router.shard r ~id:shard) ~now:!time then
-                Router.heartbeat r ~shard ~incarnation:incarnation.(shard);
+              let sh = Router.shard r ~id:shard in
+              if Shard.alive sh ~now:!time then
+                Router.heartbeat r ~shard ~incarnation:(Shard.incarnation sh);
               false
             | S_pump ->
               List.exists
@@ -1838,8 +1895,8 @@ let test_wake_direct_body_op () =
   check Alcotest.int "an idle pump is skipped" before (full_pumps r);
   let body =
     match Shard.find_slice (Router.shard r ~id:0) ~slice:0 with
-    | Some sl -> sl.Shard.sl_svc
-    | None -> Alcotest.fail "no resident body"
+    | sl -> sl.Shard.sl_svc
+    | exception Not_found -> Alcotest.fail "no resident body"
   in
   let ticket =
     match Service.acquire body ~session:3 with
@@ -1993,6 +2050,8 @@ let tests =
         Alcotest.test_case "router: clean handoff" `Quick test_router_clean_handoff_keeps_leases;
         Alcotest.test_case "router: src crash -> adopt" `Quick test_router_src_crash_orphans_then_adopts;
         Alcotest.test_case "router: dst crash -> abort" `Quick test_router_dst_crash_aborts_handoff;
+        Alcotest.test_case "router: request state moves with its body" `Quick
+          test_router_request_state_moves_with_body;
         Alcotest.test_case "router: stall heals" `Quick test_router_stall_heals;
         Alcotest.test_case "router: a stalled shard answers nothing" `Quick
           test_router_stalled_shard_answers_nothing;
